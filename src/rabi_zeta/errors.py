@@ -56,4 +56,4 @@ class CombinatorialBlowup(RabiZetaError):
 
 
 class EigenFailure(RabiZetaError):
-    """The dense eigenvalue solver failed to converge."""
+    """The banded eigenvalue solver failed to converge."""

@@ -1,14 +1,17 @@
 """Brute-force truth source built from truncated operator matrices.
 
 Builds the tridiagonal component operators in the Fock and weighted-Bergman
-bases, computes traces of products of inverse powers (the trace terms R_m and
-their shift derivatives), and computes spectral zeta values by direct
-eigenvalue summation of the assembled two-by-two block matrices.
+bases and computes traces of products of their inverse powers (the trace
+terms R_m and their shift derivatives) with one structured kernel: the
+product h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
+h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
+by banded solves.  Spectral zeta values come from direct eigenvalue
+summation of the two-by-two block matrices, with the two components
+interleaved so that the Hamiltonian is banded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,70 +160,40 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
     return a
 
 
-class _FifoCache:
-    """Tiny FIFO cache for large per-operator intermediates."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.data: dict = {}
-
-    def get(self, key):
-        return self.data.get(key)
-
-    def put(self, key, value):
-        if key not in self.data and len(self.data) >= self.maxsize:
-            self.data.pop(next(iter(self.data)))
-        self.data[key] = value
-        return value
+def _dtype_of(ops) -> type:
+    """Real arithmetic unless some shift is complex."""
+    return complex if any(np.any(np.imag(op.diag)) for op in ops) else float
 
 
-# Sized so one model's full sweep set (two bases x two component operators x
-# three Richardson truncations) stays resident without evicting itself.
-_inverse_cache = _FifoCache(maxsize=16)
-_product_cache = _FifoCache(maxsize=8)
+def _checked_factor(op: TridiagonalOperator, dtype):
+    """(diag, offdiag, gttrf factors) of the operator in `dtype`.
 
-
-def _inverse_powers(op: TridiagonalOperator) -> dict[int, np.ndarray]:
-    """Memoized dense inverse powers {p: op^-p}; checks invertibility once."""
-    entry = _inverse_cache.get(op)
-    if entry is not None:
-        return entry
-    a = dense(op)
-    if np.all(a.imag == 0.0):
-        # Real parameters: real LU and matmuls are several times faster.
-        a = np.ascontiguousarray(a.real)
-        gecon = sla.lapack.dgecon
-    else:
-        gecon = sla.lapack.zgecon
-    anorm = float(np.linalg.norm(a, 1))
-    try:
-        lu, piv = sla.lu_factor(a)
-    except Exception as exc:  # LinAlgError on exact singularity
-        raise SingularOperator(str(exc)) from exc
-    rcond, info = gecon(lu, anorm)
+    Raises SingularOperator when gtcon's estimate of the smallest singular
+    value, ||A||_1 * rcond, is at or below the guard.
+    """
+    diag = np.array(op.diag)
+    diag = diag if dtype is complex else diag.real
+    off = np.array(op.offdiag, dtype=dtype)
+    gttrf, gtcon = sla.get_lapack_funcs(("gttrf", "gtcon"), dtype=dtype)
+    anorm = float(np.max(np.abs(diag) + np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off])))
+    *lu, info = gttrf(off, diag, off)
+    rcond = 0.0
+    if info == 0:
+        rcond, info = gtcon(*lu, anorm)
     if info != 0 or not np.isfinite(rcond) or anorm * rcond <= _SINGULAR_GUARD:
         raise SingularOperator(
             f"operator numerically singular (min-singular estimate "
             f"{anorm * float(rcond):.3e} <= {_SINGULAR_GUARD})"
         )
-    inv = sla.lu_solve((lu, piv), np.eye(op.dim, dtype=a.dtype))
-    return _inverse_cache.put(op, {1: inv})
-
-
-def _inv_pow(op: TridiagonalOperator, p: int) -> np.ndarray:
-    powers = _inverse_powers(op)
-    top = max(powers)
-    while top < p:
-        powers[top + 1] = powers[top] @ powers[1]
-        top += 1
-    return powers[p]
+    return diag, off, lu
 
 
 def trace_inverse_product(factors) -> complex:
     """Trace of prod_j op_j^(-p_j) for an ordered list of (operator, power).
 
     All factors must share basis, nu, and dimension; each operator must be
-    numerically invertible.
+    numerically invertible.  The product is applied to the identity by
+    tridiagonal solves, last factor first.
     """
     factors = list(factors)
     if not factors:
@@ -231,14 +204,14 @@ def trace_inverse_product(factors) -> complex:
             raise DomainError(f"powers must be >= 1, got {p}")
         if (op.basis, op.nu, op.dim) != (op0.basis, op0.nu, op0.dim):
             raise DomainError("all factors must share basis and dimension")
-    mats = [_inv_pow(op, p) for op, p in factors]
-    if len(mats) == 1:
-        return complex(np.trace(mats[0]))
-    prod = mats[0]
-    for m in mats[1:-1]:
-        prod = prod @ m
-    # tr(prod @ last) without forming the product.
-    return complex(np.sum(prod * mats[-1].T))
+    dtype = _dtype_of([op for op, _ in factors])
+    (gttrs,) = sla.get_lapack_funcs(("gttrs",), dtype=dtype)
+    x = np.eye(op0.dim, dtype=dtype, order="F")
+    for op, p in reversed(factors):
+        *_, lu = _checked_factor(op, dtype)
+        for _ in range(p):
+            x, _ = gttrs(*lu, x, overwrite_b=True)
+    return complex(np.trace(x))
 
 
 def _min_progression_distance(s: complex, step: float, offset: float) -> float:
@@ -265,26 +238,6 @@ def _pair_ops(basis, g, lam, eps, N, nu):
     return hp, hm
 
 
-def _product_matrix(basis, g, lam, eps, N, nu) -> np.ndarray:
-    """Dense matrix of h_plus^-1 h_minus^-1 at truncation N (cached)."""
-    key = (basis, nu, float(g), complex(lam), complex(eps), N)
-    cached = _product_cache.get(key)
-    if cached is not None:
-        return cached
-    hp, hm = _pair_ops(basis, g, lam, eps, N, nu)
-    f = _inv_pow(hp, 1) @ _inv_pow(hm, 1)
-    return _product_cache.put(key, f)
-
-
-def _trace_power(f: np.ndarray, m: int) -> complex:
-    prod = f
-    for _ in range(m - 2):
-        prod = prod @ f
-    if m == 1:
-        return complex(np.trace(f))
-    return complex(np.sum(prod * f.T))
-
-
 def _richardson(v_fine: complex, v_coarse: complex, p: int) -> tuple[complex, float]:
     corr = (v_fine - v_coarse) / (2**p - 1)
     return v_fine + corr, abs(corr)
@@ -299,6 +252,106 @@ def _richardson2(values: tuple[complex, complex, complex], p: int) -> tuple[comp
     return _richardson(w_fine, w_coarse, p + 1)
 
 
+def _tridiagonal_apply(diag, off, x):
+    """S @ x for the symmetric tridiagonal S = (diag, off).  For a pair of
+    components with opposite coupling signs S is diagonal."""
+    y = diag[:, None] * x
+    if np.any(off):
+        y[:-1] += off[:, None] * x[1:]
+        y[1:] += off[:, None] * x[:-1]
+    return y
+
+
+class _ResolventSeries:
+    """Taylor coefficients W_0..W_n of M(t)^-m at one truncation, where
+    M(t) = (h_minus + t)(h_plus + t) is pentadiagonal, so M(t)^-1 =
+    h_plus(t)^-1 h_minus(t)^-1.
+
+    M_0 = h_minus h_plus is factored once with gbtrf (kl = ku = 2); each
+    step m solves M_0 W_j = W_j(previous m) - S W_{j-1} - W_{j-2} with
+    S = h_minus + h_plus, so d^j R_m / d lam^j = j! tr W_j.
+    """
+
+    def __init__(self, basis, g, lam, eps, n, N, nu):
+        hp, hm = _pair_ops(basis, g, lam, eps, N, nu)
+        dtype = _dtype_of((hp, hm))
+        a, b, _ = _checked_factor(hm, dtype)
+        c, d, _ = _checked_factor(hp, dtype)
+        # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
+        # gbtrf's fill-in.
+        band = np.zeros((7, N), dtype=dtype)
+        band[4] = a * c
+        band[4, :-1] += b * d
+        band[4, 1:] += b * d
+        band[3, 1:] = a[:-1] * d + b * c[1:]
+        band[5, :-1] = b * c[:-1] + a[1:] * d
+        band[2, 2:] = b[:-1] * d[1:]
+        band[6, :-2] = b[1:] * d[:-1]
+        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=dtype)
+        self._lu, self._piv, info = gbtrf(band, 2, 2)
+        if info != 0:
+            raise SingularOperator(f"banded factorization of h_minus h_plus failed (info={info})")
+        self._s = (a + c, b + d)
+        self._w = [np.eye(N, dtype=dtype, order="F")] + [0.0] * n
+
+    def advance(self) -> list[complex]:
+        """Step m -> m + 1 and return [j! tr W_j for j = 0..n]."""
+        w = self._w
+        for j in range(len(w)):
+            rhs = w[j]
+            if j >= 1:
+                rhs = rhs - _tridiagonal_apply(*self._s, w[j - 1])
+            if j >= 2:
+                rhs -= w[j - 2]
+            w[j], _ = self._gbtrs(self._lu, 2, 2, rhs, self._piv, overwrite_b=True)
+        return [math.factorial(j) * complex(np.trace(wj)) for j, wj in enumerate(w)]
+
+
+class TraceDerivativeSweep:
+    """Incremental evaluation of D_m = d^n R_m / d lambda^n for m = 1, 2, ...
+
+    Uses the exact resolvent Taylor expansion in the shift t: F(t) =
+    h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
+    polynomial M(t), and each step m costs n + 1 banded solves against one
+    LU factorization of M(0) per truncation, O((n + 1) N^2) work, with no
+    dense inverse or product.  D_m = n! tr [t^n] F(t)^m, and every lower
+    order comes from the same series.  Each term is Richardson-extrapolated
+    from truncations N, N/2, N/4.
+    """
+
+    def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        _check_shift_validity(basis, nu, lam, eps)
+        self.n = n
+        self.m = 0
+        self._states = [
+            _ResolventSeries(basis, g, lam, eps, n, size, nu) for size in (N, N // 2, N // 4)
+        ]
+
+    def next_term(self) -> SeriesValue:
+        """Advance to the next m and return D_m at the top derivative order."""
+        return self.next_terms()[self.n]
+
+    def next_terms(self) -> dict:
+        """Advance to the next m and return {order: D_m at that order} for
+        every order 0..n (the truncated series holds them all at once)."""
+        self.m += 1
+        per_truncation = [st.advance() for st in self._states]
+        out = {}
+        for order, values in enumerate(zip(*per_truncation)):
+            value, corr = _richardson2(values, 2 * self.m + order - 1)
+            out[order] = SeriesValue(value, corr + 1e-14 * abs(value), self.m, True)
+        return out
+
+
+def _swept_term(basis, g, lam, eps, m, n, N, nu, tol) -> SeriesValue:
+    sweep = TraceDerivativeSweep(basis, g, lam, eps, n, N, nu)
+    for _ in range(m):
+        sv = sweep.next_term()
+    return SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol)
+
+
 def r_m_operator(
     basis: str,
     g: float,
@@ -309,51 +362,15 @@ def r_m_operator(
     nu: float | None = None,
     tol: float = 1e-8,
 ) -> SeriesValue:
-    """R_m = Tr((h_plus^-1 h_minus^-1)^m) by dense truncation.
+    """R_m = Tr((h_plus^-1 h_minus^-1)^m) by banded solves on the truncations.
 
-    The value is Richardson-extrapolated from the N and N/2 truncations with
-    the known leading truncation order 2m-1; abs_error is the applied
-    correction magnitude.
+    The value is two-level Richardson-extrapolated from the N, N/2 and N/4
+    truncations with the known leading truncation order 2m-1; abs_error is
+    the last applied correction plus a 1e-14 relative rounding floor.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    _check_shift_validity(basis, nu, lam, eps)
-    values = tuple(
-        _trace_power(_product_matrix(basis, g, lam, eps, size, nu), m)
-        for size in (N, N // 2, N // 4)
-    )
-    value, corr = _richardson2(values, 2 * m - 1)
-    abs_error = corr + 1e-14 * abs(value)
-    return SeriesValue(value, abs_error, N, abs_error <= tol)
-
-
-def _compositions(total: int, parts: int):
-    """All weak compositions of `total` into `parts` parts, deterministically."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(total + parts - 1 - prev - 1)
-        yield tuple(out)
-
-
-def _dn_sum(basis, g, lam, eps, m, n, N, nu) -> complex:
-    hp, hm = _pair_ops(basis, g, lam, eps, N, nu)
-    total = 0.0 + 0.0j
-    for comp in _compositions(n, 2 * m):
-        mats = []
-        for j, nj in enumerate(comp):
-            mats.append(_inv_pow(hp if j % 2 == 0 else hm, nj + 1))
-        prod = mats[0]
-        for mat in mats[1:-1]:
-            prod = prod @ mat
-        if len(mats) == 1:
-            total += np.trace(prod)
-        else:
-            total += np.sum(prod * mats[-1].T)
-    return complex((-1) ** n * math.factorial(n) * total)
+    return _swept_term(basis, g, lam, eps, m, 0, N, nu, tol)
 
 
 def dn_r_m_operator(
@@ -367,8 +384,9 @@ def dn_r_m_operator(
     nu: float | None = None,
     tol: float = 1e-8,
 ) -> SeriesValue:
-    """n-th shift derivative of R_m via the composition sum
-    (-1)^n n! sum_{|n|=n} Tr(prod h_plus^{-n_{2j-1}-1} h_minus^{-n_{2j}-1})."""
+    """n-th shift derivative of R_m, equal to the composition sum
+    (-1)^n n! sum_{|n|=n} Tr(prod h_plus^{-n_{2j-1}-1} h_minus^{-n_{2j}-1});
+    evaluated by the banded sweep, Richardson order 2m+n-1."""
     if m < 1 or n < 0:
         raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
     if n == 0:
@@ -377,104 +395,49 @@ def dn_r_m_operator(
         raise CombinatorialBlowup(
             f"composition count C({n + 2 * m - 1},{n}) exceeds {_COMPOSITION_CAP}"
         )
-    _check_shift_validity(basis, nu, lam, eps)
-    values = tuple(
-        _dn_sum(basis, g, lam, eps, m, n, size, nu) for size in (N, N // 2, N // 4)
-    )
-    value, corr = _richardson2(values, 2 * m + n - 1)
-    abs_error = corr + 1e-14 * abs(value)
-    return SeriesValue(value, abs_error, N, abs_error <= tol)
-
-
-class TraceDerivativeSweep:
-    """Incremental evaluation of D_m = d^n R_m / d lambda^n for m = 1, 2, ...
-
-    Uses the exact resolvent Taylor expansion h(lam+t)^-1 =
-    sum_j (-t)^j h^-(j+1): the product F(t) = h_plus(t)^-1 h_minus(t)^-1 is a
-    matrix polynomial mod t^(n+1), its m-th power is built up one truncated
-    series multiplication per step, and D_m = n! tr [t^n] F(t)^m.  Agrees
-    with the composition sum of dn_r_m_operator term by term but costs
-    O(n^2) matrix products per m instead of a full chain per composition.
-    Each term is Richardson-extrapolated from truncations N, N/2, N/4.
-    """
-
-    def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        _check_shift_validity(basis, nu, lam, eps)
-        self.n = n
-        self.m = 0
-        self._states = []
-        for size in (N, N // 2, N // 4):
-            hp, hm = _pair_ops(basis, g, lam, eps, size, nu)
-            p = [(-1.0) ** j * _inv_pow(hp, j + 1) for j in range(n + 1)]
-            q = [(-1.0) ** j * _inv_pow(hm, j + 1) for j in range(n + 1)]
-            f = self._series_mult(p, q)
-            self._states.append({"f": f, "w": None})
-
-    def _series_mult(self, a, b):
-        return [
-            sum(a[k] @ b[j - k] for k in range(j + 1)) for j in range(self.n + 1)
-        ]
-
-    def next_term(self) -> SeriesValue:
-        """Advance to the next m and return D_m at the top derivative order."""
-        return self.next_terms()[self.n]
-
-    def next_terms(self) -> dict:
-        """Advance to the next m and return {order: D_m at that order} for
-        every order 0..n (the truncated series holds them all at once)."""
-        self.m += 1
-        per_order = {order: [] for order in range(self.n + 1)}
-        for st in self._states:
-            st["w"] = st["f"] if st["w"] is None else self._series_mult(st["w"], st["f"])
-            for order in range(self.n + 1):
-                per_order[order].append(
-                    math.factorial(order) * complex(np.trace(st["w"][order]))
-                )
-        out = {}
-        for order, values in per_order.items():
-            value, corr = _richardson2(tuple(values), 2 * self.m + order - 1)
-            out[order] = SeriesValue(value, corr + 1e-14 * abs(value), self.m, True)
-        return out
+    return _swept_term(basis, g, lam, eps, m, n, N, nu, tol)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue oracle
 
 
-def _fock_block_dense(g: float, shift: float, sign: int, N: int) -> np.ndarray:
-    ks = np.arange(N, dtype=float)
-    a = np.diag(ks + g * g + shift)
-    off = sign * g * np.sqrt(ks[:-1] + 1.0)
-    a[np.arange(N - 1), np.arange(N - 1) + 1] = off
-    a[np.arange(N - 1) + 1, np.arange(N - 1)] = off
-    return a
+def _interleave(x, y, length: int) -> np.ndarray:
+    out = np.zeros(2 * len(x))
+    out[0::2] = x
+    out[1::2][: len(y)] = y
+    return out[:length]
 
 
-def _bergman_block_dense(nu: float, g: float, shift: float, sign: int, N: int) -> np.ndarray:
-    ks = np.arange(N, dtype=float)
-    a = np.diag(math.cosh(2 * g) * (2 * ks + nu) + shift)
-    off = sign * math.sinh(2 * g) * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
-    a[np.arange(N - 1), np.arange(N - 1) + 1] = off
-    a[np.arange(N - 1) + 1, np.arange(N - 1)] = off
-    return a
+def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
+    """Upper band storage of [[A, C], [C^T, B]] in the interleaved basis
+    (a_0, b_0, a_1, b_1, ...), for tridiagonal A = (diag, off), B likewise
+    and C diagonal, or symmetric tridiagonal when c_off is given.  The
+    bandwidth is 2, or 3 with c_off."""
+    size = 2 * len(a[0])
+    diagonals = [
+        _interleave(a[0], b[0], size),
+        _interleave(c_diag, () if c_off is None else c_off, size - 1),
+        _interleave(a[1], b[1], size - 2),
+    ]
+    if c_off is not None:
+        diagonals.append(_interleave(c_off, (), size - 3))
+    u = len(diagonals) - 1
+    band = np.zeros((u + 1, size))
+    for k, diagonal in enumerate(diagonals):
+        band[u - k, k:] = diagonal
+    return band
 
 
-def _two_by_two_blocks(a: np.ndarray, b: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = a
-    h[n:, n:] = b
-    h[:n, n:] = coupling
-    h[n:, :n] = coupling.T
-    return h
+def _component(basis, g, shift, sign, N, nu=None):
+    op = build_component_operator(basis, g, shift, sign, N, nu)
+    return np.real(op.diag), np.array(op.offdiag)
 
 
-def _eig_sum(h: np.ndarray, n: int, lam: complex) -> complex:
+def _eig_sum(band: np.ndarray, n: int, lam: complex) -> complex:
     try:
-        mu = sla.eigh(h, eigvals_only=True)
-    except Exception as exc:
+        mu = sla.eig_banded(band, lower=False, eigvals_only=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenFailure(str(exc)) from exc
     z = mu + complex(lam)
     if np.min(np.abs(z)) <= _NEAR_POLE_GUARD:
@@ -483,22 +446,20 @@ def _eig_sum(h: np.ndarray, n: int, lam: complex) -> complex:
 
 
 def _model_blocks_and_tail(model: ModelSpec, N: int):
-    """Matrices to diagonalize and the coupling-free tail progressions.
+    """Banded matrices to diagonalize and the coupling-free tail progressions.
 
-    Returns (list of matrices, list of (prefactor, tail_start_arguments))
-    where each tail contributes prefactor * zeta(n, (start + lam)/scale)
-    encoded as (scale, start_plus, start_minus).
+    Returns (list of upper band storages, list of tails) where each tail
+    (scale, start_plus, start_minus) contributes scale^-n times the Hurwitz
+    zeta pair zeta(n, (start + lam)/scale).
     """
-    if isinstance(model, OnePhoton):
-        a = _fock_block_dense(model.g, +model.eps, +1, N)
-        b = _fock_block_dense(model.g, -model.eps, -1, N)
-        h = _two_by_two_blocks(a, b, model.delta * np.eye(N))
-        return [h], [(1.0, N + model.eps, N - model.eps)]
-    if isinstance(model, BergmanNu):
-        a = _bergman_block_dense(model.nu, model.g, +model.eps, +1, N)
-        b = _bergman_block_dense(model.nu, model.g, -model.eps, -1, N)
-        h = _two_by_two_blocks(a, b, model.delta * np.eye(N))
-        return [h], [(2.0, 2 * N + model.nu + model.eps, 2 * N + model.nu - model.eps)]
+    if isinstance(model, (OnePhoton, BergmanNu)):
+        basis, nu = ("fock", None) if isinstance(model, OnePhoton) else ("bergman", model.nu)
+        a = _component(basis, model.g, +model.eps, +1, N, nu)
+        b = _component(basis, model.g, -model.eps, -1, N, nu)
+        band = _interleaved_band(a, b, np.full(N, float(model.delta)))
+        if nu is None:
+            return [band], [(1.0, N + model.eps, N - model.eps)]
+        return [band], [(2.0, 2 * N + nu + model.eps, 2 * N + nu - model.eps)]
     if isinstance(model, TwoPhoton):
         mats = []
         tails = []
@@ -511,20 +472,16 @@ def _model_blocks_and_tail(model: ModelSpec, N: int):
     if isinstance(model, Ncho):
         alpha, beta, eta = model.alpha, model.beta, model.eta
         c = (alpha + beta) / (2 * math.sqrt(alpha * beta * (alpha * beta - 1)))
+        ks = np.arange(N, dtype=float)
         mats = []
         tails = []
         for nu in (0.5, 1.5):
-            ks = np.arange(N, dtype=float)
             scaling = 2 * ks + nu
-            w = np.zeros((N, N))
-            off = np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
-            w[np.arange(N - 1), np.arange(N - 1) + 1] = off
-            w[np.arange(N - 1) + 1, np.arange(N - 1)] = off
-            coupling = c * (w + 2 * eta * math.sqrt(alpha * beta - 1) * np.eye(N))
-            h = _two_by_two_blocks(
-                c * alpha * np.diag(scaling), c * beta * np.diag(scaling), coupling
-            )
-            mats.append(h)
+            zeros = np.zeros(N - 1)
+            off = c * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
+            c_diag = np.full(N, c * 2 * eta * math.sqrt(alpha * beta - 1))
+            a, b = (c * alpha * scaling, zeros), (c * beta * scaling, zeros)
+            mats.append(_interleaved_band(a, b, c_diag, off))
             tails.append((2.0, 2 * N + nu + 2 * eta, 2 * N + nu - 2 * eta))
         return mats, tails
     raise DomainError(f"unknown model {model!r}")

@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import operator_oracle, trace_terms
 from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
@@ -30,6 +32,7 @@ _METHODS = ("series_integral", "series_operator", "eigen_oracle")
 _WARN_DISTANCE = 1e-4
 _RAISE_DISTANCE = 1e-9
 _SLOW_RATIO = 0.95
+_HS_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,24 @@ def convergence_radius(model: ModelSpec, lam: complex) -> float:
 
 
 def _hs_constant_sq(shifts, step, offset) -> float:
-    """sum_k 1/(d_+(k) d_-(k)): the Hilbert-Schmidt constant squared used in
-    the geometric tail bound, truncated at 1e-12."""
-    total = 0.0
-    k = 0
-    while True:
-        d = 1.0
-        for s in shifts:
-            d *= abs(s + offset + step * k)
-        term = 1.0 / d
-        total += term
-        k += 1
-        if k > 10 and term < 1e-12:
-            break
-        if k > 1_000_000:
-            break
-    return total
+    """Upper bound on sum_k 1/(d_+(k) d_-(k)), d(k) = |s + offset + step*k|:
+    the Hilbert-Schmidt constant squared used in the geometric tail bound.
+
+    The first K terms are summed exactly.  Beyond them d(k) >= step (k + p)
+    with p = (Re s + offset) / step, and the midpoint rule bounds the sum of
+    the convex decreasing 1/(step^2 (k + p)(k + q)) by its integral from
+    K - 1/2, so the result is never below the infinite sum.
+    """
+    ps = [(complex(s).real + offset) / step for s in shifts]
+    k_head = _HS_TERMS + max(0, math.ceil(-min(ps)))
+    ks = np.arange(k_head)
+    d = np.ones(k_head)
+    for s in shifts:
+        d *= np.abs(s + offset + step * ks)
+    p, q = (x + k_head - 0.5 for x in ps)
+    # int_0^inf dx / ((x + p)(x + q)) = log(p/q) / (p - q)
+    tail = math.log1p((p - q) / q) / (p - q) if p != q else 1.0 / p
+    return float(np.sum(1.0 / d)) + tail / step**2
 
 
 def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> float:
@@ -194,11 +199,14 @@ class _OperatorTermSource:
                 for o, sv in entry[2].items():
                     combined[o][0] += sign * sv.value
                     combined[o][1] += sv.abs_error
+        results = {o: SeriesValue(val, err, self.m, True) for o, (val, err) in combined.items()}
         if len(self._cache) > 4096:
             self._cache.clear()
-        for o, (val, err) in combined.items():
-            self._cache[self._key(o, self.m)] = SeriesValue(val, err, self.m, True)
-        return self._cache[key]
+        for o, sv in results.items():
+            self._cache[self._key(o, self.m)] = sv
+        # Read back from the local results: another thread may clear the
+        # shared cache between the writes above and a read.
+        return results[order]
 
 
 def _d_m_term(

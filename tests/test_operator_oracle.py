@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rabi_zeta.errors import (
     CombinatorialBlowup,
     DomainError,
     InvalidDimension,
     NearPole,
+    SingularOperator,
 )
 from rabi_zeta.operator_oracle import (
+    BergmanNu,
     Ncho,
     OnePhoton,
     TraceDerivativeSweep,
     TwoPhoton,
     _min_progression_distance,
+    _model_blocks_and_tail,
+    _richardson2,
     build_component_operator,
     dense,
     dn_r_m_operator,
@@ -179,3 +184,130 @@ class TestEigenOracle:
         model = OnePhoton(g=0.2, delta=0.3, eps=0.1)
         sv = zeta_eigen_oracle(model, 2, 1.0, N=200)
         assert sv.abs_error > 0
+
+
+# ---------------------------------------------------------------------------
+# Dense references, independent of the banded kernel
+
+
+def _weak_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _dense_dn_r_m_once(basis, g, lam, eps, m, n, N, nu):
+    """(-1)^n n! sum over weak compositions of n into 2m parts of
+    tr(h_+^(-n_1-1) h_-^(-n_2-1) ...), from dense inverses."""
+    inv = [
+        np.linalg.inv(dense(build_component_operator(basis, g, lam + sign * eps, sign, N, nu)))
+        for sign in (+1, -1)
+    ]
+    total = 0.0
+    for comp in _weak_compositions(n, 2 * m):
+        prod = np.eye(N)
+        for j, nj in enumerate(comp):
+            prod = prod @ np.linalg.matrix_power(inv[j % 2], nj + 1)
+        total += np.trace(prod)
+    return (-1) ** n * math.factorial(n) * complex(total)
+
+
+def _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu):
+    values = tuple(
+        _dense_dn_r_m_once(basis, g, lam, eps, m, n, size, nu) for size in (N, N // 2, N // 4)
+    )
+    return _richardson2(values, 2 * m + n - 1)[0]
+
+
+def _dense_block_matrices(model, N):
+    """The 2N x 2N block matrices [[A, C], [C^T, B]] of the eigen oracle,
+    assembled densely in the block (not interleaved) basis."""
+
+    def pair(basis, nu=None):
+        a = dense(build_component_operator(basis, model.g, model.eps, +1, N, nu)).real
+        b = dense(build_component_operator(basis, model.g, -model.eps, -1, N, nu)).real
+        c = model.delta * np.eye(N)
+        return np.block([[a, c], [c.T, b]])
+
+    if isinstance(model, OnePhoton):
+        return [pair("fock")]
+    if isinstance(model, BergmanNu):
+        return [pair("bergman", model.nu)]
+    if isinstance(model, TwoPhoton):
+        return [pair("bergman", 0.5), pair("bergman", 1.5)]
+    alpha, beta, eta = model.alpha, model.beta, model.eta
+    c = (alpha + beta) / (2 * math.sqrt(alpha * beta * (alpha * beta - 1)))
+    ks = np.arange(N, dtype=float)
+    mats = []
+    for nu in (0.5, 1.5):
+        w = np.diag(np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu)), 1)
+        coupling = c * (w + w.T + 2 * eta * math.sqrt(alpha * beta - 1) * np.eye(N))
+        scaling = np.diag(2 * ks + nu)
+        mats.append(np.block([[c * alpha * scaling, coupling], [coupling.T, c * beta * scaling]]))
+    return mats
+
+
+_COMPONENTS = [("fock", None), ("bergman", 0.5), ("bergman", 1.5)]
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
+    @pytest.mark.parametrize("basis,nu", _COMPONENTS)
+    def test_kernel_matches_dense_composition_sum(self, basis, nu, lam, m):
+        g, eps, N, top = 0.2, 0.1, 120, 3
+        sweep = TraceDerivativeSweep(basis, g, lam, eps, top, N, nu)
+        for _ in range(m):
+            terms = sweep.next_terms()
+        for n in range(top + 1):
+            ref = _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu)
+            direct = dn_r_m_operator(basis, g, lam, eps, m, n, N, nu)
+            for got in (terms[n].value, direct.value):
+                assert abs(got - ref) <= 1e-11 * abs(ref), (n, got, ref)
+
+    @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
+    def test_trace_inverse_product_matches_dense(self, lam):
+        hp = build_component_operator("bergman", 0.2, lam + 0.1, +1, 60, nu=0.5)
+        hm = build_component_operator("bergman", 0.2, lam - 0.1, -1, 60, nu=0.5)
+        got = trace_inverse_product([(hp, 2), (hm, 1), (hp, 1), (hm, 3)])
+        ip, im = (np.linalg.inv(dense(op)) for op in (hp, hm))
+        ref = np.trace(ip @ ip @ im @ ip @ im @ im @ im)
+        assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            OnePhoton(g=0.2, delta=0.3, eps=0.1),
+            TwoPhoton(g=0.2, delta=0.3, eps=0.1),
+            BergmanNu(nu=0.7, g=0.2, delta=0.3, eps=0.1),
+            Ncho(alpha=2.0, beta=1.2, eta=0.1),
+        ],
+    )
+    def test_banded_eigenvalues_match_dense(self, model):
+        N = 200
+        bands, _ = _model_blocks_and_tail(model, N)
+        got = np.sort(np.concatenate([sla.eig_banded(b, eigvals_only=True) for b in bands]))
+        dense_mats = _dense_block_matrices(model, N)
+        ref = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in dense_mats]))
+        assert got.shape == ref.shape == (2 * N * len(bands),)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+class TestSingularOperator:
+    def test_truncated_eigenvalue_at_minus_shift(self):
+        # Put a *truncated* eigenvalue of the N = 16 Fock component at -shift.
+        # The untruncated spectrum is k + shift, so the shift stays off the
+        # excluded progression and only the singularity guard can fire.
+        g, N = 0.5, 16
+        mu = np.linalg.eigvalsh(dense(build_component_operator("fock", g, 0.0, +1, N)).real)
+        lam = -mu[-1]
+        assert _min_progression_distance(lam, 1.0, 0.0) > 1e-3
+        with pytest.raises(SingularOperator):
+            r_m_operator("fock", g, lam, 0.0, 1, N=N)
+        with pytest.raises(SingularOperator):
+            dn_r_m_operator("fock", g, lam, 0.0, 2, 1, N=N)
+        with pytest.raises(SingularOperator):
+            TraceDerivativeSweep("fock", g, lam, 0.0, 2, N)

@@ -1,12 +1,17 @@
 import math
+import sys
+import time
 
 import pytest
+from scipy.special import digamma, polygamma
 
+from rabi_zeta import zeta_values
 from rabi_zeta.errors import DomainError, NearPole, RadiusExceeded
 from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton
 from rabi_zeta.specfun import alternating_zeta_sum, hurwitz_zeta
 from rabi_zeta.zeta_values import (
     ZetaRequest,
+    _hs_constant_sq,
     confluence_scan,
     convergence_radius,
     parity_difference,
@@ -37,6 +42,50 @@ class TestConvergenceRadius:
 
     def test_bergman(self):
         assert convergence_radius(BergmanNu(1.5, 0.2, 0.3, 0.0), 0.5) == pytest.approx(2.0)
+
+
+class TestHilbertSchmidtConstant:
+    @pytest.mark.parametrize(
+        "shifts,step,offset",
+        [
+            ((1.1, 0.9), 1.0, 0.0),
+            ((0.8, 0.8), 1.0, 0.5),
+            ((1.3, 0.7), 2.0, 1.5),
+            ((0.2, 3.4), 1.0, 0.5),
+        ],
+    )
+    def test_real_shift_closed_form(self, shifts, step, offset):
+        # sum_k 1/((k + a1)(k + a2)) = (psi(a1) - psi(a2)) / (a1 - a2), or
+        # psi'(a) when a1 = a2; the bound must sit on or above it.
+        a1, a2 = ((s + offset) / step for s in shifts)
+        if a1 == a2:
+            exact = polygamma(1, a1) / step**2
+        else:
+            exact = (digamma(a1) - digamma(a2)) / (step**2 * (a1 - a2))
+        bound = _hs_constant_sq(tuple(complex(s) for s in shifts), step, offset)
+        assert bound >= exact
+        assert bound - exact <= 1e-9 * exact
+
+
+class TestComplexLambda:
+    @pytest.mark.parametrize(
+        "model,lam",
+        [
+            (OnePhoton(0.2, 0.3, 0.1), 1.0 + 0.5j),
+            (TwoPhoton(0.2, 0.3, 0.1), 1.0 + 0.5j),
+            (Ncho(2.0, 1.2, 0.1), 0.8 + 0.2j),
+        ],
+    )
+    def test_routes_agree(self, model, lam):
+        res = {
+            method: zeta_value(ZetaRequest(model, 2, lam, method=method))
+            for method in ("series_operator", "series_integral", "eigen_oracle")
+        }
+        op = res["series_operator"]
+        assert abs(op.value.imag) > 1e-3
+        for method in ("series_integral", "eigen_oracle"):
+            other = res[method]
+            assert abs(op.value - other.value) <= op.abs_error + other.abs_error, method
 
 
 class TestDecoupledValues:
@@ -164,3 +213,29 @@ class TestConfluenceScan:
         )
         for (n1, v1, d1), (n2, v2, d2) in zip(serial, threaded):
             assert n1 == n2 and v1 == v2 and d1 == d2
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threaded_stress_matches_serial(self, threads, monkeypatch):
+        # A cache that reports itself full is cleared before every store,
+        # and each store yields the interpreter lock, so concurrent rows
+        # clear each other's entries between a store and the read that
+        # follows it; reading a term back from the shared cache would raise
+        # KeyError here.
+        class _AlwaysFull(dict):
+            def __len__(self):
+                return 1 << 20
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                time.sleep(1e-3)
+
+        monkeypatch.setattr(zeta_values._OperatorTermSource, "_cache", _AlwaysFull())
+        args = (0.1, 0.1, 0.0, 1.0, 2, [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+        serial = confluence_scan(*args, trunc_n=100)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = confluence_scan(*args, trunc_n=100, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
