@@ -160,7 +160,9 @@ def _add_param_flags(p):
 def _make_parser():
     top = _Parser(prog="rabi-zeta")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--threads", type=int, default=None)
+    # A string default goes through type=int, so a bad RABI_ZETA_THREADS is
+    # a usage error like a bad --threads.
+    top.add_argument("--threads", type=int, default=os.environ.get("RABI_ZETA_THREADS", "1"))
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("zeta")
@@ -237,7 +239,7 @@ def _cmd_zeta(args):
               "g": args.g, "delta": args.delta, "eps": args.eps}
     if args.nu is not None:
         params["nu"] = args.nu
-    if isinstance(model, Ncho):
+    if args.model.lower() == "ncho":
         params.update({"alpha": args.alpha, "beta": args.beta, "eta": args.eta})
     return [
         _record("zeta", params, res.value, res.abs_error, args.method,
@@ -254,7 +256,7 @@ def _cmd_trace_term(args):
             raise _UsageError("the series route provides m=1, deriv=0 only")
         sv = trace_terms.r_1_series(family, args.lam, args.g, args.eps)
     elif args.route == "operator":
-        sv = trace_terms._family_operator_value(
+        sv = trace_terms.dn_r_m_family_operator(
             family, args.lam, args.g, args.eps, args.m, args.deriv, args.trunc_n
         )
     else:
@@ -306,12 +308,12 @@ def _cmd_beukers(args):
     return records
 
 
-def _cmd_confluence(args, threads):
+def _cmd_confluence(args):
     nu_list = [float(x) for x in args.nu_list.split(",") if x]
     t0 = time.perf_counter()
     rows = zeta_values.confluence_scan(
         args.g, args.delta, args.eps, args.lam, args.n, nu_list,
-        method=args.method, trunc_n=args.trunc_n, threads=threads,
+        method=args.method, trunc_n=args.trunc_n, threads=args.threads,
     )
     runtime = 1000.0 * (time.perf_counter() - t0) / max(len(rows), 1)
     records = []
@@ -358,7 +360,7 @@ def _validate_checks(suite, seed):
         ]
     n_op = 400 if suite == "quick" else 1600
     for fam, lam0, g0, eps0 in fam_points:
-        op = trace_terms._family_operator_value(fam, lam0, g0, eps0, 1, N=n_op)
+        op = trace_terms.dn_r_m_family_operator(fam, lam0, g0, eps0, 1, N=n_op)
         ig = trace_terms.r_m_integral(fam, lam0, g0, eps0, 1)
         checks.append(
             (f"r1_integral_vs_operator_{type(fam).__name__}", abs(ig.value - op.value),
@@ -419,9 +421,6 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RABI_ZETA_THREADS", "1"))
     try:
         if args.subcommand == "zeta":
             records = _cmd_zeta(args)
@@ -432,7 +431,7 @@ def run(argv=None) -> int:
         elif args.subcommand == "beukers":
             records = _cmd_beukers(args)
         elif args.subcommand == "confluence":
-            records = _cmd_confluence(args, threads)
+            records = _cmd_confluence(args)
         else:
             records, failures = _cmd_validate(args)
             _emit(records, args.format)

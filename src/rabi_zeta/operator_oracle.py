@@ -13,7 +13,9 @@ interleaved so that the Hamiltonian is banded.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -92,6 +94,80 @@ class Ncho:
 ModelSpec = OnePhoton | TwoPhoton | BergmanNu | Ncho
 
 
+@dataclass(frozen=True)
+class Component:
+    """One shifted component operator: its basis ("fock" or "bergman"), its
+    Bergman parameter nu, and the sign its traces carry in a family's sum.
+
+    Without coupling its spectrum is the progression offset + step*k.
+    """
+
+    basis: str
+    nu: float | None = None
+    sign: float = 1.0
+
+    @property
+    def step(self) -> float:
+        return 1.0 if self.basis == "fock" else 2.0
+
+    @property
+    def offset(self) -> float:
+        return 0.0 if self.basis == "fock" else float(self.nu)
+
+
+@dataclass(frozen=True)
+class ModelGeometry:
+    """The one description of a model that the zeta assembly, the series
+    routes and the eigen oracle read.
+
+    Without coupling, the spectrum shifted by lam is the pair of
+    progressions lam +- eps + offset + step*k (the excluded set and the
+    Hurwitz base term).  The series runs in X^2 = coupling^2; its m-th term
+    carries d^n [lam^(lam_power*m) R_m] / d lam^n, R_m the signed sum over
+    `components` of the trace terms at coupling g and shift eps.  Two
+    components are the even (nu = 1/2) and odd (nu = 3/2) parity sectors.
+    `blocks(N)` gives the eigen oracle's banded Hamiltonians when they are
+    not [[h_+, X], [X, h_-]] per component.
+    """
+
+    components: tuple[Component, ...]
+    eps: float
+    step: float
+    offset: float
+    coupling: float
+    g: float
+    lam_power: int = 0
+    blocks: Callable[[int], list] | None = None
+
+    def shifts(self, lam: complex) -> tuple[complex, complex]:
+        lam = complex(lam)
+        return lam + self.eps, lam - self.eps
+
+    def distance(self, lam: complex) -> float:
+        """Distance from the shifts to the excluded progression."""
+        return min(_min_progression_distance(s, self.step, self.offset) for s in self.shifts(lam))
+
+
+_SECTORS = (Component("bergman", 0.5), Component("bergman", 1.5))
+
+
+def model_geometry(model: ModelSpec) -> ModelGeometry:
+    """The description of `model`; the only place that tests its type."""
+    if isinstance(model, OnePhoton):
+        return ModelGeometry((Component("fock"),), model.eps, 1.0, 0.0, model.delta, model.g)
+    if isinstance(model, BergmanNu):
+        component = Component("bergman", model.nu)
+        return ModelGeometry((component,), model.eps, 2.0, model.nu, model.delta, model.g)
+    if isinstance(model, TwoPhoton):
+        return ModelGeometry(_SECTORS, model.eps, 1.0, 0.5, model.delta, model.g)
+    if isinstance(model, Ncho):
+        a, b = model.alpha, model.beta
+        x, g = (a - b) / (a + b), 0.5 * math.atanh(1.0 / math.sqrt(a * b))
+        blocks = partial(_ncho_bands, model)
+        return ModelGeometry(_SECTORS, 2.0 * model.eta, 1.0, 0.5, x, g, 2, blocks)
+    raise DomainError(f"unknown model {model!r}")
+
+
 # ---------------------------------------------------------------------------
 # Tridiagonal component operators
 
@@ -100,9 +176,8 @@ ModelSpec = OnePhoton | TwoPhoton | BergmanNu | Ncho
 class TridiagonalOperator:
     """Truncated symmetric tridiagonal operator plus a scalar shift.
 
-    The shift is already folded into diag; it is kept as a field so equal
-    operators hash equally for factorization caching.  Off-diagonals are
-    stored signed (traces and spectra are invariant under the sign flip).
+    The shift is already folded into diag.  Off-diagonals are stored signed
+    (traces and spectra are invariant under the sign flip).
     """
 
     basis: str  # "fock" or "bergman"
@@ -166,26 +241,33 @@ def _dtype_of(ops) -> type:
 
 
 def _checked_factor(op: TridiagonalOperator, dtype):
-    """(diag, offdiag, gttrf factors) of the operator in `dtype`.
+    """(diag, offdiag, (gbtrf factors, pivots)) of the operator in `dtype`.
 
-    Raises SingularOperator when gtcon's estimate of the smallest singular
+    The factorization is the general band one with kl = ku = 1, because
+    scipy's wrappers of the tridiagonal gttrf/gtcon/gttrs reject n = 2.
+    Raises SingularOperator when gbcon's estimate of the smallest singular
     value, ||A||_1 * rcond, is at or below the guard.
     """
     diag = np.array(op.diag)
     diag = diag if dtype is complex else diag.real
     off = np.array(op.offdiag, dtype=dtype)
-    gttrf, gtcon = sla.get_lapack_funcs(("gttrf", "gtcon"), dtype=dtype)
+    gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=dtype)
     anorm = float(np.max(np.abs(diag) + np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off])))
-    *lu, info = gttrf(off, diag, off)
+    # Band storage ab[kl + ku + i - j, j] = A[i, j]; row 0 is gbtrf's fill-in.
+    band = np.zeros((4, op.dim), dtype=dtype)
+    band[1, 1:] = off
+    band[2] = diag
+    band[3, :-1] = off
+    lu, piv, info = gbtrf(band, 1, 1)
     rcond = 0.0
     if info == 0:
-        rcond, info = gtcon(*lu, anorm)
+        rcond, info = gbcon(1, 1, lu, piv, anorm)
     if info != 0 or not np.isfinite(rcond) or anorm * rcond <= _SINGULAR_GUARD:
         raise SingularOperator(
             f"operator numerically singular (min-singular estimate "
             f"{anorm * float(rcond):.3e} <= {_SINGULAR_GUARD})"
         )
-    return diag, off, lu
+    return diag, off, (lu, piv)
 
 
 def trace_inverse_product(factors) -> complex:
@@ -193,7 +275,7 @@ def trace_inverse_product(factors) -> complex:
 
     All factors must share basis, nu, and dimension; each operator must be
     numerically invertible.  The product is applied to the identity by
-    tridiagonal solves, last factor first.
+    banded solves, last factor first.
     """
     factors = list(factors)
     if not factors:
@@ -205,12 +287,12 @@ def trace_inverse_product(factors) -> complex:
         if (op.basis, op.nu, op.dim) != (op0.basis, op0.nu, op0.dim):
             raise DomainError("all factors must share basis and dimension")
     dtype = _dtype_of([op for op, _ in factors])
-    (gttrs,) = sla.get_lapack_funcs(("gttrs",), dtype=dtype)
+    (gbtrs,) = sla.get_lapack_funcs(("gbtrs",), dtype=dtype)
     x = np.eye(op0.dim, dtype=dtype, order="F")
     for op, p in reversed(factors):
-        *_, lu = _checked_factor(op, dtype)
+        *_, (lu, piv) = _checked_factor(op, dtype)
         for _ in range(p):
-            x, _ = gttrs(*lu, x, overwrite_b=True)
+            x, _ = gbtrs(lu, 1, 1, x, piv, overwrite_b=True)
     return complex(np.trace(x))
 
 
@@ -225,17 +307,10 @@ def _min_progression_distance(s: complex, step: float, offset: float) -> float:
     return best
 
 
-def _check_shift_validity(basis: str, nu: float | None, lam: complex, eps: complex) -> None:
-    step, offset = (1.0, 0.0) if basis == "fock" else (2.0, float(nu))
+def _check_shift_validity(component: Component, lam: complex, eps: complex) -> None:
     for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
-        if _min_progression_distance(s, step, offset) <= _NEAR_POLE_GUARD:
+        if _min_progression_distance(s, component.step, component.offset) <= _NEAR_POLE_GUARD:
             raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
-
-
-def _pair_ops(basis, g, lam, eps, N, nu):
-    hp = build_component_operator(basis, g, complex(lam) + complex(eps), +1, N, nu)
-    hm = build_component_operator(basis, g, complex(lam) - complex(eps), -1, N, nu)
-    return hp, hm
 
 
 def _richardson(v_fine: complex, v_coarse: complex, p: int) -> tuple[complex, float]:
@@ -273,7 +348,8 @@ class _ResolventSeries:
     """
 
     def __init__(self, basis, g, lam, eps, n, N, nu):
-        hp, hm = _pair_ops(basis, g, lam, eps, N, nu)
+        hp = build_component_operator(basis, g, complex(lam) + complex(eps), +1, N, nu)
+        hm = build_component_operator(basis, g, complex(lam) - complex(eps), -1, N, nu)
         dtype = _dtype_of((hp, hm))
         a, b, _ = _checked_factor(hm, dtype)
         c, d, _ = _checked_factor(hp, dtype)
@@ -322,7 +398,7 @@ class TraceDerivativeSweep:
     def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        _check_shift_validity(basis, nu, lam, eps)
+        _check_shift_validity(Component(basis, nu), lam, eps)
         self.n = n
         self.m = 0
         self._states = [
@@ -445,46 +521,45 @@ def _eig_sum(band: np.ndarray, n: int, lam: complex) -> complex:
     return complex(np.sum(np.exp(-n * np.log(z.astype(complex)))))
 
 
+def _ncho_bands(model: Ncho, N: int) -> list:
+    """The oscillator pair's two parity blocks [[alpha, C], [C^T, beta]]
+    times the Bergman scaling, with C tridiagonal."""
+    alpha, beta, eta = model.alpha, model.beta, model.eta
+    c = (alpha + beta) / (2 * math.sqrt(alpha * beta * (alpha * beta - 1)))
+    ks = np.arange(N, dtype=float)
+    bands = []
+    for nu in (0.5, 1.5):
+        scaling = 2 * ks + nu
+        zeros = np.zeros(N - 1)
+        off = c * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
+        c_diag = np.full(N, c * 2 * eta * math.sqrt(alpha * beta - 1))
+        a, b = (c * alpha * scaling, zeros), (c * beta * scaling, zeros)
+        bands.append(_interleaved_band(a, b, c_diag, off))
+    return bands
+
+
 def _model_blocks_and_tail(model: ModelSpec, N: int):
     """Banded matrices to diagonalize and the coupling-free tail progressions.
 
     Returns (list of upper band storages, list of tails) where each tail
-    (scale, start_plus, start_minus) contributes scale^-n times the Hurwitz
-    zeta pair zeta(n, (start + lam)/scale).
+    (scale, start_plus, start_minus) is a component's progression from
+    k = N on and contributes scale^-n times the Hurwitz zeta pair
+    zeta(n, (start + lam)/scale).
     """
-    if isinstance(model, (OnePhoton, BergmanNu)):
-        basis, nu = ("fock", None) if isinstance(model, OnePhoton) else ("bergman", model.nu)
-        a = _component(basis, model.g, +model.eps, +1, N, nu)
-        b = _component(basis, model.g, -model.eps, -1, N, nu)
-        band = _interleaved_band(a, b, np.full(N, float(model.delta)))
-        if nu is None:
-            return [band], [(1.0, N + model.eps, N - model.eps)]
-        return [band], [(2.0, 2 * N + nu + model.eps, 2 * N + nu - model.eps)]
-    if isinstance(model, TwoPhoton):
-        mats = []
-        tails = []
-        for nu in (0.5, 1.5):
-            sub = BergmanNu(nu, model.g, model.delta, model.eps)
-            m, t = _model_blocks_and_tail(sub, N)
-            mats += m
-            tails += t
-        return mats, tails
-    if isinstance(model, Ncho):
-        alpha, beta, eta = model.alpha, model.beta, model.eta
-        c = (alpha + beta) / (2 * math.sqrt(alpha * beta * (alpha * beta - 1)))
-        ks = np.arange(N, dtype=float)
-        mats = []
-        tails = []
-        for nu in (0.5, 1.5):
-            scaling = 2 * ks + nu
-            zeros = np.zeros(N - 1)
-            off = c * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
-            c_diag = np.full(N, c * 2 * eta * math.sqrt(alpha * beta - 1))
-            a, b = (c * alpha * scaling, zeros), (c * beta * scaling, zeros)
-            mats.append(_interleaved_band(a, b, c_diag, off))
-            tails.append((2.0, 2 * N + nu + 2 * eta, 2 * N + nu - 2 * eta))
-        return mats, tails
-    raise DomainError(f"unknown model {model!r}")
+    geo = model_geometry(model)
+    if geo.blocks is not None:
+        bands = geo.blocks(N)
+    else:
+        bands = [
+            _interleaved_band(
+                _component(c.basis, geo.g, +geo.eps, +1, N, c.nu),
+                _component(c.basis, geo.g, -geo.eps, -1, N, c.nu),
+                np.full(N, float(geo.coupling)),
+            )
+            for c in geo.components
+        ]
+    starts = [(c.step, c.offset + c.step * N) for c in geo.components]
+    return bands, [(step, start + geo.eps, start - geo.eps) for step, start in starts]
 
 
 def _zeta_eigen_once(model: ModelSpec, n: int, lam: complex, N: int) -> complex:

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import apery, operator_oracle, quadrature
 from .errors import DomainError, LengthMismatch, NoConvergence, PoleError
+from .operator_oracle import Component
 from .specfun import (
     SeriesValue,
-    binomial,
     hypergeometric_pfq,
     pochhammer,
     sum_inverse_pair,
@@ -69,6 +69,35 @@ PLUS = Plus()
 MINUS = Minus()
 
 TraceFamily = Flat | Nu | Plus | Minus
+
+_FAMILY_COMPONENTS = {
+    FLAT: (Component("fock"),),
+    PLUS: (Component("bergman", 0.5), Component("bergman", 1.5)),
+    MINUS: (Component("bergman", 0.5), Component("bergman", 1.5, -1.0)),
+}
+_FAMILY_COMPONENTS[Delta(1)] = _FAMILY_COMPONENTS[PLUS]
+_FAMILY_COMPONENTS[Delta(-1)] = _FAMILY_COMPONENTS[MINUS]
+
+
+def family_components(family) -> tuple[Component, ...]:
+    """The signed components whose traces the family sums (Delta(d) is an
+    alias of Plus for d = 1 and of Minus for d = -1)."""
+    if isinstance(family, Nu):
+        return (Component("bergman", family.nu),)
+    components = _FAMILY_COMPONENTS.get(family)
+    if components is None:
+        raise DomainError(f"unknown trace family {family!r}")
+    return components
+
+
+def family_of(components: tuple[Component, ...]) -> TraceFamily:
+    """The family whose R_m is the signed sum over `components`, the inverse
+    of family_components."""
+    for family in (FLAT, PLUS, MINUS):
+        if _FAMILY_COMPONENTS[family] == components:
+            return family
+    (component,) = components
+    return Nu(component.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +168,6 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
     return e
 
 
-def _check_re_condition(family: TraceFamily, lam: complex, eps: complex) -> None:
-    margin = complex(lam).real - abs(complex(eps).real)
-    if isinstance(family, Flat):
-        ok = margin > 0
-    elif isinstance(family, Nu):
-        ok = margin + family.nu > 0
-    else:
-        ok = margin + 0.5 > 0
-    if not ok:
-        raise DomainError(
-            f"integral route requires Re(lam) - |Re(eps)| (+ family shift) > 0; "
-            f"got lam={lam}, eps={eps} for {family}"
-        )
-
-
 def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, n_log: int):
     evec = _exponent_vector(m, lam, eps)
 
@@ -208,21 +222,54 @@ def _default_spec(m: int, spec: quadrature.QuadratureSpec | None) -> quadrature.
     return quadrature.QuadratureSpec(scheme="monte_carlo")
 
 
-def _family_operator_value(
-    family: TraceFamily, lam, g, eps, m, n: int = 0, N: int = 400
+def dn_r_m_family_operator(
+    family: TraceFamily, lam: complex, g: float, eps: complex, m: int, n: int = 0, N: int = 400
 ) -> SeriesValue:
-    """Operator-oracle evaluation of the family (Plus/Minus combine the two
-    Bergman components)."""
-    if isinstance(family, Flat):
-        return operator_oracle.dn_r_m_operator("fock", g, lam, eps, m, n, N)
-    if isinstance(family, Nu):
-        return operator_oracle.dn_r_m_operator("bergman", g, lam, eps, m, n, N, nu=family.nu)
-    lo = operator_oracle.dn_r_m_operator("bergman", g, lam, eps, m, n, N, nu=0.5)
-    hi = operator_oracle.dn_r_m_operator("bergman", g, lam, eps, m, n, N, nu=1.5)
-    sign = 1.0 if isinstance(family, Plus) else -1.0
-    value = lo.value + sign * hi.value
-    err = lo.abs_error + hi.abs_error
-    return SeriesValue(value, err, lo.terms_used, lo.converged and hi.converged)
+    """n-th shift derivative of the family's R_m by the operator oracle: the
+    signed sum of dn_r_m_operator over the family's components."""
+    parts = [
+        (c.sign, operator_oracle.dn_r_m_operator(c.basis, g, lam, eps, m, n, N, c.nu))
+        for c in family_components(family)
+    ]
+    value = sum(sign * sv.value for sign, sv in parts)
+    err = sum(sv.abs_error for _, sv in parts)
+    return SeriesValue(value, err, parts[0][1].terms_used, all(sv.converged for _, sv in parts))
+
+
+def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> SeriesValue:
+    """d^n/d lam^n [lam^power f] by the Leibniz rule, the derivatives of the
+    power in closed form; derivative(k) is d^k f / d lam^k."""
+    if not power:
+        return derivative(n)
+    total = 0.0 + 0.0j
+    err = 0.0
+    terms = 0
+    lamc = complex(lam)
+    for l in range(min(n, power) + 1):
+        coeff = math.comb(n, l) * pochhammer(power - l + 1, l) * lamc ** (power - l)
+        part = derivative(n - l)
+        total += coeff * part.value
+        err += abs(coeff) * part.abs_error
+        terms += part.terms_used
+    return SeriesValue(total, err, terms, True)
+
+
+def _integral(family: TraceFamily, lam, g, eps, m: int, n: int, spec) -> SeriesValue:
+    """d^n R_m / d lam^n under the integral sign (m <= 3), or by the
+    operator oracle for m >= 4."""
+    if m >= 4:
+        return dn_r_m_family_operator(family, lam, g, eps, m, n)
+    margin = complex(lam).real - abs(complex(eps).real)
+    if not margin + min(c.offset for c in family_components(family)) > 0:
+        raise DomainError(
+            f"integral route requires Re(lam) - |Re(eps)| (+ family shift) > 0; "
+            f"got lam={lam}, eps={eps} for {family}"
+        )
+    spec = _default_spec(m, spec)
+    f = _integrand(family, lam, eps, g, m, n)
+    if spec.scheme == "monte_carlo":
+        return quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
+    return quadrature.integrate_tensor(f, 2 * m, spec)
 
 
 def r_m_integral(
@@ -240,14 +287,7 @@ def r_m_integral(
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if m >= 4:
-        return _family_operator_value(family, lam, g, eps, m)
-    _check_re_condition(family, lam, eps)
-    spec = _default_spec(m, spec)
-    f = _integrand(family, lam, eps, g, m, 0)
-    if spec.scheme == "monte_carlo":
-        return quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
-    return quadrature.integrate_tensor(f, 2 * m, spec)
+    return _integral(family, lam, g, eps, m, 0, spec)
 
 
 def dn_r_m_integral(
@@ -270,41 +310,16 @@ def dn_r_m_integral(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if lambda_power:
-        total = 0.0 + 0.0j
-        err = 0.0
-        terms = 0
-        for l in range(min(n, lambda_power) + 1):
-            dpow = pochhammer(lambda_power - l + 1, l) * complex(lam) ** (lambda_power - l)
-            part = dn_r_m_integral(family, lam, g, eps, m, n - l, spec)
-            coeff = binomial(n, l) * dpow
-            total += coeff * part.value
-            err += abs(coeff) * part.abs_error
-            terms += part.terms_used
-        return SeriesValue(total, err, terms, True)
+        return leibniz_lambda_power(
+            n, lam, lambda_power, lambda k: dn_r_m_integral(family, lam, g, eps, m, k, spec)
+        )
     if n == 0:
         return r_m_integral(family, lam, g, eps, m, spec)
-    if m >= 4:
-        return _family_operator_value(family, lam, g, eps, m, n)
-    _check_re_condition(family, lam, eps)
-    spec = _default_spec(m, spec)
-    f = _integrand(family, lam, eps, g, m, n)
-    if spec.scheme == "monte_carlo":
-        return quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
-    return quadrature.integrate_tensor(f, 2 * m, spec)
+    return _integral(family, lam, g, eps, m, n, spec)
 
 
 # ---------------------------------------------------------------------------
 # m = 1 fast paths
-
-
-def _as_series_family(family):
-    if isinstance(family, (Flat, Delta)):
-        return family
-    if isinstance(family, Plus):
-        return Delta(+1)
-    if isinstance(family, Minus):
-        return Delta(-1)
-    raise DomainError(f"r_1_series supports Flat or Delta families, got {family}")
 
 
 def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10) -> SeriesValue:
@@ -313,7 +328,7 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Delta(d): sech(2g) *
     sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
     """
-    family = _as_series_family(family)
+    components = family_components(family)
     if isinstance(family, Flat):
         total = 0.0 + 0.0j
         x = -4.0 * g * g
@@ -326,12 +341,15 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
                 return SeriesValue(total, abs(term) + tol * abs(total) * 0.1, n + 1, True)
             coeff *= x / (n + 1)
         raise NoConvergence("flat R_1 series did not converge in 200 terms")
+    if len(components) != 2:
+        raise DomainError(f"r_1_series supports Flat or Delta families, got {family}")
+    delta = int(components[1].sign)
     t2 = math.tanh(2 * g) ** 2
     sech = 1.0 / math.cosh(2 * g)
     total = 0.0 + 0.0j
     coeff = 1.0
     for n in range(300):
-        jn = apery.j_delta(2 * n, family.delta, lam, eps, method="series", tol=tol * 0.1)
+        jn = apery.j_delta(2 * n, delta, lam, eps, method="series", tol=tol * 0.1)
         term = coeff * jn.value
         total += term
         if n > 0 and abs(term) < tol * max(abs(total), 1e-300):

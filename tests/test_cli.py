@@ -33,6 +33,11 @@ class TestUsage:
         code, _ = _run(capsys, ["zeta", "--model", "bergman", "--n", "2"])
         assert code == 64
 
+    def test_bad_threads_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("RABI_ZETA_THREADS", "two")
+        code, _ = _run(capsys, ["beukers", "--n-max", "1"])
+        assert code == 64
+
 
 class TestZeta:
     def test_decoupled_value(self, capsys):
@@ -64,6 +69,19 @@ class TestZeta:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("4", 2)])
+    def test_small_truncation(self, capsys, trunc_n, expected):
+        # --trunc-n 8 factors 2 x 2 operators at N/4; --trunc-n 4 needs a
+        # 1 x 1 truncation, which InvalidDimension refuses.
+        code, _ = _run(
+            capsys,
+            [
+                "zeta", "--model", "1pqrm", "--n", "2", "--lambda", "1.0",
+                "--g", "0.2", "--delta", "0.3", "--eps", "0.1", "--trunc-n", trunc_n,
+            ],
+        )
+        assert code == expected
 
     def test_deterministic_output(self, capsys):
         argv = [

@@ -268,10 +268,11 @@ class TestDenseReference:
             for got in (terms[n].value, direct.value):
                 assert abs(got - ref) <= 1e-11 * abs(ref), (n, got, ref)
 
+    @pytest.mark.parametrize("dim", [60, 2])
     @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
-    def test_trace_inverse_product_matches_dense(self, lam):
-        hp = build_component_operator("bergman", 0.2, lam + 0.1, +1, 60, nu=0.5)
-        hm = build_component_operator("bergman", 0.2, lam - 0.1, -1, 60, nu=0.5)
+    def test_trace_inverse_product_matches_dense(self, lam, dim):
+        hp = build_component_operator("bergman", 0.2, lam + 0.1, +1, dim, nu=0.5)
+        hm = build_component_operator("bergman", 0.2, lam - 0.1, -1, dim, nu=0.5)
         got = trace_inverse_product([(hp, 2), (hm, 1), (hp, 1), (hm, 3)])
         ip, im = (np.linalg.inv(dense(op)) for op in (hp, hm))
         ref = np.trace(ip @ ip @ im @ ip @ im @ im @ im)

@@ -43,6 +43,17 @@ class TestConvergenceRadius:
     def test_bergman(self):
         assert convergence_radius(BergmanNu(1.5, 0.2, 0.3, 0.0), 0.5) == pytest.approx(2.0)
 
+    def test_ncho(self):
+        # Shifts 3 +- 2 on the progression 1/2 + k: radius 1.5.  |X| = 0.6
+        # lies inside it, but the series runs in X lam and |X lam| = 1.8.
+        model = Ncho(4.0, 1.0, 1.0)
+        assert convergence_radius(model, 3.0) == pytest.approx(1.5)
+        with pytest.raises(RadiusExceeded):
+            zeta_value(ZetaRequest(model, 2, 3.0))
+        # Same shifts with |X lam| = 0.75: inside the radius.
+        inside = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 1.0), 2, 3.0, trunc_n=100, tol=1e-4))
+        assert inside.metadata["converged"] is True
+
 
 class TestHilbertSchmidtConstant:
     @pytest.mark.parametrize(
@@ -168,6 +179,21 @@ class TestGuards:
             ZetaRequest(OnePhoton(0.1, 0.0, 0.0), 2, 1e-5, tol=1e-4, trunc_n=100)
         )
         assert any("ill-conditioned" in w for w in res.metadata.get("warnings", ()))
+
+
+class TestToleranceReport:
+    def test_default_request_converges(self):
+        res = zeta_value(ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, 1.0))
+        assert res.abs_error <= 1e-8
+        assert res.metadata["converged"] is True
+        assert not any("missed" in w for w in res.metadata.get("warnings", ()))
+
+    def test_missed_tol_is_reported(self):
+        res = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8))
+        assert res.abs_error > 1e-8
+        assert res.metadata["converged"] is False
+        (warning,) = [w for w in res.metadata["warnings"] if "missed" in w]
+        assert "largest source truncation" in warning
 
 
 class TestParityDifference:
