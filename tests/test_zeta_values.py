@@ -2,16 +2,18 @@ import math
 import sys
 import time
 
+import numpy as np
 import pytest
 from scipy.special import digamma, polygamma
 
-from rabi_zeta import zeta_values
+from rabi_zeta import operator_oracle
 from rabi_zeta.errors import DomainError, NearPole, RadiusExceeded
 from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton
 from rabi_zeta.specfun import alternating_zeta_sum, hurwitz_zeta
 from rabi_zeta.zeta_values import (
     ZetaRequest,
     _hs_constant_sq,
+    _tail_bound,
     confluence_scan,
     convergence_radius,
     parity_difference,
@@ -76,6 +78,40 @@ class TestHilbertSchmidtConstant:
         bound = _hs_constant_sq(tuple(complex(s) for s in shifts), step, offset)
         assert bound >= exact
         assert bound - exact <= 1e-9 * exact
+
+
+class TestTailBound:
+    def test_bounds_the_sum_near_the_radius(self):
+        # |X| C = 0.999: 2000 terms leave about a tenth of the sum uncounted.
+        n, m_from, q = 2, 5, 0.999**2
+        j = np.arange(m_from, m_from + 200_000, dtype=float)
+        # (2j)_2 / j q^j n / (n-1)! with C = C'^2 = 1.
+        ref = math.fsum(2 * j * (2 * j + 1) / j * q**j * n)
+        bound = _tail_bound(n, m_from, q, 1.0, 1.0)
+        assert ref <= bound <= 1.01 * ref
+
+    def test_no_geometric_rest_is_infinite(self):
+        # After 2000 terms the next ratio 0.99999 * 4011/4009 still exceeds 1.
+        assert _tail_bound(2, 5, 0.99999, 1.0, 1.0) == math.inf
+
+
+class TestSharedSweeps:
+    def test_parity_and_integral_reuse_the_sum_sweeps(self, monkeypatch):
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
+        built = []
+        init = operator_oracle.TraceDerivativeSweep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", counting_init)
+        model = TwoPhoton(0.2, 0.3, 0.1)
+        zeta_value(ZetaRequest(model, 2, 1.0, trunc_n=100))
+        parity_difference(model, 2, 1.0, trunc_n=100)
+        assert len(built) == 2
+        zeta_value(ZetaRequest(model, 2, 1.0, method="series_integral", trunc_n=100))
+        assert len(built) == 2
 
 
 class TestComplexLambda:
@@ -255,7 +291,7 @@ class TestConfluenceScan:
                 super().__setitem__(key, value)
                 time.sleep(1e-3)
 
-        monkeypatch.setattr(zeta_values._OperatorTermSource, "_cache", _AlwaysFull())
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", _AlwaysFull())
         args = (0.1, 0.1, 0.0, 1.0, 2, [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
         serial = confluence_scan(*args, trunc_n=100)
         interval = sys.getswitchinterval()
