@@ -3,12 +3,14 @@
 Builds the tridiagonal component operators in the Fock and weighted-Bergman
 bases and computes traces of products of their inverse powers (the trace
 terms R_m and their shift derivatives) with one structured kernel: the
-product h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
+product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
-by banded solves; FamilyTerms serves every such term and memoizes them
-across requests.  Spectral zeta values come from direct eigenvalue
-summation of the two-by-two block matrices, with the two components
-interleaved so that the Hamiltonian is banded.
+by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
+series of F^k and F^(k+1), so one solve step serves two terms.
+FamilyTerms serves every such term, memoizes them across requests and
+keeps one component's sweep alive at a time.  Spectral zeta values come
+from direct eigenvalue summation of the two-by-two block matrices, with
+the two components interleaved so that the Hamiltonian is banded.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ class Component:
     nu: float | None = None
     sign: float = 1.0
 
+    def __post_init__(self):
+        if self.basis not in ("fock", "bergman"):
+            raise DomainError(f"unknown basis {self.basis!r}")
+        if self.basis == "bergman" and (self.nu is None or self.nu <= 0):
+            raise DomainError("bergman basis requires nu > 0")
+
     @property
     def step(self) -> float:
         return 1.0 if self.basis == "fock" else 2.0
@@ -202,20 +210,17 @@ def build_component_operator(
         raise InvalidDimension(f"N must be >= 2, got {N}")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
+    Component(basis, nu)  # DomainError on an unknown basis or a bad nu
     shift = complex(shift)
     ks = np.arange(N, dtype=float)
     if basis == "fock":
         diag = ks + g * g + shift
         off = sign * g * np.sqrt(ks[:-1] + 1.0)
         nu_out = None
-    elif basis == "bergman":
-        if nu is None or nu <= 0:
-            raise DomainError("bergman basis requires nu > 0")
+    else:
         diag = math.cosh(2 * g) * (2 * ks + nu) + shift
         off = sign * math.sinh(2 * g) * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
         nu_out = float(nu)
-    else:
-        raise DomainError(f"unknown basis {basis!r}")
     return TridiagonalOperator(
         basis=basis,
         nu=nu_out,
@@ -322,24 +327,29 @@ def _richardson2(values: tuple[complex, complex, complex], p: int) -> tuple[comp
     return _richardson(w_fine, w_coarse, p + 1)
 
 
-def _tridiagonal_apply(diag, off, x):
-    """S @ x for the symmetric tridiagonal S = (diag, off).  For a pair of
-    components with opposite coupling signs S is diagonal."""
-    y = diag[:, None] * x
-    if np.any(off):
-        y[:-1] += off[:, None] * x[1:]
-        y[1:] += off[:, None] * x[:-1]
-    return y
+def _pair_traces(w_a, wt_b) -> list:
+    """[sum_{i <= j} tr(A_i B_{j-i}) for j = 0..n] from A = w_a and the
+    contiguous transposes wt_b of B: each trace is one BLAS dot, in a fixed
+    order of i, so order j never depends on n."""
+    a = [x.ravel(order="F") for x in w_a]
+    b = [x.ravel(order="F") for x in wt_b]
+    return [sum(np.dot(a[i], b[j - i]) for i in range(j + 1)) for j in range(len(a))]
 
 
 class _ResolventSeries:
-    """Taylor coefficients W_0..W_n of M(t)^-m at one truncation, where
-    M(t) = (h_minus + t)(h_plus + t) is pentadiagonal, so M(t)^-1 =
-    h_plus(t)^-1 h_minus(t)^-1.
+    """The traces d^j R_m / d lam^j = j! tr [t^j] F(t)^m, j = 0..n, for
+    m = 1, 2, ... at one truncation, where F(t) = M(t)^-1 and M(t) =
+    (h_minus + t)(h_plus + t) is pentadiagonal, so F(t) = h_plus(t)^-1
+    h_minus(t)^-1.
 
-    M_0 = h_minus h_plus is factored once with gbtrf (kl = ku = 2); each
-    step m solves M_0 W_j = W_j(previous m) - S W_{j-1} - W_{j-2} with
-    S = h_minus + h_plus, so d^j R_m / d lam^j = j! tr W_j.
+    The state is W(k) = [t^0..t^n] F(t)^k.  M_0 = h_minus h_plus is factored
+    once with gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) =
+    W_j(k) - S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place, with S = h_minus +
+    h_plus diagonal (the two off-diagonals have opposite signs).  Since
+    tr [t^j] F^(a+b) = sum_i tr(W_i(a) W_{j-i}(b)), term 2k pairs W(k) with
+    itself and term 2k + 1 steps once and pairs W(k + 1) with W(k), so one
+    step serves two terms.  The transposes of W(k) are copied once for both
+    terms, into buffers that the next state reuses; W(0) = I is never kept.
     """
 
     def __init__(self, basis, g, lam, eps, n, N, nu):
@@ -362,20 +372,39 @@ class _ResolventSeries:
         self._lu, self._piv, info = gbtrf(band, 2, 2)
         if info != 0:
             raise SingularOperator(f"banded factorization of h_minus h_plus failed (info={info})")
-        self._s = (a + c, b + d)
-        self._w = [np.eye(N, dtype=dtype, order="F")] + [0.0] * n
+        self._s = (a + c)[:, None]
+        self._w = [np.eye(N, dtype=dtype, order="F")]
+        self._w += [np.zeros((N, N), dtype=dtype, order="F") for _ in range(n)]
+        self._wt = None
+        self.m = 0
 
-    def advance(self) -> list[complex]:
-        """Step m -> m + 1 and return [j! tr W_j for j = 0..n]."""
+    def _step(self) -> None:
+        """W(k) -> W(k + 1), right-hand sides built in place."""
         w = self._w
         for j in range(len(w)):
-            rhs = w[j]
             if j >= 1:
-                rhs = rhs - _tridiagonal_apply(*self._s, w[j - 1])
+                w[j] -= self._s * w[j - 1]
             if j >= 2:
-                rhs -= w[j - 2]
-            w[j], _ = self._gbtrs(self._lu, 2, 2, rhs, self._piv, overwrite_b=True)
-        return [math.factorial(j) * complex(np.trace(wj)) for j, wj in enumerate(w)]
+                w[j] -= w[j - 2]
+            w[j], _ = self._gbtrs(self._lu, 2, 2, w[j], self._piv, overwrite_b=True)
+
+    def advance(self) -> list[complex]:
+        """Step m -> m + 1 and return [j! tr [t^j] F^m for j = 0..n]."""
+        self.m += 1
+        if self.m == 1:
+            self._step()
+            traces = [np.trace(x) for x in self._w]
+        elif self.m % 2 == 0:
+            # W(k)^T goes into buffers kept from state to state: freeing and
+            # reallocating them per state faults every page in again.
+            self._wt = self._wt or [np.empty_like(x, order="F") for x in self._w]
+            for x, xt in zip(self._w, self._wt):
+                xt[...] = x.T
+            traces = _pair_traces(self._w, self._wt)
+        else:
+            self._step()
+            traces = _pair_traces(self._w, self._wt)
+        return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
 
 class TraceDerivativeSweep:
@@ -383,11 +412,13 @@ class TraceDerivativeSweep:
 
     Uses the exact resolvent Taylor expansion in the shift t: F(t) =
     h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
-    polynomial M(t), and each step m costs n + 1 banded solves against one
-    LU factorization of M(0) per truncation, O((n + 1) N^2) work, with no
-    dense inverse or product.  D_m = n! tr [t^n] F(t)^m, and every lower
-    order comes from the same series.  Each term is Richardson-extrapolated
-    from truncations N, N/2, N/4.
+    polynomial M(t).  One step of n + 1 banded solves against one LU
+    factorization of M(0) per truncation serves two m (terms 2k and 2k + 1
+    come from pair products of the series of F^k and F^(k+1)), O((n + 1)
+    N^2) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
+    inverse or product.  D_m = n! tr [t^n] F(t)^m, and every lower order
+    comes from the same series.  Each term is Richardson-extrapolated from
+    truncations N, N/2, N/4.
     """
 
     def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
@@ -428,39 +459,40 @@ _TERM_ROWS: dict = {}
 
 
 class FamilyTerms:
-    """D_m = d^k R_m / d lam^k, k = 0..n, of the signed sum over `components`
-    by the banded sweep at truncation N.  Each component's row comes from the
-    memo or from one live sweep per component, built on the first miss; rows
-    combine as sum(sign * value) with summed abs_error, in component order.
+    """D_m = d^k R_m / d lam^k, k = 0..n, m = 1..m_last, of the signed sum
+    over `components` by the banded sweep at truncation N.  On the first
+    `at`, each component's rows 1..m_last are read from the memo, and the
+    rows up to its last miss are computed by one sweep, which is dropped
+    before the next component's starts; rows combine as sum(sign * value)
+    with summed abs_error, in component order.
     """
 
-    def __init__(self, components, g, lam, eps, n: int, N: int):
+    def __init__(self, components, g, lam, eps, n: int, N: int, m_last: int):
         self.components = tuple(components)
         self.g, self.lam, self.eps = float(g), complex(lam), complex(eps)
-        self.n, self.N = n, N
-        self._live = {}
+        self.n, self.N, self.m_last = n, N, m_last
+        self._rows = None
 
-    def _row(self, c: Component, m: int) -> dict:
+    def _component_rows(self, c: Component) -> list:
         key = (c.basis, c.nu, self.g, self.lam, self.eps, self.N)
-        row = _TERM_ROWS.get(key + (m,))
-        if row is not None and len(row) > self.n:
-            return row
-        sweep, row = self._live.get(key, (None, None))
-        if sweep is None or sweep.m > m:
+        rows = [_TERM_ROWS.get(key + (m,), ()) for m in range(1, self.m_last + 1)]
+        last_miss = max((m for m, row in enumerate(rows, 1) if len(row) <= self.n), default=0)
+        if last_miss:
             sweep = TraceDerivativeSweep(c.basis, self.g, self.lam, self.eps, self.n, self.N, c.nu)
-        while sweep.m < m:
-            row = sweep.next_terms()
-            if len(_TERM_ROWS) > 4096:
-                _TERM_ROWS.clear()
-            if len(_TERM_ROWS.get(key + (sweep.m,), ())) < len(row):
-                _TERM_ROWS[key + (sweep.m,)] = row
-        self._live[key] = (sweep, row)
-        # The local row, not a read-back: another thread may clear the memo.
-        return row
+            for m in range(1, last_miss + 1):
+                # The local row, not a read-back: another thread may clear the memo.
+                rows[m - 1] = row = sweep.next_terms()
+                if len(_TERM_ROWS) > 4096:
+                    _TERM_ROWS.clear()
+                if len(_TERM_ROWS.get(key + (m,), ())) < len(row):
+                    _TERM_ROWS[key + (m,)] = row
+        return rows
 
     def at(self, m: int) -> dict:
-        """{order: D_m of the signed sum} for every order 0..n."""
-        rows = [self._row(c, m) for c in self.components]
+        """{order: D_m of the signed sum} for every order 0..n, m <= m_last."""
+        if self._rows is None:
+            self._rows = [self._component_rows(c) for c in self.components]
+        rows = [component_rows[m - 1] for component_rows in self._rows]
         return {
             order: SeriesValue(
                 sum(c.sign * row[order].value for c, row in zip(self.components, rows)),
@@ -481,7 +513,7 @@ def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> 
         raise CombinatorialBlowup(
             f"composition count C({n + 2 * m - 1},{n}) exceeds {_COMPOSITION_CAP}"
         )
-    sv = FamilyTerms(components, g, lam, eps, n, N).at(m)[n]
+    sv = FamilyTerms(components, g, lam, eps, n, N, m).at(m)[n]
     return SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol)
 
 

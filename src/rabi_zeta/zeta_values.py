@@ -137,6 +137,14 @@ def _assemble(
     trunc_n: int,
     minus: bool,
 ) -> ZetaResult:
+    """zeta(H; n, lam), or the parity difference when `minus`, by `method`.
+
+    The series routes add the Hurwitz base term and the terms m = 1..m_last,
+    where m_last is the first m whose geometric tail bound is below tol (or
+    max_m, with a warning), found before any term is computed so that
+    FamilyTerms can sweep each component once up to m_last.  abs_error sums
+    the base term's error, each term's truncation error and the tail bound.
+    """
     t0 = time.perf_counter()
     lam = complex(lam)
     geo = model_geometry(model)
@@ -181,10 +189,15 @@ def _assemble(
         err = base_err
         trunc_err = tail = 0.0
         if abs(x) > 0:
+            # The tail bound does not depend on the terms, so m_last is known first.
+            for m_last in range(1, max_m + 1):
+                tail = _tail_bound(n, m_last + 1, q, big_c, hs_sq)
+                if tail < tol:
+                    break
             terms = FamilyTerms(
-                trace_terms.family_components(family), geo.g, lam, geo.eps, n, trunc_n
+                trace_terms.family_components(family), geo.g, lam, geo.eps, n, trunc_n, m_last
             )
-            for m in range(1, max_m + 1):
+            for m in range(1, m_last + 1):
                 # D_m = d^n [lam^(lam_power m) R_m] / d lam^n by the requested route.
                 power = geo.lam_power * m
                 if method == "series_integral" and m < 3:
@@ -199,13 +212,8 @@ def _assemble(
                 term_err = abs(x) ** (2 * m) / m / math.factorial(n - 1) * d_m.abs_error
                 err += term_err
                 trunc_err += term_err
-                tail = _tail_bound(n, m + 1, q, big_c, hs_sq)
-                if tail < tol:
-                    err += tail
-                    break
-            else:
-                tail = _tail_bound(n, max_m + 1, q, big_c, hs_sq)
-                err += tail
+            err += tail
+            if tail >= tol:
                 warnings.append(f"m-series truncated at max_m={max_m} with tail bound {tail:.3e}")
         value = base + sum(per_m)
         sources = {"truncation": trunc_err, "series tail": tail, "base term": base_err}
@@ -243,6 +251,7 @@ def parity_difference(
     alternating base sums and the R_m difference family."""
     if len(model_geometry(model).components) != 2:
         raise DomainError("parity difference is defined for TwoPhoton and Ncho only")
+    ZetaRequest(model, n, lam, method, max_m, tol, trunc_n)  # zeta_value's input checks
     if method == "eigen_oracle":
         raise DomainError("eigen_oracle does not provide the parity difference")
     return _assemble(model, n, lam, method, max_m, tol, trunc_n, minus=True)

@@ -147,6 +147,22 @@ class TestDerivativeRoutes:
             r_m_operator("fock", 0.2, 0.9, 0.1, 0)
 
 
+class TestTypedErrors:
+    # The basis and nu are checked before the pole check reads the
+    # component's progression.
+    def test_unknown_basis(self):
+        with pytest.raises(DomainError):
+            r_m_operator("foo", 0.2, 0.9, 0.1, 1)
+
+    def test_bergman_without_nu(self):
+        with pytest.raises(DomainError):
+            r_m_operator("bergman", 0.2, 0.9, 0.1, 1)
+
+    def test_sweep_bergman_without_nu(self):
+        with pytest.raises(DomainError):
+            TraceDerivativeSweep("bergman", 0.2, 0.9, 0.1, 2, 60, nu=None)
+
+
 class TestPoleGuards:
     def test_shift_on_grid_raises(self):
         # lam + eps = 0 puts the k = 0 diagonal entry at g^2 only
@@ -254,7 +270,9 @@ _COMPONENTS = [("fock", None), ("bergman", 0.5), ("bergman", 1.5)]
 
 
 class TestDenseReference:
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    # m = 4 and 5 are the first terms that pair two computed powers F^2 F^2
+    # and F^3 F^2; m <= 3 pairs only with F^1.
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
     def test_kernel_matches_dense_composition_sum(self, basis, nu, lam, m):
@@ -276,7 +294,7 @@ class TestDenseReference:
         g, eps, N = 0.2, 0.1, 60
         top = TraceDerivativeSweep(basis, g, lam, eps, 3, N, nu)
         sweeps = [TraceDerivativeSweep(basis, g, lam, eps, k, N, nu) for k in range(3)]
-        for _ in range(4):
+        for _ in range(5):
             ref = top.next_terms()
             for k, sweep in enumerate(sweeps):
                 terms = sweep.next_terms()

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,26 @@ class TestSharedSweeps:
         parity_difference(model, 2, 1.0, trunc_n=100)
         assert len(built) == 2
         zeta_value(ZetaRequest(model, 2, 1.0, method="series_integral", trunc_n=100))
+        assert len(built) == 2
+
+
+class TestOneLiveSweep:
+    @pytest.mark.parametrize(
+        "model,lam", [(TwoPhoton(0.2, 0.3, 0.1), 1.0), (Ncho(2.0, 1.2, 0.1), 0.8)]
+    )
+    def test_each_sweep_is_dropped_before_the_next(self, model, lam, monkeypatch):
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
+        built = []
+        init = operator_oracle.TraceDerivativeSweep.__init__
+
+        def checking_init(self, *args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier sweep is still alive"
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", checking_init)
+        zeta_value(ZetaRequest(model, 3, lam, trunc_n=100))
         assert len(built) == 2
 
 
@@ -240,6 +262,14 @@ class TestParityDifference:
     def test_no_eigen_route(self):
         with pytest.raises(DomainError):
             parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, method="eigen_oracle")
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_m": 0}, {"max_m": -2}, {"tol": 0.0}, {"method": "bogus"}]
+    )
+    def test_inputs_checked_as_for_zeta_value(self, kwargs):
+        # max_m = -2 used to return a negative abs_error.
+        with pytest.raises(DomainError):
+            parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, **kwargs)
 
     def test_decoupled_closed_form(self):
         model = TwoPhoton(g=0.3, delta=0.0, eps=0.1)
