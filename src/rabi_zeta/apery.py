@@ -417,20 +417,20 @@ def apery_classic(n_max: int) -> ExactApery:
         raise DomainError(f"n_max must be in 0..200, got {n_max}")
     a_list = []
     b_list = []
+    outer = Fraction(0)  # 2 sum_{m<=n} (-1)^(m-1) / m^2, kept running over n
     for n in range(n_max + 1):
         a = 0
         b = Fraction(0)
-        outer = 2 * sum(Fraction((-1) ** (m - 1), m * m) for m in range(1, n + 1))
+        inner = Fraction(0)  # sum_{m<=k} (-1)^(n+m-1) / (m^2 C(n,m) C(n+m,m)), running over k
         for k in range(n + 1):
             w = binomial(n, k) ** 2 * binomial(n + k, k)
             a += w
-            inner = sum(
-                Fraction((-1) ** (n + m - 1), m * m * binomial(n, m) * binomial(n + m, m))
-                for m in range(1, k + 1)
-            )
+            if k:
+                inner += Fraction((-1) ** (n + k - 1), k * k * binomial(n, k) * binomial(n + k, k))
             b += w * (outer + inner)
         a_list.append(a)
         b_list.append(b)
+        outer += Fraction(2 * (-1) ** n, (n + 1) ** 2)
     for n in range(2, n_max + 1):
         for xs in (a_list, b_list):
             res = n * n * xs[n] - (11 * n * n - 11 * n + 3) * xs[n - 1] - (n - 1) ** 2 * xs[n - 2]

@@ -3,7 +3,9 @@
 Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4 and
 a counter-based Monte Carlo fallback for higher dimensions.  Integrands are
 vectorized: f receives an (npts, d) float array and returns an (npts,)
-complex array.  Both endpoint families of singularity in scope (algebraic
+complex array, or a (rows, npts) block of integrands that share the nodes:
+each row is reduced exactly as a scalar integrand, into its own SeriesValue.
+Both endpoint families of singularity in scope (algebraic
 u^(Re lambda - 1) at 0 and the inverse-square-root corner at (1,...,1)) are
 integrable, and tanh-sinh nodes cluster exponentially near the endpoints
 without ever touching them.
@@ -95,87 +97,83 @@ def tanh_sinh_nodes(level: int):
     return nodes.copy(), weights.copy()
 
 
-def _tensor_sum(f, d: int, nodes: np.ndarray, weights: np.ndarray) -> complex:
-    """Tensor-product quadrature sum, chunked over the first axis."""
+def _tensor_sum(f, d: int, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Tensor-product quadrature sum of each integrand row, chunked over the
+    first axis: a 0-d array for an (npts,) integrand, else one per row."""
     n = nodes.size
     if d == 1:
         vals = np.asarray(f(nodes.reshape(-1, 1)))
         if not np.all(np.isfinite(vals)):
             raise NodeSingularity("integrand returned a non-finite value at an interior node")
-        return complex(np.sum(weights * vals))
+        return np.sum(weights * vals, axis=-1)
     # Precompute the full mesh over the trailing d-1 axes.
     grids = np.meshgrid(*([nodes] * (d - 1)), indexing="ij")
-    rest = np.column_stack([g.ravel() for g in grids])
     wgrids = np.meshgrid(*([weights] * (d - 1)), indexing="ij")
     wrest = np.prod(np.stack([g.ravel() for g in wgrids]), axis=0)
-    m = rest.shape[0]
+    pts = np.empty((wrest.size, d))
+    pts[:, 1:] = np.column_stack([g.ravel() for g in grids])
     partials = []
-    pts = np.empty((m, d))
-    pts[:, 1:] = rest
     for i in range(n):
         pts[:, 0] = nodes[i]
         vals = np.asarray(f(pts))
         if not np.all(np.isfinite(vals)):
             raise NodeSingularity("integrand returned a non-finite value at an interior node")
-        partials.append(weights[i] * np.sum(wrest * vals))
-    return complex(np.sum(np.asarray(partials)))
+        partials.append(weights[i] * np.sum(wrest * vals, axis=-1))
+    return np.sum(np.stack(partials, axis=-1), axis=-1)
 
 
-def integrate_tensor(f, d: int, spec: QuadratureSpec) -> SeriesValue:
-    """Deterministic tensor-product integral over (0,1)^d with a two-level
-    error estimate (level vs level-1, or p vs p/2)."""
+def _per_row(row, *reductions):
+    """row(...) of 0-d reductions, else a tuple with row applied to each row."""
+    return row(*reductions) if reductions[0].ndim == 0 else tuple(map(row, *reductions))
+
+
+def integrate_tensor(f, d: int, spec: QuadratureSpec):
+    """Tensor-product integral over (0,1)^d, one SeriesValue per integrand row,
+    with a two-level error estimate (level vs level-1, or p vs p/2)."""
     if d < 1 or d > 4:
         raise DomainError(f"deterministic schemes require 1 <= d <= 4, got {d}")
     if spec.scheme == "tanh_sinh":
-        level = spec.points_per_axis
-        nodes, weights = tanh_sinh_nodes(level)
-        fine = _tensor_sum(f, d, nodes, weights)
-        npts = nodes.size**d
-        if level > 1:
-            cn, cw = tanh_sinh_nodes(level - 1)
-            coarse = _tensor_sum(f, d, cn, cw)
-            err = abs(fine - coarse)
-        else:
-            err = abs(fine)
-        return SeriesValue(fine, err + 1e-16 * abs(fine), npts, True)
-    if spec.scheme == "gauss_legendre":
-        p = spec.points_per_axis
-        nodes, weights = gauss_legendre_nodes(p)
-        fine = _tensor_sum(f, d, nodes, weights)
-        if p >= 2:
-            cn, cw = gauss_legendre_nodes(max(1, p // 2))
-            coarse = _tensor_sum(f, d, cn, cw)
-            err = abs(fine - coarse)
-        else:
-            err = abs(fine)
+        rule, coarse_size = tanh_sinh_nodes, spec.points_per_axis - 1
+    elif spec.scheme == "gauss_legendre":
+        rule, coarse_size = gauss_legendre_nodes, spec.points_per_axis // 2
+    else:
+        raise DomainError(f"integrate_tensor does not accept scheme {spec.scheme!r}")
+    nodes, weights = rule(spec.points_per_axis)
+    fine = _tensor_sum(f, d, nodes, weights)
+    # Without a coarse level the error estimate is |fine|.
+    coarse = _tensor_sum(f, d, *rule(coarse_size)) if coarse_size else 0 * fine
+
+    def row(fine, coarse):
+        fine = complex(fine)
+        err = abs(fine - complex(coarse))
         return SeriesValue(fine, err + 1e-16 * abs(fine), nodes.size**d, True)
-    raise DomainError(f"integrate_tensor does not accept scheme {spec.scheme!r}")
+
+    return _per_row(row, fine, coarse)
 
 
-def integrate_monte_carlo(f, d: int, samples: int, seed: int) -> SeriesValue:
-    """Monte Carlo mean over (0,1)^d; abs_error is the standard error of the
-    mean.  Deterministic for a fixed seed (counter-based Philox generator,
-    fixed chunking, pairwise reductions)."""
+def integrate_monte_carlo(f, d: int, samples: int, seed: int):
+    """Monte Carlo mean over (0,1)^d, one SeriesValue per integrand row;
+    abs_error is the standard error of the mean.  Deterministic for a fixed
+    seed (counter-based Philox generator, fixed chunking, pairwise reductions)."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
-    sums = []
-    sqsums = []
-    done = 0
+    sums, sqsums, done = [], [], 0
     while done < samples:
         take = min(_CHUNK, samples - done)
         pts = rng.random((take, d))
         vals = np.asarray(f(pts), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise NodeSingularity("integrand returned a non-finite value at a sampled point")
-        sums.append(np.sum(vals))
-        sqsums.append(np.sum(vals.real**2 + vals.imag**2))
+        sums.append(np.sum(vals, axis=-1))
+        sqsums.append(np.sum(vals.real**2 + vals.imag**2, axis=-1))
         done += take
-    total = complex(np.sum(np.asarray(sums)))
-    sq = float(np.sum(np.asarray(sqsums)))
-    mean = total / samples
-    var = max(sq / samples - abs(mean) ** 2, 0.0)
-    sem = math.sqrt(var / samples)
-    return SeriesValue(mean, sem, samples, True)
+
+    def row(total, sq):
+        mean = complex(total) / samples
+        var = max(float(sq) / samples - abs(mean) ** 2, 0.0)
+        return SeriesValue(mean, math.sqrt(var / samples), samples, True)
+
+    return _per_row(row, *(np.sum(np.stack(s, axis=-1), axis=-1) for s in (sums, sqsums)))

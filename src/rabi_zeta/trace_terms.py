@@ -168,7 +168,8 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
     return e
 
 
-def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, n_log: int):
+def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, orders):
+    """Rows K * w * (sum_j log u_j)^k for k in orders, integrating to d^k R_m / d lam^k."""
     evec = _exponent_vector(m, lam, eps)
 
     def f(u: np.ndarray) -> np.ndarray:
@@ -205,21 +206,18 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
                 mu = (2.0 / (sp + sm)) ** 2
                 kernel = np.exp((family.nu - 1.0) * np.log(mu)) / (sp * sm)
         out = kernel * weight
-        if n_log:
-            out = out * np.sum(logs, axis=1) ** n_log
-        return out
+        log_sum = np.sum(logs, axis=1) if any(orders) else None
+        return np.stack([out * log_sum**k if k else out for k in orders])
 
     return f
 
 
-def _default_spec(m: int, spec: quadrature.QuadratureSpec | None) -> quadrature.QuadratureSpec:
-    if spec is not None:
-        return spec
-    if m == 1:
-        return quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=7)
-    if m == 2:
-        return quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=5)
-    return quadrature.QuadratureSpec(scheme="monte_carlo")
+#: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.
+_DEFAULT_SPECS = {
+    1: quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=7),
+    2: quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=5),
+    3: quadrature.QuadratureSpec(scheme="monte_carlo"),
+}
 
 
 def dn_r_m_family_operator(
@@ -248,22 +246,29 @@ def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> Series
     return SeriesValue(total, err, terms, True)
 
 
-def _integral(family: TraceFamily, lam, g, eps, m: int, n: int, spec) -> SeriesValue:
-    """d^n R_m / d lam^n under the integral sign (m <= 3), or by the
-    operator oracle for m >= 4."""
+def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
+    """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
+    one quadrature pass over shared nodes (m <= 3), or by the operator oracle
+    for m >= 4."""
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    components = family_components(family)
+    family = family_of(components)  # Delta(d) resolves to Plus / Minus
     if m >= 4:
-        return dn_r_m_family_operator(family, lam, g, eps, m, n)
+        return {k: dn_r_m_family_operator(family, lam, g, eps, m, k) for k in orders}
     margin = complex(lam).real - abs(complex(eps).real)
-    if not margin + min(c.offset for c in family_components(family)) > 0:
+    if not margin + min(c.offset for c in components) > 0:
         raise DomainError(
             f"integral route requires Re(lam) - |Re(eps)| (+ family shift) > 0; "
             f"got lam={lam}, eps={eps} for {family}"
         )
-    spec = _default_spec(m, spec)
-    f = _integrand(family, lam, eps, g, m, n)
+    spec = spec or _DEFAULT_SPECS[m]
+    f = _integrand(family, lam, eps, g, m, orders)
     if spec.scheme == "monte_carlo":
-        return quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
-    return quadrature.integrate_tensor(f, 2 * m, spec)
+        row = quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
+    else:
+        row = quadrature.integrate_tensor(f, 2 * m, spec)
+    return dict(zip(orders, row))
 
 
 def r_m_integral(
@@ -279,9 +284,7 @@ def r_m_integral(
     m in {1, 2} uses deterministic tanh-sinh tensor quadrature, m = 3 Monte
     Carlo, m >= 4 delegates to the operator oracle.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return _integral(family, lam, g, eps, m, 0, spec)
+    return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 
 
 def dn_r_m_integral(
@@ -297,19 +300,17 @@ def dn_r_m_integral(
     """n-th shift derivative of R_m under the integral sign: the r_m_integral
     integrand times (log prod u_j)^n.
 
-    With lambda_power = 2m the Leibniz combination
-    d^n/d lam^n [lam^(2m) R_m] is returned instead (used by the NCHO
-    assembly); the lam-power derivatives are taken in closed form.
+    With lambda_power = p > 0 the Leibniz combination d^n/d lam^n [lam^p R_m]
+    is returned instead (NCHO uses p = 2m).  Each order k it needs is one row
+    of one (rows, npts) integrand, so all come from one quadrature pass.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if lambda_power:
-        return leibniz_lambda_power(
-            n, lam, lambda_power, lambda k: dn_r_m_integral(family, lam, g, eps, m, k, spec)
-        )
-    if n == 0:
-        return r_m_integral(family, lam, g, eps, m, spec)
-    return _integral(family, lam, g, eps, m, n, spec)
+    if lambda_power < 0:
+        raise DomainError(f"lambda_power must be >= 0, got {lambda_power}")
+    orders = tuple(range(n - min(n, lambda_power), n + 1))
+    row = _integral_row(family, lam, g, eps, m, orders, spec)
+    return leibniz_lambda_power(n, lam, lambda_power, row.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,35 @@ class TestTensorIntegration:
         assert abs(v.value - exact) <= max(v.abs_error, 1e-13)
 
 
+def _rows(p):
+    """Three integrand rows; _rows(p)[k] alone is a scalar integrand."""
+    base = np.exp(1j * np.sum(p, axis=1)) / np.sqrt(p[:, 0])
+    return np.stack([base, base * np.log(p[:, -1]), np.cos(np.sum(p, axis=1))])
+
+
+class TestRowIntegrands:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 9)]
+    )
+    def test_tensor_rows_match_scalar_calls(self, d, spec):
+        rows = integrate_tensor(_rows, d, spec)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            single = integrate_tensor(lambda p: _rows(p)[k], d, spec)
+            assert (row.value, row.abs_error, row.terms_used) == (
+                single.value, single.abs_error, single.terms_used
+            )
+
+    def test_monte_carlo_rows_match_scalar_calls(self):
+        # More samples than one chunk, so the per-chunk partial sums are reduced too.
+        rows = integrate_monte_carlo(_rows, 3, 300_000, seed=11)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            single = integrate_monte_carlo(lambda p: _rows(p)[k], 3, 300_000, seed=11)
+            assert (row.value, row.abs_error) == (single.value, single.abs_error)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         f = lambda p: np.sum(p, axis=1)  # noqa: E731

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabi_zeta import quadrature
 from rabi_zeta.errors import DomainError, LengthMismatch
+from rabi_zeta.quadrature import integrate_tensor
 from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
@@ -19,7 +21,8 @@ from rabi_zeta.trace_terms import (
     r_1_series,
     r_m_integral,
 )
-from rabi_zeta.operator_oracle import dn_r_m_operator, r_m_operator
+from rabi_zeta.operator_oracle import Ncho, dn_r_m_operator, r_m_operator
+from rabi_zeta.zeta_values import ZetaRequest, zeta_value
 
 unit = st.floats(0.05, 0.95)
 
@@ -119,6 +122,39 @@ class TestIntegralRoute:
     def test_bad_m(self):
         with pytest.raises(DomainError):
             r_m_integral(FLAT, 0.9, 0.2, 0.1, 0)
+
+    @pytest.mark.parametrize("delta, family", [(1, PLUS), (-1, MINUS)])
+    def test_delta_alias(self, delta, family):
+        assert r_m_integral(Delta(delta), 1.0, 0.2, 0.1, 1) == r_m_integral(
+            family, 1.0, 0.2, 0.1, 1
+        )
+        assert dn_r_m_integral(Delta(delta), 1.2, 0.2, 0.1, 1, 1, lambda_power=2) == (
+            dn_r_m_integral(family, 1.2, 0.2, 0.1, 1, 1, lambda_power=2)
+        )
+
+    def test_negative_lambda_power(self):
+        with pytest.raises(DomainError):
+            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, 2, lambda_power=-2)
+
+    def test_leibniz_orders_share_one_pass(self, monkeypatch):
+        # NCHO's D_m = d^n [lam^(2m) R_m] at n = 2 needs R_m and its first two
+        # derivatives; they come from one tensor quadrature (fine and coarse
+        # level) per m, where each order used to cost a quadrature of its own.
+        calls, points = [], []
+
+        def counting(f, d, spec):
+            calls.append(d)
+
+            def g(u):
+                points.append(u.shape[0])
+                return f(u)
+
+            return integrate_tensor(g, d, spec)
+
+        monkeypatch.setattr(quadrature, "integrate_tensor", counting)
+        zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
+        assert sorted(calls) == [2, 4]
+        assert sum(points) == 7_207_236
 
 
 class TestR1FastPaths:
