@@ -135,8 +135,8 @@ class ModelGeometry:
     carries d^n [lam^(lam_power*m) R_m] / d lam^n, R_m the signed sum over
     `components` of the trace terms at coupling g and shift eps.  Two
     components are the even (nu = 1/2) and odd (nu = 3/2) parity sectors.
-    `blocks(N)` gives the eigen oracle's banded Hamiltonians when they are
-    not [[h_+, X], [X, h_-]] per component.
+    `blocks(N)` gives the eigen oracle's banded Hamiltonians at truncation N,
+    and `hurwitz` sums the free spectrum.
     """
 
     components: tuple[Component, ...]
@@ -145,8 +145,8 @@ class ModelGeometry:
     offset: float
     coupling: float
     g: float
+    blocks: Callable[[int], list]
     lam_power: int = 0
-    blocks: Callable[[int], list] | None = None
 
     def shifts(self, lam: complex) -> tuple[complex, complex]:
         lam = complex(lam)
@@ -156,25 +156,41 @@ class ModelGeometry:
         """Distance from the shifts to the excluded progression."""
         return min(_min_progression_distance(s, self.step, self.offset) for s in self.shifts(lam))
 
+    def hurwitz(self, n: int, lam: complex, start: int = 0, zeta=None) -> SeriesValue:
+        """The free spectrum from its term `start` on: step^-n times the sum
+        over the shifts s of zeta(n, (s + offset)/step + start), with summed
+        abs_error.  zeta defaults to hurwitz_zeta, looked up at call time so
+        that instrumentation which rebinds the module name sees every call;
+        alternating_zeta_sum gives the parity difference."""
+        zeta = zeta or hurwitz_zeta
+        scale = self.step ** (-n)
+        zs = [zeta(n, (s + self.offset) / self.step + start) for s in self.shifts(lam)]
+        value = sum(scale * z.value for z in zs)
+        abs_error = sum(scale * z.abs_error for z in zs)
+        terms = sum(z.terms_used for z in zs)
+        return SeriesValue(value, abs_error, terms, all(z.converged for z in zs))
+
 
 _SECTORS = (Component("bergman", 0.5), Component("bergman", 1.5))
 
 
 def model_geometry(model: ModelSpec) -> ModelGeometry:
     """The description of `model`; the only place that tests its type."""
-    if isinstance(model, OnePhoton):
-        return ModelGeometry((Component("fock"),), model.eps, 1.0, 0.0, model.delta, model.g)
-    if isinstance(model, BergmanNu):
-        component = Component("bergman", model.nu)
-        return ModelGeometry((component,), model.eps, 2.0, model.nu, model.delta, model.g)
-    if isinstance(model, TwoPhoton):
-        return ModelGeometry(_SECTORS, model.eps, 1.0, 0.5, model.delta, model.g)
     if isinstance(model, Ncho):
         a, b = model.alpha, model.beta
         x, g = (a - b) / (a + b), 0.5 * math.atanh(1.0 / math.sqrt(a * b))
         blocks = partial(_ncho_bands, model)
-        return ModelGeometry(_SECTORS, 2.0 * model.eta, 1.0, 0.5, x, g, 2, blocks)
-    raise DomainError(f"unknown model {model!r}")
+        return ModelGeometry(_SECTORS, 2.0 * model.eta, 1.0, 0.5, x, g, blocks, 2)
+    if isinstance(model, OnePhoton):
+        components, step, offset = (Component("fock"),), 1.0, 0.0
+    elif isinstance(model, BergmanNu):
+        components, step, offset = (Component("bergman", model.nu),), 2.0, model.nu
+    elif isinstance(model, TwoPhoton):
+        components, step, offset = _SECTORS, 1.0, 0.5
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    blocks = partial(_rabi_bands, components, model.g, model.eps, model.delta)
+    return ModelGeometry(components, model.eps, step, offset, model.delta, model.g, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +600,6 @@ def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
     return band
 
 
-def _component(basis, g, shift, sign, N, nu=None):
-    op = build_component_operator(basis, g, shift, sign, N, nu)
-    return np.real(op.diag), np.array(op.offdiag)
-
-
 def _eig_sum(band: np.ndarray, n: int, lam: complex) -> complex:
     try:
         mu = sla.eig_banded(band, lower=False, eigvals_only=True)
@@ -617,57 +628,46 @@ def _ncho_bands(model: Ncho, N: int) -> list:
     return bands
 
 
-def _model_blocks_and_tail(model: ModelSpec, N: int):
-    """Banded matrices to diagonalize and the coupling-free tail progressions.
-
-    Returns (list of upper band storages, list of tails) where each tail
-    (scale, start_plus, start_minus) is a component's progression from
-    k = N on and contributes scale^-n times the Hurwitz zeta pair
-    zeta(n, (start + lam)/scale).
-    """
-    geo = model_geometry(model)
-    if geo.blocks is not None:
-        bands = geo.blocks(N)
-    else:
-        bands = [
-            _interleaved_band(
-                _component(c.basis, geo.g, +geo.eps, +1, N, c.nu),
-                _component(c.basis, geo.g, -geo.eps, -1, N, c.nu),
-                np.full(N, float(geo.coupling)),
-            )
-            for c in geo.components
-        ]
-    starts = [(c.step, c.offset + c.step * N) for c in geo.components]
-    return bands, [(step, start + geo.eps, start - geo.eps) for step, start in starts]
+def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> list:
+    """Each component's [[h_+, X], [X, h_-]], h_+- at shift +-eps, with
+    coupling X times the identity."""
+    bands = []
+    for c in components:
+        hp = build_component_operator(c.basis, g, +eps, +1, N, c.nu)
+        hm = build_component_operator(c.basis, g, -eps, -1, N, c.nu)
+        a, b = ((np.real(op.diag), np.array(op.offdiag)) for op in (hp, hm))
+        bands.append(_interleaved_band(a, b, np.full(N, float(coupling))))
+    return bands
 
 
-def _zeta_eigen_once(model: ModelSpec, n: int, lam: complex, N: int) -> complex:
-    mats, tails = _model_blocks_and_tail(model, N)
-    value = 0.0 + 0.0j
-    for h in mats:
-        value += _eig_sum(h, n, lam)
-    for scale, start_p, start_m in tails:
-        pref = scale ** (-float(n))
-        value += pref * hurwitz_zeta(n, (start_p + complex(lam)) / scale).value
-        value += pref * hurwitz_zeta(n, (start_m + complex(lam)) / scale).value
-    return value
+def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int) -> complex:
+    """Eigenvalue sum of the truncation N plus the free spectrum from its
+    end on: the components' progressions from k = N on interleave into the
+    geometry's from len(components) * N on ({1/2 + 2k} and {3/2 + 2k} for
+    k >= N are {1/2 + j} for j >= 2N)."""
+    value = sum(_eig_sum(h, n, lam) for h in geo.blocks(N))
+    return value + geo.hurwitz(n, lam, len(geo.components) * N).value
 
 
 def zeta_eigen_oracle(model: ModelSpec, n: int, lam: complex, N: int = 400) -> SeriesValue:
     """zeta(H; n, lam) by direct eigenvalue summation of the truncated block
-    matrix plus a coupling-free asymptotic tail correction.
+    matrices plus a coupling-free tail: the free spectrum (the geometry's
+    Hurwitz pair) from the truncation's end on.
 
-    After the coupling-free tail model is subtracted the residual decays
-    like 1/N, so the value is two-level Richardson-extrapolated from the N,
-    N/2, N/4 truncations; abs_error is three times the last applied
-    correction (a safety margin over the next-order residual).
+    After that tail is added the residual decays like 1/N, so the value is
+    two-level Richardson-extrapolated from the N, N/2, N/4 truncations;
+    abs_error is three times the last applied correction (a safety margin
+    over the next-order residual).  N must be >= 8, so that N/4 >= 2.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    values = tuple(_zeta_eigen_once(model, n, lam, size) for size in (N, N // 2, N // 4))
+    if N < 8:
+        raise InvalidDimension(f"N must be >= 8, got {N}")
+    geo = model_geometry(model)
+    values = tuple(_zeta_eigen_once(geo, n, lam, size) for size in (N, N // 2, N // 4))
     value, corr = _richardson2(values, 1)
     # The 1e-7 term is a calibration floor: the extrapolation model is not
     # trusted below it at desk-scale truncations, so the reported bound stays
     # a genuine upper bound on the oracle error.
     abs_error = 3 * corr + 1e-7
-    return SeriesValue(value, abs_error, 2 * N, True)
+    return SeriesValue(value, abs_error, 2 * N, abs_error <= 1e-8)

@@ -255,6 +255,8 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     components = family_components(family)
     family = family_of(components)  # Delta(d) resolves to Plus / Minus
     if m >= 4:
+        # Highest order first: its sweep fills every lower order's memo row.
+        orders = sorted(orders, reverse=True)
         return {k: dn_r_m_family_operator(family, lam, g, eps, m, k) for k in orders}
     margin = complex(lam).real - abs(complex(eps).real)
     if not margin + min(c.offset for c in components) > 0:

@@ -139,11 +139,14 @@ def _assemble(
 ) -> ZetaResult:
     """zeta(H; n, lam), or the parity difference when `minus`, by `method`.
 
-    The series routes add the Hurwitz base term and the terms m = 1..m_last,
-    where m_last is the first m whose geometric tail bound is below tol (or
-    max_m, with a warning), found before any term is computed so that
-    FamilyTerms can sweep each component once up to m_last.  abs_error sums
-    the base term's error, each term's truncation error and the tail bound.
+    The series routes add the base term, the free spectrum's Hurwitz pair
+    from ModelGeometry.hurwitz (alternating when `minus`), and the terms
+    m = 1..m_last, where m_last is the first m whose geometric tail bound is
+    below tol (or max_m, with a warning), found before any term is computed
+    so that FamilyTerms can sweep each component once up to m_last.
+    abs_error sums the base term's error, each term's truncation error and
+    the tail bound.  The eigen route has no parity difference, and
+    parity_difference refuses it before it gets here.
     """
     t0 = time.perf_counter()
     lam = complex(lam)
@@ -167,21 +170,13 @@ def _assemble(
         warnings.append(f"SlowConvergence: geometric ratio {xs * big_c:.4f} close to 1")
     per_m = []
     if method == "eigen_oracle":
-        if minus:
-            raise DomainError("eigen_oracle does not provide the parity difference")
         sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
         value, err, base = sv.value, sv.abs_error, sv.value
         sources = {"truncation": err}
     else:
-        # The Delta^0 term step^-n sum zeta(n, (lam +- eps + offset) / step),
-        # alternating for the parity difference.
-        zeta = alternating_zeta_sum if minus else hurwitz_zeta
-        scale = geo.step ** (-n)
-        base, base_err = 0.0 + 0.0j, 0.0
-        for s in geo.shifts(lam):
-            z = zeta(n, (s + geo.offset) / geo.step)
-            base += scale * z.value
-            base_err += scale * z.abs_error
+        # The Delta^0 term: the free spectrum, alternating for the parity difference.
+        free = geo.hurwitz(n, lam, zeta=alternating_zeta_sum if minus else hurwitz_zeta)
+        base, base_err = free.value, free.abs_error
         family = trace_terms.MINUS if minus else trace_terms.family_of(geo.components)
         x = geo.coupling
         hs_sq = _hs_constant_sq(geo.shifts(lam), geo.step, geo.offset)

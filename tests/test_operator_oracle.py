@@ -18,11 +18,11 @@ from rabi_zeta.operator_oracle import (
     TraceDerivativeSweep,
     TwoPhoton,
     _min_progression_distance,
-    _model_blocks_and_tail,
     _richardson2,
     build_component_operator,
     dense,
     dn_r_m_operator,
+    model_geometry,
     r_m_operator,
     trace_inverse_product,
     zeta_eigen_oracle,
@@ -175,6 +175,17 @@ class TestPoleGuards:
         assert _min_progression_distance(0.2 + 0j, 2.0, 0.5) == pytest.approx(0.7)
 
 
+_EIGEN_MODELS = [
+    (OnePhoton(g=0.2, delta=0.3, eps=0.1), 1.0),
+    (TwoPhoton(g=0.2, delta=0.3, eps=0.1), 1.0),
+    (BergmanNu(nu=0.7, g=0.2, delta=0.3, eps=0.1), 1.0),
+    (Ncho(alpha=2.0, beta=1.2, eta=0.1), 0.8),
+]
+_EIGEN_MODELS_COMPLEX = [
+    (model, lam + (0.2j if isinstance(model, Ncho) else 0.5j)) for model, lam in _EIGEN_MODELS
+]
+
+
 class TestEigenOracle:
     def test_one_photon_decoupled(self):
         # delta = 0: displaced-oscillator spectra k + lam +- eps exactly
@@ -200,6 +211,32 @@ class TestEigenOracle:
         model = OnePhoton(g=0.2, delta=0.3, eps=0.1)
         sv = zeta_eigen_oracle(model, 2, 1.0, N=200)
         assert sv.abs_error > 0
+
+    def test_converged_follows_abs_error(self):
+        sv = zeta_eigen_oracle(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, N=8)
+        assert sv.abs_error > 1e-8
+        assert not sv.converged
+
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS)
+    def test_truncation_below_eight_refused(self, model, lam):
+        for N in (4, 7):
+            with pytest.raises(InvalidDimension):
+                zeta_eigen_oracle(model, 2, lam, N=N)
+        assert math.isfinite(abs(zeta_eigen_oracle(model, 2, lam, N=8).value))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX)
+    def test_tail_is_the_free_spectrum_from_the_truncation(self, model, lam, n):
+        # The components' progressions offset + step*k from k = N on
+        # interleave into the geometry's from len(components) * N on.
+        geo, N = model_geometry(model), 50
+        ref = 0.0
+        for c in geo.components:
+            start = c.offset + c.step * N
+            for s in (start + geo.eps, start - geo.eps):
+                ref += c.step ** (-float(n)) * hurwitz_zeta(n, (s + lam) / c.step).value
+        got = geo.hurwitz(n, lam, len(geo.components) * N).value
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +358,7 @@ class TestDenseReference:
     )
     def test_banded_eigenvalues_match_dense(self, model):
         N = 200
-        bands, _ = _model_blocks_and_tail(model, N)
+        bands = model_geometry(model).blocks(N)
         got = np.sort(np.concatenate([sla.eig_banded(b, eigvals_only=True) for b in bands]))
         dense_mats = _dense_block_matrices(model, N)
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in dense_mats]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_zeta import quadrature
+from rabi_zeta import operator_oracle, quadrature
 from rabi_zeta.errors import DomainError, LengthMismatch
 from rabi_zeta.quadrature import integrate_tensor
 from rabi_zeta.trace_terms import (
@@ -155,6 +155,24 @@ class TestIntegralRoute:
         zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
         assert sorted(calls) == [2, 4]
         assert sum(points) == 7_207_236
+
+    @pytest.mark.parametrize(
+        "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
+    )
+    def test_delegated_orders_share_one_sweep(self, family, lam, m, n, power, sweeps, monkeypatch):
+        # m >= 4 goes to the operator oracle order by order; the highest order's
+        # sweep holds every lower order, so each component is swept once.
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
+        built = []
+        init = operator_oracle.TraceDerivativeSweep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", counting_init)
+        dn_r_m_integral(family, lam, 0.2, 0.1, m, n, lambda_power=power)
+        assert len(built) == sweeps
 
 
 class TestR1FastPaths:
