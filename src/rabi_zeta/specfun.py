@@ -31,6 +31,7 @@ BERNOULLI = {
 
 _POLE_GUARD = 1e-12
 _HYPERGEOM_TERM_CAP = 100_000
+_PAIR_TERM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -168,20 +169,40 @@ def _digamma(z: complex) -> complex:
     return result + acc
 
 
+def _pole_distance(c: complex) -> float:
+    """Distance from c to the nearest nonpositive integer."""
+    k = max(0, math.ceil(-c.real))
+    return min(abs(c + j) for j in (k - 1, k) if j >= 0)
+
+
 def sum_inverse_pair(a: complex, b: complex, alternating: bool = False) -> complex:
     """sum_{k>=0} s^k / ((a+k)(b+k)) with s = -1 if alternating else +1.
 
     Uses (psi(a)-psi(b))/(a-b) (and the half-argument psi form for the
-    alternating case); falls back to a zeta value when a == b.
+    alternating case).  When a and b are close against the distance of
+    c = (a+b)/2 to the poles, that difference quotient cancels, and the exact
+    expansion 1/((c+k)^2 - h^2) = sum_i h^(2i) / (c+k)^(2i+2), h = (a-b)/2,
+    gives sum_i h^(2i) zeta(2i+2, c) (alternating: the alternating sums).
     """
     a = complex(a)
     b = complex(b)
     _check_not_nonpositive_integer(a)
     _check_not_nonpositive_integer(b)
-    if abs(a - b) < 1e-12:
-        if alternating:
-            return alternating_zeta_sum(2, a).value
-        return hurwitz_zeta(2, a).value
+    c = (a + b) / 2
+    h2 = ((a - b) / 2) ** 2
+    if abs(a - b) <= 0.2 * _pole_distance(c):
+        # Term i is at most (|h| / dist)^(2i) <= 0.01^i times sum_k |c+k|^-2,
+        # so the cap leaves no tail worth keeping.
+        zeta = alternating_zeta_sum if alternating else hurwitz_zeta
+        total = 0.0 + 0.0j
+        power = 1.0 + 0.0j
+        for i in range(_PAIR_TERM_CAP):
+            term = power * zeta(2 * i + 2, c).value
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+            power *= h2
+        return total
     if alternating:
         # sum (-1)^k/(c+k) = (psi((c+1)/2) - psi(c/2)) / 2
         fa = (_digamma((a + 1) / 2) - _digamma(a / 2)) / 2

@@ -2,7 +2,11 @@
 
 The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
-shift derivatives, and the m=1 series/hypergeometric fast paths.
+shift derivatives, and the m=1 series/hypergeometric fast paths.  One helper
+maps the point invariants (Psi, or Phi with prod u) to each family's kernel;
+the point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs, and
+the m = 2 term on a deterministic rule is a kernel between the axis-pair
+grids (u0, u1) and (u2, u3), integrated by quadrature.integrate_pairs.
 """
 
 from __future__ import annotations
@@ -118,16 +122,17 @@ def _phi_vec(m: int, u: np.ndarray) -> np.ndarray:
     return total
 
 
-def _psi_vec(m: int, g: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized Psi_m^g on an (npts, 2m) array: trace of the ordered
-    product of 2m two-by-two factors with alternating coupling signs."""
+def _psi_product(g: float, u: np.ndarray):
+    """Entries (a, b, c, d) of the ordered product of Psi's two-by-two
+    factors over the columns of an (npts, k) array, with alternating
+    coupling signs starting at -sinh(2g)."""
     ch = math.cosh(2 * g)
     sh = math.sinh(2 * g)
     a = np.ones(u.shape[0])
     b = np.zeros(u.shape[0])
     c = np.zeros(u.shape[0])
     dd = np.ones(u.shape[0])
-    for j in range(2 * m):
+    for j in range(u.shape[1]):
         s = -sh if j % 2 == 0 else sh
         uj = u[:, j]
         inv = 1.0 / uj
@@ -137,6 +142,13 @@ def _psi_vec(m: int, g: float, u: np.ndarray) -> np.ndarray:
         nc = c * (ch * inv) + dd * (s * inv)
         nd = c * (s * uj) + dd * (ch * uj)
         a, b, c, dd = na, nb, nc, nd
+    return a, b, c, dd
+
+
+def _psi_vec(m: int, g: float, u: np.ndarray) -> np.ndarray:
+    """Vectorized Psi_m^g on an (npts, 2m) array: trace of the ordered
+    product of 2m two-by-two factors with alternating coupling signs."""
+    a, _, _, dd = _psi_product(g, u[:, : 2 * m])
     return a + dd
 
 
@@ -168,6 +180,32 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
     return e
 
 
+def _psi_roots(psi_val: np.ndarray):
+    """(sqrt(Psi + 2), sqrt(Psi - 2)) of a matrix-product Psi.  Psi - 2 is
+    only known to roundoff relative to |Psi|; flooring it at that noise scale
+    keeps corner nodes (tiny weights) harmless."""
+    sp = np.sqrt(psi_val + 2.0)
+    sm = np.sqrt(np.maximum(psi_val - 2.0, 1e-13 * np.maximum(np.abs(psi_val), 2.0)))
+    return sp, sm
+
+
+def _kernel(family: TraceFamily, g: float, invariants) -> np.ndarray:
+    """The family's kernel from the point invariants: (Phi_m, prod u) for
+    Flat, (sqrt(Psi+2), sqrt(Psi-2)) for Plus, Minus and Nu."""
+    if isinstance(family, Flat):
+        phi_val, prod = invariants
+        one_minus = np.maximum(1.0 - prod, 1e-300)
+        return np.exp(-4.0 * g * g * phi_val / one_minus) / one_minus
+    sp, sm = invariants
+    if isinstance(family, Plus):
+        return 1.0 / sm
+    if isinstance(family, Minus):
+        return 1.0 / sp
+    # mu = ((sqrt(Psi+2)-sqrt(Psi-2))/2)^2 = (2/(sp+sm))^2, stably.
+    mu = (2.0 / (sp + sm)) ** 2
+    return np.exp((family.nu - 1.0) * np.log(mu)) / (sp * sm)
+
+
 def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, orders):
     """Rows K * w * (sum_j log u_j)^k for k in orders, integrating to d^k R_m / d lam^k."""
     evec = _exponent_vector(m, lam, eps)
@@ -176,40 +214,82 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
         logs = np.log(u)
         weight = np.exp(logs @ evec)
         if isinstance(family, Flat):
-            prod = np.prod(u, axis=1)
-            one_minus = np.maximum(1.0 - prod, 1e-300)
-            kernel = np.exp(-4.0 * g * g * _phi_vec(m, u) / one_minus) / one_minus
+            invariants = (_phi_vec(m, u), np.prod(u, axis=1))
+        elif m == 1:
+            # Factorized forms avoid the catastrophic cancellation of
+            # Psi - 2 near the (1, 1) corner:
+            #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
+            uu, vv = u[:, 0], u[:, 1]
+            sh2 = math.sinh(2.0 * g) ** 2
+            cross = sh2 * (1.0 - uu * uu) * (1.0 - vv * vv)
+            inv_uv = 1.0 / (uu * vv)
+            sp = np.sqrt(((1.0 + uu * vv) ** 2 + cross) * inv_uv)
+            sm = np.sqrt(np.maximum(((1.0 - uu * vv) ** 2 + cross) * inv_uv, 1e-300))
+            invariants = (sp, sm)
         else:
-            if m == 1:
-                # Factorized forms avoid the catastrophic cancellation of
-                # Psi - 2 near the (1, 1) corner:
-                #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
-                uu, vv = u[:, 0], u[:, 1]
-                sh2 = math.sinh(2.0 * g) ** 2
-                cross = sh2 * (1.0 - uu * uu) * (1.0 - vv * vv)
-                inv_uv = 1.0 / (uu * vv)
-                sp = np.sqrt(((1.0 + uu * vv) ** 2 + cross) * inv_uv)
-                sm = np.sqrt(np.maximum(((1.0 - uu * vv) ** 2 + cross) * inv_uv, 1e-300))
-            else:
-                # Psi is computed as a matrix-product trace, so Psi - 2 is
-                # only known to roundoff relative to |Psi|; flooring at that
-                # noise scale keeps corner nodes (tiny weights) harmless.
-                psi_val = _psi_vec(m, g, u)
-                sp = np.sqrt(psi_val + 2.0)
-                sm = np.sqrt(np.maximum(psi_val - 2.0, 1e-13 * np.maximum(np.abs(psi_val), 2.0)))
-            if isinstance(family, Plus):
-                kernel = 1.0 / sm
-            elif isinstance(family, Minus):
-                kernel = 1.0 / sp
-            else:
-                # mu = ((sqrt(Psi+2)-sqrt(Psi-2))/2)^2 = (2/(sp+sm))^2, stably.
-                mu = (2.0 / (sp + sm)) ** 2
-                kernel = np.exp((family.nu - 1.0) * np.log(mu)) / (sp * sm)
-        out = kernel * weight
+            invariants = _psi_roots(_psi_vec(m, g, u))
+        out = _kernel(family, g, invariants) * weight
         log_sum = np.sum(logs, axis=1) if any(orders) else None
         return np.stack([out * log_sum**k if k else out for k in orders])
 
     return f
+
+
+def _pair_basis(a: np.ndarray) -> np.ndarray:
+    """(1, u, v, uv) at each pair point of an (npts, 2) array."""
+    u, v = a[:, 0], a[:, 1]
+    return np.column_stack([np.ones_like(u), u, v, u * v])
+
+
+def _phi2_form() -> np.ndarray:
+    """The 4x4 C with Phi_2(a, b) = basis(a) C basis(b)^T.  Phi_2 is
+    multilinear, so its values at the 16 cube corners fix C."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    at_corners = np.array(
+        [[_phi_vec(2, np.concatenate([a, b])[None])[0] for b in corners] for a in corners]
+    )
+    basis_inv = np.linalg.inv(_pair_basis(corners))
+    return basis_inv @ at_corners @ basis_inv.T
+
+
+_PHI2 = _phi2_form()
+
+
+def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
+    """The m = 2 integrand rows as one kernel between the axis pairs
+    a = (u0, u1) and b = (u2, u3).  Psi_2 = tr(P(a) P(b)), Phi_2 =
+    basis(a) C basis(b)^T, prod u = p(a) p(b), and the weight and sum log u
+    split the same way, so (L_a + L_b)^k expands binomially and one kernel
+    pass serves every order."""
+    evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
+    top = max(orders)
+
+    if isinstance(family, Flat):
+
+        def kernel(a, b):
+            phi_val = _pair_basis(a) @ _PHI2 @ _pair_basis(b).T
+            return _kernel(family, g, (phi_val, np.outer(a[:, 0] * a[:, 1], b[:, 0] * b[:, 1])))
+
+    else:
+
+        def kernel(a, b):
+            # tr(P Q) with P, Q = [[p0, p1], [p2, p3]] pairs (p0..p3) with (q0, q2, q1, q3).
+            pa = np.column_stack(_psi_product(g, a))
+            qb = np.stack(_psi_product(g, b))[[0, 2, 1, 3]]
+            return _kernel(family, g, _psi_roots(pa @ qb))
+
+    def side(a):
+        logs = np.log(a)
+        weight = np.exp(logs @ evec)
+        log_sum = logs[:, 0] + logs[:, 1]
+        return np.stack([weight * log_sum**i if i else weight for i in range(top + 1)])
+
+    def combine(gram):
+        return np.array(
+            [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
+        )
+
+    return quadrature.integrate_pairs(kernel, side, side, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.
@@ -249,7 +329,8 @@ def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> Series
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4."""
+    for m >= 4.  m = 2 on a tensor rule is pair-separable (_pair_row); m = 1,
+    m = 3 and any Monte Carlo spec integrate the point-by-point integrand."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     components = family_components(family)
@@ -265,6 +346,8 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
             f"got lam={lam}, eps={eps} for {family}"
         )
     spec = spec or _DEFAULT_SPECS[m]
+    if m == 2 and spec.scheme != "monte_carlo":
+        return dict(zip(orders, _pair_row(family, lam, eps, g, orders, spec)))
     f = _integrand(family, lam, eps, g, m, orders)
     if spec.scheme == "monte_carlo":
         row = quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
@@ -283,8 +366,8 @@ def r_m_integral(
 ) -> SeriesValue:
     """R_m by the 2m-dimensional integral representation of the family.
 
-    m in {1, 2} uses deterministic tanh-sinh tensor quadrature, m = 3 Monte
-    Carlo, m >= 4 delegates to the operator oracle.
+    m in {1, 2} uses deterministic tanh-sinh tensor quadrature (pair-separable
+    at m = 2), m = 3 Monte Carlo, m >= 4 delegates to the operator oracle.
     """
     return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 

@@ -10,6 +10,7 @@ from rabi_zeta.quadrature import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_monte_carlo,
+    integrate_pairs,
     integrate_tensor,
     tanh_sinh_nodes,
 )
@@ -131,6 +132,63 @@ class TestRowIntegrands:
         for k, row in enumerate(rows):
             single = integrate_monte_carlo(lambda p: _rows(p)[k], 3, 300_000, seed=11)
             assert (row.value, row.abs_error) == (single.value, single.abs_error)
+
+
+def _pair_kernel(a, b):
+    return 1.0 / np.sqrt(1.0 - np.outer(a[:, 0] * a[:, 1], b[:, 0] * b[:, 1]))
+
+
+def _pair_side(a):
+    w = np.exp(1j * a[:, 0]) / np.sqrt(a[:, 1])
+    return np.stack([w, w * np.log(a[:, 0])])
+
+
+def _pair_point(p):
+    """The integrand rows of the pair test at 4-D points."""
+    k = 1.0 / np.sqrt(1.0 - np.prod(p, axis=1))
+    left, right = _pair_side(p[:, :2]), _pair_side(p[:, 2:])
+    return np.stack([k * left[0] * right[0], k * (left[1] * right[0] + left[0] * right[1])])
+
+
+class TestPairIntegration:
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 8)]
+    )
+    def test_matches_tensor_rule(self, spec):
+        # Row 1 is G[1, 0] + G[0, 1]: a sum over the left/right vector pairs.
+        def combine(g):
+            return np.array([g[0, 0], g[1, 0] + g[0, 1]])
+
+        rows = integrate_pairs(_pair_kernel, _pair_side, _pair_side, combine, spec)
+        ref = integrate_tensor(_pair_point, 4, spec)
+        for got, want in zip(rows, ref):
+            assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+            assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
+            assert got.terms_used == want.terms_used
+
+    def test_scalar_combine_gives_one_value(self):
+        v = integrate_pairs(
+            lambda a, b: np.ones((len(a), len(b))),
+            lambda a: (a[:, 0] * a[:, 1])[None],
+            lambda b: (b[:, 0] * b[:, 1])[None],
+            lambda g: g[0, 0],
+            QuadratureSpec("gauss_legendre", 6),
+        )
+        assert abs(v.value - 1 / 16) < 1e-14
+
+    def test_non_finite_kernel_raises(self):
+        def kernel(a, b):
+            out = np.ones((len(a), len(b)))
+            out[0, 0] = np.nan
+            return out
+
+        with pytest.raises(NodeSingularity):
+            integrate_pairs(kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+
+    def test_monte_carlo_refused(self):
+        spec = QuadratureSpec("monte_carlo")
+        with pytest.raises(DomainError):
+            integrate_pairs(_pair_kernel, _pair_side, _pair_side, lambda g: g[0, 0], spec)
 
 
 class TestMonteCarlo:

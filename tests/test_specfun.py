@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,3 +127,25 @@ class TestSumInversePair:
     def test_equal_arguments(self):
         val = sum_inverse_pair(1.5, 1.5)
         assert abs(val - hurwitz_zeta(2, 1.5).value) < 1e-12
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 0.3 + 0.2j])
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7, 1e-5])
+    def test_near_equal_arguments_match_mpmath(self, eps, lam, alternating):
+        # (psi(a) - psi(b)) / (a - b) cancels as a -> b: at a, b = 1 +- 1e-9
+        # it was 1.8e-7 off in relative terms.
+        a, b = lam + eps, lam - eps
+        with mpmath.workdps(50):
+            if alternating:
+                # sum (-1)^k / (c+k) = (psi((c+1)/2) - psi(c/2)) / 2
+                def f(c):
+                    return (mpmath.digamma((c + 1) / 2) - mpmath.digamma(c / 2)) / 2
+
+            else:
+                f = mpmath.digamma
+            ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+            ref = complex((f(ma) - f(mb)) / (ma - mb))
+            if alternating:
+                ref = -ref
+        val = sum_inverse_pair(a, b, alternating=alternating)
+        assert abs(val - ref) <= 1e-14 * abs(ref)

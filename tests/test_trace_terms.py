@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from rabi_zeta import operator_oracle, quadrature
 from rabi_zeta.errors import DomainError, LengthMismatch
-from rabi_zeta.quadrature import integrate_tensor
+from rabi_zeta.quadrature import QuadratureSpec, integrate_pairs, integrate_tensor
 from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
     PLUS,
     Delta,
     Nu,
+    _integrand,
     dn_r_m_integral,
+    family_components,
+    family_of,
     phi,
     psi,
     r_1_hypergeometric,
@@ -138,12 +142,13 @@ class TestIntegralRoute:
 
     def test_leibniz_orders_share_one_pass(self, monkeypatch):
         # NCHO's D_m = d^n [lam^(2m) R_m] at n = 2 needs R_m and its first two
-        # derivatives; they come from one tensor quadrature (fine and coarse
-        # level) per m, where each order used to cost a quadrature of its own.
-        calls, points = [], []
+        # derivatives; they come from one quadrature (fine and coarse level)
+        # per m, where each order used to cost a quadrature of its own: a
+        # d = 2 tensor rule for m = 1 and a pair-grid pass for m = 2.
+        tensor_calls, pair_calls, points = [], [], []
 
-        def counting(f, d, spec):
-            calls.append(d)
+        def counting_tensor(f, d, spec):
+            tensor_calls.append(d)
 
             def g(u):
                 points.append(u.shape[0])
@@ -151,9 +156,21 @@ class TestIntegralRoute:
 
             return integrate_tensor(g, d, spec)
 
-        monkeypatch.setattr(quadrature, "integrate_tensor", counting)
+        def counting_pairs(kernel, left, right, combine, spec):
+            pair_calls.append(spec)
+
+            def k(a, b):
+                points.append(a.shape[0] * b.shape[0])
+                return kernel(a, b)
+
+            return integrate_pairs(k, left, right, combine, spec)
+
+        monkeypatch.setattr(quadrature, "integrate_tensor", counting_tensor)
+        monkeypatch.setattr(quadrature, "integrate_pairs", counting_pairs)
         zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
-        assert sorted(calls) == [2, 4]
+        assert tensor_calls == [2]
+        assert len(pair_calls) == 1
+        # 51^4 + 25^4 pair-grid nodes for m = 2 plus the m = 1 rule.
         assert sum(points) == 7_207_236
 
     @pytest.mark.parametrize(
@@ -173,6 +190,51 @@ class TestIntegralRoute:
         monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", counting_init)
         dn_r_m_integral(family, lam, 0.2, 0.1, m, n, lambda_power=power)
         assert len(built) == sweeps
+
+
+_PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5), Delta(1), Delta(-1)]
+
+
+class TestPairSeparableM2:
+    """m = 2 on a deterministic rule is one kernel pass between the pair grids
+    (u0, u1) and (u2, u3); the point-by-point 4-D rule is its reference."""
+
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
+    )
+    @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_matches_point_rule(self, family, lam, spec):
+        g, eps, orders = 0.2, 0.1, (0, 1, 2, 3)
+        base = family_of(family_components(family))
+        ref = integrate_tensor(_integrand(base, lam, eps, g, 2, orders), 4, spec)
+        for k, want in zip(orders, ref):
+            got = dn_r_m_integral(family, lam, g, eps, 2, k, spec=spec)
+            assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+            assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
+            assert got.terms_used == want.terms_used
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: r_m_integral(PLUS, 1.2, 0.2, 0.1, 2),
+            lambda: dn_r_m_integral(FLAT, 1.2 + 0.3j, 0.2, 0.1, 2, 3),
+        ],
+    )
+    def test_memory_stays_blocked(self, call):
+        # One full 2601^2 grid of doubles alone is 54 MB.
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28e6
+
+    def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "integrate_pairs", None)
+        spec = QuadratureSpec("monte_carlo", samples=1000)
+        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, spec=spec).terms_used == 1000
 
 
 class TestR1FastPaths:
