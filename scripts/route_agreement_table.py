@@ -7,8 +7,15 @@ routes are evaluated and their pairwise deviations reported.
 
 import argparse
 
-from rabi_zeta.operator_oracle import r_m_operator
-from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, r_1_series, r_m_integral
+from rabi_zeta.trace_terms import (
+    FLAT,
+    MINUS,
+    PLUS,
+    Nu,
+    dn_r_m_family_operator,
+    r_1_series,
+    r_m_integral,
+)
 
 FAMILIES = {
     "flat": FLAT,
@@ -17,18 +24,6 @@ FAMILIES = {
     "nu=1/2": Nu(0.5),
     "nu=3/2": Nu(1.5),
 }
-
-
-def operator_value(name, lam, g, eps, m, trunc_n):
-    if name == "flat":
-        return r_m_operator("fock", g, lam, eps, m, N=trunc_n).value
-    lo = r_m_operator("bergman", g, lam, eps, m, N=trunc_n, nu=0.5).value
-    hi = r_m_operator("bergman", g, lam, eps, m, N=trunc_n, nu=1.5).value
-    if name == "plus":
-        return lo + hi
-    if name == "minus":
-        return lo - hi
-    return lo if name == "nu=1/2" else hi
 
 
 def main():
@@ -48,7 +43,7 @@ def main():
             for eps in args.eps:
                 for name, family in FAMILIES.items():
                     for m in (1, 2):
-                        op = operator_value(name, lam, g, eps, m, args.trunc_n)
+                        op = dn_r_m_family_operator(family, lam, g, eps, m, 0, args.trunc_n).value
                         ig = r_m_integral(family, lam, g, eps, m).value
                         if m == 1 and name in ("flat", "plus", "minus"):
                             ser = r_1_series(family, lam, g, eps).value

@@ -5,6 +5,10 @@ the delta family ((u - delta v)^n / (1 - delta uv)^(n+1) moments with
 half-integer exponents), the A/B coefficient families that decompose them,
 the classical Apery numbers in exact arithmetic, and the zeta(2) identity
 residual.
+
+Each coefficient is returned from one well-conditioned displayed form (flat
+A and B: the residue m-sum, exact at eps = 0; delta A: the parity product;
+delta B: the parity l-sum); the other displayed form only cross-checks it.
 """
 
 from __future__ import annotations
@@ -122,94 +126,109 @@ def j_flat(
     raise NoConvergence(f"flat J series did not reach tol={tol} in {_MAX_SERIES_TERMS} terms")
 
 
-def _flat_pole_guard(n: int, eps) -> None:
+def _pole_distance(eps, poles) -> float:
+    """Distance from eps to the nearest of `poles` (inf for none);
+    HalfIntegerPole within _HALF_POLE_GUARD of one."""
     e = complex(eps)
-    for m in range(1, n + 1):
-        if abs(e - m / 2) <= _HALF_POLE_GUARD or abs(e + m / 2) <= _HALF_POLE_GUARD:
-            raise HalfIntegerPole(f"eps={eps} is within {_HALF_POLE_GUARD} of +-{m}/2")
+    dist, pole = min(((abs(e - p), p) for p in poles), default=(math.inf, None))
+    if dist <= _HALF_POLE_GUARD:
+        raise HalfIntegerPole(f"eps={eps} is within {_HALF_POLE_GUARD} of the pole {pole}")
+    return dist
+
+
+def _poch_without(x, n: int, j: int):
+    """(x)_n / (x + j) for 0 <= j < n: the product of the other n - 1
+    factors, so a zero factor x + j is a removable 0/0, not a division."""
+    out = 1
+    for i in range(n):
+        if i != j:
+            out = out * (x + i)
+    return out
+
+
+def _sum_abs(terms):
+    """The sum of `terms` and the sum of their magnitudes."""
+    total, size = 0, 0.0
+    for t in terms:
+        total += t
+        size += abs(complex(t))
+    return total, size
+
+
+def _check_dual(what: str, value, check, terms: float, dist: float) -> None:
+    """AssertionError unless the check form is within 1e-10 max(|value|, 1)
+    of the value plus its rounding bound 1e-14 terms / min(1, dist): terms is
+    the magnitude of what it sums over what it divides by, dist the distance
+    from eps to the nearest pole."""
+    v = complex(value)
+    tol = 1e-10 * max(abs(v), 1.0) + 1e-14 * terms / min(1.0, dist)
+    if not abs(v - complex(check)) <= tol:
+        raise AssertionError(f"{what} dual forms disagree: {value} vs {check}")
 
 
 def _half(m: int, exact: bool):
     return Fraction(m, 2) if exact else m / 2.0
 
 
-def _ab_flat_forms(n: int, lam, eps, exact: bool):
-    """Both displayed forms of the flat A/B coefficients."""
-    one = Fraction(1) if exact else 1.0
-    two_eps = 2 * eps
-    a_form1 = 0 * one
-    for l in range(n + 1):
-        a_form1 += (
-            binomial(n, l)
-            * pochhammer(lam + eps - n + l, n)
-            / (pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l))
-        )
-    a_form2 = 0 * one
-    b_form2 = 0 * one
-    fact = math.factorial(n)
+def _flat_residue(n: int, lam, eps, exact: bool):
+    """Residue (m-sum) form of the flat A and B, a sum over the poles
+    eps = +-m/2 that is regular at eps = 0 and polynomial in lam, as
+    (A, |A terms|, B, |B terms|)."""
+    a = b = 0
+    a_size = b_size = 0.0
     for m in range(1, n + 1):
-        half_m = _half(m, exact)
-        inner_a = 0 * one
-        inner_b = 0 * one
+        h = _half(m, exact)
+        inner_a, inner_b = [], []
         for l in range(m, n + 1):
-            base = binomial(n, l) * binomial(n, l - m) * pochhammer(lam - half_m - n + l, n)
-            inner_a += base
-            for k in range(m):
-                inner_b += base / (lam - half_m + k)
-        pole_pair_a = one / (eps - half_m) - one / (eps + half_m)
-        sign = (-1) ** m
-        a_form2 += sign * m * inner_a * pole_pair_a / (2 * fact)
-        b_form2 += sign * inner_b * (-pole_pair_a) / (2 * fact)
-    b_form1 = None
-    if exact or abs(complex(eps)) > 1e-6:
-        acc = 0 * one
-        for l in range(1, n + 1):
-            cpl = binomial(n, l)
-            top_p = pochhammer(lam + eps - n + l, n) / (
-                pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l)
-            )
-            top_m = pochhammer(lam - eps - n + l, n) / (
-                pochhammer(1 + two_eps, n - l) * pochhammer(1 - two_eps, l)
-            )
-            for k in range(l):
-                acc += cpl * (top_p / (lam + eps + k) - top_m / (lam - eps + k))
-        b_form1 = acc / (2 * eps)
-    return a_form1, a_form2, b_form1, b_form2
+            x, c = lam - h - n + l, binomial(n, l) * binomial(n, l - m)
+            inner_a.append(m * c * pochhammer(x, n))
+            # (x)_n / (lam - m/2 + k)
+            inner_b.extend(c * _poch_without(x, n, n - l + k) for k in range(m))
+        w = (-1) ** m * (1 / (eps - h) - 1 / (eps + h)) / (2 * math.factorial(n))
+        (sum_a, size_a), (sum_b, size_b) = _sum_abs(inner_a), _sum_abs(inner_b)
+        a, a_size = a + w * sum_a, a_size + abs(complex(w)) * size_a
+        b, b_size = b - w * sum_b, b_size + abs(complex(w)) * size_b
+    return a, a_size, b, b_size
 
 
 def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
-    """Flat-family coefficients (A, B); dual displayed forms cross-checked.
+    """Flat-family coefficients (A, B); exact Fractions for rational lam, eps.
 
-    Exact Fraction arithmetic when lam and eps are rational.  eps must stay
-    off the half-integers m/2, 1 <= m <= n.
+    The values are the residue (m-sum) form, polynomial in lam and regular at
+    eps = 0: at lam = n + 1, eps = 0 they are exactly A_n and
+    A_n sum_{k<=n} 1/k^2 - B_n.  The l-sum form checks A, and B whenever
+    eps != 0 (it divides by 2 eps).  NoConvergence when the residue terms
+    cancel in floating point; eps must stay off m/2, 1 <= |m| <= n.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    _flat_pole_guard(n, eps)
+    dist = _pole_distance(eps, [s * m / 2 for m in range(1, n + 1) for s in (1, -1)])
     if n == 0:
         return AperyCoefficients(1, 0, 0, "flat")
     exact = _is_exact(lam, eps)
     if not exact:
         lam, eps = complex(lam), complex(eps)
-        if abs(eps) <= 1e-8:
-            # The first displayed B-form is 0/0 at eps=0 although B itself is
-            # regular; take the even-in-eps Richardson limit from two small
-            # offsets of the residue form.
-            c1 = _ab_flat_forms(n, lam, 1e-4 + 0j, exact=False)
-            c2 = _ab_flat_forms(n, lam, 5e-5 + 0j, exact=False)
-            a_val = (4 * c2[1] - c1[1]) / 3
-            b_val = (4 * c2[3] - c1[3]) / 3
-            return AperyCoefficients(a_val, b_val, n, "flat")
-    a1, a2, b1, b2 = _ab_flat_forms(n, lam, eps, exact)
-    scale = max(abs(complex(a1)), 1.0)
-    if abs(complex(a1) - complex(a2)) > 1e-10 * scale:
-        raise AssertionError(f"flat A dual forms disagree: {a1} vs {a2}")
-    if b1 is not None:
-        bscale = max(abs(complex(b1)), 1.0)
-        if abs(complex(b1) - complex(b2)) > 1e-10 * bscale:
-            raise AssertionError(f"flat B dual forms disagree: {b1} vs {b2}")
-    b = b1 if b1 is not None else b2
-    return AperyCoefficients(a1, b, n, "flat")
+    a, a_size, b, b_size = _flat_residue(n, lam, eps, exact)
+    for what, value, size in (("A", a, a_size), ("B", b, b_size)):
+        # rounding of the cancelling terms, beyond what the nearest pole amplifies
+        if not exact and 1e-16 * size * min(1.0, dist) > 1e-10 * max(abs(value), 1.0):
+            raise NoConvergence(f"flat {what} at n={n} cancels in float; pass exact Fractions")
+    two_eps = 2 * eps
+    # (1 + 2 eps)_l (1 - 2 eps)_{n-l}; the -eps half of the l-sum reads den[n - l]
+    den = [pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l) for l in range(n + 1)]
+    a_check = (binomial(n, l) * pochhammer(lam + eps - n + l, n) / den[l] for l in range(n + 1))
+    _check_dual("flat A", a, *_sum_abs(a_check), dist)
+    if eps != 0:
+        # (lam +- eps - n + l)_n / (lam +- eps + k)
+        b_check, b_check_size = _sum_abs(
+            s * binomial(n, l) * _poch_without(lam + s * eps - n + l, n, n - l + k)
+            / den[l if s == 1 else n - l]
+            for l in range(n + 1)
+            for k in range(l)
+            for s in (1, -1)
+        )
+        _check_dual("flat B", b, b_check / two_eps, b_check_size / abs(complex(two_eps)), dist)
+    return AperyCoefficients(a, b, n, "flat")
 
 
 def reconstruct_j_flat(coeffs: AperyCoefficients, lam, eps) -> complex:
@@ -299,16 +318,8 @@ def _j_delta_series(n: int, delta: int, lam: complex, eps: complex, tol: float) 
     raise NoConvergence(f"delta J series did not reach tol={tol} in {_MAX_SERIES_TERMS} terms")
 
 
-def _recurrence_pole_guard(n: int, eps: complex) -> None:
-    j = n
-    while j >= 1:
-        if abs(eps - j / 2) <= _HALF_POLE_GUARD or abs(eps + j / 2) <= _HALF_POLE_GUARD:
-            raise HalfIntegerPole(f"recurrence route needs eps away from +-{j}/2, got {eps}")
-        j -= 2
-
-
 def _j_delta_recurrence(n: int, delta: int, lam: complex, eps: complex) -> SeriesValue:
-    _recurrence_pole_guard(n, eps)
+    _pole_distance(eps, [s * j / 2 for j in range(n, 0, -2) for s in (1, -1)])
     if n == 0 or n == 1:
         value = _j_delta_seed(n, delta, lam, eps)
         return SeriesValue(value, 1e-13 * max(abs(value), 1.0), n, True)
@@ -334,70 +345,64 @@ def _j_delta_seed(n: int, delta: int, lam: complex, eps: complex) -> complex:
     )
 
 
-def _delta_pole_guard_ab(n: int, eps) -> None:
-    e = complex(eps)
-    for j in range(n + 1):
-        if abs(e - (-n / 2 + j)) <= _HALF_POLE_GUARD:
-            raise HalfIntegerPole(f"eps={eps} is within {_HALF_POLE_GUARD} of {-n / 2 + j}")
+def _delta_a_parity(n: int, lam, eps, exact: bool):
+    """Parity product form of the delta-family A_n."""
+    half, q = _half(1, exact), n // 2
+    if n % 2 == 0:
+        num = pochhammer(half + lam, q) * pochhammer(half - lam, q)
+        return num / (eps * pochhammer(1 + eps, q) * pochhammer(1 - eps, q))
+    num = -lam * pochhammer(1 + lam, q) * pochhammer(1 - lam, q)
+    return num / (pochhammer(half + eps, q + 1) * pochhammer(half - eps, q + 1))
+
+
+def _delta_b_lsum(n: int, delta: int, lam, eps, exact: bool):
+    """Parity l-sum form of the delta-family B_n, n >= 1."""
+    half, nh = _half(1, exact), _half(n, exact)
+    total = 0 * half
+    for l in range((n + 1) // 2):
+        num = pochhammer(lam - nh + half, l) * pochhammer(-lam - nh + half, l)
+        den = pochhammer(eps - nh, l + 1) * pochhammer(-eps - nh, l + 1)
+        if delta == -1:
+            total += num / (2 * den)
+        elif n % 2 == 0:
+            total += lam * num / ((n - 2 * l - 1) * den)
+        else:
+            total += eps * num / ((n - 2 * l) * den)
+    return total
 
 
 def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
-    """Delta-family coefficients (A, B); Pochhammer-ratio A cross-checked
-    against the parity product form, m-sum B against the parity l-sum form."""
+    """Delta-family coefficients (A, B).
+
+    A is the parity product form and B the parity l-sum form; both are
+    polynomial in lam.  The Pochhammer ratio (lam - (n-1)/2)_n / (eps - n/2)_{n+1}
+    checks A and the m-sum form checks B.  Exact Fraction arithmetic when lam
+    and eps are rational.  eps must stay off -n/2, -n/2 + 1, ..., n/2.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
-    _delta_pole_guard_ab(n, eps)
+    dist = _pole_distance(eps, [-n / 2 + j for j in range(n + 1)])
     exact = _is_exact(lam, eps)
     if not exact:
         lam, eps = complex(lam), complex(eps)
-    one = Fraction(1) if exact else 1.0
-    nh = _half(n, exact)
-    nm1h = _half(n - 1, exact)
-    a_form1 = pochhammer(lam - nm1h, n) / pochhammer(eps - nh, n + 1)
-    q = n // 2
-    if n % 2 == 0:
-        a_form2 = (
-            pochhammer(_half(1, exact) + lam, q)
-            * pochhammer(_half(1, exact) - lam, q)
-            / (eps * pochhammer(1 + eps, q) * pochhammer(1 - eps, q))
-        )
-    else:
-        a_form2 = -(
-            lam
-            * pochhammer(1 + lam, q)
-            * pochhammer(1 - lam, q)
-            / (pochhammer(_half(1, exact) + eps, q + 1) * pochhammer(_half(1, exact) - eps, q + 1))
-        )
-    if abs(complex(a_form1) - complex(a_form2)) > 1e-10 * max(abs(complex(a_form1)), 1.0):
-        raise AssertionError(f"delta A dual forms disagree: {a_form1} vs {a_form2}")
+    family = f"delta({'+' if delta == 1 else '-'})"
+    nh, nm1h = _half(n, exact), _half(n - 1, exact)
+    a = _delta_a_parity(n, lam, eps, exact)
+    a_check = pochhammer(lam - nm1h, n) / pochhammer(eps - nh, n + 1)
+    _check_dual("delta A", a, a_check, abs(complex(a_check)), dist)
     if n == 0:
-        return AperyCoefficients(a_form1, 0 * one, 0, f"delta({'+' if delta == 1 else '-'})")
-    c = pochhammer(lam - nm1h, n)
-    b_form1 = 0 * one
-    for m in range(0, (n + 1) // 2):
-        pole_pair = one / (eps - nh + m) - ((-delta) ** n) / (eps + nh - m)
-        inner = 0 * one
-        for k in range(0, n - 2 * m):
-            inner += (delta**k) * c / (lam + k - nm1h + m)
-        b_form1 += ((-1) ** (m + 1)) * pole_pair * inner / (
-            math.factorial(m) * math.factorial(n - m)
-        )
-    b_form1 = b_form1 / 2
-    b_form2 = 0 * one
-    for l in range((n + 1) // 2):
-        num = pochhammer(lam - nm1h, l) * pochhammer(-lam - nm1h, l)
-        den = pochhammer(eps - nh, l + 1) * pochhammer(-eps - nh, l + 1)
-        if delta == 1 and n % 2 == 0:
-            b_form2 += lam * num / ((n - 2 * l - 1) * den)
-        elif delta == 1:
-            b_form2 += eps * num / ((n - 2 * l) * den)
-        else:
-            b_form2 += num / (2 * den)
-    if abs(complex(b_form1) - complex(b_form2)) > 1e-10 * max(abs(complex(b_form1)), 1.0):
-        raise AssertionError(f"delta B dual forms disagree: {b_form1} vs {b_form2}")
-    return AperyCoefficients(a_form1, b_form1, n, f"delta({'+' if delta == 1 else '-'})")
+        return AperyCoefficients(a, Fraction(0) if exact else 0.0, 0, family)
+    b = _delta_b_lsum(n, delta, lam, eps, exact)
+    terms = []
+    for m in range((n + 1) // 2):
+        # (lam - (n-1)/2)_n / (lam - (n-1)/2 + k + m), summed over k
+        inner = sum(delta**k * _poch_without(lam - nm1h, n, k + m) for k in range(n - 2 * m))
+        w = (-1) ** (m + 1) * inner / (2 * math.factorial(m) * math.factorial(n - m))
+        terms += [w / (eps - nh + m), -w * (-delta) ** n / (eps + nh - m)]
+    _check_dual("delta B", b, *_sum_abs(terms), dist)
+    return AperyCoefficients(a, b, n, family)
 
 
 def reconstruct_j_delta(coeffs: AperyCoefficients, delta: int, lam, eps) -> complex:

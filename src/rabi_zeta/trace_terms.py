@@ -442,7 +442,9 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
 def r_1_hypergeometric(delta: int, lam: complex, g: float, eps: complex) -> SeriesValue:
     """R_1 for the sum (delta=+1) / difference (delta=-1) family in closed
     hypergeometric form: sech(2g) [ 3F2(1/2, 1/2+lam, 1/2-lam; 1+eps, 1-eps;
-    tanh^2 2g) * k-sum + finite correction double sum ]."""
+    tanh^2 2g) * k-sum + sum_{j>=1} (1/2)_j / j! tanh^{2j}(2g) B_{2j} ], with
+    B_{2j} the delta-family coefficient in its parity l-sum form, the value
+    form apery_ab_delta returns."""
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
     lam = complex(lam)
@@ -459,15 +461,7 @@ def r_1_hypergeometric(delta: int, lam: complex, g: float, eps: complex) -> Seri
     last = 0.0
     for n in range(1, 400):
         coeff *= (n - 0.5) / n * t2
-        inner = 0.0 + 0.0j
-        for l in range(n):
-            num = pochhammer(lam - n + 0.5, l) * pochhammer(-lam - n + 0.5, l)
-            den = pochhammer(eps - n, l + 1) * pochhammer(-eps - n, l + 1)
-            if delta == 1:
-                inner += lam * num / ((2 * n - 2 * l - 1) * den)
-            else:
-                inner += num / (2 * den)
-        term = coeff * inner
+        term = coeff * apery._delta_b_lsum(2 * n, delta, lam, eps, exact=False)
         corr += term
         last = abs(term)
         if n > 2 and last < 1e-14 * max(abs(corr) + abs(front.value * ksum), 1e-300):

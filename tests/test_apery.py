@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rabi_zeta import apery
 from rabi_zeta.apery import (
     apery_ab_delta,
     apery_ab_flat,
@@ -14,7 +15,7 @@ from rabi_zeta.apery import (
     reconstruct_j_delta,
     reconstruct_j_flat,
 )
-from rabi_zeta.errors import DomainError, PoleError
+from rabi_zeta.errors import DomainError, NoConvergence, PoleError
 
 
 class TestJFlat:
@@ -64,6 +65,38 @@ class TestAperyFlat:
         with pytest.raises(DomainError):
             apery_ab_flat(2, 0.9, 0.5)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_classical_point_exact(self, n):
+        # lam = n + 1, eps = 0: A = A_n and B = A_n sum_{k<=n} 1/k^2 - B_n.
+        classic = apery_classic(n)
+        coeffs = apery_ab_flat(n, Fraction(n + 1), Fraction(0))
+        ksum = sum(Fraction(1, k * k) for k in range(1, n + 1))
+        assert coeffs.a == classic.a_list[n]
+        assert coeffs.b == classic.a_list[n] * ksum - classic.b_list[n]
+
+    @pytest.mark.parametrize(
+        "n,lam,eps",
+        [(2, 1.0, 0.13), (3, 2.5, 0.0), (8, 2.7, 1e-5), (8, 2.7, 1e-4), (12, 1.3, 1e-8)],
+    )
+    def test_float_matches_exact(self, n, lam, eps):
+        # Integer and half-integer lam zero a factor the B forms divide out;
+        # at small eps the l-sum B divides by 2 eps and only checks the value.
+        f = apery_ab_flat(n, lam, eps)
+        e = apery_ab_flat(n, Fraction(lam), Fraction(eps))
+        for x, y in ((f.a, e.a), (f.b, e.b)):
+            assert abs(x - float(y)) <= 1e-12 * max(abs(float(y)), 1.0)
+
+    def test_float_cancellation_refused(self):
+        # The residue terms cancel about 1e8-fold at n = 30 here: float gives
+        # NoConvergence; exact Fractions and a point without the cancellation work.
+        with pytest.raises(NoConvergence):
+            apery_ab_flat(30, 0.9, 0.13)
+        assert isinstance(apery_ab_flat(30, Fraction(9, 10), Fraction(13, 100)).b, Fraction)
+        f = apery_ab_flat(24, 6.2, 0.37)
+        e = apery_ab_flat(24, Fraction(6.2), Fraction(0.37))
+        for x, y in ((f.a, e.a), (f.b, e.b)):
+            assert abs(x - float(y)) <= 1e-12 * max(abs(float(y)), 1.0)
+
 
 class TestJDelta:
     @pytest.mark.parametrize("n,delta", [(0, 1), (1, 1), (2, -1), (3, -1), (4, 1)])
@@ -108,6 +141,55 @@ class TestAperyDelta:
         f = apery_ab_delta(2, 1, float(lam), float(eps))
         assert abs(float(coeffs.a) - f.a) < 1e-10
         assert abs(float(coeffs.b) - f.b) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n,delta,lam,eps",
+        [(3, 1, 1.0, 0.13), (2, 1, 1.3, 1e-7), (4, -1, 2.5, 0.37), (5, -1, 0.5, 1e-8)],
+    )
+    def test_float_matches_exact(self, n, delta, lam, eps):
+        f = apery_ab_delta(n, delta, lam, eps)
+        e = apery_ab_delta(n, delta, Fraction(lam), Fraction(eps))
+        for x, y in ((f.a, e.a), (f.b, e.b)):
+            assert abs(x - float(y)) <= 1e-12 * max(abs(float(y)), 1.0)
+
+    @pytest.mark.parametrize("n,delta", [(2, 1), (5, -1)])
+    def test_complex_lambda_small_eps(self, n, delta):
+        lam, eps = 0.9 + 0.3j, 1e-6
+        coeffs = apery_ab_delta(n, delta, lam, eps)
+        j = j_delta(n, delta, lam, eps).value
+        assert abs(reconstruct_j_delta(coeffs, delta, lam, eps) - j) < 1e-9 * max(abs(j), 1.0)
+
+
+class TestDualChecks:
+    """Each dual-form check fires when only the value form is off by 1e-8
+    relative, at points at least 0.1 from every pole."""
+
+    POINTS = [(3, 0.9, 0.13), (6, 2.7, 0.37)]
+
+    @pytest.mark.parametrize("n,lam,eps", POINTS)
+    @pytest.mark.parametrize("index,what", [(0, "flat A"), (2, "flat B")])
+    def test_flat(self, monkeypatch, n, lam, eps, index, what):
+        residue = apery._flat_residue
+
+        def corrupt(*args):
+            forms = list(residue(*args))  # (A, |A terms|, B, |B terms|)
+            forms[index] *= 1 + 1e-8
+            return tuple(forms)
+
+        monkeypatch.setattr(apery, "_flat_residue", corrupt)
+        with pytest.raises(AssertionError, match=what):
+            apery_ab_flat(n, lam, eps)
+
+    @pytest.mark.parametrize("n,lam,eps", POINTS)
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize(
+        "helper,what", [("_delta_a_parity", "delta A"), ("_delta_b_lsum", "delta B")]
+    )
+    def test_delta(self, monkeypatch, n, lam, eps, delta, helper, what):
+        form = getattr(apery, helper)
+        monkeypatch.setattr(apery, helper, lambda *args: form(*args) * (1 + 1e-8))
+        with pytest.raises(AssertionError, match=what):
+            apery_ab_delta(n, delta, lam, eps)
 
 
 class TestClassic:

@@ -149,6 +149,44 @@ class TestApery:
         (rec,) = _records(out)
         assert "/" in rec["a"] or rec["a"].lstrip("-").isdigit()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the default lam = 1.0 zeroes a Pochhammer factor a B form divides out
+            ["--family", "flat", "--n", "2", "--eps", "0.13"],
+            ["--family", "plus", "--n", "3", "--eps", "0.13"],
+            # even n near eps = 0, where the Pochhammer-ratio A loses digits
+            ["--family", "plus", "--n", "2", "--lambda", "1.3", "--eps", "1e-7"],
+        ],
+    )
+    def test_removable_points_are_finite(self, capsys, argv):
+        code, out = _run(capsys, ["apery", *argv])
+        assert code == 0
+        (rec,) = _records(out)
+        for key in ("a", "b"):
+            assert math.isfinite(rec[key]["re"]) and math.isfinite(rec[key]["im"])
+
+    def test_float_cancellation_exits_3(self, capsys):
+        argv = ["apery", "--family", "flat", "--n", "30", "--lambda", "0.9", "--eps", "0.13"]
+        code, out = _run(capsys, argv)
+        assert (code, out) == (3, "")
+        code, out = _run(capsys, argv + ["--exact"])
+        assert code == 0
+
+    def test_flat_exact_at_the_classical_point(self, capsys):
+        # lam = n + 1, eps = 0: A_2 = 19 and A_2 (1 + 1/4) - B_2 = -15/2.
+        code, out = _run(
+            capsys,
+            [
+                "apery", "--family", "flat", "--n", "2", "--lambda", "3",
+                "--eps", "0", "--exact",
+            ],
+        )
+        assert code == 0
+        (rec,) = _records(out)
+        assert rec["a"] == "19"
+        assert rec["b"] == "-15/2"
+
     def test_exact_rejects_complex_lambda(self, capsys):
         code, out = _run(
             capsys,
