@@ -13,7 +13,9 @@ delta B: the parity l-sum); the other displayed form only cross-checks it.
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,11 +157,27 @@ def _sum_abs(terms):
     return total, size
 
 
+@contextmanager
+def _float_range(family: str, n: int, exact: bool):
+    """NoConvergence in place of an OverflowError in float mode: a factorial
+    or binomial beyond the float range, or a form that left it."""
+    try:
+        yield
+    except OverflowError as exc:
+        if exact:
+            raise
+        raise NoConvergence(
+            f"{family} coefficients at n={n} overflow in float; pass exact Fractions"
+        ) from exc
+
+
 def _check_dual(what: str, value, check, terms: float, dist: float) -> None:
     """AssertionError unless the check form is within 1e-10 max(|value|, 1)
     of the value plus its rounding bound 1e-14 terms / min(1, dist): terms is
     the magnitude of what it sums over what it divides by, dist the distance
-    from eps to the nearest pole."""
+    from eps to the nearest pole.  OverflowError when a form is not finite."""
+    if not all(cmath.isfinite(complex(x)) for x in (value, check, terms)):
+        raise OverflowError(f"{what} forms left the float range: {value} vs {check}")
     v = complex(value)
     tol = 1e-10 * max(abs(v), 1.0) + 1e-14 * terms / min(1.0, dist)
     if not abs(v - complex(check)) <= tol:
@@ -198,7 +216,8 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
     eps = 0: at lam = n + 1, eps = 0 they are exactly A_n and
     A_n sum_{k<=n} 1/k^2 - B_n.  The l-sum form checks A, and B whenever
     eps != 0 (it divides by 2 eps).  NoConvergence when the residue terms
-    cancel in floating point; eps must stay off m/2, 1 <= |m| <= n.
+    cancel or overflow in floating point; eps must stay off m/2,
+    1 <= |m| <= n.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -208,27 +227,28 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
     exact = _is_exact(lam, eps)
     if not exact:
         lam, eps = complex(lam), complex(eps)
-    a, a_size, b, b_size = _flat_residue(n, lam, eps, exact)
-    for what, value, size in (("A", a, a_size), ("B", b, b_size)):
-        # rounding of the cancelling terms, beyond what the nearest pole amplifies
-        if not exact and 1e-16 * size * min(1.0, dist) > 1e-10 * max(abs(value), 1.0):
-            raise NoConvergence(f"flat {what} at n={n} cancels in float; pass exact Fractions")
-    two_eps = 2 * eps
-    # (1 + 2 eps)_l (1 - 2 eps)_{n-l}; the -eps half of the l-sum reads den[n - l]
-    den = [pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l) for l in range(n + 1)]
-    a_check = (binomial(n, l) * pochhammer(lam + eps - n + l, n) / den[l] for l in range(n + 1))
-    _check_dual("flat A", a, *_sum_abs(a_check), dist)
-    if eps != 0:
-        # (lam +- eps - n + l)_n / (lam +- eps + k)
-        b_check, b_check_size = _sum_abs(
-            s * binomial(n, l) * _poch_without(lam + s * eps - n + l, n, n - l + k)
-            / den[l if s == 1 else n - l]
-            for l in range(n + 1)
-            for k in range(l)
-            for s in (1, -1)
-        )
-        _check_dual("flat B", b, b_check / two_eps, b_check_size / abs(complex(two_eps)), dist)
-    return AperyCoefficients(a, b, n, "flat")
+    with _float_range("flat", n, exact):
+        a, a_size, b, b_size = _flat_residue(n, lam, eps, exact)
+        for what, value, size in (("A", a, a_size), ("B", b, b_size)):
+            # rounding of the cancelling terms, beyond what the nearest pole amplifies
+            if not exact and 1e-16 * size * min(1.0, dist) > 1e-10 * max(abs(value), 1.0):
+                raise NoConvergence(f"flat {what} at n={n} cancels in float; pass exact Fractions")
+        two_eps = 2 * eps
+        # (1 + 2 eps)_l (1 - 2 eps)_{n-l}; the -eps half of the l-sum reads den[n - l]
+        den = [pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l) for l in range(n + 1)]
+        a_check = (binomial(n, l) * pochhammer(lam + eps - n + l, n) / den[l] for l in range(n + 1))
+        _check_dual("flat A", a, *_sum_abs(a_check), dist)
+        if eps != 0:
+            # (lam +- eps - n + l)_n / (lam +- eps + k)
+            b_check, b_check_size = _sum_abs(
+                s * binomial(n, l) * _poch_without(lam + s * eps - n + l, n, n - l + k)
+                / den[l if s == 1 else n - l]
+                for l in range(n + 1)
+                for k in range(l)
+                for s in (1, -1)
+            )
+            _check_dual("flat B", b, b_check / two_eps, b_check_size / abs(complex(two_eps)), dist)
+        return AperyCoefficients(a, b, n, "flat")
 
 
 def reconstruct_j_flat(coeffs: AperyCoefficients, lam, eps) -> complex:
@@ -377,7 +397,8 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
     A is the parity product form and B the parity l-sum form; both are
     polynomial in lam.  The Pochhammer ratio (lam - (n-1)/2)_n / (eps - n/2)_{n+1}
     checks A and the m-sum form checks B.  Exact Fraction arithmetic when lam
-    and eps are rational.  eps must stay off -n/2, -n/2 + 1, ..., n/2.
+    and eps are rational; NoConvergence when a float form overflows.  eps
+    must stay off -n/2, -n/2 + 1, ..., n/2.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -388,21 +409,22 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
     if not exact:
         lam, eps = complex(lam), complex(eps)
     family = f"delta({'+' if delta == 1 else '-'})"
-    nh, nm1h = _half(n, exact), _half(n - 1, exact)
-    a = _delta_a_parity(n, lam, eps, exact)
-    a_check = pochhammer(lam - nm1h, n) / pochhammer(eps - nh, n + 1)
-    _check_dual("delta A", a, a_check, abs(complex(a_check)), dist)
-    if n == 0:
-        return AperyCoefficients(a, Fraction(0) if exact else 0.0, 0, family)
-    b = _delta_b_lsum(n, delta, lam, eps, exact)
-    terms = []
-    for m in range((n + 1) // 2):
-        # (lam - (n-1)/2)_n / (lam - (n-1)/2 + k + m), summed over k
-        inner = sum(delta**k * _poch_without(lam - nm1h, n, k + m) for k in range(n - 2 * m))
-        w = (-1) ** (m + 1) * inner / (2 * math.factorial(m) * math.factorial(n - m))
-        terms += [w / (eps - nh + m), -w * (-delta) ** n / (eps + nh - m)]
-    _check_dual("delta B", b, *_sum_abs(terms), dist)
-    return AperyCoefficients(a, b, n, family)
+    with _float_range(family, n, exact):
+        nh, nm1h = _half(n, exact), _half(n - 1, exact)
+        a = _delta_a_parity(n, lam, eps, exact)
+        a_check = pochhammer(lam - nm1h, n) / pochhammer(eps - nh, n + 1)
+        _check_dual("delta A", a, a_check, abs(complex(a_check)), dist)
+        if n == 0:
+            return AperyCoefficients(a, Fraction(0) if exact else 0.0, 0, family)
+        b = _delta_b_lsum(n, delta, lam, eps, exact)
+        terms = []
+        for m in range((n + 1) // 2):
+            # (lam - (n-1)/2)_n / (lam - (n-1)/2 + k + m), summed over k
+            inner = sum(delta**k * _poch_without(lam - nm1h, n, k + m) for k in range(n - 2 * m))
+            w = (-1) ** (m + 1) * inner / (2 * math.factorial(m) * math.factorial(n - m))
+            terms += [w / (eps - nh + m), -w * (-delta) ** n / (eps + nh - m)]
+        _check_dual("delta B", b, *_sum_abs(terms), dist)
+        return AperyCoefficients(a, b, n, family)
 
 
 def reconstruct_j_delta(coeffs: AperyCoefficients, delta: int, lam, eps) -> complex:

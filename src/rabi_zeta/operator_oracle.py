@@ -6,7 +6,10 @@ terms R_m and their shift derivatives) with one structured kernel: the
 product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
 by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
-series of F^k and F^(k+1), so one solve step serves two terms.
+series of F^k and F^(k+1), so one solve step serves two terms.  Each
+term is Richardson-extrapolated from three successive halvings of N, first
+N, N/2, N/4; once the next-coarser three already meet the rounding floor,
+the sweep drops its finest truncation for the later terms.
 FamilyTerms serves every such term, memoizes them across requests and
 keeps one component's sweep alive at a time.  Spectral zeta values come
 from direct eigenvalue summation of the two-by-two block matrices, with
@@ -34,6 +37,11 @@ from .errors import (
 from .specfun import SeriesValue, hurwitz_zeta
 
 _SINGULAR_GUARD = 1e-10
+# Relative rounding floor of an extrapolated trace: added to every sweep
+# row's abs_error, and the test that lets a sweep drop its finest truncation.
+_ROUNDING_FLOOR = 1e-14
+# The coarsest truncation a sweep adds below N/4.
+_LADDER_FLOOR = 24
 _NEAR_POLE_GUARD = 1e-9
 _COMPOSITION_CAP = 1_000_000
 
@@ -335,8 +343,9 @@ def _richardson(v_fine: complex, v_coarse: complex, p: int) -> tuple[complex, fl
 
 
 def _richardson2(values: tuple[complex, complex, complex], p: int) -> tuple[complex, float]:
-    """Two-level Richardson from truncations N, N/2, N/4: eliminates the
-    N^-p and N^-(p+1) tail terms.  Returns (value, |last correction|)."""
+    """Two-level Richardson from three truncations, each half the one before
+    (N, N/2, N/4): eliminates the N^-p and N^-(p+1) tail terms.  Returns
+    (value, |last correction|)."""
     v_n, v_h, v_q = values
     w_fine, _ = _richardson(v_n, v_h, p)
     w_coarse, _ = _richardson(v_h, v_q, p)
@@ -393,6 +402,7 @@ class _ResolventSeries:
         self._w += [np.zeros((N, N), dtype=dtype, order="F") for _ in range(n)]
         self._wt = None
         self.m = 0
+        self.N = N
 
     def _step(self) -> None:
         """W(k) -> W(k + 1), right-hand sides built in place."""
@@ -433,8 +443,16 @@ class TraceDerivativeSweep:
     come from pair products of the series of F^k and F^(k+1)), O((n + 1)
     N^2) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
     inverse or product.  D_m = n! tr [t^n] F(t)^m, and every lower order
-    comes from the same series.  Each term is Richardson-extrapolated from
-    truncations N, N/2, N/4.
+    comes from the same series.
+
+    The truncations form a ladder N, N/2, N/4, ... down to _LADDER_FLOOR
+    (only N, N/2, N/4 below N = 192).  Each term is Richardson-extrapolated
+    from the three finest live truncations; its terms_used is the finest.
+    The Richardson order 2m + n - 1 grows with m, so later terms converge at
+    smaller N: once order 0 extrapolated from the next three truncations
+    moves by no more than the rounding floor, the finest one is dropped for
+    every later m.  The test reads order 0 only, so which truncations serve
+    a term does not depend on the top order n.
     """
 
     def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
@@ -446,9 +464,10 @@ class TraceDerivativeSweep:
                 raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
         self.n = n
         self.m = 0
-        self._states = [
-            _ResolventSeries(basis, g, lam, eps, n, size, nu) for size in (N, N // 2, N // 4)
-        ]
+        sizes = [N, N // 2, N // 4]
+        while sizes[-1] // 2 >= _LADDER_FLOOR:
+            sizes.append(sizes[-1] // 2)
+        self._states = [_ResolventSeries(basis, g, lam, eps, n, size, nu) for size in sizes]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
@@ -456,9 +475,15 @@ class TraceDerivativeSweep:
         self.m += 1
         per_truncation = [st.advance() for st in self._states]
         out = {}
-        for order, values in enumerate(zip(*per_truncation)):
+        for order, values in enumerate(zip(*per_truncation[:3])):
             value, corr = _richardson2(values, 2 * self.m + order - 1)
-            out[order] = SeriesValue(value, corr + 1e-14 * abs(value), self.m, True)
+            out[order] = SeriesValue(
+                value, corr + _ROUNDING_FLOOR * abs(value), self._states[0].N, True
+            )
+        if len(self._states) > 3:
+            value, corr = _richardson2(tuple(t[0] for t in per_truncation[1:4]), 2 * self.m - 1)
+            if corr <= _ROUNDING_FLOOR * abs(value):
+                self._states.pop(0)  # frees the finest truncation's buffers
         return out
 
 
@@ -480,7 +505,8 @@ class FamilyTerms:
     `at`, each component's rows 1..m_last are read from the memo, and the
     rows up to its last miss are computed by one sweep, which is dropped
     before the next component's starts; rows combine as sum(sign * value)
-    with summed abs_error, in component order.
+    with summed abs_error, in component order, and terms_used is the finest
+    truncation any component's row used.
     """
 
     def __init__(self, components, g, lam, eps, n: int, N: int, m_last: int):
@@ -513,7 +539,7 @@ class FamilyTerms:
             order: SeriesValue(
                 sum(c.sign * row[order].value for c, row in zip(self.components, rows)),
                 sum(row[order].abs_error for row in rows),
-                m,
+                max(row[order].terms_used for row in rows),
                 True,
             )
             for order in range(self.n + 1)
@@ -545,9 +571,11 @@ def r_m_operator(
 ) -> SeriesValue:
     """R_m = Tr((h_plus^-1 h_minus^-1)^m) by banded solves on the truncations.
 
-    The value is two-level Richardson-extrapolated from the N, N/2 and N/4
-    truncations with the known leading truncation order 2m-1; abs_error is
-    the last applied correction plus a 1e-14 relative rounding floor.
+    The value is two-level Richardson-extrapolated, with the known leading
+    truncation order 2m-1, from three truncations of the sweep's ladder
+    (N, N/2, N/4 until an earlier term already met the rounding floor one
+    level down); abs_error is the last applied correction plus a 1e-14
+    relative rounding floor.
     """
     return family_term((Component(basis, nu),), g, lam, eps, m, 0, N, tol)
 

@@ -168,7 +168,7 @@ def _assemble(
         )
     if xs * big_c > _SLOW_RATIO:
         warnings.append(f"SlowConvergence: geometric ratio {xs * big_c:.4f} close to 1")
-    per_m = []
+    per_m, per_m_truncation = [], []
     if method == "eigen_oracle":
         sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
         value, err, base = sv.value, sv.abs_error, sv.value
@@ -199,10 +199,13 @@ def _assemble(
                     d_m = trace_terms.dn_r_m_integral(
                         family, lam, geo.g, geo.eps, m, n, lambda_power=power
                     )
+                    per_m_truncation.append(None)
                 else:
                     if method == "series_integral":
                         metadata.setdefault("notes", []).append(f"m{m}_delegated_to_operator")
-                    d_m = trace_terms.leibniz_lambda_power(n, lam, power, terms.at(m).__getitem__)
+                    row = terms.at(m)
+                    d_m = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
+                    per_m_truncation.append(row[n].terms_used)
                 per_m.append(prefactor * x ** (2 * m) / m * d_m.value)
                 term_err = abs(x) ** (2 * m) / m / math.factorial(n - 1) * d_m.abs_error
                 err += term_err
@@ -212,6 +215,8 @@ def _assemble(
                 warnings.append(f"m-series truncated at max_m={max_m} with tail bound {tail:.3e}")
         value = base + sum(per_m)
         sources = {"truncation": trunc_err, "series tail": tail, "base term": base_err}
+    # The finest operator truncation behind each per-m term; None for quadrature.
+    metadata["truncations"]["per_m"] = per_m_truncation
     metadata["converged"] = err <= tol
     if err > tol:
         worst = max(sources, key=sources.get)

@@ -95,6 +95,18 @@ class TestZeta:
         assert r1["value"] == r2["value"]
         assert r1["per_m_terms"] == r2["per_m_terms"]
 
+    def test_truncations_name_each_term(self, capsys):
+        argv = [
+            "zeta", "--model", "1pqrm", "--n", "2", "--lambda", "1.0",
+            "--g", "0.2", "--delta", "0.3", "--eps", "0.1",
+        ]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        (rec,) = _records(out)
+        per_m = rec["truncations"]["per_m"]
+        assert rec["truncations"]["trunc_n"] == 400
+        assert len(per_m) == len(rec["per_m_terms"]) and per_m[0] == 400
+
     def test_parity_difference(self, capsys):
         code, out = _run(
             capsys,
@@ -172,6 +184,16 @@ class TestApery:
         assert (code, out) == (3, "")
         code, out = _run(capsys, argv + ["--exact"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "family,n",
+        # n! > 1.8e308 from n = 171 on; at n = 200 the delta forms are inf / inf
+        [("flat", "200"), ("plus", "171"), ("plus", "200")],
+    )
+    def test_float_overflow_exits_3(self, capsys, family, n):
+        argv = ["apery", "--family", family, "--n", n, "--lambda", "0.9", "--eps", "0.13"]
+        code, out = _run(capsys, argv)
+        assert (code, out) == (3, "")
 
     def test_flat_exact_at_the_classical_point(self, capsys):
         # lam = n + 1, eps = 0: A_2 = 19 and A_2 (1 + 1/4) - B_2 = -15/2.

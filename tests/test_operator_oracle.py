@@ -18,6 +18,7 @@ from rabi_zeta.operator_oracle import (
     TraceDerivativeSweep,
     TwoPhoton,
     _min_progression_distance,
+    _ResolventSeries,
     _richardson2,
     build_component_operator,
     dense,
@@ -323,15 +324,18 @@ class TestDenseReference:
             for got in (terms[n].value, direct.value):
                 assert abs(got - ref) <= 1e-11 * abs(ref), (n, got, ref)
 
+    # N = 400 drops its finest truncations along the way (the ladder).
+    @pytest.mark.parametrize("N", [60, 400])
     @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
-    def test_lower_orders_do_not_depend_on_the_top_order(self, basis, nu, lam):
+    def test_lower_orders_do_not_depend_on_the_top_order(self, basis, nu, lam, N):
         # The term memo serves a request at order k from a sweep at a higher
-        # order: W_j depends only on W_0..W_j.
-        g, eps, N = 0.2, 0.1, 60
+        # order: W_j depends only on W_0..W_j, and the ladder's drop test reads
+        # order 0 only.
+        g, eps = 0.2, 0.1
         top = TraceDerivativeSweep(basis, g, lam, eps, 3, N, nu)
         sweeps = [TraceDerivativeSweep(basis, g, lam, eps, k, N, nu) for k in range(3)]
-        for _ in range(5):
+        for _ in range(6):
             ref = top.next_terms()
             for k, sweep in enumerate(sweeps):
                 terms = sweep.next_terms()
@@ -364,6 +368,51 @@ class TestDenseReference:
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in dense_mats]))
         assert got.shape == ref.shape == (2 * N * len(bands),)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+class TestTruncationLadder:
+    @staticmethod
+    def _three_level_rows(basis, g, lam, eps, n, N, nu, m_last):
+        """Rows from the truncations N, N/2, N/4 alone, as the sweep builds
+        them without a ladder."""
+        states = [_ResolventSeries(basis, g, lam, eps, n, size, nu) for size in (N, N // 2, N // 4)]
+        rows = []
+        for m in range(1, m_last + 1):
+            per_truncation = [st.advance() for st in states]
+            row = {}
+            for order, values in enumerate(zip(*per_truncation)):
+                value, corr = _richardson2(values, 2 * m + order - 1)
+                row[order] = (value, corr + 1e-14 * abs(value))
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
+    @pytest.mark.parametrize("basis,nu", _COMPONENTS)
+    def test_ladder_rows_lie_within_their_error_of_a_fine_reference(self, basis, nu, lam):
+        g, eps, n, m_last = 0.2, 0.1, 2, 8
+        sweep = TraceDerivativeSweep(basis, g, lam, eps, n, 400, nu)
+        ref = self._three_level_rows(basis, g, lam, eps, n, 1600, nu, m_last)
+        used = []
+        for m in range(1, m_last + 1):
+            row = sweep.next_terms()
+            used.append(row[0].terms_used)
+            for order in range(n + 1):
+                got, (want, _) = row[order], ref[m - 1][order]
+                assert abs(got.value - want) <= got.abs_error, (m, order, got, want)
+        # m = 1 keeps N = 400, and the later terms came from coarser triples.
+        assert used[0] == 400 and used[-1] == 100 and used == sorted(used, reverse=True)
+
+    @pytest.mark.parametrize("N", [8, 60, 95])
+    @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
+    @pytest.mark.parametrize("basis,nu", _COMPONENTS)
+    def test_small_truncations_keep_three_levels(self, basis, nu, lam, N):
+        g, eps, n, m_last = 0.2, 0.1, 2, 6
+        sweep = TraceDerivativeSweep(basis, g, lam, eps, n, N, nu)
+        ref = self._three_level_rows(basis, g, lam, eps, n, N, nu, m_last)
+        for m in range(1, m_last + 1):
+            row = sweep.next_terms()
+            assert {k: (sv.value, sv.abs_error) for k, sv in row.items()} == ref[m - 1]
+            assert all(sv.terms_used == N for sv in row.values())
 
 
 class TestSingularOperator:

@@ -197,6 +197,21 @@ class TestStructure:
         assert res.abs_error > 0
         assert res.metadata["method"] == "series_operator"
 
+    @pytest.mark.parametrize("method", ["series_operator", "series_integral"])
+    @pytest.mark.parametrize(
+        "model", [OnePhoton(g=0.2, delta=0.3, eps=0.1), TwoPhoton(g=0.2, delta=0.3, eps=0.1)]
+    )
+    def test_per_m_truncations(self, model, method):
+        res = zeta_value(ZetaRequest(model, 2, 1.0, method=method, trunc_n=400))
+        truncations = res.metadata["truncations"]
+        per_m = truncations["per_m"]
+        assert truncations["trunc_n"] == 400
+        assert len(per_m) == len(res.per_m_terms) >= 4
+        # The integral route's quadrature terms name no truncation.
+        operator = per_m[2:] if method == "series_integral" else per_m
+        assert per_m[:2] == ([None, None] if method == "series_integral" else [400, 400])
+        assert operator == sorted(operator, reverse=True) and operator[-1] < 400
+
     def test_eps_sign_symmetry(self):
         a = zeta_value(
             ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, trunc_n=200, tol=1e-6)
@@ -298,10 +313,14 @@ class TestConfluenceScan:
         with pytest.raises(DomainError):
             confluence_scan(0.1, 1.5, 0.1, 1.0, 2, [1.0])
 
-    def test_threads_match_serial(self):
-        serial = confluence_scan(0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=100)
+    # trunc_n = 400 runs the truncation ladder; 100 has no level below N/4.
+    @pytest.mark.parametrize("trunc_n", [100, 400])
+    def test_threads_match_serial(self, trunc_n, monkeypatch):
+        serial = confluence_scan(0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=trunc_n)
+        # A fresh memo, so that the threaded scan computes its own rows.
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
         threaded = confluence_scan(
-            0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=100, threads=2
+            0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=trunc_n, threads=2
         )
         for (n1, v1, d1), (n2, v2, d2) in zip(serial, threaded):
             assert n1 == n2 and v1 == v2 and d1 == d2
