@@ -14,7 +14,6 @@ from .apery import (
     partial_fraction_residual,
 )
 from .errors import (
-    CombinatorialBlowup,
     DomainError,
     EigenFailure,
     HalfIntegerPole,
@@ -37,7 +36,6 @@ from .operator_oracle import (
     build_component_operator,
     dn_r_m_operator,
     r_m_operator,
-    trace_inverse_product,
     zeta_eigen_oracle,
 )
 from .quadrature import (
@@ -59,7 +57,6 @@ from .trace_terms import (
     FLAT,
     MINUS,
     PLUS,
-    Delta,
     Flat,
     Minus,
     Nu,

@@ -148,39 +148,35 @@ def _poch_without(x, n: int, j: int):
     return out
 
 
-def _sum_abs(terms):
-    """The sum of `terms` and the sum of their magnitudes."""
-    total, size = 0, 0.0
-    for t in terms:
-        total += t
-        size += abs(complex(t))
-    return total, size
-
-
 @contextmanager
-def _float_range(family: str, n: int, exact: bool):
-    """NoConvergence in place of an OverflowError in float mode: a factorial
-    or binomial beyond the float range, or a form that left it."""
+def _float_range(family: str, n: int):
+    """NoConvergence in place of an OverflowError in float mode (exact mode
+    converts nothing to float): a factorial or binomial beyond the float
+    range, or a form that left it."""
     try:
         yield
     except OverflowError as exc:
-        if exact:
-            raise
         raise NoConvergence(
             f"{family} coefficients at n={n} overflow in float; pass exact Fractions"
         ) from exc
 
 
-def _check_dual(what: str, value, check, terms: float, dist: float) -> None:
-    """AssertionError unless the check form is within 1e-10 max(|value|, 1)
-    of the value plus its rounding bound 1e-14 terms / min(1, dist): terms is
-    the magnitude of what it sums over what it divides by, dist the distance
-    from eps to the nearest pole.  OverflowError when a form is not finite."""
-    if not all(cmath.isfinite(complex(x)) for x in (value, check, terms)):
-        raise OverflowError(f"{what} forms left the float range: {value} vs {check}")
-    v = complex(value)
-    tol = 1e-10 * max(abs(v), 1.0) + 1e-14 * terms / min(1.0, dist)
-    if not abs(v - complex(check)) <= tol:
+def _check_dual(what: str, value, terms, dist: float, exact: bool, divisor=1) -> None:
+    """AssertionError unless the check form sum(terms) / divisor equals the
+    value in exact mode, or in float mode lies within 1e-10 max(|value|, 1)
+    of it plus its rounding bound 1e-14 sum |terms| / |divisor| / min(1, dist),
+    dist the distance from eps to the nearest pole.  OverflowError when a
+    float form is not finite."""
+    terms = list(terms)
+    check = sum(terms) / divisor
+    if exact:
+        agree = value == check
+    else:
+        size = sum(abs(t) for t in terms) / abs(divisor)
+        if not all(cmath.isfinite(x) for x in (value, check, size)):
+            raise OverflowError(f"{what} forms left the float range: {value} vs {check}")
+        agree = abs(value - check) <= 1e-10 * max(abs(value), 1.0) + 1e-14 * size / min(1.0, dist)
+    if not agree:
         raise AssertionError(f"{what} dual forms disagree: {value} vs {check}")
 
 
@@ -203,9 +199,10 @@ def _flat_residue(n: int, lam, eps, exact: bool):
             # (x)_n / (lam - m/2 + k)
             inner_b.extend(c * _poch_without(x, n, n - l + k) for k in range(m))
         w = (-1) ** m * (1 / (eps - h) - 1 / (eps + h)) / (2 * math.factorial(n))
-        (sum_a, size_a), (sum_b, size_b) = _sum_abs(inner_a), _sum_abs(inner_b)
-        a, a_size = a + w * sum_a, a_size + abs(complex(w)) * size_a
-        b, b_size = b - w * sum_b, b_size + abs(complex(w)) * size_b
+        a, b = a + w * sum(inner_a), b - w * sum(inner_b)
+        if not exact:  # exact sums need no rounding bound
+            a_size += abs(w) * sum(abs(t) for t in inner_a)
+            b_size += abs(w) * sum(abs(t) for t in inner_b)
     return a, a_size, b, b_size
 
 
@@ -227,7 +224,7 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
     exact = _is_exact(lam, eps)
     if not exact:
         lam, eps = complex(lam), complex(eps)
-    with _float_range("flat", n, exact):
+    with _float_range("flat", n):
         a, a_size, b, b_size = _flat_residue(n, lam, eps, exact)
         for what, value, size in (("A", a, a_size), ("B", b, b_size)):
             # rounding of the cancelling terms, beyond what the nearest pole amplifies
@@ -237,17 +234,17 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
         # (1 + 2 eps)_l (1 - 2 eps)_{n-l}; the -eps half of the l-sum reads den[n - l]
         den = [pochhammer(1 + two_eps, l) * pochhammer(1 - two_eps, n - l) for l in range(n + 1)]
         a_check = (binomial(n, l) * pochhammer(lam + eps - n + l, n) / den[l] for l in range(n + 1))
-        _check_dual("flat A", a, *_sum_abs(a_check), dist)
+        _check_dual("flat A", a, a_check, dist, exact)
         if eps != 0:
             # (lam +- eps - n + l)_n / (lam +- eps + k)
-            b_check, b_check_size = _sum_abs(
+            terms = (
                 s * binomial(n, l) * _poch_without(lam + s * eps - n + l, n, n - l + k)
                 / den[l if s == 1 else n - l]
                 for l in range(n + 1)
                 for k in range(l)
                 for s in (1, -1)
             )
-            _check_dual("flat B", b, b_check / two_eps, b_check_size / abs(complex(two_eps)), dist)
+            _check_dual("flat B", b, terms, dist, exact, two_eps)
         return AperyCoefficients(a, b, n, "flat")
 
 
@@ -409,11 +406,11 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
     if not exact:
         lam, eps = complex(lam), complex(eps)
     family = f"delta({'+' if delta == 1 else '-'})"
-    with _float_range(family, n, exact):
+    with _float_range(family, n):
         nh, nm1h = _half(n, exact), _half(n - 1, exact)
         a = _delta_a_parity(n, lam, eps, exact)
         a_check = pochhammer(lam - nm1h, n) / pochhammer(eps - nh, n + 1)
-        _check_dual("delta A", a, a_check, abs(complex(a_check)), dist)
+        _check_dual("delta A", a, [a_check], dist, exact)
         if n == 0:
             return AperyCoefficients(a, Fraction(0) if exact else 0.0, 0, family)
         b = _delta_b_lsum(n, delta, lam, eps, exact)
@@ -421,9 +418,11 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
         for m in range((n + 1) // 2):
             # (lam - (n-1)/2)_n / (lam - (n-1)/2 + k + m), summed over k
             inner = sum(delta**k * _poch_without(lam - nm1h, n, k + m) for k in range(n - 2 * m))
-            w = (-1) ** (m + 1) * inner / (2 * math.factorial(m) * math.factorial(n - m))
+            # At n = 1 inner is the empty product 1; the half keeps w exact.
+            w = (-1) ** (m + 1) * _half(1, exact) * inner
+            w = w / (math.factorial(m) * math.factorial(n - m))
             terms += [w / (eps - nh + m), -w * (-delta) ** n / (eps + nh - m)]
-        _check_dual("delta B", b, *_sum_abs(terms), dist)
+        _check_dual("delta B", b, terms, dist, exact)
         return AperyCoefficients(a, b, n, family)
 
 

@@ -294,8 +294,10 @@ def _cmd_apery(args):
         co = apery.apery_ab_delta(args.n, delta, lam, eps)
     runtime = 1000.0 * (time.perf_counter() - t0)
     params = {"family": args.family, "n": args.n, "lambda": _lam_str(args.lam), "eps": args.eps}
-    rec = _record("apery", params, complex(co.a), 0.0, "exact" if args.exact else "float",
-                  {}, runtime)
+    value = co.a
+    if args.exact and abs(co.a) > sys.float_info.max:
+        value = math.inf if co.a > 0 else -math.inf  # "a" keeps the exact value
+    rec = _record("apery", params, value, 0.0, "exact" if args.exact else "float", {}, runtime)
     rec["a"] = str(co.a) if args.exact else {"re": complex(co.a).real, "im": complex(co.a).imag}
     rec["b"] = str(co.b) if args.exact else {"re": complex(co.b).real, "im": complex(co.b).imag}
     return [rec]

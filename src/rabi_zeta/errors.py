@@ -51,9 +51,5 @@ class SingularOperator(RabiZetaError):
     """A truncated operator is numerically singular (cannot be inverted)."""
 
 
-class CombinatorialBlowup(RabiZetaError):
-    """A composition sum would require more than the allowed number of terms."""
-
-
 class EigenFailure(RabiZetaError):
     """The banded eigenvalue solver failed to converge."""

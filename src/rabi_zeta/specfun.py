@@ -68,7 +68,8 @@ def hurwitz_zeta(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
         raise PoleError(f"n must be >= 2, got {n}")
     a = complex(a)
     _check_not_nonpositive_integer(a)
-    K = max(30, math.ceil(10 + abs(a.imag)))
+    # Enough direct terms that the Euler-Maclaurin point K + a has Re >= 30.
+    K = max(30, math.ceil(10 + abs(a.imag)), math.ceil(30 - a.real))
     partial = 0.0 + 0.0j
     for k in range(K):
         partial += cpow_int(k + a, -n)

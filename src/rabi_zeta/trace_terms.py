@@ -57,17 +57,6 @@ class Minus:
     """Difference family: R_m for nu=1/2 minus nu=3/2."""
 
 
-@dataclass(frozen=True)
-class Delta:
-    """m=1 series family tag; delta is +1 or -1 (alias of Plus/Minus)."""
-
-    delta: int
-
-    def __post_init__(self):
-        if self.delta not in (1, -1):
-            raise DomainError(f"delta must be +1 or -1, got {self.delta}")
-
-
 FLAT = Flat()
 PLUS = Plus()
 MINUS = Minus()
@@ -79,13 +68,10 @@ _FAMILY_COMPONENTS = {
     PLUS: (Component("bergman", 0.5), Component("bergman", 1.5)),
     MINUS: (Component("bergman", 0.5), Component("bergman", 1.5, -1.0)),
 }
-_FAMILY_COMPONENTS[Delta(1)] = _FAMILY_COMPONENTS[PLUS]
-_FAMILY_COMPONENTS[Delta(-1)] = _FAMILY_COMPONENTS[MINUS]
 
 
 def family_components(family) -> tuple[Component, ...]:
-    """The signed components whose traces the family sums (Delta(d) is an
-    alias of Plus for d = 1 and of Minus for d = -1)."""
+    """The signed components whose traces the family sums."""
     if isinstance(family, Nu):
         return (Component("bergman", family.nu),)
     components = _FAMILY_COMPONENTS.get(family)
@@ -305,7 +291,7 @@ def dn_r_m_family_operator(
 ) -> SeriesValue:
     """n-th shift derivative of the family's R_m by the operator oracle: the
     signed sum over the family's components (converged at abs_error <= 1e-8)."""
-    return operator_oracle.family_term(family_components(family), g, lam, eps, m, n, N, 1e-8)
+    return operator_oracle.family_term(family_components(family), g, lam, eps, m, n, N, 1e-8)[n]
 
 
 def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> SeriesValue:
@@ -334,11 +320,10 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     components = family_components(family)
-    family = family_of(components)  # Delta(d) resolves to Plus / Minus
     if m >= 4:
-        # Highest order first: its sweep fills every lower order's memo row.
-        orders = sorted(orders, reverse=True)
-        return {k: dn_r_m_family_operator(family, lam, g, eps, m, k) for k in orders}
+        # One sweep row holds every order, converged at abs_error <= 1e-8.
+        row = operator_oracle.family_term(components, g, lam, eps, m, max(orders), 400, 1e-8)
+        return {k: row[k] for k in orders}
     margin = complex(lam).real - abs(complex(eps).real)
     if not margin + min(c.offset for c in components) > 0:
         raise DomainError(
@@ -405,8 +390,8 @@ def dn_r_m_integral(
 def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10) -> SeriesValue:
     """R_1 by its expansion in the coupling.
 
-    Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Delta(d): sech(2g) *
-    sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
+    Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
+    (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
     """
     components = family_components(family)
     if isinstance(family, Flat):
@@ -422,7 +407,7 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
             coeff *= x / (n + 1)
         raise NoConvergence("flat R_1 series did not converge in 200 terms")
     if len(components) != 2:
-        raise DomainError(f"r_1_series supports Flat or Delta families, got {family}")
+        raise DomainError(f"r_1_series supports Flat, Plus or Minus, got {family}")
     delta = int(components[1].sign)
     t2 = math.tanh(2 * g) ** 2
     sech = 1.0 / math.cosh(2 * g)

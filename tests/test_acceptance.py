@@ -31,7 +31,6 @@ from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
     PLUS,
-    Delta,
     Nu,
     _psi_vec,
     dn_r_m_integral,
@@ -110,9 +109,9 @@ def test_criterion_04_delta_consistency():
         g = rng.uniform(-0.5, 0.5)
         if abs(2 * eps - round(2 * eps)) < 1e-3:
             continue
-        for delta in (1, -1):
+        for delta, family in ((1, PLUS), (-1, MINUS)):
             h = r_1_hypergeometric(delta, lam, g, eps).value
-            s = r_1_series(Delta(delta), lam, g, eps).value
+            s = r_1_series(family, lam, g, eps).value
             assert abs(h - s) < 1e-8, f"delta={delta} lam={lam} g={g} eps={eps}"
     assert time.perf_counter() - t0 < 20.0
 

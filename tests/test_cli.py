@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -194,6 +195,18 @@ class TestApery:
         argv = ["apery", "--family", family, "--n", n, "--lambda", "0.9", "--eps", "0.13"]
         code, out = _run(capsys, argv)
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("family,n,lam", [("flat", "40", "1e9"), ("plus", "60", "1e7")])
+    def test_exact_beyond_the_float_range(self, capsys, family, n, lam):
+        # A and B are exact Fractions far past 1.8e308; the record's float
+        # value reads "inf" instead of raising.
+        argv = ["apery", "--family", family, "--n", n, "--lambda", lam, "--eps", "0.13"]
+        code, out = _run(capsys, argv + ["--exact"])
+        assert code == 0
+        (rec,) = _records(out)
+        a, b = Fraction(rec["a"]), Fraction(rec["b"])
+        assert abs(a) > 1e308 and b.denominator > 1
+        assert rec["value"]["re"] == ("inf" if a > 0 else "-inf")
 
     def test_flat_exact_at_the_classical_point(self, capsys):
         # lam = n + 1, eps = 0: A_2 = 19 and A_2 (1 + 1/4) - B_2 = -15/2.

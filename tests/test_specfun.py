@@ -38,9 +38,11 @@ class TestHurwitzZeta:
             rhs = hurwitz_zeta(n, a + 1).value + a ** (-n)
             assert abs(lhs - rhs) < 1e-12
 
-    def test_direct_sum_agreement(self):
-        val = hurwitz_zeta(4, 1.3).value
-        direct = sum((k + 1.3) ** -4 for k in range(200000))
+    # At Re a <= -20 the Euler-Maclaurin tail must start past k = -Re a.
+    @pytest.mark.parametrize("a", [1.3, -29.7, -45.25, -45.3 + 0.4j])
+    def test_direct_sum_agreement(self, a):
+        val = hurwitz_zeta(4, a).value
+        direct = sum((k + a) ** -4 for k in range(200000))
         assert abs(val - direct) < 1e-9
 
     def test_pole_raises(self):

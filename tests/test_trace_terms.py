@@ -13,12 +13,9 @@ from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
     PLUS,
-    Delta,
     Nu,
     _integrand,
     dn_r_m_integral,
-    family_components,
-    family_of,
     phi,
     psi,
     r_1_hypergeometric,
@@ -127,15 +124,6 @@ class TestIntegralRoute:
         with pytest.raises(DomainError):
             r_m_integral(FLAT, 0.9, 0.2, 0.1, 0)
 
-    @pytest.mark.parametrize("delta, family", [(1, PLUS), (-1, MINUS)])
-    def test_delta_alias(self, delta, family):
-        assert r_m_integral(Delta(delta), 1.0, 0.2, 0.1, 1) == r_m_integral(
-            family, 1.0, 0.2, 0.1, 1
-        )
-        assert dn_r_m_integral(Delta(delta), 1.2, 0.2, 0.1, 1, 1, lambda_power=2) == (
-            dn_r_m_integral(family, 1.2, 0.2, 0.1, 1, 1, lambda_power=2)
-        )
-
     def test_negative_lambda_power(self):
         with pytest.raises(DomainError):
             dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, 2, lambda_power=-2)
@@ -177,9 +165,13 @@ class TestIntegralRoute:
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
     )
     def test_delegated_orders_share_one_sweep(self, family, lam, m, n, power, sweeps, monkeypatch):
-        # m >= 4 goes to the operator oracle order by order; the highest order's
-        # sweep holds every lower order, so each component is swept once.
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
+        # m >= 4 goes to the operator oracle, whose one row holds every order,
+        # so each component is swept once even when the memo keeps nothing.
+        class _KeepsNothing(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", _KeepsNothing())
         built = []
         init = operator_oracle.TraceDerivativeSweep.__init__
 
@@ -192,7 +184,7 @@ class TestIntegralRoute:
         assert len(built) == sweeps
 
 
-_PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5), Delta(1), Delta(-1)]
+_PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5)]
 
 
 class TestPairSeparableM2:
@@ -206,8 +198,7 @@ class TestPairSeparableM2:
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_matches_point_rule(self, family, lam, spec):
         g, eps, orders = 0.2, 0.1, (0, 1, 2, 3)
-        base = family_of(family_components(family))
-        ref = integrate_tensor(_integrand(base, lam, eps, g, 2, orders), 4, spec)
+        ref = integrate_tensor(_integrand(family, lam, eps, g, 2, orders), 4, spec)
         for k, want in zip(orders, ref):
             got = dn_r_m_integral(family, lam, g, eps, 2, k, spec=spec)
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
@@ -244,25 +235,20 @@ class TestR1FastPaths:
         op = r_m_operator("fock", g, lam, eps, 1, N=1600)
         assert abs(s.value - op.value) < 1e-7
 
-    @pytest.mark.parametrize("delta", [1, -1])
-    def test_delta_series_vs_hypergeometric(self, delta):
+    @pytest.mark.parametrize("delta,family", [(1, PLUS), (-1, MINUS)])
+    def test_delta_series_vs_hypergeometric(self, delta, family):
         lam, g, eps = 1.0, 0.15, 0.1
-        s = r_1_series(Delta(delta), lam, g, eps)
+        s = r_1_series(family, lam, g, eps)
         h = r_1_hypergeometric(delta, lam, g, eps)
         assert abs(s.value - h.value) < 1e-9
 
-    @pytest.mark.parametrize("delta,sign", [(1, 1.0), (-1, -1.0)])
-    def test_delta_series_vs_operator(self, delta, sign):
+    @pytest.mark.parametrize("family,sign", [(PLUS, 1.0), (MINUS, -1.0)])
+    def test_delta_series_vs_operator(self, family, sign):
         lam, g, eps = 1.0, 0.15, 0.1
-        s = r_1_series(Delta(delta), lam, g, eps)
+        s = r_1_series(family, lam, g, eps)
         lo = r_m_operator("bergman", g, lam, eps, 1, N=1600, nu=0.5)
         hi = r_m_operator("bergman", g, lam, eps, 1, N=1600, nu=1.5)
         assert abs(s.value - (lo.value + sign * hi.value)) < 1e-6
-
-    def test_plus_minus_aliases(self):
-        lam, g, eps = 1.0, 0.15, 0.1
-        assert r_1_series(PLUS, lam, g, eps).value == r_1_series(Delta(1), lam, g, eps).value
-        assert r_1_series(MINUS, lam, g, eps).value == r_1_series(Delta(-1), lam, g, eps).value
 
     def test_hypergeometric_integer_eps_pole(self):
         with pytest.raises(DomainError):
@@ -273,7 +259,3 @@ class TestFamilyValidation:
     def test_nu_positive(self):
         with pytest.raises(DomainError):
             Nu(-0.5)
-
-    def test_delta_values(self):
-        with pytest.raises(DomainError):
-            Delta(0)

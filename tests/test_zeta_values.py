@@ -157,6 +157,23 @@ class TestComplexLambda:
             assert abs(op.value - other.value) <= op.abs_error + other.abs_error, method
 
 
+class TestNegativeLambda:
+    # Far left of 0 the base term's Hurwitz zeta needs more direct terms than
+    # its fixed 30 before the Euler-Maclaurin point K + a has Re >= 30.
+    @pytest.mark.parametrize(
+        "model,n,lam",
+        [
+            (OnePhoton(0.2, 0.05, 0.1), 2, -45.3),
+            (TwoPhoton(0.2, 0.05, 0.1), 3, -45.3),
+            (OnePhoton(0.2, 0.05, 0.1), 2, -45.3 + 0.4j),
+        ],
+    )
+    def test_series_matches_eigen_oracle(self, model, n, lam):
+        op = zeta_value(ZetaRequest(model, n, lam))
+        eo = zeta_value(ZetaRequest(model, n, lam, method="eigen_oracle"))
+        assert abs(op.value - eo.value) <= op.abs_error + eo.abs_error
+
+
 class TestDecoupledValues:
     def test_one_photon_base_only(self):
         model = OnePhoton(g=0.4, delta=0.0, eps=0.1)
