@@ -173,7 +173,9 @@ def _make_parser():
                    choices=("series_integral", "series_operator", "eigen_oracle"))
     p.add_argument("--max-m", type=int, default=12)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--trunc-n", type=int, default=400)
+    p.add_argument("--trunc-n", type=int, default=400,
+                   help="largest operator truncation N: the series routes start at a coarser "
+                        "one and double it only while abs_error exceeds --tol")
     p.add_argument("--parity-difference", action="store_true")
 
     p = sub.add_parser("trace-term")

@@ -8,10 +8,11 @@ h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
 by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
 series of F^k and F^(k+1), so one solve step serves two terms.  Each
 term is Richardson-extrapolated from three successive halvings of N, first
-N, N/2, N/4; once the next-coarser three already meet the rounding floor,
-the sweep drops its finest truncation for the later terms.
-FamilyTerms serves every such term, memoizes them across requests and
-keeps one component's sweep alive at a time.  Spectral zeta values come
+N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
+live; once the next-coarser three already meet the rounding floor, the
+sweep drops its finest truncation for the later terms.  FamilyTerms serves
+every such term at one truncation and keeps one component's sweep alive at
+a time; the module keeps no state between calls.  Spectral zeta values come
 from direct eigenvalue summation of the two-by-two block matrices, with
 the two components interleaved so that the Hamiltonian is banded.
 """
@@ -41,6 +42,10 @@ _SINGULAR_GUARD = 1e-10
 _ROUNDING_FLOOR = 1e-14
 # The coarsest truncation a sweep adds below N/4.
 _LADDER_FLOOR = 24
+# A bar from the third Richardson step is this multiple of its correction:
+# on the calibration grid of the tests the true error of a row reaches 1.8
+# times that correction.
+_BAR_FACTOR = 2.0
 _NEAR_POLE_GUARD = 1e-9
 
 
@@ -304,19 +309,40 @@ def _min_progression_distance(s: complex, step: float, offset: float) -> float:
     return best
 
 
-def _richardson(v_fine: complex, v_coarse: complex, p: int) -> tuple[complex, float]:
-    corr = (v_fine - v_coarse) / (2**p - 1)
-    return v_fine + corr, abs(corr)
+def _extrapolate(values, sizes, p: int) -> tuple[complex, float]:
+    """(value, bar) of `values` at the truncations `sizes` (finest first,
+    each about half the one before), whose error runs in N^-p, N^-(p+1), ....
+    Each Richardson step eliminates the next power at the actual sizes (50,
+    25, 12 as exactly as 48, 24, 12), at exact halvings bit for bit the
+    classic (v_N - v_N/2) / (2^p - 1).
 
+    The value is the two-step value from the finest three; its bar is that
+    step's correction, unless a fourth truncation is live and the two-step
+    corrections fall within 2x of the expected rate: then it is _BAR_FACTOR
+    times the third step's correction, and with a fifth truncation no less
+    than the one the next-coarser four predict, against a third-step
+    correction that cancels by accident.
+    """
+    cols, corrs, rates = [list(values[:5])], [], []
+    basis = [[(sizes[0] / s) ** (p + j) for s in sizes[:5]] for j in range(len(cols[0]) - 1)]
+    while basis:
+        g = basis.pop(0)
+        rate = [b / a for a, b in zip(g, g[1:])]
 
-def _richardson2(values: tuple[complex, complex, complex], p: int) -> tuple[complex, float]:
-    """Two-level Richardson from three truncations, each half the one before
-    (N, N/2, N/4): eliminates the N^-p and N^-(p+1) tail terms.  Returns
-    (value, |last correction|)."""
-    v_n, v_h, v_q = values
-    w_fine, _ = _richardson(v_n, v_h, p)
-    w_coarse, _ = _richardson(v_h, v_q, p)
-    return _richardson(w_fine, w_coarse, p + 1)
+        def step(col):
+            corr = [(u - v) / (r - 1) for u, v, r in zip(col, col[1:], rate)]
+            return [u + c for u, c in zip(col, corr)], corr
+
+        col, corr = step(cols[-1])
+        cols.append(col)
+        corrs.append([abs(c) for c in corr])
+        rates.append(rate)
+        basis = [step(h)[0] for h in basis]
+    value, bar = cols[2][0], corrs[1][0]
+    if len(corrs) > 2 and 0.5 * corrs[1][1] <= corrs[1][0] * rates[1][0] <= 2 * corrs[1][1]:
+        third = corrs[2] + [0.0]
+        bar = _BAR_FACTOR * max(third[0], third[1] / rates[2][0])
+    return value, bar
 
 
 def _pair_traces(w_a, wt_b) -> list:
@@ -415,7 +441,8 @@ class TraceDerivativeSweep:
 
     The truncations form a ladder N, N/2, N/4, ... down to _LADDER_FLOOR
     (only N, N/2, N/4 below N = 192).  Each term is Richardson-extrapolated
-    from the three finest live truncations; its terms_used is the finest.
+    from the three finest live truncations, and the fourth and fifth, where
+    live, give its bar (_extrapolate); its terms_used is the finest.
     The Richardson order 2m + n - 1 grows with m, so later terms converge at
     smaller N: once order 0 extrapolated from the next three truncations
     moves by no more than the rounding floor, the finest one is dropped for
@@ -442,41 +469,26 @@ class TraceDerivativeSweep:
         every order 0..n (the truncated series holds them all at once)."""
         self.m += 1
         per_truncation = [st.advance() for st in self._states]
+        sizes = [st.N for st in self._states]
         out = {}
-        for order, values in enumerate(zip(*per_truncation[:3])):
-            value, corr = _richardson2(values, 2 * self.m + order - 1)
-            out[order] = SeriesValue(
-                value, corr + _ROUNDING_FLOOR * abs(value), self._states[0].N, True
-            )
-        if len(self._states) > 3:
-            value, corr = _richardson2(tuple(t[0] for t in per_truncation[1:4]), 2 * self.m - 1)
+        for order, values in enumerate(zip(*per_truncation)):
+            value, bar = _extrapolate(values, sizes, 2 * self.m + order - 1)
+            out[order] = SeriesValue(value, bar + _ROUNDING_FLOOR * abs(value), sizes[0], True)
+        if len(sizes) > 3:
+            order0 = [t[0] for t in per_truncation[1:4]]
+            value, corr = _extrapolate(order0, sizes[1:4], 2 * self.m - 1)
             if corr <= _ROUNDING_FLOOR * abs(value):
                 self._states.pop(0)  # frees the finest truncation's buffers
         return out
 
 
-# The package's one mutable module state: each component's Richardson-
-# extrapolated row {order: D_m} under (basis, nu, g, lam, eps, N, m), without
-# the component's sign, so a parity difference shares its sum family's rows.
-# A row from a sweep at order n serves every order up to n.  Only a later
-# request reads a row back: within one request FamilyTerms keeps its own rows
-# and a single-term call takes every order from one row.  Those cross-request
-# hits are real traffic: the integral route's m >= 3 terms are rows the
-# operator route already swept, and clearing the memo before each request of
-# the benchmark's cross_validation inputs (seeds 1 and 2, 2-core machine)
-# raised that route's time from 12.1 to 14.0 s and from 11.1 to 13.3 s.  It
-# stores rows, never live sweeps, and is cleared once it passes 4096 entries.
-_TERM_ROWS: dict = {}
-
-
 class FamilyTerms:
     """D_m = d^k R_m / d lam^k, k = 0..n, m = 1..m_last, of the signed sum
     over `components` by the banded sweep at truncation N.  On the first
-    `at`, each component's rows 1..m_last are read from the memo, and the
-    rows up to its last miss are computed by one sweep, which is dropped
-    before the next component's starts; rows combine as sum(sign * value)
-    with summed abs_error, in component order, and terms_used is the finest
-    truncation any component's row used.
+    `at`, each component's rows 1..m_last are computed by one sweep, which
+    is dropped before the next component's starts; rows combine as
+    sum(sign * value) with summed abs_error, in component order, and
+    terms_used is the finest truncation any component's row used.
     """
 
     def __init__(self, components, g, lam, eps, n: int, N: int, m_last: int):
@@ -486,19 +498,8 @@ class FamilyTerms:
         self._rows = None
 
     def _component_rows(self, c: Component) -> list:
-        key = (c.basis, c.nu, self.g, self.lam, self.eps, self.N)
-        rows = [_TERM_ROWS.get(key + (m,), ()) for m in range(1, self.m_last + 1)]
-        last_miss = max((m for m, row in enumerate(rows, 1) if len(row) <= self.n), default=0)
-        if last_miss:
-            sweep = TraceDerivativeSweep(c.basis, self.g, self.lam, self.eps, self.n, self.N, c.nu)
-            for m in range(1, last_miss + 1):
-                # The local row, not a read-back: another thread may clear the memo.
-                rows[m - 1] = row = sweep.next_terms()
-                if len(_TERM_ROWS) > 4096:
-                    _TERM_ROWS.clear()
-                if len(_TERM_ROWS.get(key + (m,), ())) < len(row):
-                    _TERM_ROWS[key + (m,)] = row
-        return rows
+        sweep = TraceDerivativeSweep(c.basis, self.g, self.lam, self.eps, self.n, self.N, c.nu)
+        return [sweep.next_terms() for _ in range(self.m_last)]
 
     def at(self, m: int) -> dict:
         """{order: D_m of the signed sum} for every order 0..n, m <= m_last."""
@@ -543,8 +544,8 @@ def r_m_operator(
     The value is two-level Richardson-extrapolated, with the known leading
     truncation order 2m-1, from three truncations of the sweep's ladder
     (N, N/2, N/4 until an earlier term already met the rounding floor one
-    level down); abs_error is the last applied correction plus a 1e-14
-    relative rounding floor.
+    level down); abs_error is the sweep's bar (_extrapolate) plus a 1e-14
+    relative rounding floor.  N is a fixed truncation, not a budget.
     """
     return family_term((Component(basis, nu),), g, lam, eps, m, 0, N, tol)[0]
 
@@ -662,7 +663,7 @@ def zeta_eigen_oracle(model: ModelSpec, n: int, lam: complex, N: int = 400) -> S
         raise InvalidDimension(f"N must be >= 8, got {N}")
     geo = model_geometry(model)
     values = tuple(_zeta_eigen_once(geo, n, lam, size) for size in (N, N // 2, N // 4))
-    value, corr = _richardson2(values, 1)
+    value, corr = _extrapolate(values, (N, N // 2, N // 4), 1)
     # The 1e-7 term is a calibration floor: the extrapolation model is not
     # trusted below it at desk-scale truncations, so the reported bound stays
     # a genuine upper bound on the oracle error.

@@ -84,7 +84,13 @@ def hurwitz_zeta(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
         tail += term
         last = abs(term)
     value = partial + tail
-    abs_error = last + 1e-16 * abs(value)
+    # Rounding floor.  For Re a < 0 the terms near k = -Re a outweigh the
+    # value, and each exp(-w), w = n log(k + a), carries about 1 + |w| units.
+    scale = abs(value)
+    if a.real < 0:
+        logs = [n * cmath.log(k + a) for k in range(K)]
+        scale = 5 * sum(math.exp(-w.real) * (1 + abs(w)) for w in logs)
+    abs_error = last + 1e-16 * scale
     return SeriesValue(value, abs_error, K, abs_error <= tol)
 
 

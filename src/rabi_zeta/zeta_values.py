@@ -5,7 +5,8 @@ Assembles the Hurwitz-zeta base term and the coupling-series trace terms
 the one-photon model, the two-photon model and its Bergman deformation, and
 the two-parameter oscillator pair; plus the parity (even minus odd sector)
 difference and the confluence-limit scan.  Operator-route terms, and the
-integral route's m >= 3 terms, come from operator_oracle.FamilyTerms.
+integral route's m >= 3 terms, come from operator_oracle.FamilyTerms at the
+coarsest truncation, up to trunc_n, that meets the request's tol.
 """
 
 from __future__ import annotations
@@ -33,11 +34,20 @@ _WARN_DISTANCE = 1e-4
 _RAISE_DISTANCE = 1e-9
 _SLOW_RATIO = 0.95
 _HS_TERMS = 4096
+# The coarsest truncation a request starts from: the smallest at which every
+# sweep row of the calibration grid (tests/test_operator_oracle.py) lies
+# within its bar.
+_MIN_TOP = 106
 
 
 @dataclass(frozen=True)
 class ZetaRequest:
-    """A single zeta(H; n, lambda) evaluation request."""
+    """A single zeta(H; n, lambda) evaluation request.
+
+    trunc_n caps the operator truncation N: the series routes start at a
+    coarser N and double it only while abs_error exceeds tol
+    (metadata["truncations"]["tops"]); the eigen route uses max(trunc_n, 400).
+    """
 
     model: ModelSpec
     n: int
@@ -127,6 +137,15 @@ def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> fl
     return total + t_last * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
+def _tops(cap: int) -> list:
+    """The truncations the budget tries: cap / 2^k, ..., cap / 2, cap, from
+    the coarsest that is still at least _MIN_TOP (cap alone below that)."""
+    tops = [cap]
+    while tops[0] // 2 >= _MIN_TOP:
+        tops.insert(0, tops[0] // 2)
+    return tops
+
+
 def _assemble(
     model: ModelSpec,
     n: int,
@@ -145,8 +164,10 @@ def _assemble(
     below tol (or max_m, with a warning), found before any term is computed
     so that FamilyTerms can sweep each component once up to m_last.
     abs_error sums the base term's error, each term's truncation error and
-    the tail bound.  The eigen route has no parity difference, and
-    parity_difference refuses it before it gets here.
+    the tail bound; the operator terms are computed at each N of
+    _tops(trunc_n) until abs_error meets tol, the others once.  The eigen
+    route has no parity difference, and parity_difference refuses it before
+    it gets here.
     """
     t0 = time.perf_counter()
     lam = complex(lam)
@@ -168,7 +189,7 @@ def _assemble(
         )
     if xs * big_c > _SLOW_RATIO:
         warnings.append(f"SlowConvergence: geometric ratio {xs * big_c:.4f} close to 1")
-    per_m, per_m_truncation = [], []
+    per_m, per_m_truncation, tops = [], [], []
     if method == "eigen_oracle":
         sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
         value, err, base = sv.value, sv.abs_error, sv.value
@@ -181,7 +202,6 @@ def _assemble(
         x = geo.coupling
         hs_sq = _hs_constant_sq(geo.shifts(lam), geo.step, geo.offset)
         prefactor = (-1.0) ** n / math.factorial(n - 1)
-        err = base_err
         trunc_err = tail = 0.0
         if abs(x) > 0:
             # The tail bound does not depend on the terms, so m_last is known first.
@@ -189,34 +209,44 @@ def _assemble(
                 tail = _tail_bound(n, m_last + 1, q, big_c, hs_sq)
                 if tail < tol:
                     break
-            terms = FamilyTerms(
-                trace_terms.family_components(family), geo.g, lam, geo.eps, n, trunc_n, m_last
-            )
-            for m in range(1, m_last + 1):
-                # D_m = d^n [lam^(lam_power m) R_m] / d lam^n by the requested route.
-                power = geo.lam_power * m
-                if method == "series_integral" and m < 3:
-                    d_m = trace_terms.dn_r_m_integral(
-                        family, lam, geo.g, geo.eps, m, n, lambda_power=power
-                    )
-                    per_m_truncation.append(None)
-                else:
-                    if method == "series_integral":
-                        metadata.setdefault("notes", []).append(f"m{m}_delegated_to_operator")
+            # D_m = d^n [lam^(lam_power m) R_m] / d lam^n by the requested
+            # route; the integral route's m < 3 come from quadrature, once.
+            first_op = 3 if method == "series_integral" else 1
+            d_m = {
+                m: trace_terms.dn_r_m_integral(
+                    family, lam, geo.g, geo.eps, m, n, lambda_power=geo.lam_power * m
+                )
+                for m in range(1, min(first_op, m_last + 1))
+            }
+            used = dict.fromkeys(d_m)
+            if method == "series_integral" and m_last >= first_op:
+                metadata["notes"] = [f"m{m}_delegated_to_operator" for m in range(3, m_last + 1)]
+            scale = {m: abs(x) ** (2 * m) / m / math.factorial(n - 1) for m in range(1, m_last + 1)}
+            trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
+            # Errors that no truncation reduces already miss tol: try the cap alone.
+            budget = _tops(trunc_n) if base_err + trunc_err + tail < tol else [trunc_n]
+            components = trace_terms.family_components(family)
+            for top in budget if m_last >= first_op else ():
+                terms = FamilyTerms(components, geo.g, lam, geo.eps, n, top, m_last)
+                for m in range(first_op, m_last + 1):
                     row = terms.at(m)
-                    d_m = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
-                    per_m_truncation.append(row[n].terms_used)
-                per_m.append(prefactor * x ** (2 * m) / m * d_m.value)
-                term_err = abs(x) ** (2 * m) / m / math.factorial(n - 1) * d_m.abs_error
-                err += term_err
-                trunc_err += term_err
-            err += tail
+                    power = geo.lam_power * m
+                    d_m[m] = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
+                    used[m] = row[n].terms_used
+                tops.append(top)
+                trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
+                if base_err + trunc_err + tail <= tol:
+                    break
+            per_m = [prefactor * x ** (2 * m) / m * d_m[m].value for m in range(1, m_last + 1)]
+            per_m_truncation = [used[m] for m in range(1, m_last + 1)]
             if tail >= tol:
                 warnings.append(f"m-series truncated at max_m={max_m} with tail bound {tail:.3e}")
+        err = base_err + trunc_err + tail
         value = base + sum(per_m)
         sources = {"truncation": trunc_err, "series tail": tail, "base term": base_err}
     # The finest operator truncation behind each per-m term; None for quadrature.
     metadata["truncations"]["per_m"] = per_m_truncation
+    metadata["truncations"]["tops"] = tops
     metadata["converged"] = err <= tol
     if err > tol:
         worst = max(sources, key=sources.get)

@@ -101,12 +101,19 @@ class TestZeta:
             "zeta", "--model", "1pqrm", "--n", "2", "--lambda", "1.0",
             "--g", "0.2", "--delta", "0.3", "--eps", "0.1",
         ]
-        code, out = _run(capsys, argv)
-        assert code == 0
-        (rec,) = _records(out)
-        per_m = rec["truncations"]["per_m"]
-        assert rec["truncations"]["trunc_n"] == 400
-        assert len(per_m) == len(rec["per_m_terms"]) and per_m[0] == 400
+        # --trunc-n is a cap and "tops" lists the truncations tried: the
+        # default tol is met at the start top, 1e-12 (with more m-terms) one
+        # doubling later, and 1e-14 not even by the series tail, so the cap
+        # is tried alone.
+        for extra, tops in (([], [200]), (["--tol", "1e-12", "--max-m", "30"], [200, 400]),
+                            (["--tol", "1e-14"], [400])):
+            code, out = _run(capsys, argv + extra)
+            assert code == 0
+            (rec,) = _records(out)
+            per_m = rec["truncations"]["per_m"]
+            assert rec["truncations"]["trunc_n"] == 400
+            assert len(per_m) == len(rec["per_m_terms"]) and per_m[0] == tops[-1]
+            assert rec["truncations"]["tops"] == tops
 
     def test_parity_difference(self, capsys):
         code, out = _run(

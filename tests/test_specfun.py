@@ -45,6 +45,18 @@ class TestHurwitzZeta:
         direct = sum((k + a) ** -4 for k in range(200000))
         assert abs(val - direct) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("a", [-45.25, -100.1, -3.7, -12.999 + 0.1j])
+    def test_negative_real_part_within_its_error(self, n, a):
+        # Terms near k = -Re a outweigh the value, so a floor relative to the
+        # value alone was 2.8x (n = 2) and 8x (n = 4) too small at a = -45.25.
+        with mpmath.workdps(40):
+            ma = mpmath.mpc(a)
+            exact = mpmath.fsum((k + ma) ** -n for k in range(500)) + mpmath.zeta(n, ma + 500)
+            exact = complex(exact)
+        z = hurwitz_zeta(n, a)
+        assert abs(z.value - exact) <= z.abs_error
+
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             hurwitz_zeta(2, 0.0)

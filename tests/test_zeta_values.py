@@ -1,14 +1,13 @@
 import gc
 import math
 import sys
-import time
 import weakref
 
 import numpy as np
 import pytest
 from scipy.special import digamma, polygamma
 
-from rabi_zeta import operator_oracle
+from rabi_zeta import operator_oracle, zeta_values
 from rabi_zeta.errors import DomainError, NearPole, RadiusExceeded
 from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton
 from rabi_zeta.specfun import alternating_zeta_sum, hurwitz_zeta
@@ -97,31 +96,11 @@ class TestTailBound:
         assert _tail_bound(2, 5, 0.99999, 1.0, 1.0) == math.inf
 
 
-class TestSharedSweeps:
-    def test_parity_and_integral_reuse_the_sum_sweeps(self, monkeypatch):
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
-        built = []
-        init = operator_oracle.TraceDerivativeSweep.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", counting_init)
-        model = TwoPhoton(0.2, 0.3, 0.1)
-        zeta_value(ZetaRequest(model, 2, 1.0, trunc_n=100))
-        parity_difference(model, 2, 1.0, trunc_n=100)
-        assert len(built) == 2
-        zeta_value(ZetaRequest(model, 2, 1.0, method="series_integral", trunc_n=100))
-        assert len(built) == 2
-
-
 class TestOneLiveSweep:
     @pytest.mark.parametrize(
         "model,lam", [(TwoPhoton(0.2, 0.3, 0.1), 1.0), (Ncho(2.0, 1.2, 0.1), 0.8)]
     )
     def test_each_sweep_is_dropped_before_the_next(self, model, lam, monkeypatch):
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
         built = []
         init = operator_oracle.TraceDerivativeSweep.__init__
 
@@ -219,15 +198,22 @@ class TestStructure:
         "model", [OnePhoton(g=0.2, delta=0.3, eps=0.1), TwoPhoton(g=0.2, delta=0.3, eps=0.1)]
     )
     def test_per_m_truncations(self, model, method):
-        res = zeta_value(ZetaRequest(model, 2, 1.0, method=method, trunc_n=400))
-        truncations = res.metadata["truncations"]
-        per_m = truncations["per_m"]
-        assert truncations["trunc_n"] == 400
-        assert len(per_m) == len(res.per_m_terms) >= 4
-        # The integral route's quadrature terms name no truncation.
-        operator = per_m[2:] if method == "series_integral" else per_m
-        assert per_m[:2] == ([None, None] if method == "series_integral" else [400, 400])
-        assert operator == sorted(operator, reverse=True) and operator[-1] < 400
+        # trunc_n is a cap: a converged request stops at a coarser top, and
+        # one whose tol cannot be met ends at the cap.
+        for tol, converged in ((1e-8, True), (1e-16, False)):
+            res = zeta_value(ZetaRequest(model, 2, 1.0, method=method, trunc_n=400, tol=tol))
+            truncations = res.metadata["truncations"]
+            per_m = truncations["per_m"]
+            assert res.metadata["converged"] is converged
+            assert truncations["trunc_n"] == 400
+            assert len(per_m) == len(res.per_m_terms) >= 4
+            # The integral route's quadrature terms name no truncation.
+            operator = per_m[2:] if method == "series_integral" else per_m
+            if method == "series_integral":
+                assert per_m[:2] == [None, None]
+            assert operator == sorted(operator, reverse=True) and operator[-1] < 400
+            assert operator[0] == truncations["tops"][-1]
+            assert (operator[0] < 400) is converged
 
     def test_eps_sign_symmetry(self):
         a = zeta_value(
@@ -255,6 +241,61 @@ class TestStructure:
         assert abs(op.value - eo.value) < max(eo.abs_error, 1e-5)
 
 
+class TestTruncationBudget:
+    def test_tops_double_up_to_the_cap(self):
+        assert zeta_values._tops(400) == [200, 400]
+        assert zeta_values._tops(600) == [150, 300, 600]
+        assert zeta_values._tops(1600) == [200, 400, 800, 1600]
+        assert zeta_values._tops(212) == [106, 212]
+        # Below twice the start top the cap is the only truncation, so
+        # --trunc-n 4 still meets InvalidDimension.
+        assert zeta_values._tops(211) == [211] and zeta_values._tops(4) == [4]
+
+    @staticmethod
+    def _fixed(monkeypatch, evaluate, trunc_n):
+        """evaluate(trunc_n) with every operator term at trunc_n itself."""
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta_values, "_tops", lambda cap: [cap])
+            return evaluate(trunc_n)
+
+    @pytest.mark.parametrize(
+        "model,n,lam,parity",
+        [
+            (OnePhoton(0.2, 0.3, 0.1), 2, 1.0, False),
+            (TwoPhoton(0.4, 0.5, 0.1), 3, 1.3 + 0.4j, False),
+            (BergmanNu(0.8, 0.66, 0.4, 0.1), 2, 1.0, False),
+            (Ncho(2.0, 1.2, 0.1), 2, 0.8, False),
+            (TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, True),
+            (Ncho(1.5, 1.0, 0.05), 3, 1.1 + 0.3j, True),
+        ],
+    )
+    def test_values_lie_within_their_error_of_a_fixed_truncation(
+        self, model, n, lam, parity, monkeypatch
+    ):
+        def evaluate(trunc_n):
+            if parity:
+                return parity_difference(model, n, lam, trunc_n=trunc_n)
+            return zeta_value(ZetaRequest(model, n, lam, trunc_n=trunc_n))
+
+        res = evaluate(400)
+        ref = self._fixed(monkeypatch, evaluate, 800)
+        assert res.metadata["truncations"]["tops"][0] == 200
+        assert len(res.per_m_terms) == len(ref.per_m_terms)
+        assert abs(res.value - ref.value) <= res.abs_error
+
+    @pytest.mark.parametrize("model", [OnePhoton(0.2, 0.3, 0.1), TwoPhoton(0.2, 0.3, 0.1)])
+    def test_uneven_ladder_within_its_error(self, model, monkeypatch):
+        # trunc_n = 50 extrapolates from 50, 25 and 12, which do not halve
+        # exactly: with weights for exact halvings the one-photon value was
+        # 1.0e-7 from the reference against a reported 6.2e-8.
+        def evaluate(trunc_n):
+            return zeta_value(ZetaRequest(model, 2, 1.0, trunc_n=trunc_n))
+
+        res = evaluate(50)
+        ref = self._fixed(monkeypatch, evaluate, 1600)
+        assert abs(res.value - ref.value) <= res.abs_error
+
+
 class TestGuards:
     def test_radius_exceeded(self):
         with pytest.raises(RadiusExceeded):
@@ -279,7 +320,9 @@ class TestToleranceReport:
         assert not any("missed" in w for w in res.metadata.get("warnings", ()))
 
     def test_missed_tol_is_reported(self):
-        res = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8))
+        # At the default cap 400 this request converges (5e-9); capped at 200
+        # it reads about 2e-8.
+        res = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, trunc_n=200))
         assert res.abs_error > 1e-8
         assert res.metadata["converged"] is False
         (warning,) = [w for w in res.metadata["warnings"] if "missed" in w]
@@ -332,10 +375,8 @@ class TestConfluenceScan:
 
     # trunc_n = 400 runs the truncation ladder; 100 has no level below N/4.
     @pytest.mark.parametrize("trunc_n", [100, 400])
-    def test_threads_match_serial(self, trunc_n, monkeypatch):
+    def test_threads_match_serial(self, trunc_n):
         serial = confluence_scan(0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=trunc_n)
-        # A fresh memo, so that the threaded scan computes its own rows.
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", {})
         threaded = confluence_scan(
             0.1, 0.1, 0.0, 1.0, 2, [2.0, 4.0], trunc_n=trunc_n, threads=2
         )
@@ -343,21 +384,9 @@ class TestConfluenceScan:
             assert n1 == n2 and v1 == v2 and d1 == d2
 
     @pytest.mark.parametrize("threads", [2, 4])
-    def test_threaded_stress_matches_serial(self, threads, monkeypatch):
-        # A cache that reports itself full is cleared before every store,
-        # and each store yields the interpreter lock, so concurrent rows
-        # clear each other's entries between a store and the read that
-        # follows it; reading a term back from the shared cache would raise
-        # KeyError here.
-        class _AlwaysFull(dict):
-            def __len__(self):
-                return 1 << 20
-
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                time.sleep(1e-3)
-
-        monkeypatch.setattr(operator_oracle, "_TERM_ROWS", _AlwaysFull())
+    def test_threaded_stress_matches_serial(self, threads):
+        # More threads than cores and a short switch interval: rows that
+        # shared any state between requests would differ from the serial scan.
         args = (0.1, 0.1, 0.0, 1.0, 2, [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
         serial = confluence_scan(*args, trunc_n=100)
         interval = sys.getswitchinterval()
