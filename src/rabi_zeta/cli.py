@@ -175,7 +175,8 @@ def _make_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--trunc-n", type=int, default=400,
                    help="largest operator truncation N: the series routes start at a coarser "
-                        "one and double it only while abs_error exceeds --tol")
+                        "one, at least 106, and double it only while abs_error exceeds --tol; "
+                        "below 44 no error bar is calibrated and the result reads not converged")
     p.add_argument("--parity-difference", action="store_true")
 
     p = sub.add_parser("trace-term")
@@ -243,10 +244,14 @@ def _cmd_zeta(args):
         params["nu"] = args.nu
     if args.model.lower() == "ncho":
         params.update({"alpha": args.alpha, "beta": args.beta, "eta": args.eta})
+    md = res.metadata
+    diagnostics = {"converged": md["converged"], "warnings": md.get("warnings", []),
+                   "notes": md.get("notes", [])}
     return [
         _record("zeta", params, res.value, res.abs_error, args.method,
-                res.metadata.get("truncations"), runtime, per_m_terms=res.per_m_terms,
-                extra={"base_term": {"re": res.base_term.real, "im": res.base_term.imag}})
+                md.get("truncations"), runtime, per_m_terms=res.per_m_terms,
+                extra={"base_term": {"re": res.base_term.real, "im": res.base_term.imag},
+                       "diagnostics": diagnostics})
     ]
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,24 +58,20 @@ class QuadratureSpec:
             raise DomainError("points_per_axis and samples must be >= 1")
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre_cached(p: int):
-    x, w = np.polynomial.legendre.leggauss(p)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def gauss_legendre_nodes(p: int):
     """p-point Gauss-Legendre nodes/weights on (0,1); weights sum to 1."""
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if p > 1024:
         raise DomainError(f"p must be <= 1024, got {p}")
-    nodes, weights = _gauss_legendre_cached(p)
-    return nodes.copy(), weights.copy()
+    x, w = np.polynomial.legendre.leggauss(p)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=32)
-def _tanh_sinh_cached(level: int):
+def tanh_sinh_nodes(level: int):
+    """tanh-sinh nodes/weights on (0,1) at the given level (h = 2^(2-level))."""
+    if level < 1:
+        raise DomainError(f"level must be >= 1, got {level}")
     # Step h = 2^(2-level); nodes x_k = (1 + tanh((pi/2) sinh(k h)))/2,
     # generated symmetrically until the distance to the nearer endpoint
     # underflows below 1e-16, so nodes never touch 0 or 1.
@@ -97,14 +92,6 @@ def _tanh_sinh_cached(level: int):
         k += 1
     order = np.argsort(np.asarray(nodes))
     return np.asarray(nodes)[order], np.asarray(weights)[order]
-
-
-def tanh_sinh_nodes(level: int):
-    """tanh-sinh nodes/weights on (0,1) at the given level (h = 2^(2-level))."""
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
-    nodes, weights = _tanh_sinh_cached(level)
-    return nodes.copy(), weights.copy()
 
 
 def _tensor_sum(f, d: int, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

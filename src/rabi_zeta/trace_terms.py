@@ -12,82 +12,20 @@ grids (u0, u1) and (u2, u3), integrated by quadrature.integrate_pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import apery, operator_oracle, quadrature
 from .errors import DomainError, LengthMismatch, NoConvergence, PoleError
-from .operator_oracle import Component
+
+# The trace families live beside operator_oracle.Component and are re-exported.
+from .operator_oracle import FLAT, MINUS, PLUS, Flat, Minus, Nu, Plus, TraceFamily  # noqa: F401
 from .specfun import (
     SeriesValue,
     hypergeometric_pfq,
     pochhammer,
     sum_inverse_pair,
 )
-
-
-# ---------------------------------------------------------------------------
-# Trace-term families
-
-
-@dataclass(frozen=True)
-class Flat:
-    """Fock-basis family (linear-coupling model)."""
-
-
-@dataclass(frozen=True)
-class Nu:
-    """Single weighted-Bergman family of parameter nu."""
-
-    nu: float
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class Plus:
-    """Sum family: R_m for nu=1/2 plus nu=3/2."""
-
-
-@dataclass(frozen=True)
-class Minus:
-    """Difference family: R_m for nu=1/2 minus nu=3/2."""
-
-
-FLAT = Flat()
-PLUS = Plus()
-MINUS = Minus()
-
-TraceFamily = Flat | Nu | Plus | Minus
-
-_FAMILY_COMPONENTS = {
-    FLAT: (Component("fock"),),
-    PLUS: (Component("bergman", 0.5), Component("bergman", 1.5)),
-    MINUS: (Component("bergman", 0.5), Component("bergman", 1.5, -1.0)),
-}
-
-
-def family_components(family) -> tuple[Component, ...]:
-    """The signed components whose traces the family sums."""
-    if isinstance(family, Nu):
-        return (Component("bergman", family.nu),)
-    components = _FAMILY_COMPONENTS.get(family)
-    if components is None:
-        raise DomainError(f"unknown trace family {family!r}")
-    return components
-
-
-def family_of(components: tuple[Component, ...]) -> TraceFamily:
-    """The family whose R_m is the signed sum over `components`, the inverse
-    of family_components."""
-    for family in (FLAT, PLUS, MINUS):
-        if _FAMILY_COMPONENTS[family] == components:
-            return family
-    (component,) = components
-    return Nu(component.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +229,7 @@ def dn_r_m_family_operator(
 ) -> SeriesValue:
     """n-th shift derivative of the family's R_m by the operator oracle: the
     signed sum over the family's components (converged at abs_error <= 1e-8)."""
-    return operator_oracle.family_term(family_components(family), g, lam, eps, m, n, N, 1e-8)[n]
+    return operator_oracle.family_term(family.components, g, lam, eps, m, n, N, 1e-8)[n]
 
 
 def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> SeriesValue:
@@ -319,7 +257,7 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     m = 3 and any Monte Carlo spec integrate the point-by-point integrand."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    components = family_components(family)
+    components = family.components
     if m >= 4:
         # One sweep row holds every order, converged at abs_error <= 1e-8.
         row = operator_oracle.family_term(components, g, lam, eps, m, max(orders), 400, 1e-8)
@@ -393,7 +331,7 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
     (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
     """
-    components = family_components(family)
+    components = family.components
     if isinstance(family, Flat):
         total = 0.0 + 0.0j
         x = -4.0 * g * g

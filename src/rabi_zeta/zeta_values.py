@@ -5,7 +5,7 @@ Assembles the Hurwitz-zeta base term and the coupling-series trace terms
 the one-photon model, the two-photon model and its Bergman deformation, and
 the two-parameter oscillator pair; plus the parity (even minus odd sector)
 difference and the confluence-limit scan.  Operator-route terms, and the
-integral route's m >= 3 terms, come from operator_oracle.FamilyTerms at the
+integral route's m >= 3 terms, come from operator_oracle.family_rows at the
 coarsest truncation, up to trunc_n, that meets the request's tol.
 """
 
@@ -20,10 +20,14 @@ import numpy as np
 from . import trace_terms
 from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
+    MINUS,
+    PLUS,
+    _MIN_BAR_TOP,
+    _MIN_TOP,
     BergmanNu,
-    FamilyTerms,
     ModelSpec,
     OnePhoton,
+    family_rows,
     model_geometry,
     zeta_eigen_oracle,
 )
@@ -34,10 +38,6 @@ _WARN_DISTANCE = 1e-4
 _RAISE_DISTANCE = 1e-9
 _SLOW_RATIO = 0.95
 _HS_TERMS = 4096
-# The coarsest truncation a request starts from: the smallest at which every
-# sweep row of the calibration grid (tests/test_operator_oracle.py) lies
-# within its bar.
-_MIN_TOP = 106
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,11 @@ class ZetaRequest:
     """A single zeta(H; n, lambda) evaluation request.
 
     trunc_n caps the operator truncation N: the series routes start at a
-    coarser N and double it only while abs_error exceeds tol
-    (metadata["truncations"]["tops"]); the eigen route uses max(trunc_n, 400).
+    coarser N, no less than 106, and double it only while abs_error exceeds
+    tol (metadata["truncations"]["tops"]); the eigen route uses max(trunc_n,
+    400).  Below 212 the cap is the only truncation tried, and below 106 its
+    bars are the looser first-step ones.  Below 44 no bar is calibrated: the
+    result reads converged False with a warning that names the truncation.
     """
 
     model: ModelSpec
@@ -139,7 +142,8 @@ def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> fl
 
 def _tops(cap: int) -> list:
     """The truncations the budget tries: cap / 2^k, ..., cap / 2, cap, from
-    the coarsest that is still at least _MIN_TOP (cap alone below that)."""
+    the coarsest that is still at least operator_oracle._MIN_TOP (cap alone
+    below that)."""
     tops = [cap]
     while tops[0] // 2 >= _MIN_TOP:
         tops.insert(0, tops[0] // 2)
@@ -162,7 +166,7 @@ def _assemble(
     from ModelGeometry.hurwitz (alternating when `minus`), and the terms
     m = 1..m_last, where m_last is the first m whose geometric tail bound is
     below tol (or max_m, with a warning), found before any term is computed
-    so that FamilyTerms can sweep each component once up to m_last.
+    so that family_rows can sweep each component once up to m_last.
     abs_error sums the base term's error, each term's truncation error and
     the tail bound; the operator terms are computed at each N of
     _tops(trunc_n) until abs_error meets tol, the others once.  The eigen
@@ -198,7 +202,7 @@ def _assemble(
         # The Delta^0 term: the free spectrum, alternating for the parity difference.
         free = geo.hurwitz(n, lam, zeta=alternating_zeta_sum if minus else hurwitz_zeta)
         base, base_err = free.value, free.abs_error
-        family = trace_terms.MINUS if minus else trace_terms.family_of(geo.components)
+        family = MINUS if minus else geo.family
         x = geo.coupling
         hs_sq = _hs_constant_sq(geo.shifts(lam), geo.step, geo.offset)
         prefactor = (-1.0) ** n / math.factorial(n - 1)
@@ -225,11 +229,9 @@ def _assemble(
             trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
             # Errors that no truncation reduces already miss tol: try the cap alone.
             budget = _tops(trunc_n) if base_err + trunc_err + tail < tol else [trunc_n]
-            components = trace_terms.family_components(family)
             for top in budget if m_last >= first_op else ():
-                terms = FamilyTerms(components, geo.g, lam, geo.eps, n, top, m_last)
-                for m in range(first_op, m_last + 1):
-                    row = terms.at(m)
+                rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_last)
+                for m, row in enumerate(rows[first_op - 1 :], first_op):
                     power = geo.lam_power * m
                     d_m[m] = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
                     used[m] = row[n].terms_used
@@ -237,6 +239,10 @@ def _assemble(
                 trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
                 if base_err + trunc_err + tail <= tol:
                     break
+            if tops and tops[-1] < _MIN_BAR_TOP:
+                warnings.append(
+                    f"operator truncation N={tops[-1]} is below {_MIN_BAR_TOP}: no calibrated bar"
+                )
             per_m = [prefactor * x ** (2 * m) / m * d_m[m].value for m in range(1, m_last + 1)]
             per_m_truncation = [used[m] for m in range(1, m_last + 1)]
             if tail >= tol:
@@ -247,7 +253,7 @@ def _assemble(
     # The finest operator truncation behind each per-m term; None for quadrature.
     metadata["truncations"]["per_m"] = per_m_truncation
     metadata["truncations"]["tops"] = tops
-    metadata["converged"] = err <= tol
+    metadata["converged"] = err <= tol and all(top >= _MIN_BAR_TOP for top in tops)
     if err > tol:
         worst = max(sources, key=sources.get)
         warnings.append(
@@ -279,7 +285,7 @@ def parity_difference(
 ) -> ZetaResult:
     """Even-sector minus odd-sector zeta value (TwoPhoton or Ncho):
     alternating base sums and the R_m difference family."""
-    if len(model_geometry(model).components) != 2:
+    if model_geometry(model).family != PLUS:
         raise DomainError("parity difference is defined for TwoPhoton and Ncho only")
     ZetaRequest(model, n, lam, method, max_m, tol, trunc_n)  # zeta_value's input checks
     if method == "eigen_oracle":

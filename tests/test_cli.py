@@ -115,6 +115,32 @@ class TestZeta:
             assert len(per_m) == len(rec["per_m_terms"]) and per_m[0] == tops[-1]
             assert rec["truncations"]["tops"] == tops
 
+    @pytest.mark.parametrize(
+        "argv,converged,key,cause",
+        [
+            # NCHO capped at 200 misses the default tol.
+            (["--model", "ncho", "--alpha", "2.0", "--beta", "1.2", "--eta", "0.1",
+              "--lambda", "0.8", "--trunc-n", "200"], False, "warnings", "missed"),
+            # The integral route hands m >= 3 to the operator oracle.
+            (["--model", "1pqrm", "--g", "0.2", "--delta", "0.3", "--eps", "0.1",
+              "--method", "series_integral"], True, "notes", "m3_delegated_to_operator"),
+            # lambda 1e-5 from the excluded set.
+            (["--model", "1pqrm", "--g", "0.1", "--lambda", "1e-5", "--tol", "1e-4",
+              "--trunc-n", "100"], True, "warnings", "ill-conditioned"),
+            # Coupling at 0.96 of the convergence radius.
+            (["--model", "1pqrm", "--g", "0.2", "--delta", "0.48", "--eps", "0.1",
+              "--lambda", "0.6", "--trunc-n", "200"], False, "warnings", "SlowConvergence"),
+        ],
+    )
+    def test_diagnostics_name_the_cause(self, capsys, argv, converged, key, cause):
+        code, out = _run(capsys, ["zeta", "--n", "2", *argv])
+        assert code == 0
+        (rec,) = _records(out)
+        diagnostics = rec["diagnostics"]
+        assert set(diagnostics) == {"converged", "warnings", "notes"}
+        assert diagnostics["converged"] is converged
+        assert any(cause in line for line in diagnostics[key])
+
     def test_parity_difference(self, capsys):
         code, out = _run(
             capsys,

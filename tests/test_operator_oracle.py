@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import rabi_zeta
+from rabi_zeta import operator_oracle, trace_terms
 from rabi_zeta.errors import (
     DomainError,
     InvalidDimension,
@@ -14,8 +16,14 @@ from rabi_zeta.errors import (
     SingularOperator,
 )
 from rabi_zeta.operator_oracle import (
+    FLAT,
+    MINUS,
+    PLUS,
+    _MIN_BAR_TOP,
+    _MIN_TOP,
     BergmanNu,
     Ncho,
+    Nu,
     OnePhoton,
     TraceDerivativeSweep,
     TwoPhoton,
@@ -30,7 +38,6 @@ from rabi_zeta.operator_oracle import (
     zeta_eigen_oracle,
 )
 from rabi_zeta.specfun import hurwitz_zeta, pochhammer
-from rabi_zeta.zeta_values import _MIN_TOP
 
 
 class TestBuild:
@@ -70,6 +77,40 @@ class TestModelValidation:
         m = OnePhoton(g=0.2, delta=0.3, eps=0.1)
         with pytest.raises(AttributeError):
             m.g = 0.5
+
+
+class TestOneDescription:
+    # The signed (basis, nu, sign) table that perfbench's FAMILIES lists.
+    @pytest.mark.parametrize(
+        "family,table",
+        [
+            (FLAT, (("fock", None, 1.0),)),
+            (PLUS, (("bergman", 0.5, 1.0), ("bergman", 1.5, 1.0))),
+            (MINUS, (("bergman", 0.5, 1.0), ("bergman", 1.5, -1.0))),
+            (Nu(0.5), (("bergman", 0.5, 1.0),)),
+            (Nu(1.5), (("bergman", 1.5, 1.0),)),
+        ],
+    )
+    def test_family_components(self, family, table):
+        assert tuple((c.basis, c.nu, c.sign) for c in family.components) == table
+
+    @pytest.mark.parametrize(
+        "model,family",
+        [
+            (OnePhoton(0.2, 0.3, 0.1), FLAT),
+            (BergmanNu(0.8, 0.2, 0.3, 0.1), Nu(0.8)),
+            (TwoPhoton(0.2, 0.3, 0.1), PLUS),
+            (Ncho(2.0, 1.2, 0.1), PLUS),
+        ],
+    )
+    def test_geometry_names_its_family(self, model, family):
+        assert model_geometry(model).family == family
+
+    def test_families_are_re_exported(self):
+        for name in ("FLAT", "PLUS", "MINUS", "Flat", "Nu", "Plus", "Minus", "TraceFamily"):
+            assert getattr(trace_terms, name) is getattr(operator_oracle, name)
+        for name in ("FLAT", "PLUS", "MINUS", "Flat", "Nu", "Plus", "Minus"):
+            assert getattr(rabi_zeta, name) is getattr(operator_oracle, name)
 
 
 class TestDecoupledClosedForms:
@@ -217,11 +258,11 @@ class TestEigenOracle:
         # interleave into the geometry's from len(components) * N on.
         geo, N = model_geometry(model), 50
         ref = 0.0
-        for c in geo.components:
+        for c in geo.family.components:
             start = c.offset + c.step * N
             for s in (start + geo.eps, start - geo.eps):
                 ref += c.step ** (-float(n)) * hurwitz_zeta(n, (s + lam) / c.step).value
-        got = geo.hurwitz(n, lam, len(geo.components) * N).value
+        got = geo.hurwitz(n, lam, len(geo.family.components) * N).value
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
@@ -350,7 +391,7 @@ class TestTruncationLadder:
     @staticmethod
     def _three_level_rows(basis, g, lam, eps, n, N, nu, m_last):
         """Rows from the truncations N, N/2, N/4 alone, as the sweep builds
-        them without a ladder."""
+        them without a ladder (below _MIN_TOP with the first step's bar)."""
         sizes = (N, N // 2, N // 4)
         states = [_ResolventSeries(basis, g, lam, eps, n, size, nu) for size in sizes]
         rows = []
@@ -358,7 +399,7 @@ class TestTruncationLadder:
             per_truncation = [st.advance() for st in states]
             row = {}
             for order, values in enumerate(zip(*per_truncation)):
-                value, bar = _extrapolate(values, sizes, 2 * m + order - 1)
+                value, bar = _extrapolate(values, sizes, 2 * m + order - 1, N < _MIN_TOP)
                 row[order] = (value, bar + 1e-14 * abs(value))
             rows.append(row)
         return rows
@@ -379,6 +420,7 @@ class TestTruncationLadder:
         # m = 1 keeps N = 400, and the later terms came from coarser triples.
         assert used[0] == 400 and used[-1] == 100 and used == sorted(used, reverse=True)
 
+    # Below _MIN_TOP the bars are the first Richardson step's corrections.
     @pytest.mark.parametrize("N", [8, 60, 95])
     @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.3j])
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
@@ -506,20 +548,36 @@ class TestCalibration:
                         misses.append((ref["basis"], ref["nu"], ref["g"], lam, m, k, err))
         return misses
 
-    # 150 halves unevenly (75, 37); from 192 on the N/8 level gives the bars.
-    @pytest.mark.parametrize("N", [_MIN_TOP, 150, 200, 400])
+    # Below _MIN_TOP the first step's correction gives the bars; 75 and 150
+    # halve unevenly (37, 18 and 75, 37); from 192 on the N/8 level gives them.
+    @pytest.mark.parametrize("N", [_MIN_BAR_TOP, 48, 50, 75, 100, _MIN_TOP, 150, 200, 400])
     def test_rows_lie_within_their_bars(self, N):
         assert self._misses(N) == []
 
-    def test_start_top_is_the_smallest_that_holds(self):
-        # Below it the two-step correction of a g = 0.4 row falls short
-        # (Bergman nu = 0.8, m = 2, order 1: 1.15 times at N = 100).
+    def test_first_step_bar_floor_is_the_smallest_that_holds(self):
+        # One step below it a g = 0.4 row falls short of its first-step bar
+        # (Bergman 1/2, m = 3, order 3: 1.02 times at N = 43; 5 times at 39,
+        # 26 at 32).
+        assert _MIN_BAR_TOP == 44
+        assert self._misses(_MIN_BAR_TOP - 1, couplings=(0.4,)) != []
+
+    def test_terms_below_the_floor_are_not_converged(self):
+        for N, converged in ((_MIN_BAR_TOP - 1, False), (_MIN_BAR_TOP, True)):
+            sv = r_m_operator("fock", 0.2, 1.0, 0.1, 1, N=N, tol=1.0)
+            assert sv.abs_error <= 1.0 and sv.converged is converged
+
+    def test_start_top_is_the_smallest_that_holds(self, monkeypatch):
+        # With two-step bars below it too, a g = 0.4 row falls short one
+        # step below it (Bergman nu = 0.8, m = 2, order 1: 1.15 times at
+        # N = 100, 16 times at 50).
+        monkeypatch.setattr(operator_oracle, "_MIN_TOP", 0)
         assert self._misses(_MIN_TOP - 1, couplings=(0.4,)) != []
 
-    def test_weak_coupling_below_the_start_top(self):
-        # At g = 0.2 the rows hold from N = 52 on, at 95 (halving to 47, 23)
-        # too; at N = 50 orders 0 and 1 hold, and some rows at orders 2 and 3
-        # fall short (Bergman 1/2: 1.3 times).
+    def test_weak_coupling_below_the_start_top(self, monkeypatch):
+        # With two-step bars, the g = 0.2 rows hold from N = 52 on, at 95
+        # (halving to 47, 23) too; at N = 50 orders 0 and 1 hold, and some
+        # rows at orders 2 and 3 fall short (Bergman 1/2: 1.3 times).
+        monkeypatch.setattr(operator_oracle, "_MIN_TOP", 0)
         for N in (52, 95, 100):
             assert self._misses(N, couplings=(0.2,)) == []
         assert self._misses(50, range(2), couplings=(0.2,)) == []

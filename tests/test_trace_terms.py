@@ -251,6 +251,7 @@ class TestR1FastPaths:
 
 
 class TestFamilyValidation:
-    def test_nu_positive(self):
+    @pytest.mark.parametrize("nu", [-0.5, 0.0])
+    def test_nu_positive(self, nu):
         with pytest.raises(DomainError):
-            Nu(-0.5)
+            Nu(nu)

@@ -53,8 +53,9 @@ class TestConvergenceRadius:
         assert convergence_radius(model, 3.0) == pytest.approx(1.5)
         with pytest.raises(RadiusExceeded):
             zeta_value(ZetaRequest(model, 2, 3.0))
-        # Same shifts with |X lam| = 0.75: inside the radius.
-        inside = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 1.0), 2, 3.0, trunc_n=100, tol=1e-4))
+        # Same shifts with |X lam| = 0.75: inside the radius.  (At trunc_n =
+        # 100 its first-step bars read 5e-4, above this tol.)
+        inside = zeta_value(ZetaRequest(Ncho(2.0, 1.2, 1.0), 2, 3.0, tol=1e-4))
         assert inside.metadata["converged"] is True
 
 
@@ -328,11 +329,23 @@ class TestToleranceReport:
         (warning,) = [w for w in res.metadata["warnings"] if "missed" in w]
         assert "largest source truncation" in warning
 
+    def test_below_the_calibrated_floor_is_not_converged(self):
+        # Below N = 44 no sweep bar is calibrated: abs_error meets the loose
+        # tol, yet the result does not read converged, and a warning names N.
+        model = OnePhoton(0.2, 0.3, 0.1)
+        res = zeta_value(ZetaRequest(model, 2, 1.0, tol=1e-2, trunc_n=43))
+        assert res.abs_error <= 1e-2 and res.metadata["converged"] is False
+        (warning,) = res.metadata["warnings"]
+        assert "N=43" in warning
+        res = zeta_value(ZetaRequest(model, 2, 1.0, tol=1e-2, trunc_n=44))
+        assert res.metadata["converged"] is True and "warnings" not in res.metadata
+
 
 class TestParityDifference:
-    def test_only_two_photon_and_ncho(self):
+    @pytest.mark.parametrize("model", [OnePhoton(0.2, 0.3, 0.1), BergmanNu(0.5, 0.2, 0.3, 0.1)])
+    def test_only_two_photon_and_ncho(self, model):
         with pytest.raises(DomainError):
-            parity_difference(OnePhoton(0.2, 0.3, 0.1), 2, 1.0)
+            parity_difference(model, 2, 1.0)
 
     def test_no_eigen_route(self):
         with pytest.raises(DomainError):
