@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__, apery, trace_terms, zeta_values
 from .errors import DomainError, NoConvergence, RabiZetaError
-from .operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton
+from .operator_oracle import _MIN_BAR_TOP, BergmanNu, Ncho, OnePhoton, TwoPhoton, _bar_floor_warning
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 2
@@ -246,7 +246,8 @@ def _cmd_zeta(args):
         params.update({"alpha": args.alpha, "beta": args.beta, "eta": args.eta})
     md = res.metadata
     diagnostics = {"converged": md["converged"], "warnings": md.get("warnings", []),
-                   "notes": md.get("notes", [])}
+                   "notes": md.get("notes", []), "m_used": md["m_used"],
+                   "tail_bound": md["tail_bound"]}
     return [
         _record("zeta", params, res.value, res.abs_error, args.method,
                 md.get("truncations"), runtime, per_m_terms=res.per_m_terms,
@@ -273,8 +274,13 @@ def _cmd_trace_term(args):
               "lambda": _lam_str(args.lam), "g": args.g, "eps": args.eps}
     if args.nu is not None:
         params["nu"] = args.nu
+    warnings = []
+    if args.route == "operator" and args.trunc_n < _MIN_BAR_TOP:
+        warnings.append(_bar_floor_warning(args.trunc_n))
+    diagnostics = {"converged": sv.converged, "warnings": warnings}
     return [_record("trace-term", params, sv.value, sv.abs_error, args.route,
-                    {"terms_used": sv.terms_used}, runtime)]
+                    {"terms_used": sv.terms_used}, runtime,
+                    extra={"diagnostics": diagnostics})]
 
 
 def _cmd_apery(args):

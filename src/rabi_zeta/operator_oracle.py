@@ -345,6 +345,11 @@ def _checked_factor(op: TridiagonalOperator, dtype):
     return diag, off
 
 
+def _bar_floor_warning(N: int) -> str:
+    """The warning a result computed at a truncation below _MIN_BAR_TOP carries."""
+    return f"operator truncation N={N} is below {_MIN_BAR_TOP}: no calibrated bar"
+
+
 def _min_progression_distance(s: complex, step: float, offset: float) -> float:
     """min over k >= 0 of |s + offset + step*k|."""
     s = complex(s)

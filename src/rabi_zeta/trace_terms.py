@@ -5,8 +5,9 @@ representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.  One helper
 maps the point invariants (Psi, or Phi with prod u) to each family's kernel;
 the point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs, and
-the m = 2 term on a deterministic rule is a kernel between the axis-pair
-grids (u0, u1) and (u2, u3), integrated by quadrature.integrate_pairs.
+the m = 2 term on a deterministic rule is a symmetric kernel between the
+axis-pair grids (u0, u1) and (u2, u3), integrated by
+quadrature.integrate_pairs.
 """
 
 from __future__ import annotations
@@ -159,48 +160,45 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
     return f
 
 
-def _pair_basis(a: np.ndarray) -> np.ndarray:
-    """(1, u, v, uv) at each pair point of an (npts, 2) array."""
-    u, v = a[:, 0], a[:, 1]
-    return np.column_stack([np.ones_like(u), u, v, u * v])
+def _pair_kernel(family: TraceFamily, g: float):
+    """The family's m = 2 kernel K(a, b) between two arrays of pair points
+    a = (u0, u1) and b = (u2, u3), with K(a, b) == K(b, a).T bit for bit, as
+    quadrature.integrate_pairs requires: every product and sum below is
+    grouped so that swapping a and b only reorders commuting operands.
 
-
-def _phi2_form() -> np.ndarray:
-    """The 4x4 C with Phi_2(a, b) = basis(a) C basis(b)^T.  Phi_2 is
-    multilinear, so its values at the 16 cube corners fix C."""
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    at_corners = np.array(
-        [[_phi_vec(2, np.concatenate([a, b])[None])[0] for b in corners] for a in corners]
-    )
-    basis_inv = np.linalg.inv(_pair_basis(corners))
-    return basis_inv @ at_corners @ basis_inv.T
-
-
-_PHI2 = _phi2_form()
-
-
-def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
-    """The m = 2 integrand rows as one kernel between the axis pairs
-    a = (u0, u1) and b = (u2, u3).  Psi_2 = tr(P(a) P(b)), Phi_2 =
-    basis(a) C basis(b)^T, prod u = p(a) p(b), and the weight and sum log u
-    split the same way, so (L_a + L_b)^k expands binomially and one kernel
-    pass serves every order."""
-    evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
-    top = max(orders)
-
+    Flat: prod u = p(a) p(b), p = u0 u1 on each pair, and Phi_2 is a sum
+    of non-negative terms, h(a) + h(b) + (s(a) t(b) + t(a) s(b)), with
+    h = (1 - u0)(1 - u1), s = u1 (1 - u0) and t = u0 (1 - u1) on each pair.
+    Otherwise Psi_2 = tr(P(a) P(b)), with P = [[p0, p1], [p2, p3]] the
+    ordered product over each pair.
+    """
     if isinstance(family, Flat):
 
         def kernel(a, b):
-            phi_val = _pair_basis(a) @ _PHI2 @ _pair_basis(b).T
-            return _kernel(family, g, (phi_val, np.outer(a[:, 0] * a[:, 1], b[:, 0] * b[:, 1])))
+            (a0, a1), (b0, b1) = a.T, b.T
+            h = np.add.outer((1.0 - a0) * (1.0 - a1), (1.0 - b0) * (1.0 - b1))
+            s_t = np.outer(a1 * (1.0 - a0), b0 * (1.0 - b1))
+            t_s = np.outer(a0 * (1.0 - a1), b1 * (1.0 - b0))
+            return _kernel(family, g, (h + (s_t + t_s), np.outer(a0 * a1, b0 * b1)))
 
-    else:
+        return kernel
 
-        def kernel(a, b):
-            # tr(P Q) with P, Q = [[p0, p1], [p2, p3]] pairs (p0..p3) with (q0, q2, q1, q3).
-            pa = np.column_stack(_psi_product(g, a))
-            qb = np.stack(_psi_product(g, b))[[0, 2, 1, 3]]
-            return _kernel(family, g, _psi_roots(pa @ qb))
+    def kernel(a, b):
+        p0, p1, p2, p3 = _psi_product(g, a)
+        q0, q1, q2, q3 = _psi_product(g, b)
+        psi_val = (np.outer(p0, q0) + np.outer(p3, q3)) + (np.outer(p1, q2) + np.outer(p2, q1))
+        return _kernel(family, g, _psi_roots(psi_val))
+
+    return kernel
+
+
+def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
+    """The m = 2 integrand rows as one symmetric kernel (_pair_kernel)
+    between the axis pairs a = (u0, u1) and b = (u2, u3).  The weight and
+    sum log u split between the pairs, so (L_a + L_b)^k expands binomially
+    and one kernel pass serves every order."""
+    evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
+    top = max(orders)
 
     def side(a):
         logs = np.log(a)
@@ -213,7 +211,7 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
             [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
         )
 
-    return quadrature.integrate_pairs(kernel, side, side, combine, spec)
+    return quadrature.integrate_pairs(_pair_kernel(family, g), side, side, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.

@@ -6,7 +6,11 @@ the one-photon model, the two-photon model and its Bergman deformation, and
 the two-parameter oscillator pair; plus the parity (even minus odd sector)
 difference and the confluence-limit scan.  Operator-route terms, and the
 integral route's m >= 3 terms, come from operator_oracle.family_rows at the
-coarsest truncation, up to trunc_n, that meets the request's tol.
+coarsest truncation, up to trunc_n, that meets the request's tol.  When a
+truncation misses tol, the next one re-sweeps only the rows 1..k whose error
+bars still need it (k the last row over its equal share of tol); the rows
+above k keep their value, bar and truncation, so a result's per-m
+truncations may mix two or more truncations, finest at the low m.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .operator_oracle import (
     BergmanNu,
     ModelSpec,
     OnePhoton,
+    _bar_floor_warning,
     family_rows,
     model_geometry,
     zeta_eigen_oracle,
@@ -47,9 +52,13 @@ class ZetaRequest:
     trunc_n caps the operator truncation N: the series routes start at a
     coarser N, no less than 106, and double it only while abs_error exceeds
     tol (metadata["truncations"]["tops"]); the eigen route uses max(trunc_n,
-    400).  Below 212 the cap is the only truncation tried, and below 106 its
-    bars are the looser first-step ones.  Below 44 no bar is calibrated: the
-    result reads converged False with a warning that names the truncation.
+    400).  A doubling re-sweeps only the terms m <= k, k the last term whose
+    scaled bar exceeds an equal share of what the base error, the quadrature
+    terms and the series tail leave of tol; the terms above k keep the
+    coarser N, which metadata["truncations"]["per_m"] shows.  Below 212 the
+    cap is the only truncation tried, and below 106 its bars are the looser
+    first-step ones.  Below 44 no bar is calibrated: the result reads
+    converged False with a warning that names the truncation.
     """
 
     model: ModelSpec
@@ -169,7 +178,11 @@ def _assemble(
     so that family_rows can sweep each component once up to m_last.
     abs_error sums the base term's error, each term's truncation error and
     the tail bound; the operator terms are computed at each N of
-    _tops(trunc_n) until abs_error meets tol, the others once.  The eigen
+    _tops(trunc_n) until abs_error meets tol, the others once.  After a miss
+    the next N sweeps only the terms up to the last one whose scaled bar
+    exceeds (tol - fixed) / (number of operator terms), fixed the base,
+    quadrature and tail errors; the later terms keep their value, bar and
+    truncation.  metadata carries m_used (m_last) and tail_bound.  The eigen
     route has no parity difference, and parity_difference refuses it before
     it gets here.
     """
@@ -198,6 +211,7 @@ def _assemble(
         sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
         value, err, base = sv.value, sv.abs_error, sv.value
         sources = {"truncation": err}
+        tail = None
     else:
         # The Delta^0 term: the free spectrum, alternating for the parity difference.
         free = geo.hurwitz(n, lam, zeta=alternating_zeta_sum if minus else hurwitz_zeta)
@@ -228,21 +242,29 @@ def _assemble(
             scale = {m: abs(x) ** (2 * m) / m / math.factorial(n - 1) for m in range(1, m_last + 1)}
             trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
             # Errors that no truncation reduces already miss tol: try the cap alone.
-            budget = _tops(trunc_n) if base_err + trunc_err + tail < tol else [trunc_n]
+            fixed = base_err + trunc_err + tail
+            budget = _tops(trunc_n) if fixed < tol else [trunc_n]
+            m_sweep = m_last
             for top in budget if m_last >= first_op else ():
-                rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_last)
+                rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_sweep)
                 for m, row in enumerate(rows[first_op - 1 :], first_op):
                     power = geo.lam_power * m
                     d_m[m] = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
                     used[m] = row[n].terms_used
                 tops.append(top)
                 trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
-                if base_err + trunc_err + tail <= tol:
+                if base_err + trunc_err + tail <= tol or top == budget[-1]:
                     break
-            if tops and tops[-1] < _MIN_BAR_TOP:
-                warnings.append(
-                    f"operator truncation N={tops[-1]} is below {_MIN_BAR_TOP}: no calibrated bar"
+                # The next top re-sweeps rows first_op..m_sweep only: the rows
+                # above keep this top's value, each within an equal share of
+                # what the fixed errors leave of tol, and by pigeonhole some
+                # row exceeds that share.
+                share = (tol - fixed) / (m_last - first_op + 1)
+                m_sweep = max(
+                    m for m in range(first_op, m_sweep + 1) if scale[m] * d_m[m].abs_error > share
                 )
+            if tops and tops[-1] < _MIN_BAR_TOP:
+                warnings.append(_bar_floor_warning(tops[-1]))
             per_m = [prefactor * x ** (2 * m) / m * d_m[m].value for m in range(1, m_last + 1)]
             per_m_truncation = [used[m] for m in range(1, m_last + 1)]
             if tail >= tol:
@@ -253,6 +275,10 @@ def _assemble(
     # The finest operator truncation behind each per-m term; None for quadrature.
     metadata["truncations"]["per_m"] = per_m_truncation
     metadata["truncations"]["tops"] = tops
+    # The series terms summed (m_last) and the bound on the rest; the eigen
+    # route has no series.
+    metadata["m_used"] = len(per_m)
+    metadata["tail_bound"] = tail
     metadata["converged"] = err <= tol and all(top >= _MIN_BAR_TOP for top in tops)
     if err > tol:
         worst = max(sources, key=sources.get)

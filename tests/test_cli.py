@@ -137,8 +137,10 @@ class TestZeta:
         assert code == 0
         (rec,) = _records(out)
         diagnostics = rec["diagnostics"]
-        assert set(diagnostics) == {"converged", "warnings", "notes"}
+        assert set(diagnostics) == {"converged", "warnings", "notes", "m_used", "tail_bound"}
         assert diagnostics["converged"] is converged
+        assert diagnostics["m_used"] == len(rec["per_m_terms"])
+        assert 0 <= diagnostics["tail_bound"] <= rec["abs_error"]
         assert any(cause in line for line in diagnostics[key])
 
     def test_parity_difference(self, capsys):
@@ -172,6 +174,21 @@ class TestTraceTerm:
         vs = _records(out_s)[0]["value"]["re"]
         assert abs(vi - vo) < 1e-5
         assert abs(vs - vo) < 1e-6
+        for out in (out_i, out_o, out_s):
+            assert _records(out)[0]["diagnostics"] == {"converged": True, "warnings": []}
+
+    def test_uncalibrated_truncation_is_not_converged(self, capsys):
+        code, out = _run(capsys, [
+            "trace-term", "--family", "flat", "--route", "operator", "--m", "2",
+            "--lambda", "0.9", "--g", "0.2", "--eps", "0.1", "--trunc-n", "40",
+        ])
+        assert code == 0
+        (rec,) = _records(out)
+        assert rec["truncations"] == {"terms_used": 40}
+        assert rec["diagnostics"] == {
+            "converged": False,
+            "warnings": ["operator truncation N=40 is below 44: no calibrated bar"],
+        }
 
 
 class TestApery:

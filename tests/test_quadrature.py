@@ -185,6 +185,13 @@ class TestPairIntegration:
         with pytest.raises(NodeSingularity):
             integrate_pairs(kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
+    def test_non_symmetric_kernel_raises(self):
+        def kernel(a, b):
+            return 1.0 + np.outer(a[:, 0], b[:, 1])
+
+        with pytest.raises(DomainError):
+            integrate_pairs(kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+
     def test_monte_carlo_refused(self):
         spec = QuadratureSpec("monte_carlo")
         with pytest.raises(DomainError):

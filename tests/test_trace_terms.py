@@ -158,8 +158,11 @@ class TestIntegralRoute:
         zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
         assert tensor_calls == [2]
         assert len(pair_calls) == 1
-        # 51^4 + 25^4 pair-grid nodes for m = 2 plus the m = 1 rule.
-        assert sum(points) == 7_207_236
+        # The m = 1 rule's 51,410 points, and for m = 2 each 64-row block
+        # of the 51^2 and 25^2 pair grids against the columns from its own
+        # start on: 3,465,361 + 214,945 kernel points, where the full grids
+        # 51^4 + 25^4 took 7,155,826.
+        assert sum(points) == 3_731_716
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -216,6 +219,26 @@ class TestPairSeparableM2:
         finally:
             tracemalloc.stop()
         assert peak < 28e6
+
+    @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_kernel_is_symmetric(self, family, lam, monkeypatch):
+        # integrate_pairs evaluates each unordered block pair once, so the
+        # kernel it is handed must be its own transpose, corner nodes included.
+        kernels = []
+
+        def capture(kernel, left, right, combine, spec):
+            kernels.append(kernel)
+            return integrate_pairs(kernel, left, right, combine, spec)
+
+        monkeypatch.setattr(quadrature, "integrate_pairs", capture)
+        r_m_integral(family, lam, 0.2, 0.1, 2)
+        nodes, _ = quadrature.tanh_sinh_nodes(4)
+        u, v = np.meshgrid(nodes, nodes, indexing="ij")
+        pts = np.column_stack([u.ravel(), v.ravel()])
+        a, b = pts[::2], pts[::-3]
+        k_ab, k_ba = kernels[0](a, b), kernels[0](b, a)
+        assert np.all(np.abs(k_ab - k_ba.T) <= 1e-14 * np.abs(k_ab))
 
     def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
         monkeypatch.setattr(quadrature, "integrate_pairs", None)

@@ -284,6 +284,30 @@ class TestTruncationBudget:
         assert len(res.per_m_terms) == len(ref.per_m_terms)
         assert abs(res.value - ref.value) <= res.abs_error
 
+    def test_climb_resweeps_only_the_rows_that_missed(self, monkeypatch):
+        # At N = 200 only the m = 1 row's scaled bar exceeds its equal share
+        # of tol, so the second top sweeps m = 1 alone and m = 2..6 keep
+        # their N = 200 rows.
+        swept = []
+        family_rows = zeta_values.family_rows
+
+        def counting(components, g, lam, eps, n, N, m_last):
+            swept.append((N, m_last))
+            return family_rows(components, g, lam, eps, n, N, m_last)
+
+        def evaluate(trunc_n):
+            return zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, trunc_n=trunc_n))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta_values, "family_rows", counting)
+            res = evaluate(400)
+        assert swept == [(200, 6), (400, 1)]
+        per_m = res.metadata["truncations"]["per_m"]
+        assert per_m == sorted(per_m, reverse=True) and per_m[0] == 400 > per_m[1]
+        assert res.metadata["converged"] and res.metadata["m_used"] == 6
+        ref = self._fixed(monkeypatch, evaluate, 1600)
+        assert abs(res.value - ref.value) <= res.abs_error
+
     @pytest.mark.parametrize("model", [OnePhoton(0.2, 0.3, 0.1), TwoPhoton(0.2, 0.3, 0.1)])
     def test_uneven_ladder_within_its_error(self, model, monkeypatch):
         # trunc_n = 50 extrapolates from 50, 25 and 12, which do not halve
