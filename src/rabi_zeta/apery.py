@@ -64,13 +64,6 @@ def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _poch_vec(x: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones_like(x)
-    for i in range(n):
-        out = out * (x + i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Flat family
 
@@ -117,8 +110,8 @@ def j_flat(
         ks = np.arange(k0, k0 + _BLOCK, dtype=float)
         terms = (
             fact
-            * _poch_vec(ks + 1, n)
-            / (_poch_vec(lamc + epsc + ks, n + 1) * _poch_vec(lamc - epsc + ks, n + 1))
+            * pochhammer(ks + 1, n)
+            / (pochhammer(lamc + epsc + ks, n + 1) * pochhammer(lamc - epsc + ks, n + 1))
         )
         total += complex(np.sum(terms))
         k0 += _BLOCK

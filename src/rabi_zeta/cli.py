@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__, apery, trace_terms, zeta_values
 from .errors import DomainError, NoConvergence, RabiZetaError
-from .operator_oracle import _MIN_BAR_TOP, BergmanNu, Ncho, OnePhoton, TwoPhoton, _bar_floor_warning
+from .operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton, bar_floor_warning
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 2
@@ -160,9 +159,7 @@ def _add_param_flags(p):
 def _make_parser():
     top = _Parser(prog="rabi-zeta")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    # A string default goes through type=int, so a bad RABI_ZETA_THREADS is
-    # a usage error like a bad --threads.
-    top.add_argument("--threads", type=int, default=os.environ.get("RABI_ZETA_THREADS", "1"))
+    top.add_argument("--threads", type=int, default=1)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("zeta")
@@ -274,10 +271,8 @@ def _cmd_trace_term(args):
               "lambda": _lam_str(args.lam), "g": args.g, "eps": args.eps}
     if args.nu is not None:
         params["nu"] = args.nu
-    warnings = []
-    if args.route == "operator" and args.trunc_n < _MIN_BAR_TOP:
-        warnings.append(_bar_floor_warning(args.trunc_n))
-    diagnostics = {"converged": sv.converged, "warnings": warnings}
+    floor = bar_floor_warning(args.trunc_n) if args.route == "operator" else None
+    diagnostics = {"converged": sv.converged, "warnings": [floor] if floor else []}
     return [_record("trace-term", params, sv.value, sv.abs_error, args.route,
                     {"terms_used": sv.terms_used}, runtime,
                     extra={"diagnostics": diagnostics})]

@@ -1,8 +1,8 @@
 """Brute-force truth source built from truncated operator matrices.
 
-Builds the tridiagonal component operators in the Fock and weighted-Bergman
-bases and computes traces of products of their inverse powers (the trace
-terms R_m and their shift derivatives) with one structured kernel: the
+Each Component (Fock or weighted-Bergman basis) owns the entries of its
+tridiagonal operator.  Traces of products of their inverse powers (the trace
+terms R_m and their shift derivatives) come from one structured kernel: the
 product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
 by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
@@ -12,9 +12,12 @@ N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
 live; once the next-coarser three already meet the rounding floor, the
 sweep drops its finest truncation for the later terms.  family_rows serves
 every such term at one truncation and keeps one component's sweep alive at
-a time; the module keeps no state between calls.  Spectral zeta values come
-from direct eigenvalue summation of the two-by-two block matrices, with
-the two components interleaved so that the Hamiltonian is banded.
+a time; its rows carry their calibration (converged from N >= 44 on).  The
+calibration facts live only here: the ladder floor, the zeta budget's start
+(truncation_budget) and the bar floor's warning (bar_floor_warning).
+Spectral zeta values come from direct eigenvalue summation of the two-by-two
+block matrices, with the two components interleaved so that the Hamiltonian
+is banded.  The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ _LADDER_FLOOR = 24
 # The smallest top truncation at which the two-step bar of every sweep row of
 # the calibration grid (tests/test_operator_oracle.py) holds.  The zeta
 # budget starts there; a sweep below it takes the first step's correction as
-# its bar, which holds on the grid from _MIN_BAR_TOP on.  A term or zeta
-# result from a coarser sweep has no calibrated bar and reads not converged.
+# its bar, which holds on the grid from _MIN_BAR_TOP on.  The rows of a
+# coarser sweep have no calibrated bar and read not converged.
 _MIN_TOP = 106
 _MIN_BAR_TOP = 44
 # A bar from the third Richardson step is this multiple of its correction:
@@ -119,6 +122,7 @@ ModelSpec = OnePhoton | TwoPhoton | BergmanNu | Ncho
 class Component:
     """One shifted component operator: its basis ("fock" or "bergman"), its
     Bergman parameter nu, and the sign its traces carry in a family's sum.
+    It is the one place that knows the operator's matrix elements (entries).
 
     Without coupling its spectrum is the progression offset + step*k.
     """
@@ -140,6 +144,24 @@ class Component:
     @property
     def offset(self) -> float:
         return 0.0 if self.basis == "fock" else float(self.nu)
+
+    def entries(self, g: float, shift: complex, sign: int, N: int):
+        """(diag, offdiag) arrays of the operator at coupling g, truncated to
+        N, with `shift` added to the diagonal and off-diagonals of sign `sign`.
+
+        fock: diag[k] = k + g^2 + shift, offdiag[k] = sign*g*sqrt(k+1).
+        bergman(nu): diag[k] = cosh(2g)(2k+nu) + shift,
+                     offdiag[k] = sign*sinh(2g)*sqrt((k+1)(k+nu)).
+        """
+        if N < 2:
+            raise InvalidDimension(f"N must be >= 2, got {N}")
+        if sign not in (1, -1):
+            raise DomainError(f"sign must be +1 or -1, got {sign}")
+        ks = np.arange(N, dtype=float)
+        if self.basis == "fock":
+            return ks + g * g + shift, sign * g * np.sqrt(ks[:-1] + 1.0)
+        root = np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + self.nu))
+        return math.cosh(2 * g) * (2 * ks + self.nu) + shift, sign * math.sinh(2 * g) * root
 
 
 # Trace families: each R_m is the signed sum of its family's component traces.
@@ -274,35 +296,13 @@ class TridiagonalOperator:
 def build_component_operator(
     basis: str, g: float, shift: complex, sign: int, N: int, nu: float | None = None
 ) -> TridiagonalOperator:
-    """Truncated matrix of the shifted component operator.
-
-    fock: diag[k] = k + g^2 + shift, offdiag[k] = sign*g*sqrt(k+1).
-    bergman(nu): diag[k] = cosh(2g)(2k+nu) + shift,
-                 offdiag[k] = sign*sinh(2g)*sqrt((k+1)(k+nu)).
-    """
-    if N < 2:
-        raise InvalidDimension(f"N must be >= 2, got {N}")
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    Component(basis, nu)  # DomainError on an unknown basis or a bad nu
+    """Truncated matrix of the shifted component operator, from
+    Component(basis, nu).entries."""
     shift = complex(shift)
-    ks = np.arange(N, dtype=float)
-    if basis == "fock":
-        diag = ks + g * g + shift
-        off = sign * g * np.sqrt(ks[:-1] + 1.0)
-        nu_out = None
-    else:
-        diag = math.cosh(2 * g) * (2 * ks + nu) + shift
-        off = sign * math.sinh(2 * g) * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
-        nu_out = float(nu)
-    return TridiagonalOperator(
-        basis=basis,
-        nu=nu_out,
-        dim=N,
-        diag=tuple(complex(d) for d in diag),
-        offdiag=tuple(float(o) for o in off),
-        shift=shift,
-    )
+    diag, off = Component(basis, nu).entries(g, shift, sign, N)
+    nu = None if basis == "fock" else float(nu)
+    diag, off = tuple(complex(d) for d in diag), tuple(float(o) for o in off)
+    return TridiagonalOperator(basis, nu, N, diag, off, shift)
 
 
 def dense(op: TridiagonalOperator) -> np.ndarray:
@@ -315,21 +315,20 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
     return a
 
 
-def _checked_factor(op: TridiagonalOperator, dtype):
-    """(diag, offdiag) of the operator in `dtype`, once it is known invertible.
+def _checked_factor(diag, off, dtype):
+    """The tridiagonal (diag, off) in `dtype`, once it is known invertible.
 
     The factorization is the general band one with kl = ku = 1, because
     scipy's wrappers of the tridiagonal gttrf/gtcon/gttrs reject n = 2.
     Raises SingularOperator when gbcon's estimate of the smallest singular
     value, ||A||_1 * rcond, is at or below the guard.
     """
-    diag = np.array(op.diag)
     diag = diag if dtype is complex else diag.real
-    off = np.array(op.offdiag, dtype=dtype)
+    off = off.astype(dtype)
     gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=dtype)
     anorm = float(np.max(np.abs(diag) + np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off])))
     # Band storage ab[kl + ku + i - j, j] = A[i, j]; row 0 is gbtrf's fill-in.
-    band = np.zeros((4, op.dim), dtype=dtype)
+    band = np.zeros((4, len(diag)), dtype=dtype)
     band[1, 1:] = off
     band[2] = diag
     band[3, :-1] = off
@@ -345,9 +344,22 @@ def _checked_factor(op: TridiagonalOperator, dtype):
     return diag, off
 
 
-def _bar_floor_warning(N: int) -> str:
-    """The warning a result computed at a truncation below _MIN_BAR_TOP carries."""
+def bar_floor_warning(N: int) -> str | None:
+    """The warning a result computed at truncation N carries when no bar is
+    calibrated there, or None from _MIN_BAR_TOP on."""
+    if N >= _MIN_BAR_TOP:
+        return None
     return f"operator truncation N={N} is below {_MIN_BAR_TOP}: no calibrated bar"
+
+
+def truncation_budget(cap: int) -> list:
+    """The truncations a tol-budgeted request tries: cap / 2^k, ..., cap / 2,
+    cap, from the coarsest that is still at least _MIN_TOP (cap alone below
+    that)."""
+    tops = [cap]
+    while tops[0] // 2 >= _MIN_TOP:
+        tops.insert(0, tops[0] // 2)
+    return tops
 
 
 def _min_progression_distance(s: complex, step: float, offset: float) -> float:
@@ -410,7 +422,8 @@ class _ResolventSeries:
     """The traces d^j R_m / d lam^j = j! tr [t^j] F(t)^m, j = 0..n, for
     m = 1, 2, ... at one truncation, where F(t) = M(t)^-1 and M(t) =
     (h_minus + t)(h_plus + t) is pentadiagonal, so F(t) = h_plus(t)^-1
-    h_minus(t)^-1.
+    h_minus(t)^-1, with h_plus and h_minus the component's entries at the
+    shifts lam + eps and lam - eps.
 
     The state is W(k) = [t^0..t^n] F(t)^k.  M_0 = h_minus h_plus is factored
     once with gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) =
@@ -422,13 +435,12 @@ class _ResolventSeries:
     terms, into buffers that the next state reuses; W(0) = I is never kept.
     """
 
-    def __init__(self, basis, g, lam, eps, n, N, nu):
-        hp = build_component_operator(basis, g, complex(lam) + complex(eps), +1, N, nu)
-        hm = build_component_operator(basis, g, complex(lam) - complex(eps), -1, N, nu)
+    def __init__(self, component: Component, g, lam, eps, n, N):
+        lam, eps = complex(lam), complex(eps)
         # Real arithmetic unless a shift is complex.
-        dtype = complex if complex(lam).imag or complex(eps).imag else float
-        a, b = _checked_factor(hm, dtype)
-        c, d = _checked_factor(hp, dtype)
+        dtype = complex if lam.imag or eps.imag else float
+        a, b = _checked_factor(*component.entries(g, lam - eps, -1, N), dtype)
+        c, d = _checked_factor(*component.entries(g, lam + eps, +1, N), dtype)
         # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
         # gbtrf's fill-in.
         band = np.zeros((7, N), dtype=dtype)
@@ -481,6 +493,7 @@ class _ResolventSeries:
 
 class TraceDerivativeSweep:
     """Incremental evaluation of D_m = d^n R_m / d lambda^n for m = 1, 2, ...
+    of one Component, whose entries give h_plus and h_minus.
 
     Uses the exact resolvent Taylor expansion in the shift t: F(t) =
     h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
@@ -502,22 +515,25 @@ class TraceDerivativeSweep:
     moves by no more than the rounding floor, the finest one is dropped for
     every later m.  The test reads order 0 only, so which truncations serve
     a term does not depend on the top order n.
+
+    Every row reads converged when the sweep's top N is at least
+    _MIN_BAR_TOP, where its bar is calibrated, and not converged below.
     """
 
-    def __init__(self, basis, g, lam, eps, n, N=400, nu=None):
+    def __init__(self, component: Component, g, lam, eps, n, N=400):
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        component = Component(basis, nu)
         for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
             if _min_progression_distance(s, component.step, component.offset) <= _NEAR_POLE_GUARD:
                 raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
         self.n = n
         self.m = 0
         self._first_bar = N < _MIN_TOP
+        self._calibrated = N >= _MIN_BAR_TOP
         sizes = [N, N // 2, N // 4]
         while sizes[-1] // 2 >= _LADDER_FLOOR:
             sizes.append(sizes[-1] // 2)
-        self._states = [_ResolventSeries(basis, g, lam, eps, n, size, nu) for size in sizes]
+        self._states = [_ResolventSeries(component, g, lam, eps, n, size) for size in sizes]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
@@ -528,7 +544,8 @@ class TraceDerivativeSweep:
         out = {}
         for order, values in enumerate(zip(*per_truncation)):
             value, bar = _extrapolate(values, sizes, 2 * self.m + order - 1, self._first_bar)
-            out[order] = SeriesValue(value, bar + _ROUNDING_FLOOR * abs(value), sizes[0], True)
+            abs_error = bar + _ROUNDING_FLOOR * abs(value)
+            out[order] = SeriesValue(value, abs_error, sizes[0], self._calibrated)
         if len(sizes) > 3:
             order0 = [t[0] for t in per_truncation[1:4]]
             value, corr = _extrapolate(order0, sizes[1:4], 2 * self.m - 1)
@@ -539,7 +556,7 @@ class TraceDerivativeSweep:
 
 def _component_rows(c: Component, g, lam, eps, n: int, N: int, m_last: int) -> list:
     """Rows 1..m_last of one component's sweep, which is freed on return."""
-    sweep = TraceDerivativeSweep(c.basis, g, lam, eps, n, N, c.nu)
+    sweep = TraceDerivativeSweep(c, g, lam, eps, n, N)
     return [sweep.next_terms() for _ in range(m_last)]
 
 
@@ -547,8 +564,9 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
     """[{order: D_m of the signed sum}] for m = 1..m_last, orders 0..n, by the
     banded sweep at truncation N.  Each component is swept once, and its
     sweep is dropped before the next component's starts; rows combine as
-    sum(sign * value) with summed abs_error, in component order, and
-    terms_used is the finest truncation any component's row used.
+    sum(sign * value) with summed abs_error, in component order;
+    terms_used is the finest truncation any component's row used, and a row
+    reads converged when every component's does (N >= _MIN_BAR_TOP).
     """
     per_component = [_component_rows(c, g, lam, eps, n, N, m_last) for c in components]
     return [
@@ -557,7 +575,7 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
                 sum(c.sign * row[order].value for c, row in zip(components, rows)),
                 sum(row[order].abs_error for row in rows),
                 max(row[order].terms_used for row in rows),
-                True,
+                all(row[order].converged for row in rows),
             )
             for order in range(n + 1)
         }
@@ -568,12 +586,12 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
 def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> dict:
     """{k: d^k R_m / d lam^k} for k = 0..n of the signed sum over `components`
     at truncation N, one sweep row; terms_used is N and converged means
-    abs_error <= tol at N >= _MIN_BAR_TOP."""
+    abs_error <= tol in a row that reads converged (N >= _MIN_BAR_TOP)."""
     if m < 1 or n < 0:
         raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
     row = family_rows(components, g, lam, eps, n, N, m)[m - 1]
     return {
-        k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol and N >= _MIN_BAR_TOP)
+        k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol and sv.converged)
         for k, sv in row.items()
     }
 
@@ -680,9 +698,7 @@ def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> li
     coupling X times the identity."""
     bands = []
     for c in components:
-        hp = build_component_operator(c.basis, g, +eps, +1, N, c.nu)
-        hm = build_component_operator(c.basis, g, -eps, -1, N, c.nu)
-        a, b = ((np.real(op.diag), np.array(op.offdiag)) for op in (hp, hm))
+        a, b = c.entries(g, +eps, +1, N), c.entries(g, -eps, -1, N)
         bands.append(_interleaved_band(a, b, np.full(N, float(coupling))))
     return bands
 

@@ -26,14 +26,13 @@ from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
     MINUS,
     PLUS,
-    _MIN_BAR_TOP,
-    _MIN_TOP,
     BergmanNu,
     ModelSpec,
     OnePhoton,
-    _bar_floor_warning,
+    bar_floor_warning,
     family_rows,
     model_geometry,
+    truncation_budget,
     zeta_eigen_oracle,
 )
 from .specfun import SeriesValue, alternating_zeta_sum, hurwitz_zeta, pochhammer
@@ -149,16 +148,6 @@ def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> fl
     return total + t_last * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _tops(cap: int) -> list:
-    """The truncations the budget tries: cap / 2^k, ..., cap / 2, cap, from
-    the coarsest that is still at least operator_oracle._MIN_TOP (cap alone
-    below that)."""
-    tops = [cap]
-    while tops[0] // 2 >= _MIN_TOP:
-        tops.insert(0, tops[0] // 2)
-    return tops
-
-
 def _assemble(
     model: ModelSpec,
     n: int,
@@ -178,13 +167,14 @@ def _assemble(
     so that family_rows can sweep each component once up to m_last.
     abs_error sums the base term's error, each term's truncation error and
     the tail bound; the operator terms are computed at each N of
-    _tops(trunc_n) until abs_error meets tol, the others once.  After a miss
-    the next N sweeps only the terms up to the last one whose scaled bar
-    exceeds (tol - fixed) / (number of operator terms), fixed the base,
-    quadrature and tail errors; the later terms keep their value, bar and
-    truncation.  metadata carries m_used (m_last) and tail_bound.  The eigen
-    route has no parity difference, and parity_difference refuses it before
-    it gets here.
+    truncation_budget(trunc_n) until abs_error meets tol, the others once.
+    After a miss the next N sweeps only the terms up to the last one whose
+    scaled bar exceeds (tol - fixed) / (number of operator terms), fixed the
+    base, quadrature and tail errors; the later terms keep their value, bar
+    and truncation.  The result reads converged when abs_error meets tol and
+    every operator row read converged (its truncation has a calibrated bar).
+    metadata carries m_used (m_last) and tail_bound.  The eigen route has no
+    parity difference, and parity_difference refuses it before it gets here.
     """
     t0 = time.perf_counter()
     lam = complex(lam)
@@ -207,6 +197,7 @@ def _assemble(
     if xs * big_c > _SLOW_RATIO:
         warnings.append(f"SlowConvergence: geometric ratio {xs * big_c:.4f} close to 1")
     per_m, per_m_truncation, tops = [], [], []
+    calibrated = True
     if method == "eigen_oracle":
         sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
         value, err, base = sv.value, sv.abs_error, sv.value
@@ -243,10 +234,11 @@ def _assemble(
             trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
             # Errors that no truncation reduces already miss tol: try the cap alone.
             fixed = base_err + trunc_err + tail
-            budget = _tops(trunc_n) if fixed < tol else [trunc_n]
+            budget = truncation_budget(trunc_n) if fixed < tol else [trunc_n]
             m_sweep = m_last
             for top in budget if m_last >= first_op else ():
                 rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_sweep)
+                calibrated &= all(row[n].converged for row in rows)
                 for m, row in enumerate(rows[first_op - 1 :], first_op):
                     power = geo.lam_power * m
                     d_m[m] = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
@@ -263,8 +255,8 @@ def _assemble(
                 m_sweep = max(
                     m for m in range(first_op, m_sweep + 1) if scale[m] * d_m[m].abs_error > share
                 )
-            if tops and tops[-1] < _MIN_BAR_TOP:
-                warnings.append(_bar_floor_warning(tops[-1]))
+            if not calibrated:
+                warnings.append(bar_floor_warning(tops[-1]))
             per_m = [prefactor * x ** (2 * m) / m * d_m[m].value for m in range(1, m_last + 1)]
             per_m_truncation = [used[m] for m in range(1, m_last + 1)]
             if tail >= tol:
@@ -279,7 +271,7 @@ def _assemble(
     # route has no series.
     metadata["m_used"] = len(per_m)
     metadata["tail_bound"] = tail
-    metadata["converged"] = err <= tol and all(top >= _MIN_BAR_TOP for top in tops)
+    metadata["converged"] = err <= tol and calibrated
     if err > tol:
         worst = max(sources, key=sources.get)
         warnings.append(

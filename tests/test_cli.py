@@ -34,11 +34,6 @@ class TestUsage:
         code, _ = _run(capsys, ["zeta", "--model", "bergman", "--n", "2"])
         assert code == 64
 
-    def test_bad_threads_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("RABI_ZETA_THREADS", "two")
-        code, _ = _run(capsys, ["beukers", "--n-max", "1"])
-        assert code == 64
-
 
 class TestZeta:
     def test_decoupled_value(self, capsys):

@@ -22,6 +22,7 @@ from rabi_zeta.operator_oracle import (
     _MIN_BAR_TOP,
     _MIN_TOP,
     BergmanNu,
+    Component,
     Ncho,
     Nu,
     OnePhoton,
@@ -30,9 +31,11 @@ from rabi_zeta.operator_oracle import (
     _min_progression_distance,
     _ResolventSeries,
     _extrapolate,
+    bar_floor_warning,
     build_component_operator,
     dense,
     dn_r_m_operator,
+    family_rows,
     model_geometry,
     r_m_operator,
     zeta_eigen_oracle,
@@ -52,6 +55,16 @@ class TestBuild:
         assert op.diag[1] == pytest.approx(math.cosh(2 * g) * (2 + nu) + shift)
         assert op.offdiag[0] == pytest.approx(-math.sinh(2 * g) * math.sqrt(nu))
 
+    # Component.entries is where the matrix elements live; the public
+    # operator is built from them, exactly.
+    @pytest.mark.parametrize("shift", [0.7, 0.7 + 0.3j])
+    @pytest.mark.parametrize("basis,nu,sign", [("fock", None, +1), ("bergman", 1.5, -1)])
+    def test_component_entries_are_the_operator(self, basis, nu, sign, shift):
+        op = build_component_operator(basis, 0.3, shift, sign, 7, nu=nu)
+        diag, off = Component(basis, nu).entries(0.3, shift, sign, 7)
+        assert np.all(np.array(op.diag) == diag) and np.all(np.array(op.offdiag) == off)
+        assert len(diag) == op.dim == 7 and len(off) == 6
+
     def test_dense_symmetric(self):
         op = build_component_operator("fock", 0.3, 0.7, +1, 6)
         a = dense(op)
@@ -66,6 +79,10 @@ class TestBuild:
             build_component_operator("bergman", 0.3, 0.7, +1, 5)
         with pytest.raises(DomainError):
             build_component_operator("hermite", 0.3, 0.7, +1, 5)
+        with pytest.raises(InvalidDimension):
+            Component("fock").entries(0.3, 0.7, +1, 1)
+        with pytest.raises(DomainError):
+            Component("fock").entries(0.3, 0.7, 2, 5)
 
 
 class TestModelValidation:
@@ -145,7 +162,7 @@ class TestDerivativeRoutes:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep_matches_composition_sum(self, m, n):
         g, lam, eps, N = 0.2, 0.9, 0.1, 120
-        sweep = TraceDerivativeSweep("fock", g, lam, eps, n, N)
+        sweep = TraceDerivativeSweep(Component("fock"), g, lam, eps, n, N)
         terms = {}
         for _ in range(m):
             terms = sweep.next_terms()
@@ -153,7 +170,7 @@ class TestDerivativeRoutes:
         assert abs(terms[n].value - ref.value) < 1e-11 * max(abs(ref.value), 1.0)
 
     def test_sweep_lower_orders_consistent(self):
-        sweep = TraceDerivativeSweep("fock", 0.2, 0.9, 0.1, 3, 120)
+        sweep = TraceDerivativeSweep(Component("fock"), 0.2, 0.9, 0.1, 3, 120)
         terms = sweep.next_terms()
         for order in (0, 1, 2):
             ref = dn_r_m_operator("fock", 0.2, 0.9, 0.1, 1, order, 120)
@@ -187,7 +204,7 @@ class TestTypedErrors:
 
     def test_sweep_bergman_without_nu(self):
         with pytest.raises(DomainError):
-            TraceDerivativeSweep("bergman", 0.2, 0.9, 0.1, 2, 60, nu=None)
+            TraceDerivativeSweep(Component("bergman", None), 0.2, 0.9, 0.1, 2, 60)
 
 
 class TestPoleGuards:
@@ -342,7 +359,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
     def test_kernel_matches_dense_composition_sum(self, basis, nu, lam, m, N):
         g, eps, top = 0.2, 0.1, 3
-        sweep = TraceDerivativeSweep(basis, g, lam, eps, top, N, nu)
+        sweep = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, top, N)
         for _ in range(m):
             terms = sweep.next_terms()
         for n in range(top + 1):
@@ -360,8 +377,8 @@ class TestDenseReference:
         # only on W_0..W_j, each order's bar reads only its own values, and the
         # ladder's drop test reads order 0 only.
         g, eps = 0.2, 0.1
-        top = TraceDerivativeSweep(basis, g, lam, eps, 3, N, nu)
-        sweeps = [TraceDerivativeSweep(basis, g, lam, eps, k, N, nu) for k in range(3)]
+        top = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, 3, N)
+        sweeps = [TraceDerivativeSweep(Component(basis, nu), g, lam, eps, k, N) for k in range(3)]
         for _ in range(6):
             ref = top.next_terms()
             for k, sweep in enumerate(sweeps):
@@ -393,7 +410,7 @@ class TestTruncationLadder:
         """Rows from the truncations N, N/2, N/4 alone, as the sweep builds
         them without a ladder (below _MIN_TOP with the first step's bar)."""
         sizes = (N, N // 2, N // 4)
-        states = [_ResolventSeries(basis, g, lam, eps, n, size, nu) for size in sizes]
+        states = [_ResolventSeries(Component(basis, nu), g, lam, eps, n, size) for size in sizes]
         rows = []
         for m in range(1, m_last + 1):
             per_truncation = [st.advance() for st in states]
@@ -408,7 +425,7 @@ class TestTruncationLadder:
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
     def test_ladder_rows_lie_within_their_error_of_a_fine_reference(self, basis, nu, lam):
         g, eps, n, m_last = 0.2, 0.1, 2, 8
-        sweep = TraceDerivativeSweep(basis, g, lam, eps, n, 400, nu)
+        sweep = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, n, 400)
         ref = self._three_level_rows(basis, g, lam, eps, n, 1600, nu, m_last)
         used = []
         for m in range(1, m_last + 1):
@@ -426,7 +443,7 @@ class TestTruncationLadder:
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
     def test_small_truncations_keep_three_levels(self, basis, nu, lam, N):
         g, eps, n, m_last = 0.2, 0.1, 2, 6
-        sweep = TraceDerivativeSweep(basis, g, lam, eps, n, N, nu)
+        sweep = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, n, N)
         ref = self._three_level_rows(basis, g, lam, eps, n, N, nu, m_last)
         for m in range(1, m_last + 1):
             row = sweep.next_terms()
@@ -506,7 +523,7 @@ def _write_sweep_reference(path=_REFERENCE):
     for (g, lam), (basis, nu) in itertools.product(c["points"], c["components"]):
         per_size = []
         for size in c["sizes"]:  # one truncation alive at a time
-            state = _ResolventSeries(basis, g, lam, c["eps"], c["n"], size, nu)
+            state = _ResolventSeries(Component(basis, nu), g, lam, c["eps"], c["n"], size)
             per_size.append([state.advance() for _ in range(c["m_last"])])
             del state
         terms = [
@@ -539,7 +556,8 @@ class TestCalibration:
             if ref["g"] not in couplings:
                 continue
             lam = complex(*ref["lam"])
-            sweep = TraceDerivativeSweep(ref["basis"], ref["g"], lam, c["eps"], c["n"], N, ref["nu"])
+            component = Component(ref["basis"], ref["nu"])
+            sweep = TraceDerivativeSweep(component, ref["g"], lam, c["eps"], c["n"], N)
             for m, want in enumerate(ref["terms"], 1):
                 row = sweep.next_terms()
                 for k in orders:
@@ -565,6 +583,16 @@ class TestCalibration:
         for N, converged in ((_MIN_BAR_TOP - 1, False), (_MIN_BAR_TOP, True)):
             sv = r_m_operator("fock", 0.2, 1.0, 0.1, 1, N=N, tol=1.0)
             assert sv.abs_error <= 1.0 and sv.converged is converged
+
+    @pytest.mark.parametrize("family", [FLAT, MINUS])
+    def test_rows_carry_their_calibration(self, family):
+        # The sweep rows themselves read converged from _MIN_BAR_TOP on, so
+        # family_term and the zeta assembly need not compare N again.
+        for N, converged in ((40, False), (_MIN_BAR_TOP, True)):
+            rows = family_rows(family.components, 0.2, 0.9, 0.1, 2, N, 3)
+            assert [sv.converged for row in rows for sv in row.values()] == [converged] * 9
+        assert bar_floor_warning(_MIN_BAR_TOP) is None
+        assert bar_floor_warning(40) == "operator truncation N=40 is below 44: no calibrated bar"
 
     def test_start_top_is_the_smallest_that_holds(self, monkeypatch):
         # With two-step bars below it too, a g = 0.4 row falls short one
@@ -598,7 +626,7 @@ class TestSingularOperator:
         with pytest.raises(SingularOperator):
             dn_r_m_operator("fock", g, lam, 0.0, 2, 1, N=N)
         with pytest.raises(SingularOperator):
-            TraceDerivativeSweep("fock", g, lam, 0.0, 2, N)
+            TraceDerivativeSweep(Component("fock"), g, lam, 0.0, 2, N)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from scipy.special import digamma, polygamma
 
 from rabi_zeta import operator_oracle, zeta_values
 from rabi_zeta.errors import DomainError, NearPole, RadiusExceeded
-from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton
+from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton, truncation_budget
 from rabi_zeta.specfun import alternating_zeta_sum, hurwitz_zeta
 from rabi_zeta.zeta_values import (
     ZetaRequest,
@@ -244,19 +244,19 @@ class TestStructure:
 
 class TestTruncationBudget:
     def test_tops_double_up_to_the_cap(self):
-        assert zeta_values._tops(400) == [200, 400]
-        assert zeta_values._tops(600) == [150, 300, 600]
-        assert zeta_values._tops(1600) == [200, 400, 800, 1600]
-        assert zeta_values._tops(212) == [106, 212]
+        assert truncation_budget(400) == [200, 400]
+        assert truncation_budget(600) == [150, 300, 600]
+        assert truncation_budget(1600) == [200, 400, 800, 1600]
+        assert truncation_budget(212) == [106, 212]
         # Below twice the start top the cap is the only truncation, so
         # --trunc-n 4 still meets InvalidDimension.
-        assert zeta_values._tops(211) == [211] and zeta_values._tops(4) == [4]
+        assert truncation_budget(211) == [211] and truncation_budget(4) == [4]
 
     @staticmethod
     def _fixed(monkeypatch, evaluate, trunc_n):
         """evaluate(trunc_n) with every operator term at trunc_n itself."""
         with monkeypatch.context() as patch:
-            patch.setattr(zeta_values, "_tops", lambda cap: [cap])
+            patch.setattr(zeta_values, "truncation_budget", lambda cap: [cap])
             return evaluate(trunc_n)
 
     @pytest.mark.parametrize(
