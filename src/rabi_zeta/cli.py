@@ -173,7 +173,10 @@ def _make_parser():
     p.add_argument("--trunc-n", type=int, default=400,
                    help="largest operator truncation N: the series routes start at a coarser "
                         "one, at least 106, and double it only while abs_error exceeds --tol; "
-                        "below 44 no error bar is calibrated and the result reads not converged")
+                        "below 44 no error bar is calibrated and the result reads not converged; "
+                        "the eigen oracle starts at the coarsest N/2^k that is at least 384 "
+                        "(384 itself for a smaller N) and doubles while its truncation bar "
+                        "exceeds --tol")
     p.add_argument("--parity-difference", action="store_true")
 
     p = sub.add_parser("trace-term")

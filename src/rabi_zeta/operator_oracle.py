@@ -14,10 +14,12 @@ sweep drops its finest truncation for the later terms.  family_rows serves
 every such term at one truncation and keeps one component's sweep alive at
 a time; its rows carry their calibration (converged from N >= 44 on).  The
 calibration facts live only here: the ladder floor, the zeta budget's start
-(truncation_budget) and the bar floor's warning (bar_floor_warning).
+(truncation_budget), the bar floor's warning (bar_floor_warning), and the
+eigen oracle's residual order (Component.eigen_lag), budget start and floor.
 Spectral zeta values come from direct eigenvalue summation of the two-by-two
 block matrices, with the two components interleaved so that the Hamiltonian
-is banded.  The module keeps no state between calls.
+is banded, extrapolated on the same ladder.  The module keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ _MIN_BAR_TOP = 44
 # times that correction.
 _BAR_FACTOR = 2.0
 _NEAR_POLE_GUARD = 1e-9
+# The eigen oracle's budget starts at the coarsest top whose ladder has five
+# live levels: on the eigen calibration grid of the tests every bar from
+# there on holds, and a four-level ladder's does not (BergmanNu, n = 2, at
+# top 200: an error 9 times its bar).
+_EIGEN_MIN_TOP = 16 * _LADDER_FLOOR
+# Added to every eigen abs_error, and reported apart from the truncation bar:
+# the cross-checks compare |series - eigen| with the eigen abs_error alone,
+# so it also covers the series route's error.  No truncation reduces it, so
+# it does not drive the eigen budget.
+EIGEN_FLOOR = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +152,15 @@ class Component:
     @property
     def step(self) -> float:
         return 1.0 if self.basis == "fock" else 2.0
+
+    @property
+    def eigen_lag(self) -> int:
+        """How far the eigen oracle's residual order falls below n: after the
+        free tail, the truncated eigenvalue sum of power n errs like N^-n on
+        Fock components and N^-(n-1) on Bergman ones, whose off-diagonals
+        grow as fast as their diagonal (measured at n = 2: each halving of N
+        multiplies the error by 4.00 on Fock and by 2.00 on Bergman)."""
+        return 0 if self.basis == "fock" else 1
 
     @property
     def offset(self) -> float:
@@ -352,14 +373,25 @@ def bar_floor_warning(N: int) -> str | None:
     return f"operator truncation N={N} is below {_MIN_BAR_TOP}: no calibrated bar"
 
 
-def truncation_budget(cap: int) -> list:
+def truncation_budget(cap: int, start: int = _MIN_TOP) -> list:
     """The truncations a tol-budgeted request tries: cap / 2^k, ..., cap / 2,
-    cap, from the coarsest that is still at least _MIN_TOP (cap alone below
-    that)."""
+    cap, from the coarsest that is still at least `start` (cap alone below
+    that).  The series routes start at _MIN_TOP, the eigen oracle at
+    _EIGEN_MIN_TOP."""
     tops = [cap]
-    while tops[0] // 2 >= _MIN_TOP:
+    while tops[0] // 2 >= start:
         tops.insert(0, tops[0] // 2)
     return tops
+
+
+def _ladder(N: int) -> list:
+    """The truncations behind a top N: N, N/2, N/4 and the further halvings
+    that stay at least _LADDER_FLOOR.  The ladders of a doubling budget's
+    tops nest, so a climb adds only its new top."""
+    sizes = [N, N // 2, N // 4]
+    while sizes[-1] // 2 >= _LADDER_FLOOR:
+        sizes.append(sizes[-1] // 2)
+    return sizes
 
 
 def _min_progression_distance(s: complex, step: float, offset: float) -> float:
@@ -530,10 +562,7 @@ class TraceDerivativeSweep:
         self.m = 0
         self._first_bar = N < _MIN_TOP
         self._calibrated = N >= _MIN_BAR_TOP
-        sizes = [N, N // 2, N // 4]
-        while sizes[-1] // 2 >= _LADDER_FLOOR:
-            sizes.append(sizes[-1] // 2)
-        self._states = [_ResolventSeries(component, g, lam, eps, n, size) for size in sizes]
+        self._states = [_ResolventSeries(component, g, lam, eps, n, size) for size in _ladder(N)]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
@@ -712,25 +741,63 @@ def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int) -> comple
     return value + geo.hurwitz(n, lam, len(geo.family.components) * N).value
 
 
-def zeta_eigen_oracle(model: ModelSpec, n: int, lam: complex, N: int = 400) -> SeriesValue:
+@dataclass(frozen=True)
+class EigenValue(SeriesValue):
+    """zeta_eigen_oracle's value.  abs_error = bar + EIGEN_FLOOR: bar is the
+    truncation bar of the last top tried; tops are the truncations tried, in
+    order."""
+
+    bar: float
+    tops: tuple
+
+    @property
+    def calibrated(self) -> bool:
+        """Whether the last top has a calibrated bar (from _EIGEN_MIN_TOP on)."""
+        return self.tops[-1] >= _EIGEN_MIN_TOP
+
+
+def zeta_eigen_oracle(
+    model: ModelSpec, n: int, lam: complex, N: int = 400, tol: float | None = None
+) -> EigenValue:
     """zeta(H; n, lam) by direct eigenvalue summation of the truncated block
     matrices plus a coupling-free tail: the free spectrum (the geometry's
     Hurwitz pair) from the truncation's end on.
 
-    After that tail is added the residual decays like 1/N, so the value is
-    two-level Richardson-extrapolated from the N, N/2, N/4 truncations;
-    abs_error is three times the last applied correction (a safety margin
-    over the next-order residual).  N must be >= 8, so that N/4 >= 2.
+    After that tail is added the residual runs in N^-p, p = n - lag with the
+    components' Component.eigen_lag (p = n on Fock, n - 1 on Bergman), so a
+    top N is Richardson-extrapolated by _extrapolate from its ladder N, N/2,
+    ... (down to the ladder floor 24, at most five levels): the two-step
+    value, barred by twice the third step's correction where four or five
+    levels are live, plus a 1e-14 relative rounding floor.  The bar holds on
+    the calibration grid from N = 384 on, the coarsest top with five live
+    levels.  abs_error adds the 1e-7 calibration floor EIGEN_FLOOR.
+
+    Without tol, N is the one top and must be >= 8, so that N/4 >= 2; the
+    value reads converged False, no tol being asked, and below 384 it reads
+    calibrated False: its bar is not calibrated there.  With tol, max(N, 384)
+    caps a budget that starts at 384 (truncation_budget with that start):
+    the tops are tried in order, each ladder level is solved once, and the
+    first top whose bar is <= tol gives the value, the cap's when none does;
+    converged means abs_error <= tol.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if N < 8:
+    if tol is None and N < 8:
         raise InvalidDimension(f"N must be >= 8, got {N}")
     geo = model_geometry(model)
-    values = tuple(_zeta_eigen_once(geo, n, lam, size) for size in (N, N // 2, N // 4))
-    value, corr = _extrapolate(values, (N, N // 2, N // 4), 1)
-    # The 1e-7 term is a calibration floor: the extrapolation model is not
-    # trusted below it at desk-scale truncations, so the reported bound stays
-    # a genuine upper bound on the oracle error.
-    abs_error = 3 * corr + 1e-7
-    return SeriesValue(value, abs_error, 2 * N, abs_error <= 1e-8)
+    p = n - max(c.eigen_lag for c in geo.family.components)
+    budget = [N] if tol is None else truncation_budget(max(N, _EIGEN_MIN_TOP), _EIGEN_MIN_TOP)
+    sums, tops = {}, []
+    for top in budget:
+        sizes = _ladder(top)[:5]
+        for size in sizes:
+            if size not in sums:
+                sums[size] = _zeta_eigen_once(geo, n, lam, size)
+        value, bar = _extrapolate([sums[size] for size in sizes], sizes, p)
+        bar += _ROUNDING_FLOOR * abs(value)
+        tops.append(top)
+        if tol is not None and bar <= tol:
+            break
+    abs_error = bar + EIGEN_FLOOR
+    converged = tol is not None and abs_error <= tol
+    return EigenValue(value, abs_error, 2 * top, converged, bar, tuple(tops))

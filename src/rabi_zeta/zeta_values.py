@@ -24,6 +24,7 @@ import numpy as np
 from . import trace_terms
 from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
+    EIGEN_FLOOR,
     MINUS,
     PLUS,
     BergmanNu,
@@ -50,14 +51,20 @@ class ZetaRequest:
 
     trunc_n caps the operator truncation N: the series routes start at a
     coarser N, no less than 106, and double it only while abs_error exceeds
-    tol (metadata["truncations"]["tops"]); the eigen route uses max(trunc_n,
-    400).  A doubling re-sweeps only the terms m <= k, k the last term whose
-    scaled bar exceeds an equal share of what the base error, the quadrature
-    terms and the series tail leave of tol; the terms above k keep the
-    coarser N, which metadata["truncations"]["per_m"] shows.  Below 212 the
-    cap is the only truncation tried, and below 106 its bars are the looser
-    first-step ones.  Below 44 no bar is calibrated: the result reads
-    converged False with a warning that names the truncation.
+    tol (metadata["truncations"]["tops"]).  A doubling re-sweeps only the
+    terms m <= k, k the last term whose scaled bar exceeds an equal share of
+    what the base error, the quadrature terms and the series tail leave of
+    tol; the terms above k keep the coarser N, which
+    metadata["truncations"]["per_m"] shows.  Below 212 the cap is the only
+    truncation tried, and below 106 its bars are the looser first-step ones.
+    Below 44 no bar is calibrated: the result reads converged False with a
+    warning that names the truncation.
+
+    The eigen route climbs its own budget, capped at max(trunc_n, 384) and
+    starting at the coarsest top no less than 384, and stops at the first
+    top whose truncation bar meets tol (zeta_eigen_oracle).  Its abs_error
+    adds a 1e-7 calibration floor, reported as its own source, so below that
+    tol it reads converged False with a warning that names the floor.
     """
 
     model: ModelSpec
@@ -173,8 +180,10 @@ def _assemble(
     base, quadrature and tail errors; the later terms keep their value, bar
     and truncation.  The result reads converged when abs_error meets tol and
     every operator row read converged (its truncation has a calibrated bar).
-    metadata carries m_used (m_last) and tail_bound.  The eigen route has no
-    parity difference, and parity_difference refuses it before it gets here.
+    metadata carries m_used (m_last) and tail_bound.  The eigen route takes
+    its value, its tops and its two error sources (truncation, calibration
+    floor) from zeta_eigen_oracle with the request's tol; it has no parity
+    difference, and parity_difference refuses it before it gets here.
     """
     t0 = time.perf_counter()
     lam = complex(lam)
@@ -199,10 +208,10 @@ def _assemble(
     per_m, per_m_truncation, tops = [], [], []
     calibrated = True
     if method == "eigen_oracle":
-        sv = zeta_eigen_oracle(model, n, lam, max(trunc_n, 400))
+        sv = zeta_eigen_oracle(model, n, lam, trunc_n, tol=tol)
         value, err, base = sv.value, sv.abs_error, sv.value
-        sources = {"truncation": err}
-        tail = None
+        sources = {"truncation": sv.bar, "calibration floor": EIGEN_FLOOR}
+        tops, tail = list(sv.tops), None
     else:
         # The Delta^0 term: the free spectrum, alternating for the parity difference.
         free = geo.hurwitz(n, lam, zeta=alternating_zeta_sum if minus else hurwitz_zeta)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -16,9 +17,11 @@ from rabi_zeta.errors import (
     SingularOperator,
 )
 from rabi_zeta.operator_oracle import (
+    EIGEN_FLOOR,
     FLAT,
     MINUS,
     PLUS,
+    _EIGEN_MIN_TOP,
     _MIN_BAR_TOP,
     _MIN_TOP,
     BergmanNu,
@@ -31,6 +34,7 @@ from rabi_zeta.operator_oracle import (
     _min_progression_distance,
     _ResolventSeries,
     _extrapolate,
+    _ladder,
     bar_floor_warning,
     build_component_operator,
     dense,
@@ -260,6 +264,38 @@ class TestEigenOracle:
         sv = zeta_eigen_oracle(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, N=8)
         assert sv.abs_error > 1e-8
         assert not sv.converged
+
+    def test_floor_and_tops_are_reported(self):
+        model = OnePhoton(0.2, 0.3, 0.1)
+        fixed = zeta_eigen_oracle(model, 2, 1.0, N=200)
+        assert fixed.tops == (200,) and fixed.terms_used == 400
+        assert fixed.abs_error == fixed.bar + EIGEN_FLOOR and EIGEN_FLOOR == 1e-7
+        # Below the budget's start the bar is not calibrated, and says so.
+        assert fixed.calibrated is False
+        assert zeta_eigen_oracle(model, 2, 1.0, N=_EIGEN_MIN_TOP).calibrated is True
+        # With tol, N caps a budget that starts at _EIGEN_MIN_TOP.
+        for N, tops in ((200, (384,)), (400, (400,)), (1200, (600,)), (1600, (400,))):
+            sv = zeta_eigen_oracle(model, 2, 1.0, N=N, tol=1e-8)
+            assert sv.tops == tops and sv.bar <= 1e-8 and sv.converged is False
+        assert zeta_eigen_oracle(model, 2, 1.0, N=1600, tol=1e-6).converged is True
+        assert zeta_eigen_oracle(model, 2, 1.0, N=1600, tol=1e-20).tops == (400, 800, 1600)
+
+    def test_climb_solves_each_level_once(self, monkeypatch):
+        # A climb from 600 to 1200 adds only its new top: the levels 600,
+        # 300, 150, 75 and 37 of the first top serve the second too.
+        sizes = []
+        eig_banded = sla.eig_banded
+
+        def counting(band, *args, **kwargs):
+            sizes.append(band.shape[1] // 2)
+            return eig_banded(band, *args, **kwargs)
+
+        monkeypatch.setattr(operator_oracle.sla, "eig_banded", counting)
+        model = TwoPhoton(0.2, 0.3, 0.05)
+        sv = zeta_eigen_oracle(model, 2, 1.2, N=1200, tol=1e-20)
+        assert sv.tops == (600, 1200)
+        blocks = len(model_geometry(model).blocks(8))
+        assert sorted(sizes) == sorted([1200, 600, 300, 150, 75, 37] * blocks)
 
     @pytest.mark.parametrize("model,lam", _EIGEN_MODELS)
     def test_truncation_below_eight_refused(self, model, lam):
@@ -505,7 +541,8 @@ class TestExtrapolate:
 # real and a complex lam each, m = 1..8 and orders 0..3, against the
 # two-step value from (3200, 1600, 800).  The reference rows are stored
 # because one N = 3200 truncation at order 3 holds about 1.3 GB at complex
-# lam; regenerate them with `PYTHONPATH=src python tests/test_operator_oracle.py`.
+# lam; regenerate them with `PYTHONPATH=src python tests/test_operator_oracle.py
+# sweep` (sweep is the default).
 _REFERENCE = pathlib.Path(__file__).with_name("sweep_reference.json")
 _CALIBRATION = dict(
     eps=0.1,
@@ -544,6 +581,42 @@ def _write_sweep_reference(path=_REFERENCE):
         )
     lines = ",\n".join(json.dumps(row) for row in rows)
     path.write_text(f'{{"sizes": {json.dumps(c["sizes"])}, "rows": [\n{lines}\n]}}\n')
+
+
+# The eigen calibration grid: the four models of TestEigenOracle at n = 2
+# and 3 with a real and a complex lam, plus a BergmanNu case whose bar at a
+# four-level top falls short, against zeta_eigen_oracle at N = 6400 (the
+# five-level value from 6400, ..., 400).  Regenerate it with `PYTHONPATH=src
+# python tests/test_operator_oracle.py eigen` (about three minutes).
+_EIGEN_REFERENCE = pathlib.Path(__file__).with_name("eigen_reference.json")
+_EIGEN_SHORT = (
+    BergmanNu(0.9110658382669575, 0.20480307104578999, 0.5694541565485138, 0.07657902368979327),
+    2,
+    1.0636937072512154,
+)
+_EIGEN_CALIBRATION = [
+    (model, n, lam) for model, lam in _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX for n in (2, 3)
+] + [_EIGEN_SHORT]
+_EIGEN_REFERENCE_N = 6400
+_MODEL_TYPES = {cls.__name__: cls for cls in (OnePhoton, TwoPhoton, BergmanNu, Ncho)}
+
+
+def _write_eigen_reference(path=_EIGEN_REFERENCE):
+    rows = []
+    for model, n, lam in _EIGEN_CALIBRATION:
+        sv = zeta_eigen_oracle(model, n, lam, _EIGEN_REFERENCE_N)
+        rows.append(
+            {
+                "model": type(model).__name__,
+                "params": dataclasses.asdict(model),
+                "n": n,
+                "lam": [complex(lam).real, complex(lam).imag],
+                "value": [sv.value.real, sv.value.imag],
+                "bar": sv.bar,
+            }
+        )
+    lines = ",\n".join(json.dumps(row) for row in rows)
+    path.write_text(f'{{"N": {_EIGEN_REFERENCE_N}, "rows": [\n{lines}\n]}}\n')
 
 
 class TestCalibration:
@@ -594,6 +667,34 @@ class TestCalibration:
         assert bar_floor_warning(_MIN_BAR_TOP) is None
         assert bar_floor_warning(40) == "operator truncation N=40 is below 44: no calibrated bar"
 
+    @staticmethod
+    def _eigen_misses(top, cases=None):
+        """(case, error / bar) of the eigen oracle's values at `top` that lie
+        outside their truncation bar (abs_error less the calibration floor)
+        of the reference."""
+        misses = []
+        for ref in json.loads(_EIGEN_REFERENCE.read_text())["rows"]:
+            case = (_MODEL_TYPES[ref["model"]](**ref["params"]), ref["n"], complex(*ref["lam"]))
+            if cases is None or case in cases:
+                sv = zeta_eigen_oracle(*case, N=top)
+                err = abs(sv.value - complex(*ref["value"]))
+                if err > sv.bar:
+                    misses.append((*case, err / sv.bar))
+        return misses
+
+    # The eigen budget's tops: 384 to 767 start a budget, and their doublings
+    # follow.  The reference's own bars are below 1e-11.
+    @pytest.mark.parametrize("top", [_EIGEN_MIN_TOP, 400, 600, 767, 800, 1200, 1600])
+    def test_eigen_values_lie_within_their_bars(self, top):
+        assert self._eigen_misses(top) == []
+
+    def test_eigen_start_is_the_first_five_level_top(self):
+        # A four-level ladder does not suffice: at top 200 the BergmanNu
+        # case's error is 9 times its bar.
+        assert _EIGEN_MIN_TOP == 384
+        assert len(_ladder(_EIGEN_MIN_TOP)) == 5 and len(_ladder(_EIGEN_MIN_TOP - 1)) == 4
+        assert self._eigen_misses(200, [_EIGEN_SHORT]) != []
+
     def test_start_top_is_the_smallest_that_holds(self, monkeypatch):
         # With two-step bars below it too, a g = 0.4 row falls short one
         # step below it (Bergman nu = 0.8, m = 2, order 1: 1.15 times at
@@ -630,4 +731,7 @@ class TestSingularOperator:
 
 
 if __name__ == "__main__":
-    _write_sweep_reference()
+    import sys
+
+    writers = {"sweep": _write_sweep_reference, "eigen": _write_eigen_reference}
+    writers[sys.argv[1] if len(sys.argv) > 1 else "sweep"]()

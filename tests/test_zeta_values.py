@@ -365,6 +365,25 @@ class TestToleranceReport:
         assert res.metadata["converged"] is True and "warnings" not in res.metadata
 
 
+    def test_eigen_route_climbs_to_tol_and_names_its_floor(self):
+        # The eigen budget for cap 1200 is [600, 1200]; this request's bar
+        # meets tol at 600.  The 1e-7 calibration floor is a source of its
+        # own: it misses the default tol, and a tol above it is met.
+        model = TwoPhoton(0.2, 0.3, 0.05)
+        res = zeta_value(ZetaRequest(model, 2, 1.2, method="eigen_oracle", trunc_n=1200))
+        assert res.metadata["truncations"]["tops"] == [600]
+        assert res.abs_error > 1e-7 and res.metadata["converged"] is False
+        (warning,) = res.metadata["warnings"]
+        assert "largest source calibration floor (1.000e-07)" in warning
+        tight = ZetaRequest(model, 2, 1.2, method="eigen_oracle", trunc_n=1200, tol=1e-14)
+        assert zeta_value(tight).metadata["truncations"]["tops"] == [600, 1200]
+        loose = zeta_value(ZetaRequest(model, 2, 1.2, method="eigen_oracle", tol=1e-6))
+        assert loose.metadata["converged"] is True and "warnings" not in loose.metadata
+        # Below the eigen start the one top is the start itself.
+        low = ZetaRequest(model, 2, 1.2, method="eigen_oracle", trunc_n=100)
+        assert zeta_value(low).metadata["truncations"]["tops"] == [384]
+
+
 class TestParityDifference:
     @pytest.mark.parametrize("model", [OnePhoton(0.2, 0.3, 0.1), BergmanNu(0.5, 0.2, 0.3, 0.1)])
     def test_only_two_photon_and_ncho(self, model):
