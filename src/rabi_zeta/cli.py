@@ -121,6 +121,16 @@ def _parse_complex(text: str) -> complex:
     raise _UsageError(f"complex values use RE or RE,IM syntax, got {text!r}")
 
 
+def _parse_nu_list(text: str) -> list[float]:
+    try:
+        nus = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not nus:
+        raise argparse.ArgumentTypeError(f"expected at least one nu, got {text!r}")
+    return nus
+
+
 def _lam_str(z: complex) -> str:
     z = complex(z)
     if z.imag == 0:
@@ -156,6 +166,10 @@ def _add_param_flags(p):
     p.add_argument("--eta", type=float, default=None)
 
 
+# The trace families that --family names; "nu" builds Nu(--nu).
+_TRACE_FAMILIES = {"flat": trace_terms.FLAT, "plus": trace_terms.PLUS, "minus": trace_terms.MINUS}
+
+
 def _make_parser():
     top = _Parser(prog="rabi-zeta")
     top.add_argument("--format", choices=("json", "csv"), default="json")
@@ -178,14 +192,16 @@ def _make_parser():
                         "(384 itself for a smaller N) and doubles while its truncation bar "
                         "exceeds --tol")
     p.add_argument("--parity-difference", action="store_true")
+    p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("trace-term")
-    p.add_argument("--family", required=True, choices=("flat", "plus", "minus", "nu"))
+    p.add_argument("--family", required=True, choices=(*_TRACE_FAMILIES, "nu"))
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--deriv", type=int, default=0)
     p.add_argument("--route", default="integral", choices=("integral", "operator", "series"))
     p.add_argument("--trunc-n", type=int, default=400)
     _add_param_flags(p)
+    p.set_defaults(handler=_cmd_trace_term)
 
     p = sub.add_parser("apery")
     p.add_argument("--family", required=True, choices=("flat", "plus", "minus", "classic"))
@@ -193,31 +209,31 @@ def _make_parser():
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--exact", action="store_true")
     _add_param_flags(p)
+    p.set_defaults(handler=_cmd_apery)
 
     p = sub.add_parser("beukers")
     p.add_argument("--n-max", type=int, default=8)
+    p.set_defaults(handler=_cmd_beukers)
 
     p = sub.add_parser("confluence")
-    p.add_argument("--nu-list", default="8,16,32,64")
+    p.add_argument("--nu-list", type=_parse_nu_list, default="8,16,32,64")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--method", default="series_operator",
                    choices=("series_integral", "series_operator"))
     p.add_argument("--trunc-n", type=int, default=400)
     _add_param_flags(p)
+    p.set_defaults(handler=_cmd_confluence)
 
     p = sub.add_parser("validate")
     p.add_argument("--suite", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=20260823)
+    p.set_defaults(handler=_cmd_validate)
     return top
 
 
 def _trace_family(args):
-    if args.family == "flat":
-        return trace_terms.FLAT
-    if args.family == "plus":
-        return trace_terms.PLUS
-    if args.family == "minus":
-        return trace_terms.MINUS
+    if args.family in _TRACE_FAMILIES:
+        return _TRACE_FAMILIES[args.family]
     if args.nu is None:
         raise _UsageError("--nu is required for the nu family")
     return trace_terms.Nu(args.nu)
@@ -325,10 +341,9 @@ def _cmd_beukers(args):
 
 
 def _cmd_confluence(args):
-    nu_list = [float(x) for x in args.nu_list.split(",") if x]
     t0 = time.perf_counter()
     rows = zeta_values.confluence_scan(
-        args.g, args.delta, args.eps, args.lam, args.n, nu_list,
+        args.g, args.delta, args.eps, args.lam, args.n, args.nu_list,
         method=args.method, trunc_n=args.trunc_n, threads=args.threads,
     )
     runtime = 1000.0 * (time.perf_counter() - t0) / max(len(rows), 1)
@@ -417,16 +432,13 @@ def _validate_checks(suite, seed):
 
 def _cmd_validate(args):
     records = []
-    failures = 0
     for name, residual, tolerance in _validate_checks(args.suite, args.seed):
-        ok = residual <= tolerance
-        failures += 0 if ok else 1
         rec = _record("validate", {"check": name, "suite": args.suite},
                       residual, 0.0, "suite", {}, 0.0, rng_seed=args.seed)
         rec["tolerance"] = float(tolerance)
-        rec["passed"] = bool(ok)
+        rec["passed"] = bool(residual <= tolerance)
         records.append(rec)
-    return records, failures
+    return records
 
 
 def run(argv=None) -> int:
@@ -438,20 +450,7 @@ def run(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
     try:
-        if args.subcommand == "zeta":
-            records = _cmd_zeta(args)
-        elif args.subcommand == "trace-term":
-            records = _cmd_trace_term(args)
-        elif args.subcommand == "apery":
-            records = _cmd_apery(args)
-        elif args.subcommand == "beukers":
-            records = _cmd_beukers(args)
-        elif args.subcommand == "confluence":
-            records = _cmd_confluence(args)
-        else:
-            records, failures = _cmd_validate(args)
-            _emit(records, args.format)
-            return _EXIT_OK if failures == 0 else _EXIT_DOMAIN
+        records = args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE
@@ -462,7 +461,8 @@ def run(argv=None) -> int:
         sys.stderr.write(f"domain error: {exc}\n")
         return _EXIT_DOMAIN
     _emit(records, args.format)
-    return _EXIT_OK
+    # A validate record that failed its check makes the run a domain error.
+    return _EXIT_OK if all(rec.get("passed", True) for rec in records) else _EXIT_DOMAIN
 
 
 def main():

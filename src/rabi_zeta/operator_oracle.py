@@ -24,9 +24,10 @@ between calls.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     NearPole,
     SingularOperator,
 )
-from .specfun import SeriesValue, hurwitz_zeta
+from .specfun import SeriesValue, hurwitz_zeta, progression_distance
 
 _SINGULAR_GUARD = 1e-10
 # Relative rounding floor of an extrapolated trace: added to every sweep
@@ -58,7 +59,9 @@ _MIN_BAR_TOP = 44
 # on the calibration grid of the tests the true error of a row reaches 1.8
 # times that correction.
 _BAR_FACTOR = 2.0
-_NEAR_POLE_GUARD = 1e-9
+# A shift or lambda this close to the excluded set, or to the negative of a
+# truncated eigenvalue, raises NearPole in every route.
+NEAR_POLE_GUARD = 1e-9
 # The eigen oracle's budget starts at the coarsest top whose ladder has five
 # live levels: on the eigen calibration grid of the tests every bar from
 # there on holds, and a four-level ladder's does not (BergmanNu, n = 2, at
@@ -75,8 +78,23 @@ EIGEN_FLOOR = 1e-7
 # Model specifications
 
 
+class _FiniteParams:
+    """Refuses a model whose parameters are not all finite."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not cmath.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
+
+
+def _check_nu(nu) -> None:
+    if not 0 < nu < math.inf:
+        raise DomainError(f"nu must be finite and > 0, got {nu}")
+
+
 @dataclass(frozen=True)
-class OnePhoton:
+class OnePhoton(_FiniteParams):
     """Linear (one-photon) coupling model: Fock blocks shifted by +-eps,
     off-diagonal coupling delta times identity."""
 
@@ -86,7 +104,7 @@ class OnePhoton:
 
 
 @dataclass(frozen=True)
-class TwoPhoton:
+class TwoPhoton(_FiniteParams):
     """Quadratic (two-photon) coupling model: direct sum of the nu=1/2 and
     nu=3/2 Bergman blocks."""
 
@@ -96,7 +114,7 @@ class TwoPhoton:
 
 
 @dataclass(frozen=True)
-class BergmanNu:
+class BergmanNu(_FiniteParams):
     """Single weighted-Bergman block of parameter nu (general-nu deformation
     of the two-photon model)."""
 
@@ -106,12 +124,12 @@ class BergmanNu:
     eps: float
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
+        super().__post_init__()
+        _check_nu(self.nu)
 
 
 @dataclass(frozen=True)
-class Ncho:
+class Ncho(_FiniteParams):
     """Non-commutative harmonic oscillator with parameters alpha, beta
     (alpha*beta > 1) and twist eta."""
 
@@ -120,6 +138,7 @@ class Ncho:
     eta: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.alpha <= 0 or self.beta <= 0 or self.alpha * self.beta <= 1:
             raise DomainError(
                 f"Ncho requires alpha, beta > 0 and alpha*beta > 1, got "
@@ -146,8 +165,8 @@ class Component:
     def __post_init__(self):
         if self.basis not in ("fock", "bergman"):
             raise DomainError(f"unknown basis {self.basis!r}")
-        if self.basis == "bergman" and (self.nu is None or self.nu <= 0):
-            raise DomainError("bergman basis requires nu > 0")
+        if self.basis == "bergman" and (self.nu is None or not 0 < self.nu < math.inf):
+            raise DomainError("bergman basis requires finite nu > 0")
 
     @property
     def step(self) -> float:
@@ -200,8 +219,7 @@ class Nu:
     nu: float
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
+        _check_nu(self.nu)
 
     @property
     def components(self) -> tuple[Component, ...]:
@@ -236,7 +254,9 @@ class ModelGeometry:
 
     Without coupling, the spectrum shifted by lam is the pair of
     progressions lam +- eps + offset + step*k (the excluded set and the
-    Hurwitz base term).  The series runs in X^2 = coupling^2; its m-th term
+    Hurwitz base term): the family's components' progressions interleave, so
+    step is a component's step over their number and offset the smallest
+    component offset.  The series runs in X^2 = coupling^2; its m-th term
     carries d^n [lam^(lam_power*m) R_m] / d lam^n, R_m the trace term of
     `family` at coupling g and shift eps; PLUS sums the even (nu = 1/2) and
     odd (nu = 3/2) parity sectors.  `blocks(N)` gives the eigen oracle's
@@ -245,12 +265,18 @@ class ModelGeometry:
 
     family: TraceFamily
     eps: float
-    step: float
-    offset: float
     coupling: float
     g: float
     blocks: Callable[[int], list]
     lam_power: int = 0
+
+    @property
+    def step(self) -> float:
+        return self.family.components[0].step / len(self.family.components)
+
+    @property
+    def offset(self) -> float:
+        return min(c.offset for c in self.family.components)
 
     def shifts(self, lam: complex) -> tuple[complex, complex]:
         lam = complex(lam)
@@ -258,7 +284,7 @@ class ModelGeometry:
 
     def distance(self, lam: complex) -> float:
         """Distance from the shifts to the excluded progression."""
-        return min(_min_progression_distance(s, self.step, self.offset) for s in self.shifts(lam))
+        return min(progression_distance(s, self.step, self.offset) for s in self.shifts(lam))
 
     def hurwitz(self, n: int, lam: complex, start: int = 0, zeta=None) -> SeriesValue:
         """The free spectrum from its term `start` on: step^-n times the sum
@@ -281,17 +307,17 @@ def model_geometry(model: ModelSpec) -> ModelGeometry:
         a, b = model.alpha, model.beta
         x, g = (a - b) / (a + b), 0.5 * math.atanh(1.0 / math.sqrt(a * b))
         blocks = partial(_ncho_bands, model)
-        return ModelGeometry(PLUS, 2.0 * model.eta, 1.0, 0.5, x, g, blocks, 2)
+        return ModelGeometry(PLUS, 2.0 * model.eta, x, g, blocks, 2)
     if isinstance(model, OnePhoton):
-        family, step, offset = FLAT, 1.0, 0.0
+        family = FLAT
     elif isinstance(model, BergmanNu):
-        family, step, offset = Nu(model.nu), 2.0, model.nu
+        family = Nu(model.nu)
     elif isinstance(model, TwoPhoton):
-        family, step, offset = PLUS, 1.0, 0.5
+        family = PLUS
     else:
         raise DomainError(f"unknown model {model!r}")
     blocks = partial(_rabi_bands, family.components, model.g, model.eps, model.delta)
-    return ModelGeometry(family, model.eps, step, offset, model.delta, model.g, blocks)
+    return ModelGeometry(family, model.eps, model.delta, model.g, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +413,12 @@ def truncation_budget(cap: int, start: int = _MIN_TOP) -> list:
 def _ladder(N: int) -> list:
     """The truncations behind a top N: N, N/2, N/4 and the further halvings
     that stay at least _LADDER_FLOOR.  The ladders of a doubling budget's
-    tops nest, so a climb adds only its new top."""
+    tops nest: the eigen oracle solves only a climb's new top, while each
+    top of the series routes sweeps every level of its own ladder."""
     sizes = [N, N // 2, N // 4]
     while sizes[-1] // 2 >= _LADDER_FLOOR:
         sizes.append(sizes[-1] // 2)
     return sizes
-
-
-def _min_progression_distance(s: complex, step: float, offset: float) -> float:
-    """min over k >= 0 of |s + offset + step*k|."""
-    s = complex(s)
-    t = -(s.real + offset) / step
-    best = math.inf
-    for k in (math.floor(t), math.ceil(t), 0):
-        k = max(int(k), 0)
-        best = min(best, abs(s + offset + step * k))
-    return best
 
 
 def _extrapolate(values, sizes, p: int, first_bar: bool = False) -> tuple[complex, float]:
@@ -556,8 +572,8 @@ class TraceDerivativeSweep:
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
         for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
-            if _min_progression_distance(s, component.step, component.offset) <= _NEAR_POLE_GUARD:
-                raise NearPole(f"shift {s} is within {_NEAR_POLE_GUARD} of an excluded point")
+            if progression_distance(s, component.step, component.offset) <= NEAR_POLE_GUARD:
+                raise NearPole(f"shift {s} is within {NEAR_POLE_GUARD} of an excluded point")
         self.n = n
         self.m = 0
         self._first_bar = N < _MIN_TOP
@@ -700,7 +716,7 @@ def _eig_sum(band: np.ndarray, n: int, lam: complex) -> complex:
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigenFailure(str(exc)) from exc
     z = mu + complex(lam)
-    if np.min(np.abs(z)) <= _NEAR_POLE_GUARD:
+    if np.min(np.abs(z)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
     return complex(np.sum(np.exp(-n * np.log(z.astype(complex)))))
 

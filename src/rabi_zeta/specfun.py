@@ -2,8 +2,9 @@
 
 Hurwitz zeta values zeta(n, a) = sum_k (k+a)^-n for integer n >= 2, the
 alternating analogue, Pochhammer symbols, binomial coefficients, truncated
-generalized hypergeometric series, and a private complex digamma helper used
-by the closed forms for slowly converging k^-2 tail sums.
+generalized hypergeometric series, the distance to a progression of poles
+(progression_distance), and a private complex digamma helper used by the
+closed forms for slowly converging k^-2 tail sums.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ BERNOULLI = {
     18: Fraction(43867, 798),
     20: Fraction(-174611, 330),
 }
+
+# Euler-Maclaurin coefficients B_2j / (2j)! of hurwitz_zeta's tail, j = 1..10,
+# and B_2j / (2j) of _digamma's asymptotic series, j = 1..7.
+_EM_COEFFS = tuple(float(BERNOULLI[2 * j] / math.factorial(2 * j)) for j in range(1, 11))
+_DIGAMMA_COEFFS = tuple(float(BERNOULLI[2 * j]) / (2 * j) for j in range(1, 8))
 
 _POLE_GUARD = 1e-12
 _HYPERGEOM_TERM_CAP = 100_000
@@ -78,9 +84,8 @@ def hurwitz_zeta(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
     #   integral + f(K)/2 + sum_j B_2j/(2j)! (n)_{2j-1} (K+a)^{-n-2j+1}
     tail = cpow_int(x, -(n - 1)) / (n - 1) + cpow_int(x, -n) / 2
     last = 0.0
-    for j in range(1, 11):
-        coeff = float(BERNOULLI[2 * j] / math.factorial(2 * j)) * pochhammer(n, 2 * j - 1)
-        term = coeff * cpow_int(x, -(n + 2 * j - 1))
+    for j, em in enumerate(_EM_COEFFS, 1):
+        term = em * pochhammer(n, 2 * j - 1) * cpow_int(x, -(n + 2 * j - 1))
         tail += term
         last = abs(term)
     value = partial + tail
@@ -170,16 +175,23 @@ def _digamma(z: complex) -> complex:
     result = cmath.log(z) - 1 / (2 * z)
     # - sum_j B_2j / (2j z^{2j})
     power = inv2
-    for j in range(1, 8):
-        result -= float(BERNOULLI[2 * j]) / (2 * j) * power
+    for coeff in _DIGAMMA_COEFFS:
+        result -= coeff * power
         power *= inv2
     return result + acc
 
 
-def _pole_distance(c: complex) -> float:
-    """Distance from c to the nearest nonpositive integer."""
-    k = max(0, math.ceil(-c.real))
-    return min(abs(c + j) for j in (k - 1, k) if j >= 0)
+def progression_distance(s: complex, step: float = 1.0, offset: float = 0.0) -> float:
+    """min over k >= 0 of |s + offset + step*k|: the distance from s to the
+    negated progression -(offset + step*k); by default to the nonpositive
+    integers."""
+    s = complex(s)
+    t = -(s.real + offset) / step
+    best = math.inf
+    for k in (math.floor(t), math.ceil(t), 0):
+        k = max(int(k), 0)
+        best = min(best, abs(s + offset + step * k))
+    return best
 
 
 def sum_inverse_pair(a: complex, b: complex, alternating: bool = False) -> complex:
@@ -197,7 +209,7 @@ def sum_inverse_pair(a: complex, b: complex, alternating: bool = False) -> compl
     _check_not_nonpositive_integer(b)
     c = (a + b) / 2
     h2 = ((a - b) / 2) ** 2
-    if abs(a - b) <= 0.2 * _pole_distance(c):
+    if abs(a - b) <= 0.2 * progression_distance(c):
         # Term i is at most (|h| / dist)^(2i) <= 0.01^i times sum_k |c+k|^-2,
         # so the cap leaves no tail worth keeping.
         zeta = alternating_zeta_sum if alternating else hurwitz_zeta

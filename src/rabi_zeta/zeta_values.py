@@ -5,16 +5,13 @@ Assembles the Hurwitz-zeta base term and the coupling-series trace terms
 the one-photon model, the two-photon model and its Bergman deformation, and
 the two-parameter oscillator pair; plus the parity (even minus odd sector)
 difference and the confluence-limit scan.  Operator-route terms, and the
-integral route's m >= 3 terms, come from operator_oracle.family_rows at the
-coarsest truncation, up to trunc_n, that meets the request's tol.  When a
-truncation misses tol, the next one re-sweeps only the rows 1..k whose error
-bars still need it (k the last row over its equal share of tol); the rows
-above k keep their value, bar and truncation, so a result's per-m
-truncations may mix two or more truncations, finest at the low m.
+integral route's m >= 3 terms, come from operator_oracle.family_rows under
+the truncation policy that ZetaRequest states.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,6 +23,7 @@ from .errors import DomainError, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
     EIGEN_FLOOR,
     MINUS,
+    NEAR_POLE_GUARD,
     PLUS,
     BergmanNu,
     ModelSpec,
@@ -40,14 +38,13 @@ from .specfun import SeriesValue, alternating_zeta_sum, hurwitz_zeta, pochhammer
 
 _METHODS = ("series_integral", "series_operator", "eigen_oracle")
 _WARN_DISTANCE = 1e-4
-_RAISE_DISTANCE = 1e-9
 _SLOW_RATIO = 0.95
 _HS_TERMS = 4096
 
 
 @dataclass(frozen=True)
 class ZetaRequest:
-    """A single zeta(H; n, lambda) evaluation request.
+    """A single zeta(H; n, lambda) evaluation request; lam must be finite.
 
     trunc_n caps the operator truncation N: the series routes start at a
     coarser N, no less than 106, and double it only while abs_error exceeds
@@ -82,6 +79,8 @@ class ZetaRequest:
             raise DomainError("tol must be > 0 and max_m >= 1")
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if not cmath.isfinite(self.lam):
+            raise DomainError(f"lambda must be finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -155,49 +154,38 @@ def _tail_bound(n: int, m_from: int, q: float, big_c: float, hs_sq: float) -> fl
     return total + t_last * rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _assemble(
-    model: ModelSpec,
-    n: int,
-    lam: complex,
-    method: str,
-    max_m: int,
-    tol: float,
-    trunc_n: int,
-    minus: bool,
-) -> ZetaResult:
-    """zeta(H; n, lam), or the parity difference when `minus`, by `method`.
+def _assemble(req: ZetaRequest, minus: bool) -> ZetaResult:
+    """zeta(H; n, lam) for `req`, or its parity difference when `minus`.
 
     The series routes add the base term, the free spectrum's Hurwitz pair
     from ModelGeometry.hurwitz (alternating when `minus`), and the terms
     m = 1..m_last, where m_last is the first m whose geometric tail bound is
     below tol (or max_m, with a warning), found before any term is computed
-    so that family_rows can sweep each component once up to m_last.
-    abs_error sums the base term's error, each term's truncation error and
-    the tail bound; the operator terms are computed at each N of
-    truncation_budget(trunc_n) until abs_error meets tol, the others once.
-    After a miss the next N sweeps only the terms up to the last one whose
-    scaled bar exceeds (tol - fixed) / (number of operator terms), fixed the
-    base, quadrature and tail errors; the later terms keep their value, bar
-    and truncation.  The result reads converged when abs_error meets tol and
-    every operator row read converged (its truncation has a calibrated bar).
-    metadata carries m_used (m_last) and tail_bound.  The eigen route takes
-    its value, its tops and its two error sources (truncation, calibration
-    floor) from zeta_eigen_oracle with the request's tol; it has no parity
-    difference, and parity_difference refuses it before it gets here.
+    so that family_rows can sweep each component once up to m_last; the
+    operator terms follow ZetaRequest's truncation policy.  abs_error sums
+    the error sources: the base term, the terms' truncation and the series
+    tail; or, on the eigen route (zeta_eigen_oracle), its truncation bar and
+    calibration floor.  The result reads converged when abs_error meets tol
+    and every operator row read converged (its truncation has a calibrated
+    bar).  metadata carries m_used (m_last) and tail_bound.  The eigen route
+    has no parity difference; parity_difference refuses it before it gets
+    here.
     """
     t0 = time.perf_counter()
-    lam = complex(lam)
-    geo = model_geometry(model)
+    n, tol, method = req.n, req.tol, req.method
+    lam = complex(req.lam)
+    geo = model_geometry(req.model)
     dist = geo.distance(lam)
-    if dist <= _RAISE_DISTANCE:
-        raise NearPole(f"lambda {lam} is within {_RAISE_DISTANCE} of the excluded set")
-    metadata: dict = {"method": method, "truncations": {"trunc_n": trunc_n}}
+    if dist <= NEAR_POLE_GUARD:
+        raise NearPole(f"lambda {lam} is within {NEAR_POLE_GUARD} of the excluded set")
+    metadata: dict = {"method": method, "truncations": {"trunc_n": req.trunc_n}}
     warnings = []
     if dist < _WARN_DISTANCE:
         warnings.append(f"ill-conditioned: distance {dist:.3e} to the excluded set")
     big_c = 1.0 / dist
+    x = geo.coupling
     # |X| in the geometric ratio (|X| C)^2; lam^(2m) in D_m makes it |X lam|.
-    xs = abs(geo.coupling) * (abs(lam) if geo.lam_power else 1.0)
+    xs = abs(x) * (abs(lam) if geo.lam_power else 1.0)
     q = (xs * big_c) ** 2
     if xs * big_c >= 1.0:
         raise RadiusExceeded(
@@ -205,81 +193,82 @@ def _assemble(
         )
     if xs * big_c > _SLOW_RATIO:
         warnings.append(f"SlowConvergence: geometric ratio {xs * big_c:.4f} close to 1")
-    per_m, per_m_truncation, tops = [], [], []
+    # m -> (the m-th term of the value, its scaled error bar, the finest
+    # operator truncation behind it or None for quadrature), in order of m.
+    terms: dict[int, tuple] = {}
+    tops = []
     calibrated = True
     if method == "eigen_oracle":
-        sv = zeta_eigen_oracle(model, n, lam, trunc_n, tol=tol)
-        value, err, base = sv.value, sv.abs_error, sv.value
+        sv = zeta_eigen_oracle(req.model, n, lam, req.trunc_n, tol=tol)
+        value = base = sv.value
         sources = {"truncation": sv.bar, "calibration floor": EIGEN_FLOOR}
-        tops, tail = list(sv.tops), None
+        tops = list(sv.tops)
     else:
         # The Delta^0 term: the free spectrum, alternating for the parity difference.
         free = geo.hurwitz(n, lam, zeta=alternating_zeta_sum if minus else hurwitz_zeta)
-        base, base_err = free.value, free.abs_error
+        base = free.value
+        sources = {"base term": free.abs_error, "truncation": 0.0, "series tail": 0.0}
         family = MINUS if minus else geo.family
-        x = geo.coupling
         hs_sq = _hs_constant_sq(geo.shifts(lam), geo.step, geo.offset)
         prefactor = (-1.0) ** n / math.factorial(n - 1)
-        trunc_err = tail = 0.0
+
+        def add_term(m, d, truncation):
+            """Tables the m-th term from D_m = d^n [lam^(lam_power m) R_m] / d lam^n."""
+            weight = abs(x) ** (2 * m) / m / math.factorial(n - 1)
+            terms[m] = (prefactor * x ** (2 * m) / m * d.value, weight * d.abs_error, truncation)
+
         if abs(x) > 0:
             # The tail bound does not depend on the terms, so m_last is known first.
-            for m_last in range(1, max_m + 1):
+            for m_last in range(1, req.max_m + 1):
                 tail = _tail_bound(n, m_last + 1, q, big_c, hs_sq)
                 if tail < tol:
                     break
-            # D_m = d^n [lam^(lam_power m) R_m] / d lam^n by the requested
-            # route; the integral route's m < 3 come from quadrature, once.
+            sources["series tail"] = tail
+            # The integral route's m < 3 come from quadrature, once.
             first_op = 3 if method == "series_integral" else 1
-            d_m = {
-                m: trace_terms.dn_r_m_integral(
+            for m in range(1, min(first_op, m_last + 1)):
+                d = trace_terms.dn_r_m_integral(
                     family, lam, geo.g, geo.eps, m, n, lambda_power=geo.lam_power * m
                 )
-                for m in range(1, min(first_op, m_last + 1))
-            }
-            used = dict.fromkeys(d_m)
+                add_term(m, d, None)
             if method == "series_integral" and m_last >= first_op:
                 metadata["notes"] = [f"m{m}_delegated_to_operator" for m in range(3, m_last + 1)]
-            scale = {m: abs(x) ** (2 * m) / m / math.factorial(n - 1) for m in range(1, m_last + 1)}
-            trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
+            sources["truncation"] = sum(bar for _, bar, _ in terms.values())
             # Errors that no truncation reduces already miss tol: try the cap alone.
-            fixed = base_err + trunc_err + tail
-            budget = truncation_budget(trunc_n) if fixed < tol else [trunc_n]
+            fixed = sum(sources.values())
+            budget = truncation_budget(req.trunc_n) if fixed < tol else [req.trunc_n]
             m_sweep = m_last
             for top in budget if m_last >= first_op else ():
                 rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_sweep)
                 calibrated &= all(row[n].converged for row in rows)
                 for m, row in enumerate(rows[first_op - 1 :], first_op):
                     power = geo.lam_power * m
-                    d_m[m] = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
-                    used[m] = row[n].terms_used
+                    d = trace_terms.leibniz_lambda_power(n, lam, power, row.__getitem__)
+                    add_term(m, d, row[n].terms_used)
                 tops.append(top)
-                trunc_err = sum(scale[m] * d.abs_error for m, d in d_m.items())
-                if base_err + trunc_err + tail <= tol or top == budget[-1]:
+                sources["truncation"] = sum(bar for _, bar, _ in terms.values())
+                if sum(sources.values()) <= tol or top == budget[-1]:
                     break
                 # The next top re-sweeps rows first_op..m_sweep only: the rows
                 # above keep this top's value, each within an equal share of
                 # what the fixed errors leave of tol, and by pigeonhole some
                 # row exceeds that share.
                 share = (tol - fixed) / (m_last - first_op + 1)
-                m_sweep = max(
-                    m for m in range(first_op, m_sweep + 1) if scale[m] * d_m[m].abs_error > share
-                )
+                m_sweep = max(m for m in range(first_op, m_sweep + 1) if terms[m][1] > share)
             if not calibrated:
                 warnings.append(bar_floor_warning(tops[-1]))
-            per_m = [prefactor * x ** (2 * m) / m * d_m[m].value for m in range(1, m_last + 1)]
-            per_m_truncation = [used[m] for m in range(1, m_last + 1)]
             if tail >= tol:
-                warnings.append(f"m-series truncated at max_m={max_m} with tail bound {tail:.3e}")
-        err = base_err + trunc_err + tail
-        value = base + sum(per_m)
-        sources = {"truncation": trunc_err, "series tail": tail, "base term": base_err}
-    # The finest operator truncation behind each per-m term; None for quadrature.
-    metadata["truncations"]["per_m"] = per_m_truncation
+                warnings.append(
+                    f"m-series truncated at max_m={req.max_m} with tail bound {tail:.3e}"
+                )
+        value = base + sum(term for term, _, _ in terms.values())
+    err = sum(sources.values())
+    metadata["truncations"]["per_m"] = [truncation for _, _, truncation in terms.values()]
     metadata["truncations"]["tops"] = tops
     # The series terms summed (m_last) and the bound on the rest; the eigen
     # route has no series.
-    metadata["m_used"] = len(per_m)
-    metadata["tail_bound"] = tail
+    metadata["m_used"] = len(terms)
+    metadata["tail_bound"] = sources.get("series tail")
     metadata["converged"] = err <= tol and calibrated
     if err > tol:
         worst = max(sources, key=sources.get)
@@ -290,15 +279,13 @@ def _assemble(
     if warnings:
         metadata["warnings"] = warnings
     metadata["runtime_ms"] = 1000.0 * (time.perf_counter() - t0)
-    return ZetaResult(value, err, tuple(per_m), base, metadata)
+    return ZetaResult(value, err, tuple(term for term, _, _ in terms.values()), base, metadata)
 
 
 def zeta_value(req: ZetaRequest) -> ZetaResult:
     """zeta(H; n, lambda) = base Hurwitz-zeta pair + coupling-series trace
     terms, by the requested route."""
-    return _assemble(
-        req.model, req.n, req.lam, req.method, req.max_m, req.tol, req.trunc_n, minus=False
-    )
+    return _assemble(req, minus=False)
 
 
 def parity_difference(
@@ -314,10 +301,10 @@ def parity_difference(
     alternating base sums and the R_m difference family."""
     if model_geometry(model).family != PLUS:
         raise DomainError("parity difference is defined for TwoPhoton and Ncho only")
-    ZetaRequest(model, n, lam, method, max_m, tol, trunc_n)  # zeta_value's input checks
+    req = ZetaRequest(model, n, lam, method, max_m, tol, trunc_n)
     if method == "eigen_oracle":
         raise DomainError("eigen_oracle does not provide the parity difference")
-    return _assemble(model, n, lam, method, max_m, tol, trunc_n, minus=True)
+    return _assemble(req, minus=True)
 
 
 def confluence_scan(
@@ -333,7 +320,10 @@ def confluence_scan(
 ) -> list:
     """Rows (nu, 2^n zeta(BergmanNu(nu, g/sqrt(nu), 2 delta, 2 eps); n,
     2 lam - nu), deviation from the one-photon value)."""
-    lam = complex(lam)
+    lam, nu_list = complex(lam), list(nu_list)
+    bad = [nu for nu in nu_list if not 0 < nu < math.inf]
+    if bad:
+        raise DomainError(f"confluence scan requires finite nu > 0, got {bad[0]}")
     if lam.real - abs(eps) <= 0:
         raise DomainError("confluence scan requires Re(lam) - |eps| > 0")
     if abs(delta) >= abs(lam - abs(eps)):

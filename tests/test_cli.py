@@ -34,6 +34,12 @@ class TestUsage:
         code, _ = _run(capsys, ["zeta", "--model", "bergman", "--n", "2"])
         assert code == 64
 
+    @pytest.mark.parametrize("nu_list", ["8,abc", ",", ""])
+    def test_malformed_nu_list(self, capsys, nu_list):
+        # "8,abc" used to exit 1 with a traceback, "," to exit 0 with no record.
+        code, out = _run(capsys, ["confluence", "--nu-list", nu_list])
+        assert code == 64 and out == ""
+
 
 class TestZeta:
     def test_decoupled_value(self, capsys):
@@ -65,6 +71,22 @@ class TestZeta:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "ncho", "--alpha", "nan", "--beta", "1.2", "--eta", "0.1"],
+            ["--model", "ncho", "--alpha", "inf", "--beta", "1.2", "--eta", "0.1"],
+            ["--model", "bergman", "--nu", "inf"],
+            ["--model", "1pqrm", "--lambda", "nan"],
+            ["--model", "1pqrm", "--g", "nan"],
+        ],
+    )
+    def test_non_finite_input_exit(self, capsys, flags):
+        # The ncho cases used to exit 0 with a value; --nu inf and --lambda
+        # nan exited 1 with a traceback.
+        code, out = _run(capsys, ["zeta", "--n", "2", *flags])
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("4", 2)])
     def test_small_truncation(self, capsys, trunc_n, expected):
@@ -303,6 +325,16 @@ class TestConfluence:
         assert len(recs) == 2
         for rec in recs:
             assert rec["deviation"] < 1e-10
+
+    @pytest.mark.parametrize("nu_list", ["8,0", "8,-1", "8,inf", "8,nan"])
+    def test_bad_nu_is_a_domain_error(self, capsys, nu_list):
+        # "8,0" used to exit 1 with ZeroDivisionError, "8,-1" with ValueError.
+        code, out = _run(
+            capsys,
+            ["confluence", "--g", "0.2", "--delta", "0.1", "--eps", "0.05",
+             "--lambda", "1.5", "--nu-list", nu_list],
+        )
+        assert code == 2 and out == ""
 
 
 class TestCsv:

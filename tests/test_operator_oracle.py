@@ -31,7 +31,6 @@ from rabi_zeta.operator_oracle import (
     OnePhoton,
     TraceDerivativeSweep,
     TwoPhoton,
-    _min_progression_distance,
     _ResolventSeries,
     _extrapolate,
     _ladder,
@@ -44,7 +43,7 @@ from rabi_zeta.operator_oracle import (
     r_m_operator,
     zeta_eigen_oracle,
 )
-from rabi_zeta.specfun import hurwitz_zeta, pochhammer
+from rabi_zeta.specfun import hurwitz_zeta, pochhammer, progression_distance
 
 
 class TestBuild:
@@ -94,6 +93,13 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             Ncho(alpha=1.0, beta=0.9, eta=0.1)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.inf, math.nan])
+    def test_nu_must_be_finite_and_positive(self, nu):
+        # nan and inf used to pass and fail later, or never.
+        for build in (Nu, lambda nu: Component("bergman", nu)):
+            with pytest.raises(DomainError):
+                build(nu)
+
     def test_models_frozen(self):
         m = OnePhoton(g=0.2, delta=0.3, eps=0.1)
         with pytest.raises(AttributeError):
@@ -126,6 +132,19 @@ class TestOneDescription:
     )
     def test_geometry_names_its_family(self, model, family):
         assert model_geometry(model).family == family
+
+    @pytest.mark.parametrize(
+        "model,step,offset",
+        [
+            (OnePhoton(0.2, 0.3, 0.1), 1.0, 0.0),
+            (BergmanNu(0.8, 0.2, 0.3, 0.1), 2.0, 0.8),
+            (TwoPhoton(0.2, 0.3, 0.1), 1.0, 0.5),
+            (Ncho(2.0, 1.2, 0.1), 1.0, 0.5),
+        ],
+    )
+    def test_free_spectrum_interleaves_the_components(self, model, step, offset):
+        geo = model_geometry(model)
+        assert (geo.step, geo.offset) == (step, offset)
 
     def test_families_are_re_exported(self):
         for name in ("FLAT", "PLUS", "MINUS", "Flat", "Nu", "Plus", "Minus", "TraceFamily"):
@@ -218,9 +237,9 @@ class TestPoleGuards:
             r_m_operator("fock", 0.2, 0.1, 0.1, 1)
 
     def test_min_progression_distance(self):
-        assert _min_progression_distance(0.6 + 0j, 1.0, 0.0) == pytest.approx(0.6)
-        assert _min_progression_distance(-2.3 + 0j, 1.0, 0.0) == pytest.approx(0.3)
-        assert _min_progression_distance(0.2 + 0j, 2.0, 0.5) == pytest.approx(0.7)
+        assert progression_distance(0.6 + 0j, 1.0, 0.0) == pytest.approx(0.6)
+        assert progression_distance(-2.3 + 0j, 1.0, 0.0) == pytest.approx(0.3)
+        assert progression_distance(0.2 + 0j, 2.0, 0.5) == pytest.approx(0.7)
 
 
 _EIGEN_MODELS = [
@@ -721,7 +740,7 @@ class TestSingularOperator:
         g, N = 0.5, 16
         mu = np.linalg.eigvalsh(dense(build_component_operator("fock", g, 0.0, +1, N)).real)
         lam = -mu[-1]
-        assert _min_progression_distance(lam, 1.0, 0.0) > 1e-3
+        assert progression_distance(lam, 1.0, 0.0) > 1e-3
         with pytest.raises(SingularOperator):
             r_m_operator("fock", g, lam, 0.0, 1, N=N)
         with pytest.raises(SingularOperator):

@@ -35,6 +35,31 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan), -math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        # nan used to reach the excluded-set distance and raise ValueError.
+        with pytest.raises(DomainError):
+            ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, lam)
+        with pytest.raises(DomainError):
+            parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, lam)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: OnePhoton(bad, 0.3, 0.1),
+            lambda bad: TwoPhoton(0.2, bad, 0.1),
+            lambda bad: BergmanNu(bad, 0.2, 0.3, 0.1),
+            lambda bad: BergmanNu(0.8, 0.2, 0.3, bad),
+            lambda bad: Ncho(bad, 1.2, 0.1),
+            lambda bad: Ncho(2.0, 1.2, bad),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_model_parameters_must_be_finite(self, build, bad):
+        # Ncho(nan, ...) used to pass its checks and return a value.
+        with pytest.raises(DomainError):
+            build(bad)
+
 
 class TestConvergenceRadius:
     def test_one_photon(self):
@@ -428,6 +453,16 @@ class TestConfluenceScan:
             confluence_scan(0.1, 0.0, 1.2, 1.0, 2, [1.0])
         with pytest.raises(DomainError):
             confluence_scan(0.1, 1.5, 0.1, 1.0, 2, [1.0])
+
+    @pytest.mark.parametrize("bad_nu", [0.0, -1.0, math.inf, math.nan])
+    def test_every_nu_is_checked_before_any_work(self, bad_nu, monkeypatch):
+        # nu = 0 used to raise ZeroDivisionError and nu < 0 ValueError from
+        # g / sqrt(nu), after the reference value was already computed.
+        calls = []
+        monkeypatch.setattr(zeta_values, "zeta_value", lambda req: calls.append(req))
+        with pytest.raises(DomainError):
+            confluence_scan(0.2, 0.1, 0.05, 1.5, 2, [8.0, bad_nu])
+        assert calls == []
 
     # trunc_n = 400 runs the truncation ladder; 100 has no level below N/4.
     @pytest.mark.parametrize("trunc_n", [100, 400])
