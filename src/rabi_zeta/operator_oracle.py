@@ -6,7 +6,11 @@ terms R_m and their shift derivatives) come from one structured kernel: the
 product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
 by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
-series of F^k and F^(k+1), so one solve step serves two terms.  Each
+series of F^k and F^(k+1), so one solve step serves two terms.  The solves
+act on P = min(64, N) probe columns: the entries of F^k decay away from the
+diagonal, so its band is read from F^k E, E summing the columns of each
+class mod P, and a check on the rows halfway between probe columns doubles
+P (up to N, where E = I) wherever that decay is too slow.  Each
 term is Richardson-extrapolated from three successive halvings of N, first
 N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
 live; once the next-coarser three already meet the rounding floor, the
@@ -44,10 +48,15 @@ from .specfun import SeriesValue, hurwitz_zeta, progression_distance
 
 _SINGULAR_GUARD = 1e-10
 # Relative rounding floor of an extrapolated trace: added to every sweep
-# row's abs_error, and the test that lets a sweep drop its finest truncation.
+# row's abs_error, the test that lets a sweep drop its finest truncation, and
+# the aliased mass a sweep state's probe columns may hold.
 _ROUNDING_FLOOR = 1e-14
 # The coarsest truncation a sweep adds below N/4.
 _LADDER_FLOOR = 24
+# The probe columns a sweep state starts on, min(_PROBE_START, N): W(k) is
+# stepped on them and their number doubles while the halfway-row check finds
+# aliased mass above the rounding floor (_ResolventSeries).
+_PROBE_START = 64
 # The smallest top truncation at which the two-step bar of every sweep row of
 # the calibration grid (tests/test_operator_oracle.py) holds.  The zeta
 # budget starts there; a sweep below it takes the first step's correction as
@@ -78,14 +87,19 @@ EIGEN_FLOOR = 1e-7
 # Model specifications
 
 
+def require_finite(name: str, value) -> None:
+    """Refuses a parameter that is not finite: the one check of models,
+    zeta requests and the trace-term routes."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 class _FiniteParams:
     """Refuses a model whose parameters are not all finite."""
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not cmath.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
+            require_finite(f.name, getattr(self, f.name))
 
 
 def _check_nu(nu) -> None:
@@ -457,15 +471,6 @@ def _extrapolate(values, sizes, p: int, first_bar: bool = False) -> tuple[comple
     return value, bar
 
 
-def _pair_traces(w_a, wt_b) -> list:
-    """[sum_{i <= j} tr(A_i B_{j-i}) for j = 0..n] from A = w_a and the
-    contiguous transposes wt_b of B: each trace is one BLAS dot, in a fixed
-    order of i, so order j never depends on n."""
-    a = [x.ravel(order="F") for x in w_a]
-    b = [x.ravel(order="F") for x in wt_b]
-    return [sum(np.dot(a[i], b[j - i]) for i in range(j + 1)) for j in range(len(a))]
-
-
 class _ResolventSeries:
     """The traces d^j R_m / d lam^j = j! tr [t^j] F(t)^m, j = 0..n, for
     m = 1, 2, ... at one truncation, where F(t) = M(t)^-1 and M(t) =
@@ -473,14 +478,26 @@ class _ResolventSeries:
     h_minus(t)^-1, with h_plus and h_minus the component's entries at the
     shifts lam + eps and lam - eps.
 
-    The state is W(k) = [t^0..t^n] F(t)^k.  M_0 = h_minus h_plus is factored
-    once with gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) =
-    W_j(k) - S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place, with S = h_minus +
-    h_plus diagonal (the two off-diagonals have opposite signs).  Since
-    tr [t^j] F^(a+b) = sum_i tr(W_i(a) W_{j-i}(b)), term 2k pairs W(k) with
-    itself and term 2k + 1 steps once and pairs W(k + 1) with W(k), so one
-    step serves two terms.  The transposes of W(k) are copied once for both
-    terms, into buffers that the next state reuses; W(0) = I is never kept.
+    The state is W(k)E, W(k) = [t^0..t^n] F(t)^k and E the N x P probing
+    matrix, E[c, c mod P] = 1.  M_0 = h_minus h_plus is factored once with
+    gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) = W_j(k) -
+    S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place, with S = h_minus + h_plus
+    diagonal (the two off-diagonals have opposite signs).  The recurrence is
+    linear in the columns, so from W(0) = E it steps W(k)E exactly, O((n +
+    1) N P) work per step.  Since tr [t^j] F^(a+b) = sum_i tr(W_i(a)
+    W_{j-i}(b)), term 2k pairs W(k) with itself and term 2k + 1 steps once
+    and pairs W(k + 1) with W(k), so one step serves two terms.
+
+    F^k inverts a banded matrix, so its entries decay away from the diagonal
+    (Demko, Moss & Smith 1984): entry (r, c mod P) of W(k)E is W(k)[r, c]
+    for the column c of its class nearest to r, plus entries at least P/2
+    further out.  So tr A sums (AE)[c, c mod P], and tr(A B) is one dot of
+    AE with B's transposed band, (BE)[c, r mod P] at each (r, c mod P).
+    After every step the halfway rows, at distance P/2 from their probe
+    column, bound the aliased mass: when an order's largest entry there
+    exceeds the rounding floor times that order's largest entry, P doubles
+    and the state replays from W(0).  This assumes that the entries keep
+    decaying past P/2.  At P = N, E = I and nothing is aliased.
     """
 
     def __init__(self, component: Component, g, lam, eps, n, N):
@@ -500,18 +517,38 @@ class _ResolventSeries:
         band[2, 2:] = b[:-1] * d[1:]
         band[6, :-2] = b[1:] * d[:-1]
         gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=dtype)
+        # The unconjugated dot from the BLAS that runs the solves: numpy's
+        # dot would wake a second thread pool on every call.
+        self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
         self._lu, self._piv, info = gbtrf(band, 2, 2)
         if info != 0:
             raise SingularOperator(f"banded factorization of h_minus h_plus failed (info={info})")
         self._s = (a + c)[:, None]
-        self._w = [np.eye(N, dtype=dtype, order="F")]
-        self._w += [np.zeros((N, N), dtype=dtype, order="F") for _ in range(n)]
-        self._wt = None
+        self._orders = n + 1
+        self._k = 0
+        self._bt = None  # W(k)'s transposed bands, from term 2k to term 2k + 1
         self.m = 0
         self.N = N
+        self._probe(min(_PROBE_START, N))
 
-    def _step(self) -> None:
-        """W(k) -> W(k + 1), right-hand sides built in place."""
+    def _probe(self, P: int) -> None:
+        """Restart from W(0) = E on P probe columns and replay to W(k).  The
+        index arrays point into W's column-major storage; the band's is
+        built when a period first needs it."""
+        N, rows = self.N, np.arange(self.N)
+        self._diagonal = rows + N * (rows % P)
+        self._halfway = rows + N * ((rows - P // 2) % P)
+        self._transposed = None
+        self._w = [np.zeros((N, P), dtype=self._s.dtype, order="F") for _ in range(self._orders)]
+        self._w[0].ravel(order="F")[self._diagonal] = 1.0
+        self.P = P
+        for _ in range(self._k):
+            self._solve()
+        if self._bt is not None:
+            self._bt = self._bands()
+
+    def _solve(self) -> None:
+        """W(k)E -> W(k + 1)E, right-hand sides built in place."""
         w = self._w
         for j in range(len(w)):
             if j >= 1:
@@ -520,22 +557,65 @@ class _ResolventSeries:
                 w[j] -= w[j - 2]
             w[j], _ = self._gbtrs(self._lu, 2, 2, w[j], self._piv, overwrite_b=True)
 
+    def _aliased(self) -> bool:
+        """Whether some order's largest entry in the halfway rows exceeds the
+        rounding floor times that order's largest entry."""
+        for x in self._w:
+            flat = x.ravel(order="F")
+            halfway = np.max(np.abs(flat[self._halfway])) / _ROUNDING_FLOOR
+            # The diagonal's largest entry bounds the state's from below, so
+            # the whole state is read only when the diagonal leaves it open.
+            if halfway > np.max(np.abs(flat[self._diagonal])) and halfway > np.max(np.abs(x)):
+                return True
+        return False
+
+    def _step(self) -> None:
+        """W(k) -> W(k + 1), with P doubled (up to N) and the state replayed
+        until it passes the halfway-row check."""
+        self._solve()
+        while self.P < self.N and self._aliased():
+            self._probe(min(2 * self.P, self.N))
+            self._solve()
+        self._k += 1
+
+    def _bands(self) -> list:
+        """The transposed bands of the current state, one vector per order:
+        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
+        if self.P == self.N:  # E = I: the band is the whole transpose
+            return [x.ravel(order="C") for x in self._w]
+        if self._transposed is None:
+            N, P, h = self.N, self.P, self.P // 2
+            # offset[q, s] = c - r, in [-h, P - h), for a row r = s mod P.
+            offset = np.subtract.outer(np.arange(P), np.arange(P))
+            offset[offset < -h] += P
+            offset[offset >= P - h] -= P
+            rows = np.arange(N)
+            nearest = rows + np.tile(offset, -(-N // P))[:, :N]
+            nearest[:, :P][nearest[:, :P] < 0] += P
+            nearest[:, -P:][nearest[:, -P:] >= N] -= P
+            nearest += N * (rows % P)
+            self._transposed = nearest.ravel()
+        return [x.ravel(order="F")[self._transposed] for x in self._w]
+
+    def _pair_traces(self) -> list:
+        """[sum_{i <= j} tr(A_i B_{j-i}) for j = 0..n], A the current state
+        and B the one whose bands are held: each trace is one BLAS dot, in a
+        fixed order of i, so order j never depends on n."""
+        a = [x.ravel(order="F") for x in self._w]
+        return [sum(self._dot(a[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(a))]
+
     def advance(self) -> list[complex]:
         """Step m -> m + 1 and return [j! tr [t^j] F^m for j = 0..n]."""
         self.m += 1
         if self.m == 1:
             self._step()
-            traces = [np.trace(x) for x in self._w]
+            traces = [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
         elif self.m % 2 == 0:
-            # W(k)^T goes into buffers kept from state to state: freeing and
-            # reallocating them per state faults every page in again.
-            self._wt = self._wt or [np.empty_like(x, order="F") for x in self._w]
-            for x, xt in zip(self._w, self._wt):
-                xt[...] = x.T
-            traces = _pair_traces(self._w, self._wt)
+            self._bt = self._bands()
+            traces = self._pair_traces()
         else:
             self._step()
-            traces = _pair_traces(self._w, self._wt)
+            traces = self._pair_traces()
         return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
 
@@ -547,10 +627,16 @@ class TraceDerivativeSweep:
     h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
     polynomial M(t).  One step of n + 1 banded solves against one LU
     factorization of M(0) per truncation serves two m (terms 2k and 2k + 1
-    come from pair products of the series of F^k and F^(k+1)), O((n + 1)
-    N^2) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
-    inverse or product.  D_m = n! tr [t^n] F(t)^m, and every lower order
-    comes from the same series.
+    come from pair products of the series of F^k and F^(k+1)), O((n + 1) N
+    P) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
+    inverse or product.  The solves act on P = min(64, N) probe columns,
+    which hold the band of F^k: its entries decay away from the diagonal,
+    and after every step the rows halfway between probe columns must hold
+    no more than the rounding floor of each order's largest entry, or P
+    doubles and that truncation replays (_ResolventSeries).  D_m = n! tr
+    [t^n] F(t)^m, and every lower order comes from the same series; all
+    orders share P, so a widening that a higher order forces moves the lower
+    orders at the rounding level only.
 
     The truncations form a ladder N, N/2, N/4, ... down to _LADDER_FLOOR
     (only N, N/2, N/4 below N = 192).  Each term is Richardson-extrapolated
@@ -571,6 +657,8 @@ class TraceDerivativeSweep:
     def __init__(self, component: Component, g, lam, eps, n, N=400):
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
+        require_finite("lambda", lam)
+        require_finite("eps", eps)
         for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
             if progression_distance(s, component.step, component.offset) <= NEAR_POLE_GUARD:
                 raise NearPole(f"shift {s} is within {NEAR_POLE_GUARD} of an excluded point")

@@ -329,6 +329,8 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
     (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
     """
+    operator_oracle.require_finite("lambda", lam)
+    operator_oracle.require_finite("eps", eps)
     components = family.components
     if isinstance(family, Flat):
         total = 0.0 + 0.0j

@@ -11,7 +11,6 @@ the truncation policy that ZetaRequest states.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .operator_oracle import (
     bar_floor_warning,
     family_rows,
     model_geometry,
+    require_finite,
     truncation_budget,
     zeta_eigen_oracle,
 )
@@ -44,7 +44,8 @@ _HS_TERMS = 4096
 
 @dataclass(frozen=True)
 class ZetaRequest:
-    """A single zeta(H; n, lambda) evaluation request; lam must be finite.
+    """A single zeta(H; n, lambda) evaluation request; lam and tol must be
+    finite.
 
     trunc_n caps the operator truncation N: the series routes start at a
     coarser N, no less than 106, and double it only while abs_error exceeds
@@ -75,12 +76,12 @@ class ZetaRequest:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
+        require_finite("tol", self.tol)
         if self.tol <= 0 or self.max_m < 1:
             raise DomainError("tol must be > 0 and max_m >= 1")
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not cmath.isfinite(self.lam):
-            raise DomainError(f"lambda must be finite, got {self.lam}")
+        require_finite("lambda", self.lam)
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,21 @@ class TestZeta:
             ["--model", "bergman", "--nu", "inf"],
             ["--model", "1pqrm", "--lambda", "nan"],
             ["--model", "1pqrm", "--g", "nan"],
+            ["--model", "1pqrm", "--lambda", "1.0", "--tol", "nan"],
         ],
     )
     def test_non_finite_input_exit(self, capsys, flags):
-        # The ncho cases used to exit 0 with a value; --nu inf and --lambda
-        # nan exited 1 with a traceback.
+        # The ncho cases and --tol nan used to exit 0 with a value; --nu inf
+        # and --lambda nan exited 1 with a traceback.
         code, out = _run(capsys, ["zeta", "--n", "2", *flags])
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("route", ["operator", "series"])
+    @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"), ("--eps", "nan")])
+    def test_non_finite_trace_term_exit(self, capsys, route, flag, value):
+        # --lambda nan used to exit 1 with a ValueError from a pole guard.
+        argv = ["trace-term", "--family", "flat", "--route", route, "--g", "0.2", flag, value]
+        code, out = _run(capsys, argv)
         assert code == 2 and out == ""
 
     @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("4", 2)])

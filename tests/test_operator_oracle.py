@@ -430,7 +430,8 @@ class TestDenseReference:
     def test_lower_orders_do_not_depend_on_the_top_order(self, basis, nu, lam, N):
         # One sweep at the top order serves every lower order: W_j depends
         # only on W_0..W_j, each order's bar reads only its own values, and the
-        # ladder's drop test reads order 0 only.
+        # ladder's drop test reads order 0 only.  (All orders share the probe
+        # period, which none of these points widens.)
         g, eps = 0.2, 0.1
         top = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, 3, N)
         sweeps = [TraceDerivativeSweep(Component(basis, nu), g, lam, eps, k, N) for k in range(3)]
@@ -457,6 +458,80 @@ class TestDenseReference:
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in dense_mats]))
         assert got.shape == ref.shape == (2 * N * len(bands),)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+class TestProbedKernel:
+    # Each sweep state steps W(k)E on min(64, N) probe columns and doubles
+    # them while its halfway rows hold more than the rounding floor.  These
+    # points need a wider period (their bands decay slowly) ...
+    _WIDENING = [("bergman", 1.5, 1.0, 1.2), ("bergman", 0.5, 0.6, -4.3 + 0.2j)]
+    # ... and these keep the start, one of them between two poles.
+    _NARROW = [("fock", None, 0.2, 0.9), ("bergman", 0.5, 0.2, 0.9 + 0.3j), ("fock", None, 0.2, -2.75)]
+
+    @staticmethod
+    def _traces(point, N, m_last=8):
+        basis, nu, g, lam = point
+        state = _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N)
+        return [state.advance() for _ in range(m_last)], state.P
+
+    # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
+    @pytest.mark.parametrize("point", _NARROW[:2])
+    def test_probed_sweep_matches_dense_composition_sum(self, point):
+        basis, nu, g, lam = point
+        eps, N, top = 0.1, 130, 3
+        sweep = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, top, N)
+        for m in range(1, 6):
+            terms = sweep.next_terms()
+            for n in range(top + 1):
+                ref = _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu)
+                assert abs(terms[n].value - ref) <= 1e-11 * abs(ref), (m, n, terms[n], ref)
+        assert [(st.N, st.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
+
+    @pytest.mark.parametrize("N", [100, 400, 800])
+    def test_period_widens_only_where_the_band_is_wide(self, N):
+        for point in self._WIDENING:
+            assert min(64, N) < self._traces(point, N)[1] <= N, point
+        for point in self._NARROW:
+            assert self._traces(point, N)[1] == 64, point
+
+    # At P = N, E = I: the dense sweep.  A start of 16 doubles its way up to
+    # a period that passes the check.
+    @pytest.mark.parametrize("point", [*_WIDENING, _NARROW[2]])
+    def test_probed_traces_match_the_dense_sweep(self, monkeypatch, point):
+        N = 400
+        monkeypatch.setattr(operator_oracle, "_PROBE_START", N)
+        dense, P = self._traces(point, N)
+        assert P == N
+        for start in (64, 16):
+            monkeypatch.setattr(operator_oracle, "_PROBE_START", start)
+            got, P = self._traces(point, N)
+            assert P < N
+            for row, ref in zip(got, dense):
+                assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(row, ref)), (start, row, ref)
+
+    def test_the_halfway_check_is_needed(self, monkeypatch):
+        # Without it, 64 probe columns alias the slow-decaying nu = 3/2 band
+        # at g = 1.0 into an error of about 2e-8.
+        point, N = self._WIDENING[0], 400
+        dense, _ = self._traces(point, N)
+        monkeypatch.setattr(_ResolventSeries, "_aliased", lambda self: False)
+        got, P = self._traces(point, N)
+        assert P == 64
+        err = max(abs(x - y) / abs(y) for row, ref in zip(got, dense) for x, y in zip(row, ref))
+        assert err > 1e-9
+
+    def test_large_truncation_matches_its_reference_row(self):
+        # N = 3200 at order 3 and complex lam, the finest level of the
+        # calibration reference, in well under a second (ROADMAP aim 3).
+        rows = json.loads(_REFERENCE.read_text())["rows"]
+        ref = next(r for r in rows if (r["basis"], r["nu"], r["g"]) == ("bergman", 0.5, 0.4) and r["lam"][1])
+        lam = complex(*ref["lam"])
+        sweep = TraceDerivativeSweep(Component("bergman", 0.5), 0.4, lam, _CALIBRATION["eps"], 3, 3200)
+        assert max(st.P for st in sweep._states) == 64
+        for m, want in enumerate(ref["terms"], 1):
+            row = sweep.next_terms()
+            for k in range(4):
+                assert abs(row[k].value - complex(*want[k])) <= row[k].abs_error, (m, k)
 
 
 class TestTruncationLadder:
@@ -558,10 +633,12 @@ class TestExtrapolate:
 # The calibration grid: each component at eps = 0.1 and at two couplings, g
 # = 0.2 (the Rabi models) and g = 0.4 (about the oscillator pair's), with a
 # real and a complex lam each, m = 1..8 and orders 0..3, against the
-# two-step value from (3200, 1600, 800).  The reference rows are stored
-# because one N = 3200 truncation at order 3 holds about 1.3 GB at complex
-# lam; regenerate them with `PYTHONPATH=src python tests/test_operator_oracle.py
-# sweep` (sweep is the default).
+# two-step value from (3200, 1600, 800).  The reference rows are stored, so
+# that the calibration does not move with the kernel it checks.  A probed
+# N = 3200 state at order 3 and complex lam holds 3200 x 64 entries per
+# order, about 30 MB with its bands, where a dense one held about 1.3 GB;
+# regenerate the rows (about 10 s) with `PYTHONPATH=src python
+# tests/test_operator_oracle.py sweep` (sweep is the default).
 _REFERENCE = pathlib.Path(__file__).with_name("sweep_reference.json")
 _CALIBRATION = dict(
     eps=0.1,

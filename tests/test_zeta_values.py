@@ -35,6 +35,14 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tol_must_be_finite(self, tol):
+        # nan passed the tol > 0 test and ran to max_m, never converged.
+        with pytest.raises(DomainError):
+            ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 2, 1.0, tol=tol)
+        with pytest.raises(DomainError):
+            parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, tol=tol)
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan), -math.inf])
     def test_lambda_must_be_finite(self, lam):
         # nan used to reach the excluded-set distance and raise ValueError.
