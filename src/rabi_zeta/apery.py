@@ -30,10 +30,13 @@ from .specfun import (
     _digamma,
     binomial,
     pochhammer,
+    require_finite,
     sum_inverse_pair,
 )
 
 _HALF_POLE_GUARD = 1e-9
+#: Largest n that beukers_residual accepts.
+BEUKERS_N_MAX = 12
 _BLOCK = 4096
 _MAX_SERIES_TERMS = 5_000_000
 
@@ -64,6 +67,13 @@ def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+def _require_finite_point(lam, eps) -> None:
+    """DomainError unless lam and eps are finite; exact inputs always are."""
+    if not _is_exact(lam, eps):
+        require_finite("lambda", lam)
+        require_finite("eps", eps)
+
+
 # ---------------------------------------------------------------------------
 # Flat family
 
@@ -83,6 +93,7 @@ def j_flat(
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    _require_finite_point(lam, eps)
     if method == "quadrature":
         lamc, epsc = complex(lam), complex(eps)
         if lamc.real - abs(epsc.real) <= 0:
@@ -211,6 +222,7 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    _require_finite_point(lam, eps)
     dist = _pole_distance(eps, [s * m / 2 for m in range(1, n + 1) for s in (1, -1)])
     if n == 0:
         return AperyCoefficients(1, 0, 0, "flat")
@@ -287,6 +299,7 @@ def j_delta(
         raise DomainError(f"n must be >= 0, got {n}")
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
+    _require_finite_point(lam, eps)
     lamc, epsc = complex(lam), complex(eps)
     _delta_pole_check(lamc, epsc)
     if method == "series":
@@ -394,6 +407,7 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
         raise DomainError(f"n must be >= 0, got {n}")
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
+    _require_finite_point(lam, eps)
     dist = _pole_distance(eps, [-n / 2 + j for j in range(n + 1)])
     exact = _is_exact(lam, eps)
     if not exact:
@@ -465,8 +479,8 @@ def beukers_residual(n: int) -> float:
     small J value), so the target is formed in 60-digit arithmetic before
     rounding; in float64 the cancellation alone would cost ~|A_n| * 1e-16.
     """
-    if n < 0 or n > 12:
-        raise DomainError(f"n must be in 0..12, got {n}")
+    if not 0 <= n <= BEUKERS_N_MAX:
+        raise DomainError(f"n must be in 0..{BEUKERS_N_MAX}, got {n}")
     exact = apery_classic(n)
     b = exact.b_list[n]
     with mpmath.workdps(60):

@@ -35,29 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x) -> str:
-    """17-significant-digit rendering for floats; native for the rest."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return "%.17g" % x
-        return '"%s"' % x
-    if isinstance(x, int):
-        return str(x)
-    raise TypeError(f"unsupported scalar {type(x)}")
-
-
 def _json(obj) -> str:
+    """JSON text of a record: floats at 17 significant digits (non-finite
+    ones as strings), complex values as {"re", "im"}, and any other object,
+    such as a Fraction, as its string."""
     if obj is None:
         return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return "%.17g" % obj if math.isfinite(obj) else f'"{obj}"'
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if isinstance(obj, (bool, int, float)):
-        return _fmt(obj)
-    if isinstance(obj, Fraction):
-        return _json(str(obj))
     if isinstance(obj, complex):
         return _json({"re": obj.real, "im": obj.imag})
     if isinstance(obj, dict):
@@ -68,27 +60,19 @@ def _json(obj) -> str:
     return _json(str(obj))
 
 
-def _record(command, params, value, abs_error, method, truncations, runtime_ms,
-            per_m_terms=None, rng_seed=None, extra=None):
-    rec = {
+def _record(command, params, value, abs_error, method, truncations, runtime_ms, **extra):
+    """One result record; the keyword arguments follow its common fields."""
+    return {
         "command": command,
         "params": params,
-        "value": {"re": complex(value).real, "im": complex(value).imag},
+        "value": complex(value),
         "abs_error": float(abs_error),
         "method": method,
         "truncations": truncations or {},
         "runtime_ms": int(round(runtime_ms)),
         "library_version": __version__,
+        **extra,
     }
-    if per_m_terms is not None:
-        rec["per_m_terms"] = [
-            {"re": complex(t).real, "im": complex(t).imag} for t in per_m_terms
-        ]
-    if rng_seed is not None:
-        rec["rng_seed"] = rng_seed
-    if extra:
-        rec.update(extra)
-    return rec
 
 
 def _emit(records, fmt):
@@ -102,8 +86,8 @@ def _emit(records, fmt):
         params = ";".join(f"{k}={v}" for k, v in rec.get("params", {}).items())
         row = [
             rec["command"],
-            "%.17g" % rec["value"]["re"],
-            "%.17g" % rec["value"]["im"],
+            "%.17g" % rec["value"].real,
+            "%.17g" % rec["value"].imag,
             "%.17g" % rec["abs_error"],
             rec.get("method", ""),
             str(rec.get("runtime_ms", 0)),
@@ -242,17 +226,13 @@ def _trace_family(args):
 def _cmd_zeta(args):
     model = _build_model(args)
     t0 = time.perf_counter()
-    if args.parity_difference:
-        res = zeta_values.parity_difference(
-            model, args.n, args.lam, method=args.method, max_m=args.max_m,
-            tol=args.tol, trunc_n=args.trunc_n,
+    compute = zeta_values.parity_difference if args.parity_difference else (
+        lambda *request, **options: zeta_values.zeta_value(
+            zeta_values.ZetaRequest(*request, **options)
         )
-    else:
-        req = zeta_values.ZetaRequest(
-            model, args.n, args.lam, method=args.method, max_m=args.max_m,
-            tol=args.tol, trunc_n=args.trunc_n,
-        )
-        res = zeta_values.zeta_value(req)
+    )
+    res = compute(model, args.n, args.lam, method=args.method, max_m=args.max_m,
+                  tol=args.tol, trunc_n=args.trunc_n)
     runtime = 1000.0 * (time.perf_counter() - t0)
     params = {"model": args.model, "n": args.n, "lambda": _lam_str(args.lam),
               "g": args.g, "delta": args.delta, "eps": args.eps}
@@ -266,9 +246,9 @@ def _cmd_zeta(args):
                    "tail_bound": md["tail_bound"]}
     return [
         _record("zeta", params, res.value, res.abs_error, args.method,
-                md.get("truncations"), runtime, per_m_terms=res.per_m_terms,
-                extra={"base_term": {"re": res.base_term.real, "im": res.base_term.imag},
-                       "diagnostics": diagnostics})
+                md.get("truncations"), runtime,
+                per_m_terms=[complex(t) for t in res.per_m_terms],
+                base_term=complex(res.base_term), diagnostics=diagnostics)
     ]
 
 
@@ -293,8 +273,7 @@ def _cmd_trace_term(args):
     floor = bar_floor_warning(args.trunc_n) if args.route == "operator" else None
     diagnostics = {"converged": sv.converged, "warnings": [floor] if floor else []}
     return [_record("trace-term", params, sv.value, sv.abs_error, args.route,
-                    {"terms_used": sv.terms_used}, runtime,
-                    extra={"diagnostics": diagnostics})]
+                    {"terms_used": sv.terms_used}, runtime, diagnostics=diagnostics)]
 
 
 def _cmd_apery(args):
@@ -302,11 +281,9 @@ def _cmd_apery(args):
     if args.family == "classic":
         ex = apery.apery_classic(args.n_max)
         runtime = 1000.0 * (time.perf_counter() - t0)
-        rec = _record("apery", {"family": "classic", "n_max": args.n_max},
-                      0.0, 0.0, "exact", {}, runtime)
-        rec["a_list"] = [str(a) for a in ex.a_list]
-        rec["b_list"] = [str(b) for b in ex.b_list]
-        return [rec]
+        return [_record("apery", {"family": "classic", "n_max": args.n_max}, 0.0, 0.0,
+                        "exact", {}, runtime, a_list=[str(a) for a in ex.a_list],
+                        b_list=[str(b) for b in ex.b_list])]
     if args.n is None:
         raise _UsageError("--n is required for flat/plus/minus families")
     lam, eps = args.lam, args.eps
@@ -324,13 +301,14 @@ def _cmd_apery(args):
     value = co.a
     if args.exact and abs(co.a) > sys.float_info.max:
         value = math.inf if co.a > 0 else -math.inf  # "a" keeps the exact value
-    rec = _record("apery", params, value, 0.0, "exact" if args.exact else "float", {}, runtime)
-    rec["a"] = str(co.a) if args.exact else {"re": complex(co.a).real, "im": complex(co.a).imag}
-    rec["b"] = str(co.b) if args.exact else {"re": complex(co.b).real, "im": complex(co.b).imag}
-    return [rec]
+    coefficient = str if args.exact else complex
+    return [_record("apery", params, value, 0.0, "exact" if args.exact else "float", {},
+                    runtime, a=coefficient(co.a), b=coefficient(co.b))]
 
 
 def _cmd_beukers(args):
+    if not 0 <= args.n_max <= apery.BEUKERS_N_MAX:
+        raise DomainError(f"n_max must be in 0..{apery.BEUKERS_N_MAX}, got {args.n_max}")
     records = []
     for n in range(args.n_max + 1):
         t0 = time.perf_counter()
@@ -352,8 +330,7 @@ def _cmd_confluence(args):
         params = {"nu": nu, "n": args.n, "lambda": _lam_str(args.lam),
                   "g": args.g, "delta": args.delta, "eps": args.eps}
         records.append(_record("confluence", params, value, deviation, args.method,
-                               {"trunc_n": args.trunc_n}, runtime,
-                               extra={"deviation": deviation}))
+                               {"trunc_n": args.trunc_n}, runtime, deviation=deviation))
     return records
 
 
@@ -431,14 +408,14 @@ def _validate_checks(suite, seed):
 
 
 def _cmd_validate(args):
-    records = []
-    for name, residual, tolerance in _validate_checks(args.suite, args.seed):
-        rec = _record("validate", {"check": name, "suite": args.suite},
-                      residual, 0.0, "suite", {}, 0.0, rng_seed=args.seed)
-        rec["tolerance"] = float(tolerance)
-        rec["passed"] = bool(residual <= tolerance)
-        records.append(rec)
-    return records
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    return [
+        _record("validate", {"check": name, "suite": args.suite}, residual, 0.0, "suite", {},
+                0.0, rng_seed=args.seed, tolerance=float(tolerance),
+                passed=bool(residual <= tolerance))
+        for name, residual, tolerance in _validate_checks(args.suite, args.seed)
+    ]
 
 
 def run(argv=None) -> int:
@@ -457,7 +434,7 @@ def run(argv=None) -> int:
     except NoConvergence as exc:
         sys.stderr.write(f"non-convergence: {exc}\n")
         return _EXIT_NOCONV
-    except (DomainError, RabiZetaError) as exc:
+    except RabiZetaError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return _EXIT_DOMAIN
     _emit(records, args.format)

@@ -28,7 +28,6 @@ between calls.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -44,7 +43,7 @@ from .errors import (
     NearPole,
     SingularOperator,
 )
-from .specfun import SeriesValue, hurwitz_zeta, progression_distance
+from .specfun import SeriesValue, hurwitz_zeta, progression_distance, require_finite
 
 _SINGULAR_GUARD = 1e-10
 # Relative rounding floor of an extrapolated trace: added to every sweep
@@ -85,13 +84,6 @@ EIGEN_FLOOR = 1e-7
 
 # ---------------------------------------------------------------------------
 # Model specifications
-
-
-def require_finite(name: str, value) -> None:
-    """Refuses a parameter that is not finite: the one check of models,
-    zeta requests and the trace-term routes."""
-    if not cmath.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
 
 
 class _FiniteParams:
@@ -448,9 +440,10 @@ def _extrapolate(values, sizes, p: int, first_bar: bool = False) -> tuple[comple
     expected rate: then it is _BAR_FACTOR times the third step's correction,
     and with a fifth truncation no less than the one the next-coarser four
     predict, against a third-step correction that cancels by accident.
+    No step past the third is built.
     """
     cols, corrs, rates = [list(values[:5])], [], []
-    basis = [[(sizes[0] / s) ** (p + j) for s in sizes[:5]] for j in range(len(cols[0]) - 1)]
+    basis = [[(sizes[0] / s) ** (p + j) for s in sizes[:5]] for j in range(min(len(values), 4) - 1)]
     while basis:
         g = basis.pop(0)
         rate = [b / a for a, b in zip(g, g[1:])]
@@ -581,8 +574,6 @@ class _ResolventSeries:
     def _bands(self) -> list:
         """The transposed bands of the current state, one vector per order:
         at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
-        if self.P == self.N:  # E = I: the band is the whole transpose
-            return [x.ravel(order="C") for x in self._w]
         if self._transposed is None:
             N, P, h = self.N, self.P, self.P // 2
             # offset[q, s] = c - r, in [-h, P - h), for a row r = s mod P.
@@ -659,6 +650,7 @@ class TraceDerivativeSweep:
             raise DomainError(f"n must be >= 0, got {n}")
         require_finite("lambda", lam)
         require_finite("eps", eps)
+        require_finite("g", g)
         for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
             if progression_distance(s, component.step, component.offset) <= NEAR_POLE_GUARD:
                 raise NearPole(f"shift {s} is within {NEAR_POLE_GUARD} of an excluded point")

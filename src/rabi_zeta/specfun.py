@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoConvergence, PoleError
+from .errors import DomainError, NoConvergence, PoleError
 
 # Bernoulli numbers B_2 .. B_20 as exact rationals (odd ones vanish).
 BERNOULLI = {
@@ -51,6 +51,13 @@ class SeriesValue:
     abs_error: float
     terms_used: int
     converged: bool
+
+
+def require_finite(name: str, value) -> None:
+    """Refuses a parameter that is not finite: the one check of models, zeta
+    requests, the trace-term routes and the Apery and J entry points."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _check_not_nonpositive_integer(a: complex, guard: float = _POLE_GUARD) -> None:

@@ -25,6 +25,7 @@ from .specfun import (
     SeriesValue,
     hypergeometric_pfq,
     pochhammer,
+    require_finite,
     sum_inverse_pair,
 )
 
@@ -248,11 +249,18 @@ def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> Series
     return SeriesValue(total, err, terms, True)
 
 
+def _require_finite_inputs(lam, g, eps) -> None:
+    """DomainError unless lam, g and eps are finite, before any term is summed."""
+    for name, value in (("lambda", lam), ("eps", eps), ("g", g)):
+        require_finite(name, value)
+
+
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
     for m >= 4.  m = 2 on a tensor rule is pair-separable (_pair_row); m = 1,
     m = 3 and any Monte Carlo spec integrate the point-by-point integrand."""
+    _require_finite_inputs(lam, g, eps)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     components = family.components
@@ -329,8 +337,7 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
     (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
     """
-    operator_oracle.require_finite("lambda", lam)
-    operator_oracle.require_finite("eps", eps)
+    _require_finite_inputs(lam, g, eps)
     components = family.components
     if isinstance(family, Flat):
         total = 0.0 + 0.0j
@@ -368,6 +375,7 @@ def r_1_hypergeometric(delta: int, lam: complex, g: float, eps: complex) -> Seri
     tanh^2 2g) * k-sum + sum_{j>=1} (1/2)_j / j! tanh^{2j}(2g) B_{2j} ], with
     B_{2j} the delta-family coefficient in its parity l-sum form, the value
     form apery_ab_delta returns."""
+    _require_finite_inputs(lam, g, eps)
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
     lam = complex(lam)

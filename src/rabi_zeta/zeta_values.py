@@ -30,11 +30,10 @@ from .operator_oracle import (
     bar_floor_warning,
     family_rows,
     model_geometry,
-    require_finite,
     truncation_budget,
     zeta_eigen_oracle,
 )
-from .specfun import SeriesValue, alternating_zeta_sum, hurwitz_zeta, pochhammer
+from .specfun import SeriesValue, alternating_zeta_sum, hurwitz_zeta, pochhammer, require_finite
 
 _METHODS = ("series_integral", "series_operator", "eigen_oracle")
 _WARN_DISTANCE = 1e-4
@@ -320,7 +319,10 @@ def confluence_scan(
     threads: int = 1,
 ) -> list:
     """Rows (nu, 2^n zeta(BergmanNu(nu, g/sqrt(nu), 2 delta, 2 eps); n,
-    2 lam - nu), deviation from the one-photon value)."""
+    2 lam - nu), deviation from the one-photon value), on `threads` >= 1
+    threads."""
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     lam, nu_list = complex(lam), list(nu_list)
     bad = [nu for nu in nu_list if not 0 < nu < math.inf]
     if bad:

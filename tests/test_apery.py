@@ -18,6 +18,46 @@ from rabi_zeta.apery import (
 from rabi_zeta.errors import DomainError, NoConvergence, PoleError
 
 
+_NON_FINITE_POINTS = [
+    ("lambda", math.nan, 0.1),
+    ("lambda", math.inf, 0.1),
+    ("eps", 1.2, math.nan),
+    ("eps", 1.2, -math.inf),
+]
+
+
+class TestNonFiniteInputs:
+    # j_flat and j_delta used to raise an untyped ValueError on a nan, and the
+    # A/B coefficients reported it as a float overflow (NoConvergence).
+    @pytest.mark.parametrize("name,lam,eps", _NON_FINITE_POINTS)
+    @pytest.mark.parametrize("method", ["series", "quadrature"])
+    def test_j_flat(self, name, lam, eps, method):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            j_flat(2, lam, eps, method=method)
+
+    @pytest.mark.parametrize("name,lam,eps", _NON_FINITE_POINTS)
+    @pytest.mark.parametrize("method", ["series", "recurrence"])
+    def test_j_delta(self, name, lam, eps, method):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            j_delta(2, 1, lam, eps, method=method)
+
+    @pytest.mark.parametrize("name,lam,eps", _NON_FINITE_POINTS)
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_coefficients(self, name, lam, eps, n):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            apery_ab_flat(n, lam, eps)
+        for delta in (1, -1):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                apery_ab_delta(n, delta, lam, eps)
+
+    def test_exact_inputs_pass_unchanged(self):
+        # Fractions far beyond the float range are finite and stay exact.
+        lam, eps = Fraction(10**400 + 1, 2), Fraction(1, 3)
+        for co in (apery_ab_flat(2, lam, eps), apery_ab_delta(2, 1, lam, eps)):
+            assert isinstance(co.a, Fraction) and isinstance(co.b, Fraction)
+            assert abs(co.a) > 10**400
+
+
 class TestJFlat:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_series_vs_quadrature(self, n):

@@ -97,6 +97,22 @@ class TestZeta:
         code, out = _run(capsys, argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "family,route",
+        [("flat", "series"), ("plus", "series"), ("flat", "operator"), ("flat", "integral"),
+         ("minus", "integral")],
+    )
+    def test_non_finite_coupling_trace_term_exit(self, capsys, family, route):
+        # --g nan used to exit 3 after 2.9 s of J-terms (flat series) or
+        # 0.9 s (plus series), and exit 2 only through a singular factorization
+        # (operator) or a non-finite integrand (integral).
+        argv = ["trace-term", "--family", family, "--route", route,
+                "--lambda", "0.9", "--g", "nan", "--eps", "0.1"]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "domain error: g must be finite, got nan\n"
+
     @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("4", 2)])
     def test_small_truncation(self, capsys, trunc_n, expected):
         # --trunc-n 8 factors 2 x 2 operators at N/4; --trunc-n 4 needs a
@@ -298,6 +314,14 @@ class TestApery:
         assert rec["a"] == "19"
         assert rec["b"] == "-15/2"
 
+    @pytest.mark.parametrize("family", ["flat", "plus", "minus"])
+    @pytest.mark.parametrize("flags", [["--lambda", "nan", "--eps", "0.1"],
+                                       ["--lambda", "1.2", "--eps", "inf"]])
+    def test_non_finite_input_exit(self, capsys, family, flags):
+        # --lambda nan used to exit 3 as a float overflow.
+        code, out = _run(capsys, ["apery", "--family", family, "--n", "2", *flags])
+        assert code == 2 and out == ""
+
     def test_exact_rejects_complex_lambda(self, capsys):
         code, out = _run(
             capsys,
@@ -319,6 +343,19 @@ class TestBeukers:
         for rec in recs:
             assert rec["value"]["re"] < 1e-9
 
+    @pytest.mark.parametrize("n_max", ["-1", "13"])
+    def test_n_max_outside_the_range_exits_2(self, capsys, n_max):
+        # -1 used to exit 0 with no record; 13 computed n = 0..12 first.
+        code, out = _run(capsys, ["beukers", "--n-max", n_max])
+        assert code == 2 and out == ""
+
+
+class TestValidate:
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # -1 used to exit 1 with a traceback from the Philox generator.
+        code, out = _run(capsys, ["validate", "--seed", "-1"])
+        assert code == 64 and out == ""
+
 
 class TestConfluence:
     def test_decoupled_scan(self, capsys):
@@ -334,6 +371,11 @@ class TestConfluence:
         assert len(recs) == 2
         for rec in recs:
             assert rec["deviation"] < 1e-10
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, out = _run(capsys, ["--threads", threads, "confluence", "--nu-list", "8"])
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("nu_list", ["8,0", "8,-1", "8,inf", "8,nan"])
     def test_bad_nu_is_a_domain_error(self, capsys, nu_list):

@@ -229,6 +229,14 @@ class TestTypedErrors:
         with pytest.raises(DomainError):
             TraceDerivativeSweep(Component("bergman", None), 0.2, 0.9, 0.1, 2, 60)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_sweep_refuses_a_non_finite_coupling(self, g):
+        # A nan g used to reach the factorization: SingularOperator with a
+        # nan singular-value estimate.
+        for basis, nu in (("fock", None), ("bergman", 0.5)):
+            with pytest.raises(DomainError, match="g must be finite"):
+                TraceDerivativeSweep(Component(basis, nu), g, 0.9, 0.1, 2, 60)
+
 
 class TestPoleGuards:
     def test_shift_on_grid_raises(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabi_zeta import quadrature
 from rabi_zeta.errors import DomainError, NodeSingularity
 from rabi_zeta.quadrature import (
     QuadratureSpec,
@@ -132,6 +133,42 @@ class TestRowIntegrands:
         for k, row in enumerate(rows):
             single = integrate_monte_carlo(lambda p: _rows(p)[k], 3, 300_000, seed=11)
             assert (row.value, row.abs_error) == (single.value, single.abs_error)
+
+
+def _scalar(p):
+    return np.exp(-np.sum(p, axis=1)) * (1 + 0.5j * p[:, 0]) / np.sqrt(1 - p[:, 0] * p[:, -1])
+
+
+class TestTensorWalk:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("integrand", [_rows, _scalar])
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 9)]
+    )
+    @pytest.mark.parametrize("block", [1, 100])
+    def test_sums_do_not_depend_on_the_block_size(self, monkeypatch, d, integrand, spec, block):
+        # A block of 1 point is one first-axis row per integrand call; 100
+        # points split the grid into uneven blocks of several rows.  Each row
+        # and then the rows must be summed in the same order either way.
+        default = integrate_tensor(integrand, d, spec)
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", block)
+        assert integrate_tensor(integrand, d, spec) == default
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_calls_take_whole_rows_of_about_one_block(self, d):
+        nodes, _ = tanh_sinh_nodes(7)
+        rest = nodes.size ** (d - 1)
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            return _scalar(p)
+
+        quadrature._tensor_sum(f, d, *tanh_sinh_nodes(7))
+        assert sum(sizes) == nodes.size**d
+        assert all(size % rest == 0 for size in sizes)
+        rows = min(max(1, quadrature._TENSOR_BLOCK // rest), nodes.size)
+        assert max(sizes) == rows * rest
 
 
 def _pair_kernel(a, b):

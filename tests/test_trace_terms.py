@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_zeta import operator_oracle, quadrature
+from rabi_zeta import apery, operator_oracle, quadrature, trace_terms
 from rabi_zeta.errors import DomainError, LengthMismatch
 from rabi_zeta.quadrature import QuadratureSpec, integrate_pairs, integrate_tensor
 from rabi_zeta.trace_terms import (
@@ -271,6 +271,65 @@ class TestR1FastPaths:
     def test_hypergeometric_integer_eps_pole(self):
         with pytest.raises(DomainError):
             r_1_hypergeometric(1, 1.0, 0.15, 1.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a term was summed")
+
+
+class TestNonFiniteInputs:
+    # Every trace-term route refuses a non-finite lambda, eps or g with
+    # DomainError before it sums a term.  A nan g used to sum 5,000,000
+    # J-terms on the flat series route before NoConvergence, and to reach the
+    # quadrature (NodeSingularity) or the factorization (SingularOperator).
+    @pytest.fixture
+    def no_terms(self, monkeypatch):
+        for owner, name in [
+            (apery, "j_flat"),
+            (apery, "j_delta"),
+            (apery, "_delta_b_lsum"),
+            (quadrature, "integrate_tensor"),
+            (quadrature, "integrate_pairs"),
+            (quadrature, "integrate_monte_carlo"),
+            (operator_oracle, "family_term"),
+            (trace_terms, "hypergeometric_pfq"),
+        ]:
+            monkeypatch.setattr(owner, name, _refuse)
+
+    @pytest.fixture(
+        params=[("lambda", 0, math.nan), ("lambda", 0, -math.inf), ("g", 1, math.nan),
+                ("g", 1, math.inf), ("eps", 2, math.nan)],
+        ids=lambda p: f"{p[0]}={p[2]}",
+    )
+    def point(self, request):
+        name, index, value = request.param
+        point = [0.9, 0.2, 0.1]  # lambda, g, eps
+        point[index] = value
+        return name, point
+
+    @pytest.mark.parametrize("family", [FLAT, PLUS, MINUS])
+    def test_series_route(self, family, point, no_terms):
+        name, (lam, g, eps) = point
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            r_1_series(family, lam, g, eps)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_integral_route(self, m, point, no_terms):
+        name, (lam, g, eps) = point
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            dn_r_m_integral(FLAT, lam, g, eps, m, 1)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_hypergeometric_route(self, delta, point, no_terms):
+        name, (lam, g, eps) = point
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            r_1_hypergeometric(delta, lam, g, eps)
+
+    def test_operator_route(self, point, monkeypatch):
+        monkeypatch.setattr(operator_oracle, "_ResolventSeries", _refuse)
+        name, (lam, g, eps) = point
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            trace_terms.dn_r_m_family_operator(PLUS, lam, g, eps, 2, 1, 100)
 
 
 class TestFamilyValidation:

@@ -355,6 +355,12 @@ class TestTruncationBudget:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_confluence_scan_needs_a_thread(self, threads):
+        # 0 and -2 used to be accepted and run on one thread.
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            confluence_scan(0.2, 0.1, 0.05, 1.5, 2, [8], threads=threads)
+
     def test_radius_exceeded(self):
         with pytest.raises(RadiusExceeded):
             zeta_value(ZetaRequest(OnePhoton(0.1, 0.8, 0.1), 2, 0.6))
