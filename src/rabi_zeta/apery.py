@@ -30,6 +30,7 @@ from .specfun import (
     _digamma,
     binomial,
     pochhammer,
+    progression_distance,
     require_finite,
     sum_inverse_pair,
 )
@@ -318,10 +319,21 @@ def _j_delta_series(n: int, delta: int, lam: complex, eps: complex, tol: float) 
     # astronomically large Pochhammer values separately and handles the
     # removable 0/0 at half-integer lam (r_k becomes exactly 0 once the zero
     # factor leaves the denominator range).
+    # The denominators a + n + k vanish where a + n = lam + (n+1)/2 is a
+    # nonpositive integer, although J is finite there; at a distance d from
+    # one, the rounding of a + k is amplified by 1 + |a|/d in every ratio,
+    # which the bar carries as 2^-52 (1 + |a|/d) sum_k |t_k|.
     a = lam - (n - 1) / 2
+    d = progression_distance(a + n)
+    if d <= _HALF_POLE_GUARD:
+        raise PoleError(
+            f"lambda={lam} puts lambda + (n+1)/2 within {_HALF_POLE_GUARD} of a nonpositive "
+            f"integer, where the delta J series divides by zero; use method='recurrence'"
+        )
     sign_n = (-delta) ** n
     ratio = 1.0 / (a + n)
     total = 0.0 + 0.0j
+    mass = 0.0
     sign = 1.0
     last = 0.0
     for k in range(_MAX_SERIES_TERMS):
@@ -333,9 +345,11 @@ def _j_delta_series(n: int, delta: int, lam: complex, eps: complex, tol: float) 
         )
         total += term
         last = abs(term)
+        mass += last
         bound = last if delta == -1 else last * (k + 1 + n) / (n + 1)
         if k > n and bound < tol:
-            return SeriesValue(total, bound + 1e-15 * abs(total), k + 1, True)
+            rounding = 2.0**-52 * (1 + abs(a) / d) * mass
+            return SeriesValue(total, bound + 1e-15 * abs(total) + rounding, k + 1, True)
         ratio = ratio * (a + k) / (a + k + n + 1)
         sign *= delta
     raise NoConvergence(f"delta J series did not reach tol={tol} in {_MAX_SERIES_TERMS} terms")

@@ -67,6 +67,10 @@ _MIN_BAR_TOP = 44
 # on the calibration grid of the tests the true error of a row reaches 1.8
 # times that correction.
 _BAR_FACTOR = 2.0
+# The smallest truncation cap a request takes, and the smallest fixed top of
+# the eigen oracle: its ladder N, N/2, N/4 stays at least 2, the smallest
+# operator a component builds.
+MIN_TRUNCATION = 8
 # A shift or lambda this close to the excluded set, or to the negative of a
 # truncated eigenvalue, raises NearPole in every route.
 NEAR_POLE_GUARD = 1e-9
@@ -576,16 +580,12 @@ class _ResolventSeries:
         at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
         if self._transposed is None:
             N, P, h = self.N, self.P, self.P // 2
-            # offset[q, s] = c - r, in [-h, P - h), for a row r = s mod P.
-            offset = np.subtract.outer(np.arange(P), np.arange(P))
-            offset[offset < -h] += P
-            offset[offset >= P - h] -= P
             rows = np.arange(N)
-            nearest = rows + np.tile(offset, -(-N // P))[:, :N]
-            nearest[:, :P][nearest[:, :P] < 0] += P
-            nearest[:, -P:][nearest[:, -P:] >= N] -= P
-            nearest += N * (rows % P)
-            self._transposed = nearest.ravel()
+            # nearest[q, r] = r + ((q - r + h) mod P) - h lies in (-N, 2N); where
+            # it leaves 0..N-1, nearest // N = -+1 moves it back by one period.
+            nearest = rows + (np.subtract.outer(np.arange(P), rows) + h) % P - h
+            nearest -= P * (nearest // N)
+            self._transposed = (nearest + N * (rows % P)).ravel()
         return [x.ravel(order="F")[self._transposed] for x in self._w]
 
     def _pair_traces(self) -> list:
@@ -763,30 +763,21 @@ def dn_r_m_operator(
 # Eigenvalue oracle
 
 
-def _interleave(x, y, length: int) -> np.ndarray:
-    out = np.zeros(2 * len(x))
-    out[0::2] = x
-    out[1::2][: len(y)] = y
-    return out[:length]
-
-
 def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
-    """Upper band storage of [[A, C], [C^T, B]] in the interleaved basis
-    (a_0, b_0, a_1, b_1, ...), for tridiagonal A = (diag, off), B likewise
-    and C diagonal, or symmetric tridiagonal when c_off is given.  The
-    bandwidth is 2, or 3 with c_off."""
-    size = 2 * len(a[0])
-    diagonals = [
-        _interleave(a[0], b[0], size),
-        _interleave(c_diag, () if c_off is None else c_off, size - 1),
-        _interleave(a[1], b[1], size - 2),
-    ]
+    """Upper band storage band[u + i - j, j] = H[i, j] of H = [[A, C], [C^T,
+    B]] in the interleaved basis (a_0, b_0, a_1, b_1, ...), for tridiagonal
+    A = (diag, off), B likewise and C diagonal, or symmetric tridiagonal when
+    c_off is given: the bandwidth u is 2, or 3 with c_off.  Each diagonal is
+    written into the even or odd columns of its band row; an off-diagonal
+    may be a scalar."""
+    u = 2 if c_off is None else 3
+    band = np.zeros((u + 1, 2 * len(a[0])))
+    band[u, 0::2], band[u, 1::2] = a[0], b[0]
+    band[u - 1, 1::2] = c_diag
+    band[u - 2, 2::2], band[u - 2, 3::2] = a[1], b[1]
     if c_off is not None:
-        diagonals.append(_interleave(c_off, (), size - 3))
-    u = len(diagonals) - 1
-    band = np.zeros((u + 1, size))
-    for k, diagonal in enumerate(diagonals):
-        band[u - k, k:] = diagonal
+        band[u - 1, 2::2] = c_off
+        band[0, 3::2] = c_off
     return band
 
 
@@ -810,10 +801,9 @@ def _ncho_bands(model: Ncho, N: int) -> list:
     bands = []
     for nu in (0.5, 1.5):
         scaling = 2 * ks + nu
-        zeros = np.zeros(N - 1)
         off = c * np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu))
-        c_diag = np.full(N, c * 2 * eta * math.sqrt(alpha * beta - 1))
-        a, b = (c * alpha * scaling, zeros), (c * beta * scaling, zeros)
+        c_diag = c * 2 * eta * math.sqrt(alpha * beta - 1)
+        a, b = (c * alpha * scaling, 0.0), (c * beta * scaling, 0.0)
         bands.append(_interleaved_band(a, b, c_diag, off))
     return bands
 
@@ -824,7 +814,7 @@ def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> li
     bands = []
     for c in components:
         a, b = c.entries(g, +eps, +1, N), c.entries(g, -eps, -1, N)
-        bands.append(_interleaved_band(a, b, np.full(N, float(coupling))))
+        bands.append(_interleaved_band(a, b, float(coupling)))
     return bands
 
 
@@ -878,8 +868,8 @@ def zeta_eigen_oracle(
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if tol is None and N < 8:
-        raise InvalidDimension(f"N must be >= 8, got {N}")
+    if tol is None and N < MIN_TRUNCATION:
+        raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
     geo = model_geometry(model)
     p = n - max(c.eigen_lag for c in geo.family.components)
     budget = [N] if tol is None else truncation_budget(max(N, _EIGEN_MIN_TOP), _EIGEN_MIN_TOP)

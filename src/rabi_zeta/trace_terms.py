@@ -106,6 +106,16 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
     return e
 
 
+def _weight(logs: np.ndarray, evec: np.ndarray) -> np.ndarray:
+    """prod_j u_j^e_j = exp(sum_j e_j log u_j), the sum taken axis by axis:
+    the complex mat-vec logs @ evec would wake numpy's own BLAS thread pool,
+    which stalls for milliseconds after a scipy LAPACK call."""
+    exponent = logs[:, 0] * evec[0]
+    for j in range(1, len(evec)):
+        exponent += logs[:, j] * evec[j]
+    return np.exp(exponent)
+
+
 def _psi_roots(psi_val: np.ndarray):
     """(sqrt(Psi + 2), sqrt(Psi - 2)) of a matrix-product Psi.  Psi - 2 is
     only known to roundoff relative to |Psi|; flooring it at that noise scale
@@ -138,7 +148,7 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
 
     def f(u: np.ndarray) -> np.ndarray:
         logs = np.log(u)
-        weight = np.exp(logs @ evec)
+        weight = _weight(logs, evec)
         if isinstance(family, Flat):
             invariants = (_phi_vec(m, u), np.prod(u, axis=1))
         elif m == 1:
@@ -203,7 +213,7 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
 
     def side(a):
         logs = np.log(a)
-        weight = np.exp(logs @ evec)
+        weight = _weight(logs, evec)
         log_sum = logs[:, 0] + logs[:, 1]
         return np.stack([weight * log_sum**i if i else weight for i in range(top + 1)])
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trace_terms
-from .errors import DomainError, NearPole, PoleError, RadiusExceeded
+from .errors import DomainError, InvalidDimension, NearPole, PoleError, RadiusExceeded
 from .operator_oracle import (
     EIGEN_FLOOR,
+    MIN_TRUNCATION,
     MINUS,
     NEAR_POLE_GUARD,
     PLUS,
@@ -46,7 +47,8 @@ class ZetaRequest:
     """A single zeta(H; n, lambda) evaluation request; lam and tol must be
     finite.
 
-    trunc_n caps the operator truncation N: the series routes start at a
+    trunc_n caps the operator truncation N and must be at least
+    MIN_TRUNCATION = 8 on every route: the series routes start at a
     coarser N, no less than 106, and double it only while abs_error exceeds
     tol (metadata["truncations"]["tops"]).  A doubling re-sweeps only the
     terms m <= k, k the last term whose scaled bar exceeds an equal share of
@@ -80,6 +82,8 @@ class ZetaRequest:
             raise DomainError("tol must be > 0 and max_m >= 1")
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.trunc_n < MIN_TRUNCATION:
+            raise InvalidDimension(f"trunc_n must be >= {MIN_TRUNCATION}, got {self.trunc_n}")
         require_finite("lambda", self.lam)
 
 

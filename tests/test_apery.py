@@ -164,6 +164,27 @@ class TestJDelta:
         with pytest.raises(DomainError):
             j_delta(4, 1, 0.9, 1.0, method="recurrence")
 
+    # The series' ratios divide by lam + (n+1)/2 + k, k >= 0, although J is
+    # finite where that vanishes: within 1e-9 of such a point the series
+    # refuses, and near one its bar must carry the rounding of those
+    # denominators, amplified by their inverse (at lam = -2.5 + 1e-7 the
+    # error reaches 6e-8).
+    @pytest.mark.parametrize(
+        "n,delta,lam0",
+        [(2, 1, -2.5), (1, 1, -3), (3, -1, -3), (4, 1, -3.5), (4, -1, -2.5), (3, 1, -5),
+         (2, -1, -4.5)],
+    )
+    @pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-5, 1e-7, 1e-10, 1e-12, -1e-6])
+    def test_series_near_its_ratio_poles(self, n, delta, lam0, offset):
+        lam, eps = lam0 + offset, 0.1
+        if abs(offset) <= 1e-9:
+            with pytest.raises(PoleError, match="recurrence"):
+                j_delta(n, delta, lam, eps, method="series")
+            return
+        s = j_delta(n, delta, lam, eps, method="series")
+        r = j_delta(n, delta, lam, eps, method="recurrence")
+        assert abs(s.value - r.value) <= s.abs_error
+
 
 class TestAperyDelta:
     @pytest.mark.parametrize("n,delta", [(1, 1), (2, 1), (3, -1), (4, -1)])

@@ -113,18 +113,23 @@ class TestZeta:
         assert code == 2 and out == ""
         assert err == "domain error: g must be finite, got nan\n"
 
-    @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("4", 2)])
-    def test_small_truncation(self, capsys, trunc_n, expected):
-        # --trunc-n 8 factors 2 x 2 operators at N/4; --trunc-n 4 needs a
-        # 1 x 1 truncation, which InvalidDimension refuses.
-        code, _ = _run(
-            capsys,
+    @pytest.mark.parametrize("method", ["series_operator", "series_integral", "eigen_oracle"])
+    @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("7", 2), ("4", 2), ("-4", 2)])
+    def test_small_truncation(self, capsys, method, trunc_n, expected):
+        # --trunc-n 8 factors 2 x 2 operators at N/4; every route refuses a
+        # smaller cap with the one InvalidDimension message, the eigen route
+        # too, although its own budget starts at 384 whatever the cap.
+        code = run(
             [
                 "zeta", "--model", "1pqrm", "--n", "2", "--lambda", "1.0",
                 "--g", "0.2", "--delta", "0.3", "--eps", "0.1", "--trunc-n", trunc_n,
+                "--method", method,
             ],
         )
+        err = capsys.readouterr().err
         assert code == expected
+        if expected:
+            assert err == f"domain error: trunc_n must be >= 8, got {trunc_n}\n"
 
     def test_deterministic_output(self, capsys):
         argv = [

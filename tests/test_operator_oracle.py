@@ -403,10 +403,25 @@ def _dense_block_matrices(model, N):
     mats = []
     for nu in (0.5, 1.5):
         w = np.diag(np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + nu)), 1)
-        coupling = c * (w + w.T + 2 * eta * math.sqrt(alpha * beta - 1) * np.eye(N))
+        coupling = c * (w + w.T) + c * 2 * eta * math.sqrt(alpha * beta - 1) * np.eye(N)
         scaling = np.diag(2 * ks + nu)
         mats.append(np.block([[c * alpha * scaling, coupling], [coupling.T, c * beta * scaling]]))
     return mats
+
+
+def _interleaved_upper_band(h, u):
+    """Upper band storage band[u + i - j, j] = H[i, j] of a block matrix
+    [[A, C], [C^T, B]] taken to the interleaved basis (a_0, b_0, a_1, ...),
+    after checking that no entry lies outside the bandwidth u."""
+    size = len(h)
+    perm = np.ravel(np.column_stack([np.arange(size // 2), np.arange(size // 2, size)]))
+    hi = h[np.ix_(perm, perm)]
+    i, j = np.indices(hi.shape)
+    assert not np.any(hi[np.abs(i - j) > u])
+    band = np.zeros((u + 1, size))
+    upper = (j >= i) & (j - i <= u)
+    band[u + i[upper] - j[upper], j[upper]] = hi[upper]
+    return band
 
 
 _COMPONENTS = [("fock", None), ("bergman", 0.5), ("bergman", 1.5)]
@@ -467,6 +482,26 @@ class TestDenseReference:
         assert got.shape == ref.shape == (2 * N * len(bands),)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
+    # The eigen oracle's bands are written diagonal by diagonal into the even
+    # and odd columns; they must hold exactly the interleaved block matrix.
+    @pytest.mark.parametrize("N", [2, 3, 8, 51])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            OnePhoton(g=0.2, delta=0.3, eps=0.1),
+            TwoPhoton(g=0.35, delta=-0.4, eps=0.07),
+            BergmanNu(nu=0.7, g=0.2, delta=0.3, eps=0.1),
+            Ncho(alpha=2.0, beta=1.2, eta=0.1),
+        ],
+    )
+    def test_block_bands_hold_the_interleaved_block_matrix(self, model, N):
+        u = 3 if isinstance(model, Ncho) else 2
+        bands = model_geometry(model).blocks(N)
+        refs = [_interleaved_upper_band(h, u) for h in _dense_block_matrices(model, N)]
+        assert len(bands) == len(refs)
+        for band, ref in zip(bands, refs):
+            assert band.shape == ref.shape and np.array_equal(band, ref)
+
 
 class TestProbedKernel:
     # Each sweep state steps W(k)E on min(64, N) probe columns and doubles
@@ -481,6 +516,25 @@ class TestProbedKernel:
         basis, nu, g, lam = point
         state = _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N)
         return [state.advance() for _ in range(m_last)], state.P
+
+    # The transposed band pairs row r with the column c of each class q mod P
+    # nearest to r: found here by searching the window [r - P/2, r + P/2),
+    # moved by one period P where the window leaves the matrix.
+    @pytest.mark.parametrize("N", [2, 3, 64, 65, 100, 129])
+    def test_transposed_band_reads_the_nearest_column_of_each_class(self, N):
+        state = _ResolventSeries(Component("fock"), 0.2, 0.9, 0.1, 0, N)
+        for P in sorted({2**k for k in range(1, N.bit_length())} | {N}):
+            state._probe(P)
+            # Entry (c, s) of the state holds its own column-major index.
+            state._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
+            ref = np.empty((P, N))
+            for r in range(N):
+                window = np.arange(r - P // 2, r - P // 2 + P)
+                nearest = window[np.argsort(window % P)]
+                nearest[nearest < 0] += P
+                nearest[nearest >= N] -= P
+                ref[:, r] = nearest + N * (r % P)
+            assert np.array_equal(state._bands()[0], ref.ravel()), P
 
     # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
     @pytest.mark.parametrize("point", _NARROW[:2])
