@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Write a grid of the library's values, or compare two such grids.
+
+    python scripts/value_grid.py --out grid.jsonl [--small]
+    python scripts/value_grid.py --compare A.jsonl B.jsonl
+
+Each line of a grid is one entry: its id and either the repr of every field
+of its result (a ZetaResult's value, abs_error, per_m_terms, base_term and
+metadata without runtime_ms; a SeriesValue's value, abs_error, terms_used
+and converged; an EigenValue's also its bar and tops) or the name of the
+exception it raised.  The entries are zeta values of the four models by the
+three routes (lambda real, complex, negative and between poles; n = 2 and 3;
+trunc_n 100, 400 and 1200), parity differences, the eigen oracle at points
+where its probe period widens, and dn_r_m_operator and
+dn_r_m_family_operator for every family at m <= 3 and orders 0-3, at
+points where the sweep's probe period stays and where it widens.  --small
+keeps trunc_n 100, one lambda of each kind per model and m <= 2.
+
+--compare prints, per field, how many of the shared entries differ and the
+worst difference, relative to the first grid's value and as a fraction of
+its abs_error, and lists every entry whose exception type changed or that
+only one grid holds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import math
+import sys
+import time
+
+from rabi_zeta.operator_oracle import (
+    BergmanNu,
+    Ncho,
+    OnePhoton,
+    TwoPhoton,
+    dn_r_m_operator,
+    zeta_eigen_oracle,
+)
+from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator
+from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
+
+# Per model: lambda real, complex, negative before the first pole of the free
+# spectrum (where the model has one) and between two poles.
+MODELS = [
+    (OnePhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -2.5]),
+    (TwoPhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.3, -2.0]),
+    (BergmanNu(0.7, 0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.5, -1.7]),
+    (Ncho(2.0, 1.2, 0.1), [0.8, 0.8 + 0.2j, -0.2, -1.0]),
+]
+METHODS = ("series_operator", "series_integral", "eigen_oracle")
+# The eigen oracle's probe period widens to 256 and 512 here.
+EIGEN_WIDENING = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
+# Sweep points (basis, nu, g, lam): the first two keep 64 probe columns, the
+# last two widen them.
+SWEEP_POINTS = [
+    ("fock", None, 0.2, 0.9),
+    ("bergman", 0.5, 0.2, 0.9 + 0.3j),
+    ("bergman", 1.5, 1.0, 1.2),
+    ("bergman", 0.5, 0.6, -4.3 + 0.2j),
+]
+FAMILIES = [FLAT, PLUS, MINUS, Nu(0.7)]
+EPS = 0.1
+
+
+def entries(small: bool) -> list:
+    """[(id, thunk)] of the grid, in a fixed order."""
+    out = []
+    truncations = (100,) if small else (100, 400, 1200)
+    for model, lams in MODELS:
+        for lam in lams[:3] if small else lams:
+            for n in (2, 3):
+                for N in truncations:
+                    for method in METHODS:
+                        req = ZetaRequest(model, n, lam, method=method, trunc_n=N)
+                        out.append((f"zeta {method} {model} n={n} lam={lam!r} N={N}",
+                                    lambda req=req: zeta_value(req)))
+        if isinstance(model, (TwoPhoton, Ncho)):
+            for lam in lams[:2]:
+                for method in METHODS[:2]:
+                    out.append((f"parity {method} {model} n=2 lam={lam!r} N=400",
+                                lambda a=(model, 2, lam, method): parity_difference(*a)))
+    for model, lam in EIGEN_WIDENING[:1] if small else EIGEN_WIDENING:
+        for N in truncations:
+            out.append((f"eigen {model} n=2 lam={lam!r} N={N}",
+                        lambda a=(model, 2, lam, N): zeta_eigen_oracle(*a)))
+    m_last, N = (2, 100) if small else (3, 400)
+    for basis, nu, g, lam in SWEEP_POINTS:
+        for m in range(1, m_last + 1):
+            for k in range(4):
+                args = (basis, g, lam, EPS, m, k, N, nu)
+                out.append((f"dn_r_m_operator {basis} nu={nu} g={g} lam={lam!r} m={m} n={k} N={N}",
+                            lambda args=args: dn_r_m_operator(*args)))
+    for family in FAMILIES:
+        for lam in (0.9, 0.9 + 0.3j):
+            for m in range(1, m_last + 1):
+                for k in range(4):
+                    args = (family, lam, 0.2, EPS, m, k, N)
+                    out.append((f"dn_r_m_family_operator {family} lam={lam!r} m={m} n={k} N={N}",
+                                lambda args=args: dn_r_m_family_operator(*args)))
+    return out
+
+
+def _plain(x):
+    """x with every number as its repr, for JSON."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, (bool, str)) or x is None:
+        return x
+    return repr(x)
+
+
+def record(key: str, thunk) -> dict:
+    try:
+        result = thunk()
+    except Exception as exc:  # every exception type is part of the record
+        return {"id": key, "error": type(exc).__name__}
+    rec = {"id": key}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if f.name == "metadata":
+            value = {k: v for k, v in value.items() if k != "runtime_ms"}
+        rec[f.name] = _plain(value)
+    return rec
+
+
+def write(path: str, small: bool) -> int:
+    t0 = time.perf_counter()
+    grid = entries(small)
+    errors = 0
+    with open(path, "w") as fh:
+        for key, thunk in grid:
+            rec = record(key, thunk)
+            errors += "error" in rec
+            fh.write(json.dumps(rec) + "\n")
+    print(f"{len(grid)} entries ({errors} raised) in {time.perf_counter() - t0:.1f} s -> {path}")
+    return 0
+
+
+def _numbers(x) -> list | None:
+    """The complex numbers of a repr'd number or list of them, else None."""
+    try:
+        return [complex(v) for v in x] if isinstance(x, list) else [complex(x)]
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(path_a: str, path_b: str) -> int:
+    grids = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            grids.append({rec["id"]: rec for rec in map(json.loads, fh)})
+    a, b = grids
+    shared = [key for key in a if key in b]
+    changed = [key for key in shared if a[key].get("error") != b[key].get("error")]
+    # field -> [differing entries, (worst relative, id), (worst / abs_error, id)]
+    stats = {}
+    for key in shared:
+        ra, rb = a[key], b[key]
+        if "error" in ra or "error" in rb:
+            continue
+        bar = float(ra["abs_error"])
+        for name in ra.keys() | rb.keys():
+            if ra.get(name) == rb.get(name):
+                continue
+            st = stats.setdefault(name, [0, (-1.0, ""), (-1.0, "")])
+            st[0] += 1
+            xa, xb = _numbers(ra.get(name)), _numbers(rb.get(name))
+            if xa is None or xb is None or len(xa) != len(xb):
+                continue
+            diff = max(abs(u - v) for u, v in zip(xa, xb))
+            scale = max(abs(u) for u in xa)
+            st[1] = max(st[1], (diff / scale if scale else math.inf, key))
+            st[2] = max(st[2], (diff / bar if bar else math.inf, key))
+    print(f"{len(shared)} shared entries; {len(a) - len(shared)} only in {path_a}, "
+          f"{len(b) - len(shared)} only in {path_b}")
+    for name in sorted(stats):
+        count, (rel, rel_key), (frac, frac_key) = stats[name]
+        line = f"{name}: {count} differ"
+        if rel_key:
+            line += (f"; worst relative {rel:.3e} ({rel_key});"
+                     f" worst / abs_error {frac:.3e} ({frac_key})")
+        print(line)
+    if not stats:
+        print("no field differs")
+    for key in changed:
+        print(f"exception changed: {key}: {a[key].get('error')} -> {b[key].get('error')}")
+    for key in [k for k in a if k not in b] + [k for k in b if k not in a]:
+        print(f"only in one grid: {key}")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="FILE",
+                      help="write the grid to FILE, one JSON line per entry")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two written grids")
+    ap.add_argument("--small", action="store_true", help="the reduced grid")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    return write(args.out, args.small)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -320,9 +320,12 @@ def _j_delta_series(n: int, delta: int, lam: complex, eps: complex, tol: float) 
     # removable 0/0 at half-integer lam (r_k becomes exactly 0 once the zero
     # factor leaves the denominator range).
     # The denominators a + n + k vanish where a + n = lam + (n+1)/2 is a
-    # nonpositive integer, although J is finite there; at a distance d from
-    # one, the rounding of a + k is amplified by 1 + |a|/d in every ratio,
-    # which the bar carries as 2^-52 (1 + |a|/d) sum_k |t_k|.
+    # nonpositive integer, although J is finite there: at a distance d from
+    # one the terms grow like 1/d and cancel.  Each term's own rounding is
+    # carried by 2^-52 sum_k |t_k|, which already holds those 1/d-sized
+    # terms.  The rounding of a moves the pole that their cancellation
+    # relies on, which leaves a relative 2^-52 |a|/d of the value: the bar
+    # carries it once, as 2^-52 (1 + |a|/d) |J|.
     a = lam - (n - 1) / 2
     d = progression_distance(a + n)
     if d <= _HALF_POLE_GUARD:
@@ -348,7 +351,7 @@ def _j_delta_series(n: int, delta: int, lam: complex, eps: complex, tol: float) 
         mass += last
         bound = last if delta == -1 else last * (k + 1 + n) / (n + 1)
         if k > n and bound < tol:
-            rounding = 2.0**-52 * (1 + abs(a) / d) * mass
+            rounding = 2.0**-52 * (mass + (1 + abs(a) / d) * abs(total))
             return SeriesValue(total, bound + 1e-15 * abs(total) + rounding, k + 1, True)
         ratio = ratio * (a + k) / (a + k + n + 1)
         sign *= delta

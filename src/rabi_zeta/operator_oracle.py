@@ -7,12 +7,12 @@ product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
 h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
 by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
 series of F^k and F^(k+1), so one solve step serves two terms.  The solves
-act on P = min(64, N) probe columns: the entries of F^k decay away from the
-diagonal, so its band is read from F^k E, E summing the columns of each
-class mod P, and a check on the rows halfway between probe columns doubles
-P (up to N, where E = I) wherever that decay is too slow.  Each
-term is Richardson-extrapolated from three successive halvings of N, first
-N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
+act on P = min(64, N) probe columns (_ProbedBand): the entries of F^k decay
+away from the diagonal, so its band is read from F^k E, E summing the
+columns of each class mod P, and a check on the rows halfway between probe
+columns doubles P (up to N, where E = I) wherever that decay is too slow.
+Each term is Richardson-extrapolated from three successive halvings of N,
+first N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
 live; once the next-coarser three already meet the rounding floor, the
 sweep drops its finest truncation for the later terms.  family_rows serves
 every such term at one truncation and keeps one component's sweep alive at
@@ -20,10 +20,10 @@ a time; its rows carry their calibration (converged from N >= 44 on).  The
 calibration facts live only here: the ladder floor, the zeta budget's start
 (truncation_budget), the bar floor's warning (bar_floor_warning), and the
 eigen oracle's residual order (Component.eigen_lag), budget start and floor.
-Spectral zeta values come from direct eigenvalue summation of the two-by-two
-block matrices, with the two components interleaved so that the Hamiltonian
-is banded, extrapolated on the same ladder.  The module keeps no state
-between calls.
+Spectral zeta values are the traces tr((H_N + lam)^-n) of the two-by-two
+block Hamiltonians, interleaved so that H_N is banded: one banded LU per
+block and ceil(n/2) probed solves, extrapolated on the same ladder; no
+eigenvalue is computed.  The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import scipy.linalg as sla
 
 from .errors import (
     DomainError,
-    EigenFailure,
     InvalidDimension,
     NearPole,
     SingularOperator,
@@ -71,8 +70,9 @@ _BAR_FACTOR = 2.0
 # the eigen oracle: its ladder N, N/2, N/4 stays at least 2, the smallest
 # operator a component builds.
 MIN_TRUNCATION = 8
-# A shift or lambda this close to the excluded set, or to the negative of a
-# truncated eigenvalue, raises NearPole in every route.
+# A shift or lambda this close to the excluded set, or (by gbcon's estimate of
+# the smallest singular value) to the negative of a truncated eigenvalue,
+# raises NearPole in every route.
 NEAR_POLE_GUARD = 1e-9
 # The eigen oracle's budget starts at the coarsest top whose ladder has five
 # live levels: on the eigen calibration grid of the tests every bar from
@@ -185,7 +185,7 @@ class Component:
     @property
     def eigen_lag(self) -> int:
         """How far the eigen oracle's residual order falls below n: after the
-        free tail, the truncated eigenvalue sum of power n errs like N^-n on
+        free tail, the truncated spectral sum of power n errs like N^-n on
         Fock components and N^-(n-1) on Bergman ones, whose off-diagonals
         grow as fast as their diagonal (measured at n = 2: each halving of N
         multiplies the error by 4.00 on Fock and by 2.00 on Bergman)."""
@@ -270,7 +270,8 @@ class ModelGeometry:
     carries d^n [lam^(lam_power*m) R_m] / d lam^n, R_m the trace term of
     `family` at coupling g and shift eps; PLUS sums the even (nu = 1/2) and
     odd (nu = 3/2) parity sectors.  `blocks(N)` gives the eigen oracle's
-    banded Hamiltonians at truncation N, and `hurwitz` sums the free spectrum.
+    banded Hamiltonians at truncation N in gbtrf storage, and `hurwitz` sums
+    the free spectrum.
     """
 
     family: TraceFamily
@@ -372,31 +373,39 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
     return a
 
 
+def _banded_lu(band: np.ndarray, k: int):
+    """(lu, piv, sigma): gbtrf's LU of the band storage band[2k + i - j, j] =
+    A[i, j] (kl = ku = k; rows 0..k-1 are the fill-in), which it overwrites,
+    and gbcon's estimate sigma = ||A||_1 * rcond of the smallest singular
+    value, 0 where the factorization fails."""
+    gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=band.dtype)
+    anorm = float(np.max(np.sum(np.abs(band), axis=0)))
+    lu, piv, info = gbtrf(band, k, k, overwrite_ab=True)
+    rcond = 0.0
+    if info == 0:
+        rcond, info = gbcon(k, k, lu, piv, anorm)
+    return lu, piv, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
+
+
 def _checked_factor(diag, off, dtype):
     """The tridiagonal (diag, off) in `dtype`, once it is known invertible.
 
     The factorization is the general band one with kl = ku = 1, because
     scipy's wrappers of the tridiagonal gttrf/gtcon/gttrs reject n = 2.
     Raises SingularOperator when gbcon's estimate of the smallest singular
-    value, ||A||_1 * rcond, is at or below the guard.
+    value is at or below the guard.
     """
     diag = diag if dtype is complex else diag.real
     off = off.astype(dtype)
-    gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=dtype)
-    anorm = float(np.max(np.abs(diag) + np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off])))
-    # Band storage ab[kl + ku + i - j, j] = A[i, j]; row 0 is gbtrf's fill-in.
     band = np.zeros((4, len(diag)), dtype=dtype)
     band[1, 1:] = off
     band[2] = diag
     band[3, :-1] = off
-    lu, piv, info = gbtrf(band, 1, 1)
-    rcond = 0.0
-    if info == 0:
-        rcond, info = gbcon(1, 1, lu, piv, anorm)
-    if info != 0 or not np.isfinite(rcond) or anorm * rcond <= _SINGULAR_GUARD:
+    sigma = _banded_lu(band, 1)[2]
+    if not sigma > _SINGULAR_GUARD:
         raise SingularOperator(
             f"operator numerically singular (min-singular estimate "
-            f"{anorm * float(rcond):.3e} <= {_SINGULAR_GUARD})"
+            f"{sigma:.3e} <= {_SINGULAR_GUARD})"
         )
     return diag, off
 
@@ -468,6 +477,105 @@ def _extrapolate(values, sizes, p: int, first_bar: bool = False) -> tuple[comple
     return value, bar
 
 
+class _ProbedBand:
+    """The probed state W(k)E of a stack of `orders` N x N matrices W_j(k),
+    stepped k -> k + 1 in place by `solve(w)`, and the traces read from it.
+
+    E is the N x P probing matrix, E[c, c mod P] = 1, and W(0) = E in order 0
+    and zero above.  When W(k) is the Taylor stack of the k-th power of an
+    inverse of a banded matrix, its entries decay away from the diagonal
+    (Demko, Moss & Smith 1984): entry (r, c mod P) of W(k)E is W(k)[r, c] for
+    the column c of its class nearest to r, plus entries at least P/2
+    further out.  So tr A sums (AE)[c, c mod P], and tr(A B) is one dot of
+    AE with B's transposed band, (BE)[c, r mod P] at each (r, c mod P)
+    (probing for the diagonal of an inverse, Tang & Saad 2012).  After
+    every step the halfway rows, at distance P/2 from their probe column,
+    bound the aliased mass: when an order's largest entry there exceeds the
+    rounding floor times that order's largest entry, P doubles (from
+    min(_PROBE_START, N) up to N, where E = I and nothing is aliased) and
+    the state replays from W(0).  This assumes that the entries keep
+    decaying past P/2.
+    """
+
+    def __init__(self, N: int, orders: int, dtype, solve: Callable[[list], None]):
+        self.N = N
+        self._orders = orders
+        self._dtype = dtype
+        self._solve = solve
+        # The unconjugated dot from the BLAS that runs the solves: numpy's
+        # dot would wake a second thread pool on every call.
+        self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
+        self._k = 0
+        self._bt = None  # the held state's transposed bands (hold)
+        self._probe(min(_PROBE_START, N))
+
+    def _probe(self, P: int) -> None:
+        """Restart from W(0) = E on P probe columns and replay to W(k).  The
+        index arrays point into W's column-major storage; the band's is
+        built when a period first needs it."""
+        N, rows = self.N, np.arange(self.N)
+        self._diagonal = rows + N * (rows % P)
+        self._halfway = rows + N * ((rows - P // 2) % P)
+        self._transposed = None
+        self._w = [np.zeros((N, P), dtype=self._dtype, order="F") for _ in range(self._orders)]
+        self._w[0].ravel(order="F")[self._diagonal] = 1.0
+        self.P = P
+        for _ in range(self._k):
+            self._solve(self._w)
+        if self._bt is not None:
+            self._bt = self._bands()
+
+    def _aliased(self) -> bool:
+        """Whether some order's largest entry in the halfway rows exceeds the
+        rounding floor times that order's largest entry."""
+        for x in self._w:
+            flat = x.ravel(order="F")
+            halfway = np.max(np.abs(flat[self._halfway])) / _ROUNDING_FLOOR
+            # The diagonal's largest entry bounds the state's from below, so
+            # the whole state is read only when the diagonal leaves it open.
+            if halfway > np.max(np.abs(flat[self._diagonal])) and halfway > np.max(np.abs(x)):
+                return True
+        return False
+
+    def step(self) -> None:
+        """W(k) -> W(k + 1), with P doubled (up to N) and the state replayed
+        until it passes the halfway-row check; a held state replays with it."""
+        self._solve(self._w)
+        while self.P < self.N and self._aliased():
+            self._probe(min(2 * self.P, self.N))
+            self._solve(self._w)
+        self._k += 1
+
+    def _bands(self) -> list:
+        """The transposed bands of the current state, one vector per order:
+        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
+        if self._transposed is None:
+            N, P, h = self.N, self.P, self.P // 2
+            rows = np.arange(N)
+            # nearest[q, r] = r + ((q - r + h) mod P) - h lies in (-N, 2N); where
+            # it leaves 0..N-1, nearest // N = -+1 moves it back by one period.
+            nearest = rows + (np.subtract.outer(np.arange(P), rows) + h) % P - h
+            nearest -= P * (nearest // N)
+            self._transposed = (nearest + N * (rows % P)).ravel()
+        return [x.ravel(order="F")[self._transposed] for x in self._w]
+
+    def hold(self) -> None:
+        """Hold the current state W(k) as the B of the pair traces up to the
+        next step, whose widening replays to W(k) and rebuilds its bands."""
+        self._bt = self._bands()
+
+    def diagonal_traces(self) -> list:
+        """[tr W_j(k) for j = 0..orders - 1]."""
+        return [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
+
+    def pair_traces(self) -> list:
+        """[sum_{i <= j} tr(A_i B_{j-i}) for each order j], A the current state
+        and B the held one: each trace is one BLAS dot, in a fixed order of
+        i, so order j never depends on the number of orders."""
+        a = [x.ravel(order="F") for x in self._w]
+        return [sum(self._dot(a[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(a))]
+
+
 class _ResolventSeries:
     """The traces d^j R_m / d lam^j = j! tr [t^j] F(t)^m, j = 0..n, for
     m = 1, 2, ... at one truncation, where F(t) = M(t)^-1 and M(t) =
@@ -475,8 +583,8 @@ class _ResolventSeries:
     h_minus(t)^-1, with h_plus and h_minus the component's entries at the
     shifts lam + eps and lam - eps.
 
-    The state is W(k)E, W(k) = [t^0..t^n] F(t)^k and E the N x P probing
-    matrix, E[c, c mod P] = 1.  M_0 = h_minus h_plus is factored once with
+    The state is W(k)E, W(k) = [t^0..t^n] F(t)^k, on the probe columns of
+    a _ProbedBand (`band`).  M_0 = h_minus h_plus is factored once with
     gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) = W_j(k) -
     S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place, with S = h_minus + h_plus
     diagonal (the two off-diagonals have opposite signs).  The recurrence is
@@ -484,17 +592,6 @@ class _ResolventSeries:
     1) N P) work per step.  Since tr [t^j] F^(a+b) = sum_i tr(W_i(a)
     W_{j-i}(b)), term 2k pairs W(k) with itself and term 2k + 1 steps once
     and pairs W(k + 1) with W(k), so one step serves two terms.
-
-    F^k inverts a banded matrix, so its entries decay away from the diagonal
-    (Demko, Moss & Smith 1984): entry (r, c mod P) of W(k)E is W(k)[r, c]
-    for the column c of its class nearest to r, plus entries at least P/2
-    further out.  So tr A sums (AE)[c, c mod P], and tr(A B) is one dot of
-    AE with B's transposed band, (BE)[c, r mod P] at each (r, c mod P).
-    After every step the halfway rows, at distance P/2 from their probe
-    column, bound the aliased mass: when an order's largest entry there
-    exceeds the rounding floor times that order's largest entry, P doubles
-    and the state replays from W(0).  This assumes that the entries keep
-    decaying past P/2.  At P = N, E = I and nothing is aliased.
     """
 
     def __init__(self, component: Component, g, lam, eps, n, N):
@@ -513,100 +610,40 @@ class _ResolventSeries:
         band[5, :-1] = b * c[:-1] + a[1:] * d
         band[2, 2:] = b[:-1] * d[1:]
         band[6, :-2] = b[1:] * d[:-1]
-        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=dtype)
-        # The unconjugated dot from the BLAS that runs the solves: numpy's
-        # dot would wake a second thread pool on every call.
-        self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
-        self._lu, self._piv, info = gbtrf(band, 2, 2)
-        if info != 0:
-            raise SingularOperator(f"banded factorization of h_minus h_plus failed (info={info})")
-        self._s = (a + c)[:, None]
-        self._orders = n + 1
-        self._k = 0
-        self._bt = None  # W(k)'s transposed bands, from term 2k to term 2k + 1
+        lu, piv, sigma = _banded_lu(band, 2)
+        if sigma == 0:
+            raise SingularOperator("banded factorization of h_minus h_plus failed")
+        gbtrs = sla.get_lapack_funcs("gbtrs", dtype=dtype)
+        s = (a + c)[:, None]
+
+        # A closure over the factor, not a method: the band holds it, and a
+        # reference back to self would keep a dropped sweep state alive
+        # until the cycle collector runs.
+        def solve(w: list) -> None:
+            """W(k)E -> W(k + 1)E, right-hand sides built in place."""
+            for j in range(len(w)):
+                if j >= 1:
+                    w[j] -= s * w[j - 1]
+                if j >= 2:
+                    w[j] -= w[j - 2]
+                w[j], _ = gbtrs(lu, 2, 2, w[j], piv, overwrite_b=True)
+
         self.m = 0
         self.N = N
-        self._probe(min(_PROBE_START, N))
-
-    def _probe(self, P: int) -> None:
-        """Restart from W(0) = E on P probe columns and replay to W(k).  The
-        index arrays point into W's column-major storage; the band's is
-        built when a period first needs it."""
-        N, rows = self.N, np.arange(self.N)
-        self._diagonal = rows + N * (rows % P)
-        self._halfway = rows + N * ((rows - P // 2) % P)
-        self._transposed = None
-        self._w = [np.zeros((N, P), dtype=self._s.dtype, order="F") for _ in range(self._orders)]
-        self._w[0].ravel(order="F")[self._diagonal] = 1.0
-        self.P = P
-        for _ in range(self._k):
-            self._solve()
-        if self._bt is not None:
-            self._bt = self._bands()
-
-    def _solve(self) -> None:
-        """W(k)E -> W(k + 1)E, right-hand sides built in place."""
-        w = self._w
-        for j in range(len(w)):
-            if j >= 1:
-                w[j] -= self._s * w[j - 1]
-            if j >= 2:
-                w[j] -= w[j - 2]
-            w[j], _ = self._gbtrs(self._lu, 2, 2, w[j], self._piv, overwrite_b=True)
-
-    def _aliased(self) -> bool:
-        """Whether some order's largest entry in the halfway rows exceeds the
-        rounding floor times that order's largest entry."""
-        for x in self._w:
-            flat = x.ravel(order="F")
-            halfway = np.max(np.abs(flat[self._halfway])) / _ROUNDING_FLOOR
-            # The diagonal's largest entry bounds the state's from below, so
-            # the whole state is read only when the diagonal leaves it open.
-            if halfway > np.max(np.abs(flat[self._diagonal])) and halfway > np.max(np.abs(x)):
-                return True
-        return False
-
-    def _step(self) -> None:
-        """W(k) -> W(k + 1), with P doubled (up to N) and the state replayed
-        until it passes the halfway-row check."""
-        self._solve()
-        while self.P < self.N and self._aliased():
-            self._probe(min(2 * self.P, self.N))
-            self._solve()
-        self._k += 1
-
-    def _bands(self) -> list:
-        """The transposed bands of the current state, one vector per order:
-        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
-        if self._transposed is None:
-            N, P, h = self.N, self.P, self.P // 2
-            rows = np.arange(N)
-            # nearest[q, r] = r + ((q - r + h) mod P) - h lies in (-N, 2N); where
-            # it leaves 0..N-1, nearest // N = -+1 moves it back by one period.
-            nearest = rows + (np.subtract.outer(np.arange(P), rows) + h) % P - h
-            nearest -= P * (nearest // N)
-            self._transposed = (nearest + N * (rows % P)).ravel()
-        return [x.ravel(order="F")[self._transposed] for x in self._w]
-
-    def _pair_traces(self) -> list:
-        """[sum_{i <= j} tr(A_i B_{j-i}) for j = 0..n], A the current state
-        and B the one whose bands are held: each trace is one BLAS dot, in a
-        fixed order of i, so order j never depends on n."""
-        a = [x.ravel(order="F") for x in self._w]
-        return [sum(self._dot(a[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(a))]
+        self.band = _ProbedBand(N, n + 1, dtype, solve)
 
     def advance(self) -> list[complex]:
         """Step m -> m + 1 and return [j! tr [t^j] F^m for j = 0..n]."""
         self.m += 1
         if self.m == 1:
-            self._step()
-            traces = [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
+            self.band.step()
+            traces = self.band.diagonal_traces()
         elif self.m % 2 == 0:
-            self._bt = self._bands()
-            traces = self._pair_traces()
+            self.band.hold()
+            traces = self.band.pair_traces()
         else:
-            self._step()
-            traces = self._pair_traces()
+            self.band.step()
+            traces = self.band.pair_traces()
         return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
 
@@ -620,12 +657,8 @@ class TraceDerivativeSweep:
     factorization of M(0) per truncation serves two m (terms 2k and 2k + 1
     come from pair products of the series of F^k and F^(k+1)), O((n + 1) N
     P) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
-    inverse or product.  The solves act on P = min(64, N) probe columns,
-    which hold the band of F^k: its entries decay away from the diagonal,
-    and after every step the rows halfway between probe columns must hold
-    no more than the rounding floor of each order's largest entry, or P
-    doubles and that truncation replays (_ResolventSeries).  D_m = n! tr
-    [t^n] F(t)^m, and every lower order comes from the same series; all
+    inverse or product, on the P probe columns of a _ProbedBand.  D_m = n!
+    tr [t^n] F(t)^m, and every lower order comes from the same series; all
     orders share P, so a widening that a higher order forces moves the lower
     orders at the rounding level only.
 
@@ -711,9 +744,12 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
 def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> dict:
     """{k: d^k R_m / d lam^k} for k = 0..n of the signed sum over `components`
     at truncation N, one sweep row; terms_used is N and converged means
-    abs_error <= tol in a row that reads converged (N >= _MIN_BAR_TOP)."""
+    abs_error <= tol in a row that reads converged (N >= _MIN_BAR_TOP).  N
+    must be at least MIN_TRUNCATION, so that its ladder's N/4 is at least 2."""
     if m < 1 or n < 0:
         raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    if N < MIN_TRUNCATION:
+        raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
     row = family_rows(components, g, lam, eps, n, N, m)[m - 1]
     return {
         k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol and sv.converged)
@@ -764,32 +800,56 @@ def dn_r_m_operator(
 
 
 def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
-    """Upper band storage band[u + i - j, j] = H[i, j] of H = [[A, C], [C^T,
-    B]] in the interleaved basis (a_0, b_0, a_1, b_1, ...), for tridiagonal
-    A = (diag, off), B likewise and C diagonal, or symmetric tridiagonal when
-    c_off is given: the bandwidth u is 2, or 3 with c_off.  Each diagonal is
-    written into the even or odd columns of its band row; an off-diagonal
-    may be a scalar."""
+    """gbtrf band storage band[2u + i - j, j] = H[i, j] (rows 0..u-1 are the
+    factorization's fill-in) of the symmetric H = [[A, C], [C^T, B]] in the
+    interleaved basis (a_0, b_0, a_1, b_1, ...), for tridiagonal A = (diag,
+    off), B likewise and C diagonal, or symmetric tridiagonal when c_off is
+    given: kl = ku = u is 2, or 3 with c_off.  Each upper diagonal is
+    written into the even or odd columns of its band row, and each lower
+    one is its mirror; an off-diagonal may be a scalar."""
     u = 2 if c_off is None else 3
-    band = np.zeros((u + 1, 2 * len(a[0])))
-    band[u, 0::2], band[u, 1::2] = a[0], b[0]
-    band[u - 1, 1::2] = c_diag
-    band[u - 2, 2::2], band[u - 2, 3::2] = a[1], b[1]
+    band = np.zeros((3 * u + 1, 2 * len(a[0])))
+    d = 2 * u  # the main diagonal's row
+    band[d, 0::2], band[d, 1::2] = a[0], b[0]
+    band[d - 1, 1::2] = c_diag
+    band[d - 2, 2::2], band[d - 2, 3::2] = a[1], b[1]
     if c_off is not None:
-        band[u - 1, 2::2] = c_off
-        band[0, 3::2] = c_off
+        band[d - 1, 2::2] = c_off
+        band[d - 3, 3::2] = c_off
+    for k in range(1, u + 1):
+        band[d + k, :-k] = band[d - k, k:]
     return band
 
 
-def _eig_sum(band: np.ndarray, n: int, lam: complex) -> complex:
-    try:
-        mu = sla.eig_banded(band, lower=False, eigvals_only=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigenFailure(str(exc)) from exc
-    z = mu + complex(lam)
-    if np.min(np.abs(z)) <= NEAR_POLE_GUARD:
+def _block_trace(band: np.ndarray, n: int, lam: complex) -> complex:
+    """tr((H + lam)^-n), the sum of (mu + lam)^-n over the eigenvalues mu of
+    one block H in gbtrf storage (_interleaved_band).  H + lam is factored
+    once, in complex arithmetic only for complex lam; with X its inverse,
+    n = 2k pairs X^k E with itself and n = 2k + 1 pairs X^(k+1) E with X^k
+    E, ceil(n/2) solves on the probe columns E of a _ProbedBand.  H is real
+    symmetric, so every -mu lies at least |Im lam| from lam; where that does
+    not exceed NEAR_POLE_GUARD, gbcon's estimate of the smallest singular
+    value, ||H + lam||_1 * rcond, must."""
+    lam = complex(lam)
+    dtype = complex if lam.imag else float
+    u = band.shape[0] // 3
+    ab = band.astype(dtype)
+    ab[2 * u] += lam if lam.imag else lam.real
+    lu, piv, sigma = _banded_lu(ab, u)
+    if sigma == 0 or max(sigma, abs(lam.imag)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
-    return complex(np.sum(np.exp(-n * np.log(z.astype(complex)))))
+    gbtrs = sla.get_lapack_funcs("gbtrs", dtype=dtype)
+
+    def solve(w: list) -> None:
+        w[0], _ = gbtrs(lu, u, u, w[0], piv, overwrite_b=True)
+
+    probed = _ProbedBand(ab.shape[1], 1, dtype, solve)
+    for _ in range(n // 2):
+        probed.step()
+    probed.hold()
+    if n % 2:
+        probed.step()
+    return complex(probed.pair_traces()[0])
 
 
 def _ncho_bands(model: Ncho, N: int) -> list:
@@ -819,11 +879,11 @@ def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> li
 
 
 def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int) -> complex:
-    """Eigenvalue sum of the truncation N plus the free spectrum from its
+    """The blocks' traces at truncation N plus the free spectrum from its
     end on: the components' progressions from k = N on interleave into the
     geometry's from len(components) * N on ({1/2 + 2k} and {3/2 + 2k} for
     k >= N are {1/2 + j} for j >= 2N)."""
-    value = sum(_eig_sum(h, n, lam) for h in geo.blocks(N))
+    value = sum(_block_trace(h, n, lam) for h in geo.blocks(N))
     return value + geo.hurwitz(n, lam, len(geo.family.components) * N).value
 
 
@@ -845,9 +905,11 @@ class EigenValue(SeriesValue):
 def zeta_eigen_oracle(
     model: ModelSpec, n: int, lam: complex, N: int = 400, tol: float | None = None
 ) -> EigenValue:
-    """zeta(H; n, lam) by direct eigenvalue summation of the truncated block
-    matrices plus a coupling-free tail: the free spectrum (the geometry's
-    Hurwitz pair) from the truncation's end on.
+    """zeta(H; n, lam) as the traces tr((H_N + lam)^-n) of the truncated
+    block matrices (_block_trace: a banded LU of each block and probed
+    solves, no eigenvalues) plus a coupling-free tail: the free spectrum
+    (the geometry's Hurwitz pair) from the truncation's end on.  A lam
+    within NEAR_POLE_GUARD of a block's pole raises NearPole.
 
     After that tail is added the residual runs in N^-p, p = n - lag with the
     components' Component.eigen_lag (p = n on Fock, n - 1 on Bergman), so a

@@ -185,6 +185,16 @@ class TestJDelta:
         r = j_delta(n, delta, lam, eps, method="recurrence")
         assert abs(s.value - r.value) <= s.abs_error
 
+    def test_series_bar_counts_the_pole_amplification_once(self):
+        # The 1/d-sized terms near a ratio pole are in sum |t_k| already, so
+        # the bar stays within 10^3 of the error: at lam = -2.5 + 1e-7 the
+        # series errs by 5.7e-8, and the recurrence agrees with a 50-digit
+        # sum of the series to 1e-12.
+        s = j_delta(2, 1, -2.5 + 1e-7, 0.1, method="series")
+        r = j_delta(2, 1, -2.5 + 1e-7, 0.1, method="recurrence")
+        err = abs(s.value - r.value)
+        assert 1e-8 < err <= s.abs_error <= 1e3 * err
+
 
 class TestAperyDelta:
     @pytest.mark.parametrize("n,delta", [(1, 1), (2, 1), (3, -1), (4, -1)])

@@ -131,6 +131,20 @@ class TestZeta:
         if expected:
             assert err == f"domain error: trunc_n must be >= 8, got {trunc_n}\n"
 
+    @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("7", 2), ("-4", 2)])
+    def test_small_operator_trace_term_truncation(self, capsys, trunc_n, expected):
+        # The refusal names the truncation asked for, not a level of its ladder.
+        code = run(
+            [
+                "trace-term", "--family", "flat", "--route", "operator", "--m", "2",
+                "--lambda", "0.9", "--g", "0.2", "--eps", "0.1", "--trunc-n", trunc_n,
+            ],
+        )
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected:
+            assert err == f"domain error: N must be >= 8, got {trunc_n}\n"
+
     def test_deterministic_output(self, capsys):
         argv = [
             "zeta", "--model", "2pqrm", "--n", "2", "--lambda", "1.0",

@@ -31,7 +31,9 @@ from rabi_zeta.operator_oracle import (
     OnePhoton,
     TraceDerivativeSweep,
     TwoPhoton,
+    _ProbedBand,
     _ResolventSeries,
+    _block_trace,
     _extrapolate,
     _ladder,
     bar_floor_warning,
@@ -213,6 +215,21 @@ class TestDerivativeRoutes:
         with pytest.raises(DomainError):
             r_m_operator("fock", 0.2, 0.9, 0.1, 0)
 
+    # Every operator trace-term entry point refuses a truncation below
+    # MIN_TRUNCATION with a message that names it, not a level of its ladder.
+    @pytest.mark.parametrize("N", [7, 4, -4])
+    def test_truncation_below_eight_refused(self, N):
+        calls = [
+            lambda: r_m_operator("fock", 0.2, 0.9, 0.1, 2, N=N),
+            lambda: dn_r_m_operator("bergman", 0.2, 0.9, 0.1, 2, 1, N=N, nu=0.5),
+            lambda: trace_terms.dn_r_m_family_operator(PLUS, 0.9, 0.2, 0.1, 2, 1, N=N),
+            lambda: operator_oracle.family_term(FLAT.components, 0.2, 0.9, 0.1, 2, 1, N, 1e-8),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidDimension, match=f"N must be >= 8, got {N}$"):
+                call()
+        assert math.isfinite(r_m_operator("fock", 0.2, 0.9, 0.1, 2, N=8).value.real)
+
 
 class TestTypedErrors:
     # The basis and nu are checked before the pole check reads the
@@ -309,15 +326,16 @@ class TestEigenOracle:
 
     def test_climb_solves_each_level_once(self, monkeypatch):
         # A climb from 600 to 1200 adds only its new top: the levels 600,
-        # 300, 150, 75 and 37 of the first top serve the second too.
+        # 300, 150, 75 and 37 of the first top serve the second too.  Each
+        # block of a level is factored once, by one _block_trace.
         sizes = []
-        eig_banded = sla.eig_banded
+        block_trace = operator_oracle._block_trace
 
         def counting(band, *args, **kwargs):
             sizes.append(band.shape[1] // 2)
-            return eig_banded(band, *args, **kwargs)
+            return block_trace(band, *args, **kwargs)
 
-        monkeypatch.setattr(operator_oracle.sla, "eig_banded", counting)
+        monkeypatch.setattr(operator_oracle, "_block_trace", counting)
         model = TwoPhoton(0.2, 0.3, 0.05)
         sv = zeta_eigen_oracle(model, 2, 1.2, N=1200, tol=1e-20)
         assert sv.tops == (600, 1200)
@@ -409,19 +427,34 @@ def _dense_block_matrices(model, N):
     return mats
 
 
-def _interleaved_upper_band(h, u):
-    """Upper band storage band[u + i - j, j] = H[i, j] of a block matrix
-    [[A, C], [C^T, B]] taken to the interleaved basis (a_0, b_0, a_1, ...),
-    after checking that no entry lies outside the bandwidth u."""
+def _interleaved_general_band(h, u):
+    """gbtrf band storage band[2u + i - j, j] = H[i, j] (rows 0..u-1 zero) of
+    a block matrix [[A, C], [C^T, B]] taken to the interleaved basis (a_0,
+    b_0, a_1, ...), after checking that no entry lies outside the bandwidth
+    u."""
     size = len(h)
     perm = np.ravel(np.column_stack([np.arange(size // 2), np.arange(size // 2, size)]))
     hi = h[np.ix_(perm, perm)]
     i, j = np.indices(hi.shape)
     assert not np.any(hi[np.abs(i - j) > u])
-    band = np.zeros((u + 1, size))
-    upper = (j >= i) & (j - i <= u)
-    band[u + i[upper] - j[upper], j[upper]] = hi[upper]
+    band = np.zeros((3 * u + 1, size))
+    inside = np.abs(i - j) <= u
+    band[2 * u + i[inside] - j[inside], j[inside]] = hi[inside]
     return band
+
+
+def _upper(band):
+    """The upper band storage that eig_banded reads, rows u..2u of a
+    block's gbtrf storage."""
+    u = len(band) // 3
+    return band[u : 2 * u + 1]
+
+
+def _eigen_sum(bands, n, lam):
+    """The dense reference of the eigen oracle's block traces: the sum of
+    (mu + lam)^-n over the blocks' eigenvalues mu, from eig_banded."""
+    mu = np.concatenate([sla.eig_banded(_upper(b), eigvals_only=True) for b in bands])
+    return complex(np.sum((mu + complex(lam)) ** -float(n)))
 
 
 _COMPONENTS = [("fock", None), ("bergman", 0.5), ("bergman", 1.5)]
@@ -476,14 +509,17 @@ class TestDenseReference:
     def test_banded_eigenvalues_match_dense(self, model):
         N = 200
         bands = model_geometry(model).blocks(N)
-        got = np.sort(np.concatenate([sla.eig_banded(b, eigvals_only=True) for b in bands]))
+        got = np.sort(
+            np.concatenate([sla.eig_banded(_upper(b), eigvals_only=True) for b in bands])
+        )
         dense_mats = _dense_block_matrices(model, N)
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in dense_mats]))
         assert got.shape == ref.shape == (2 * N * len(bands),)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
     # The eigen oracle's bands are written diagonal by diagonal into the even
-    # and odd columns; they must hold exactly the interleaved block matrix.
+    # and odd columns, the lower ones as mirrors of the upper; they must hold
+    # exactly the interleaved block matrix.
     @pytest.mark.parametrize("N", [2, 3, 8, 51])
     @pytest.mark.parametrize(
         "model",
@@ -497,7 +533,7 @@ class TestDenseReference:
     def test_block_bands_hold_the_interleaved_block_matrix(self, model, N):
         u = 3 if isinstance(model, Ncho) else 2
         bands = model_geometry(model).blocks(N)
-        refs = [_interleaved_upper_band(h, u) for h in _dense_block_matrices(model, N)]
+        refs = [_interleaved_general_band(h, u) for h in _dense_block_matrices(model, N)]
         assert len(bands) == len(refs)
         for band, ref in zip(bands, refs):
             assert band.shape == ref.shape and np.array_equal(band, ref)
@@ -515,7 +551,7 @@ class TestProbedKernel:
     def _traces(point, N, m_last=8):
         basis, nu, g, lam = point
         state = _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N)
-        return [state.advance() for _ in range(m_last)], state.P
+        return [state.advance() for _ in range(m_last)], state.band.P
 
     # The transposed band pairs row r with the column c of each class q mod P
     # nearest to r: found here by searching the window [r - P/2, r + P/2),
@@ -524,9 +560,9 @@ class TestProbedKernel:
     def test_transposed_band_reads_the_nearest_column_of_each_class(self, N):
         state = _ResolventSeries(Component("fock"), 0.2, 0.9, 0.1, 0, N)
         for P in sorted({2**k for k in range(1, N.bit_length())} | {N}):
-            state._probe(P)
+            state.band._probe(P)
             # Entry (c, s) of the state holds its own column-major index.
-            state._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
+            state.band._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
             ref = np.empty((P, N))
             for r in range(N):
                 window = np.arange(r - P // 2, r - P // 2 + P)
@@ -534,7 +570,7 @@ class TestProbedKernel:
                 nearest[nearest < 0] += P
                 nearest[nearest >= N] -= P
                 ref[:, r] = nearest + N * (r % P)
-            assert np.array_equal(state._bands()[0], ref.ravel()), P
+            assert np.array_equal(state.band._bands()[0], ref.ravel()), P
 
     # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
     @pytest.mark.parametrize("point", _NARROW[:2])
@@ -547,7 +583,7 @@ class TestProbedKernel:
             for n in range(top + 1):
                 ref = _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu)
                 assert abs(terms[n].value - ref) <= 1e-11 * abs(ref), (m, n, terms[n], ref)
-        assert [(st.N, st.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
+        assert [(st.N, st.band.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
 
     @pytest.mark.parametrize("N", [100, 400, 800])
     def test_period_widens_only_where_the_band_is_wide(self, N):
@@ -576,7 +612,7 @@ class TestProbedKernel:
         # at g = 1.0 into an error of about 2e-8.
         point, N = self._WIDENING[0], 400
         dense, _ = self._traces(point, N)
-        monkeypatch.setattr(_ResolventSeries, "_aliased", lambda self: False)
+        monkeypatch.setattr(_ProbedBand, "_aliased", lambda self: False)
         got, P = self._traces(point, N)
         assert P == 64
         err = max(abs(x - y) / abs(y) for row, ref in zip(got, dense) for x, y in zip(row, ref))
@@ -589,11 +625,64 @@ class TestProbedKernel:
         ref = next(r for r in rows if (r["basis"], r["nu"], r["g"]) == ("bergman", 0.5, 0.4) and r["lam"][1])
         lam = complex(*ref["lam"])
         sweep = TraceDerivativeSweep(Component("bergman", 0.5), 0.4, lam, _CALIBRATION["eps"], 3, 3200)
-        assert max(st.P for st in sweep._states) == 64
+        assert max(st.band.P for st in sweep._states) == 64
         for m, want in enumerate(ref["terms"], 1):
             row = sweep.next_terms()
             for k in range(4):
                 assert abs(row[k].value - complex(*want[k])) <= row[k].abs_error, (m, k)
+
+
+class TestProbedEigenKernel:
+    # The eigen oracle's block traces tr((H + lam)^-n) come from the probed
+    # band kernel; eig_banded's eigenvalue sums are their dense reference.
+    # These points widen the probe period past its start of 64.
+    _WIDENING = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """The list of every _ProbedBand the kernel builds from now on."""
+        built = []
+
+        class Recording(_ProbedBand):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
+        return built
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX)
+    def test_block_sums_match_the_eigenvalue_sums(self, model, lam, n):
+        bands = model_geometry(model).blocks(200)
+        got = sum(_block_trace(b, n, lam) for b in bands)
+        ref = _eigen_sum(bands, n, lam)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("model,lam", _WIDENING)
+    def test_widening_points_match_the_eigenvalue_sums(self, monkeypatch, model, lam, n):
+        built = self._recording(monkeypatch)
+        bands = model_geometry(model).blocks(400)
+        got = sum(_block_trace(b, n, lam) for b in bands)
+        ref = _eigen_sum(bands, n, lam)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+        assert len(built) == len(bands) and min(b.P for b in built) > 64
+
+    # A real symmetric block has real eigenvalues: lam within the guard of
+    # some -mu is refused, 1e-6 away it is summed like the eigenvalues.
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS)
+    def test_near_pole(self, model, lam):
+        N, n = 50, 2
+        bands = model_geometry(model).blocks(N)
+        mu = sla.eig_banded(_upper(bands[0]), eigvals_only=True)[N // 2]
+        for near in (-mu + 1e-10, -mu - 1e-10, -mu + 1e-10j):
+            with pytest.raises(NearPole):
+                zeta_eigen_oracle(model, n, near, N=N)
+        for off in (-mu + 1e-6, -mu - 1e-6):
+            got = _block_trace(bands[0], n, off)
+            assert abs(got - _eigen_sum(bands[:1], n, off)) <= 1e-6 * abs(got)
+            assert math.isfinite(abs(zeta_eigen_oracle(model, n, off, N=N).value))
 
 
 class TestTruncationLadder:
