@@ -10,16 +10,20 @@ metadata without runtime_ms; a SeriesValue's value, abs_error, terms_used
 and converged; an EigenValue's also its bar and tops) or the name of the
 exception it raised.  The entries are zeta values of the four models by the
 three routes (lambda real, complex, negative and between poles; n = 2 and 3;
-trunc_n 100, 400 and 1200), parity differences, the eigen oracle at points
-where its probe period widens, and dn_r_m_operator and
-dn_r_m_family_operator for every family at m <= 3 and orders 0-3, at
-points where the sweep's probe period stays and where it widens.  --small
-keeps trunc_n 100, one lambda of each kind per model and m <= 2.
+trunc_n 100, 400 and 1200), the eigen route at n = 4 (lambda real and
+complex), parity differences, the eigen oracle at points where its probe
+period widens, dn_r_m_operator and dn_r_m_family_operator for every family
+at m <= 3 and orders 0-3, at points where the sweep's probe period stays
+and where it widens, and dn_r_m_integral for every family at m <= 2 and
+orders 0-3.  --small keeps trunc_n 100, one lambda of each kind per model
+(the real one at n = 4), m <= 2 on the operator routes and m = 1 on the
+integral route.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of
 its abs_error, and lists every entry whose exception type changed or that
-only one grid holds.
+only one grid holds.  Like diff, it exits 1 when it finds any of these and
+0 when the grids agree.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from rabi_zeta.operator_oracle import (
     dn_r_m_operator,
     zeta_eigen_oracle,
 )
-from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator
+from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator, dn_r_m_integral
 from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
 
 # Per model: lambda real, complex, negative before the first pole of the free
@@ -77,6 +81,11 @@ def entries(small: bool) -> list:
                         req = ZetaRequest(model, n, lam, method=method, trunc_n=N)
                         out.append((f"zeta {method} {model} n={n} lam={lam!r} N={N}",
                                     lambda req=req: zeta_value(req)))
+        for lam in lams[:1] if small else lams[:2]:
+            for N in truncations:
+                req = ZetaRequest(model, 4, lam, method="eigen_oracle", trunc_n=N)
+                out.append((f"zeta eigen_oracle {model} n=4 lam={lam!r} N={N}",
+                            lambda req=req: zeta_value(req)))
         if isinstance(model, (TwoPhoton, Ncho)):
             for lam in lams[:2]:
                 for method in METHODS[:2]:
@@ -100,6 +109,13 @@ def entries(small: bool) -> list:
                     args = (family, lam, 0.2, EPS, m, k, N)
                     out.append((f"dn_r_m_family_operator {family} lam={lam!r} m={m} n={k} N={N}",
                                 lambda args=args: dn_r_m_family_operator(*args)))
+    for family in FAMILIES:
+        for lam in (0.9, 0.9 + 0.3j):
+            for m in range(1, 2 if small else 3):
+                for k in range(4):
+                    args = (family, lam, 0.2, EPS, m, k)
+                    out.append((f"dn_r_m_integral {family} lam={lam!r} m={m} n={k}",
+                                lambda args=args: dn_r_m_integral(*args)))
     return out
 
 
@@ -189,9 +205,10 @@ def compare(path_a: str, path_b: str) -> int:
         print("no field differs")
     for key in changed:
         print(f"exception changed: {key}: {a[key].get('error')} -> {b[key].get('error')}")
-    for key in [k for k in a if k not in b] + [k for k in b if k not in a]:
+    only = [k for k in a if k not in b] + [k for k in b if k not in a]
+    for key in only:
         print(f"only in one grid: {key}")
-    return 0
+    return 1 if stats or changed or only else 0
 
 
 def main(argv=None) -> int:

@@ -52,4 +52,6 @@ class SingularOperator(RabiZetaError):
 
 
 class EigenFailure(RabiZetaError):
-    """The banded eigenvalue solver failed to converge."""
+    """Reserved for a failed eigenvalue solve.  No route raises it since the
+    eigen oracle reads its traces from banded solves instead of
+    eigenvalues; it stays for the public API."""

@@ -1,13 +1,14 @@
 """Brute-force truth source built from truncated operator matrices.
 
 Each Component (Fock or weighted-Bergman basis) owns the entries of its
-tridiagonal operator.  Traces of products of their inverse powers (the trace
-terms R_m and their shift derivatives) come from one structured kernel: the
-product F = h_plus^-1 h_minus^-1 is the inverse of the pentadiagonal
-h_minus h_plus, factored once per truncation with LAPACK gbtrf and applied
-by banded solves; the traces of F^(2k) and F^(2k+1) both come from the
-series of F^k and F^(k+1), so one solve step serves two terms.  The solves
-act on P = min(64, N) probe columns (_ProbedBand): the entries of F^k decay
+tridiagonal operator.  Every operator-route trace comes from one structured
+kernel, _ProbedBand, and one driver, its traces(m): the m-th power of a
+banded inverse, factored once per truncation with LAPACK gbtrf and applied
+by banded solves, has its trace read from the series of its ceil(m/2)-th
+and floor(m/2)-th powers, so one solve step serves two powers.  For the
+trace terms R_m and their shift derivatives that inverse is the product
+F = h_plus^-1 h_minus^-1, the inverse of the pentadiagonal h_minus h_plus.
+The solves act on P = min(64, N) probe columns: the entries of F^k decay
 away from the diagonal, so its band is read from F^k E, E summing the
 columns of each class mod P, and a check on the rows halfway between probe
 columns doubles P (up to N, where E = I) wherever that decay is too slow.
@@ -22,7 +23,7 @@ calibration facts live only here: the ladder floor, the zeta budget's start
 eigen oracle's residual order (Component.eigen_lag), budget start and floor.
 Spectral zeta values are the traces tr((H_N + lam)^-n) of the two-by-two
 block Hamiltonians, interleaved so that H_N is banded: one banded LU per
-block and ceil(n/2) probed solves, extrapolated on the same ladder; no
+block and traces(n) of its inverse, extrapolated on the same ladder; no
 eigenvalue is computed.  The module keeps no state between calls.
 """
 
@@ -53,7 +54,7 @@ _ROUNDING_FLOOR = 1e-14
 _LADDER_FLOOR = 24
 # The probe columns a sweep state starts on, min(_PROBE_START, N): W(k) is
 # stepped on them and their number doubles while the halfway-row check finds
-# aliased mass above the rounding floor (_ResolventSeries).
+# aliased mass above the rounding floor (_ProbedBand).
 _PROBE_START = 64
 # The smallest top truncation at which the two-step bar of every sweep row of
 # the calibration grid (tests/test_operator_oracle.py) holds.  The zeta
@@ -374,17 +375,22 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
 
 
 def _banded_lu(band: np.ndarray, k: int):
-    """(lu, piv, sigma): gbtrf's LU of the band storage band[2k + i - j, j] =
-    A[i, j] (kl = ku = k; rows 0..k-1 are the fill-in), which it overwrites,
-    and gbcon's estimate sigma = ||A||_1 * rcond of the smallest singular
-    value, 0 where the factorization fails."""
-    gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=band.dtype)
+    """(solve, sigma) for the band storage band[2k + i - j, j] = A[i, j]
+    (kl = ku = k; rows 0..k-1 are the fill-in), which gbtrf overwrites with
+    its LU: solve(b) returns A^-1 b by gbtrs, overwriting b, and sigma is
+    gbcon's estimate ||A||_1 * rcond of the smallest singular value, 0 where
+    the factorization fails (solve is then not to be called)."""
+    gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), dtype=band.dtype)
     anorm = float(np.max(np.sum(np.abs(band), axis=0)))
     lu, piv, info = gbtrf(band, k, k, overwrite_ab=True)
     rcond = 0.0
     if info == 0:
         rcond, info = gbcon(k, k, lu, piv, anorm)
-    return lu, piv, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return gbtrs(lu, k, k, b, piv, overwrite_b=True)[0]
+
+    return solve, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
 
 
 def _checked_factor(diag, off, dtype):
@@ -401,7 +407,7 @@ def _checked_factor(diag, off, dtype):
     band[1, 1:] = off
     band[2] = diag
     band[3, :-1] = off
-    sigma = _banded_lu(band, 1)[2]
+    sigma = _banded_lu(band, 1)[1]
     if not sigma > _SINGULAR_GUARD:
         raise SingularOperator(
             f"operator numerically singular (min-singular estimate "
@@ -478,41 +484,51 @@ def _extrapolate(values, sizes, p: int, first_bar: bool = False) -> tuple[comple
 
 
 class _ProbedBand:
-    """The probed state W(k)E of a stack of `orders` N x N matrices W_j(k),
-    stepped k -> k + 1 in place by `solve(w)`, and the traces read from it.
+    """The probed state W(k)E of the Taylor stack W(k) = [t^0..t^(orders-1)]
+    M(t)^-k of a banded pencil M(t) = M_0 + t S + t^2, S diagonal, and the
+    traces of its powers read from it (traces).
 
-    E is the N x P probing matrix, E[c, c mod P] = 1, and W(0) = E in order 0
-    and zero above.  When W(k) is the Taylor stack of the k-th power of an
-    inverse of a banded matrix, its entries decay away from the diagonal
-    (Demko, Moss & Smith 1984): entry (r, c mod P) of W(k)E is W(k)[r, c] for
-    the column c of its class nearest to r, plus entries at least P/2
-    further out.  So tr A sums (AE)[c, c mod P], and tr(A B) is one dot of
-    AE with B's transposed band, (BE)[c, r mod P] at each (r, c mod P)
-    (probing for the diagonal of an inverse, Tang & Saad 2012).  After
-    every step the halfway rows, at distance P/2 from their probe column,
-    bound the aliased mass: when an order's largest entry there exceeds the
-    rounding floor times that order's largest entry, P doubles (from
-    min(_PROBE_START, N) up to N, where E = I and nothing is aliased) and
-    the state replays from W(0).  This assumes that the entries keep
-    decaying past P/2.
+    `solve(b)` returns M_0^-1 b, overwriting b, and `s` is S's diagonal as
+    a column, read from order 1 on: a step k -> k + 1 solves M_0 W_j(k + 1)
+    = W_j(k) - S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place.  The recurrence
+    is linear in the columns, so from W(0) = E in order 0 and zero above it
+    steps W(k)E exactly, O(orders N P) work per step.  With one order W(k)
+    is the power M_0^-k.
+
+    E is the N x P probing matrix, E[c, c mod P] = 1.  W(k) is the Taylor
+    stack of the k-th power of an inverse of a banded matrix, so its entries
+    decay away from the diagonal (Demko, Moss & Smith 1984): entry (r, c
+    mod P) of W(k)E is W(k)[r, c] for the column c of its class nearest to
+    r, plus entries at least P/2 further out.  So tr A sums (AE)[c, c mod
+    P], and tr(A B) is one dot of AE with B's transposed band, (BE)[c, r
+    mod P] at each (r, c mod P) (probing for the diagonal of an inverse,
+    Tang & Saad 2012).  After every step the halfway rows, at distance P/2
+    from their probe column, bound the aliased mass: when an order's
+    largest entry there exceeds the rounding floor times that order's
+    largest entry, P doubles (from min(_PROBE_START, N) up to N, where E = I
+    and nothing is aliased) and the state replays from W(0).  This assumes
+    that the entries keep decaying past P/2.
     """
 
-    def __init__(self, N: int, orders: int, dtype, solve: Callable[[list], None]):
+    def __init__(self, N: int, orders: int, dtype, solve: Callable[[np.ndarray], np.ndarray], s=None):
         self.N = N
         self._orders = orders
         self._dtype = dtype
         self._solve = solve
+        self._s = s
         # The unconjugated dot from the BLAS that runs the solves: numpy's
         # dot would wake a second thread pool on every call.
         self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
         self._k = 0
-        self._bt = None  # the held state's transposed bands (hold)
+        self._bt = None  # the transposed bands of the held state W(_held)
+        self._held = None
         self._probe(min(_PROBE_START, N))
 
     def _probe(self, P: int) -> None:
-        """Restart from W(0) = E on P probe columns and replay to W(k).  The
-        index arrays point into W's column-major storage; the band's is
-        built when a period first needs it."""
+        """Restart from W(0) = E on P probe columns and replay to W(k), with
+        the held state's bands when it is W(k).  The index arrays point into
+        W's column-major storage; the band's is built when a period first
+        needs it."""
         N, rows = self.N, np.arange(self.N)
         self._diagonal = rows + N * (rows % P)
         self._halfway = rows + N * ((rows - P // 2) % P)
@@ -521,9 +537,20 @@ class _ProbedBand:
         self._w[0].ravel(order="F")[self._diagonal] = 1.0
         self.P = P
         for _ in range(self._k):
-            self._solve(self._w)
-        if self._bt is not None:
+            self._advance()
+        if self._held == self._k:
             self._bt = self._bands()
+
+    def _advance(self) -> None:
+        """W(k)E -> W(k + 1)E on the current columns, right-hand sides built
+        in place."""
+        w = self._w
+        for j in range(len(w)):
+            if j >= 1:
+                w[j] -= self._s * w[j - 1]
+            if j >= 2:
+                w[j] -= w[j - 2]
+            w[j] = self._solve(w[j])
 
     def _aliased(self) -> bool:
         """Whether some order's largest entry in the halfway rows exceeds the
@@ -539,11 +566,11 @@ class _ProbedBand:
 
     def step(self) -> None:
         """W(k) -> W(k + 1), with P doubled (up to N) and the state replayed
-        until it passes the halfway-row check; a held state replays with it."""
-        self._solve(self._w)
+        until it passes the halfway-row check."""
+        self._advance()
         while self.P < self.N and self._aliased():
             self._probe(min(2 * self.P, self.N))
-            self._solve(self._w)
+            self._advance()
         self._k += 1
 
     def _bands(self) -> list:
@@ -559,21 +586,31 @@ class _ProbedBand:
             self._transposed = (nearest + N * (rows % P)).ravel()
         return [x.ravel(order="F")[self._transposed] for x in self._w]
 
-    def hold(self) -> None:
-        """Hold the current state W(k) as the B of the pair traces up to the
-        next step, whose widening replays to W(k) and rebuilds its bands."""
-        self._bt = self._bands()
-
-    def diagonal_traces(self) -> list:
-        """[tr W_j(k) for j = 0..orders - 1]."""
-        return [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
-
-    def pair_traces(self) -> list:
-        """[sum_{i <= j} tr(A_i B_{j-i}) for each order j], A the current state
-        and B the held one: each trace is one BLAS dot, in a fixed order of
-        i, so order j never depends on the number of orders."""
-        a = [x.ravel(order="F") for x in self._w]
-        return [sum(self._dot(a[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(a))]
+    def traces(self, m: int) -> list:
+        """[tr [t^j] M(t)^-m for each order j], from a = ceil(m/2) and b =
+        floor(m/2): since [t^j] M^-m = sum_i W_i(a) W_{j-i}(b), the state
+        steps forward to W(b), holds that state's transposed bands, steps to
+        W(a), and each trace is one BLAS dot, in a fixed order of i, so order
+        j never depends on the number of orders.  m = 1 reads the diagonal
+        of W(1).  The calls m = 1, 2, ... step once per odd m and hold once
+        per even m; a fresh band's traces(m) takes the same steps and
+        halfway-row checks as the m-th of those calls, so it returns the
+        same values bit for bit.  The state never steps back: m // 2 must
+        be at least k."""
+        a, b = (m + 1) // 2, m // 2
+        if self._k > b:
+            raise ValueError(f"traces({m}) needs W({b}), and the state is at W({self._k})")
+        while self._k < b:
+            self.step()
+        if m == 1:
+            self.step()
+            return [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
+        if self._held != b:
+            self._bt, self._held = self._bands(), b
+        if a > b:
+            self.step()
+        w = [x.ravel(order="F") for x in self._w]
+        return [sum(self._dot(w[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(w))]
 
 
 class _ResolventSeries:
@@ -583,15 +620,11 @@ class _ResolventSeries:
     h_minus(t)^-1, with h_plus and h_minus the component's entries at the
     shifts lam + eps and lam - eps.
 
-    The state is W(k)E, W(k) = [t^0..t^n] F(t)^k, on the probe columns of
-    a _ProbedBand (`band`).  M_0 = h_minus h_plus is factored once with
-    gbtrf (kl = ku = 2); a step k -> k + 1 solves M_0 W_j(k + 1) = W_j(k) -
-    S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place, with S = h_minus + h_plus
-    diagonal (the two off-diagonals have opposite signs).  The recurrence is
-    linear in the columns, so from W(0) = E it steps W(k)E exactly, O((n +
-    1) N P) work per step.  Since tr [t^j] F^(a+b) = sum_i tr(W_i(a)
-    W_{j-i}(b)), term 2k pairs W(k) with itself and term 2k + 1 steps once
-    and pairs W(k + 1) with W(k), so one step serves two terms.
+    M(t) = M_0 + t S + t^2 with M_0 = h_minus h_plus, factored once with
+    gbtrf (kl = ku = 2), and S = h_minus + h_plus diagonal (the two
+    off-diagonals have opposite signs); `band`, a _ProbedBand of that
+    pencil, gives the m-th traces (_ProbedBand.traces), one solve step
+    serving two terms.
     """
 
     def __init__(self, component: Component, g, lam, eps, n, N):
@@ -610,41 +643,17 @@ class _ResolventSeries:
         band[5, :-1] = b * c[:-1] + a[1:] * d
         band[2, 2:] = b[:-1] * d[1:]
         band[6, :-2] = b[1:] * d[:-1]
-        lu, piv, sigma = _banded_lu(band, 2)
+        solve, sigma = _banded_lu(band, 2)
         if sigma == 0:
             raise SingularOperator("banded factorization of h_minus h_plus failed")
-        gbtrs = sla.get_lapack_funcs("gbtrs", dtype=dtype)
-        s = (a + c)[:, None]
-
-        # A closure over the factor, not a method: the band holds it, and a
-        # reference back to self would keep a dropped sweep state alive
-        # until the cycle collector runs.
-        def solve(w: list) -> None:
-            """W(k)E -> W(k + 1)E, right-hand sides built in place."""
-            for j in range(len(w)):
-                if j >= 1:
-                    w[j] -= s * w[j - 1]
-                if j >= 2:
-                    w[j] -= w[j - 2]
-                w[j], _ = gbtrs(lu, 2, 2, w[j], piv, overwrite_b=True)
-
         self.m = 0
         self.N = N
-        self.band = _ProbedBand(N, n + 1, dtype, solve)
+        self.band = _ProbedBand(N, n + 1, dtype, solve, (a + c)[:, None])
 
     def advance(self) -> list[complex]:
         """Step m -> m + 1 and return [j! tr [t^j] F^m for j = 0..n]."""
         self.m += 1
-        if self.m == 1:
-            self.band.step()
-            traces = self.band.diagonal_traces()
-        elif self.m % 2 == 0:
-            self.band.hold()
-            traces = self.band.pair_traces()
-        else:
-            self.band.step()
-            traces = self.band.pair_traces()
-        return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
+        return [math.factorial(j) * complex(t) for j, t in enumerate(self.band.traces(self.m))]
 
 
 class TraceDerivativeSweep:
@@ -653,11 +662,11 @@ class TraceDerivativeSweep:
 
     Uses the exact resolvent Taylor expansion in the shift t: F(t) =
     h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
-    polynomial M(t).  One step of n + 1 banded solves against one LU
-    factorization of M(0) per truncation serves two m (terms 2k and 2k + 1
-    come from pair products of the series of F^k and F^(k+1)), O((n + 1) N
-    P) work per step plus (n + 1)(n + 2)/2 trace dots per m, with no dense
-    inverse or product, on the P probe columns of a _ProbedBand.  D_m = n!
+    polynomial M(t).  Each truncation's _ResolventSeries reads term m from
+    its _ProbedBand's traces(m): one step of n + 1 banded solves against one
+    LU factorization of M(0) serves two m, O((n + 1) N P) work per step
+    plus (n + 1)(n + 2)/2 trace dots per m, with no dense inverse or
+    product, on the P probe columns of the band.  D_m = n!
     tr [t^n] F(t)^m, and every lower order comes from the same series; all
     orders share P, so a widening that a higher order forces moves the lower
     orders at the rounding level only.
@@ -824,32 +833,20 @@ def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
 def _block_trace(band: np.ndarray, n: int, lam: complex) -> complex:
     """tr((H + lam)^-n), the sum of (mu + lam)^-n over the eigenvalues mu of
     one block H in gbtrf storage (_interleaved_band).  H + lam is factored
-    once, in complex arithmetic only for complex lam; with X its inverse,
-    n = 2k pairs X^k E with itself and n = 2k + 1 pairs X^(k+1) E with X^k
-    E, ceil(n/2) solves on the probe columns E of a _ProbedBand.  H is real
-    symmetric, so every -mu lies at least |Im lam| from lam; where that does
-    not exceed NEAR_POLE_GUARD, gbcon's estimate of the smallest singular
-    value, ||H + lam||_1 * rcond, must."""
+    once, in complex arithmetic only for complex lam, and the trace is
+    order 0 of a one-order _ProbedBand's traces(n): ceil(n/2) solves on its
+    probe columns.  H is real symmetric, so every -mu lies at least |Im lam|
+    from lam; where that does not exceed NEAR_POLE_GUARD, gbcon's estimate
+    of the smallest singular value, ||H + lam||_1 * rcond, must."""
     lam = complex(lam)
     dtype = complex if lam.imag else float
     u = band.shape[0] // 3
     ab = band.astype(dtype)
     ab[2 * u] += lam if lam.imag else lam.real
-    lu, piv, sigma = _banded_lu(ab, u)
+    solve, sigma = _banded_lu(ab, u)
     if sigma == 0 or max(sigma, abs(lam.imag)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
-    gbtrs = sla.get_lapack_funcs("gbtrs", dtype=dtype)
-
-    def solve(w: list) -> None:
-        w[0], _ = gbtrs(lu, u, u, w[0], piv, overwrite_b=True)
-
-    probed = _ProbedBand(ab.shape[1], 1, dtype, solve)
-    for _ in range(n // 2):
-        probed.step()
-    probed.hold()
-    if n % 2:
-        probed.step()
-    return complex(probed.pair_traces()[0])
+    return complex(_ProbedBand(ab.shape[1], 1, dtype, solve).traces(n)[0])
 
 
 def _ncho_bands(model: Ncho, N: int) -> list:

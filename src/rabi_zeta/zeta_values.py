@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trace_terms
-from .errors import DomainError, InvalidDimension, NearPole, PoleError, RadiusExceeded
+from .errors import DomainError, InvalidDimension, NearPole, RadiusExceeded
 from .operator_oracle import (
     EIGEN_FLOOR,
     MIN_TRUNCATION,
@@ -104,10 +104,12 @@ class ZetaResult:
 
 def convergence_radius(model: ModelSpec, lam: complex) -> float:
     """1/C: the allowed coupling radius (for the oscillator pair, the bound
-    on |lambda (alpha-beta)/(alpha+beta)|)."""
+    on |lambda (alpha-beta)/(alpha+beta)|), the distance from the shifts to
+    the excluded set.  Within NEAR_POLE_GUARD of it raises NearPole, as
+    every zeta route does."""
     dist = model_geometry(model).distance(lam)
-    if dist <= 1e-12:
-        raise PoleError(f"lambda {lam} sits on the excluded set of {model}")
+    if dist <= NEAR_POLE_GUARD:
+        raise NearPole(f"lambda {lam} is within {NEAR_POLE_GUARD} of the excluded set")
     return dist
 
 
@@ -179,9 +181,7 @@ def _assemble(req: ZetaRequest, minus: bool) -> ZetaResult:
     n, tol, method = req.n, req.tol, req.method
     lam = complex(req.lam)
     geo = model_geometry(req.model)
-    dist = geo.distance(lam)
-    if dist <= NEAR_POLE_GUARD:
-        raise NearPole(f"lambda {lam} is within {NEAR_POLE_GUARD} of the excluded set")
+    dist = convergence_radius(req.model, lam)
     metadata: dict = {"method": method, "truncations": {"trunc_n": req.trunc_n}}
     warnings = []
     if dist < _WARN_DISTANCE:

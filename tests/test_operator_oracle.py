@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from rabi_zeta.operator_oracle import (
     TwoPhoton,
     _ProbedBand,
     _ResolventSeries,
+    _banded_lu,
     _block_trace,
     _extrapolate,
     _ladder,
@@ -632,6 +635,117 @@ class TestProbedKernel:
                 assert abs(row[k].value - complex(*want[k])) <= row[k].abs_error, (m, k)
 
 
+class TestTracesDriver:
+    # _ProbedBand.traces(m) steps to W(floor(m/2)), holds it and steps to
+    # W(ceil(m/2)).  A fresh band asked for traces(m) takes the same steps
+    # and halfway-row checks as the m-th call of a run m = 1, 2, ..., so it
+    # returns the same values bit for bit.
+    _POINTS = [TestProbedKernel._NARROW[0], TestProbedKernel._WIDENING[0]]
+
+    @staticmethod
+    def _band(point, N=400):
+        basis, nu, g, lam = point
+        return _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N).band
+
+    @pytest.mark.parametrize("point", _POINTS)
+    def test_a_fresh_band_returns_the_mth_call_of_a_run(self, point):
+        run = self._band(point)
+        for m in range(1, 9):
+            want = run.traces(m)
+            assert len(want) == 4
+            assert self._band(point).traces(m) == want, m
+
+    # These points widen, where they do, on the first step, before anything
+    # is held.  One doubling forced on the third step, which traces(5) takes
+    # with W(2) held, replays W(2) on the wider period and must rebuild its
+    # bands there: the values stay those of the dense sweep (P = N), and a
+    # fresh band forced alike replays them bit for bit.
+    @pytest.mark.parametrize("point", _POINTS)
+    def test_a_widening_after_a_hold_rebuilds_the_held_bands(self, monkeypatch, point):
+        N = 400
+        monkeypatch.setattr(operator_oracle, "_PROBE_START", N)
+        dense = self._band(point, N)
+        want = [dense.traces(m) for m in range(1, 9)]
+        monkeypatch.setattr(operator_oracle, "_PROBE_START", 64)
+        aliased = _ProbedBand._aliased
+
+        def once_more_on_the_third_step(band):
+            if band._k == 2 and not hasattr(band, "forced_from"):
+                band.forced_from = band.P
+                return True
+            return aliased(band)
+
+        monkeypatch.setattr(_ProbedBand, "_aliased", once_more_on_the_third_step)
+        run = self._band(point, N)
+        for m, ref in enumerate(want, 1):
+            row = run.traces(m)
+            assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(row, ref)), (m, row, ref)
+            assert self._band(point, N).traces(m) == row, m
+        assert run.forced_from < run.P == min(2 * run.forced_from, N)
+
+    # The eigen blocks' one-order bands: n = 4 holds W(2), two steps in, and
+    # n = 5 steps once more past it.
+    @pytest.mark.parametrize("model,lam", [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(2.0, 1.2, 0.1), 0.8 + 0.2j)])
+    def test_eigen_block_bands_replay_the_run(self, model, lam):
+        def band():
+            ab = model_geometry(model).blocks(200)[0].astype(complex)
+            ab[len(ab) // 3 * 2] += lam
+            return _ProbedBand(ab.shape[1], 1, complex, _banded_lu(ab, len(ab) // 3)[0])
+
+        run = band()
+        for n in range(1, 7):
+            want = run.traces(n)
+            assert band().traces(n) == want, n
+
+    def test_the_state_never_steps_back(self):
+        band = self._band(self._POINTS[0], 100)
+        band.traces(3)
+        with pytest.raises(ValueError):
+            band.traces(2)
+
+
+class TestFreedByReferenceCounting:
+    # A solve that refers back to its owner ties each dropped state into a
+    # reference cycle that only the cycle collector frees, and the finest
+    # ladder states hold the most memory.  With the collector off, every
+    # state must go as soon as its last reference does.
+    @pytest.fixture
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_dropped_ladder_states_are_freed(self, no_collector):
+        sweep = TraceDerivativeSweep(Component("fock"), 0.2, 0.9, 0.1, 3, 400)
+        refs = [(weakref.ref(st), weakref.ref(st.band)) for st in sweep._states]
+        for _ in range(4):
+            sweep.next_terms()
+        kept = len(sweep._states)
+        # By m = 4 the sweep has dropped 400 and 200.
+        assert kept == len(refs) - 2
+        assert all(r() is None for pair in refs[:-kept] for r in pair)
+        assert all(r() is not None for pair in refs[-kept:] for r in pair)
+        del sweep
+        assert all(r() is None for pair in refs for r in pair)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_each_block_band_is_freed_on_return(self, monkeypatch, no_collector, n):
+        built = []
+
+        class Recording(_ProbedBand):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
+        for band in model_geometry(Ncho(2.0, 1.2, 0.1)).blocks(100):
+            _block_trace(band, n, 0.8 + 0.2j)
+        assert len(built) == 2 and all(r() is None for r in built)
+
+
 class TestProbedEigenKernel:
     # The eigen oracle's block traces tr((H + lam)^-n) come from the probed
     # band kernel; eig_banded's eigenvalue sums are their dense reference.
@@ -651,7 +765,7 @@ class TestProbedEigenKernel:
         monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
         return built
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("model,lam", _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX)
     def test_block_sums_match_the_eigenvalue_sums(self, model, lam, n):
         bands = model_geometry(model).blocks(200)
@@ -659,7 +773,7 @@ class TestProbedEigenKernel:
         ref = _eigen_sum(bands, n, lam)
         assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("model,lam", _WIDENING)
     def test_widening_points_match_the_eigenvalue_sums(self, monkeypatch, model, lam, n):
         built = self._recording(monkeypatch)

@@ -9,7 +9,14 @@ from scipy.special import digamma, polygamma
 
 from rabi_zeta import operator_oracle, zeta_values
 from rabi_zeta.errors import DomainError, NearPole, RadiusExceeded
-from rabi_zeta.operator_oracle import BergmanNu, Ncho, OnePhoton, TwoPhoton, truncation_budget
+from rabi_zeta.operator_oracle import (
+    BergmanNu,
+    Ncho,
+    OnePhoton,
+    TwoPhoton,
+    model_geometry,
+    truncation_budget,
+)
 from rabi_zeta.specfun import alternating_zeta_sum, hurwitz_zeta
 from rabi_zeta.zeta_values import (
     ZetaRequest,
@@ -78,6 +85,17 @@ class TestConvergenceRadius:
 
     def test_bergman(self):
         assert convergence_radius(BergmanNu(1.5, 0.2, 0.3, 0.0), 0.5) == pytest.approx(2.0)
+
+    def test_near_pole_uses_the_one_guard(self):
+        # The shift lam - eps lies 1e-10 from the pole at 0: inside
+        # NEAR_POLE_GUARD, where every zeta route refuses lam, so no radius
+        # is given for it either.
+        model, lam = OnePhoton(0.2, 0.3, 0.1), 0.1 + 1e-10
+        assert 0 < model_geometry(model).distance(lam) < operator_oracle.NEAR_POLE_GUARD
+        with pytest.raises(NearPole):
+            convergence_radius(model, lam)
+        with pytest.raises(NearPole):
+            zeta_value(ZetaRequest(model, 2, lam))
 
     def test_ncho(self):
         # Shifts 3 +- 2 on the progression 1/2 + k: radius 1.5.  |X| = 0.6
