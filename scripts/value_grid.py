@@ -7,17 +7,18 @@
 Each line of a grid is one entry: its id and either the repr of every field
 of its result (a ZetaResult's value, abs_error, per_m_terms, base_term and
 metadata without runtime_ms; a SeriesValue's value, abs_error, terms_used
-and converged; an EigenValue's also its bar and tops) or the name of the
-exception it raised.  The entries are zeta values of the four models by the
-three routes (lambda real, complex, negative and between poles; n = 2 and 3;
-trunc_n 100, 400 and 1200), the eigen route at n = 4 (lambda real and
-complex), parity differences, the eigen oracle at points where its probe
-period widens, dn_r_m_operator and dn_r_m_family_operator for every family
-at m <= 3 and orders 0-3, at points where the sweep's probe period stays
-and where it widens, and dn_r_m_integral for every family at m <= 2 and
-orders 0-3.  --small keeps trunc_n 100, one lambda of each kind per model
-(the real one at n = 4), m <= 2 on the operator routes and m = 1 on the
-integral route.
+and converged; an EigenValue's also its bar and tops; a Digest's sha256) or
+the name of the exception it raised.  The entries are zeta values of the
+four models by the three routes (lambda real, complex, negative and between
+poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
+(lambda real and complex), parity differences, the eigen oracle at points
+where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
+for every family at m <= 3 and orders 0-3, at points where the sweep's probe
+period stays and where it widens, dn_r_m_integral for every family at m <= 3
+and orders 0-3 (m = 2 also under a Gauss-Legendre and a Monte Carlo spec),
+and a sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
+lambda of each kind per model (the real one at n = 4), m <= 2 on the
+operator routes and m = 1 on the integral route, plus one m = 3 integral.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of
@@ -30,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 import time
 
+from rabi_zeta.apery import apery_classic
 from rabi_zeta.operator_oracle import (
     BergmanNu,
     Ncho,
@@ -43,6 +46,7 @@ from rabi_zeta.operator_oracle import (
     dn_r_m_operator,
     zeta_eigen_oracle,
 )
+from rabi_zeta.quadrature import QuadratureSpec
 from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator, dn_r_m_integral
 from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
 
@@ -67,6 +71,16 @@ SWEEP_POINTS = [
 ]
 FAMILIES = [FLAT, PLUS, MINUS, Nu(0.7)]
 EPS = 0.1
+# The m = 2 integral under the two rules besides the default tanh-sinh one.
+M2_SPECS = [QuadratureSpec("gauss_legendre", 16), QuadratureSpec("monte_carlo", samples=100_000)]
+APERY_N_MAX = 130
+
+
+@dataclasses.dataclass(frozen=True)
+class Digest:
+    """The sha256 of an exact result's repr, for results too long to list."""
+
+    sha256: str
 
 
 def entries(small: bool) -> list:
@@ -110,12 +124,27 @@ def entries(small: bool) -> list:
                     out.append((f"dn_r_m_family_operator {family} lam={lam!r} m={m} n={k} N={N}",
                                 lambda args=args: dn_r_m_family_operator(*args)))
     for family in FAMILIES:
-        for lam in (0.9, 0.9 + 0.3j):
-            for m in range(1, 2 if small else 3):
+        for lam in (0.9, 0.9 + 0.3j) if small else (0.9, 0.9 + 0.3j, 1.2, 1.2 + 0.3j):
+            for m in range(1, 2 if small else 4):
                 for k in range(4):
                     args = (family, lam, 0.2, EPS, m, k)
                     out.append((f"dn_r_m_integral {family} lam={lam!r} m={m} n={k}",
                                 lambda args=args: dn_r_m_integral(*args)))
+    if small:
+        out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
+                    lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
+    else:
+        for spec in M2_SPECS:
+            for family in FAMILIES:
+                for lam in (0.9, 0.9 + 0.3j):
+                    for k in range(4):
+                        args = (family, lam, 0.2, EPS, 2, k, spec)
+                        out.append((f"dn_r_m_integral {family} lam={lam!r} m=2 n={k} "
+                                    f"spec={spec.scheme}",
+                                    lambda args=args: dn_r_m_integral(*args)))
+        out.append((f"apery_classic n_max={APERY_N_MAX}",
+                     lambda: Digest(hashlib.sha256(repr(apery_classic(APERY_N_MAX)).encode())
+                                    .hexdigest())))
     return out
 
 
@@ -179,7 +208,7 @@ def compare(path_a: str, path_b: str) -> int:
         ra, rb = a[key], b[key]
         if "error" in ra or "error" in rb:
             continue
-        bar = float(ra["abs_error"])
+        bar = float(ra.get("abs_error", "inf"))  # a Digest has no bar
         for name in ra.keys() | rb.keys():
             if ra.get(name) == rb.get(name):
                 continue

@@ -465,21 +465,26 @@ def apery_classic(n_max: int) -> ExactApery:
     verified against the three-term recurrence exactly."""
     if n_max < 0 or n_max > 200:
         raise DomainError(f"n_max must be in 0..200, got {n_max}")
+    # B_n = sum_k w_k (outer + sum_{m<=k} t_m) = outer A_n + sum_m t_m W_m,
+    # with w_k = C(n,k)^2 C(n+k,k), W_m = sum_{k>=m} w_k and
+    # t_m = (-1)^(n+m-1) / (m^2 C(n,m) C(n+m,m)): one integer numerator over
+    # the lcm of the t_m denominators, so one Fraction per n.
     a_list = []
     b_list = []
     outer = Fraction(0)  # 2 sum_{m<=n} (-1)^(m-1) / m^2, kept running over n
     for n in range(n_max + 1):
-        a = 0
-        b = Fraction(0)
-        inner = Fraction(0)  # sum_{m<=k} (-1)^(n+m-1) / (m^2 C(n,m) C(n+m,m)), running over k
-        for k in range(n + 1):
-            w = binomial(n, k) ** 2 * binomial(n + k, k)
-            a += w
-            if k:
-                inner += Fraction((-1) ** (n + k - 1), k * k * binomial(n, k) * binomial(n + k, k))
-            b += w * (outer + inner)
+        pairs = [(binomial(n, k), binomial(n + k, k)) for k in range(n + 1)]
+        weights = [c * c * cc for c, cc in pairs]
+        denominators = [k * k * c * cc for k, (c, cc) in enumerate(pairs)]
+        common = math.lcm(*denominators[1:])
+        numerator = 0
+        suffix = 0  # W_k
+        for k in range(n, 0, -1):
+            suffix += weights[k]
+            numerator += (-1) ** (n + k - 1) * suffix * (common // denominators[k])
+        a = sum(weights)
         a_list.append(a)
-        b_list.append(b)
+        b_list.append(outer * a + Fraction(numerator, common))
         outer += Fraction(2 * (-1) ** n, (n + 1) ** 2)
     for n in range(2, n_max + 1):
         for xs in (a_list, b_list):

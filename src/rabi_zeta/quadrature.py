@@ -13,7 +13,10 @@ without ever touching them.
 integrate_pairs is the same 4-D tensor rule for integrands that split between
 the axis pairs (u0, u1) and (u2, u3): a symmetric kernel between two 2-D pair
 grids, contracted with left and right vectors block by block, so the full grid
-of n^4 points is never held in memory.  The kernel must satisfy
+of n^4 points is never held in memory.  The caller gives per-point factor
+rows, computed once per level, and a kernel that writes each block from
+slices of them into scratch arrays that _pair_sum allocates once per level
+and reuses for every block.  The kernel must satisfy
 kernel(a, b) == kernel(b, a).T; each unordered block pair is evaluated once,
 and the blocks below the diagonal are the transposes of those above it.
 """
@@ -34,19 +37,30 @@ RNG_ALGORITHM = "philox4x64"
 _CHUNK = 1 << 17
 
 #: Left pair-grid rows per kernel block in integrate_pairs.  At the default
-#: m = 2 rule (51 nodes per axis, 2601 pair points) one block of the kernel
-#: is at most 64 x 2601 doubles, 1.3 MB, so the kernel's elementwise
-#: temporaries stay within a 2 MB L2 cache (the m = 2 integrals took
-#: 15-20% longer with 128-row blocks on a 2-core Xeon); no temporary grows
-#: with the full grid.
+#: m = 2 rule (51 nodes per axis, 2601 pair points) each of the block's
+#: scratch arrays is at most 64 x 2601 doubles, 1.3 MB; no array grows with
+#: the full grid.  On a 2-core Xeon the in-place kernels took 58 ms per m = 2
+#: integral with 64-row blocks, 59 ms with 32 and 71 ms with 128 (medians
+#: of 7 alternated runs over four families).  The block size also groups
+#: the matmul sums, so 32 and 128 move the values in their last bits: 64
+#: stays.
 _PAIR_BLOCK = 64
 
+#: Scratch arrays per kernel block in integrate_pairs: the block and two
+#: work arrays for the kernel's intermediates.
+_PAIR_BUFFERS = 3
+
 #: Integrand points per call in _tensor_sum, rounded down to whole
-#: first-axis rows of the tensor grid (at least one).  On a 2-core Xeon the
-#: m = 1 trace-term rows (d = 2, 203 tanh-sinh nodes per axis) and a J_3
-#: quadrature took 0.12 s with one row per call, 0.022-0.028 s at 2^11 to
-#: 2^16 points and least at 2^12 (medians of 25 runs), where each of the
-#: integrand's complex temporaries (64 KB) still fits the 2 MB L2 cache.
+#: first-axis rows of the tensor grid (at least one), and in
+#: integrate_monte_carlo, which draws _CHUNK points at a time.  On a 2-core
+#: Xeon the m = 1 trace-term rows at order 3 of four families (d = 2, 203
+#: tanh-sinh nodes per axis) and a J_3 quadrature took 153 ms with one row
+#: per call, 49-53 ms at 2^12 to 2^14 points, 60-61 ms at 2^11 and 2^16 and
+#: 64-71 ms at 2^10 (medians of 9 alternated runs); at 2^12 each complex
+#: temporary of the integrand (64 KB) fits the 2 MB L2 cache.  The m = 3
+#: integrand took 14-16 ms per _CHUNK in calls of 2^12 points against
+#: 20-30 ms in one call (Flat, Plus, Nu(0.7)).  The sums do not depend on
+#: this size.
 _TENSOR_BLOCK = 1 << 12
 
 
@@ -172,31 +186,38 @@ def integrate_tensor(f, d: int, spec: QuadratureSpec):
     return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec, "integrate_tensor")
 
 
-def _pair_sum(kernel, left, right, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pair_sum(factors, kernel, left, right, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G[i, j] = sum_ab q_a q_b left[i, a] K[a, b] right[j, b] over the 2-D
     pair grid of the 1-D rule, for a symmetric K.
 
-    Row block I of K is computed from its own start on, kernel(pts[I],
-    pts[I.start:]), _PAIR_BLOCK rows at a time: its diagonal part D and its
-    strictly upper part U.  With L = left * q and R = right * q,
+    Row block I of K is written from its own start on, K(pts[I],
+    pts[I.start:]), _PAIR_BLOCK rows at a time, into _PAIR_BUFFERS scratch
+    arrays allocated once per level: its diagonal part D and its strictly
+    upper part U.  With L = left * q and R = right * q,
     G = L (D + U) R^T + (R U L^T)^T, so no block below the diagonal is
     evaluated.  A diagonal block that is not its own transpose to 1e-12
     relative raises DomainError.
     """
     u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    pts = np.column_stack([u.ravel(), v.ravel()])
+    pts = np.stack([u.ravel(), v.ravel()])
+    npts = pts.shape[1]
     q = np.outer(weights, weights).ravel()
     lv = _require_finite(left(pts) * q, "pair factor")
     rv = _require_finite(right(pts) * q, "pair factor")
+    rows = factors(pts)
     lrows, rrows = lv.shape[0], rv.shape[0]
     # The kernel is real: one real matmul against [Re v; Im v] per side.
     lv_parts = np.concatenate([lv.real, lv.imag]).T
     rv_parts = np.concatenate([rv.real, rv.imag]).T
     total = np.zeros((lrows, rrows), dtype=complex)
     upper = np.zeros((rrows, lrows), dtype=complex)
-    for start in range(0, pts.shape[0], _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, pts.shape[0])
-        k = _require_finite(kernel(pts[start:stop], pts[start:]), "kernel")
+    scratch = np.empty((_PAIR_BUFFERS, min(_PAIR_BLOCK, npts) * npts))
+    for start in range(0, npts, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, npts)
+        shape = (stop - start, npts - start)
+        out = tuple(buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
+        kernel(rows[:, start:stop], rows[:, start:], out)
+        k = _require_finite(out[0], "kernel")
         diag = k[:, : stop - start]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
             raise DomainError("integrate_pairs needs kernel(a, b) == kernel(b, a).T")
@@ -207,23 +228,29 @@ def _pair_sum(kernel, left, right, nodes: np.ndarray, weights: np.ndarray) -> np
     return total + upper.T
 
 
-def integrate_pairs(kernel, left, right, combine, spec: QuadratureSpec):
+def integrate_pairs(factors, kernel, left, right, combine, spec: QuadratureSpec):
     """Tensor-product integral over (0,1)^4 of an integrand that splits
     between the axis pairs a = (u0, u1) and b = (u2, u3):
 
         rows of  combine(G),  G[i, j] = int left_i(a) K(a, b) right_j(b).
 
-    kernel(a, b) returns the real (len(a), len(b)) kernel between two arrays
-    of pair points and must be symmetric, kernel(a, b) == kernel(b, a).T:
-    each unordered pair of kernel blocks is evaluated once, and a diagonal
-    block that is not its own transpose to 1e-12 relative raises DomainError.
-    left(a) and right(b) return (rows, npts) vectors at pair points; combine
-    maps the matrix G to a 0-d or (rows,) array of integrals.  Same nodes,
-    levels and error estimate as integrate_tensor with d = 4.
+    Pair points arrive as (2, npts) axis rows.  factors(pts) returns the
+    per-point factor rows F, an (nf, npts) array, once per level.
+    kernel(fa, fb, out) writes the real kernel K between the points of two
+    column slices fa = F[:, I] and fb = F[:, J] into out[0], and may use
+    out[1:] as scratch: out holds _PAIR_BUFFERS caller-owned (|I|, |J|)
+    float arrays whose contents on entry are undefined (they alias the
+    previous block's).  The kernel must be symmetric, the block of (fb, fa)
+    the transpose of the block of (fa, fb): each unordered pair of kernel
+    blocks is evaluated once, and a diagonal block that is not its own
+    transpose to 1e-12 relative raises DomainError.  left(a) and right(b)
+    return (rows, npts) vectors at pair points; combine maps the matrix G to
+    a 0-d or (rows,) array of integrals.  Same nodes, levels and error
+    estimate as integrate_tensor with d = 4.
     """
 
     def level_sum(nodes, weights):
-        return combine(_pair_sum(kernel, left, right, nodes, weights))
+        return combine(_pair_sum(factors, kernel, left, right, nodes, weights))
 
     return _two_level(level_sum, 4, spec, "integrate_pairs")
 
@@ -231,7 +258,8 @@ def integrate_pairs(kernel, left, right, combine, spec: QuadratureSpec):
 def integrate_monte_carlo(f, d: int, samples: int, seed: int):
     """Monte Carlo mean over (0,1)^d, one SeriesValue per integrand row;
     abs_error is the standard error of the mean.  Deterministic for a fixed
-    seed (counter-based Philox generator, fixed chunking, pairwise reductions)."""
+    seed (counter-based Philox generator, fixed chunking, pairwise reductions);
+    f is called on _TENSOR_BLOCK points of a chunk at a time."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if samples < 1:
@@ -241,7 +269,12 @@ def integrate_monte_carlo(f, d: int, samples: int, seed: int):
     while done < samples:
         take = min(_CHUNK, samples - done)
         pts = rng.random((take, d))
-        vals = _require_finite(np.asarray(f(pts), dtype=complex), "integrand", "a sampled point")
+        vals = np.concatenate(
+            [np.asarray(f(pts[i : i + _TENSOR_BLOCK]), dtype=complex)
+             for i in range(0, take, _TENSOR_BLOCK)],
+            axis=-1,
+        )
+        _require_finite(vals, "integrand", "a sampled point")
         sums.append(np.sum(vals, axis=-1))
         sqsums.append(np.sum(vals.real**2 + vals.imag**2, axis=-1))
         done += take

@@ -2,12 +2,19 @@
 
 The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
-shift derivatives, and the m=1 series/hypergeometric fast paths.  One helper
-maps the point invariants (Psi, or Phi with prod u) to each family's kernel;
-the point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs, and
-the m = 2 term on a deterministic rule is a symmetric kernel between the
+shift derivatives, and the m=1 series/hypergeometric fast paths.
+
+The kernels run on axis rows: a block of points is transposed once to one
+contiguous row per coordinate, and the logs, the weight, prod u, Phi_m's
+cyclic runs and Psi's matrix product are whole-row ufuncs, in place where an
+operand is not read again.  Every product and sum keeps the operand order of
+the point-by-point formula, so no value depends on the layout.  The
+point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs.
+The m = 2 term on a deterministic rule is a symmetric kernel between the
 axis-pair grids (u0, u1) and (u2, u3), integrated by
-quadrature.integrate_pairs.
+quadrature.integrate_pairs: per-point factor rows once per level (Psi's
+product entries, or Flat's h, s, t and u0 u1), and each kernel block
+written from them into scratch that integrate_pairs owns.
 """
 
 from __future__ import annotations
@@ -34,48 +41,58 @@ from .specfun import (
 # Kernels
 
 
-def _phi_vec(m: int, u: np.ndarray) -> np.ndarray:
-    """Vectorized Phi_m on an (npts, 2m) array."""
+def _phi_rows(m: int, ut: np.ndarray):
+    """(Phi_m, prod u) on the (2m, npts) axis rows of a point block."""
     d = 2 * m
-    prod = np.prod(u, axis=1)
+    prod = ut[0] * ut[1]
+    for row in ut[2:]:
+        prod *= row
     total = m * (1.0 + prod)
-    window = u.copy()  # window[:, k] = prod of the cyclic run of length l from k
+    window = ut.copy()  # window[k] = prod of the cyclic run of length l from k
+    run = np.empty_like(prod)
     for length in range(1, d):
-        total = total + ((-1) ** length) * np.sum(window, axis=1)
+        np.add(window[0], window[1], out=run)
+        for row in window[2:]:
+            run += row
+        if length % 2:
+            total -= run
+        else:
+            total += run
         if length < d - 1:
-            idx = (np.arange(d) + length) % d
-            window = window * u[:, idx]
-    return total
+            window[: d - length] *= ut[length:]
+            window[d - length :] *= ut[:length]
+    return total, prod
 
 
-def _psi_product(g: float, u: np.ndarray):
-    """Entries (a, b, c, d) of the ordered product of Psi's two-by-two
-    factors over the columns of an (npts, k) array, with alternating
-    coupling signs starting at -sinh(2g)."""
+def _psi_product(g: float, rows: np.ndarray) -> np.ndarray:
+    """Rows (p0, p1, p2, p3), the entries [[p0, p1], [p2, p3]] of the ordered
+    product of Psi's two-by-two factors over the axis rows of a point block,
+    with alternating coupling signs starting at -sinh(2g)."""
     ch = math.cosh(2 * g)
     sh = math.sinh(2 * g)
-    a = np.ones(u.shape[0])
-    b = np.zeros(u.shape[0])
-    c = np.zeros(u.shape[0])
-    dd = np.ones(u.shape[0])
-    for j in range(u.shape[1]):
+    npts = rows.shape[1]
+    cur, nxt = np.empty((2, 4, npts))
+    cur[0], cur[1], cur[2], cur[3] = 1.0, 0.0, 0.0, 1.0
+    tmp = np.empty(npts)
+    for j, uj in enumerate(rows):
         s = -sh if j % 2 == 0 else sh
-        uj = u[:, j]
         inv = 1.0 / uj
-        # Right-multiply by [[ch/u, s*u], [s/u, ch*u]].
-        na = a * (ch * inv) + b * (s * inv)
-        nb = a * (s * uj) + b * (ch * uj)
-        nc = c * (ch * inv) + dd * (s * inv)
-        nd = c * (s * uj) + dd * (ch * uj)
-        a, b, c, dd = na, nb, nc, nd
-    return a, b, c, dd
+        ci, si, cu, su = ch * inv, s * inv, ch * uj, s * uj
+        # Right-multiply each row [x, y] of the product by [[ch/u, s*u], [s/u, ch*u]].
+        for r in (0, 2):
+            np.multiply(cur[r], ci, out=nxt[r])
+            nxt[r] += np.multiply(cur[r + 1], si, out=tmp)
+            np.multiply(cur[r], su, out=nxt[r + 1])
+            nxt[r + 1] += np.multiply(cur[r + 1], cu, out=tmp)
+        cur, nxt = nxt, cur
+    return cur
 
 
 def _psi_vec(m: int, g: float, u: np.ndarray) -> np.ndarray:
     """Vectorized Psi_m^g on an (npts, 2m) array: trace of the ordered
     product of 2m two-by-two factors with alternating coupling signs."""
-    a, _, _, dd = _psi_product(g, u[:, : 2 * m])
-    return a + dd
+    p = _psi_product(g, u[:, : 2 * m].T)
+    return p[0] + p[3]
 
 
 def phi(m: int, u) -> float:
@@ -83,7 +100,7 @@ def phi(m: int, u) -> float:
     arr = np.atleast_2d(np.asarray(u, dtype=float))
     if m < 1 or arr.shape[1] != 2 * m:
         raise LengthMismatch(f"expected {2 * m} coordinates, got {arr.shape[1]}")
-    return float(_phi_vec(m, arr)[0])
+    return float(_phi_rows(m, arr.T)[0][0])
 
 
 def psi(m: int, g: float, u) -> float:
@@ -92,6 +109,87 @@ def psi(m: int, g: float, u) -> float:
     if m < 1 or arr.shape[1] != 2 * m:
         raise LengthMismatch(f"expected {2 * m} coordinates, got {arr.shape[1]}")
     return float(_psi_vec(m, g, arr)[0])
+
+
+def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Flat's kernel exp(-4 g^2 Phi_m / (1 - prod u)) / (1 - prod u), written
+    over phi_val; prod becomes 1 - prod u."""
+    one_minus = np.maximum(np.subtract(1.0, prod, out=prod), 1e-300, out=prod)
+    phi_val *= -4.0 * g * g
+    phi_val /= one_minus
+    np.exp(phi_val, out=phi_val)
+    phi_val /= one_minus
+    return phi_val
+
+
+def _roots_kernel(family: TraceFamily, sp, sm, work) -> np.ndarray:
+    """The kernel of Plus (1 / sm), Minus (1 / sp) or Nu from the roots
+    sp = sqrt(Psi + 2) and sm = sqrt(Psi - 2), written over the root it reads
+    (sm for Nu, with work as scratch); the other root may be None."""
+    if isinstance(family, Plus):
+        return np.divide(1.0, sm, out=sm)
+    if isinstance(family, Minus):
+        return np.divide(1.0, sp, out=sp)
+    # mu = ((sqrt(Psi+2)-sqrt(Psi-2))/2)^2 = (2/(sp+sm))^2, stably.
+    mu = np.add(sp, sm, out=work)
+    np.divide(2.0, mu, out=mu)
+    np.square(mu, out=mu)
+    np.log(mu, out=mu)
+    mu *= family.nu - 1.0
+    np.exp(mu, out=mu)
+    sp *= sm
+    return np.divide(mu, sp, out=sm)
+
+
+def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
+    """The kernel of Plus, Minus or Nu from a matrix-product Psi, written over
+    psi_val, with work two scratch arrays of its shape.  Psi - 2 is only
+    known to roundoff relative to |Psi|; flooring it at that noise scale
+    keeps corner nodes (tiny weights) harmless.  Minus reads only
+    sqrt(Psi + 2), unfloored, and Plus only sqrt(Psi - 2)."""
+    if isinstance(family, Minus):
+        sp = np.sqrt(np.add(psi_val, 2.0, out=psi_val), out=psi_val)
+        return _roots_kernel(family, sp, None, None)
+    sp = None
+    if not isinstance(family, Plus):
+        sp = np.sqrt(np.add(psi_val, 2.0, out=work[1]), out=work[1])
+    floor = np.abs(psi_val, out=work[0])
+    np.maximum(floor, 2.0, out=floor)
+    floor *= 1e-13
+    np.subtract(psi_val, 2.0, out=psi_val)
+    sm = np.sqrt(np.maximum(psi_val, floor, out=psi_val), out=psi_val)
+    return _roots_kernel(family, sp, sm, work[0])
+
+
+def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
+    """The family's real kernel on the (2m, npts) axis rows of a point block."""
+    if isinstance(family, Flat):
+        return _flat_kernel(g, *_phi_rows(m, ut))
+    if m > 1:
+        p = _psi_product(g, ut)
+        return _psi_kernel(family, np.add(p[0], p[3], out=p[1]), p[2:])
+    # Factorized forms avoid the catastrophic cancellation of Psi - 2 near
+    # the (1, 1) corner:
+    #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
+    uu, vv = ut
+    sh2 = math.sinh(2.0 * g) ** 2
+    cross = sh2 * (1.0 - uu * uu) * (1.0 - vv * vv)
+    uv = uu * vv
+    inv_uv = 1.0 / uv
+    sp = sm = None
+    if not isinstance(family, Plus):
+        sp = np.add(1.0, uv)
+        np.square(sp, out=sp)
+        sp += cross
+        sp *= inv_uv
+        np.sqrt(sp, out=sp)
+    if not isinstance(family, Minus):
+        sm = np.subtract(1.0, uv, out=uv)
+        np.square(sm, out=sm)
+        sm += cross
+        sm *= inv_uv
+        np.sqrt(np.maximum(sm, 1e-300, out=sm), out=sm)
+    return _roots_kernel(family, sp, sm, inv_uv)
 
 
 # ---------------------------------------------------------------------------
@@ -107,100 +205,83 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
 
 
 def _weight(logs: np.ndarray, evec: np.ndarray) -> np.ndarray:
-    """prod_j u_j^e_j = exp(sum_j e_j log u_j), the sum taken axis by axis:
-    the complex mat-vec logs @ evec would wake numpy's own BLAS thread pool,
-    which stalls for milliseconds after a scipy LAPACK call."""
-    exponent = logs[:, 0] * evec[0]
+    """prod_j u_j^e_j = exp(sum_j e_j log u_j) on axis rows of log u, the sum
+    taken row by row: the complex mat-vec evec @ logs would wake numpy's own
+    BLAS thread pool, which stalls for milliseconds after a scipy LAPACK
+    call."""
+    exponent = logs[0] * evec[0]
     for j in range(1, len(evec)):
-        exponent += logs[:, j] * evec[j]
-    return np.exp(exponent)
-
-
-def _psi_roots(psi_val: np.ndarray):
-    """(sqrt(Psi + 2), sqrt(Psi - 2)) of a matrix-product Psi.  Psi - 2 is
-    only known to roundoff relative to |Psi|; flooring it at that noise scale
-    keeps corner nodes (tiny weights) harmless."""
-    sp = np.sqrt(psi_val + 2.0)
-    sm = np.sqrt(np.maximum(psi_val - 2.0, 1e-13 * np.maximum(np.abs(psi_val), 2.0)))
-    return sp, sm
-
-
-def _kernel(family: TraceFamily, g: float, invariants) -> np.ndarray:
-    """The family's kernel from the point invariants: (Phi_m, prod u) for
-    Flat, (sqrt(Psi+2), sqrt(Psi-2)) for Plus, Minus and Nu."""
-    if isinstance(family, Flat):
-        phi_val, prod = invariants
-        one_minus = np.maximum(1.0 - prod, 1e-300)
-        return np.exp(-4.0 * g * g * phi_val / one_minus) / one_minus
-    sp, sm = invariants
-    if isinstance(family, Plus):
-        return 1.0 / sm
-    if isinstance(family, Minus):
-        return 1.0 / sp
-    # mu = ((sqrt(Psi+2)-sqrt(Psi-2))/2)^2 = (2/(sp+sm))^2, stably.
-    mu = (2.0 / (sp + sm)) ** 2
-    return np.exp((family.nu - 1.0) * np.log(mu)) / (sp * sm)
+        exponent += logs[j] * evec[j]
+    return np.exp(exponent, out=exponent)
 
 
 def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, orders):
-    """Rows K * w * (sum_j log u_j)^k for k in orders, integrating to d^k R_m / d lam^k."""
+    """Rows K * w * (sum_j log u_j)^k for k in orders, integrating to d^k R_m / d lam^k.
+    Each (npts, 2m) point block is transposed once to axis rows."""
     evec = _exponent_vector(m, lam, eps)
 
     def f(u: np.ndarray) -> np.ndarray:
-        logs = np.log(u)
-        weight = _weight(logs, evec)
-        if isinstance(family, Flat):
-            invariants = (_phi_vec(m, u), np.prod(u, axis=1))
-        elif m == 1:
-            # Factorized forms avoid the catastrophic cancellation of
-            # Psi - 2 near the (1, 1) corner:
-            #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
-            uu, vv = u[:, 0], u[:, 1]
-            sh2 = math.sinh(2.0 * g) ** 2
-            cross = sh2 * (1.0 - uu * uu) * (1.0 - vv * vv)
-            inv_uv = 1.0 / (uu * vv)
-            sp = np.sqrt(((1.0 + uu * vv) ** 2 + cross) * inv_uv)
-            sm = np.sqrt(np.maximum(((1.0 - uu * vv) ** 2 + cross) * inv_uv, 1e-300))
-            invariants = (sp, sm)
-        else:
-            invariants = _psi_roots(_psi_vec(m, g, u))
-        out = _kernel(family, g, invariants) * weight
-        log_sum = np.sum(logs, axis=1) if any(orders) else None
-        return np.stack([out * log_sum**k if k else out for k in orders])
+        ut = np.ascontiguousarray(u.T)
+        logs = np.log(ut)
+        weighted = _weight(logs, evec)
+        weighted *= _point_kernel(family, g, m, ut)
+        out = np.empty((len(orders), ut.shape[1]), dtype=complex)
+        if any(orders):
+            log_sum = logs[0] + logs[1]
+            for row in logs[2:]:
+                log_sum += row
+        for row, k in zip(out, orders):
+            if k:
+                np.multiply(weighted, log_sum**k, out=row)
+            else:
+                row[...] = weighted
+        return out
 
     return f
 
 
 def _pair_kernel(family: TraceFamily, g: float):
-    """The family's m = 2 kernel K(a, b) between two arrays of pair points
-    a = (u0, u1) and b = (u2, u3), with K(a, b) == K(b, a).T bit for bit, as
-    quadrature.integrate_pairs requires: every product and sum below is
-    grouped so that swapping a and b only reorders commuting operands.
+    """(factors, kernel): the family's m = 2 kernel K(a, b) between the pair
+    points a = (u0, u1) and b = (u2, u3), in the contract of
+    quadrature.integrate_pairs.  factors maps the (2, npts) pair rows to
+    per-point factor rows once per level; kernel(fa, fb, out) writes K between
+    the points of two column slices of them into out[0], with out[1] and
+    out[2] as scratch.  K(a, b) == K(b, a).T bit for bit: every product and
+    sum is grouped so that swapping a and b only reorders commuting operands.
 
     Flat: prod u = p(a) p(b), p = u0 u1 on each pair, and Phi_2 is a sum
     of non-negative terms, h(a) + h(b) + (s(a) t(b) + t(a) s(b)), with
-    h = (1 - u0)(1 - u1), s = u1 (1 - u0) and t = u0 (1 - u1) on each pair.
-    Otherwise Psi_2 = tr(P(a) P(b)), with P = [[p0, p1], [p2, p3]] the
-    ordered product over each pair.
+    h = (1 - u0)(1 - u1), s = u1 (1 - u0) and t = u0 (1 - u1) on each pair:
+    rows (h, s, t, p).  Otherwise Psi_2 = tr(P(a) P(b)), with
+    P = [[p0, p1], [p2, p3]] the ordered product over each pair: rows
+    (p0, p1, p2, p3).
     """
     if isinstance(family, Flat):
 
-        def kernel(a, b):
-            (a0, a1), (b0, b1) = a.T, b.T
-            h = np.add.outer((1.0 - a0) * (1.0 - a1), (1.0 - b0) * (1.0 - b1))
-            s_t = np.outer(a1 * (1.0 - a0), b0 * (1.0 - b1))
-            t_s = np.outer(a0 * (1.0 - a1), b1 * (1.0 - b0))
-            return _kernel(family, g, (h + (s_t + t_s), np.outer(a0 * a1, b0 * b1)))
+        def factors(pts):
+            u0, u1 = pts
+            return np.stack([(1.0 - u0) * (1.0 - u1), u1 * (1.0 - u0), u0 * (1.0 - u1), u0 * u1])
 
-        return kernel
+        def kernel(fa, fb, out):
+            phi_val, prod, work = out
+            np.add.outer(fa[0], fb[0], out=phi_val)
+            np.multiply.outer(fa[1], fb[2], out=prod)
+            prod += np.multiply.outer(fa[2], fb[1], out=work)
+            phi_val += prod
+            _flat_kernel(g, phi_val, np.multiply.outer(fa[3], fb[3], out=prod))
 
-    def kernel(a, b):
-        p0, p1, p2, p3 = _psi_product(g, a)
-        q0, q1, q2, q3 = _psi_product(g, b)
-        psi_val = (np.outer(p0, q0) + np.outer(p3, q3)) + (np.outer(p1, q2) + np.outer(p2, q1))
-        return _kernel(family, g, _psi_roots(psi_val))
+        return factors, kernel
 
-    return kernel
+    def kernel(fa, fb, out):
+        psi_val, cross, work = out
+        np.multiply.outer(fa[0], fb[0], out=psi_val)
+        psi_val += np.multiply.outer(fa[3], fb[3], out=cross)
+        np.multiply.outer(fa[1], fb[2], out=cross)
+        cross += np.multiply.outer(fa[2], fb[1], out=work)
+        psi_val += cross
+        _psi_kernel(family, psi_val, out[1:])
+
+    return (lambda pts: _psi_product(g, pts)), kernel
 
 
 def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
@@ -211,10 +292,10 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
     evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
     top = max(orders)
 
-    def side(a):
-        logs = np.log(a)
+    def side(pts):
+        logs = np.log(pts)
         weight = _weight(logs, evec)
-        log_sum = logs[:, 0] + logs[:, 1]
+        log_sum = logs[0] + logs[1]
         return np.stack([weight * log_sum**i if i else weight for i in range(top + 1)])
 
     def combine(gram):
@@ -222,7 +303,7 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
             [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
         )
 
-    return quadrature.integrate_pairs(_pair_kernel(family, g), side, side, combine, spec)
+    return quadrature.integrate_pairs(*_pair_kernel(family, g), side, side, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.

@@ -283,6 +283,26 @@ class TestClassic:
         with pytest.raises(DomainError):
             apery_classic(201)
 
+    def test_matches_the_double_sum(self):
+        # The reference: B_n as the double sum over k and m <= k of
+        # C(n,k)^2 C(n+k,k) (outer + (-1)^(n+m-1) / (m^2 C(n,m) C(n+m,m))),
+        # one Fraction per term.
+        e = apery_classic(40)
+        outer = Fraction(0)
+        for n in range(41):
+            a = 0
+            b = Fraction(0)
+            inner = Fraction(0)
+            for k in range(n + 1):
+                w = math.comb(n, k) ** 2 * math.comb(n + k, k)
+                a += w
+                if k:
+                    denominator = k * k * math.comb(n, k) * math.comb(n + k, k)
+                    inner += Fraction((-1) ** (n + k - 1), denominator)
+                b += w * (outer + inner)
+            outer += Fraction(2 * (-1) ** n, (n + 1) ** 2)
+            assert (e.a_list[n], e.b_list[n]) == (a, b), n
+
 
 class TestBeukers:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -171,20 +171,31 @@ class TestTensorWalk:
         assert max(sizes) == rows * rest
 
 
-def _pair_kernel(a, b):
-    return 1.0 / np.sqrt(1.0 - np.outer(a[:, 0] * a[:, 1], b[:, 0] * b[:, 1]))
+def _pair_factors(pts):
+    """The pair test's one factor row, u0 u1 at each pair point."""
+    return (pts[0] * pts[1])[None]
+
+
+def _pair_kernel(fa, fb, out):
+    k = np.multiply.outer(fa[0], fb[0], out=out[0])
+    np.sqrt(np.subtract(1.0, k, out=k), out=k)
+    np.divide(1.0, k, out=k)
 
 
 def _pair_side(a):
-    w = np.exp(1j * a[:, 0]) / np.sqrt(a[:, 1])
-    return np.stack([w, w * np.log(a[:, 0])])
+    w = np.exp(1j * a[0]) / np.sqrt(a[1])
+    return np.stack([w, w * np.log(a[0])])
 
 
 def _pair_point(p):
     """The integrand rows of the pair test at 4-D points."""
     k = 1.0 / np.sqrt(1.0 - np.prod(p, axis=1))
-    left, right = _pair_side(p[:, :2]), _pair_side(p[:, 2:])
+    left, right = _pair_side(p[:, :2].T), _pair_side(p[:, 2:].T)
     return np.stack([k * left[0] * right[0], k * (left[1] * right[0] + left[0] * right[1])])
+
+
+def _identity(pts):
+    return pts
 
 
 class TestPairIntegration:
@@ -196,7 +207,7 @@ class TestPairIntegration:
         def combine(g):
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
-        rows = integrate_pairs(_pair_kernel, _pair_side, _pair_side, combine, spec)
+        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, _pair_side, combine, spec)
         ref = integrate_tensor(_pair_point, 4, spec)
         for got, want in zip(rows, ref):
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
@@ -205,34 +216,40 @@ class TestPairIntegration:
 
     def test_scalar_combine_gives_one_value(self):
         v = integrate_pairs(
-            lambda a, b: np.ones((len(a), len(b))),
-            lambda a: (a[:, 0] * a[:, 1])[None],
-            lambda b: (b[:, 0] * b[:, 1])[None],
+            _identity,
+            lambda fa, fb, out: out[0].fill(1.0),
+            lambda a: (a[0] * a[1])[None],
+            lambda b: (b[0] * b[1])[None],
             lambda g: g[0, 0],
             QuadratureSpec("gauss_legendre", 6),
         )
         assert abs(v.value - 1 / 16) < 1e-14
 
     def test_non_finite_kernel_raises(self):
-        def kernel(a, b):
-            out = np.ones((len(a), len(b)))
-            out[0, 0] = np.nan
-            return out
+        def kernel(fa, fb, out):
+            out[0].fill(1.0)
+            out[0][0, 0] = np.nan
 
         with pytest.raises(NodeSingularity):
-            integrate_pairs(kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(
+                _identity, kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec()
+            )
 
     def test_non_symmetric_kernel_raises(self):
-        def kernel(a, b):
-            return 1.0 + np.outer(a[:, 0], b[:, 1])
+        def kernel(fa, fb, out):
+            np.add(np.multiply.outer(fa[0], fb[1], out=out[0]), 1.0, out=out[0])
 
         with pytest.raises(DomainError):
-            integrate_pairs(kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(
+                _identity, kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec()
+            )
 
     def test_monte_carlo_refused(self):
         spec = QuadratureSpec("monte_carlo")
         with pytest.raises(DomainError):
-            integrate_pairs(_pair_kernel, _pair_side, _pair_side, lambda g: g[0, 0], spec)
+            integrate_pairs(
+                _pair_factors, _pair_kernel, _pair_side, _pair_side, lambda g: g[0, 0], spec
+            )
 
 
 class TestMonteCarlo:
@@ -247,6 +264,21 @@ class TestMonteCarlo:
         f = lambda p: np.prod(p, axis=1)  # noqa: E731
         v = integrate_monte_carlo(f, 4, 200000, seed=7)
         assert abs(v.value - 1 / 16) < 5 * max(v.abs_error, 1e-6)
+
+    def test_integrand_calls_stay_blocked(self, monkeypatch):
+        # Each chunk reaches the integrand _TENSOR_BLOCK points at a time; a
+        # pointwise integrand's sums do not depend on that size.
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            return np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])
+
+        blocked = integrate_monte_carlo(f, 2, 300_000, seed=3)
+        assert max(sizes) == quadrature._TENSOR_BLOCK
+        assert sum(sizes) == 300_000
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", 1 << 20)
+        assert integrate_monte_carlo(f, 2, 300_000, seed=3) == blocked
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

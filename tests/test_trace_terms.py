@@ -144,14 +144,14 @@ class TestIntegralRoute:
 
             return integrate_tensor(g, d, spec)
 
-        def counting_pairs(kernel, left, right, combine, spec):
+        def counting_pairs(factors, kernel, left, right, combine, spec):
             pair_calls.append(spec)
 
-            def k(a, b):
-                points.append(a.shape[0] * b.shape[0])
-                return kernel(a, b)
+            def k(fa, fb, out):
+                points.append(fa.shape[1] * fb.shape[1])
+                kernel(fa, fb, out)
 
-            return integrate_pairs(k, left, right, combine, spec)
+            return integrate_pairs(factors, k, left, right, combine, spec)
 
         monkeypatch.setattr(quadrature, "integrate_tensor", counting_tensor)
         monkeypatch.setattr(quadrature, "integrate_pairs", counting_pairs)
@@ -183,6 +183,22 @@ class TestIntegralRoute:
 
 
 _PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5)]
+
+
+def _level_four_pair_points():
+    """The (2, npts) axis rows of the tanh-sinh level-4 pair grid."""
+    nodes, _ = quadrature.tanh_sinh_nodes(4)
+    u, v = np.meshgrid(nodes, nodes, indexing="ij")
+    return np.stack([u.ravel(), v.ravel()])
+
+
+def _fresh_block(kernel, fa, fb):
+    """The pair kernel's block between two column slices of factor rows,
+    written into freshly allocated arrays."""
+    shape = (fa.shape[1], fb.shape[1])
+    out = tuple(np.zeros(shape) for _ in range(quadrature._PAIR_BUFFERS))
+    kernel(fa, fb, out)
+    return out[0]
 
 
 class TestPairSeparableM2:
@@ -227,18 +243,44 @@ class TestPairSeparableM2:
         # kernel it is handed must be its own transpose, corner nodes included.
         kernels = []
 
-        def capture(kernel, left, right, combine, spec):
-            kernels.append(kernel)
-            return integrate_pairs(kernel, left, right, combine, spec)
+        def capture(factors, kernel, left, right, combine, spec):
+            kernels.append((factors, kernel))
+            return integrate_pairs(factors, kernel, left, right, combine, spec)
 
         monkeypatch.setattr(quadrature, "integrate_pairs", capture)
         r_m_integral(family, lam, 0.2, 0.1, 2)
-        nodes, _ = quadrature.tanh_sinh_nodes(4)
-        u, v = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.column_stack([u.ravel(), v.ravel()])
-        a, b = pts[::2], pts[::-3]
-        k_ab, k_ba = kernels[0](a, b), kernels[0](b, a)
+        factors, kernel = kernels[0]
+        rows = factors(_level_four_pair_points())
+        a, b = rows[:, ::2], rows[:, ::-3]
+        k_ab, k_ba = _fresh_block(kernel, a, b), _fresh_block(kernel, b, a)
         assert np.all(np.abs(k_ab - k_ba.T) <= 1e-14 * np.abs(k_ab))
+
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_reused_scratch_gives_fresh_blocks(self, family):
+        # integrate_pairs hands the kernel views of scratch arrays that hold
+        # the previous block's values: a block written over NaN must equal
+        # the same block written into fresh arrays, bit for bit, on every
+        # block of the level-4 grid (its corner nodes included).
+        factors, kernel = trace_terms._pair_kernel(family, 0.2)
+        rows = factors(_level_four_pair_points())
+        npts = rows.shape[1]
+        scratch = np.full((quadrature._PAIR_BUFFERS, quadrature._PAIR_BLOCK * npts), np.nan)
+        for start in range(0, npts, quadrature._PAIR_BLOCK):
+            stop = min(start + quadrature._PAIR_BLOCK, npts)
+            shape = (stop - start, npts - start)
+            out = tuple(buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
+            kernel(rows[:, start:stop], rows[:, start:], out)
+            fresh = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
+            assert out[0].tobytes() == fresh.tobytes()
+            scratch.fill(np.nan)
+
+    def test_back_to_back_calls_match_calls_alone(self):
+        # Each integrate_pairs call owns its scratch: a call right after
+        # another family's gives what it gives alone.
+        alone = [dn_r_m_integral(f, 1.2, 0.2, 0.1, 2, 1) for f in (PLUS, Nu(0.5))]
+        back_to_back = [dn_r_m_integral(f, 1.2, 0.2, 0.1, 2, 1) for f in (FLAT, PLUS, Nu(0.5))]
+        assert repr(back_to_back[1:]) == repr(alone)
+        assert repr(back_to_back[0]) == repr(dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 2, 1))
 
     def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
         monkeypatch.setattr(quadrature, "integrate_pairs", None)
