@@ -14,17 +14,19 @@ poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
 (lambda real and complex), parity differences, the eigen oracle at points
 where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
-period stays and where it widens, dn_r_m_integral for every family at m <= 3
-and orders 0-3 (m = 2 also under a Gauss-Legendre and a Monte Carlo spec),
-and a sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
-lambda of each kind per model (the real one at n = 4), m <= 2 on the
-operator routes and m = 1 on the integral route, plus one m = 3 integral.
+period stays, where it widens and near poles, dn_r_m_integral for every
+family at m <= 3 and orders 0-3 (m = 2 also under a Gauss-Legendre and a
+Monte Carlo spec), and a sha256 digest of apery_classic(130).  --small keeps
+trunc_n 100, one lambda of each kind per model (the real one at n = 4),
+m <= 2 on the operator routes and m = 1 on the integral route, plus one
+m = 3 integral.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of
 its abs_error, and lists every entry whose exception type changed or that
 only one grid holds.  Like diff, it exits 1 when it finds any of these and
-0 when the grids agree.
+0 when the grids agree.  It needs only the standard library, so it also runs
+as `python -S -I scripts/value_grid.py --compare A B`.
 """
 
 from __future__ import annotations
@@ -37,42 +39,18 @@ import math
 import sys
 import time
 
-from rabi_zeta.apery import apery_classic
-from rabi_zeta.operator_oracle import (
-    BergmanNu,
-    Ncho,
-    OnePhoton,
-    TwoPhoton,
-    dn_r_m_operator,
-    zeta_eigen_oracle,
-)
-from rabi_zeta.quadrature import QuadratureSpec
-from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator, dn_r_m_integral
-from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
-
-# Per model: lambda real, complex, negative before the first pole of the free
-# spectrum (where the model has one) and between two poles.
-MODELS = [
-    (OnePhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -2.5]),
-    (TwoPhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.3, -2.0]),
-    (BergmanNu(0.7, 0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.5, -1.7]),
-    (Ncho(2.0, 1.2, 0.1), [0.8, 0.8 + 0.2j, -0.2, -1.0]),
-]
 METHODS = ("series_operator", "series_integral", "eigen_oracle")
-# The eigen oracle's probe period widens to 256 and 512 here.
-EIGEN_WIDENING = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
 # Sweep points (basis, nu, g, lam): the first two keep 64 probe columns, the
-# last two widen them.
+# last three widen them.  The last two lie near poles, where the sweep rows'
+# rounding error exceeds their bars (ROADMAP, Open FOUNDs).
 SWEEP_POINTS = [
     ("fock", None, 0.2, 0.9),
     ("bergman", 0.5, 0.2, 0.9 + 0.3j),
     ("bergman", 1.5, 1.0, 1.2),
     ("bergman", 0.5, 0.6, -4.3 + 0.2j),
+    ("bergman", 2.5, 0.6, -4.3),
 ]
-FAMILIES = [FLAT, PLUS, MINUS, Nu(0.7)]
 EPS = 0.1
-# The m = 2 integral under the two rules besides the default tanh-sinh one.
-M2_SPECS = [QuadratureSpec("gauss_legendre", 16), QuadratureSpec("monte_carlo", samples=100_000)]
 APERY_N_MAX = 130
 
 
@@ -84,10 +62,38 @@ class Digest:
 
 
 def entries(small: bool) -> list:
-    """[(id, thunk)] of the grid, in a fixed order."""
+    """[(id, thunk)] of the grid, in a fixed order.  Only --out imports the
+    library: --compare reads two grids with the standard library alone."""
+    from rabi_zeta.apery import apery_classic
+    from rabi_zeta.operator_oracle import (
+        BergmanNu,
+        Ncho,
+        OnePhoton,
+        TwoPhoton,
+        dn_r_m_operator,
+        zeta_eigen_oracle,
+    )
+    from rabi_zeta.quadrature import QuadratureSpec
+    from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator, dn_r_m_integral
+    from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
+
+    # Per model: lambda real, complex, negative before the first pole of the
+    # free spectrum (where the model has one) and between two poles.
+    models = [
+        (OnePhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -2.5]),
+        (TwoPhoton(0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.3, -2.0]),
+        (BergmanNu(0.7, 0.2, 0.05, 0.1), [1.0, 1.0 + 0.5j, -0.5, -1.7]),
+        (Ncho(2.0, 1.2, 0.1), [0.8, 0.8 + 0.2j, -0.2, -1.0]),
+    ]
+    # The eigen oracle's probe period widens to 256 and 512 here.
+    eigen_widening = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
+    families = [FLAT, PLUS, MINUS, Nu(0.7)]
+    # The m = 2 integral under the two rules besides the default tanh-sinh one.
+    m2_specs = [QuadratureSpec("gauss_legendre", 16),
+                QuadratureSpec("monte_carlo", samples=100_000)]
     out = []
     truncations = (100,) if small else (100, 400, 1200)
-    for model, lams in MODELS:
+    for model, lams in models:
         for lam in lams[:3] if small else lams:
             for n in (2, 3):
                 for N in truncations:
@@ -105,7 +111,7 @@ def entries(small: bool) -> list:
                 for method in METHODS[:2]:
                     out.append((f"parity {method} {model} n=2 lam={lam!r} N=400",
                                 lambda a=(model, 2, lam, method): parity_difference(*a)))
-    for model, lam in EIGEN_WIDENING[:1] if small else EIGEN_WIDENING:
+    for model, lam in eigen_widening[:1] if small else eigen_widening:
         for N in truncations:
             out.append((f"eigen {model} n=2 lam={lam!r} N={N}",
                         lambda a=(model, 2, lam, N): zeta_eigen_oracle(*a)))
@@ -116,14 +122,14 @@ def entries(small: bool) -> list:
                 args = (basis, g, lam, EPS, m, k, N, nu)
                 out.append((f"dn_r_m_operator {basis} nu={nu} g={g} lam={lam!r} m={m} n={k} N={N}",
                             lambda args=args: dn_r_m_operator(*args)))
-    for family in FAMILIES:
+    for family in families:
         for lam in (0.9, 0.9 + 0.3j):
             for m in range(1, m_last + 1):
                 for k in range(4):
                     args = (family, lam, 0.2, EPS, m, k, N)
                     out.append((f"dn_r_m_family_operator {family} lam={lam!r} m={m} n={k} N={N}",
                                 lambda args=args: dn_r_m_family_operator(*args)))
-    for family in FAMILIES:
+    for family in families:
         for lam in (0.9, 0.9 + 0.3j) if small else (0.9, 0.9 + 0.3j, 1.2, 1.2 + 0.3j):
             for m in range(1, 2 if small else 4):
                 for k in range(4):
@@ -134,8 +140,8 @@ def entries(small: bool) -> list:
         out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
                     lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
     else:
-        for spec in M2_SPECS:
-            for family in FAMILIES:
+        for spec in m2_specs:
+            for family in families:
                 for lam in (0.9, 0.9 + 0.3j):
                     for k in range(4):
                         args = (family, lam, 0.2, EPS, 2, k, spec)

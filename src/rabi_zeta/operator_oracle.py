@@ -586,17 +586,17 @@ class _ProbedBand:
             self._transposed = (nearest + N * (rows % P)).ravel()
         return [x.ravel(order="F")[self._transposed] for x in self._w]
 
-    def traces(self, m: int) -> list:
-        """[tr [t^j] M(t)^-m for each order j], from a = ceil(m/2) and b =
-        floor(m/2): since [t^j] M^-m = sum_i W_i(a) W_{j-i}(b), the state
-        steps forward to W(b), holds that state's transposed bands, steps to
-        W(a), and each trace is one BLAS dot, in a fixed order of i, so order
-        j never depends on the number of orders.  m = 1 reads the diagonal
-        of W(1).  The calls m = 1, 2, ... step once per odd m and hold once
-        per even m; a fresh band's traces(m) takes the same steps and
-        halfway-row checks as the m-th of those calls, so it returns the
-        same values bit for bit.  The state never steps back: m // 2 must
-        be at least k."""
+    def traces(self, m: int) -> list[complex]:
+        """[j! tr [t^j] M(t)^-m for each order j], as complex, from a =
+        ceil(m/2) and b = floor(m/2): since [t^j] M^-m = sum_i W_i(a)
+        W_{j-i}(b), the state steps forward to W(b), holds that state's
+        transposed bands, steps to W(a), and each trace is one BLAS dot, in a
+        fixed order of i, so order j never depends on the number of orders.
+        m = 1 reads the diagonal of W(1).  The calls m = 1, 2, ... step once
+        per odd m and hold once per even m; a fresh band's traces(m) takes
+        the same steps and halfway-row checks as the m-th of those calls, so
+        it returns the same values bit for bit.  The state never steps back:
+        m // 2 must be at least k."""
         a, b = (m + 1) // 2, m // 2
         if self._k > b:
             raise ValueError(f"traces({m}) needs W({b}), and the state is at W({self._k})")
@@ -604,56 +604,49 @@ class _ProbedBand:
             self.step()
         if m == 1:
             self.step()
-            return [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
-        if self._held != b:
-            self._bt, self._held = self._bands(), b
-        if a > b:
-            self.step()
-        w = [x.ravel(order="F") for x in self._w]
-        return [sum(self._dot(w[i], self._bt[j - i]) for i in range(j + 1)) for j in range(len(w))]
+            traces = [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
+        else:
+            if self._held != b:
+                self._bt, self._held = self._bands(), b
+            if a > b:
+                self.step()
+            w = [x.ravel(order="F") for x in self._w]
+            traces = [sum(self._dot(w[i], self._bt[j - i]) for i in range(j + 1))
+                      for j in range(len(w))]
+        return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
 
-class _ResolventSeries:
-    """The traces d^j R_m / d lam^j = j! tr [t^j] F(t)^m, j = 0..n, for
-    m = 1, 2, ... at one truncation, where F(t) = M(t)^-1 and M(t) =
+def _resolvent_band(component: Component, g, lam, eps, n, N) -> _ProbedBand:
+    """The _ProbedBand whose traces(m) are d^j R_m / d lam^j = j! tr [t^j]
+    F(t)^m, j = 0..n, at one truncation, where F(t) = M(t)^-1 and M(t) =
     (h_minus + t)(h_plus + t) is pentadiagonal, so F(t) = h_plus(t)^-1
     h_minus(t)^-1, with h_plus and h_minus the component's entries at the
     shifts lam + eps and lam - eps.
 
     M(t) = M_0 + t S + t^2 with M_0 = h_minus h_plus, factored once with
     gbtrf (kl = ku = 2), and S = h_minus + h_plus diagonal (the two
-    off-diagonals have opposite signs); `band`, a _ProbedBand of that
-    pencil, gives the m-th traces (_ProbedBand.traces), one solve step
-    serving two terms.
+    off-diagonals have opposite signs); one solve step of the band serves
+    two terms.
     """
-
-    def __init__(self, component: Component, g, lam, eps, n, N):
-        lam, eps = complex(lam), complex(eps)
-        # Real arithmetic unless a shift is complex.
-        dtype = complex if lam.imag or eps.imag else float
-        a, b = _checked_factor(*component.entries(g, lam - eps, -1, N), dtype)
-        c, d = _checked_factor(*component.entries(g, lam + eps, +1, N), dtype)
-        # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
-        # gbtrf's fill-in.
-        band = np.zeros((7, N), dtype=dtype)
-        band[4] = a * c
-        band[4, :-1] += b * d
-        band[4, 1:] += b * d
-        band[3, 1:] = a[:-1] * d + b * c[1:]
-        band[5, :-1] = b * c[:-1] + a[1:] * d
-        band[2, 2:] = b[:-1] * d[1:]
-        band[6, :-2] = b[1:] * d[:-1]
-        solve, sigma = _banded_lu(band, 2)
-        if sigma == 0:
-            raise SingularOperator("banded factorization of h_minus h_plus failed")
-        self.m = 0
-        self.N = N
-        self.band = _ProbedBand(N, n + 1, dtype, solve, (a + c)[:, None])
-
-    def advance(self) -> list[complex]:
-        """Step m -> m + 1 and return [j! tr [t^j] F^m for j = 0..n]."""
-        self.m += 1
-        return [math.factorial(j) * complex(t) for j, t in enumerate(self.band.traces(self.m))]
+    lam, eps = complex(lam), complex(eps)
+    # Real arithmetic unless a shift is complex.
+    dtype = complex if lam.imag or eps.imag else float
+    a, b = _checked_factor(*component.entries(g, lam - eps, -1, N), dtype)
+    c, d = _checked_factor(*component.entries(g, lam + eps, +1, N), dtype)
+    # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
+    # gbtrf's fill-in.
+    band = np.zeros((7, N), dtype=dtype)
+    band[4] = a * c
+    band[4, :-1] += b * d
+    band[4, 1:] += b * d
+    band[3, 1:] = a[:-1] * d + b * c[1:]
+    band[5, :-1] = b * c[:-1] + a[1:] * d
+    band[2, 2:] = b[:-1] * d[1:]
+    band[6, :-2] = b[1:] * d[:-1]
+    solve, sigma = _banded_lu(band, 2)
+    if sigma == 0:
+        raise SingularOperator("banded factorization of h_minus h_plus failed")
+    return _ProbedBand(N, n + 1, dtype, solve, (a + c)[:, None])
 
 
 class TraceDerivativeSweep:
@@ -662,8 +655,8 @@ class TraceDerivativeSweep:
 
     Uses the exact resolvent Taylor expansion in the shift t: F(t) =
     h_plus(t)^-1 h_minus(t)^-1 is the inverse of a pentadiagonal matrix
-    polynomial M(t).  Each truncation's _ResolventSeries reads term m from
-    its _ProbedBand's traces(m): one step of n + 1 banded solves against one
+    polynomial M(t).  Each truncation's band (_resolvent_band) reads term m
+    from its traces(m): one step of n + 1 banded solves against one
     LU factorization of M(0) serves two m, O((n + 1) N P) work per step
     plus (n + 1)(n + 2)/2 trace dots per m, with no dense inverse or
     product, on the P probe columns of the band.  D_m = n!
@@ -700,13 +693,13 @@ class TraceDerivativeSweep:
         self.m = 0
         self._first_bar = N < _MIN_TOP
         self._calibrated = N >= _MIN_BAR_TOP
-        self._states = [_ResolventSeries(component, g, lam, eps, n, size) for size in _ladder(N)]
+        self._states = [_resolvent_band(component, g, lam, eps, n, size) for size in _ladder(N)]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
         every order 0..n (the truncated series holds them all at once)."""
         self.m += 1
-        per_truncation = [st.advance() for st in self._states]
+        per_truncation = [st.traces(self.m) for st in self._states]
         sizes = [st.N for st in self._states]
         out = {}
         for order, values in enumerate(zip(*per_truncation)):
@@ -846,7 +839,7 @@ def _block_trace(band: np.ndarray, n: int, lam: complex) -> complex:
     solve, sigma = _banded_lu(ab, u)
     if sigma == 0 or max(sigma, abs(lam.imag)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
-    return complex(_ProbedBand(ab.shape[1], 1, dtype, solve).traces(n)[0])
+    return _ProbedBand(ab.shape[1], 1, dtype, solve).traces(n)[0]
 
 
 def _ncho_bands(model: Ncho, N: int) -> list:

@@ -12,8 +12,8 @@ without ever touching them.
 
 integrate_pairs is the same 4-D tensor rule for integrands that split between
 the axis pairs (u0, u1) and (u2, u3): a symmetric kernel between two 2-D pair
-grids, contracted with left and right vectors block by block, so the full grid
-of n^4 points is never held in memory.  The caller gives per-point factor
+grids, contracted with one side on both of them block by block, so the full
+grid of n^4 points is never held in memory.  The caller gives per-point factor
 rows, computed once per level, and a kernel that writes each block from
 slices of them into scratch arrays that _pair_sum allocates once per level
 and reuses for every block.  The kernel must satisfy
@@ -186,31 +186,28 @@ def integrate_tensor(f, d: int, spec: QuadratureSpec):
     return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec, "integrate_tensor")
 
 
-def _pair_sum(factors, kernel, left, right, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G[i, j] = sum_ab q_a q_b left[i, a] K[a, b] right[j, b] over the 2-D
+def _pair_sum(factors, kernel, side, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G[i, j] = sum_ab q_a q_b side[i, a] K[a, b] side[j, b] over the 2-D
     pair grid of the 1-D rule, for a symmetric K.
 
     Row block I of K is written from its own start on, K(pts[I],
     pts[I.start:]), _PAIR_BLOCK rows at a time, into _PAIR_BUFFERS scratch
     arrays allocated once per level: its diagonal part D and its strictly
-    upper part U.  With L = left * q and R = right * q,
-    G = L (D + U) R^T + (R U L^T)^T, so no block below the diagonal is
-    evaluated.  A diagonal block that is not its own transpose to 1e-12
-    relative raises DomainError.
+    upper part U.  With V = side * q, G = V (D + U) V^T + (V U V^T)^T, so no
+    block below the diagonal is evaluated.  A diagonal block that is not its
+    own transpose to 1e-12 relative raises DomainError.
     """
     u, v = np.meshgrid(nodes, nodes, indexing="ij")
     pts = np.stack([u.ravel(), v.ravel()])
     npts = pts.shape[1]
     q = np.outer(weights, weights).ravel()
-    lv = _require_finite(left(pts) * q, "pair factor")
-    rv = _require_finite(right(pts) * q, "pair factor")
+    sv = _require_finite(side(pts) * q, "pair factor")
     rows = factors(pts)
-    lrows, rrows = lv.shape[0], rv.shape[0]
-    # The kernel is real: one real matmul against [Re v; Im v] per side.
-    lv_parts = np.concatenate([lv.real, lv.imag]).T
-    rv_parts = np.concatenate([rv.real, rv.imag]).T
-    total = np.zeros((lrows, rrows), dtype=complex)
-    upper = np.zeros((rrows, lrows), dtype=complex)
+    nrows = sv.shape[0]
+    # The kernel is real: one real matmul against [Re sv; Im sv].
+    parts = np.concatenate([sv.real, sv.imag]).T
+    total = np.zeros((nrows, nrows), dtype=complex)
+    upper = np.zeros((nrows, nrows), dtype=complex)
     scratch = np.empty((_PAIR_BUFFERS, min(_PAIR_BLOCK, npts) * npts))
     for start in range(0, npts, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, npts)
@@ -221,18 +218,18 @@ def _pair_sum(factors, kernel, left, right, nodes: np.ndarray, weights: np.ndarr
         diag = k[:, : stop - start]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
             raise DomainError("integrate_pairs needs kernel(a, b) == kernel(b, a).T")
-        kr = k @ rv_parts[start:]
-        total += lv[:, start:stop] @ (kr[:, :rrows] + 1j * kr[:, rrows:])
-        kl = k[:, stop - start :] @ lv_parts[stop:]
-        upper += rv[:, start:stop] @ (kl[:, :lrows] + 1j * kl[:, lrows:])
+        kr = k @ parts[start:]
+        total += sv[:, start:stop] @ (kr[:, :nrows] + 1j * kr[:, nrows:])
+        kl = k[:, stop - start :] @ parts[stop:]
+        upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
     return total + upper.T
 
 
-def integrate_pairs(factors, kernel, left, right, combine, spec: QuadratureSpec):
+def integrate_pairs(factors, kernel, side, combine, spec: QuadratureSpec):
     """Tensor-product integral over (0,1)^4 of an integrand that splits
     between the axis pairs a = (u0, u1) and b = (u2, u3):
 
-        rows of  combine(G),  G[i, j] = int left_i(a) K(a, b) right_j(b).
+        rows of  combine(G),  G[i, j] = int side_i(a) K(a, b) side_j(b).
 
     Pair points arrive as (2, npts) axis rows.  factors(pts) returns the
     per-point factor rows F, an (nf, npts) array, once per level.
@@ -243,14 +240,14 @@ def integrate_pairs(factors, kernel, left, right, combine, spec: QuadratureSpec)
     previous block's).  The kernel must be symmetric, the block of (fb, fa)
     the transpose of the block of (fa, fb): each unordered pair of kernel
     blocks is evaluated once, and a diagonal block that is not its own
-    transpose to 1e-12 relative raises DomainError.  left(a) and right(b)
-    return (rows, npts) vectors at pair points; combine maps the matrix G to
-    a 0-d or (rows,) array of integrals.  Same nodes, levels and error
-    estimate as integrate_tensor with d = 4.
+    transpose to 1e-12 relative raises DomainError.  side(a) returns
+    (rows, npts) vectors at pair points, the same function on both pairs;
+    combine maps the matrix G to a 0-d or (rows,) array of integrals.  Same
+    nodes, levels and error estimate as integrate_tensor with d = 4.
     """
 
     def level_sum(nodes, weights):
-        return combine(_pair_sum(factors, kernel, left, right, nodes, weights))
+        return combine(_pair_sum(factors, kernel, side, nodes, weights))
 
     return _two_level(level_sum, 4, spec, "integrate_pairs")
 

@@ -303,7 +303,7 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
             [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
         )
 
-    return quadrature.integrate_pairs(*_pair_kernel(family, g), side, side, combine, spec)
+    return quadrature.integrate_pairs(*_pair_kernel(family, g), side, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.

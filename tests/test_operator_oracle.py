@@ -34,11 +34,11 @@ from rabi_zeta.operator_oracle import (
     TraceDerivativeSweep,
     TwoPhoton,
     _ProbedBand,
-    _ResolventSeries,
     _banded_lu,
     _block_trace,
     _extrapolate,
     _ladder,
+    _resolvent_band,
     bar_floor_warning,
     build_component_operator,
     dense,
@@ -553,19 +553,19 @@ class TestProbedKernel:
     @staticmethod
     def _traces(point, N, m_last=8):
         basis, nu, g, lam = point
-        state = _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N)
-        return [state.advance() for _ in range(m_last)], state.band.P
+        band = _resolvent_band(Component(basis, nu), g, lam, 0.1, 3, N)
+        return [band.traces(m) for m in range(1, m_last + 1)], band.P
 
     # The transposed band pairs row r with the column c of each class q mod P
     # nearest to r: found here by searching the window [r - P/2, r + P/2),
     # moved by one period P where the window leaves the matrix.
     @pytest.mark.parametrize("N", [2, 3, 64, 65, 100, 129])
     def test_transposed_band_reads_the_nearest_column_of_each_class(self, N):
-        state = _ResolventSeries(Component("fock"), 0.2, 0.9, 0.1, 0, N)
+        band = _resolvent_band(Component("fock"), 0.2, 0.9, 0.1, 0, N)
         for P in sorted({2**k for k in range(1, N.bit_length())} | {N}):
-            state.band._probe(P)
+            band._probe(P)
             # Entry (c, s) of the state holds its own column-major index.
-            state.band._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
+            band._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
             ref = np.empty((P, N))
             for r in range(N):
                 window = np.arange(r - P // 2, r - P // 2 + P)
@@ -573,7 +573,7 @@ class TestProbedKernel:
                 nearest[nearest < 0] += P
                 nearest[nearest >= N] -= P
                 ref[:, r] = nearest + N * (r % P)
-            assert np.array_equal(state.band._bands()[0], ref.ravel()), P
+            assert np.array_equal(band._bands()[0], ref.ravel()), P
 
     # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
     @pytest.mark.parametrize("point", _NARROW[:2])
@@ -586,7 +586,7 @@ class TestProbedKernel:
             for n in range(top + 1):
                 ref = _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu)
                 assert abs(terms[n].value - ref) <= 1e-11 * abs(ref), (m, n, terms[n], ref)
-        assert [(st.N, st.band.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
+        assert [(st.N, st.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
 
     @pytest.mark.parametrize("N", [100, 400, 800])
     def test_period_widens_only_where_the_band_is_wide(self, N):
@@ -628,7 +628,7 @@ class TestProbedKernel:
         ref = next(r for r in rows if (r["basis"], r["nu"], r["g"]) == ("bergman", 0.5, 0.4) and r["lam"][1])
         lam = complex(*ref["lam"])
         sweep = TraceDerivativeSweep(Component("bergman", 0.5), 0.4, lam, _CALIBRATION["eps"], 3, 3200)
-        assert max(st.band.P for st in sweep._states) == 64
+        assert max(st.P for st in sweep._states) == 64
         for m, want in enumerate(ref["terms"], 1):
             row = sweep.next_terms()
             for k in range(4):
@@ -645,7 +645,7 @@ class TestTracesDriver:
     @staticmethod
     def _band(point, N=400):
         basis, nu, g, lam = point
-        return _ResolventSeries(Component(basis, nu), g, lam, 0.1, 3, N).band
+        return _resolvent_band(Component(basis, nu), g, lam, 0.1, 3, N)
 
     @pytest.mark.parametrize("point", _POINTS)
     def test_a_fresh_band_returns_the_mth_call_of_a_run(self, point):
@@ -720,16 +720,16 @@ class TestFreedByReferenceCounting:
 
     def test_dropped_ladder_states_are_freed(self, no_collector):
         sweep = TraceDerivativeSweep(Component("fock"), 0.2, 0.9, 0.1, 3, 400)
-        refs = [(weakref.ref(st), weakref.ref(st.band)) for st in sweep._states]
+        refs = [weakref.ref(st) for st in sweep._states]
         for _ in range(4):
             sweep.next_terms()
         kept = len(sweep._states)
         # By m = 4 the sweep has dropped 400 and 200.
         assert kept == len(refs) - 2
-        assert all(r() is None for pair in refs[:-kept] for r in pair)
-        assert all(r() is not None for pair in refs[-kept:] for r in pair)
+        assert all(r() is None for r in refs[:-kept])
+        assert all(r() is not None for r in refs[-kept:])
         del sweep
-        assert all(r() is None for pair in refs for r in pair)
+        assert all(r() is None for r in refs)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_each_block_band_is_freed_on_return(self, monkeypatch, no_collector, n):
@@ -805,10 +805,10 @@ class TestTruncationLadder:
         """Rows from the truncations N, N/2, N/4 alone, as the sweep builds
         them without a ladder (below _MIN_TOP with the first step's bar)."""
         sizes = (N, N // 2, N // 4)
-        states = [_ResolventSeries(Component(basis, nu), g, lam, eps, n, size) for size in sizes]
+        states = [_resolvent_band(Component(basis, nu), g, lam, eps, n, size) for size in sizes]
         rows = []
         for m in range(1, m_last + 1):
-            per_truncation = [st.advance() for st in states]
+            per_truncation = [st.traces(m) for st in states]
             row = {}
             for order, values in enumerate(zip(*per_truncation)):
                 value, bar = _extrapolate(values, sizes, 2 * m + order - 1, N < _MIN_TOP)
@@ -921,9 +921,9 @@ def _write_sweep_reference(path=_REFERENCE):
     for (g, lam), (basis, nu) in itertools.product(c["points"], c["components"]):
         per_size = []
         for size in c["sizes"]:  # one truncation alive at a time
-            state = _ResolventSeries(Component(basis, nu), g, lam, c["eps"], c["n"], size)
-            per_size.append([state.advance() for _ in range(c["m_last"])])
-            del state
+            band = _resolvent_band(Component(basis, nu), g, lam, c["eps"], c["n"], size)
+            per_size.append([band.traces(m) for m in range(1, c["m_last"] + 1)])
+            del band
         terms = [
             [
                 _extrapolate([v[m][k] for v in per_size], c["sizes"], 2 * m + k + 1)[0]

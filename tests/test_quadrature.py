@@ -203,11 +203,11 @@ class TestPairIntegration:
         "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 8)]
     )
     def test_matches_tensor_rule(self, spec):
-        # Row 1 is G[1, 0] + G[0, 1]: a sum over the left/right vector pairs.
+        # Row 1 is G[1, 0] + G[0, 1]: a sum over the ordered pairs of side rows.
         def combine(g):
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
-        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, _pair_side, combine, spec)
+        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, spec)
         ref = integrate_tensor(_pair_point, 4, spec)
         for got, want in zip(rows, ref):
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
@@ -219,7 +219,6 @@ class TestPairIntegration:
             _identity,
             lambda fa, fb, out: out[0].fill(1.0),
             lambda a: (a[0] * a[1])[None],
-            lambda b: (b[0] * b[1])[None],
             lambda g: g[0, 0],
             QuadratureSpec("gauss_legendre", 6),
         )
@@ -231,25 +230,19 @@ class TestPairIntegration:
             out[0][0, 0] = np.nan
 
         with pytest.raises(NodeSingularity):
-            integrate_pairs(
-                _identity, kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec()
-            )
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
     def test_non_symmetric_kernel_raises(self):
         def kernel(fa, fb, out):
             np.add(np.multiply.outer(fa[0], fb[1], out=out[0]), 1.0, out=out[0])
 
         with pytest.raises(DomainError):
-            integrate_pairs(
-                _identity, kernel, _pair_side, _pair_side, lambda g: g[0, 0], QuadratureSpec()
-            )
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
     def test_monte_carlo_refused(self):
         spec = QuadratureSpec("monte_carlo")
         with pytest.raises(DomainError):
-            integrate_pairs(
-                _pair_factors, _pair_kernel, _pair_side, _pair_side, lambda g: g[0, 0], spec
-            )
+            integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
 
 
 class TestMonteCarlo:

@@ -144,14 +144,14 @@ class TestIntegralRoute:
 
             return integrate_tensor(g, d, spec)
 
-        def counting_pairs(factors, kernel, left, right, combine, spec):
+        def counting_pairs(factors, kernel, side, combine, spec):
             pair_calls.append(spec)
 
             def k(fa, fb, out):
                 points.append(fa.shape[1] * fb.shape[1])
                 kernel(fa, fb, out)
 
-            return integrate_pairs(factors, k, left, right, combine, spec)
+            return integrate_pairs(factors, k, side, combine, spec)
 
         monkeypatch.setattr(quadrature, "integrate_tensor", counting_tensor)
         monkeypatch.setattr(quadrature, "integrate_pairs", counting_pairs)
@@ -243,9 +243,9 @@ class TestPairSeparableM2:
         # kernel it is handed must be its own transpose, corner nodes included.
         kernels = []
 
-        def capture(factors, kernel, left, right, combine, spec):
+        def capture(factors, kernel, side, combine, spec):
             kernels.append((factors, kernel))
-            return integrate_pairs(factors, kernel, left, right, combine, spec)
+            return integrate_pairs(factors, kernel, side, combine, spec)
 
         monkeypatch.setattr(quadrature, "integrate_pairs", capture)
         r_m_integral(family, lam, 0.2, 0.1, 2)
@@ -368,7 +368,7 @@ class TestNonFiniteInputs:
             r_1_hypergeometric(delta, lam, g, eps)
 
     def test_operator_route(self, point, monkeypatch):
-        monkeypatch.setattr(operator_oracle, "_ResolventSeries", _refuse)
+        monkeypatch.setattr(operator_oracle, "_resolvent_band", _refuse)
         name, (lam, g, eps) = point
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             trace_terms.dn_r_m_family_operator(PLUS, lam, g, eps, 2, 1, 100)
