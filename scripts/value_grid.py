@@ -16,10 +16,10 @@ where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
 period stays, where it widens and near poles, dn_r_m_integral for every
 family at m <= 3 and orders 0-3 (m = 2 also under a Gauss-Legendre and a
-Monte Carlo spec), and a sha256 digest of apery_classic(130).  --small keeps
-trunc_n 100, one lambda of each kind per model (the real one at n = 4),
-m <= 2 on the operator routes and m = 1 on the integral route, plus one
-m = 3 integral.
+Monte Carlo spec, and at g = 0.45 and 1.0), and a sha256 digest of
+apery_classic(130).  --small keeps trunc_n 100, one lambda of each kind
+per model (the real one at n = 4), m <= 2 on the operator routes and m = 1
+on the integral route, plus one m = 3 integral.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of
@@ -91,6 +91,8 @@ def entries(small: bool) -> list:
     # The m = 2 integral under the two rules besides the default tanh-sinh one.
     m2_specs = [QuadratureSpec("gauss_legendre", 16),
                 QuadratureSpec("monte_carlo", samples=100_000)]
+    # The m = 2 integral at strong coupling, where Psi's pair rows cancel most.
+    m2_couplings = (0.45, 1.0)
     out = []
     truncations = (100,) if small else (100, 400, 1200)
     for model, lams in models:
@@ -147,6 +149,13 @@ def entries(small: bool) -> list:
                         args = (family, lam, 0.2, EPS, 2, k, spec)
                         out.append((f"dn_r_m_integral {family} lam={lam!r} m=2 n={k} "
                                     f"spec={spec.scheme}",
+                                    lambda args=args: dn_r_m_integral(*args)))
+        for g in m2_couplings:
+            for family in families:
+                for lam in (0.9, 0.9 + 0.3j):
+                    for k in range(4):
+                        args = (family, lam, g, EPS, 2, k)
+                        out.append((f"dn_r_m_integral {family} lam={lam!r} m=2 n={k} g={g}",
                                     lambda args=args: dn_r_m_integral(*args)))
         out.append((f"apery_classic n_max={APERY_N_MAX}",
                      lambda: Digest(hashlib.sha256(repr(apery_classic(APERY_N_MAX)).encode())

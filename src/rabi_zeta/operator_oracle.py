@@ -580,10 +580,15 @@ class _ProbedBand:
             N, P, h = self.N, self.P, self.P // 2
             rows = np.arange(N)
             # nearest[q, r] = r + ((q - r + h) mod P) - h lies in (-N, 2N); where
-            # it leaves 0..N-1, nearest // N = -+1 moves it back by one period.
-            nearest = rows + (np.subtract.outer(np.arange(P), rows) + h) % P - h
-            nearest -= P * (nearest // N)
-            self._transposed = (nearest + N * (rows % P)).ravel()
+            # it leaves 0..N-1 it moves back by one period.  The P x N index is
+            # built in place in one array.
+            index = np.subtract.outer(np.arange(P) + h, rows)
+            index %= P
+            index += rows - h
+            np.add(index, P, out=index, where=index < 0)
+            np.subtract(index, P, out=index, where=index >= N)
+            index += N * (rows % P)
+            self._transposed = index.ravel()
         return [x.ravel(order="F")[self._transposed] for x in self._w]
 
     def traces(self, m: int) -> list[complex]:

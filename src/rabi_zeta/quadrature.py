@@ -11,14 +11,16 @@ integrable, and tanh-sinh nodes cluster exponentially near the endpoints
 without ever touching them.
 
 integrate_pairs is the same 4-D tensor rule for integrands that split between
-the axis pairs (u0, u1) and (u2, u3): a symmetric kernel between two 2-D pair
-grids, contracted with one side on both of them block by block, so the full
-grid of n^4 points is never held in memory.  The caller gives per-point factor
-rows, computed once per level, and a kernel that writes each block from
-slices of them into scratch arrays that _pair_sum allocates once per level
-and reuses for every block.  The kernel must satisfy
-kernel(a, b) == kernel(b, a).T; each unordered block pair is evaluated once,
-and the blocks below the diagonal are the transposes of those above it.
+the axis pairs (u0, u1) and (u2, u3): a kernel between two 2-D pair grids,
+contracted with one side on both of them block by block, so the full grid of
+n^4 points is never held in memory.  The caller gives per-point factor rows,
+computed once per level, and a kernel that writes each block from slices of
+them into scratch arrays that _pair_sum allocates once per level and reuses
+for every block.  The kernel must satisfy K(a, b) == K(b, a) and K(sa, sb) ==
+K(a, b), s the swap (u0, u1) -> (u1, u0) inside a pair: it is evaluated on
+the n (n + 1) / 2 pair points with u0 <= u1 only, each unordered block pair
+once, and the blocks below the diagonal are the transposes of those above
+it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import DomainError, NodeSingularity
 from .specfun import SeriesValue
@@ -37,13 +40,13 @@ RNG_ALGORITHM = "philox4x64"
 _CHUNK = 1 << 17
 
 #: Left pair-grid rows per kernel block in integrate_pairs.  At the default
-#: m = 2 rule (51 nodes per axis, 2601 pair points) each of the block's
-#: scratch arrays is at most 64 x 2601 doubles, 1.3 MB; no array grows with
-#: the full grid.  On a 2-core Xeon the in-place kernels took 58 ms per m = 2
-#: integral with 64-row blocks, 59 ms with 32 and 71 ms with 128 (medians
-#: of 7 alternated runs over four families).  The block size also groups
-#: the matmul sums, so 32 and 128 move the values in their last bits: 64
-#: stays.
+#: m = 2 rule (51 nodes per axis, 1326 pair points with u0 <= u1) each of
+#: the block's scratch arrays is at most 64 x 1326 doubles, 0.7 MB; no array
+#: grows with the full grid.  On a 2-core Xeon an m = 2 integral took 27.6 ms
+#: with 64-row blocks, 29.8 ms with 32, 32.4 ms with 128 and 40.1 ms with 256
+#: (medians of 7 alternated runs over four families).  The block size also
+#: groups the matrix product sums, so other sizes move the values in their
+#: last bits: 64 stays.
 _PAIR_BLOCK = 64
 
 #: Scratch arrays per kernel block in integrate_pairs: the block and two
@@ -186,43 +189,70 @@ def integrate_tensor(f, d: int, spec: QuadratureSpec):
     return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec, "integrate_tensor")
 
 
-def _pair_sum(factors, kernel, side, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G[i, j] = sum_ab q_a q_b side[i, a] K[a, b] side[j, b] over the 2-D
-    pair grid of the 1-D rule, for a symmetric K.
+def _upper_gram(kernel, rows_a, rows_b, z: np.ndarray) -> np.ndarray:
+    """z K z^T for the symmetric K[r, s] = kernel(rows_a[:, r], rows_b[:, s])
+    between the points of z's columns.
 
-    Row block I of K is written from its own start on, K(pts[I],
-    pts[I.start:]), _PAIR_BLOCK rows at a time, into _PAIR_BUFFERS scratch
-    arrays allocated once per level: its diagonal part D and its strictly
-    upper part U.  With V = side * q, G = V (D + U) V^T + (V U V^T)^T, so no
-    block below the diagonal is evaluated.  A diagonal block that is not its
-    own transpose to 1e-12 relative raises DomainError.
+    Row block I of K is written from its own start on, K(I, I.start:),
+    _PAIR_BLOCK rows at a time, into _PAIR_BUFFERS column-major scratch
+    arrays allocated once: its diagonal part D and its strictly upper part
+    U.  With P the parts [Re z; Im z]^T, U P is one product and (D + U) P
+    = D P + U P adds to it, so z K z^T = z (D + U) P + (z U P)^T, and no
+    block below the diagonal is evaluated.  The products run on scipy's
+    BLAS, the one the operator routes' solves load, and read D and U in
+    place.  A diagonal block that is not its own transpose to 1e-12
+    relative raises DomainError.
     """
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    pts = np.stack([u.ravel(), v.ravel()])
-    npts = pts.shape[1]
-    q = np.outer(weights, weights).ravel()
-    sv = _require_finite(side(pts) * q, "pair factor")
-    rows = factors(pts)
-    nrows = sv.shape[0]
-    # The kernel is real: one real matmul against [Re sv; Im sv].
-    parts = np.concatenate([sv.real, sv.imag]).T
-    total = np.zeros((nrows, nrows), dtype=complex)
-    upper = np.zeros((nrows, nrows), dtype=complex)
+    nz, npts = z.shape
+    # The kernel is real: one real product against [Re z; Im z].
+    parts = np.concatenate([z.real, z.imag]).T
+    total = np.zeros((nz, nz), dtype=complex)
+    upper = np.zeros((nz, nz), dtype=complex)
     scratch = np.empty((_PAIR_BUFFERS, min(_PAIR_BLOCK, npts) * npts))
     for start in range(0, npts, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, npts)
-        shape = (stop - start, npts - start)
-        out = tuple(buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
-        kernel(rows[:, start:stop], rows[:, start:], out)
+        width, cols = stop - start, npts - start
+        out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
+        kernel(rows_a[:, start:stop], rows_b[:, start:], out)
         k = _require_finite(out[0], "kernel")
-        diag = k[:, : stop - start]
+        diag = k[:, :width]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
-            raise DomainError("integrate_pairs needs kernel(a, b) == kernel(b, a).T")
-        kr = k @ parts[start:]
-        total += sv[:, start:stop] @ (kr[:, :nrows] + 1j * kr[:, nrows:])
-        kl = k[:, stop - start :] @ parts[stop:]
-        upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
+            raise DomainError(
+                "integrate_pairs needs kernel(a, b) == kernel(b, a).T and a kernel "
+                "invariant under swapping the coordinates inside both pairs"
+            )
+        kl = dgemm(1.0, k[:, width:], parts[stop:].T, trans_b=1)
+        kr = dgemm(1.0, diag, parts[start:stop].T, 1.0, kl, trans_b=1)
+        total += z[:, start:stop] @ (kr[:, :nz] + 1j * kr[:, nz:])
+        upper += z[:, start:stop] @ (kl[:, :nz] + 1j * kl[:, nz:])
     return total + upper.T
+
+
+def _pair_sum(factors, kernel, side, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G[i, j] = sum_ab q_a q_b side[i, a] K[a, b] side[j, b] over the 2-D
+    pair grid of the 1-D rule, for a kernel with K(a, b) = K(b, a) and
+    K(sa, sb) = K(a, b), s the swap (u0, u1) -> (u1, u0).
+
+    The grid is the representatives R = {u0 <= u1} and their swaps off the
+    diagonal, with q(sa) = q(a).  With V = side(R) q and W = side(sR) q,
+    zero where u0 = u1, and Z = [V; W], G is the sum of the blocks
+    (Z K Z^T)[V, V] + (Z K Z^T)[W, W] + (Z X Z^T)[V, W] + (Z X Z^T)[W, V],
+    where X(a, b) = K(a, sb); K and X are symmetric on R, so each is one
+    _upper_gram over the n (n + 1) / 2 points of R.
+    """
+    first, second = np.triu_indices(nodes.size)
+    pts = np.stack([nodes[first], nodes[second]])
+    swapped = np.stack([nodes[second], nodes[first]])
+    q = weights[first] * weights[second]
+    v = _require_finite(side(pts) * q, "pair factor")
+    w = _require_finite(side(swapped) * q, "pair factor")
+    w[:, first == second] = 0.0
+    z = np.concatenate([v, w])
+    rows = factors(pts)
+    gk = _upper_gram(kernel, rows, rows, z)
+    gx = _upper_gram(kernel, rows, factors(swapped), z)
+    n = v.shape[0]
+    return gk[:n, :n] + gk[n:, n:] + gx[:n, n:] + gx[n:, :n]
 
 
 def integrate_pairs(factors, kernel, side, combine, spec: QuadratureSpec):
@@ -232,16 +262,19 @@ def integrate_pairs(factors, kernel, side, combine, spec: QuadratureSpec):
         rows of  combine(G),  G[i, j] = int side_i(a) K(a, b) side_j(b).
 
     Pair points arrive as (2, npts) axis rows.  factors(pts) returns the
-    per-point factor rows F, an (nf, npts) array, once per level.
-    kernel(fa, fb, out) writes the real kernel K between the points of two
-    column slices fa = F[:, I] and fb = F[:, J] into out[0], and may use
-    out[1:] as scratch: out holds _PAIR_BUFFERS caller-owned (|I|, |J|)
-    float arrays whose contents on entry are undefined (they alias the
-    previous block's).  The kernel must be symmetric, the block of (fb, fa)
-    the transpose of the block of (fa, fb): each unordered pair of kernel
-    blocks is evaluated once, and a diagonal block that is not its own
-    transpose to 1e-12 relative raises DomainError.  side(a) returns
-    (rows, npts) vectors at pair points, the same function on both pairs;
+    per-point factor rows F, an (nf, npts) array, twice per level: at the
+    points with u0 <= u1 and at their swaps.  kernel(fa, fb, out) writes the
+    real kernel K between the points of two column slices fa and fb of
+    factor rows into out[0], and may use out[1:] as scratch: out holds
+    _PAIR_BUFFERS caller-owned (|I|, |J|) column-major float arrays whose
+    contents on entry are undefined (they alias the previous block's).  K
+    must be symmetric, the block of (fb, fa) the transpose of the block of
+    (fa, fb), and invariant under the swap s: (u0, u1) -> (u1, u0) on both
+    pairs, K(sa, sb) == K(a, b).  The rule reads K(a, b) and K(a, sb) on the
+    points with u0 <= u1, each unordered pair of kernel blocks once, and a
+    diagonal block of either that is not its own transpose to 1e-12
+    relative raises DomainError.  side(a) returns (rows, npts) vectors at
+    pair points, the same function on both pairs, with no symmetry asked;
     combine maps the matrix G to a 0-d or (rows,) array of integrals.  Same
     nodes, levels and error estimate as integrate_tensor with d = 4.
     """

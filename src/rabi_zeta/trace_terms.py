@@ -13,8 +13,8 @@ point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs.
 The m = 2 term on a deterministic rule is a symmetric kernel between the
 axis-pair grids (u0, u1) and (u2, u3), integrated by
 quadrature.integrate_pairs: per-point factor rows once per level (Psi's
-product entries, or Flat's h, s, t and u0 u1), and each kernel block
-written from them into scratch that integrate_pairs owns.
+swap-even and swap-odd parts, or Flat's h, s, t and u0 u1), and each kernel
+block written from them into scratch that integrate_pairs owns.
 """
 
 from __future__ import annotations
@@ -244,17 +244,31 @@ def _pair_kernel(family: TraceFamily, g: float):
     """(factors, kernel): the family's m = 2 kernel K(a, b) between the pair
     points a = (u0, u1) and b = (u2, u3), in the contract of
     quadrature.integrate_pairs.  factors maps the (2, npts) pair rows to
-    per-point factor rows once per level; kernel(fa, fb, out) writes K between
-    the points of two column slices of them into out[0], with out[1] and
-    out[2] as scratch.  K(a, b) == K(b, a).T bit for bit: every product and
-    sum is grouped so that swapping a and b only reorders commuting operands.
+    per-point factor rows; kernel(fa, fb, out) writes K between the points
+    of two column slices of them into out[0], with out[1] and out[2] as
+    scratch.  Both of the contract's symmetries hold bit for bit: every
+    product and sum is grouped so that swapping a and b only reorders
+    commuting operands, and the swap s: (u0, u1) -> (u1, u0) permutes the
+    factor rows or negates one, so K(sa, sb) == K(a, b) and K(a, sb) ==
+    K(b, sa).
 
     Flat: prod u = p(a) p(b), p = u0 u1 on each pair, and Phi_2 is a sum
     of non-negative terms, h(a) + h(b) + (s(a) t(b) + t(a) s(b)), with
     h = (1 - u0)(1 - u1), s = u1 (1 - u0) and t = u0 (1 - u1) on each pair:
-    rows (h, s, t, p).  Otherwise Psi_2 = tr(P(a) P(b)), with
-    P = [[p0, p1], [p2, p3]] the ordered product over each pair: rows
-    (p0, p1, p2, p3).
+    rows (h, s, t, p), and the swap exchanges s and t.  Otherwise
+    Psi_2 = tr(P(a) P(b)), with P the ordered product of Psi's two factors
+    over each pair, written as its swap-even part Pbar and a swap-odd
+    scalar zeta:
+
+        Psi_2 = tr(Pbar(a) Pbar(b)) - zeta(a) zeta(b),
+        Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
+        zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),
+
+    with c = cosh 2g, s = sinh 2g, x1 = 1 / (u0 u1), x4 = u0 u1 and
+    y = (u0 / u1 + u1 / u0) / 2: rows (pbar0, pbar1, pbar2, pbar3, zeta),
+    and the swap negates zeta.  The product's own entries would change
+    their rounding under the swap, and the crossed blocks K(a, sb) would
+    fail integrate_pairs' symmetry check at corner nodes.
     """
     if isinstance(family, Flat):
 
@@ -272,6 +286,22 @@ def _pair_kernel(family: TraceFamily, g: float):
 
         return factors, kernel
 
+    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
+
+    def factors(pts):
+        u0, u1 = pts
+        x4 = u0 * u1
+        x1 = 1.0 / x4
+        ratio, inverse = u0 / u1, u1 / u0
+        y = (ratio + inverse) / 2.0
+        return np.stack([
+            ch * ch * x1 - sh * sh * y,
+            ch * sh * (y - x4),
+            ch * sh * (y - x1),
+            ch * ch * x4 - sh * sh * y,
+            sh / math.sqrt(2.0) * (ratio - inverse),
+        ])
+
     def kernel(fa, fb, out):
         psi_val, cross, work = out
         np.multiply.outer(fa[0], fb[0], out=psi_val)
@@ -279,9 +309,10 @@ def _pair_kernel(family: TraceFamily, g: float):
         np.multiply.outer(fa[1], fb[2], out=cross)
         cross += np.multiply.outer(fa[2], fb[1], out=work)
         psi_val += cross
+        psi_val -= np.multiply.outer(fa[4], fb[4], out=cross)
         _psi_kernel(family, psi_val, out[1:])
 
-    return (lambda pts: _psi_product(g, pts)), kernel
+    return factors, kernel
 
 
 def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -574,6 +575,21 @@ class TestProbedKernel:
                 nearest[nearest >= N] -= P
                 ref[:, r] = nearest + N * (r % P)
             assert np.array_equal(band._bands()[0], ref.ravel()), P
+
+    def test_transposed_band_is_built_in_one_index_array(self, monkeypatch):
+        # The P x N index is built in place: one int64 index array and the
+        # gathered band vector, with no P x N transients besides.
+        N, P = 2400, 64
+        monkeypatch.setattr(operator_oracle, "_PROBE_START", P)
+        band = _ProbedBand(N, 1, float, lambda b: b)
+        tracemalloc.start()
+        try:
+            band._bands()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.P == P
+        assert peak <= 3 * N * P * 8
 
     # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
     @pytest.mark.parametrize("point", _NARROW[:2])

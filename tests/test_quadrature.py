@@ -239,6 +239,16 @@ class TestPairIntegration:
         with pytest.raises(DomainError):
             integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
+    def test_kernel_not_invariant_under_the_swap_raises(self):
+        # K(a, b) = a0 b0 + 1 is symmetric, but K(sa, sb) = a1 b1 + 1 with s
+        # the swap (u0, u1) -> (u1, u0): the crossed kernel K(a, sb) fails
+        # its diagonal-block check.
+        def kernel(fa, fb, out):
+            np.add(np.multiply.outer(fa[0], fb[0], out=out[0]), 1.0, out=out[0])
+
+        with pytest.raises(DomainError):
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+
     def test_monte_carlo_refused(self):
         spec = QuadratureSpec("monte_carlo")
         with pytest.raises(DomainError):

@@ -158,11 +158,13 @@ class TestIntegralRoute:
         zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
         assert tensor_calls == [2]
         assert len(pair_calls) == 1
-        # The m = 1 rule's 51,410 points, and for m = 2 each 64-row block
-        # of the 51^2 and 25^2 pair grids against the columns from its own
-        # start on: 3,465,361 + 214,945 kernel points, where the full grids
-        # 51^4 + 25^4 took 7,155,826.
-        assert sum(points) == 3_731_716
+        # The m = 1 rule's 51,410 points, and for m = 2 two kernels (K and
+        # the crossed K(a, sb)) on the pair points with u0 <= u1, 51 * 52 / 2
+        # = 1326 and 25 * 26 / 2 = 325, each 64-row block against the
+        # columns from its own start on: 2 * (921,156 + 63,065) = 1,968,442
+        # kernel points, where the whole 51^2 and 25^2 pair grids took
+        # 3,465,361 + 214,945 and the full grids 51^4 + 25^4 7,155,826.
+        assert sum(points) == 2_019_852
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -199,6 +201,30 @@ def _fresh_block(kernel, fa, fb):
     out = tuple(np.zeros(shape) for _ in range(quadrature._PAIR_BUFFERS))
     kernel(fa, fb, out)
     return out[0]
+
+
+def _full_grid_pair_sum(factors, kernel, side, nodes, weights):
+    """quadrature._pair_sum as it was before the swap symmetry inside each
+    pair was used: the upper blocks of K over the whole n^2 pair grid."""
+    u, v = np.meshgrid(nodes, nodes, indexing="ij")
+    pts = np.stack([u.ravel(), v.ravel()])
+    npts = pts.shape[1]
+    q = np.outer(weights, weights).ravel()
+    sv = side(pts) * q
+    rows = factors(pts)
+    nrows = sv.shape[0]
+    parts = np.concatenate([sv.real, sv.imag]).T
+    total = np.zeros((nrows, nrows), dtype=complex)
+    upper = np.zeros((nrows, nrows), dtype=complex)
+    block = quadrature._PAIR_BLOCK
+    for start in range(0, npts, block):
+        stop = min(start + block, npts)
+        k = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
+        kr = k @ parts[start:]
+        total += sv[:, start:stop] @ (kr[:, :nrows] + 1j * kr[:, nrows:])
+        kl = k[:, stop - start :] @ parts[stop:]
+        upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
+    return total + upper.T
 
 
 class TestPairSeparableM2:
@@ -257,22 +283,59 @@ class TestPairSeparableM2:
 
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_reused_scratch_gives_fresh_blocks(self, family):
-        # integrate_pairs hands the kernel views of scratch arrays that hold
-        # the previous block's values: a block written over NaN must equal
-        # the same block written into fresh arrays, bit for bit, on every
-        # block of the level-4 grid (its corner nodes included).
+        # integrate_pairs hands the kernel column-major views of scratch
+        # arrays that hold the previous block's values: a block written over
+        # NaN must equal the same block written into fresh arrays, bit for
+        # bit, on every block of both kernels (K(a, b) and K(a, sb)) of the
+        # level-4 grid, its corner nodes included.
         factors, kernel = trace_terms._pair_kernel(family, 0.2)
-        rows = factors(_level_four_pair_points())
+        pts = _level_four_pair_points()
+        rows = factors(pts)
         npts = rows.shape[1]
         scratch = np.full((quadrature._PAIR_BUFFERS, quadrature._PAIR_BLOCK * npts), np.nan)
-        for start in range(0, npts, quadrature._PAIR_BLOCK):
-            stop = min(start + quadrature._PAIR_BLOCK, npts)
-            shape = (stop - start, npts - start)
-            out = tuple(buf[: shape[0] * shape[1]].reshape(shape) for buf in scratch)
-            kernel(rows[:, start:stop], rows[:, start:], out)
-            fresh = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
-            assert out[0].tobytes() == fresh.tobytes()
-            scratch.fill(np.nan)
+        for right in (rows, factors(pts[::-1])):
+            for start in range(0, npts, quadrature._PAIR_BLOCK):
+                stop = min(start + quadrature._PAIR_BLOCK, npts)
+                width, cols = stop - start, npts - start
+                out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
+                kernel(rows[:, start:stop], right[:, start:], out)
+                fresh = _fresh_block(kernel, rows[:, start:stop], right[:, start:])
+                assert out[0].tobytes(order="C") == fresh.tobytes()
+                scratch.fill(np.nan)
+
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_swap_permutes_or_negates_factor_rows(self, family):
+        # The swap s: (u0, u1) -> (u1, u0) exchanges Flat's s and t rows and
+        # negates Psi's zeta row, bit for bit, so K(sa, sb) == K(a, b) and
+        # the crossed kernel K(a, sb) is symmetric exactly.  On the diagonal
+        # u0 = u1 the swap is the identity and zeta is +0.0.
+        factors, _ = trace_terms._pair_kernel(family, 0.45)
+        pts = _level_four_pair_points()
+        pts = pts[:, pts[0] != pts[1]]
+        rows, swapped = factors(pts), factors(pts[::-1])
+        if family == FLAT:
+            want = rows[[0, 2, 1, 3]]
+        else:
+            want = rows.copy()
+            want[4] = -rows[4]
+        assert want.tobytes() == swapped.tobytes()
+
+    @pytest.mark.parametrize("g", [0.2, 0.45, 1.0])
+    @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_half_grid_matches_full_grid(self, family, lam, g, monkeypatch):
+        # The rule on the pair points with u0 <= u1 (two kernels) against
+        # the whole pair grid (one kernel): within 1e-13 relative and a
+        # tenth of the bar, at every order.
+        orders = (0, 1, 2, 3)
+        half = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
+        monkeypatch.setattr(quadrature, "_pair_sum", _full_grid_pair_sum)
+        full = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
+        for k in orders:
+            diff = abs(half[k].value - full[k].value)
+            assert diff <= 1e-13 * abs(full[k].value), k
+            assert diff <= 0.1 * full[k].abs_error, k
+            assert half[k].terms_used == full[k].terms_used
 
     def test_back_to_back_calls_match_calls_alone(self):
         # Each integrate_pairs call owns its scratch: a call right after
