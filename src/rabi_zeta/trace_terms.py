@@ -4,22 +4,18 @@ The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
-The kernels run on axis rows: a block of points is transposed once to one
-contiguous row per coordinate, and the logs, the weight, prod u, Phi_m's
-cyclic runs and Psi's matrix product are whole-row ufuncs, in place where an
-operand is not read again.  Every product and sum keeps the operand order of
-the point-by-point formula, so no value depends on the layout.  The
-point-by-point integrand serves m = 1, m = 3 and Monte Carlo specs.
-The m = 2 term on a deterministic rule is a symmetric kernel between the
-axis-pair grids (u0, u1) and (u2, u3), integrated by
-quadrature.integrate_pairs: per-point factor rows once per level (Psi's
-swap-even and swap-odd parts, or Flat's h, s, t and u0 u1), and each kernel
-block written from them into scratch that integrate_pairs owns.
+Every kernel reads one description, the factor rows of each axis pair of
+a point (_pair_factors).  The point-by-point integrand (m = 1, m = 3 and
+Monte Carlo specs) runs on axis rows, one contiguous row per coordinate of
+a block.  The m = 2 term on a deterministic rule is a symmetric kernel
+between the two axis-pair grids, which quadrature.integrate_pairs writes
+block by block.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -41,74 +37,112 @@ from .specfun import (
 # Kernels
 
 
-def _phi_rows(m: int, ut: np.ndarray):
-    """(Phi_m, prod u) on the (2m, npts) axis rows of a point block."""
-    d = 2 * m
-    prod = ut[0] * ut[1]
-    for row in ut[2:]:
-        prod *= row
-    total = m * (1.0 + prod)
-    window = ut.copy()  # window[k] = prod of the cyclic run of length l from k
-    run = np.empty_like(prod)
-    for length in range(1, d):
-        np.add(window[0], window[1], out=run)
-        for row in window[2:]:
-            run += row
-        if length % 2:
-            total -= run
-        else:
-            total += run
-        if length < d - 1:
-            window[: d - length] *= ut[length:]
-            window[d - length :] *= ut[:length]
-    return total, prod
+def _pair_factors(family: TraceFamily, g: float):
+    """factors(pts): the family's factor rows of the axis pairs pts =
+    (u0, u1), stacked on a new first axis; Phi_m and Psi_m read only these.
+    Flat: (h, s, t, p) = ((1 - u0)(1 - u1), u1 (1 - u0), u0 (1 - u1), u0 u1).
+    Plus, Minus and Nu: the ordered product of Psi's two factors over a pair
+    is P = Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g,
+    x1 = 1 / (u0 u1), x4 = u0 u1, y = (u0 / u1 + u1 / u0) / 2 and
+
+        Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
+        zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),    K = [[-s, -c], [c, s]]:
+
+    rows (pbar0, pbar1, pbar2, pbar3, zeta).  The swap (u0, u1) -> (u1, u0)
+    exchanges Flat's s and t rows and negates zeta, bit for bit.
+    """
+    if isinstance(family, Flat):
+
+        def factors(pts):
+            u0, u1 = pts
+            rows = np.empty((4,) + u0.shape)
+            a, b = np.subtract(1.0, u0, out=rows[1]), np.subtract(1.0, u1, out=rows[2])
+            np.multiply(a, b, out=rows[0])
+            a *= u1
+            b *= u0
+            np.multiply(u0, u1, out=rows[3])
+            return rows
+
+        return factors
+
+    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
+    c2, s2, cs, z = ch * ch, sh * sh, ch * sh, sh / math.sqrt(2.0)
+
+    def factors(pts):
+        u0, u1 = pts
+        rows = np.empty((5,) + u0.shape)
+        x4, ratio, inverse = u0 * u1, np.divide(u0, u1, out=rows[4]), u1 / u0
+        x1, y = 1.0 / x4, (ratio + inverse) / 2.0
+        np.multiply(cs, np.subtract(y, x4, out=rows[1]), out=rows[1])
+        np.multiply(cs, np.subtract(y, x1, out=rows[2]), out=rows[2])
+        y *= s2
+        np.subtract(np.multiply(c2, x1, out=x1), y, out=rows[0])
+        np.subtract(np.multiply(c2, x4, out=x4), y, out=rows[3])
+        ratio -= inverse
+        ratio *= z
+        return rows
+
+    return factors
 
 
-def _psi_product(g: float, rows: np.ndarray) -> np.ndarray:
-    """Rows (p0, p1, p2, p3), the entries [[p0, p1], [p2, p3]] of the ordered
-    product of Psi's two-by-two factors over the axis rows of a point block,
-    with alternating coupling signs starting at -sinh(2g)."""
-    ch = math.cosh(2 * g)
-    sh = math.sinh(2 * g)
-    npts = rows.shape[1]
-    cur, nxt = np.empty((2, 4, npts))
-    cur[0], cur[1], cur[2], cur[3] = 1.0, 0.0, 0.0, 1.0
-    tmp = np.empty(npts)
-    for j, uj in enumerate(rows):
-        s = -sh if j % 2 == 0 else sh
-        inv = 1.0 / uj
-        ci, si, cu, su = ch * inv, s * inv, ch * uj, s * uj
-        # Right-multiply each row [x, y] of the product by [[ch/u, s*u], [s/u, ch*u]].
+def _phi_chains(rows: np.ndarray):
+    """(Phi_m, prod u) from Flat's factor rows, each (m, npts): Phi_m sums
+    the h_i and, over the cyclic chains i -> j != i, s_i (prod of the p
+    strictly between) t_j.  No term is negative, so nothing cancels; the
+    chains that end at j are summed by Horner's rule from the farthest start."""
+    h, s, t, p = rows
+    m = len(h)
+    total = reduce(np.add, h)
+    for j in range(m if m > 1 else 0):
+        chain = s[j + 1 - m].copy()
+        for d in range(m - 2, 0, -1):
+            chain *= p[j - d]
+            chain += s[j - d]
+        chain *= t[j]
+        total += chain
+    return total, reduce(np.multiply, p)
+
+
+def _psi_trace(g: float, rows: np.ndarray) -> np.ndarray:
+    """Psi_m = tr prod_i P_i, P = Pbar + (zeta / sqrt 2) K, from Psi's factor
+    rows, each (m, npts): each P_i is written over its Pbar rows, and each
+    row [x, y] of the product is right-multiplied in place by the next."""
+    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
+    q, zeta = rows[:4], rows[4]
+    zeta /= math.sqrt(2.0)
+    work = np.empty_like(zeta)
+    for row, k in zip(q, (-sh, -ch, ch, sh)):
+        row += np.multiply(zeta, k, out=work)
+    prod, nxt, work = q[:, 0], np.empty((4, zeta.shape[1])), work[0]
+    for b in q.swapaxes(0, 1)[1:]:
         for r in (0, 2):
-            np.multiply(cur[r], ci, out=nxt[r])
-            nxt[r] += np.multiply(cur[r + 1], si, out=tmp)
-            np.multiply(cur[r], su, out=nxt[r + 1])
-            nxt[r + 1] += np.multiply(cur[r + 1], cu, out=tmp)
-        cur, nxt = nxt, cur
-    return cur
+            for c in (0, 1):
+                np.multiply(prod[r], b[c], out=nxt[r + c])
+                nxt[r + c] += np.multiply(prod[r + 1], b[c + 2], out=work)
+        prod, nxt = nxt, prod
+    return np.add(prod[0], prod[3], out=work)
 
 
-def _psi_vec(m: int, g: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized Psi_m^g on an (npts, 2m) array: trace of the ordered
-    product of 2m two-by-two factors with alternating coupling signs."""
-    p = _psi_product(g, u[:, : 2 * m].T)
-    return p[0] + p[3]
+def _point_pairs(m: int, u, g: float = 0.0):
+    """The axis pairs (u0, u1) of a length-2m point of the open cube, else
+    LengthMismatch, or DomainError for a non-finite g or a point off it."""
+    arr = np.atleast_2d(np.asarray(u, dtype=float))
+    if m < 1 or arr.shape[1] != 2 * m:
+        raise LengthMismatch(f"expected {2 * m} coordinates, got {arr.shape[1]}")
+    require_finite("g", g)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise DomainError(f"every coordinate must lie inside (0, 1), got {u}")
+    return arr[:, 0::2].T, arr[:, 1::2].T
 
 
 def phi(m: int, u) -> float:
     """Phi_m(u) for a length-2m point of the open cube."""
-    arr = np.atleast_2d(np.asarray(u, dtype=float))
-    if m < 1 or arr.shape[1] != 2 * m:
-        raise LengthMismatch(f"expected {2 * m} coordinates, got {arr.shape[1]}")
-    return float(_phi_rows(m, arr.T)[0][0])
+    return float(_phi_chains(_pair_factors(FLAT, 0.0)(_point_pairs(m, u)))[0][0])
 
 
 def psi(m: int, g: float, u) -> float:
     """Psi_m^g(u) for a length-2m point of the open cube."""
-    arr = np.atleast_2d(np.asarray(u, dtype=float))
-    if m < 1 or arr.shape[1] != 2 * m:
-        raise LengthMismatch(f"expected {2 * m} coordinates, got {arr.shape[1]}")
-    return float(_psi_vec(m, g, arr)[0])
+    return float(_psi_trace(g, _pair_factors(PLUS, g)(_point_pairs(m, u, g)))[0])
 
 
 def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -164,10 +198,10 @@ def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
 def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
     """The family's real kernel on the (2m, npts) axis rows of a point block."""
     if isinstance(family, Flat):
-        return _flat_kernel(g, *_phi_rows(m, ut))
+        return _flat_kernel(g, *_phi_chains(_pair_factors(family, g)((ut[0::2], ut[1::2]))))
     if m > 1:
-        p = _psi_product(g, ut)
-        return _psi_kernel(family, np.add(p[0], p[3], out=p[1]), p[2:])
+        psi_val = _psi_trace(g, _pair_factors(family, g)((ut[0::2], ut[1::2])))
+        return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
     # Factorized forms avoid the catastrophic cancellation of Psi - 2 near
     # the (1, 1) corner:
     #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
@@ -243,38 +277,19 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
 def _pair_kernel(family: TraceFamily, g: float):
     """(factors, kernel): the family's m = 2 kernel K(a, b) between the pair
     points a = (u0, u1) and b = (u2, u3), in the contract of
-    quadrature.integrate_pairs.  factors maps the (2, npts) pair rows to
-    per-point factor rows; kernel(fa, fb, out) writes K between the points
-    of two column slices of them into out[0], with out[1] and out[2] as
-    scratch.  Both of the contract's symmetries hold bit for bit: every
-    product and sum is grouped so that swapping a and b only reorders
-    commuting operands, and the swap s: (u0, u1) -> (u1, u0) permutes the
-    factor rows or negates one, so K(sa, sb) == K(a, b) and K(a, sb) ==
-    K(b, sa).
-
-    Flat: prod u = p(a) p(b), p = u0 u1 on each pair, and Phi_2 is a sum
-    of non-negative terms, h(a) + h(b) + (s(a) t(b) + t(a) s(b)), with
-    h = (1 - u0)(1 - u1), s = u1 (1 - u0) and t = u0 (1 - u1) on each pair:
-    rows (h, s, t, p), and the swap exchanges s and t.  Otherwise
-    Psi_2 = tr(P(a) P(b)), with P the ordered product of Psi's two factors
-    over each pair, written as its swap-even part Pbar and a swap-odd
-    scalar zeta:
-
-        Psi_2 = tr(Pbar(a) Pbar(b)) - zeta(a) zeta(b),
-        Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
-        zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),
-
-    with c = cosh 2g, s = sinh 2g, x1 = 1 / (u0 u1), x4 = u0 u1 and
-    y = (u0 / u1 + u1 / u0) / 2: rows (pbar0, pbar1, pbar2, pbar3, zeta),
-    and the swap negates zeta.  The product's own entries would change
-    their rounding under the swap, and the crossed blocks K(a, sb) would
-    fail integrate_pairs' symmetry check at corner nodes.
+    quadrature.integrate_pairs, with factors = _pair_factors(family, g).
+    kernel(fa, fb, out) writes K between the points of two column slices of
+    the factor rows into out[0], with out[1] and out[2] as scratch, from
+    Phi_2 = h(a) + h(b) + (s(a) t(b) + t(a) s(b)) and prod u = p(a) p(b), or
+    from Psi_2 = tr(Pbar(a) Pbar(b)) - zeta(a) zeta(b) (K^2 = -I and
+    tr(Pbar K) = 0).  Swapping a and b only reorders commuting operands, and
+    the swap s inside a pair exchanges s and t or negates zeta, so
+    K(sa, sb) == K(a, b) and K(a, sb) == K(b, sa) bit for bit, as
+    integrate_pairs' symmetry check needs at corner nodes; the entries of P
+    itself would round differently under s.
     """
+    factors = _pair_factors(family, g)
     if isinstance(family, Flat):
-
-        def factors(pts):
-            u0, u1 = pts
-            return np.stack([(1.0 - u0) * (1.0 - u1), u1 * (1.0 - u0), u0 * (1.0 - u1), u0 * u1])
 
         def kernel(fa, fb, out):
             phi_val, prod, work = out
@@ -285,22 +300,6 @@ def _pair_kernel(family: TraceFamily, g: float):
             _flat_kernel(g, phi_val, np.multiply.outer(fa[3], fb[3], out=prod))
 
         return factors, kernel
-
-    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
-
-    def factors(pts):
-        u0, u1 = pts
-        x4 = u0 * u1
-        x1 = 1.0 / x4
-        ratio, inverse = u0 / u1, u1 / u0
-        y = (ratio + inverse) / 2.0
-        return np.stack([
-            ch * ch * x1 - sh * sh * y,
-            ch * sh * (y - x4),
-            ch * sh * (y - x1),
-            ch * ch * x4 - sh * sh * y,
-            sh / math.sqrt(2.0) * (ratio - inverse),
-        ])
 
     def kernel(fa, fb, out):
         psi_val, cross, work = out

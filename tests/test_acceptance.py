@@ -32,7 +32,9 @@ from rabi_zeta.trace_terms import (
     MINUS,
     PLUS,
     Nu,
-    _psi_vec,
+    _pair_factors,
+    _point_pairs,
+    _psi_trace,
     dn_r_m_integral,
     phi,
     psi,
@@ -255,7 +257,8 @@ def test_criterion_10_kernel_invariants():
     for m in (1, 2, 3):
         pts = rng.uniform(0.01, 0.99, size=(100_000, 2 * m))
         g = rng.uniform(-1.0, 1.0)
-        assert np.all(_psi_vec(m, g, pts) > 2.0), f"m={m} g={g}"
+        values = _psi_trace(g, _pair_factors(PLUS, g)(_point_pairs(m, pts, g)))
+        assert np.all(values > 2.0), f"m={m} g={g}"
     # Phi_1 product form
     for _ in range(200):
         u, v = rng.uniform(0.01, 0.99, size=2)

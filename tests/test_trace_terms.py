@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,43 @@ from rabi_zeta.operator_oracle import Ncho, dn_r_m_operator, r_m_operator
 from rabi_zeta.zeta_values import ZetaRequest, zeta_value
 
 unit = st.floats(0.05, 0.95)
+
+
+def _phi_definition(u) -> mpmath.mpf:
+    """Phi_m by its definition, m (1 + prod u) plus the alternating sum over
+    run lengths l = 1 .. 2m - 1 of the products of the 2m cyclic runs of
+    length l.  The sum cancels down to about (1 - u)^2 ~ 1e-31 at the
+    level-5 corner nodes, so it is taken at 80 digits."""
+    d = len(u)
+    with mpmath.workdps(80):
+        x = [mpmath.mpf(float(v)) for v in u]
+        total = d // 2 * (1 + mpmath.fprod(x))
+        for length in range(1, d):
+            runs = mpmath.fsum(mpmath.fprod(x[(k + i) % d] for i in range(length)) for k in range(d))
+            total += (-1) ** length * runs
+        return +total
+
+
+def _psi_definition(g: float, u) -> mpmath.mpf:
+    """Psi_m^g by its definition at 40 digits: the trace of the ordered
+    product of the 2m factors [[c / u, s u], [s / u, c u]], c = cosh 2g and
+    s = -+ sinh 2g alternating from -sinh 2g."""
+    with mpmath.workdps(40):
+        ch, sh = mpmath.cosh(2 * mpmath.mpf(g)), mpmath.sinh(2 * mpmath.mpf(g))
+        prod = mpmath.eye(2)
+        for j, v in enumerate(u):
+            x, s = mpmath.mpf(float(v)), (-sh if j % 2 == 0 else sh)
+            prod = prod * mpmath.matrix([[ch / x, s * x], [s / x, ch * x]])
+        return prod[0, 0] + prod[1, 1]
+
+
+def _reference_points(m: int):
+    """Random interior points, random points on tanh-sinh level-5 nodes,
+    and every corner of the outermost level-5 nodes."""
+    rng = np.random.default_rng(20260 + m)
+    nodes, _ = quadrature.tanh_sinh_nodes(5)
+    corners = itertools.product((nodes.min(), nodes.max()), repeat=2 * m)
+    return [*rng.uniform(0.0, 1.0, (40, 2 * m)), *rng.choice(nodes, (40, 2 * m)), *corners]
 
 
 class TestKernels:
@@ -69,6 +108,41 @@ class TestKernels:
             phi(2, (0.5, 0.5))
         with pytest.raises(LengthMismatch):
             psi(1, 0.3, (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_phi_matches_its_definition(self, m):
+        # The chain sum over the pair factor rows has no cancelling terms.
+        for u in _reference_points(m):
+            ref = _phi_definition(u)
+            assert abs(phi(m, u) - ref) <= 1e-15 * ref, u
+
+    @pytest.mark.parametrize("g", [0.2, 0.45, 1.0, -0.7])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_psi_matches_its_definition(self, m, g):
+        # The pair matrices' rounding is amplified by the ratio of their
+        # entries to their trace, up to cosh^2(2g) per pair at the corners.
+        bound = 8 * 2.0**-52 * math.cosh(2 * g) ** (2 * m)
+        for u in _reference_points(m):
+            ref = _psi_definition(g, u)
+            assert abs(psi(m, g, u) - ref) <= bound * ref, u
+
+    @pytest.mark.parametrize(
+        "kernel, m, g, u",
+        [
+            (psi, 1, 0.3, (0.0, 0.5)),
+            (psi, 1, math.nan, (0.3, 0.5)),
+            (psi, 1, math.inf, (0.3, 0.5)),
+            (psi, 2, 0.3, (1.5, 0.5, 0.2, 0.3)),
+            (psi, 1, 0.3, (math.nan, 0.5)),
+            (phi, 1, None, (-0.2, 0.5)),
+            (phi, 1, None, (1.0, 0.5)),
+            (phi, 2, None, (0.5, 0.5, math.inf, 0.5)),
+        ],
+    )
+    def test_points_off_the_open_cube_raise(self, kernel, m, g, u):
+        with pytest.raises(DomainError) as raised:
+            kernel(m, u) if g is None else kernel(m, g, u)
+        assert type(raised.value) is DomainError
 
 
 class TestIntegralRoute:
