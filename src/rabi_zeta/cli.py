@@ -418,11 +418,16 @@ def _cmd_validate(args):
     ]
 
 
+# Built once per process, when the module is imported.  parse_args only
+# reads the parser: each call fills a fresh Namespace and converts the string
+# default of --nu-list anew, so no state passes from one run to the next.
+_PARSER = _make_parser()
+
+
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return _EXIT_USAGE

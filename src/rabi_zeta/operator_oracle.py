@@ -24,7 +24,11 @@ eigen oracle's residual order (Component.eigen_lag), budget start and floor.
 Spectral zeta values are the traces tr((H_N + lam)^-n) of the two-by-two
 block Hamiltonians, interleaved so that H_N is banded: one banded LU per
 block and traces(n) of its inverse, extrapolated on the same ladder; no
-eigenvalue is computed.  The module keeps no state between calls.
+eigenvalue is computed.  H_N + lam is complex-symmetric, so each probed
+state is its own transposed band.  A request solves its ladder coarsest
+level first and carries the probe period from band to band, so it learns a
+wider period once, not once per block and level.  The module keeps no
+state between calls.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ _ROUNDING_FLOOR = 1e-14
 _LADDER_FLOOR = 24
 # The probe columns a sweep state starts on, min(_PROBE_START, N): W(k) is
 # stepped on them and their number doubles while the halfway-row check finds
-# aliased mass above the rounding floor (_ProbedBand).
+# aliased mass above the rounding floor (_ProbedBand).  An eigen request's
+# first band starts there and each later band at the period carried to it.
 _PROBE_START = 64
 # The smallest top truncation at which the two-step bar of every sweep row of
 # the calibration grid (tests/test_operator_oracle.py) holds.  The zeta
@@ -502,27 +507,34 @@ class _ProbedBand:
     r, plus entries at least P/2 further out.  So tr A sums (AE)[c, c mod
     P], and tr(A B) is one dot of AE with B's transposed band, (BE)[c, r
     mod P] at each (r, c mod P) (probing for the diagonal of an inverse,
-    Tang & Saad 2012).  After every step the halfway rows, at distance P/2
+    Tang & Saad 2012).  With `symmetric`, M_0 is complex-symmetric with one
+    order, so every W(k) is symmetric and a state is its own transposed
+    band: B[c, r] = B[r, c], read as (BE)[r, c mod P] up to the aliased
+    mass the check below bounds, and tr(A B) is one dot of AE with BE, with
+    no index built.  After every step the halfway rows, at distance P/2
     from their probe column, bound the aliased mass: when an order's
     largest entry there exceeds the rounding floor times that order's
-    largest entry, P doubles (from min(_PROBE_START, N) up to N, where E = I
-    and nothing is aliased) and the state replays from W(0).  This assumes
-    that the entries keep decaying past P/2.
+    largest entry, P doubles (from min(period, N), period defaulting to
+    _PROBE_START, up to N, where E = I and nothing is aliased) and the state
+    replays from W(0).  This assumes that the entries keep decaying past
+    P/2.
     """
 
-    def __init__(self, N: int, orders: int, dtype, solve: Callable[[np.ndarray], np.ndarray], s=None):
+    def __init__(self, N: int, orders: int, dtype, solve: Callable[[np.ndarray], np.ndarray],
+                 s=None, *, period: int | None = None, symmetric: bool = False):
         self.N = N
         self._orders = orders
         self._dtype = dtype
         self._solve = solve
         self._s = s
+        self._symmetric = symmetric
         # The unconjugated dot from the BLAS that runs the solves: numpy's
         # dot would wake a second thread pool on every call.
         self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
         self._k = 0
         self._bt = None  # the transposed bands of the held state W(_held)
         self._held = None
-        self._probe(min(_PROBE_START, N))
+        self._probe(min(period or _PROBE_START, N))
 
     def _probe(self, P: int) -> None:
         """Restart from W(0) = E on P probe columns and replay to W(k), with
@@ -575,7 +587,11 @@ class _ProbedBand:
 
     def _bands(self) -> list:
         """The transposed bands of the current state, one vector per order:
-        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r."""
+        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r.
+        A symmetric state is its own transposed band, (BE)[r, q], so its
+        bands are copies of the state."""
+        if self._symmetric:
+            return [x.ravel(order="F").copy() for x in self._w]
         if self._transposed is None:
             N, P, h = self.N, self.P, self.P // 2
             rows = np.arange(N)
@@ -828,14 +844,19 @@ def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
     return band
 
 
-def _block_trace(band: np.ndarray, n: int, lam: complex) -> complex:
-    """tr((H + lam)^-n), the sum of (mu + lam)^-n over the eigenvalues mu of
-    one block H in gbtrf storage (_interleaved_band).  H + lam is factored
-    once, in complex arithmetic only for complex lam, and the trace is
-    order 0 of a one-order _ProbedBand's traces(n): ceil(n/2) solves on its
-    probe columns.  H is real symmetric, so every -mu lies at least |Im lam|
-    from lam; where that does not exceed NEAR_POLE_GUARD, gbcon's estimate
-    of the smallest singular value, ||H + lam||_1 * rcond, must."""
+def _block_trace(band: np.ndarray, n: int, lam: complex, period: int | None = None) -> tuple:
+    """(tr((H + lam)^-n), the period to carry): the trace is the sum of (mu +
+    lam)^-n over the eigenvalues mu of one block H in gbtrf storage
+    (_interleaved_band).  H + lam is factored once, in complex arithmetic
+    only for complex lam, and the trace is order 0 of a one-order
+    _ProbedBand's traces(n): ceil(n/2) solves on its probe columns, which
+    start at min(period, N).  H + lam is complex-symmetric, so the band is
+    a symmetric one: it holds a copy of W(floor(n/2))E and dots it with
+    W(ceil(n/2))E.  The period carried on is the one the band settled on
+    below its N, or `period` itself when the band reached P = N.  H is
+    real symmetric, so every -mu lies at least |Im lam| from lam; where
+    that does not exceed NEAR_POLE_GUARD, gbcon's estimate of the smallest
+    singular value, ||H + lam||_1 * rcond, must."""
     lam = complex(lam)
     dtype = complex if lam.imag else float
     u = band.shape[0] // 3
@@ -844,7 +865,9 @@ def _block_trace(band: np.ndarray, n: int, lam: complex) -> complex:
     solve, sigma = _banded_lu(ab, u)
     if sigma == 0 or max(sigma, abs(lam.imag)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
-    return _ProbedBand(ab.shape[1], 1, dtype, solve).traces(n)[0]
+    probed = _ProbedBand(ab.shape[1], 1, dtype, solve, period=period, symmetric=True)
+    trace = probed.traces(n)[0]
+    return trace, probed.P if probed.P < probed.N else period
 
 
 def _ncho_bands(model: Ncho, N: int) -> list:
@@ -873,13 +896,18 @@ def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> li
     return bands
 
 
-def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int) -> complex:
-    """The blocks' traces at truncation N plus the free spectrum from its
-    end on: the components' progressions from k = N on interleave into the
-    geometry's from len(components) * N on ({1/2 + 2k} and {3/2 + 2k} for
-    k >= N are {1/2 + j} for j >= 2N)."""
-    value = sum(_block_trace(h, n, lam) for h in geo.blocks(N))
-    return value + geo.hurwitz(n, lam, len(geo.family.components) * N).value
+def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int, period: int) -> tuple:
+    """(value, the period to carry): the blocks' traces at truncation N,
+    each block's band starting at the period the one before it carried on,
+    plus the free spectrum from the truncation's end on: the components'
+    progressions from k = N on interleave into the geometry's from
+    len(components) * N on ({1/2 + 2k} and {3/2 + 2k} for k >= N are {1/2 +
+    j} for j >= 2N)."""
+    value = 0
+    for h in geo.blocks(N):
+        trace, period = _block_trace(h, n, lam, period)
+        value += trace
+    return value + geo.hurwitz(n, lam, len(geo.family.components) * N).value, period
 
 
 @dataclass(frozen=True)
@@ -922,6 +950,12 @@ def zeta_eigen_oracle(
     the tops are tried in order, each ladder level is solved once, and the
     first top whose bar is <= tol gives the value, the cap's when none does;
     converged means abs_error <= tol.
+
+    The levels of each top run coarsest first, and the probe period is
+    carried from band to band: each block's band starts at the period that
+    the last band of the request to settle below its own N settled on
+    (_PROBE_START for the first), so the coarser levels learn it on their
+    narrower blocks and the finer ones start there.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -930,12 +964,12 @@ def zeta_eigen_oracle(
     geo = model_geometry(model)
     p = n - max(c.eigen_lag for c in geo.family.components)
     budget = [N] if tol is None else truncation_budget(max(N, _EIGEN_MIN_TOP), _EIGEN_MIN_TOP)
-    sums, tops = {}, []
+    sums, tops, period = {}, [], _PROBE_START
     for top in budget:
         sizes = _ladder(top)[:5]
-        for size in sizes:
+        for size in reversed(sizes):
             if size not in sums:
-                sums[size] = _zeta_eigen_once(geo, n, lam, size)
+                sums[size], period = _zeta_eigen_once(geo, n, lam, size, period)
         value, bar = _extrapolate([sums[size] for size in sizes], sizes, p)
         bar += _ROUNDING_FLOOR * abs(value)
         tops.append(top)

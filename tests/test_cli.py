@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rabi_zeta import cli
 from rabi_zeta.cli import run
 
 
@@ -421,3 +422,50 @@ class TestCsv:
         assert lines[0] == "command,value_re,value_im,abs_error,method,runtime_ms,params"
         assert lines[1].startswith("zeta,")
         assert float(lines[1].split(",")[1]) == pytest.approx(math.pi**2 / 3)
+
+
+class TestOneParser:
+    # run() parses with the one parser built at import; a call must leave
+    # nothing in it that the next call could read.
+    _SEQUENCE = [
+        ["zeta", "--model", "2pqrm", "--n", "2", "--lambda", "1.0", "--g", "0.2",
+         "--delta", "0.3", "--eps", "0.1", "--parity-difference"],
+        ["zeta", "--model", "2pqrm", "--n", "2", "--lambda", "1.0", "--g", "0.2",
+         "--delta", "0.3", "--eps", "0.1"],
+        ["--format", "csv", "trace-term", "--family", "flat", "--route", "series",
+         "--lambda", "0.9", "--g", "0.2", "--eps", "0.1"],
+        ["confluence", "--g", "0.2", "--delta", "0.1", "--eps", "0.05", "--lambda", "1.5",
+         "--trunc-n", "100"],
+        ["zeta", "--model", "1pqrm"],
+        ["zeta", "--model", "1pqrm", "--n", "3", "--lambda", "1.2", "--g", "0.2",
+         "--delta", "0.3", "--eps", "0.05"],
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        """(exit code, records without their runtimes, standard error)."""
+        code = run(argv)
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        if lines and lines[0].startswith("command,"):
+            records = [line.split(",")[:5] + line.split(",")[6:] for line in lines]
+        else:
+            records = [{k: v for k, v in rec.items() if k != "runtime_ms"}
+                       for rec in _records(captured.out)]
+        return code, records, captured.err
+
+    def test_run_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        make_parser = cli._make_parser
+        monkeypatch.setattr(cli, "_make_parser", lambda: built.append(1) or make_parser())
+        for argv in self._SEQUENCE[:3]:
+            run(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_a_sequence_in_one_process_matches_each_call_alone(self, capsys, monkeypatch):
+        shared = [self._outcome(capsys, argv) for argv in self._SEQUENCE]
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 64, 0]
+        for argv, got in zip(self._SEQUENCE, shared):
+            monkeypatch.setattr(cli, "_PARSER", cli._make_parser())
+            assert self._outcome(capsys, argv) == got, argv

@@ -752,8 +752,8 @@ class TestFreedByReferenceCounting:
         built = []
 
         class Recording(_ProbedBand):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(weakref.ref(self))
 
         monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
@@ -774,8 +774,8 @@ class TestProbedEigenKernel:
         built = []
 
         class Recording(_ProbedBand):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(self)
 
         monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
@@ -785,7 +785,7 @@ class TestProbedEigenKernel:
     @pytest.mark.parametrize("model,lam", _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX)
     def test_block_sums_match_the_eigenvalue_sums(self, model, lam, n):
         bands = model_geometry(model).blocks(200)
-        got = sum(_block_trace(b, n, lam) for b in bands)
+        got = sum(_block_trace(b, n, lam)[0] for b in bands)
         ref = _eigen_sum(bands, n, lam)
         assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
 
@@ -794,10 +794,50 @@ class TestProbedEigenKernel:
     def test_widening_points_match_the_eigenvalue_sums(self, monkeypatch, model, lam, n):
         built = self._recording(monkeypatch)
         bands = model_geometry(model).blocks(400)
-        got = sum(_block_trace(b, n, lam) for b in bands)
+        got = sum(_block_trace(b, n, lam)[0] for b in bands)
         ref = _eigen_sum(bands, n, lam)
         assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
         assert len(built) == len(bands) and min(b.P for b in built) > 64
+
+    # The levels of a request run coarsest first, and each band starts at the
+    # period that the last band to settle below its own N settled on.  The
+    # blocks of up to 200 rows need P = N, which tells the next band
+    # nothing; of the wider ones only the first doubles its period.
+    @pytest.mark.parametrize("model,lam", _WIDENING)
+    def test_one_widening_per_request(self, monkeypatch, model, lam):
+        built = self._recording(monkeypatch)
+        probe = _ProbedBand._probe
+
+        def counting(band, P):
+            band.periods = getattr(band, "periods", []) + [P]
+            probe(band, P)
+
+        monkeypatch.setattr(_ProbedBand, "_probe", counting)
+        for n in range(2, 6):
+            del built[:]
+            zeta_eigen_oracle(model, n, lam, N=400)
+            doubled = [b for b in built if len(b.periods) > 1 and b.P < b.N]
+            assert len(doubled) <= 1, [(b.N, b.periods) for b in built]
+            assert [b.N for b in built] == [50, 50, 100, 100, 200, 200, 400, 400, 800, 800]
+            assert built[-1].periods == [built[-2].P] and built[-1].P > 64
+
+    # The block is complex-symmetric, so its band is its own transposed
+    # band: the kernel holds W(1)E and a copy of it, and builds no P x N
+    # int64 index.  Gathered through that index, the peak here was 15,083,728
+    # bytes (numpy 2.4, scipy 1.17).
+    def test_no_transposed_index_on_the_eigen_path(self, monkeypatch):
+        built = self._recording(monkeypatch)
+        block = model_geometry(TwoPhoton(0.45, 0.3, 0.1)).blocks(1200)[0]
+        _block_trace(block, 2, 1.0)
+        tracemalloc.start()
+        try:
+            _block_trace(block, 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        N, P = built[-1].N, built[-1].P
+        assert (N, P) == (2400, 256) and built[-1]._transposed is None
+        assert peak <= 15_083_728 - N * P * 8
 
     # A real symmetric block has real eigenvalues: lam within the guard of
     # some -mu is refused, 1e-6 away it is summed like the eigenvalues.
@@ -810,7 +850,7 @@ class TestProbedEigenKernel:
             with pytest.raises(NearPole):
                 zeta_eigen_oracle(model, n, near, N=N)
         for off in (-mu + 1e-6, -mu - 1e-6):
-            got = _block_trace(bands[0], n, off)
+            got = _block_trace(bands[0], n, off)[0]
             assert abs(got - _eigen_sum(bands[:1], n, off)) <= 1e-6 * abs(got)
             assert math.isfinite(abs(zeta_eigen_oracle(model, n, off, N=N).value))
 
