@@ -10,17 +10,19 @@ u^(Re lambda - 1) at 0 and the inverse-square-root corner at (1,...,1)) are
 integrable, and tanh-sinh nodes cluster exponentially near the endpoints
 without ever touching them.
 
-integrate_pairs is the same 4-D tensor rule for integrands that split between
-the axis pairs (u0, u1) and (u2, u3): a kernel between two 2-D pair grids,
-contracted with one side on both of them block by block, so the full grid of
-n^4 points is never held in memory.  The caller gives per-point factor rows,
-computed once per level, and a kernel that writes each block from slices of
-them into scratch arrays that _pair_sum allocates once per level and reuses
-for every block.  The kernel must satisfy K(a, b) == K(b, a) and K(sa, sb) ==
-K(a, b), s the swap (u0, u1) -> (u1, u0) inside a pair: it is evaluated on
-the n (n + 1) / 2 pair points with u0 <= u1 only, each unordered block pair
-once, and the blocks below the diagonal are the transposes of those above
-it.
+integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
+integrands that split between two halves of the coordinates, the axes u and
+v, or the axis pairs (u0, u1) and (u2, u3): a real symmetric kernel K between
+the two halves' grids, contracted with the sides on both of them block by
+block (_upper_gram), so the full grid is never held in memory.  The caller
+gives per-point factor rows, computed once per level, and a kernel that
+writes each block from slices of them into scratch arrays that _upper_gram
+allocates once per pass and reuses for every block.  The kernel must satisfy
+K(a, b) == K(b, a): each unordered block pair is evaluated once, and the
+blocks below the diagonal are the transposes of those above it.  The pair
+rule also needs K(sa, sb) == K(a, b), s the swap (u0, u1) -> (u1, u0) inside
+a pair, and evaluates the kernel on the n (n + 1) / 2 pair points with
+u0 <= u1 only.
 """
 
 from __future__ import annotations
@@ -39,31 +41,30 @@ RNG_ALGORITHM = "philox4x64"
 
 _CHUNK = 1 << 17
 
-#: Left pair-grid rows per kernel block in integrate_pairs.  At the default
-#: m = 2 rule (51 nodes per axis, 1326 pair points with u0 <= u1) each of
-#: the block's scratch arrays is at most 64 x 1326 doubles, 0.7 MB; no array
-#: grows with the full grid.  On a 2-core Xeon an m = 2 integral took 27.6 ms
+#: Left grid rows per kernel block in _upper_gram (integrate_pairs and
+#: integrate_axes).  At the default m = 2 rule (51 nodes per axis, 1326 pair
+#: points with u0 <= u1) each of the block's scratch arrays is at most
+#: 64 x 1326 doubles, 0.7 MB; no array grows with the full grid.  On a 2-core Xeon an m = 2 integral took 27.6 ms
 #: with 64-row blocks, 29.8 ms with 32, 32.4 ms with 128 and 40.1 ms with 256
 #: (medians of 7 alternated runs over four families).  The block size also
 #: groups the matrix product sums, so other sizes move the values in their
-#: last bits: 64 stays.
+#: last bits: 64 stays.  The m = 1 axis rule (203 nodes at level 7) takes
+#: four blocks per level.
 _PAIR_BLOCK = 64
 
-#: Scratch arrays per kernel block in integrate_pairs: the block and two
-#: work arrays for the kernel's intermediates.
+#: Scratch arrays per kernel block in _upper_gram: the block and two work
+#: arrays for the kernel's intermediates.
 _PAIR_BUFFERS = 3
 
 #: Integrand points per call in _tensor_sum, rounded down to whole
 #: first-axis rows of the tensor grid (at least one), and in
 #: integrate_monte_carlo, which draws _CHUNK points at a time.  On a 2-core
-#: Xeon the m = 1 trace-term rows at order 3 of four families (d = 2, 203
-#: tanh-sinh nodes per axis) and a J_3 quadrature took 153 ms with one row
-#: per call, 49-53 ms at 2^12 to 2^14 points, 60-61 ms at 2^11 and 2^16 and
-#: 64-71 ms at 2^10 (medians of 9 alternated runs); at 2^12 each complex
-#: temporary of the integrand (64 KB) fits the 2 MB L2 cache.  The m = 3
-#: integrand took 14-16 ms per _CHUNK in calls of 2^12 points against
-#: 20-30 ms in one call (Flat, Plus, Nu(0.7)).  The sums do not depend on
-#: this size.
+#: Xeon the m = 3 integrand took 14-16 ms per _CHUNK in calls of 2^12 points
+#: against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each complex
+#: temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The trace
+#: terms' tensor rules (m <= 2) run on integrate_axes and integrate_pairs,
+#: so _tensor_sum serves apery's J_n quadrature and the point-rule
+#: references of the tests.  The sums do not depend on this size.
 _TENSOR_BLOCK = 1 << 12
 
 
@@ -218,14 +219,41 @@ def _upper_gram(kernel, rows_a, rows_b, z: np.ndarray) -> np.ndarray:
         diag = k[:, :width]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
             raise DomainError(
-                "integrate_pairs needs kernel(a, b) == kernel(b, a).T and a kernel "
-                "invariant under swapping the coordinates inside both pairs"
+                "the kernel must satisfy kernel(a, b) == kernel(b, a).T (and, for "
+                "integrate_pairs, be invariant under swapping the coordinates inside both pairs)"
             )
         kl = dgemm(1.0, k[:, width:], parts[stop:].T, trans_b=1)
         kr = dgemm(1.0, diag, parts[start:stop].T, 1.0, kl, trans_b=1)
         total += z[:, start:stop] @ (kr[:, :nz] + 1j * kr[:, nz:])
         upper += z[:, start:stop] @ (kl[:, :nz] + 1j * kl[:, nz:])
     return total + upper.T
+
+
+def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
+    """Tensor-product integral over (0,1)^2 of an integrand that splits
+    between its axes u and v:
+
+        rows of  combine(G),  G[i, j] = int int z_i(u) K(u, v) z_j(v) du dv.
+
+    factors(u) returns the per-node factor rows F, an (nf, n) array, once per
+    level.  kernel(fa, fb, out) writes the real kernel K between the nodes
+    of two column slices of F into out[0], as in integrate_pairs; K must be
+    symmetric, the block of (fb, fa) the transpose of the block of (fa, fb),
+    and each unordered pair of kernel blocks is evaluated once, so a
+    diagonal block that is not its own transpose to 1e-12 relative raises
+    DomainError.  sides(u) returns the (rows, n) vectors z_i at the nodes,
+    and G holds every pair of them: an integrand V(u) K(u, v) W(v) stacks
+    both sides, z = [V; W], and reads the block G[V, W].  combine maps G to
+    a 0-d or (rows,) array of integrals.  Same nodes, levels and error
+    estimate as integrate_tensor with d = 2.
+    """
+
+    def level_sum(nodes, weights):
+        z = _require_finite(sides(nodes) * weights, "axis side")
+        rows = factors(nodes)
+        return combine(_upper_gram(kernel, rows, rows, z))
+
+    return _two_level(level_sum, 2, spec, "integrate_axes")
 
 
 def _pair_sum(factors, kernel, side, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

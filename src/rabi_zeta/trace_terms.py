@@ -4,12 +4,13 @@ The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
-Every kernel reads one description, the factor rows of each axis pair of
-a point (_pair_factors).  The point-by-point integrand (m = 1, m = 3 and
-Monte Carlo specs) runs on axis rows, one contiguous row per coordinate of
-a block.  The m = 2 term on a deterministic rule is a symmetric kernel
-between the two axis-pair grids, which quadrature.integrate_pairs writes
-block by block.
+Every kernel reads one description: the factor rows of each axis pair of
+a point (_pair_factors), or at m = 1 those of each axis (_axis_kernel).
+The point-by-point integrand (m = 3 and Monte Carlo specs) runs on axis
+rows, one contiguous row per coordinate of a block.  On a deterministic
+rule the m = 1 term is a symmetric kernel between its two axes, which
+quadrature.integrate_axes writes block by block, and the m = 2 term one
+between the two axis-pair grids, which quadrature.integrate_pairs writes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from functools import reduce
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import apery, operator_oracle, quadrature
 from .errors import DomainError, LengthMismatch, NoConvergence, PoleError
@@ -195,35 +197,78 @@ def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
     return _roots_kernel(family, sp, sm, work[0])
 
 
+def _axis_root(cross, uv, sign: float, term, out) -> np.ndarray:
+    """sqrt(((1 + sign uv)^2 + cross) / uv), the root of Psi_1 + 2 sign from
+    its factorized form, written over out; term is scratch and may be out.
+    The radicand is floored at 1e-300 (it is >= 4 for sign = 1)."""
+    (np.add if sign > 0 else np.subtract)(1.0, uv, out=term)
+    np.square(term, out=term)
+    np.add(term, cross, out=out)
+    out /= uv
+    return np.sqrt(np.maximum(out, 1e-300, out=out), out=out)
+
+
+def _axis_kernel(family: TraceFamily, g: float):
+    """(factors, kernel): the family's m = 1 kernel K(u, v) between the axes
+    u and v, in the contract of quadrature.integrate_axes.  factors(u) holds
+    two rows per node, Flat's (1 - u, u) and Psi's (r, u) with r = sinh 2g
+    (1 - u^2); kernel(fa, fb, out, product) writes K into out[0] from the
+    products of each row over the two axes, with out[1] and out[2] as
+    scratch: Flat's from Phi_1 = (1 - u)(1 - v) and prod u = uv, Psi's from
+    the factorized roots
+
+        uv (Psi_1 -+ 2) = (1 -+ uv)^2 + r(u) r(v),
+
+    which avoid the catastrophic cancellation of Psi_1 - 2 near the (1, 1)
+    corner.  product is np.multiply.outer between node slices (the default)
+    or np.multiply on the axis rows of points (_point_kernel).  Swapping u
+    and v only reorders commuting operands, so K(u, v) == K(v, u) bit for
+    bit.
+    """
+    if isinstance(family, Flat):
+
+        def factors(u):
+            return np.stack([1.0 - u, u])
+
+        def kernel(fa, fb, out, product=np.multiply.outer):
+            _flat_kernel(g, product(fa[0], fb[0], out=out[0]), product(fa[1], fb[1], out=out[1]))
+
+        return factors, kernel
+
+    sh = math.sinh(2.0 * g)
+
+    def factors(u):
+        return np.stack([sh * (1.0 - u * u), u])
+
+    def kernel(fa, fb, out, product=np.multiply.outer):
+        cross, uv, work = out
+        product(fa[0], fb[0], out=cross)
+        product(fa[1], fb[1], out=uv)
+        if isinstance(family, Plus):
+            sp, sm = None, _axis_root(cross, uv, -1.0, work, cross)
+        elif isinstance(family, Minus):
+            sp, sm = _axis_root(cross, uv, 1.0, work, cross), None
+        else:
+            # Both roots at once: sp takes work, so sm's (1 - uv)^2 needs an
+            # array of its own while uv waits to divide it.
+            sp = _axis_root(cross, uv, 1.0, work, work)
+            sm = _axis_root(cross, uv, -1.0, np.empty_like(uv), cross)
+        _roots_kernel(family, sp, sm, uv)
+
+    return factors, kernel
+
+
 def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
     """The family's real kernel on the (2m, npts) axis rows of a point block."""
+    if m == 1:
+        factors, kernel = _axis_kernel(family, g)
+        out = np.empty((3, ut.shape[1]))
+        kernel(factors(ut[0]), factors(ut[1]), out, np.multiply)
+        return out[0]
     if isinstance(family, Flat):
         return _flat_kernel(g, *_phi_chains(_pair_factors(family, g)((ut[0::2], ut[1::2]))))
-    if m > 1:
-        psi_val = _psi_trace(g, _pair_factors(family, g)((ut[0::2], ut[1::2])))
-        return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
-    # Factorized forms avoid the catastrophic cancellation of Psi - 2 near
-    # the (1, 1) corner:
-    #   uv (Psi_1 -+ 2) = (1 -+ uv)^2 + sinh^2(2g)(1-u^2)(1-v^2).
-    uu, vv = ut
-    sh2 = math.sinh(2.0 * g) ** 2
-    cross = sh2 * (1.0 - uu * uu) * (1.0 - vv * vv)
-    uv = uu * vv
-    inv_uv = 1.0 / uv
-    sp = sm = None
-    if not isinstance(family, Plus):
-        sp = np.add(1.0, uv)
-        np.square(sp, out=sp)
-        sp += cross
-        sp *= inv_uv
-        np.sqrt(sp, out=sp)
-    if not isinstance(family, Minus):
-        sm = np.subtract(1.0, uv, out=uv)
-        np.square(sm, out=sm)
-        sm += cross
-        sm *= inv_uv
-        np.sqrt(np.maximum(sm, 1e-300, out=sm), out=sm)
-    return _roots_kernel(family, sp, sm, inv_uv)
+    psi_val = _psi_trace(g, _pair_factors(family, g)((ut[0::2], ut[1::2])))
+    return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +319,11 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
     return f
 
 
+#: Psi's pair rows whose products enter Psi_2 term by term symmetrically:
+#: pbar0, pbar3 and zeta (negated on the left), one dgemm per block.
+_SQUARE_ROWS = [0, 3, 4]
+
+
 def _pair_kernel(family: TraceFamily, g: float):
     """(factors, kernel): the family's m = 2 kernel K(a, b) between the pair
     points a = (u0, u1) and b = (u2, u3), in the contract of
@@ -287,6 +337,16 @@ def _pair_kernel(family: TraceFamily, g: float):
     K(sa, sb) == K(a, b) and K(a, sb) == K(b, sa) bit for bit, as
     integrate_pairs' symmetry check needs at corner nodes; the entries of P
     itself would round differently under s.
+
+    Psi's square terms pbar0 pbar0' + pbar3 pbar3' - zeta zeta', each
+    symmetric on its own, are one k = 3 dgemm per block; every entry sums
+    its three products in the same order, so the block of (b, a) is the
+    transpose of that of (a, b).  The cross pair pbar1 pbar2' + pbar2 pbar1'
+    stays a sum of two outer products: swapping a and b exchanges its two
+    terms, and only a sum of two is the same in either order, so a 5-term
+    product would fail the symmetry check at corner nodes.  dgemm writes in
+    place into the F-ordered scratch of _upper_gram and returns a copy for
+    a C-ordered out[0], which is then written back.
     """
     factors = _pair_factors(family, g)
     if isinstance(family, Flat):
@@ -303,15 +363,45 @@ def _pair_kernel(family: TraceFamily, g: float):
 
     def kernel(fa, fb, out):
         psi_val, cross, work = out
-        np.multiply.outer(fa[0], fb[0], out=psi_val)
-        psi_val += np.multiply.outer(fa[3], fb[3], out=cross)
+        left, right = fa[_SQUARE_ROWS], fb[_SQUARE_ROWS]
+        np.negative(left[2], out=left[2])
+        square = dgemm(1.0, left.T, right.T, trans_b=1, c=psi_val, overwrite_c=1)
+        if square is not psi_val:
+            psi_val[...] = square
         np.multiply.outer(fa[1], fb[2], out=cross)
         cross += np.multiply.outer(fa[2], fb[1], out=work)
         psi_val += cross
-        psi_val -= np.multiply.outer(fa[4], fb[4], out=cross)
         _psi_kernel(family, psi_val, out[1:])
 
     return factors, kernel
+
+
+def _binomial_orders(gram: np.ndarray, orders) -> np.ndarray:
+    """Order k of the (L_a + L_b)^k rows from the Gram block G[i, j] =
+    <side L_a^i, K side' L_b^j>: sum_i C(k, i) G[i, k - i]."""
+    return np.array(
+        [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
+    )
+
+
+def _axis_row(family: TraceFamily, lam, eps, g: float, orders, spec):
+    """The m = 1 integrand rows as one symmetric kernel (_axis_kernel)
+    between the axes u and v.  The weight u^(lam+eps-1) v^(lam-eps-1) and
+    log u + log v split between the axes, with the sides V_i = u^(lam+eps-1)
+    (log u)^i and W_i = v^(lam-eps-1) (log v)^i, so order k is
+    sum_i C(k, i) G[V_i, W_(k-i)] and one kernel pass serves every order."""
+    evec = _exponent_vector(1, lam, eps)
+    top = max(orders)
+
+    def sides(u):
+        logs = np.log(u)
+        powers = [logs**i if i else 1.0 for i in range(top + 1)]
+        return np.stack([np.exp(e * logs) * p for e in evec for p in powers])
+
+    def combine(gram):
+        return _binomial_orders(gram[: top + 1, top + 1 :], orders)
+
+    return quadrature.integrate_axes(*_axis_kernel(family, g), sides, combine, spec)
 
 
 def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
@@ -328,12 +418,9 @@ def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
         log_sum = logs[0] + logs[1]
         return np.stack([weight * log_sum**i if i else weight for i in range(top + 1)])
 
-    def combine(gram):
-        return np.array(
-            [sum(math.comb(k, i) * gram[i, k - i] for i in range(k + 1)) for k in orders]
-        )
-
-    return quadrature.integrate_pairs(*_pair_kernel(family, g), side, combine, spec)
+    return quadrature.integrate_pairs(
+        *_pair_kernel(family, g), side, lambda gram: _binomial_orders(gram, orders), spec
+    )
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.
@@ -379,8 +466,9 @@ def _require_finite_inputs(lam, g, eps) -> None:
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4.  m = 2 on a tensor rule is pair-separable (_pair_row); m = 1,
-    m = 3 and any Monte Carlo spec integrate the point-by-point integrand."""
+    for m >= 4.  On a tensor rule m = 1 is a kernel between its two axes
+    (_axis_row) and m = 2 one between its axis pairs (_pair_row); m = 3 and
+    any Monte Carlo spec integrate the point-by-point integrand."""
     _require_finite_inputs(lam, g, eps)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -396,8 +484,9 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
             f"got lam={lam}, eps={eps} for {family}"
         )
     spec = spec or _DEFAULT_SPECS[m]
-    if m == 2 and spec.scheme != "monte_carlo":
-        return dict(zip(orders, _pair_row(family, lam, eps, g, orders, spec)))
+    if m < 3 and spec.scheme != "monte_carlo":
+        rule = _axis_row if m == 1 else _pair_row
+        return dict(zip(orders, rule(family, lam, eps, g, orders, spec)))
     f = _integrand(family, lam, eps, g, m, orders)
     if spec.scheme == "monte_carlo":
         row = quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
@@ -416,8 +505,9 @@ def r_m_integral(
 ) -> SeriesValue:
     """R_m by the 2m-dimensional integral representation of the family.
 
-    m in {1, 2} uses deterministic tanh-sinh tensor quadrature (pair-separable
-    at m = 2), m = 3 Monte Carlo, m >= 4 delegates to the operator oracle.
+    m in {1, 2} uses deterministic tanh-sinh tensor quadrature (a kernel
+    between the two axes at m = 1, between the axis pairs at m = 2), m = 3
+    Monte Carlo, m >= 4 delegates to the operator oracle.
     """
     return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 

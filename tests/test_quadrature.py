@@ -10,6 +10,7 @@ from rabi_zeta.errors import DomainError, NodeSingularity
 from rabi_zeta.quadrature import (
     QuadratureSpec,
     gauss_legendre_nodes,
+    integrate_axes,
     integrate_monte_carlo,
     integrate_pairs,
     integrate_tensor,
@@ -253,6 +254,55 @@ class TestPairIntegration:
         spec = QuadratureSpec("monte_carlo")
         with pytest.raises(DomainError):
             integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
+
+
+def _axis_sides(u):
+    """The axis test's sides, V = u^(1/2) e^(iu) and W = u^(-1/2) log u."""
+    return np.stack([np.sqrt(u) * np.exp(1j * u), np.log(u) / np.sqrt(u)])
+
+
+def _axis_point(p):
+    """The axis test's integrand V(u) K(u, v) W(v) at 2-D points."""
+    u, v = p[:, 0], p[:, 1]
+    return _axis_sides(u)[0] * _axis_sides(v)[1] / np.sqrt(1.0 - u * v)
+
+
+class TestAxisIntegration:
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 6), QuadratureSpec("gauss_legendre", 80)]
+    )
+    def test_matches_tensor_rule(self, spec):
+        # Row 0 of z on the first axis and row 1 on the second: G[0, 1].
+        got = integrate_axes(
+            lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec
+        )
+        want = integrate_tensor(_axis_point, 2, spec)
+        assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+        assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
+        assert got.terms_used == want.terms_used
+
+    def test_non_symmetric_kernel_raises(self):
+        def kernel(fa, fb, out):
+            np.add(np.multiply.outer(fa[0], fb[0] ** 2, out=out[0]), 1.0, out=out[0])
+
+        with pytest.raises(DomainError):
+            integrate_axes(lambda u: u[None], kernel, _axis_sides, lambda g: g[0, 1], QuadratureSpec())
+
+    def test_non_finite_side_raises(self):
+        # The middle node of the 3-point rule is 1/2.
+        def sides(u):
+            return np.where(u == 0.5, np.nan, u)[None]
+
+        with pytest.raises(NodeSingularity):
+            integrate_axes(
+                lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0],
+                QuadratureSpec("gauss_legendre", 3),
+            )
+
+    def test_monte_carlo_refused(self):
+        spec = QuadratureSpec("monte_carlo")
+        with pytest.raises(DomainError):
+            integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
 
 
 class TestMonteCarlo:

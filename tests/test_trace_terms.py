@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rabi_zeta import apery, operator_oracle, quadrature, trace_terms
 from rabi_zeta.errors import DomainError, LengthMismatch
-from rabi_zeta.quadrature import QuadratureSpec, integrate_pairs, integrate_tensor
+from rabi_zeta.quadrature import QuadratureSpec, integrate_axes, integrate_pairs, integrate_tensor
 from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
@@ -206,39 +206,36 @@ class TestIntegralRoute:
         # NCHO's D_m = d^n [lam^(2m) R_m] at n = 2 needs R_m and its first two
         # derivatives; they come from one quadrature (fine and coarse level)
         # per m, where each order used to cost a quadrature of its own: a
-        # d = 2 tensor rule for m = 1 and a pair-grid pass for m = 2.
-        tensor_calls, pair_calls, points = [], [], []
+        # kernel pass between the two axes for m = 1 and a pair-grid pass for
+        # m = 2.
+        axis_calls, pair_calls, points = [], [], []
 
-        def counting_tensor(f, d, spec):
-            tensor_calls.append(d)
+        def counting(integrate, calls):
+            def run(factors, kernel, sides, combine, spec):
+                calls.append(spec)
 
-            def g(u):
-                points.append(u.shape[0])
-                return f(u)
+                def k(fa, fb, out):
+                    points.append(fa.shape[1] * fb.shape[1])
+                    kernel(fa, fb, out)
 
-            return integrate_tensor(g, d, spec)
+                return integrate(factors, k, sides, combine, spec)
 
-        def counting_pairs(factors, kernel, side, combine, spec):
-            pair_calls.append(spec)
+            return run
 
-            def k(fa, fb, out):
-                points.append(fa.shape[1] * fb.shape[1])
-                kernel(fa, fb, out)
-
-            return integrate_pairs(factors, k, side, combine, spec)
-
-        monkeypatch.setattr(quadrature, "integrate_tensor", counting_tensor)
-        monkeypatch.setattr(quadrature, "integrate_pairs", counting_pairs)
+        monkeypatch.setattr(quadrature, "integrate_axes", counting(integrate_axes, axis_calls))
+        monkeypatch.setattr(quadrature, "integrate_pairs", counting(integrate_pairs, pair_calls))
         zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, method="series_integral"))
-        assert tensor_calls == [2]
+        assert len(axis_calls) == 1
         assert len(pair_calls) == 1
-        # The m = 1 rule's 51,410 points, and for m = 2 two kernels (K and
-        # the crossed K(a, sb)) on the pair points with u0 <= u1, 51 * 52 / 2
-        # = 1326 and 25 * 26 / 2 = 325, each 64-row block against the
-        # columns from its own start on: 2 * (921,156 + 63,065) = 1,968,442
-        # kernel points, where the whole 51^2 and 25^2 pair grids took
-        # 3,465,361 + 214,945 and the full grids 51^4 + 25^4 7,155,826.
-        assert sum(points) == 2_019_852
+        # For m = 1 the 203 level-7 and 101 level-6 nodes, each 64-row block
+        # against the columns from its own start on: 26,809 + 7,833 = 34,642
+        # kernel points, where the point rule took 203^2 + 101^2 = 51,410.
+        # For m = 2 two kernels (K and the crossed K(a, sb)) on the
+        # pair points with u0 <= u1, 51 * 52 / 2 = 1326 and 25 * 26 / 2 =
+        # 325: 2 * (921,156 + 63,065) = 1,968,442 kernel points, where the
+        # whole 51^2 and 25^2 pair grids took 3,465,361 + 214,945 and the
+        # full grids 51^4 + 25^4 7,155,826.
+        assert sum(points) == 34_642 + 1_968_442
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -299,6 +296,85 @@ def _full_grid_pair_sum(factors, kernel, side, nodes, weights):
         kl = k[:, stop - start :] @ parts[stop:]
         upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
     return total + upper.T
+
+
+_AXIS_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(2.5)]
+
+
+def _row_or_error(route):
+    """route()'s rows, else the type of the exception it raised."""
+    try:
+        return route()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+
+
+class TestAxisSeparableM1:
+    """m = 1 on a deterministic rule is one kernel pass between the axes u and
+    v; the point-by-point 2-D rule is its reference."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("tanh_sinh", 7),
+         QuadratureSpec("gauss_legendre", 64)],
+    )
+    @pytest.mark.parametrize("family", _AXIS_FAMILIES)
+    def test_matches_point_rule(self, family, spec):
+        # Converged entries (abs_error below 1e-8 of the value) agree to
+        # 1e-15 relative, the others within their bar; both routes raise
+        # the same exception type, if any.
+        eps, orders = 0.1, (0, 1, 2, 3)
+        for g, lam in itertools.product((0.2, 1.0, -0.7), (0.3, 1.2 + 0.3j, 0.15 + 2j)):
+            got = _row_or_error(
+                lambda: trace_terms._integral_row(family, lam, g, eps, 1, orders, spec)
+            )
+            want = _row_or_error(
+                lambda: integrate_tensor(_integrand(family, lam, eps, g, 1, orders), 2, spec)
+            )
+            if isinstance(want, type):
+                assert got is want, (g, lam)
+                continue
+            for k, ref in zip(orders, want):
+                diff = abs(got[k].value - ref.value)
+                if ref.abs_error < 1e-8 * abs(ref.value):
+                    assert diff <= 1e-15 * abs(ref.value), (g, lam, k)
+                else:
+                    assert diff <= ref.abs_error, (g, lam, k)
+                assert got[k].terms_used == ref.terms_used
+
+    @pytest.mark.parametrize("g", [0.2, -0.7])
+    @pytest.mark.parametrize("family", _AXIS_FAMILIES)
+    def test_kernel_is_its_own_transpose(self, family, g):
+        # integrate_axes evaluates each unordered block pair once: the
+        # kernel on the level-7 nodes, corners included, must be symmetric
+        # bit for bit.
+        factors, kernel = trace_terms._axis_kernel(family, g)
+        rows = factors(quadrature.tanh_sinh_nodes(7)[0])
+        k = _fresh_block(kernel, rows, rows)
+        assert k.tobytes() == k.T.tobytes(order="C")
+
+    @pytest.mark.parametrize("family", _AXIS_FAMILIES)
+    def test_reused_scratch_gives_fresh_blocks(self, family):
+        # Every block of the level-7 rule written over NaN scratch, as
+        # _upper_gram lays it out, equals the block written into fresh
+        # arrays, bit for bit.
+        factors, kernel = trace_terms._axis_kernel(family, 0.45)
+        rows = factors(quadrature.tanh_sinh_nodes(7)[0])
+        n = rows.shape[1]
+        scratch = np.full((quadrature._PAIR_BUFFERS, quadrature._PAIR_BLOCK * n), np.nan)
+        for start in range(0, n, quadrature._PAIR_BLOCK):
+            stop = min(start + quadrature._PAIR_BLOCK, n)
+            width, cols = stop - start, n - start
+            out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
+            kernel(rows[:, start:stop], rows[:, start:], out)
+            fresh = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
+            assert out[0].tobytes(order="C") == fresh.tobytes()
+            scratch.fill(np.nan)
+
+    def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "integrate_axes", None)
+        spec = QuadratureSpec("monte_carlo", samples=1000)
+        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, spec=spec).terms_used == 1000
 
 
 class TestPairSeparableM2:
