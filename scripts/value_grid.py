@@ -15,11 +15,15 @@ poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
 where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
 period stays, where it widens and near poles, dn_r_m_integral for every
-family at m <= 3 and orders 0-3 (m = 2 also under a Gauss-Legendre and a
-Monte Carlo spec, and at g = 0.45 and 1.0), and a sha256 digest of
-apery_classic(130).  --small keeps trunc_n 100, one lambda of each kind
-per model (the real one at n = 4), m <= 2 on the operator routes and m = 1
-on the integral route, plus one m = 3 integral.
+family at m <= 3 and orders 0-3 (m = 1 and 2 also under a Gauss-Legendre
+and a Monte Carlo spec, m = 2 at g = 0.45 and 1.0, and m = 3 under a
+tanh-sinh spec, which is refused), every route of the Psi families at
+huge couplings (g = 100 and 150, where values stand; g = 200, where the
+m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by series and
+by quadrature and j_delta by series and by recurrence at n = 0-3, and a
+sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
+lambda of each kind per model (the real one at n = 4), m <= 2 on the
+operator routes and m = 1 on the integral route, plus one m = 3 integral.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of
@@ -52,6 +56,10 @@ SWEEP_POINTS = [
 ]
 EPS = 0.1
 APERY_N_MAX = 130
+# Couplings of the Psi families: values stand at 100 and 150; the m = 1
+# kernel's radicand overflows at 200 (sinh^2 2g does from 177.8 on) and
+# cosh 2g itself at 400 (from 355.2 on).
+HUGE_COUPLINGS = (100.0, 150.0, 200.0, 400.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +72,7 @@ class Digest:
 def entries(small: bool) -> list:
     """[(id, thunk)] of the grid, in a fixed order.  Only --out imports the
     library: --compare reads two grids with the standard library alone."""
-    from rabi_zeta.apery import apery_classic
+    from rabi_zeta.apery import apery_classic, j_delta, j_flat
     from rabi_zeta.operator_oracle import (
         BergmanNu,
         Ncho,
@@ -74,7 +82,16 @@ def entries(small: bool) -> list:
         zeta_eigen_oracle,
     )
     from rabi_zeta.quadrature import QuadratureSpec
-    from rabi_zeta.trace_terms import FLAT, MINUS, PLUS, Nu, dn_r_m_family_operator, dn_r_m_integral
+    from rabi_zeta.trace_terms import (
+        FLAT,
+        MINUS,
+        PLUS,
+        Nu,
+        dn_r_m_family_operator,
+        dn_r_m_integral,
+        r_1_hypergeometric,
+        r_1_series,
+    )
     from rabi_zeta.zeta_values import ZetaRequest, parity_difference, zeta_value
 
     # Per model: lambda real, complex, negative before the first pole of the
@@ -88,9 +105,10 @@ def entries(small: bool) -> list:
     # The eigen oracle's probe period widens to 256 and 512 here.
     eigen_widening = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
     families = [FLAT, PLUS, MINUS, Nu(0.7)]
-    # The m = 2 integral under the two rules besides the default tanh-sinh one.
-    m2_specs = [QuadratureSpec("gauss_legendre", 16),
-                QuadratureSpec("monte_carlo", samples=100_000)]
+    # The m = 1 and 2 integrals under the two rules besides the default
+    # tanh-sinh one.
+    other_specs = [QuadratureSpec("gauss_legendre", 16),
+                   QuadratureSpec("monte_carlo", samples=100_000)]
     # The m = 2 integral at strong coupling, where Psi's pair rows cancel most.
     m2_couplings = (0.45, 1.0)
     out = []
@@ -142,14 +160,21 @@ def entries(small: bool) -> list:
         out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
                     lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
     else:
-        for spec in m2_specs:
-            for family in families:
-                for lam in (0.9, 0.9 + 0.3j):
-                    for k in range(4):
-                        args = (family, lam, 0.2, EPS, 2, k, spec)
-                        out.append((f"dn_r_m_integral {family} lam={lam!r} m=2 n={k} "
-                                    f"spec={spec.scheme}",
-                                    lambda args=args: dn_r_m_integral(*args)))
+        for m in (1, 2):
+            for spec in other_specs:
+                for family in families:
+                    for lam in (0.9, 0.9 + 0.3j):
+                        for k in range(4):
+                            args = (family, lam, 0.2, EPS, m, k, spec)
+                            out.append((f"dn_r_m_integral {family} lam={lam!r} m={m} n={k} "
+                                        f"spec={spec.scheme}",
+                                        lambda args=args: dn_r_m_integral(*args)))
+        # A tensor spec at m = 3 is refused: no tensor rule reaches six axes.
+        for family in families:
+            for lam in (0.9, 0.9 + 0.3j):
+                args = (family, lam, 0.2, EPS, 3, 0, QuadratureSpec("tanh_sinh", 5))
+                out.append((f"dn_r_m_integral {family} lam={lam!r} m=3 n=0 spec=tanh_sinh",
+                            lambda args=args: dn_r_m_integral(*args)))
         for g in m2_couplings:
             for family in families:
                 for lam in (0.9, 0.9 + 0.3j):
@@ -157,6 +182,35 @@ def entries(small: bool) -> list:
                         args = (family, lam, g, EPS, 2, k)
                         out.append((f"dn_r_m_integral {family} lam={lam!r} m=2 n={k} g={g}",
                                     lambda args=args: dn_r_m_integral(*args)))
+        for g in HUGE_COUPLINGS:
+            for family in families[1:]:
+                for m in (1, 2):
+                    for k in (0, 2):
+                        args = (family, 1.2, g, EPS, m, k)
+                        out.append((f"dn_r_m_integral {family} lam=1.2 m={m} n={k} g={g}",
+                                    lambda args=args: dn_r_m_integral(*args)))
+                args = (family, 1.2, g, EPS, 1, 0)
+                out.append((f"dn_r_m_family_operator {family} lam=1.2 m=1 n=0 g={g}",
+                            lambda args=args: dn_r_m_family_operator(*args)))
+            for family in families[1:3]:
+                out.append((f"r_1_series {family} lam=1.2 g={g}",
+                            lambda a=(family, 1.2, g, EPS): r_1_series(*a)))
+            for delta in (1, -1):
+                out.append((f"r_1_hypergeometric delta={delta} lam=1.2 g={g}",
+                            lambda a=(delta, 1.2, g, EPS): r_1_hypergeometric(*a)))
+            for method in METHODS:
+                req = ZetaRequest(TwoPhoton(g, 0.01, EPS), 2, 1.0, method=method)
+                out.append((f"zeta {method} TwoPhoton g={g} n=2 lam=1.0",
+                            lambda req=req: zeta_value(req)))
+        for lam in (0.9, 0.9 + 0.3j):
+            for k in range(4):
+                for method in ("series", "quadrature"):
+                    out.append((f"j_flat {method} n={k} lam={lam!r}",
+                                lambda a=(k, lam, EPS, method): j_flat(*a)))
+                for delta in (1, -1):
+                    for method in ("series", "recurrence"):
+                        out.append((f"j_delta {method} delta={delta} n={k} lam={lam!r}",
+                                    lambda a=(k, delta, lam, EPS, method): j_delta(*a)))
         out.append((f"apery_classic n_max={APERY_N_MAX}",
                      lambda: Digest(hashlib.sha256(repr(apery_classic(APERY_N_MAX)).encode())
                                     .hexdigest())))
@@ -171,6 +225,8 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, (bool, str)) or x is None:
         return x
+    if hasattr(x, "item"):  # a numpy scalar, written as the number it holds
+        x = x.item()
     return repr(x)
 
 

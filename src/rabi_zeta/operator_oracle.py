@@ -165,6 +165,16 @@ class Ncho(_FiniteParams):
 ModelSpec = OnePhoton | TwoPhoton | BergmanNu | Ncho
 
 
+def coupling_hyperbolics(g: float) -> tuple[float, float]:
+    """(cosh 2g, sinh 2g), from which every Bergman matrix element and Psi
+    kernel is formed, or DomainError where cosh 2g leaves the float range
+    (|g| > 355.2)."""
+    try:
+        return math.cosh(2 * g), math.sinh(2 * g)
+    except OverflowError:
+        raise DomainError(f"g={g} is too large: cosh(2g) overflows a float beyond |g| = 355.2") from None
+
+
 @dataclass(frozen=True)
 class Component:
     """One shifted component operator: its basis ("fock" or "bergman"), its
@@ -216,8 +226,9 @@ class Component:
         ks = np.arange(N, dtype=float)
         if self.basis == "fock":
             return ks + g * g + shift, sign * g * np.sqrt(ks[:-1] + 1.0)
+        ch, sh = coupling_hyperbolics(g)
         root = np.sqrt((ks[:-1] + 1.0) * (ks[:-1] + self.nu))
-        return math.cosh(2 * g) * (2 * ks + self.nu) + shift, sign * math.sinh(2 * g) * root
+        return ch * (2 * ks + self.nu) + shift, sign * sh * root
 
 
 # Trace families: each R_m is the signed sum of its family's component traces.

@@ -5,12 +5,12 @@ representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
 Every kernel reads one description: the factor rows of each axis pair of
-a point (_pair_factors), or at m = 1 those of each axis (_axis_kernel).
-The point-by-point integrand (m = 3 and Monte Carlo specs) runs on axis
-rows, one contiguous row per coordinate of a block.  On a deterministic
-rule the m = 1 term is a symmetric kernel between its two axes, which
-quadrature.integrate_axes writes block by block, and the m = 2 term one
-between the two axis-pair grids, which quadrature.integrate_pairs writes.
+a point (_pair_factors), or at m = 1 those of each axis (_axis_kernel), and
+every integrand one row rule (_log_rows): prod u_j^e_j (sum_j log u_j)^k.
+The spec picks the rule.  Monte Carlo runs the point integrand on axis rows
+at any m <= 3; a tensor rule takes m = 1 as a symmetric kernel between its
+two axes (quadrature.integrate_axes, block by block), m = 2 as one between
+the axis-pair grids (quadrature.integrate_pairs), and refuses m = 3.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from . import apery, operator_oracle, quadrature
-from .errors import DomainError, LengthMismatch, NoConvergence, PoleError
+from .errors import DomainError, LengthMismatch, NodeSingularity, NoConvergence, PoleError
 
 # The trace families live beside operator_oracle.Component and are re-exported.
 from .operator_oracle import FLAT, MINUS, PLUS, Flat, Minus, Nu, Plus, TraceFamily  # noqa: F401
+from .operator_oracle import coupling_hyperbolics
 from .specfun import (
     SeriesValue,
     hypergeometric_pfq,
@@ -67,7 +68,7 @@ def _pair_factors(family: TraceFamily, g: float):
 
         return factors
 
-    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
+    ch, sh = coupling_hyperbolics(g)
     c2, s2, cs, z = ch * ch, sh * sh, ch * sh, sh / math.sqrt(2.0)
 
     def factors(pts):
@@ -109,7 +110,7 @@ def _psi_trace(g: float, rows: np.ndarray) -> np.ndarray:
     """Psi_m = tr prod_i P_i, P = Pbar + (zeta / sqrt 2) K, from Psi's factor
     rows, each (m, npts): each P_i is written over its Pbar rows, and each
     row [x, y] of the product is right-multiplied in place by the next."""
-    ch, sh = math.cosh(2 * g), math.sinh(2 * g)
+    ch, sh = coupling_hyperbolics(g)
     q, zeta = rows[:4], rows[4]
     zeta /= math.sqrt(2.0)
     work = np.empty_like(zeta)
@@ -200,11 +201,15 @@ def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
 def _axis_root(cross, uv, sign: float, term, out) -> np.ndarray:
     """sqrt(((1 + sign uv)^2 + cross) / uv), the root of Psi_1 + 2 sign from
     its factorized form, written over out; term is scratch and may be out.
-    The radicand is floored at 1e-300 (it is >= 4 for sign = 1)."""
+    The radicand is floored at 1e-300 (it is >= 4 for sign = 1).  Where it
+    overflows (from |g| of about 159 on) the kernel cannot be formed, and
+    NodeSingularity is raised, as Nu's non-finite kernel raises it."""
     (np.add if sign > 0 else np.subtract)(1.0, uv, out=term)
     np.square(term, out=term)
     np.add(term, cross, out=out)
     out /= uv
+    if not out.max() < math.inf:
+        raise NodeSingularity("the m = 1 kernel's radicand overflows at an interior node")
     return np.sqrt(np.maximum(out, 1e-300, out=out), out=out)
 
 
@@ -235,7 +240,7 @@ def _axis_kernel(family: TraceFamily, g: float):
 
         return factors, kernel
 
-    sh = math.sinh(2.0 * g)
+    sh = coupling_hyperbolics(g)[1]
 
     def factors(u):
         return np.stack([sh * (1.0 - u * u), u])
@@ -283,38 +288,39 @@ def _exponent_vector(m: int, lam: complex, eps: complex) -> np.ndarray:
     return e
 
 
-def _weight(logs: np.ndarray, evec: np.ndarray) -> np.ndarray:
-    """prod_j u_j^e_j = exp(sum_j e_j log u_j) on axis rows of log u, the sum
-    taken row by row: the complex mat-vec evec @ logs would wake numpy's own
-    BLAS thread pool, which stalls for milliseconds after a scipy LAPACK
-    call."""
+def _log_rows(logs: np.ndarray, evec: np.ndarray, orders, kernel=None) -> np.ndarray:
+    """Rows w K (sum_j log u_j)^k for k in orders on axis rows of log u, w =
+    prod_j u_j^e_j = exp(sum_j e_j log u_j) and K the real point kernel (1
+    when None).  The exponent is summed row by row: the complex mat-vec
+    evec @ logs would wake numpy's own BLAS thread pool, which stalls for
+    milliseconds after a scipy LAPACK call.  K multiplies w once, before
+    the log powers."""
     exponent = logs[0] * evec[0]
     for j in range(1, len(evec)):
         exponent += logs[j] * evec[j]
-    return np.exp(exponent, out=exponent)
+    weighted = np.exp(exponent, out=exponent)
+    if kernel is not None:
+        weighted *= kernel
+    out = np.empty((len(orders),) + weighted.shape, dtype=complex)
+    if any(orders):
+        log_sum = reduce(np.add, logs)
+    for row, k in zip(out, orders):
+        if k:
+            np.multiply(weighted, log_sum**k, out=row)
+        else:
+            row[...] = weighted
+    return out
 
 
 def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int, orders):
-    """Rows K * w * (sum_j log u_j)^k for k in orders, integrating to d^k R_m / d lam^k.
-    Each (npts, 2m) point block is transposed once to axis rows."""
+    """The point rule: rows K w (sum_j log u_j)^k for k in orders (_log_rows),
+    integrating to d^k R_m / d lam^k.  Each (npts, 2m) point block is
+    transposed once to axis rows."""
     evec = _exponent_vector(m, lam, eps)
 
     def f(u: np.ndarray) -> np.ndarray:
         ut = np.ascontiguousarray(u.T)
-        logs = np.log(ut)
-        weighted = _weight(logs, evec)
-        weighted *= _point_kernel(family, g, m, ut)
-        out = np.empty((len(orders), ut.shape[1]), dtype=complex)
-        if any(orders):
-            log_sum = logs[0] + logs[1]
-            for row in logs[2:]:
-                log_sum += row
-        for row, k in zip(out, orders):
-            if k:
-                np.multiply(weighted, log_sum**k, out=row)
-            else:
-                row[...] = weighted
-        return out
+        return _log_rows(np.log(ut), evec, orders, _point_kernel(family, g, m, ut))
 
     return f
 
@@ -388,15 +394,14 @@ def _axis_row(family: TraceFamily, lam, eps, g: float, orders, spec):
     """The m = 1 integrand rows as one symmetric kernel (_axis_kernel)
     between the axes u and v.  The weight u^(lam+eps-1) v^(lam-eps-1) and
     log u + log v split between the axes, with the sides V_i = u^(lam+eps-1)
-    (log u)^i and W_i = v^(lam-eps-1) (log v)^i, so order k is
-    sum_i C(k, i) G[V_i, W_(k-i)] and one kernel pass serves every order."""
+    (log u)^i and W_i = v^(lam-eps-1) (log v)^i (_log_rows per axis), so
+    order k is sum_i C(k, i) G[V_i, W_(k-i)] and one pass serves them all."""
     evec = _exponent_vector(1, lam, eps)
     top = max(orders)
 
     def sides(u):
-        logs = np.log(u)
-        powers = [logs**i if i else 1.0 for i in range(top + 1)]
-        return np.stack([np.exp(e * logs) * p for e in evec for p in powers])
+        logs = np.log(u)[None]
+        return np.concatenate([_log_rows(logs, (e,), range(top + 1)) for e in evec])
 
     def combine(gram):
         return _binomial_orders(gram[: top + 1, top + 1 :], orders)
@@ -407,16 +412,13 @@ def _axis_row(family: TraceFamily, lam, eps, g: float, orders, spec):
 def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
     """The m = 2 integrand rows as one symmetric kernel (_pair_kernel)
     between the axis pairs a = (u0, u1) and b = (u2, u3).  The weight and
-    sum log u split between the pairs, so (L_a + L_b)^k expands binomially
-    and one kernel pass serves every order."""
+    sum log u split between the pairs (_log_rows on each), so (L_a + L_b)^k
+    expands binomially and one kernel pass serves every order."""
     evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
     top = max(orders)
 
     def side(pts):
-        logs = np.log(pts)
-        weight = _weight(logs, evec)
-        log_sum = logs[0] + logs[1]
-        return np.stack([weight * log_sum**i if i else weight for i in range(top + 1)])
+        return _log_rows(np.log(pts), evec, range(top + 1))
 
     return quadrature.integrate_pairs(
         *_pair_kernel(family, g), side, lambda gram: _binomial_orders(gram, orders), spec
@@ -466,9 +468,10 @@ def _require_finite_inputs(lam, g, eps) -> None:
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4.  On a tensor rule m = 1 is a kernel between its two axes
-    (_axis_row) and m = 2 one between its axis pairs (_pair_row); m = 3 and
-    any Monte Carlo spec integrate the point-by-point integrand."""
+    for m >= 4.  The spec alone picks the rule: Monte Carlo integrates the
+    point integrand (_integrand) at any m; a tensor spec takes m = 1 as a
+    kernel between its two axes (_axis_row), m = 2 as one between its axis
+    pairs (_pair_row), and refuses m = 3 with DomainError."""
     _require_finite_inputs(lam, g, eps)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -484,14 +487,13 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
             f"got lam={lam}, eps={eps} for {family}"
         )
     spec = spec or _DEFAULT_SPECS[m]
-    if m < 3 and spec.scheme != "monte_carlo":
-        rule = _axis_row if m == 1 else _pair_row
-        return dict(zip(orders, rule(family, lam, eps, g, orders, spec)))
-    f = _integrand(family, lam, eps, g, m, orders)
     if spec.scheme == "monte_carlo":
+        f = _integrand(family, lam, eps, g, m, orders)
         row = quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
+    elif m == 3:
+        raise DomainError(f"the m = 3 integral takes a monte_carlo spec, got {spec.scheme!r}")
     else:
-        row = quadrature.integrate_tensor(f, 2 * m, spec)
+        row = (_axis_row if m == 1 else _pair_row)(family, lam, eps, g, orders, spec)
     return dict(zip(orders, row))
 
 
@@ -505,9 +507,9 @@ def r_m_integral(
 ) -> SeriesValue:
     """R_m by the 2m-dimensional integral representation of the family.
 
-    m in {1, 2} uses deterministic tanh-sinh tensor quadrature (a kernel
-    between the two axes at m = 1, between the axis pairs at m = 2), m = 3
-    Monte Carlo, m >= 4 delegates to the operator oracle.
+    m in {1, 2} defaults to tanh-sinh tensor quadrature (a kernel between
+    the two axes at m = 1, between the axis pairs at m = 2), m = 3 takes a
+    Monte Carlo spec only (DomainError otherwise), m >= 4 the operator oracle.
     """
     return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 
@@ -566,7 +568,7 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
         raise DomainError(f"r_1_series supports Flat, Plus or Minus, got {family}")
     delta = int(components[1].sign)
     t2 = math.tanh(2 * g) ** 2
-    sech = 1.0 / math.cosh(2 * g)
+    sech = 1.0 / coupling_hyperbolics(g)[0]
     total = 0.0 + 0.0j
     coeff = 1.0
     for n in range(300):
@@ -595,7 +597,7 @@ def r_1_hypergeometric(delta: int, lam: complex, g: float, eps: complex) -> Seri
     if m_int != 0 and abs(eps - m_int) <= 1e-9:
         raise PoleError(f"eps={eps} is within 1e-9 of the nonzero integer {m_int}")
     t2 = math.tanh(2 * g) ** 2
-    sech = 1.0 / math.cosh(2 * g)
+    sech = 1.0 / coupling_hyperbolics(g)[0]
     front = hypergeometric_pfq([0.5, 0.5 + lam, 0.5 - lam], [1 + eps, 1 - eps], t2)
     ksum = sum_inverse_pair(lam + eps + 0.5, lam - eps + 0.5, alternating=(delta == -1))
     corr = 0.0 + 0.0j

@@ -114,6 +114,29 @@ class TestZeta:
         assert code == 2 and out == ""
         assert err == "domain error: g must be finite, got nan\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace-term", "--family", "plus", "--route", route, "--m", "1", "--lambda", "1.2",
+             "--g", "400", "--eps", "0.1"]
+            for route in ("integral", "operator", "series")
+        ]
+        + [
+            ["zeta", "--model", "2pqrm", "--n", "2", "--lambda", "1.0", "--g", "400",
+             "--delta", "0.01", "--eps", "0.1", "--method", method]
+            for method in ("series_operator", "series_integral", "eigen_oracle")
+        ]
+        + [["zeta", "--model", "bergman", "--nu", "0.7", "--n", "2", "--lambda", "1.0",
+            "--g", "400", "--delta", "0.01", "--eps", "0.1", "--method", "eigen_oracle"]],
+    )
+    def test_huge_coupling_exit(self, capsys, argv):
+        # Beyond |g| = 355.2 cosh 2g overflows: every route of a Bergman
+        # model or Psi family used to exit 1 with a bare OverflowError.
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: g=400.0 is too large")
+
     @pytest.mark.parametrize("method", ["series_operator", "series_integral", "eigen_oracle"])
     @pytest.mark.parametrize("trunc_n,expected", [("8", 0), ("7", 2), ("4", 2), ("-4", 2)])
     def test_small_truncation(self, capsys, method, trunc_n, expected):

@@ -258,6 +258,17 @@ class TestTypedErrors:
             with pytest.raises(DomainError, match="g must be finite"):
                 TraceDerivativeSweep(Component(basis, nu), g, 0.9, 0.1, 2, 60)
 
+    @pytest.mark.parametrize("g", [400.0, -400.0])
+    def test_huge_coupling_is_a_domain_error(self, g):
+        # cosh 2g overflows beyond |g| = 355.2; the Bergman matrix elements
+        # used to raise a bare OverflowError there.  Fock's do not read it.
+        with pytest.raises(DomainError, match="is too large"):
+            Component("bergman", 0.5).entries(g, 0.1, +1, 8)
+        with pytest.raises(DomainError, match="is too large"):
+            operator_oracle.coupling_hyperbolics(g)
+        assert np.all(np.isfinite(Component("fock").entries(g, 0.1, +1, 8)[0]))
+        assert operator_oracle.coupling_hyperbolics(355.0)[0] < math.inf
+
 
 class TestPoleGuards:
     def test_shift_on_grid_raises(self):

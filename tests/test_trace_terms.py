@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabi_zeta import apery, operator_oracle, quadrature, trace_terms
-from rabi_zeta.errors import DomainError, LengthMismatch
+from rabi_zeta.errors import DomainError, LengthMismatch, NodeSingularity
 from rabi_zeta.quadrature import QuadratureSpec, integrate_axes, integrate_pairs, integrate_tensor
 from rabi_zeta.trace_terms import (
     FLAT,
@@ -236,6 +236,22 @@ class TestIntegralRoute:
         # whole 51^2 and 25^2 pair grids took 3,465,361 + 214,945 and the
         # full grids 51^4 + 25^4 7,155,826.
         assert sum(points) == 34_642 + 1_968_442
+
+    @pytest.mark.parametrize(
+        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
+    )
+    @pytest.mark.parametrize("family", [FLAT, PLUS])
+    def test_m3_tensor_spec_is_refused(self, family, spec, monkeypatch):
+        # No tensor rule reaches the six axes of m = 3: a tensor spec is
+        # refused with a message that names the scheme that does, before any
+        # rule is tried.
+        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
+                     "integrate_monte_carlo"):
+            monkeypatch.setattr(quadrature, name, _refuse)
+        with pytest.raises(DomainError, match="monte_carlo"):
+            r_m_integral(family, 1.2, 0.2, 0.1, 3, spec=spec)
+        with pytest.raises(DomainError, match="monte_carlo"):
+            dn_r_m_integral(family, 1.2, 0.2, 0.1, 3, 2, spec=spec)
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -585,6 +601,60 @@ class TestNonFiniteInputs:
         name, (lam, g, eps) = point
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             trace_terms.dn_r_m_family_operator(PLUS, lam, g, eps, 2, 1, 100)
+
+
+class TestHugeCoupling:
+    # cosh 2g leaves the float range beyond |g| = 355.2, and every route of
+    # the Psi families forms it: each raises DomainError naming g, where
+    # they used to raise a bare OverflowError (CLI exit 1).
+    _TOO_LARGE = r"g=-?400(\.0)? is too large"
+
+    @pytest.mark.parametrize("g", [400.0, -400.0])
+    @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
+    @pytest.mark.parametrize(
+        "m,spec", [(1, None), (2, None), (1, QuadratureSpec("monte_carlo", samples=1000)),
+                   (3, None)]
+    )
+    def test_integral_route(self, family, m, spec, g):
+        with pytest.raises(DomainError, match=self._TOO_LARGE):
+            dn_r_m_integral(family, 1.2, g, 0.1, m, 2, spec=spec)
+
+    @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
+    def test_operator_route(self, family):
+        with pytest.raises(DomainError, match=self._TOO_LARGE):
+            trace_terms.dn_r_m_family_operator(family, 1.2, 400.0, 0.1, 1, 0, 100)
+
+    @pytest.mark.parametrize("family", [PLUS, MINUS])
+    def test_series_route(self, family):
+        with pytest.raises(DomainError, match=self._TOO_LARGE):
+            r_1_series(family, 1.2, 400.0, 0.1)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_hypergeometric_route(self, delta):
+        with pytest.raises(DomainError, match=self._TOO_LARGE):
+            r_1_hypergeometric(delta, 1.2, 400.0, 0.1)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_psi_kernel(self, m):
+        with pytest.raises(DomainError, match=self._TOO_LARGE):
+            psi(m, 400.0, [0.3, 0.4] * m)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("family", [PLUS, MINUS])
+    def test_m1_kernel_that_overflows_is_refused(self, family, n):
+        # From g of about 159 on the m = 1 kernel's radicand overflows; from
+        # 177.8 on sinh^2 2g does.  Plus and Minus read 1 / root there and
+        # returned 0 with abs_error 0; they now raise NodeSingularity, as
+        # Nu's kernel and the m = 2 pair rule do.
+        with pytest.raises(NodeSingularity):
+            dn_r_m_integral(family, 1.2, 200.0, 0.1, 1, n)
+
+    @pytest.mark.parametrize("family", [PLUS, MINUS])
+    def test_values_below_the_overflow_stand(self, family):
+        value = r_m_integral(family, 1.2, 100.0, 0.1, 1)
+        assert value.value == pytest.approx(3.3963774802176746e-87, rel=1e-12)
+        assert 0 < value.abs_error < 1e-94
 
 
 class TestFamilyValidation:
