@@ -127,7 +127,7 @@ def j_flat(
         )
         total += complex(np.sum(terms))
         k0 += _BLOCK
-        bound = abs(terms[-1]) * (k0 + n) / (n + 1)
+        bound = float(abs(terms[-1])) * (k0 + n) / (n + 1)
         if bound < tol:
             return SeriesValue(total, bound + 1e-15 * abs(total), k0, True)
     raise NoConvergence(f"flat J series did not reach tol={tol} in {_MAX_SERIES_TERMS} terms")

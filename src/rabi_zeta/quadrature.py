@@ -12,17 +12,17 @@ without ever touching them.
 
 integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
 integrands that split between two halves of the coordinates, the axes u and
-v, or the axis pairs (u0, u1) and (u2, u3): a real symmetric kernel K between
-the two halves' grids, contracted with the sides on both of them block by
-block (_upper_gram), so the full grid is never held in memory.  The caller
-gives per-point factor rows, computed once per level, and a kernel that
-writes each block from slices of them into scratch arrays that _upper_gram
+v, or two axis pairs a and b: a real symmetric kernel K between the two
+halves' points, contracted with the sides on both of them block by block
+(_upper_gram), so the full grid is never held in memory.  The caller gives
+per-point factor rows, computed once per level, and a kernel that writes
+each block from slices of them into scratch arrays that _upper_gram
 allocates once per pass and reuses for every block.  The kernel must satisfy
 K(a, b) == K(b, a): each unordered block pair is evaluated once, and the
 blocks below the diagonal are the transposes of those above it.  The pair
-rule also needs K(sa, sb) == K(a, b), s the swap (u0, u1) -> (u1, u0) inside
-a pair, and evaluates the kernel on the n (n + 1) / 2 pair points with
-u0 <= u1 only.
+rule also needs the kernel and the sides invariant under the swap s: (x, y)
+-> (y, x) inside a pair, so it is the axis rule lifted to the n (n + 1) / 2
+pair points with x <= y, whose weights count their swaps.
 """
 
 from __future__ import annotations
@@ -43,13 +43,16 @@ _CHUNK = 1 << 17
 
 #: Left grid rows per kernel block in _upper_gram (integrate_pairs and
 #: integrate_axes).  At the default m = 2 rule (51 nodes per axis, 1326 pair
-#: points with u0 <= u1) each of the block's scratch arrays is at most
-#: 64 x 1326 doubles, 0.7 MB; no array grows with the full grid.  On a 2-core Xeon an m = 2 integral took 27.6 ms
-#: with 64-row blocks, 29.8 ms with 32, 32.4 ms with 128 and 40.1 ms with 256
-#: (medians of 7 alternated runs over four families).  The block size also
-#: groups the matrix product sums, so other sizes move the values in their
-#: last bits: 64 stays.  The m = 1 axis rule (203 nodes at level 7) takes
-#: four blocks per level.
+#: points with x <= y) each of the block's scratch arrays is at most
+#: 64 x 1326 doubles, 0.7 MB; no array grows with the full grid.  On a
+#: 2-core Xeon an m = 2 integral (lam = 1.2, g = 0.45, order 0; medians of 7
+#: alternated runs, three passes) took, over Flat, Plus, Minus and Nu(0.7),
+#: 9.9-11.6, 6.6-7.2, 6.5-7.8 and 12.7-12.8 ms with 64-row blocks,
+#: 10.4-11.1, 6.9-7.5, 7.2-7.3 and 11.9-12.6 ms with 32, and 12.7-15.0,
+#: 8.3-9.7, 8.4-9.5 and 15.3-16.5 ms with 128.  No size wins on all four,
+#: and the block size also groups the matrix product sums, so other sizes
+#: move the values in their last bits: 64 stays.  The m = 1 axis rule (203
+#: nodes at level 7) takes four blocks per level.
 _PAIR_BLOCK = 64
 
 #: Scratch arrays per kernel block in _upper_gram: the block and two work
@@ -218,15 +221,21 @@ def _upper_gram(kernel, rows_a, rows_b, z: np.ndarray) -> np.ndarray:
         k = _require_finite(out[0], "kernel")
         diag = k[:, :width]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
-            raise DomainError(
-                "the kernel must satisfy kernel(a, b) == kernel(b, a).T (and, for "
-                "integrate_pairs, be invariant under swapping the coordinates inside both pairs)"
-            )
+            raise DomainError("the kernel must satisfy kernel(a, b) == kernel(b, a).T")
         kl = dgemm(1.0, k[:, width:], parts[stop:].T, trans_b=1)
         kr = dgemm(1.0, diag, parts[start:stop].T, 1.0, kl, trans_b=1)
         total += z[:, start:stop] @ (kr[:, :nz] + 1j * kr[:, nz:])
         upper += z[:, start:stop] @ (kl[:, :nz] + 1j * kl[:, nz:])
     return total + upper.T
+
+
+def _gram_level(factors, kernel, sides, points, q, what: str):
+    """The level sum of integrate_axes and integrate_pairs: G = Z K Z^T, Z =
+    sides(points) q, with K between the columns of points from their factor
+    rows, one _upper_gram.  Returns G, the unweighted sides and the rows."""
+    z = _require_finite(sides(points), what)
+    rows = _require_finite(factors(points), "factors")
+    return _upper_gram(kernel, rows, rows, z * q), z, rows
 
 
 def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
@@ -249,66 +258,81 @@ def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
     """
 
     def level_sum(nodes, weights):
-        z = _require_finite(sides(nodes) * weights, "axis side")
-        rows = factors(nodes)
-        return combine(_upper_gram(kernel, rows, rows, z))
+        return combine(_gram_level(factors, kernel, sides, nodes, weights, "axis side")[0])
 
     return _two_level(level_sum, 2, spec, "integrate_axes")
 
 
-def _pair_sum(factors, kernel, side, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G[i, j] = sum_ab q_a q_b side[i, a] K[a, b] side[j, b] over the 2-D
-    pair grid of the 1-D rule, for a kernel with K(a, b) = K(b, a) and
-    K(sa, sb) = K(a, b), s the swap (u0, u1) -> (u1, u0).
-
-    The grid is the representatives R = {u0 <= u1} and their swaps off the
-    diagonal, with q(sa) = q(a).  With V = side(R) q and W = side(sR) q,
-    zero where u0 = u1, and Z = [V; W], G is the sum of the blocks
-    (Z K Z^T)[V, V] + (Z K Z^T)[W, W] + (Z X Z^T)[V, W] + (Z X Z^T)[W, V],
-    where X(a, b) = K(a, sb); K and X are symmetric on R, so each is one
-    _upper_gram over the n (n + 1) / 2 points of R.
-    """
-    first, second = np.triu_indices(nodes.size)
-    pts = np.stack([nodes[first], nodes[second]])
-    swapped = np.stack([nodes[second], nodes[first]])
-    q = weights[first] * weights[second]
-    v = _require_finite(side(pts) * q, "pair factor")
-    w = _require_finite(side(swapped) * q, "pair factor")
-    w[:, first == second] = 0.0
-    z = np.concatenate([v, w])
-    rows = factors(pts)
-    gk = _upper_gram(kernel, rows, rows, z)
-    gx = _upper_gram(kernel, rows, factors(swapped), z)
-    n = v.shape[0]
-    return gk[:n, :n] + gk[n:, n:] + gx[:n, n:] + gx[n:, :n]
+def _kernel_block(kernel, fa, fb) -> np.ndarray:
+    """The kernel's block between two column slices of factor rows, written
+    into fresh scratch arrays."""
+    out = np.empty((_PAIR_BUFFERS, fa.shape[1], fb.shape[1]))
+    kernel(fa, fb, out)
+    return _require_finite(out[0], "kernel")
 
 
-def integrate_pairs(factors, kernel, side, combine, spec: QuadratureSpec):
+def _require_swap_invariant(factors, kernel, sides, pts, z, rows) -> None:
+    """DomainError unless the sides at the swapped pair points sides(s pts),
+    s: (x, y) -> (y, x), and the kernel K(sa, b) on the first and last
+    _PAIR_BLOCK points (the diagonal blocks that hold both endpoint clusters)
+    match the values at pts to 1e-12 relative; below the smallest normal
+    double, where no relative precision is left, they need only agree to it."""
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + np.finfo(float).tiny)
+
+    swapped = pts[::-1]
+    if not close(sides(swapped), z):
+        raise DomainError(
+            "integrate_pairs needs sides invariant under the swap (x, y) -> (y, x) inside a pair"
+        )
+    npts = pts.shape[1]
+    for cols in (slice(0, _PAIR_BLOCK), slice(max(npts - _PAIR_BLOCK, 0), npts)):
+        right = rows[:, cols]
+        left = _require_finite(factors(swapped[:, cols]), "factors")
+        if not close(_kernel_block(kernel, left, right), _kernel_block(kernel, right, right)):
+            raise DomainError(
+                "integrate_pairs needs a kernel invariant under the swap (x, y) -> (y, x) "
+                "inside a pair"
+            )
+
+
+def integrate_pairs(factors, kernel, sides, combine, spec: QuadratureSpec):
     """Tensor-product integral over (0,1)^4 of an integrand that splits
-    between the axis pairs a = (u0, u1) and b = (u2, u3):
+    between two axis pairs a and b:
 
-        rows of  combine(G),  G[i, j] = int side_i(a) K(a, b) side_j(b).
+        rows of  combine(G),  G[i, j] = int z_i(a) K(a, b) z_j(b) da db,
 
-    Pair points arrive as (2, npts) axis rows.  factors(pts) returns the
-    per-point factor rows F, an (nf, npts) array, twice per level: at the
-    points with u0 <= u1 and at their swaps.  kernel(fa, fb, out) writes the
-    real kernel K between the points of two column slices fa and fb of
-    factor rows into out[0], and may use out[1:] as scratch: out holds
-    _PAIR_BUFFERS caller-owned (|I|, |J|) column-major float arrays whose
-    contents on entry are undefined (they alias the previous block's).  K
-    must be symmetric, the block of (fb, fa) the transpose of the block of
-    (fa, fb), and invariant under the swap s: (u0, u1) -> (u1, u0) on both
-    pairs, K(sa, sb) == K(a, b).  The rule reads K(a, b) and K(a, sb) on the
-    points with u0 <= u1, each unordered pair of kernel blocks once, and a
-    diagonal block of either that is not its own transpose to 1e-12
-    relative raises DomainError.  side(a) returns (rows, npts) vectors at
-    pair points, the same function on both pairs, with no symmetry asked;
-    combine maps the matrix G to a 0-d or (rows,) array of integrals.  Same
-    nodes, levels and error estimate as integrate_tensor with d = 4.
+    for an integrand invariant under the swap s: (x, y) -> (y, x) inside each
+    pair.  It is integrate_axes lifted to pair points: one _upper_gram over
+    the representatives x <= y of the 1-D rule's pair grid, each weighted by
+    the product of its nodes' weights, doubled off the diagonal x = y for
+    its swap.  Pair points arrive as (2, npts) rows (x, y).  factors(pts)
+    returns the per-point factor rows F, an (nf, npts) array, once per
+    level.  kernel(fa, fb, out) writes the real kernel K between the points
+    of two column slices fa and fb of factor rows into out[0], and may use
+    out[1:] as scratch: out holds _PAIR_BUFFERS caller-owned (|I|, |J|)
+    float arrays, column-major in the rule, whose contents on entry are
+    undefined (they alias the previous block's).  K must be symmetric, the
+    block of (fb, fa) the transpose of the block of (fa, fb), and K(sa, b)
+    == K(a, b); sides(pts) returns the (rows, npts) vectors z_i at pair
+    points, with sides(s pts) == sides(pts), and G holds every pair of them,
+    as in integrate_axes.  A diagonal block that is not its own transpose
+    to 1e-12 relative raises DomainError, and so do sides that change under
+    s or a kernel that does on the first and last blocks of points
+    (_require_swap_invariant).  combine maps G to a 0-d or (rows,) array of
+    integrals.  Same nodes, levels and error estimate as integrate_tensor
+    with d = 4.
     """
 
     def level_sum(nodes, weights):
-        return combine(_pair_sum(factors, kernel, side, nodes, weights))
+        first, second = np.triu_indices(nodes.size)
+        pts = np.stack([nodes[first], nodes[second]])
+        q = weights[first] * weights[second]
+        q[first != second] *= 2.0
+        gram, z, rows = _gram_level(factors, kernel, sides, pts, q, "pair side")
+        _require_swap_invariant(factors, kernel, sides, pts, z, rows)
+        return combine(gram)
 
     return _two_level(level_sum, 4, spec, "integrate_pairs")
 

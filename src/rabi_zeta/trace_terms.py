@@ -4,13 +4,18 @@ The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
-Every kernel reads one description: the factor rows of each axis pair of
-a point (_pair_factors), or at m = 1 those of each axis (_axis_kernel), and
-every integrand one row rule (_log_rows): prod u_j^e_j (sum_j log u_j)^k.
-The spec picks the rule.  Monte Carlo runs the point integrand on axis rows
-at any m <= 3; a tensor rule takes m = 1 as a symmetric kernel between its
-two axes (quadrature.integrate_axes, block by block), m = 2 as one between
-the axis-pair grids (quadrature.integrate_pairs), and refuses m = 3.
+The point kernels (phi, psi and the Monte Carlo integrand at every m) read
+the factor rows of each consecutive axis pair (u_2i, u_2i+1) of a point
+(_pair_factors); the tensor rules read rows of their own: each axis at
+m = 1 (_axis_kernel), and at m = 2 each pair of axes that carries one
+exponent, (u0, u2) and (u1, u3) (_pair_kernel), whose rows form Psi_2 - 2
+as a sum of non-negative terms.  Every integrand reads one row rule
+(_log_rows): prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
+Monte Carlo runs the point integrand on axis rows at any m <= 3; a tensor
+rule takes m = 1 as a symmetric kernel between its two axes
+(quadrature.integrate_axes, block by block), m = 2 as one between the
+grids of those axis pairs on their points with x <= y
+(quadrature.integrate_pairs), and refuses m = 3.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ from .specfun import (
 
 
 def _pair_factors(family: TraceFamily, g: float):
-    """factors(pts): the family's factor rows of the axis pairs pts =
-    (u0, u1), stacked on a new first axis; Phi_m and Psi_m read only these.
+    """factors(pts): the family's factor rows of the consecutive axis pairs
+    pts = (u0, u1), stacked on a new first axis; phi, psi and the point
+    kernels (_point_kernel) read Phi_m and Psi_m from these alone, and the
+    tensor rule at m = 2 reads the rows of _pair_kernel instead.
     Flat: (h, s, t, p) = ((1 - u0)(1 - u1), u1 (1 - u0), u0 (1 - u1), u0 u1).
     Plus, Minus and Nu: the ordered product of Psi's two factors over a pair
     is P = Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g,
@@ -51,8 +58,7 @@ def _pair_factors(family: TraceFamily, g: float):
         Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
         zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),    K = [[-s, -c], [c, s]]:
 
-    rows (pbar0, pbar1, pbar2, pbar3, zeta).  The swap (u0, u1) -> (u1, u0)
-    exchanges Flat's s and t rows and negates zeta, bit for bit.
+    rows (pbar0, pbar1, pbar2, pbar3, zeta).
     """
     if isinstance(family, Flat):
 
@@ -179,11 +185,12 @@ def _roots_kernel(family: TraceFamily, sp, sm, work) -> np.ndarray:
 
 
 def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
-    """The kernel of Plus, Minus or Nu from a matrix-product Psi, written over
-    psi_val, with work two scratch arrays of its shape.  Psi - 2 is only
-    known to roundoff relative to |Psi|; flooring it at that noise scale
-    keeps corner nodes (tiny weights) harmless.  Minus reads only
-    sqrt(Psi + 2), unfloored, and Plus only sqrt(Psi - 2)."""
+    """The point kernel of Plus, Minus or Nu from a matrix-product Psi,
+    written over psi_val, with work two scratch arrays of its shape.  Psi - 2
+    is only known to roundoff relative to |Psi|; flooring it at that noise
+    scale keeps corner nodes (tiny weights) harmless.  The m = 2 tensor rule
+    forms Psi_2 - 2 without cancellation (_pair_kernel) and needs no floor.
+    Minus reads only sqrt(Psi + 2), unfloored, and Plus only sqrt(Psi - 2)."""
     if isinstance(family, Minus):
         sp = np.sqrt(np.add(psi_val, 2.0, out=psi_val), out=psi_val)
         return _roots_kernel(family, sp, None, None)
@@ -325,59 +332,97 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
     return f
 
 
-#: Psi's pair rows whose products enter Psi_2 term by term symmetrically:
-#: pbar0, pbar3 and zeta (negated on the left), one dgemm per block.
-_SQUARE_ROWS = [0, 3, 4]
+def _outer_sum(fa, fb, out) -> None:
+    """out = sum_k fa[k] (x) fb[k], one dgemm.  dgemm writes in place into the
+    F-ordered scratch of quadrature._upper_gram and returns a copy for a
+    C-ordered out, which is then written back.  Every entry sums its
+    products in the same order, so the block of (fb, fa) is the transpose
+    of that of (fa, fb)."""
+    total = dgemm(1.0, fa.T, fb.T, trans_b=1, c=out, overwrite_c=1)
+    if total is not out:
+        out[...] = total
 
 
 def _pair_kernel(family: TraceFamily, g: float):
-    """(factors, kernel): the family's m = 2 kernel K(a, b) between the pair
-    points a = (u0, u1) and b = (u2, u3), in the contract of
-    quadrature.integrate_pairs, with factors = _pair_factors(family, g).
-    kernel(fa, fb, out) writes K between the points of two column slices of
-    the factor rows into out[0], with out[1] and out[2] as scratch, from
-    Phi_2 = h(a) + h(b) + (s(a) t(b) + t(a) s(b)) and prod u = p(a) p(b), or
-    from Psi_2 = tr(Pbar(a) Pbar(b)) - zeta(a) zeta(b) (K^2 = -I and
-    tr(Pbar K) = 0).  Swapping a and b only reorders commuting operands, and
-    the swap s inside a pair exchanges s and t or negates zeta, so
-    K(sa, sb) == K(a, b) and K(a, sb) == K(b, sa) bit for bit, as
-    integrate_pairs' symmetry check needs at corner nodes; the entries of P
-    itself would round differently under s.
+    """(factors, kernel): the family's m = 2 kernel K(a, b) between the axis
+    pairs that carry one exponent, a = (u0, u2) at lam + eps - 1 and b = (u1,
+    u3) at lam - eps - 1, in the contract of quadrature.integrate_pairs.
+    Phi_2 and Psi_2 are traces of a cyclic product of four one-axis factors,
+    invariant under the dihedral group of the 4-cycle (u0 u1 u2 u3): the
+    reflection (u0 u1)(u2 u3) exchanges a and b, and the swap inside either
+    pair is a reflection too.  factors(pts) holds per pair point (x, y),
+    with p = xy and 1 - p formed as (1 - x) + x (1 - y):
 
-    Psi's square terms pbar0 pbar0' + pbar3 pbar3' - zeta zeta', each
-    symmetric on its own, are one k = 3 dgemm per block; every entry sums
-    its three products in the same order, so the block of (b, a) is the
-    transpose of that of (a, b).  The cross pair pbar1 pbar2' + pbar2 pbar1'
-    stays a sum of two outer products: swapping a and b exchanges its two
-    terms, and only a sum of two is the same in either order, so a 5-term
-    product would fail the symmetry check at corner nodes.  dgemm writes in
-    place into the F-ordered scratch of _upper_gram and returns a copy for
-    a C-ordered out[0], which is then written back.
+      Flat: f = (1 - x, 1 - y, (1 - x) y, x (1 - y), p), and
+            Phi_2 = f0 f0' + f1 f1' + (f2 f3' + f3 f2'),  prod u = p p';
+      Psi:  (e, t, d, sqrt 2 e) with r(u) = (1 - u)(1 + u) / u and
+            e = (1 - p)^2 / (sqrt 2 p),  t = (sinh 4g / 2) r(x) r(y),
+            d = sqrt(cosh 4g) (1 - p)(1 + p) / (sqrt 2 p), and
+            Psi_2 - 2 = e e' + t t' + d d' + sqrt 2 (e + e').
+
+    Every term of Psi_2 - 2 is >= 0, so the kernel takes its roots without
+    the cancellation of Psi_2 - 2 near the (1, 1, 1, 1) corner and needs no
+    floor.  kernel(fa, fb, out) writes K between the points of two column
+    slices of the factor rows into out[0], with out[1] and out[2] as
+    scratch: the squares are one dgemm (_outer_sum, k = 2 for Flat and 3
+    for Psi); Flat's cross pair stays a sum of two outer products, which
+    swapping a and b exchanges, and Psi's sqrt 2 (e + e') one add.outer, so
+    K(a, b) == K(b, a).T bit for bit.  Where Psi_2 - 2 overflows (at |g| of
+    100 and beyond, where the rows themselves do from about 177.5) the kernel
+    cannot be formed, and NodeSingularity is raised, as _axis_root does.
     """
-    factors = _pair_factors(family, g)
     if isinstance(family, Flat):
+
+        def factors(pts):
+            x, y = pts
+            rows = np.empty((5,) + x.shape)
+            np.subtract(1.0, x, out=rows[0])
+            np.subtract(1.0, y, out=rows[1])
+            np.multiply(rows[0], y, out=rows[2])
+            np.multiply(x, rows[1], out=rows[3])
+            np.multiply(x, y, out=rows[4])
+            return rows
 
         def kernel(fa, fb, out):
             phi_val, prod, work = out
-            np.add.outer(fa[0], fb[0], out=phi_val)
-            np.multiply.outer(fa[1], fb[2], out=prod)
-            prod += np.multiply.outer(fa[2], fb[1], out=work)
+            _outer_sum(fa[:2], fb[:2], phi_val)
+            np.multiply.outer(fa[2], fb[3], out=prod)
+            prod += np.multiply.outer(fa[3], fb[2], out=work)
             phi_val += prod
-            _flat_kernel(g, phi_val, np.multiply.outer(fa[3], fb[3], out=prod))
+            _flat_kernel(g, phi_val, np.multiply.outer(fa[4], fb[4], out=prod))
 
         return factors, kernel
 
+    ch, sh = coupling_hyperbolics(g)
+    half_sinh4, root_cosh4 = sh * ch, math.sqrt(1.0 + 2.0 * sh * sh)
+
+    def factors(pts):
+        x, y = pts
+        p, one_minus = x * y, (1.0 - x) + x * (1.0 - y)
+        ratio = one_minus / p
+        rows = np.empty((4,) + x.shape)
+        np.multiply(ratio, one_minus, out=rows[3])
+        np.divide(rows[3], math.sqrt(2.0), out=rows[0])
+        np.multiply(*[(1.0 - u) * (1.0 + u) / u for u in pts], out=rows[1])
+        rows[1] *= half_sinh4
+        np.multiply(ratio, 1.0 + p, out=rows[2])
+        rows[2] *= root_cosh4 / math.sqrt(2.0)
+        return rows
+
     def kernel(fa, fb, out):
-        psi_val, cross, work = out
-        left, right = fa[_SQUARE_ROWS], fb[_SQUARE_ROWS]
-        np.negative(left[2], out=left[2])
-        square = dgemm(1.0, left.T, right.T, trans_b=1, c=psi_val, overwrite_c=1)
-        if square is not psi_val:
-            psi_val[...] = square
-        np.multiply.outer(fa[1], fb[2], out=cross)
-        cross += np.multiply.outer(fa[2], fb[1], out=work)
-        psi_val += cross
-        _psi_kernel(family, psi_val, out[1:])
+        minus_two, work = out[0], out[1:]
+        _outer_sum(fa[:3], fb[:3], minus_two)
+        minus_two += np.add.outer(fa[3], fb[3], out=work[0])
+        if not minus_two.max() < math.inf:
+            raise NodeSingularity("the m = 2 kernel's Psi_2 - 2 overflows at an interior node")
+        if isinstance(family, Minus):
+            sp, sm = np.sqrt(np.add(minus_two, 4.0, out=minus_two), out=minus_two), None
+        else:
+            sp = None
+            if not isinstance(family, Plus):
+                sp = np.sqrt(np.add(minus_two, 4.0, out=work[0]), out=work[0])
+            sm = np.sqrt(minus_two, out=minus_two)
+        _roots_kernel(family, sp, sm, work[1])
 
     return factors, kernel
 
@@ -390,39 +435,29 @@ def _binomial_orders(gram: np.ndarray, orders) -> np.ndarray:
     )
 
 
-def _axis_row(family: TraceFamily, lam, eps, g: float, orders, spec):
-    """The m = 1 integrand rows as one symmetric kernel (_axis_kernel)
-    between the axes u and v.  The weight u^(lam+eps-1) v^(lam-eps-1) and
-    log u + log v split between the axes, with the sides V_i = u^(lam+eps-1)
-    (log u)^i and W_i = v^(lam-eps-1) (log v)^i (_log_rows per axis), so
-    order k is sum_i C(k, i) G[V_i, W_(k-i)] and one pass serves them all."""
+def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
+    """The m = 1 and m = 2 integrand rows as one symmetric kernel between
+    the halves of the axes that carry one exponent each: the axes u and v at
+    m = 1 (_axis_kernel, quadrature.integrate_axes), the pairs (u0, u2) and
+    (u1, u3) at m = 2 (_pair_kernel, quadrature.integrate_pairs).  The
+    weight prod u_j^e_j and sum log u_j split between the halves, with the
+    sides V_i = prod u^(lam+eps-1) (sum log u)^i and W_i = prod
+    u^(lam-eps-1) (sum log u)^i over a half's axes (_log_rows), which the
+    swap inside a pair leaves unchanged; so order k is sum_i C(k, i) G[V_i,
+    W_(k-i)] and one pass serves them all."""
     evec = _exponent_vector(1, lam, eps)
     top = max(orders)
 
-    def sides(u):
-        logs = np.log(u)[None]
-        return np.concatenate([_log_rows(logs, (e,), range(top + 1)) for e in evec])
+    def sides(pts):
+        logs = np.log(pts).reshape(m, -1)
+        return np.concatenate([_log_rows(logs, (e,) * m, range(top + 1)) for e in evec])
 
     def combine(gram):
         return _binomial_orders(gram[: top + 1, top + 1 :], orders)
 
-    return quadrature.integrate_axes(*_axis_kernel(family, g), sides, combine, spec)
-
-
-def _pair_row(family: TraceFamily, lam, eps, g: float, orders, spec):
-    """The m = 2 integrand rows as one symmetric kernel (_pair_kernel)
-    between the axis pairs a = (u0, u1) and b = (u2, u3).  The weight and
-    sum log u split between the pairs (_log_rows on each), so (L_a + L_b)^k
-    expands binomially and one kernel pass serves every order."""
-    evec = _exponent_vector(1, lam, eps)  # both pairs carry (lam+eps-1, lam-eps-1)
-    top = max(orders)
-
-    def side(pts):
-        return _log_rows(np.log(pts), evec, range(top + 1))
-
-    return quadrature.integrate_pairs(
-        *_pair_kernel(family, g), side, lambda gram: _binomial_orders(gram, orders), spec
-    )
+    if m == 1:
+        return quadrature.integrate_axes(*_axis_kernel(family, g), sides, combine, spec)
+    return quadrature.integrate_pairs(*_pair_kernel(family, g), sides, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.
@@ -470,8 +505,8 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
     for m >= 4.  The spec alone picks the rule: Monte Carlo integrates the
     point integrand (_integrand) at any m; a tensor spec takes m = 1 as a
-    kernel between its two axes (_axis_row), m = 2 as one between its axis
-    pairs (_pair_row), and refuses m = 3 with DomainError."""
+    kernel between its two axes and m = 2 as one between two axis pairs
+    (_split_row), and refuses m = 3 with DomainError."""
     _require_finite_inputs(lam, g, eps)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
@@ -493,7 +528,7 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     elif m == 3:
         raise DomainError(f"the m = 3 integral takes a monte_carlo spec, got {spec.scheme!r}")
     else:
-        row = (_axis_row if m == 1 else _pair_row)(family, lam, eps, g, orders, spec)
+        row = _split_row(family, lam, eps, g, m, orders, spec)
     return dict(zip(orders, row))
 
 

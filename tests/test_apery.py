@@ -58,6 +58,26 @@ class TestNonFiniteInputs:
             assert abs(co.a) > 10**400
 
 
+_J_METHODS = {
+    "flat-series": lambda n: j_flat(n, 0.9, 0.13, method="series"),
+    "flat-quadrature": lambda n: j_flat(n, 0.9, 0.13, method="quadrature"),
+    "plus-series": lambda n: j_delta(n, 1, 0.9, 0.13, method="series"),
+    "minus-series": lambda n: j_delta(n, -1, 0.9, 0.13, method="series"),
+    "plus-recurrence": lambda n: j_delta(n, 1, 0.9, 0.13, method="recurrence"),
+    "minus-recurrence": lambda n: j_delta(n, -1, 0.9, 0.13, method="recurrence"),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("method", _J_METHODS)
+def test_j_methods_return_plain_numbers(method, n):
+    # Every J method returns a complex value and a float abs_error, not
+    # numpy scalars (the flat series returned an np.float64 abs_error).
+    j = _J_METHODS[method](n)
+    assert type(j.value) is complex
+    assert type(j.abs_error) is float
+
+
 class TestJFlat:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_series_vs_quadrature(self, n):

@@ -173,7 +173,7 @@ class TestTensorWalk:
 
 
 def _pair_factors(pts):
-    """The pair test's one factor row, u0 u1 at each pair point."""
+    """The pair test's one factor row, x y at each pair point (x, y)."""
     return (pts[0] * pts[1])[None]
 
 
@@ -184,12 +184,15 @@ def _pair_kernel(fa, fb, out):
 
 
 def _pair_side(a):
-    w = np.exp(1j * a[0]) / np.sqrt(a[1])
-    return np.stack([w, w * np.log(a[0])])
+    """The pair test's sides, w = e^(i(x + y)) / sqrt(x y) and w log(x y):
+    unchanged by the swap (x, y) -> (y, x)."""
+    w = np.exp(1j * (a[0] + a[1])) / np.sqrt(a[0] * a[1])
+    return np.stack([w, w * np.log(a[0] * a[1])])
 
 
 def _pair_point(p):
-    """The integrand rows of the pair test at 4-D points."""
+    """The integrand rows of the pair test at 4-D points, a = (u0, u1) and
+    b = (u2, u3)."""
     k = 1.0 / np.sqrt(1.0 - np.prod(p, axis=1))
     left, right = _pair_side(p[:, :2].T), _pair_side(p[:, 2:].T)
     return np.stack([k * left[0] * right[0], k * (left[1] * right[0] + left[0] * right[1])])
@@ -204,7 +207,9 @@ class TestPairIntegration:
         "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 8)]
     )
     def test_matches_tensor_rule(self, spec):
-        # Row 1 is G[1, 0] + G[0, 1]: a sum over the ordered pairs of side rows.
+        # Row 1 is G[1, 0] + G[0, 1]: a sum over the ordered pairs of side
+        # rows.  The rule sums the representatives x <= y of each pair's grid
+        # with doubled weights off the diagonal; the 4-D rule sums every point.
         def combine(g):
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
@@ -233,6 +238,13 @@ class TestPairIntegration:
         with pytest.raises(NodeSingularity):
             integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
+    def test_non_finite_factors_raise(self):
+        def factors(pts):
+            return np.where(pts[0] == pts[0].max(), np.inf, pts)
+
+        with pytest.raises(NodeSingularity, match="factors"):
+            integrate_pairs(factors, _pair_kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+
     def test_non_symmetric_kernel_raises(self):
         def kernel(fa, fb, out):
             np.add(np.multiply.outer(fa[0], fb[1], out=out[0]), 1.0, out=out[0])
@@ -241,14 +253,26 @@ class TestPairIntegration:
             integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
     def test_kernel_not_invariant_under_the_swap_raises(self):
-        # K(a, b) = a0 b0 + 1 is symmetric, but K(sa, sb) = a1 b1 + 1 with s
-        # the swap (u0, u1) -> (u1, u0): the crossed kernel K(a, sb) fails
-        # its diagonal-block check.
+        # K(a, b) = x x' + 1 is symmetric, K(b, a) = K(a, b), but the swap
+        # s: (x, y) -> (y, x) inside a pair changes it, K(sa, b) = y x' + 1:
+        # the guard on the first and last blocks of pair points names it.
         def kernel(fa, fb, out):
             np.add(np.multiply.outer(fa[0], fb[0], out=out[0]), 1.0, out=out[0])
 
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="kernel invariant under the swap"):
             integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+
+    @pytest.mark.parametrize("scheme", ["tanh_sinh", "gauss_legendre"])
+    def test_side_not_invariant_under_the_swap_raises(self, scheme):
+        # The side e^(ix) / sqrt(y) changes under the swap, so summing the
+        # representatives x <= y with doubled weights would be wrong: the
+        # rule refuses it with a message that names the swap.
+        def side(a):
+            return (np.exp(1j * a[0]) / np.sqrt(a[1]))[None]
+
+        spec = QuadratureSpec(scheme, 4)
+        with pytest.raises(DomainError, match="sides invariant under the swap"):
+            integrate_pairs(_pair_factors, _pair_kernel, side, lambda g: g[0, 0], spec)
 
     def test_monte_carlo_refused(self):
         spec = QuadratureSpec("monte_carlo")

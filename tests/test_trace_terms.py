@@ -45,11 +45,11 @@ def _phi_definition(u) -> mpmath.mpf:
         return +total
 
 
-def _psi_definition(g: float, u) -> mpmath.mpf:
-    """Psi_m^g by its definition at 40 digits: the trace of the ordered
+def _psi_definition(g: float, u, dps: int = 40) -> mpmath.mpf:
+    """Psi_m^g by its definition at dps digits: the trace of the ordered
     product of the 2m factors [[c / u, s u], [s / u, c u]], c = cosh 2g and
     s = -+ sinh 2g alternating from -sinh 2g."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         ch, sh = mpmath.cosh(2 * mpmath.mpf(g)), mpmath.sinh(2 * mpmath.mpf(g))
         prod = mpmath.eye(2)
         for j, v in enumerate(u):
@@ -230,12 +230,13 @@ class TestIntegralRoute:
         # For m = 1 the 203 level-7 and 101 level-6 nodes, each 64-row block
         # against the columns from its own start on: 26,809 + 7,833 = 34,642
         # kernel points, where the point rule took 203^2 + 101^2 = 51,410.
-        # For m = 2 two kernels (K and the crossed K(a, sb)) on the
-        # pair points with u0 <= u1, 51 * 52 / 2 = 1326 and 25 * 26 / 2 =
-        # 325: 2 * (921,156 + 63,065) = 1,968,442 kernel points, where the
-        # whole 51^2 and 25^2 pair grids took 3,465,361 + 214,945 and the
-        # full grids 51^4 + 25^4 7,155,826.
-        assert sum(points) == 34_642 + 1_968_442
+        # For m = 2 one kernel on the pair points with x <= y, 51 * 52 / 2 =
+        # 1326 and 25 * 26 / 2 = 325: 921,156 + 63,065 = 984,221 kernel
+        # points, and 4 * 64^2 per level for the swap guard's two blocks,
+        # where the crossed Gram of the pairs (u0, u1) and (u2, u3) took
+        # 1,968,442, the whole 51^2 and 25^2 pair grids 3,465,361 + 214,945
+        # and the full grids 51^4 + 25^4 7,155,826.
+        assert sum(points) == 34_642 + 984_221 + 2 * 4 * 64**2
 
     @pytest.mark.parametrize(
         "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
@@ -274,11 +275,12 @@ class TestIntegralRoute:
 _PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5)]
 
 
-def _level_four_pair_points():
-    """The (2, npts) axis rows of the tanh-sinh level-4 pair grid."""
-    nodes, _ = quadrature.tanh_sinh_nodes(4)
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    return np.stack([u.ravel(), v.ravel()])
+def _pair_representatives(level: int = 5):
+    """The (2, npts) rows (x, y) of the tanh-sinh pair points with x <= y,
+    in the order integrate_pairs walks them."""
+    nodes, _ = quadrature.tanh_sinh_nodes(level)
+    first, second = np.triu_indices(nodes.size)
+    return np.stack([nodes[first], nodes[second]])
 
 
 def _fresh_block(kernel, fa, fb):
@@ -290,28 +292,32 @@ def _fresh_block(kernel, fa, fb):
     return out[0]
 
 
-def _full_grid_pair_sum(factors, kernel, side, nodes, weights):
-    """quadrature._pair_sum as it was before the swap symmetry inside each
-    pair was used: the upper blocks of K over the whole n^2 pair grid."""
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    pts = np.stack([u.ravel(), v.ravel()])
-    npts = pts.shape[1]
-    q = np.outer(weights, weights).ravel()
-    sv = side(pts) * q
-    rows = factors(pts)
-    nrows = sv.shape[0]
-    parts = np.concatenate([sv.real, sv.imag]).T
-    total = np.zeros((nrows, nrows), dtype=complex)
-    upper = np.zeros((nrows, nrows), dtype=complex)
-    block = quadrature._PAIR_BLOCK
-    for start in range(0, npts, block):
-        stop = min(start + block, npts)
-        k = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
-        kr = k @ parts[start:]
-        total += sv[:, start:stop] @ (kr[:, :nrows] + 1j * kr[:, nrows:])
-        kl = k[:, stop - start :] @ parts[stop:]
-        upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
-    return total + upper.T
+def _full_grid_pairs(factors, kernel, sides, combine, spec):
+    """integrate_pairs without the swap symmetry: every one of the n^2
+    ordered pair points (x, y), weighted by its nodes' weights, and the upper
+    blocks of K between them written into fresh arrays."""
+
+    def level_sum(nodes, weights):
+        u, v = np.meshgrid(nodes, nodes, indexing="ij")
+        pts = np.stack([u.ravel(), v.ravel()])
+        npts = pts.shape[1]
+        sv = sides(pts) * np.outer(weights, weights).ravel()
+        rows = factors(pts)
+        nrows = sv.shape[0]
+        parts = np.concatenate([sv.real, sv.imag]).T
+        total = np.zeros((nrows, nrows), dtype=complex)
+        upper = np.zeros((nrows, nrows), dtype=complex)
+        block = quadrature._PAIR_BLOCK
+        for start in range(0, npts, block):
+            stop = min(start + block, npts)
+            k = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
+            kr = k @ parts[start:]
+            total += sv[:, start:stop] @ (kr[:, :nrows] + 1j * kr[:, nrows:])
+            kl = k[:, stop - start :] @ parts[stop:]
+            upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
+        return combine(total + upper.T)
+
+    return quadrature._two_level(level_sum, 4, spec, "the full-grid reference")
 
 
 _AXIS_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(2.5)]
@@ -395,7 +401,8 @@ class TestAxisSeparableM1:
 
 class TestPairSeparableM2:
     """m = 2 on a deterministic rule is one kernel pass between the pair grids
-    (u0, u1) and (u2, u3); the point-by-point 4-D rule is its reference."""
+    (u0, u2) and (u1, u3), on their points with x <= y; the point-by-point
+    4-D rule is its reference."""
 
     @pytest.mark.parametrize(
         "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
@@ -432,76 +439,142 @@ class TestPairSeparableM2:
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_kernel_is_symmetric(self, family, lam, monkeypatch):
         # integrate_pairs evaluates each unordered block pair once, so the
-        # kernel it is handed must be its own transpose, corner nodes included.
+        # kernel it is handed must be its own transpose on the level-5 pair
+        # points it walks, corner nodes included: to 1e-14, and in fact bit
+        # for bit (one dgemm for the squares, commuting sums for the rest).
         kernels = []
 
-        def capture(factors, kernel, side, combine, spec):
+        def capture(factors, kernel, sides, combine, spec):
             kernels.append((factors, kernel))
-            return integrate_pairs(factors, kernel, side, combine, spec)
+            return integrate_pairs(factors, kernel, sides, combine, spec)
 
         monkeypatch.setattr(quadrature, "integrate_pairs", capture)
         r_m_integral(family, lam, 0.2, 0.1, 2)
         factors, kernel = kernels[0]
-        rows = factors(_level_four_pair_points())
+        rows = factors(_pair_representatives())
         a, b = rows[:, ::2], rows[:, ::-3]
         k_ab, k_ba = _fresh_block(kernel, a, b), _fresh_block(kernel, b, a)
         assert np.all(np.abs(k_ab - k_ba.T) <= 1e-14 * np.abs(k_ab))
+        assert k_ab.tobytes() == k_ba.T.tobytes(order="C")
+
+    @pytest.mark.parametrize("g", [0.2, 1.0])
+    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
+    def test_kernel_is_invariant_under_the_swap_inside_a_pair(self, family, g):
+        # The rule sums only the pair points with x <= y, so K(sa, b) must
+        # equal K(a, b), s: (x, y) -> (y, x), on every level-5 point pair:
+        # to 1e-14 relative (the rows round 1 - p differently under s).
+        # Flat's rows are permuted bit for bit; Psi's t row is unchanged.
+        factors, kernel = trace_terms._pair_kernel(family, g)
+        pts = _pair_representatives()
+        rows, swapped = factors(pts), factors(pts[::-1])
+        if family == FLAT:
+            assert swapped.tobytes() == rows[[1, 0, 3, 2, 4]].tobytes()
+        else:
+            assert swapped[1].tobytes() == rows[1].tobytes()
+            assert np.all(np.abs(swapped - rows) <= 4 * 2.0**-52 * np.abs(rows))
+        k, k_swapped = _fresh_block(kernel, rows, rows), _fresh_block(kernel, swapped, rows)
+        assert np.all(np.abs(k_swapped - k) <= 1e-14 * np.abs(k))
 
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_reused_scratch_gives_fresh_blocks(self, family):
         # integrate_pairs hands the kernel column-major views of scratch
         # arrays that hold the previous block's values: a block written over
         # NaN must equal the same block written into fresh arrays, bit for
-        # bit, on every block of both kernels (K(a, b) and K(a, sb)) of the
-        # level-4 grid, its corner nodes included.
+        # bit, on every block of the level-5 pair points with x <= y, its
+        # corner nodes included.
         factors, kernel = trace_terms._pair_kernel(family, 0.2)
-        pts = _level_four_pair_points()
-        rows = factors(pts)
+        rows = factors(_pair_representatives())
         npts = rows.shape[1]
         scratch = np.full((quadrature._PAIR_BUFFERS, quadrature._PAIR_BLOCK * npts), np.nan)
-        for right in (rows, factors(pts[::-1])):
-            for start in range(0, npts, quadrature._PAIR_BLOCK):
-                stop = min(start + quadrature._PAIR_BLOCK, npts)
-                width, cols = stop - start, npts - start
-                out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
-                kernel(rows[:, start:stop], right[:, start:], out)
-                fresh = _fresh_block(kernel, rows[:, start:stop], right[:, start:])
-                assert out[0].tobytes(order="C") == fresh.tobytes()
-                scratch.fill(np.nan)
+        for start in range(0, npts, quadrature._PAIR_BLOCK):
+            stop = min(start + quadrature._PAIR_BLOCK, npts)
+            width, cols = stop - start, npts - start
+            out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
+            kernel(rows[:, start:stop], rows[:, start:], out)
+            fresh = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
+            assert out[0].tobytes(order="C") == fresh.tobytes()
+            scratch.fill(np.nan)
 
-    @pytest.mark.parametrize("family", _PAIR_FAMILIES)
-    def test_swap_permutes_or_negates_factor_rows(self, family):
-        # The swap s: (u0, u1) -> (u1, u0) exchanges Flat's s and t rows and
-        # negates Psi's zeta row, bit for bit, so K(sa, sb) == K(a, b) and
-        # the crossed kernel K(a, sb) is symmetric exactly.  On the diagonal
-        # u0 = u1 the swap is the identity and zeta is +0.0.
-        factors, _ = trace_terms._pair_kernel(family, 0.45)
-        pts = _level_four_pair_points()
-        pts = pts[:, pts[0] != pts[1]]
-        rows, swapped = factors(pts), factors(pts[::-1])
-        if family == FLAT:
-            want = rows[[0, 2, 1, 3]]
-        else:
-            want = rows.copy()
-            want[4] = -rows[4]
-        assert want.tobytes() == swapped.tobytes()
+    @pytest.mark.parametrize("g", [0.2, 0.45, 1.0])
+    def test_rows_match_the_definitions(self, g):
+        # Psi_2 - 2 = e e' + t t' + d d' + sqrt 2 (e + e') and Phi_2 = f0 f0'
+        # + f1 f1' + f2 f3' + f3 f2' from the rows of a = (u0, u2) and b =
+        # (u1, u3), against 80-digit products, on the level-5 pair points
+        # nearest both corners and an interior sample: every term is >= 0,
+        # so the error stays at rounding (measured: 6.3e-16 for Psi_2 - 2,
+        # 4.2e-16 for Plus's kernel), where psi(2, ...) - 2 errs by up to
+        # 4.9e14 relative at these corners.  Plus's kernel is 1 / sqrt(Psi_2 - 2).
+        pts = _pair_representatives()
+        npts = pts.shape[1]
+        pts = pts[:, np.r_[0:6, npts - 6 : npts, 6 : npts - 6 : 97]]
+        psi_rows = trace_terms._pair_kernel(PLUS, g)[0](pts)
+        e, t, d, root2_e = psi_rows
+        minus_two = np.outer(e, e) + np.outer(t, t) + np.outer(d, d) + np.add.outer(root2_e, root2_e)
+        plus = _fresh_block(trace_terms._pair_kernel(PLUS, g)[1], psi_rows, psi_rows)
+        f = trace_terms._pair_kernel(FLAT, g)[0](pts)
+        phi_2 = np.outer(f[0], f[0]) + np.outer(f[1], f[1]) + np.outer(f[2], f[3]) + np.outer(f[3], f[2])
+        with mpmath.workdps(80):
+            for i, j in itertools.product(range(pts.shape[1]), repeat=2):
+                u = (pts[0, i], pts[0, j], pts[1, i], pts[1, j])
+                ref = _psi_definition(g, u, dps=80) - 2
+                assert abs(minus_two[i, j] - ref) <= 1e-15 * ref, u
+                assert abs(plus[i, j] * mpmath.sqrt(ref) - 1) <= 1e-15, u
+                ref = _phi_definition(u)
+                assert abs(phi_2[i, j] - ref) <= 1e-15 * ref, u
 
     @pytest.mark.parametrize("g", [0.2, 0.45, 1.0])
     @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_half_grid_matches_full_grid(self, family, lam, g, monkeypatch):
-        # The rule on the pair points with u0 <= u1 (two kernels) against
-        # the whole pair grid (one kernel): within 1e-13 relative and a
-        # tenth of the bar, at every order.
+        # The rule on the pair points with x <= y, weights doubled off the
+        # diagonal, against every ordered pair point of the same pairing:
+        # within 1e-13 relative and a tenth of the bar, at every order.
         orders = (0, 1, 2, 3)
         half = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
-        monkeypatch.setattr(quadrature, "_pair_sum", _full_grid_pair_sum)
+        monkeypatch.setattr(quadrature, "integrate_pairs", _full_grid_pairs)
         full = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
         for k in orders:
             diff = abs(half[k].value - full[k].value)
             assert diff <= 1e-13 * abs(full[k].value), k
             assert diff <= 0.1 * full[k].abs_error, k
             assert half[k].terms_used == full[k].terms_used
+
+    @pytest.mark.parametrize("family", [FLAT, PLUS])
+    def test_one_gram_per_level(self, family, monkeypatch):
+        # One _upper_gram per level over the pair points with x <= y: 51 *
+        # 52 / 2 = 1326 at level 5 and 25 * 26 / 2 = 325 at level 4, each
+        # 64-row block against the columns from its own start on: 921,156 +
+        # 63,065 = 984,221 kernel points, half of the 1,968,442 that a
+        # second, crossed Gram K(a, sb) took with the pairs (u0, u1) and
+        # (u2, u3).
+        grams, points = [], []
+        upper_gram = quadrature._upper_gram
+
+        def counting(kernel, rows_a, rows_b, z):
+            grams.append(z.shape[1])
+
+            def k(fa, fb, out):
+                points.append(fa.shape[1] * fb.shape[1])
+                kernel(fa, fb, out)
+
+            return upper_gram(k, rows_a, rows_b, z)
+
+        monkeypatch.setattr(quadrature, "_upper_gram", counting)
+        dn_r_m_integral(family, 1.2, 0.2, 0.1, 2, 2)
+        assert grams == [1326, 325]
+        assert sum(points) == 984_221
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("g", [100.0, 150.0, 200.0])
+    @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
+    def test_kernel_that_overflows_is_refused(self, family, g, n):
+        # Psi_2 - 2 overflows from g of about 100 on, and its rows do from
+        # about 177.5 on (sinh 4g): Plus read 1 / root there as a value near
+        # 1e-189 with a bar of the same size; every family raises
+        # NodeSingularity instead.
+        with pytest.raises(NodeSingularity):
+            dn_r_m_integral(family, 1.2, g, 0.1, 2, n)
 
     def test_back_to_back_calls_match_calls_alone(self):
         # Each integrate_pairs call owns its scratch: a call right after
