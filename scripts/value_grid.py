@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import sys
 import time
 
@@ -57,8 +58,8 @@ SWEEP_POINTS = [
 EPS = 0.1
 APERY_N_MAX = 130
 # Couplings of the Psi families: values stand at 100 and 150; the m = 1
-# kernel's radicand overflows at 200 (sinh^2 2g does from 177.8 on) and
-# cosh 2g itself at 400 (from 355.2 on).
+# kernel's Psi_1 - 2 overflows at 200 (from about 159 on; its rows do from
+# about 177.5 on) and cosh 2g itself at 400 (from 355.2 on).
 HUGE_COUPLINGS = (100.0, 150.0, 200.0, 400.0)
 
 
@@ -71,7 +72,9 @@ class Digest:
 
 def entries(small: bool) -> list:
     """[(id, thunk)] of the grid, in a fixed order.  Only --out imports the
-    library: --compare reads two grids with the standard library alone."""
+    library, from this checkout's src/ ahead of any installed copy:
+    --compare reads two grids with the standard library alone."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     from rabi_zeta.apery import apery_classic, j_delta, j_flat
     from rabi_zeta.operator_oracle import (
         BergmanNu,

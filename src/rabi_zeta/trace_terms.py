@@ -4,12 +4,13 @@ The Phi and Psi kernels on the 2m-cube, the 2m-dimensional integral
 representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
-The point kernels (phi, psi and the Monte Carlo integrand at every m) read
-the factor rows of each consecutive axis pair (u_2i, u_2i+1) of a point
-(_pair_factors); the tensor rules read rows of their own: each axis at
-m = 1 (_axis_kernel), and at m = 2 each pair of axes that carries one
-exponent, (u0, u2) and (u1, u3) (_pair_kernel), whose rows form Psi_2 - 2
-as a sum of non-negative terms.  Every integrand reads one row rule
+Two descriptions give the Phi and Psi kernels.  phi, psi and the point
+kernels at m >= 2 read the factor rows of each consecutive axis pair
+(u_2i, u_2i+1) of a point (_pair_factors).  Every tensor rule and the m = 1
+point kernel read per-side rows (_pair_kernel): those of a pair of axes
+that carries one exponent, (u0, u2) or (u1, u3), which form Psi_2 - 2 as a
+sum of non-negative terms; m = 1 reads them at the pair point (u, 1),
+where the 4-cycle collapses to Psi_1.  Every integrand reads one row rule
 (_log_rows): prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
 Monte Carlo runs the point integrand on axis rows at any m <= 3; a tensor
 rule takes m = 1 as a symmetric kernel between its two axes
@@ -48,8 +49,9 @@ from .specfun import (
 def _pair_factors(family: TraceFamily, g: float):
     """factors(pts): the family's factor rows of the consecutive axis pairs
     pts = (u0, u1), stacked on a new first axis; phi, psi and the point
-    kernels (_point_kernel) read Phi_m and Psi_m from these alone, and the
-    tensor rule at m = 2 reads the rows of _pair_kernel instead.
+    kernels at m >= 2 (_point_kernel) read Phi_m and Psi_m from these alone,
+    and the tensor rules and the m = 1 point kernel read the rows of
+    _pair_kernel instead.
     Flat: (h, s, t, p) = ((1 - u0)(1 - u1), u1 (1 - u0), u0 (1 - u1), u0 u1).
     Plus, Minus and Nu: the ordered product of Psi's two factors over a pair
     is P = Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g,
@@ -168,7 +170,10 @@ def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
 def _roots_kernel(family: TraceFamily, sp, sm, work) -> np.ndarray:
     """The kernel of Plus (1 / sm), Minus (1 / sp) or Nu from the roots
     sp = sqrt(Psi + 2) and sm = sqrt(Psi - 2), written over the root it reads
-    (sm for Nu, with work as scratch); the other root may be None."""
+    (sm for Nu, with work as scratch); the other root may be None.  Both
+    kernel descriptions end here: the split kernel (_pair_kernel) with roots
+    of its non-negative Psi - 2, the point kernels at m >= 2 (_psi_kernel)
+    with roots of a matrix-product Psi."""
     if isinstance(family, Plus):
         return np.divide(1.0, sm, out=sm)
     if isinstance(family, Minus):
@@ -185,11 +190,12 @@ def _roots_kernel(family: TraceFamily, sp, sm, work) -> np.ndarray:
 
 
 def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
-    """The point kernel of Plus, Minus or Nu from a matrix-product Psi,
-    written over psi_val, with work two scratch arrays of its shape.  Psi - 2
-    is only known to roundoff relative to |Psi|; flooring it at that noise
-    scale keeps corner nodes (tiny weights) harmless.  The m = 2 tensor rule
-    forms Psi_2 - 2 without cancellation (_pair_kernel) and needs no floor.
+    """The point kernel of Plus, Minus or Nu at m >= 2 from a matrix-product
+    Psi, written over psi_val, with work two scratch arrays of its shape.
+    Psi - 2 is only known to roundoff relative to |Psi|; flooring it at that
+    noise scale keeps corner nodes (tiny weights) harmless.  The tensor
+    rules and the m = 1 point kernel form Psi - 2 without cancellation
+    (_pair_kernel) and need no floor.
     Minus reads only sqrt(Psi + 2), unfloored, and Plus only sqrt(Psi - 2)."""
     if isinstance(family, Minus):
         sp = np.sqrt(np.add(psi_val, 2.0, out=psi_val), out=psi_val)
@@ -205,77 +211,14 @@ def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
     return _roots_kernel(family, sp, sm, work[0])
 
 
-def _axis_root(cross, uv, sign: float, term, out) -> np.ndarray:
-    """sqrt(((1 + sign uv)^2 + cross) / uv), the root of Psi_1 + 2 sign from
-    its factorized form, written over out; term is scratch and may be out.
-    The radicand is floored at 1e-300 (it is >= 4 for sign = 1).  Where it
-    overflows (from |g| of about 159 on) the kernel cannot be formed, and
-    NodeSingularity is raised, as Nu's non-finite kernel raises it."""
-    (np.add if sign > 0 else np.subtract)(1.0, uv, out=term)
-    np.square(term, out=term)
-    np.add(term, cross, out=out)
-    out /= uv
-    if not out.max() < math.inf:
-        raise NodeSingularity("the m = 1 kernel's radicand overflows at an interior node")
-    return np.sqrt(np.maximum(out, 1e-300, out=out), out=out)
-
-
-def _axis_kernel(family: TraceFamily, g: float):
-    """(factors, kernel): the family's m = 1 kernel K(u, v) between the axes
-    u and v, in the contract of quadrature.integrate_axes.  factors(u) holds
-    two rows per node, Flat's (1 - u, u) and Psi's (r, u) with r = sinh 2g
-    (1 - u^2); kernel(fa, fb, out, product) writes K into out[0] from the
-    products of each row over the two axes, with out[1] and out[2] as
-    scratch: Flat's from Phi_1 = (1 - u)(1 - v) and prod u = uv, Psi's from
-    the factorized roots
-
-        uv (Psi_1 -+ 2) = (1 -+ uv)^2 + r(u) r(v),
-
-    which avoid the catastrophic cancellation of Psi_1 - 2 near the (1, 1)
-    corner.  product is np.multiply.outer between node slices (the default)
-    or np.multiply on the axis rows of points (_point_kernel).  Swapping u
-    and v only reorders commuting operands, so K(u, v) == K(v, u) bit for
-    bit.
-    """
-    if isinstance(family, Flat):
-
-        def factors(u):
-            return np.stack([1.0 - u, u])
-
-        def kernel(fa, fb, out, product=np.multiply.outer):
-            _flat_kernel(g, product(fa[0], fb[0], out=out[0]), product(fa[1], fb[1], out=out[1]))
-
-        return factors, kernel
-
-    sh = coupling_hyperbolics(g)[1]
-
-    def factors(u):
-        return np.stack([sh * (1.0 - u * u), u])
-
-    def kernel(fa, fb, out, product=np.multiply.outer):
-        cross, uv, work = out
-        product(fa[0], fb[0], out=cross)
-        product(fa[1], fb[1], out=uv)
-        if isinstance(family, Plus):
-            sp, sm = None, _axis_root(cross, uv, -1.0, work, cross)
-        elif isinstance(family, Minus):
-            sp, sm = _axis_root(cross, uv, 1.0, work, cross), None
-        else:
-            # Both roots at once: sp takes work, so sm's (1 - uv)^2 needs an
-            # array of its own while uv waits to divide it.
-            sp = _axis_root(cross, uv, 1.0, work, work)
-            sm = _axis_root(cross, uv, -1.0, np.empty_like(uv), cross)
-        _roots_kernel(family, sp, sm, uv)
-
-    return factors, kernel
-
-
 def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
-    """The family's real kernel on the (2m, npts) axis rows of a point block."""
+    """The family's real kernel on the (2m, npts) axis rows of a point block:
+    at m = 1 the split kernel point by point, between the pair points (u, 1)
+    and (v, 1) (_pair_kernel), else from the consecutive pairs' rows."""
     if m == 1:
-        factors, kernel = _axis_kernel(family, g)
-        out = np.empty((3, ut.shape[1]))
-        kernel(factors(ut[0]), factors(ut[1]), out, np.multiply)
+        factors, kernel = _pair_kernel(family, g)
+        one, out = np.ones(ut.shape[1]), np.empty((3, ut.shape[1]))
+        kernel(factors((ut[0], one)), factors((ut[1], one)), out, outer=False)
         return out[0]
     if isinstance(family, Flat):
         return _flat_kernel(g, *_phi_chains(_pair_factors(family, g)((ut[0::2], ut[1::2]))))
@@ -332,19 +275,23 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
     return f
 
 
-def _outer_sum(fa, fb, out) -> None:
-    """out = sum_k fa[k] (x) fb[k], one dgemm.  dgemm writes in place into the
+def _outer_sum(fa, fb, out, outer: bool = True) -> None:
+    """out = sum_k fa[k] (x) fb[k], one dgemm, or with outer False the sum
+    point by point, sum_k fa[k] fb[k].  dgemm writes in place into the
     F-ordered scratch of quadrature._upper_gram and returns a copy for a
     C-ordered out, which is then written back.  Every entry sums its
     products in the same order, so the block of (fb, fa) is the transpose
     of that of (fa, fb)."""
+    if not outer:
+        np.einsum("k...,k...->...", fa, fb, out=out)
+        return
     total = dgemm(1.0, fa.T, fb.T, trans_b=1, c=out, overwrite_c=1)
     if total is not out:
         out[...] = total
 
 
 def _pair_kernel(family: TraceFamily, g: float):
-    """(factors, kernel): the family's m = 2 kernel K(a, b) between the axis
+    """(factors, kernel): the family's split kernel K(a, b) between the axis
     pairs that carry one exponent, a = (u0, u2) at lam + eps - 1 and b = (u1,
     u3) at lam - eps - 1, in the contract of quadrature.integrate_pairs.
     Phi_2 and Psi_2 are traces of a cyclic product of four one-axis factors,
@@ -362,14 +309,25 @@ def _pair_kernel(family: TraceFamily, g: float):
 
     Every term of Psi_2 - 2 is >= 0, so the kernel takes its roots without
     the cancellation of Psi_2 - 2 near the (1, 1, 1, 1) corner and needs no
-    floor.  kernel(fa, fb, out) writes K between the points of two column
-    slices of the factor rows into out[0], with out[1] and out[2] as
-    scratch: the squares are one dgemm (_outer_sum, k = 2 for Flat and 3
-    for Psi); Flat's cross pair stays a sum of two outer products, which
-    swapping a and b exchanges, and Psi's sqrt 2 (e + e') one add.outer, so
-    K(a, b) == K(b, a).T bit for bit.  Where Psi_2 - 2 overflows (at |g| of
-    100 and beyond, where the rows themselves do from about 177.5) the kernel
-    cannot be formed, and NodeSingularity is raised, as _axis_root does.
+    floor.  The m = 1 kernel K(u, v) between the axes u and v is the same
+    kernel between the pair points (u, 1) and (v, 1), in the contract of
+    quadrature.integrate_axes: with u2 = u3 = 1 the 4-cycle collapses to
+    Psi_1 (Psi's one-axis factor at 1 squares to the identity), and the rows
+    hold 1 - p = 1 - u exactly and t = 0, so Phi_1 = (1 - u)(1 - v) and
+
+        Psi_1 - 2 = ((1 - uv)^2 + sinh^2 2g (1 - u^2)(1 - v^2)) / (uv)
+
+    is formed from non-negative terms too.  kernel(fa, fb, out) writes K
+    between the points of two column slices of the factor rows into out[0],
+    with out[1] and out[2] as scratch: the squares are one dgemm
+    (_outer_sum, k = 2 for Flat and 3 for Psi); Flat's cross pair stays a
+    sum of two outer products, which swapping a and b exchanges, and Psi's
+    sqrt 2 (e + e') one add.outer, so K(a, b) == K(b, a).T bit for bit.
+    With outer False it writes K between each column of fa and the same
+    column of fb instead, point by point (_point_kernel at m = 1).  Where
+    Psi - 2 overflows (at |g| of about 159 at m = 1 and 100 at m = 2, where
+    the rows themselves do from about 177.5) the kernel cannot be formed,
+    and NodeSingularity is raised, as Nu's non-finite kernel raises it.
     """
     if isinstance(family, Flat):
 
@@ -383,13 +341,14 @@ def _pair_kernel(family: TraceFamily, g: float):
             np.multiply(x, y, out=rows[4])
             return rows
 
-        def kernel(fa, fb, out):
+        def kernel(fa, fb, out, outer=True):
             phi_val, prod, work = out
-            _outer_sum(fa[:2], fb[:2], phi_val)
-            np.multiply.outer(fa[2], fb[3], out=prod)
-            prod += np.multiply.outer(fa[3], fb[2], out=work)
+            times = np.multiply.outer if outer else np.multiply
+            _outer_sum(fa[:2], fb[:2], phi_val, outer)
+            times(fa[2], fb[3], out=prod)
+            prod += times(fa[3], fb[2], out=work)
             phi_val += prod
-            _flat_kernel(g, phi_val, np.multiply.outer(fa[4], fb[4], out=prod))
+            _flat_kernel(g, phi_val, times(fa[4], fb[4], out=prod))
 
         return factors, kernel
 
@@ -409,12 +368,12 @@ def _pair_kernel(family: TraceFamily, g: float):
         rows[2] *= root_cosh4 / math.sqrt(2.0)
         return rows
 
-    def kernel(fa, fb, out):
+    def kernel(fa, fb, out, outer=True):
         minus_two, work = out[0], out[1:]
-        _outer_sum(fa[:3], fb[:3], minus_two)
-        minus_two += np.add.outer(fa[3], fb[3], out=work[0])
+        _outer_sum(fa[:3], fb[:3], minus_two, outer)
+        minus_two += (np.add.outer if outer else np.add)(fa[3], fb[3], out=work[0])
         if not minus_two.max() < math.inf:
-            raise NodeSingularity("the m = 2 kernel's Psi_2 - 2 overflows at an interior node")
+            raise NodeSingularity("the split kernel's Psi - 2 overflows at an interior node")
         if isinstance(family, Minus):
             sp, sm = np.sqrt(np.add(minus_two, 4.0, out=minus_two), out=minus_two), None
         else:
@@ -437,16 +396,18 @@ def _binomial_orders(gram: np.ndarray, orders) -> np.ndarray:
 
 def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
     """The m = 1 and m = 2 integrand rows as one symmetric kernel between
-    the halves of the axes that carry one exponent each: the axes u and v at
-    m = 1 (_axis_kernel, quadrature.integrate_axes), the pairs (u0, u2) and
-    (u1, u3) at m = 2 (_pair_kernel, quadrature.integrate_pairs).  The
-    weight prod u_j^e_j and sum log u_j split between the halves, with the
-    sides V_i = prod u^(lam+eps-1) (sum log u)^i and W_i = prod
-    u^(lam-eps-1) (sum log u)^i over a half's axes (_log_rows), which the
-    swap inside a pair leaves unchanged; so order k is sum_i C(k, i) G[V_i,
-    W_(k-i)] and one pass serves them all."""
+    the halves of the axes that carry one exponent each, both from the rows
+    of _pair_kernel: the axes u and v at m = 1, read as the pair points (u,
+    1) and (v, 1) (quadrature.integrate_axes), the pairs (u0, u2) and (u1,
+    u3) at m = 2 (quadrature.integrate_pairs).  The weight prod u_j^e_j and
+    sum log u_j split between the halves, with the sides V_i = prod
+    u^(lam+eps-1) (sum log u)^i and W_i = prod u^(lam-eps-1) (sum log u)^i
+    over a half's axes (_log_rows), which the swap inside a pair leaves
+    unchanged; so order k is sum_i C(k, i) G[V_i, W_(k-i)] and one pass
+    serves them all."""
     evec = _exponent_vector(1, lam, eps)
     top = max(orders)
+    factors, kernel = _pair_kernel(family, g)
 
     def sides(pts):
         logs = np.log(pts).reshape(m, -1)
@@ -456,8 +417,12 @@ def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
         return _binomial_orders(gram[: top + 1, top + 1 :], orders)
 
     if m == 1:
-        return quadrature.integrate_axes(*_axis_kernel(family, g), sides, combine, spec)
-    return quadrature.integrate_pairs(*_pair_kernel(family, g), sides, combine, spec)
+
+        def axis_factors(u):
+            return factors((u, np.ones_like(u)))
+
+        return quadrature.integrate_axes(axis_factors, kernel, sides, combine, spec)
+    return quadrature.integrate_pairs(factors, kernel, sides, combine, spec)
 
 
 #: Quadrature per m: tanh-sinh tensor rules for m <= 2, Monte Carlo for m = 3.

@@ -331,6 +331,20 @@ def _row_or_error(route):
         return type(exc)
 
 
+def _axis_kernel_handed(family, g, monkeypatch):
+    """(factors, kernel) as the m = 1 rule hands them to
+    quadrature.integrate_axes."""
+    kernels = []
+
+    def capture(factors, kernel, sides, combine, spec):
+        kernels.append((factors, kernel))
+        return integrate_axes(factors, kernel, sides, combine, spec)
+
+    monkeypatch.setattr(quadrature, "integrate_axes", capture)
+    r_m_integral(family, 1.2, g, 0.1, 1)
+    return kernels[0]
+
+
 class TestAxisSeparableM1:
     """m = 1 on a deterministic rule is one kernel pass between the axes u and
     v; the point-by-point 2-D rule is its reference."""
@@ -366,21 +380,21 @@ class TestAxisSeparableM1:
 
     @pytest.mark.parametrize("g", [0.2, -0.7])
     @pytest.mark.parametrize("family", _AXIS_FAMILIES)
-    def test_kernel_is_its_own_transpose(self, family, g):
+    def test_kernel_is_its_own_transpose(self, family, g, monkeypatch):
         # integrate_axes evaluates each unordered block pair once: the
         # kernel on the level-7 nodes, corners included, must be symmetric
         # bit for bit.
-        factors, kernel = trace_terms._axis_kernel(family, g)
+        factors, kernel = _axis_kernel_handed(family, g, monkeypatch)
         rows = factors(quadrature.tanh_sinh_nodes(7)[0])
         k = _fresh_block(kernel, rows, rows)
         assert k.tobytes() == k.T.tobytes(order="C")
 
     @pytest.mark.parametrize("family", _AXIS_FAMILIES)
-    def test_reused_scratch_gives_fresh_blocks(self, family):
+    def test_reused_scratch_gives_fresh_blocks(self, family, monkeypatch):
         # Every block of the level-7 rule written over NaN scratch, as
         # _upper_gram lays it out, equals the block written into fresh
         # arrays, bit for bit.
-        factors, kernel = trace_terms._axis_kernel(family, 0.45)
+        factors, kernel = _axis_kernel_handed(family, 0.45, monkeypatch)
         rows = factors(quadrature.tanh_sinh_nodes(7)[0])
         n = rows.shape[1]
         scratch = np.full((quadrature._PAIR_BUFFERS, quadrature._PAIR_BLOCK * n), np.nan)
@@ -392,6 +406,33 @@ class TestAxisSeparableM1:
             fresh = _fresh_block(kernel, rows[:, start:stop], rows[:, start:])
             assert out[0].tobytes(order="C") == fresh.tobytes()
             scratch.fill(np.nan)
+
+    @pytest.mark.parametrize("g", [0.2, 1.0])
+    @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
+    def test_kernel_at_the_corners_matches_80_digits(self, family, g, monkeypatch):
+        # On the level-7 nodes nearest both endpoints, where 1 - uv
+        # cancels, the kernel handed to integrate_axes stays within 1e-14
+        # relative of the kernel from the 80-digit
+        # Psi_1 - 2 = ((1 - uv)^2 + sinh^2 2g (1 - u^2)(1 - v^2)) / (uv).
+        # Roots of a factorized 1 - uv erred there by 7.3e-14 for Plus and Nu.
+        factors, kernel = _axis_kernel_handed(family, g, monkeypatch)
+        nodes = quadrature.tanh_sinh_nodes(7)[0]
+        nodes = nodes[np.r_[0:8, nodes.size - 8 : nodes.size]]
+        rows = factors(nodes)
+        k = _fresh_block(kernel, rows, rows)
+        with mpmath.workdps(80):
+            sh2 = mpmath.sinh(2 * mpmath.mpf(g)) ** 2
+            for i, j in itertools.product(range(nodes.size), repeat=2):
+                u, v = mpmath.mpf(float(nodes[i])), mpmath.mpf(float(nodes[j]))
+                minus_two = ((1 - u * v) ** 2 + sh2 * (1 - u * u) * (1 - v * v)) / (u * v)
+                sm, sp = mpmath.sqrt(minus_two), mpmath.sqrt(minus_two + 4)
+                if family == PLUS:
+                    ref = 1 / sm
+                elif family == MINUS:
+                    ref = 1 / sp
+                else:
+                    ref = (2 / (sp + sm)) ** (2 * (family.nu - 1)) / (sp * sm)
+                assert abs(k[i, j] / ref - 1) <= 1e-14, (nodes[i], nodes[j])
 
     def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
         monkeypatch.setattr(quadrature, "integrate_axes", None)
@@ -716,10 +757,10 @@ class TestHugeCoupling:
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("family", [PLUS, MINUS])
     def test_m1_kernel_that_overflows_is_refused(self, family, n):
-        # From g of about 159 on the m = 1 kernel's radicand overflows; from
-        # 177.8 on sinh^2 2g does.  Plus and Minus read 1 / root there and
-        # returned 0 with abs_error 0; they now raise NodeSingularity, as
-        # Nu's kernel and the m = 2 pair rule do.
+        # From g of about 159 on the m = 1 kernel's Psi_1 - 2 overflows, and
+        # its rows do from about 177.5 on.  Plus and Minus read 1 / root
+        # there and returned 0 with abs_error 0; they now raise
+        # NodeSingularity, as Nu's kernel and the m = 2 pair rule do.
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, 200.0, 0.1, 1, n)
 
