@@ -36,7 +36,8 @@ from scipy.linalg.blas import dgemm
 from .errors import DomainError, NodeSingularity
 from .specfun import SeriesValue
 
-#: Monte Carlo generator identity, recorded for reproducibility.
+#: The name of the generator integrate_monte_carlo builds (numpy's Philox);
+#: no result records it.
 RNG_ALGORITHM = "philox4x64"
 
 _CHUNK = 1 << 17

@@ -6,12 +6,15 @@ shift derivatives, and the m=1 series/hypergeometric fast paths.
 
 Two descriptions give the Phi and Psi kernels.  phi, psi and the point
 kernels at m >= 2 read the factor rows of each consecutive axis pair
-(u_2i, u_2i+1) of a point (_pair_factors).  Every tensor rule and the m = 1
-point kernel read per-side rows (_pair_kernel): those of a pair of axes
-that carries one exponent, (u0, u2) or (u1, u3), which form Psi_2 - 2 as a
-sum of non-negative terms; m = 1 reads them at the pair point (u, 1),
-where the 4-cycle collapses to Psi_1.  Every integrand reads one row rule
-(_log_rows): prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
+(u_2i, u_2i+1) of a point (Psi's from _pair_factors).  Every tensor rule
+and the m = 1 point kernel read per-side rows (_pair_kernel): those of a
+pair of axes that carries one exponent, (u0, u2) or (u1, u3), which form
+Psi_2 - 2 as a sum of non-negative terms; m = 1 reads them at the pair
+point (u, 1), where the 4-cycle collapses to Psi_1.  Both descriptions
+share the rest: Flat's rows hold no g and come from one builder
+(_flat_rows), and every Psi family takes its roots in one step over
+Psi - 2 (_roots_kernel).  Every integrand reads one row rule (_log_rows):
+prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
 Monte Carlo runs the point integrand on axis rows at any m <= 3; a tensor
 rule takes m = 1 as a symmetric kernel between its two axes
 (quadrature.integrate_axes, block by block), m = 2 as one between the
@@ -46,36 +49,36 @@ from .specfun import (
 # Kernels
 
 
-def _pair_factors(family: TraceFamily, g: float):
-    """factors(pts): the family's factor rows of the consecutive axis pairs
-    pts = (u0, u1), stacked on a new first axis; phi, psi and the point
-    kernels at m >= 2 (_point_kernel) read Phi_m and Psi_m from these alone,
-    and the tensor rules and the m = 1 point kernel read the rows of
-    _pair_kernel instead.
-    Flat: (h, s, t, p) = ((1 - u0)(1 - u1), u1 (1 - u0), u0 (1 - u1), u0 u1).
-    Plus, Minus and Nu: the ordered product of Psi's two factors over a pair
-    is P = Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g,
-    x1 = 1 / (u0 u1), x4 = u0 u1, y = (u0 / u1 + u1 / u0) / 2 and
+def _flat_rows(pts) -> np.ndarray:
+    """Flat's factor rows (1 - x, 1 - y, (1 - x) y, x (1 - y), xy) of the
+    axis pairs pts = (x, y), stacked on a new first axis.  They hold no g,
+    and both kernel descriptions read them: the split kernel between the
+    pairs (u0, u2) and (u1, u3) (_pair_kernel), and, over the consecutive
+    pairs (u_2i, u_2i+1), Phi_m (_phi_chains)."""
+    x, y = pts
+    rows = np.empty((5,) + x.shape)
+    np.subtract(1.0, x, out=rows[0])
+    np.subtract(1.0, y, out=rows[1])
+    np.multiply(rows[0], y, out=rows[2])
+    np.multiply(x, rows[1], out=rows[3])
+    np.multiply(x, y, out=rows[4])
+    return rows
+
+
+def _pair_factors(g: float):
+    """factors(pts): Psi's factor rows of the consecutive axis pairs pts =
+    (u0, u1), stacked on a new first axis; psi and the Psi point kernels at
+    m >= 2 (_point_kernel) read Psi_m from these alone (_psi_trace), and the
+    tensor rules and the m = 1 point kernel read the rows of _pair_kernel
+    instead.  The ordered product of Psi's two factors over a pair is P =
+    Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g, x1 = 1 / (u0
+    u1), x4 = u0 u1, y = (u0 / u1 + u1 / u0) / 2 and
 
         Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
         zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),    K = [[-s, -c], [c, s]]:
 
     rows (pbar0, pbar1, pbar2, pbar3, zeta).
     """
-    if isinstance(family, Flat):
-
-        def factors(pts):
-            u0, u1 = pts
-            rows = np.empty((4,) + u0.shape)
-            a, b = np.subtract(1.0, u0, out=rows[1]), np.subtract(1.0, u1, out=rows[2])
-            np.multiply(a, b, out=rows[0])
-            a *= u1
-            b *= u0
-            np.multiply(u0, u1, out=rows[3])
-            return rows
-
-        return factors
-
     ch, sh = coupling_hyperbolics(g)
     c2, s2, cs, z = ch * ch, sh * sh, ch * sh, sh / math.sqrt(2.0)
 
@@ -97,11 +100,13 @@ def _pair_factors(family: TraceFamily, g: float):
 
 
 def _phi_chains(rows: np.ndarray):
-    """(Phi_m, prod u) from Flat's factor rows, each (m, npts): Phi_m sums
-    the h_i and, over the cyclic chains i -> j != i, s_i (prod of the p
-    strictly between) t_j.  No term is negative, so nothing cancels; the
-    chains that end at j are summed by Horner's rule from the farthest start."""
-    h, s, t, p = rows
+    """(Phi_m, prod u) from Flat's rows f of the consecutive pairs, each
+    (m, npts) (_flat_rows), read as h = f0 f1 = (1 - u0)(1 - u1), s = f2,
+    t = f3 and p = f4: Phi_m sums the h_i and, over the cyclic chains i -> j
+    != i, s_i (prod of the p strictly between) t_j.  No term is negative, so
+    nothing cancels; the chains that end at j are summed by Horner's rule
+    from the farthest start."""
+    h, (s, t, p) = rows[0] * rows[1], rows[2:]
     m = len(h)
     total = reduce(np.add, h)
     for j in range(m if m > 1 else 0):
@@ -148,12 +153,12 @@ def _point_pairs(m: int, u, g: float = 0.0):
 
 def phi(m: int, u) -> float:
     """Phi_m(u) for a length-2m point of the open cube."""
-    return float(_phi_chains(_pair_factors(FLAT, 0.0)(_point_pairs(m, u)))[0][0])
+    return float(_phi_chains(_flat_rows(_point_pairs(m, u)))[0][0])
 
 
 def psi(m: int, g: float, u) -> float:
     """Psi_m^g(u) for a length-2m point of the open cube."""
-    return float(_psi_trace(g, _pair_factors(PLUS, g)(_point_pairs(m, u, g)))[0])
+    return float(_psi_trace(g, _pair_factors(g)(_point_pairs(m, u, g)))[0])
 
 
 def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -167,19 +172,21 @@ def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
     return phi_val
 
 
-def _roots_kernel(family: TraceFamily, sp, sm, work) -> np.ndarray:
-    """The kernel of Plus (1 / sm), Minus (1 / sp) or Nu from the roots
-    sp = sqrt(Psi + 2) and sm = sqrt(Psi - 2), written over the root it reads
-    (sm for Nu, with work as scratch); the other root may be None.  Both
-    kernel descriptions end here: the split kernel (_pair_kernel) with roots
-    of its non-negative Psi - 2, the point kernels at m >= 2 (_psi_kernel)
-    with roots of a matrix-product Psi."""
+def _roots_kernel(family: TraceFamily, minus_two, work) -> np.ndarray:
+    """The kernel of Plus (1 / sqrt(Psi - 2)), Minus (1 / sqrt((Psi - 2) +
+    4)) or Nu (both roots) from minus_two = Psi - 2 >= 0, written over
+    minus_two, with work two scratch arrays of its shape.  Both kernel
+    descriptions end here: the split kernel (_pair_kernel) with its
+    non-negative Psi - 2, the point kernels at m >= 2 (_psi_kernel) with a
+    floored Psi - 2 from a matrix-product Psi."""
     if isinstance(family, Plus):
-        return np.divide(1.0, sm, out=sm)
+        return np.divide(1.0, np.sqrt(minus_two, out=minus_two), out=minus_two)
+    sp = np.sqrt(np.add(minus_two, 4.0, out=work[0]), out=work[0])
     if isinstance(family, Minus):
-        return np.divide(1.0, sp, out=sp)
+        return np.divide(1.0, sp, out=minus_two)
+    sm = np.sqrt(minus_two, out=minus_two)
     # mu = ((sqrt(Psi+2)-sqrt(Psi-2))/2)^2 = (2/(sp+sm))^2, stably.
-    mu = np.add(sp, sm, out=work)
+    mu = np.add(sp, sm, out=work[1])
     np.divide(2.0, mu, out=mu)
     np.square(mu, out=mu)
     np.log(mu, out=mu)
@@ -193,22 +200,15 @@ def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
     """The point kernel of Plus, Minus or Nu at m >= 2 from a matrix-product
     Psi, written over psi_val, with work two scratch arrays of its shape.
     Psi - 2 is only known to roundoff relative to |Psi|; flooring it at that
-    noise scale keeps corner nodes (tiny weights) harmless.  The tensor
-    rules and the m = 1 point kernel form Psi - 2 without cancellation
-    (_pair_kernel) and need no floor.
-    Minus reads only sqrt(Psi + 2), unfloored, and Plus only sqrt(Psi - 2)."""
-    if isinstance(family, Minus):
-        sp = np.sqrt(np.add(psi_val, 2.0, out=psi_val), out=psi_val)
-        return _roots_kernel(family, sp, None, None)
-    sp = None
-    if not isinstance(family, Plus):
-        sp = np.sqrt(np.add(psi_val, 2.0, out=work[1]), out=work[1])
+    noise scale keeps corner nodes (tiny weights) harmless, and the roots
+    are taken over the floored Psi - 2 (_roots_kernel).  The tensor rules
+    and the m = 1 point kernel form Psi - 2 without cancellation
+    (_pair_kernel) and need no floor."""
     floor = np.abs(psi_val, out=work[0])
     np.maximum(floor, 2.0, out=floor)
     floor *= 1e-13
     np.subtract(psi_val, 2.0, out=psi_val)
-    sm = np.sqrt(np.maximum(psi_val, floor, out=psi_val), out=psi_val)
-    return _roots_kernel(family, sp, sm, work[0])
+    return _roots_kernel(family, np.maximum(psi_val, floor, out=psi_val), work)
 
 
 def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
@@ -220,9 +220,10 @@ def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.n
         one, out = np.ones(ut.shape[1]), np.empty((3, ut.shape[1]))
         kernel(factors((ut[0], one)), factors((ut[1], one)), out, outer=False)
         return out[0]
+    pairs = (ut[0::2], ut[1::2])
     if isinstance(family, Flat):
-        return _flat_kernel(g, *_phi_chains(_pair_factors(family, g)((ut[0::2], ut[1::2]))))
-    psi_val = _psi_trace(g, _pair_factors(family, g)((ut[0::2], ut[1::2])))
+        return _flat_kernel(g, *_phi_chains(_flat_rows(pairs)))
+    psi_val = _psi_trace(g, _pair_factors(g)(pairs))
     return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
 
 
@@ -300,20 +301,21 @@ def _pair_kernel(family: TraceFamily, g: float):
     pair is a reflection too.  factors(pts) holds per pair point (x, y),
     with p = xy and 1 - p formed as (1 - x) + x (1 - y):
 
-      Flat: f = (1 - x, 1 - y, (1 - x) y, x (1 - y), p), and
+      Flat: f = (1 - x, 1 - y, (1 - x) y, x (1 - y), p) (_flat_rows), and
             Phi_2 = f0 f0' + f1 f1' + (f2 f3' + f3 f2'),  prod u = p p';
       Psi:  (e, t, d, sqrt 2 e) with r(u) = (1 - u)(1 + u) / u and
             e = (1 - p)^2 / (sqrt 2 p),  t = (sinh 4g / 2) r(x) r(y),
             d = sqrt(cosh 4g) (1 - p)(1 + p) / (sqrt 2 p), and
             Psi_2 - 2 = e e' + t t' + d d' + sqrt 2 (e + e').
 
-    Every term of Psi_2 - 2 is >= 0, so the kernel takes its roots without
-    the cancellation of Psi_2 - 2 near the (1, 1, 1, 1) corner and needs no
-    floor.  The m = 1 kernel K(u, v) between the axes u and v is the same
-    kernel between the pair points (u, 1) and (v, 1), in the contract of
-    quadrature.integrate_axes: with u2 = u3 = 1 the 4-cycle collapses to
-    Psi_1 (Psi's one-axis factor at 1 squares to the identity), and the rows
-    hold 1 - p = 1 - u exactly and t = 0, so Phi_1 = (1 - u)(1 - v) and
+    Every term of Psi_2 - 2 is >= 0, so the kernel forms it without the
+    cancellation of Psi_2 - 2 near the (1, 1, 1, 1) corner and takes its
+    roots (_roots_kernel) with no floor.  The m = 1 kernel K(u, v) between
+    the axes u and v is the same kernel between the pair points (u, 1) and
+    (v, 1), in the contract of quadrature.integrate_axes: with u2 = u3 = 1
+    the 4-cycle collapses to Psi_1 (Psi's one-axis factor at 1 squares to
+    the identity), and the rows hold 1 - p = 1 - u exactly and t = 0, so
+    Phi_1 = (1 - u)(1 - v) and
 
         Psi_1 - 2 = ((1 - uv)^2 + sinh^2 2g (1 - u^2)(1 - v^2)) / (uv)
 
@@ -331,16 +333,6 @@ def _pair_kernel(family: TraceFamily, g: float):
     """
     if isinstance(family, Flat):
 
-        def factors(pts):
-            x, y = pts
-            rows = np.empty((5,) + x.shape)
-            np.subtract(1.0, x, out=rows[0])
-            np.subtract(1.0, y, out=rows[1])
-            np.multiply(rows[0], y, out=rows[2])
-            np.multiply(x, rows[1], out=rows[3])
-            np.multiply(x, y, out=rows[4])
-            return rows
-
         def kernel(fa, fb, out, outer=True):
             phi_val, prod, work = out
             times = np.multiply.outer if outer else np.multiply
@@ -350,7 +342,7 @@ def _pair_kernel(family: TraceFamily, g: float):
             phi_val += prod
             _flat_kernel(g, phi_val, times(fa[4], fb[4], out=prod))
 
-        return factors, kernel
+        return _flat_rows, kernel
 
     ch, sh = coupling_hyperbolics(g)
     half_sinh4, root_cosh4 = sh * ch, math.sqrt(1.0 + 2.0 * sh * sh)
@@ -374,14 +366,7 @@ def _pair_kernel(family: TraceFamily, g: float):
         minus_two += (np.add.outer if outer else np.add)(fa[3], fb[3], out=work[0])
         if not minus_two.max() < math.inf:
             raise NodeSingularity("the split kernel's Psi - 2 overflows at an interior node")
-        if isinstance(family, Minus):
-            sp, sm = np.sqrt(np.add(minus_two, 4.0, out=minus_two), out=minus_two), None
-        else:
-            sp = None
-            if not isinstance(family, Plus):
-                sp = np.sqrt(np.add(minus_two, 4.0, out=work[0]), out=work[0])
-            sm = np.sqrt(minus_two, out=minus_two)
-        _roots_kernel(family, sp, sm, work[1])
+        _roots_kernel(family, minus_two, work)
 
     return factors, kernel
 

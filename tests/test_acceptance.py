@@ -257,7 +257,7 @@ def test_criterion_10_kernel_invariants():
     for m in (1, 2, 3):
         pts = rng.uniform(0.01, 0.99, size=(100_000, 2 * m))
         g = rng.uniform(-1.0, 1.0)
-        values = _psi_trace(g, _pair_factors(PLUS, g)(_point_pairs(m, pts, g)))
+        values = _psi_trace(g, _pair_factors(g)(_point_pairs(m, pts, g)))
         assert np.all(values > 2.0), f"m={m} g={g}"
     # Phi_1 product form
     for _ in range(200):
