@@ -12,6 +12,9 @@ The solves act on P = min(64, N) probe columns: the entries of F^k decay
 away from the diagonal, so its band is read from F^k E, E summing the
 columns of each class mod P, and a check on the rows halfway between probe
 columns doubles P (up to N, where E = I) wherever that decay is too slow.
+A real pencil (real lam and eps) packs two probe columns into each complex
+column of its state, one per lane, so that one complex solve of its real LU
+steps both and the per-row cost of the solves is paid once for the pair.
 Each term is Richardson-extrapolated from three successive halvings of N,
 first N, N/2, N/4, and its error bar comes from the fourth, N/8, where it is
 live; once the next-coarser three already meet the rounding floor, the
@@ -390,23 +393,35 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
     return a
 
 
-def _banded_lu(band: np.ndarray, k: int):
-    """(solve, sigma) for the band storage band[2k + i - j, j] = A[i, j]
+def _factor(band: np.ndarray, k: int):
+    """(lu, piv, sigma) for the band storage band[2k + i - j, j] = A[i, j]
     (kl = ku = k; rows 0..k-1 are the fill-in), which gbtrf overwrites with
-    its LU: solve(b) returns A^-1 b by gbtrs, overwriting b, and sigma is
-    gbcon's estimate ||A||_1 * rcond of the smallest singular value, 0 where
-    the factorization fails (solve is then not to be called)."""
-    gbtrf, gbcon, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbcon", "gbtrs"), dtype=band.dtype)
+    its LU in the band's own arithmetic: sigma is gbcon's estimate ||A||_1 *
+    rcond of the smallest singular value, 0 where the factorization fails."""
+    gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=band.dtype)
     anorm = float(np.max(np.sum(np.abs(band), axis=0)))
     lu, piv, info = gbtrf(band, k, k, overwrite_ab=True)
     rcond = 0.0
     if info == 0:
         rcond, info = gbcon(k, k, lu, piv, anorm)
+    return lu, piv, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
+
+
+def _banded_lu(band: np.ndarray, k: int):
+    """(solve, sigma): _factor's sigma, and solve(b), which returns A^-1 b by
+    zgbtrs for a complex Fortran-order b, overwriting b (not to be called
+    where sigma is 0).  A real band is factored in real arithmetic and its
+    LU cast to complex once, so sigma and the factors are the real ones and
+    one solve steps two real columns, the two lanes of each complex column
+    (_ProbedBand)."""
+    lu, piv, sigma = _factor(band, k)
+    lu = lu.astype(complex, copy=False)
+    gbtrs = sla.get_lapack_funcs("gbtrs", dtype=complex)
 
     def solve(b: np.ndarray) -> np.ndarray:
         return gbtrs(lu, k, k, b, piv, overwrite_b=True)[0]
 
-    return solve, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
+    return solve, sigma
 
 
 def _checked_factor(diag, off, dtype):
@@ -423,7 +438,7 @@ def _checked_factor(diag, off, dtype):
     band[1, 1:] = off
     band[2] = diag
     band[3, :-1] = off
-    sigma = _banded_lu(band, 1)[1]
+    sigma = _factor(band, 1)[2]
     if not sigma > _SINGULAR_GUARD:
         raise SingularOperator(
             f"operator numerically singular (min-singular estimate "
@@ -504,12 +519,12 @@ class _ProbedBand:
     M(t)^-k of a banded pencil M(t) = M_0 + t S + t^2, S diagonal, and the
     traces of its powers read from it (traces).
 
-    `solve(b)` returns M_0^-1 b, overwriting b, and `s` is S's diagonal as
-    a column, read from order 1 on: a step k -> k + 1 solves M_0 W_j(k + 1)
-    = W_j(k) - S W_{j-1}(k + 1) - W_{j-2}(k + 1) in place.  The recurrence
-    is linear in the columns, so from W(0) = E in order 0 and zero above it
-    steps W(k)E exactly, O(orders N P) work per step.  With one order W(k)
-    is the power M_0^-k.
+    `solve(b)` returns M_0^-1 b for a complex Fortran-order b, overwriting b
+    (_banded_lu), and `s` is S's diagonal as a column, read from order 1
+    on: a step k -> k + 1 solves M_0 W_j(k + 1) = W_j(k) - S W_{j-1}(k + 1)
+    - W_{j-2}(k + 1) in place.  The recurrence is linear in the columns, so
+    from W(0) = E in order 0 and zero above it steps W(k)E exactly, O(orders
+    N P) work per step.  With one order W(k) is the power M_0^-k.
 
     E is the N x P probing matrix, E[c, c mod P] = 1.  W(k) is the Taylor
     stack of the k-th power of an inverse of a banded matrix, so its entries
@@ -529,36 +544,56 @@ class _ProbedBand:
     _PROBE_START, up to N, where E = I and nothing is aliased) and the state
     replays from W(0).  This assumes that the entries keep decaying past
     P/2.
+
+    The state lives in complex columns, and the pencil's `dtype` sets how
+    many probe columns share one: a complex pencil keeps one per column, a
+    real one packs two into the real and imaginary lanes, so that one
+    complex solve of the real LU steps both.  Of the C = ceil(P/lanes)
+    columns, column c mod C holds probe column c in lane c // C; for odd P
+    the last imaginary lane is spare and stays 0.  Everything else reads the
+    lane view x.ravel(order="F").view(dtype), where entry (r, c) sits at
+    lanes * (r + N (c mod C)) + c // C: the diagonal and halfway indices,
+    the check, the transposed bands and the traces see the probed entries
+    themselves.
     """
 
     def __init__(self, N: int, orders: int, dtype, solve: Callable[[np.ndarray], np.ndarray],
                  s=None, *, period: int | None = None, symmetric: bool = False):
         self.N = N
         self._orders = orders
-        self._dtype = dtype
+        self._dtype = np.dtype(dtype)  # the pencil's, and so the lane view's
+        self._lanes = 1 if self._dtype.kind == "c" else 2
         self._solve = solve
         self._s = s
         self._symmetric = symmetric
         # The unconjugated dot from the BLAS that runs the solves: numpy's
         # dot would wake a second thread pool on every call.
-        self._dot = sla.get_blas_funcs("dotu", dtype=dtype)
+        self._dot = sla.get_blas_funcs("dotu", dtype=self._dtype)
         self._k = 0
         self._bt = None  # the transposed bands of the held state W(_held)
         self._held = None
         self._probe(min(period or _PROBE_START, N))
 
+    def _view(self, x: np.ndarray) -> np.ndarray:
+        """The lanes of the state x in column-major order, without a copy."""
+        return x.ravel(order="F").view(self._dtype)
+
+    def _at(self, rows, cols):
+        """Where entry (rows, cols) of the probed state sits in its lane view."""
+        C = self._columns
+        return self._lanes * (rows + self.N * (cols % C)) + cols // C
+
     def _probe(self, P: int) -> None:
         """Restart from W(0) = E on P probe columns and replay to W(k), with
         the held state's bands when it is W(k).  The index arrays point into
-        W's column-major storage; the band's is built when a period first
-        needs it."""
+        the lane view; the band's is built when a period first needs it."""
         N, rows = self.N, np.arange(self.N)
-        self._diagonal = rows + N * (rows % P)
-        self._halfway = rows + N * ((rows - P // 2) % P)
+        self.P, self._columns = P, -(-P // self._lanes)
+        self._diagonal = self._at(rows, rows % P)
+        self._halfway = self._at(rows, (rows - P // 2) % P)
         self._transposed = None
-        self._w = [np.zeros((N, P), dtype=self._dtype, order="F") for _ in range(self._orders)]
-        self._w[0].ravel(order="F")[self._diagonal] = 1.0
-        self.P = P
+        self._w = [np.zeros((N, self._columns), dtype=complex, order="F") for _ in range(self._orders)]
+        self._view(self._w[0])[self._diagonal] = 1.0
         for _ in range(self._k):
             self._advance()
         if self._held == self._k:
@@ -579,11 +614,15 @@ class _ProbedBand:
         """Whether some order's largest entry in the halfway rows exceeds the
         rounding floor times that order's largest entry."""
         for x in self._w:
-            flat = x.ravel(order="F")
-            halfway = np.max(np.abs(flat[self._halfway])) / _ROUNDING_FLOOR
+            v = self._view(x)
+            halfway = np.max(np.abs(v[self._halfway])) / _ROUNDING_FLOOR
             # The diagonal's largest entry bounds the state's from below, so
-            # the whole state is read only when the diagonal leaves it open.
-            if halfway > np.max(np.abs(flat[self._diagonal])) and halfway > np.max(np.abs(x)):
+            # the whole state is read only when the diagonal leaves it open;
+            # real lanes are read without an absolute-value copy.
+            if halfway <= np.max(np.abs(v[self._diagonal])):
+                continue
+            largest = max(v.max(), -v.min()) if self._lanes == 2 else np.max(np.abs(v))
+            if halfway > largest:
                 return True
         return False
 
@@ -597,26 +636,30 @@ class _ProbedBand:
         self._k += 1
 
     def _bands(self) -> list:
-        """The transposed bands of the current state, one vector per order:
-        at (r, q), (BE)[c, r mod P] for the column c = q mod P nearest to r.
-        A symmetric state is its own transposed band, (BE)[r, q], so its
-        bands are copies of the state."""
+        """The transposed bands of the current state, one lane vector per
+        order: at the position of (r, q), (BE)[c, r mod P] for the column c =
+        q mod P nearest to r.  A symmetric state is its own transposed band,
+        (BE)[r, q], so its bands are copies of the state."""
         if self._symmetric:
-            return [x.ravel(order="F").copy() for x in self._w]
+            return [self._view(x).copy() for x in self._w]
         if self._transposed is None:
-            N, P, h = self.N, self.P, self.P // 2
+            N, P, h, C = self.N, self.P, self.P // 2, self._columns
             rows = np.arange(N)
-            # nearest[q, r] = r + ((q - r + h) mod P) - h lies in (-N, 2N); where
-            # it leaves 0..N-1 it moves back by one period.  The P x N index is
-            # built in place in one array.
-            index = np.subtract.outer(np.arange(P) + h, rows)
+            # index[q mod C, r, q // C], the position of (r, q), points at
+            # (nearest[q, r], r mod P), where nearest[q, r] = r + ((q - r + h)
+            # mod P) - h lies in (-N, 2N); where it leaves 0..N-1 it moves
+            # back by one period.  A spare lane (q = P) reads class 0 against
+            # its zero entry.  The index is built in place in one array.
+            classes = np.arange(C)[:, None] + C * np.arange(self._lanes)
+            index = (classes + h)[:, None, :] - rows[:, None]
             index %= P
-            index += rows - h
+            index += (rows - h)[:, None]
             np.add(index, P, out=index, where=index < 0)
             np.subtract(index, P, out=index, where=index >= N)
-            index += N * (rows % P)
+            index *= self._lanes
+            index += self._at(0, rows % P)[:, None]
             self._transposed = index.ravel()
-        return [x.ravel(order="F")[self._transposed] for x in self._w]
+        return [self._view(x)[self._transposed] for x in self._w]
 
     def traces(self, m: int) -> list[complex]:
         """[j! tr [t^j] M(t)^-m for each order j], as complex, from a =
@@ -624,11 +667,12 @@ class _ProbedBand:
         W_{j-i}(b), the state steps forward to W(b), holds that state's
         transposed bands, steps to W(a), and each trace is one BLAS dot, in a
         fixed order of i, so order j never depends on the number of orders.
+        A symmetric state at a = b is dotted with itself, with nothing held.
         m = 1 reads the diagonal of W(1).  The calls m = 1, 2, ... step once
-        per odd m and hold once per even m; a fresh band's traces(m) takes
-        the same steps and halfway-row checks as the m-th of those calls, so
-        it returns the same values bit for bit.  The state never steps back:
-        m // 2 must be at least k."""
+        per odd m and hold once per even m (a symmetric band: once per odd m
+        > 1); a fresh band's traces(m) takes the same steps and halfway-row
+        checks as the m-th of those calls, so it returns the same values bit
+        for bit.  The state never steps back: m // 2 must be at least k."""
         a, b = (m + 1) // 2, m // 2
         if self._k > b:
             raise ValueError(f"traces({m}) needs W({b}), and the state is at W({self._k})")
@@ -636,14 +680,16 @@ class _ProbedBand:
             self.step()
         if m == 1:
             self.step()
-            traces = [np.sum(x.ravel(order="F")[self._diagonal]) for x in self._w]
+            traces = [np.sum(self._view(x)[self._diagonal]) for x in self._w]
         else:
-            if self._held != b:
+            own = self._symmetric and a == b
+            if not own and self._held != b:
                 self._bt, self._held = self._bands(), b
             if a > b:
                 self.step()
-            w = [x.ravel(order="F") for x in self._w]
-            traces = [sum(self._dot(w[i], self._bt[j - i]) for i in range(j + 1))
+            w = [self._view(x) for x in self._w]
+            bt = w if own else self._bt
+            traces = [sum(self._dot(w[i], bt[j - i]) for i in range(j + 1))
                       for j in range(len(w))]
         return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
@@ -859,15 +905,17 @@ def _block_trace(band: np.ndarray, n: int, lam: complex, period: int | None = No
     """(tr((H + lam)^-n), the period to carry): the trace is the sum of (mu +
     lam)^-n over the eigenvalues mu of one block H in gbtrf storage
     (_interleaved_band).  H + lam is factored once, in complex arithmetic
-    only for complex lam, and the trace is order 0 of a one-order
-    _ProbedBand's traces(n): ceil(n/2) solves on its probe columns, which
-    start at min(period, N).  H + lam is complex-symmetric, so the band is
-    a symmetric one: it holds a copy of W(floor(n/2))E and dots it with
-    W(ceil(n/2))E.  The period carried on is the one the band settled on
-    below its N, or `period` itself when the band reached P = N.  H is
-    real symmetric, so every -mu lies at least |Im lam| from lam; where
-    that does not exceed NEAR_POLE_GUARD, gbcon's estimate of the smallest
-    singular value, ||H + lam||_1 * rcond, must."""
+    only for complex lam (a real one packs two probe columns per complex
+    column), and the trace is order 0 of a one-order _ProbedBand's
+    traces(n): ceil(n/2) solves on its probe columns, which start at
+    min(period, N).  H + lam is complex-symmetric, so the band is a
+    symmetric one: at even n it dots W(n/2)E with itself, and at odd n it
+    holds a copy of W(floor(n/2))E and dots it with W(ceil(n/2))E.  The
+    period carried on is the one the band settled on below its N, or
+    `period` itself when the band reached P = N.  H is real symmetric, so
+    every -mu lies at least |Im lam| from lam; where that does not exceed
+    NEAR_POLE_GUARD, gbcon's estimate of the smallest singular value, ||H +
+    lam||_1 * rcond, must."""
     lam = complex(lam)
     dtype = complex if lam.imag else float
     u = band.shape[0] // 3

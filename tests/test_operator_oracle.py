@@ -570,22 +570,36 @@ class TestProbedKernel:
 
     # The transposed band pairs row r with the column c of each class q mod P
     # nearest to r: found here by searching the window [r - P/2, r + P/2),
-    # moved by one period P where the window leaves the matrix.
+    # moved by one period P where the window leaves the matrix.  Entry (r, q)
+    # of the state sits at lanes * (r + N (q mod C)) + q // C of its lane
+    # view, C = ceil(P / lanes): a real pencil packs two probe columns into
+    # each complex column, a complex one keeps one.
+    @pytest.mark.parametrize("lam,lanes", [(0.9, 2), (0.9 + 0.3j, 1)])
     @pytest.mark.parametrize("N", [2, 3, 64, 65, 100, 129])
-    def test_transposed_band_reads_the_nearest_column_of_each_class(self, N):
-        band = _resolvent_band(Component("fock"), 0.2, 0.9, 0.1, 0, N)
+    def test_transposed_band_reads_the_nearest_column_of_each_class(self, N, lam, lanes):
+        band = _resolvent_band(Component("fock"), 0.2, lam, 0.1, 0, N)
         for P in sorted({2**k for k in range(1, N.bit_length())} | {N}):
             band._probe(P)
-            # Entry (c, s) of the state holds its own column-major index.
-            band._w = [np.arange(N * P, dtype=float).reshape((N, P), order="F")]
-            ref = np.empty((P, N))
+            C = -(-P // lanes)
+            assert band._w[0].shape == (N, C)
+
+            def at(r, q):
+                return lanes * (r + N * (q % C)) + q // C
+
+            # Each lane of the state holds its own position.
+            view = band._view(band._w[0])
+            view[:] = np.arange(view.size)
+            probed, ref = np.empty((N, P), dtype=int), np.empty((N, P))
             for r in range(N):
                 window = np.arange(r - P // 2, r - P // 2 + P)
                 nearest = window[np.argsort(window % P)]
                 nearest[nearest < 0] += P
                 nearest[nearest >= N] -= P
-                ref[:, r] = nearest + N * (r % P)
-            assert np.array_equal(band._bands()[0], ref.ravel()), P
+                probed[r] = at(r, np.arange(P))
+                ref[r] = at(nearest, r % P)
+            # Every lane but the spare one of an odd P holds a probed entry.
+            assert len(np.unique(probed)) == N * P == view.size - N * (lanes * C - P)
+            assert np.array_equal(band._bands()[0][probed], ref), P
 
     def test_transposed_band_is_built_in_one_index_array(self, monkeypatch):
         # The P x N index is built in place: one int64 index array and the
@@ -601,6 +615,38 @@ class TestProbedKernel:
             tracemalloc.stop()
         assert band.P == P
         assert peak <= 3 * N * P * 8
+
+    # The halfway-row check weighs the halfway rows against the state's
+    # largest entry in magnitude, of either sign and in either lane count.
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_check_reads_the_largest_entry_by_magnitude(self, dtype, sign):
+        band = _ProbedBand(8, 1, dtype, lambda b: b, period=4)
+        view = band._view(band._w[0])
+        view[:] = 0.0
+        view[band._diagonal[0]] = 1.0
+        view[band._at(0, 1)] = sign * 1e3
+        view[band._halfway[0]] = 1e-12
+        assert not band._aliased()
+        view[band._at(0, 1)] = sign * 10.0
+        assert band._aliased()
+
+    # Ladder levels 25 and 37 probe on P = N columns, an odd number: a real
+    # pencil holds ceil(P/2) complex columns, and the imaginary lane of the
+    # last stays exactly 0 through every step (one per odd m) and hold.
+    @pytest.mark.parametrize("top_n,N", [(100, 25), (150, 37)])
+    @pytest.mark.parametrize("basis,nu", _COMPONENTS)
+    def test_odd_period_packs_a_spare_lane_that_stays_zero(self, basis, nu, top_n, N):
+        g, lam, eps, top = 0.2, 0.9, 0.1, 3
+        band = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, top, top_n)._states[-1]
+        assert band.N == band.P == N and all(x.shape == (N, (N + 1) // 2) for x in band._w)
+        for m in range(1, 7):
+            row = band.traces(m)
+            assert band.P == N
+            assert all(np.all(x[:, -1].imag == 0) for x in band._w), m
+            for n in range(top + 1):
+                ref = _dense_dn_r_m_once(basis, g, lam, eps, m, n, N, nu)
+                assert abs(row[n] - ref) <= 1e-12 * abs(ref), (m, n, row[n], ref)
 
     # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
     @pytest.mark.parametrize("point", _NARROW[:2])
@@ -833,9 +879,9 @@ class TestProbedEigenKernel:
             assert built[-1].periods == [built[-2].P] and built[-1].P > 64
 
     # The block is complex-symmetric, so its band is its own transposed
-    # band: the kernel holds W(1)E and a copy of it, and builds no P x N
-    # int64 index.  Gathered through that index, the peak here was 15,083,728
-    # bytes (numpy 2.4, scipy 1.17).
+    # band: at n = 2 the kernel dots W(1)E with itself, holding no copy, and
+    # builds no P x N int64 index.  Gathered through that index, the peak
+    # here was 15,083,728 bytes (numpy 2.4, scipy 1.17).
     def test_no_transposed_index_on_the_eigen_path(self, monkeypatch):
         built = self._recording(monkeypatch)
         block = model_geometry(TwoPhoton(0.45, 0.3, 0.1)).blocks(1200)[0]
