@@ -15,7 +15,6 @@ from .apery import (
 )
 from .errors import (
     DomainError,
-    EigenFailure,
     HalfIntegerPole,
     InvalidDimension,
     LengthMismatch,

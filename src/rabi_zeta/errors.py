@@ -49,9 +49,3 @@ class NodeSingularity(RabiZetaError):
 
 class SingularOperator(RabiZetaError):
     """A truncated operator is numerically singular (cannot be inverted)."""
-
-
-class EigenFailure(RabiZetaError):
-    """Reserved for a failed eigenvalue solve.  No route raises it since the
-    eigen oracle reads its traces from banded solves instead of
-    eigenvalues; it stays for the public API."""

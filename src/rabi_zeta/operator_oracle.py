@@ -586,12 +586,14 @@ class _ProbedBand:
     def _probe(self, P: int) -> None:
         """Restart from W(0) = E on P probe columns and replay to W(k), with
         the held state's bands when it is W(k).  The index arrays point into
-        the lane view; the band's is built when a period first needs it."""
+        the lane view; the band's is built when a period first needs it.  The
+        narrower state and its bands are dropped before the wider state is
+        allocated, so a widening never holds both."""
         N, rows = self.N, np.arange(self.N)
         self.P, self._columns = P, -(-P // self._lanes)
         self._diagonal = self._at(rows, rows % P)
         self._halfway = self._at(rows, (rows - P // 2) % P)
-        self._transposed = None
+        self._transposed = self._w = self._bt = None
         self._w = [np.zeros((N, self._columns), dtype=complex, order="F") for _ in range(self._orders)]
         self._view(self._w[0])[self._diagonal] = 1.0
         for _ in range(self._k):
@@ -767,7 +769,6 @@ class TraceDerivativeSweep:
         for s in (complex(lam) + complex(eps), complex(lam) - complex(eps)):
             if progression_distance(s, component.step, component.offset) <= NEAR_POLE_GUARD:
                 raise NearPole(f"shift {s} is within {NEAR_POLE_GUARD} of an excluded point")
-        self.n = n
         self.m = 0
         self._first_bar = N < _MIN_TOP
         self._calibrated = N >= _MIN_BAR_TOP

@@ -36,10 +36,6 @@ from scipy.linalg.blas import dgemm
 from .errors import DomainError, NodeSingularity
 from .specfun import SeriesValue
 
-#: The name of the generator integrate_monte_carlo builds (numpy's Philox);
-#: no result records it.
-RNG_ALGORITHM = "philox4x64"
-
 _CHUNK = 1 << 17
 
 #: Left grid rows per kernel block in _upper_gram (integrate_pairs and
@@ -194,8 +190,8 @@ def integrate_tensor(f, d: int, spec: QuadratureSpec):
     return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec, "integrate_tensor")
 
 
-def _upper_gram(kernel, rows_a, rows_b, z: np.ndarray) -> np.ndarray:
-    """z K z^T for the symmetric K[r, s] = kernel(rows_a[:, r], rows_b[:, s])
+def _upper_gram(kernel, rows, z: np.ndarray) -> np.ndarray:
+    """z K z^T for the symmetric K[r, s] = kernel(rows[:, r], rows[:, s])
     between the points of z's columns.
 
     Row block I of K is written from its own start on, K(I, I.start:),
@@ -218,7 +214,7 @@ def _upper_gram(kernel, rows_a, rows_b, z: np.ndarray) -> np.ndarray:
         stop = min(start + _PAIR_BLOCK, npts)
         width, cols = stop - start, npts - start
         out = tuple(buf[: width * cols].reshape(cols, width).T for buf in scratch)
-        kernel(rows_a[:, start:stop], rows_b[:, start:], out)
+        kernel(rows[:, start:stop], rows[:, start:], out)
         k = _require_finite(out[0], "kernel")
         diag = k[:, :width]
         if not np.all(np.abs(diag - diag.T) <= 1e-12 * np.abs(diag)):
@@ -236,7 +232,7 @@ def _gram_level(factors, kernel, sides, points, q, what: str):
     rows, one _upper_gram.  Returns G, the unweighted sides and the rows."""
     z = _require_finite(sides(points), what)
     rows = _require_finite(factors(points), "factors")
-    return _upper_gram(kernel, rows, rows, z * q), z, rows
+    return _upper_gram(kernel, rows, z * q), z, rows
 
 
 def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):

@@ -6,17 +6,18 @@ shift derivatives, and the m=1 series/hypergeometric fast paths.
 
 Two descriptions give the Phi and Psi kernels.  phi, psi and the point
 kernels at m >= 2 read the factor rows of each consecutive axis pair
-(u_2i, u_2i+1) of a point (Psi's from _pair_factors).  Every tensor rule
-and the m = 1 point kernel read per-side rows (_pair_kernel): those of a
-pair of axes that carries one exponent, (u0, u2) or (u1, u3), which form
-Psi_2 - 2 as a sum of non-negative terms; m = 1 reads them at the pair
-point (u, 1), where the 4-cycle collapses to Psi_1.  Both descriptions
-share the rest: Flat's rows hold no g and come from one builder
-(_flat_rows), and every Psi family takes its roots in one step over
-Psi - 2 (_roots_kernel).  Every integrand reads one row rule (_log_rows):
-prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
-Monte Carlo runs the point integrand on axis rows at any m <= 3; a tensor
-rule takes m = 1 as a symmetric kernel between its two axes
+(u_2i, u_2i+1) of a point, Psi's (_pair_factors) in a basis where every
+entry is positive.  Every tensor rule and the m = 1 point kernel read
+per-side rows (_pair_kernel): those of a pair of axes that carries one
+exponent, (u0, u2) or (u1, u3), which form Psi_2 - 2 as a sum of
+non-negative terms; m = 1 reads them at the pair point (u, 1), where the
+4-cycle collapses to Psi_1.  Both descriptions share the rest: Flat's
+rows hold no g and come from one builder (_flat_rows), and every Psi
+family takes its roots over Psi - 2, and refuses one that overflows, in
+one step (_roots_kernel).  Every integrand reads one row rule
+(_log_rows): prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
+Monte Carlo runs the point integrand on axis rows at any m <= 3; a
+tensor rule takes m = 1 as a symmetric kernel between its two axes
 (quadrature.integrate_axes, block by block), m = 2 as one between the
 grids of those axis pairs on their points with x <= y
 (quadrature.integrate_pairs), and refuses m = 3.
@@ -67,33 +68,37 @@ def _flat_rows(pts) -> np.ndarray:
 
 def _pair_factors(g: float):
     """factors(pts): Psi's factor rows of the consecutive axis pairs pts =
-    (u0, u1), stacked on a new first axis; psi and the Psi point kernels at
-    m >= 2 (_point_kernel) read Psi_m from these alone (_psi_trace), and the
-    tensor rules and the m = 1 point kernel read the rows of _pair_kernel
-    instead.  The ordered product of Psi's two factors over a pair is P =
-    Pbar + (zeta / sqrt 2) K, with c = cosh 2g, s = sinh 2g, x1 = 1 / (u0
-    u1), x4 = u0 u1, y = (u0 / u1 + u1 / u0) / 2 and
+    (u0, u1), stacked on a new first axis, which psi and the Psi point
+    kernels at m >= 2 read (_psi_trace): the entries (p00, p01, p10, p11)
+    of the ordered product P of Psi's two one-axis factors over a pair, in
+    the basis T = [[1, 1], [1, -1]] / sqrt 2, where every factor has
+    positive entries: with q = 1 / u + u and d = (1 - u)(1 + u) / u,
 
-        Pbar = [[c^2 x1 - s^2 y, c s (y - x4)], [c s (y - x1), c^2 x4 - s^2 y]],
-        zeta = (s / sqrt 2) (u0 / u1 - u1 / u0),    K = [[-s, -c], [c, s]]:
+        4P = [[q0 q1 + e^(-4g) d0 d1,  q0 d1 + e^(-4g) d0 q1],
+              [q0 d1 + e^(4g) d0 q1,   q0 q1 + e^(4g) d0 d1]].
 
-    rows (pbar0, pbar1, pbar2, pbar3, zeta).
-    """
+    No entry cancels, nor does any entry of a product of such matrices.
+    e^(+-4g) are the square of cosh 2g + |sinh 2g| and its reciprocal; a
+    product overflows to inf where a power would raise."""
     ch, sh = coupling_hyperbolics(g)
-    c2, s2, cs, z = ch * ch, sh * sh, ch * sh, sh / math.sqrt(2.0)
+    grow = ch + abs(sh)
+    grow *= grow
+    up, down = (grow, 1.0 / grow) if sh >= 0.0 else (1.0 / grow, grow)
 
     def factors(pts):
-        u0, u1 = pts
-        rows = np.empty((5,) + u0.shape)
-        x4, ratio, inverse = u0 * u1, np.divide(u0, u1, out=rows[4]), u1 / u0
-        x1, y = 1.0 / x4, (ratio + inverse) / 2.0
-        np.multiply(cs, np.subtract(y, x4, out=rows[1]), out=rows[1])
-        np.multiply(cs, np.subtract(y, x1, out=rows[2]), out=rows[2])
-        y *= s2
-        np.subtract(np.multiply(c2, x1, out=x1), y, out=rows[0])
-        np.subtract(np.multiply(c2, x4, out=x4), y, out=rows[3])
-        ratio -= inverse
-        ratio *= z
+        (q0, d0), (q1, d1) = [(1.0 / u + u, (1.0 - u) * (1.0 + u) / u) for u in pts]
+        q0 *= 0.25
+        d0 *= 0.25
+        rows = np.empty((4,) + q0.shape)
+        np.multiply(q0, q1, out=rows[0])
+        np.multiply(q0, d1, out=rows[1])
+        rows[2:] = rows[1::-1]  # p10 and p11 start as q0 d1 and q0 q1
+        d1 *= d0
+        q1 *= d0
+        rows[0] += np.multiply(d1, down, out=q0)
+        rows[3] += np.multiply(d1, up, out=d1)
+        rows[1] += np.multiply(q1, down, out=q0)
+        rows[2] += np.multiply(q1, up, out=q1)
         return rows
 
     return factors
@@ -119,18 +124,12 @@ def _phi_chains(rows: np.ndarray):
     return total, reduce(np.multiply, p)
 
 
-def _psi_trace(g: float, rows: np.ndarray) -> np.ndarray:
-    """Psi_m = tr prod_i P_i, P = Pbar + (zeta / sqrt 2) K, from Psi's factor
-    rows, each (m, npts): each P_i is written over its Pbar rows, and each
-    row [x, y] of the product is right-multiplied in place by the next."""
-    ch, sh = coupling_hyperbolics(g)
-    q, zeta = rows[:4], rows[4]
-    zeta /= math.sqrt(2.0)
-    work = np.empty_like(zeta)
-    for row, k in zip(q, (-sh, -ch, ch, sh)):
-        row += np.multiply(zeta, k, out=work)
-    prod, nxt, work = q[:, 0], np.empty((4, zeta.shape[1])), work[0]
-    for b in q.swapaxes(0, 1)[1:]:
+def _psi_trace(rows: np.ndarray) -> np.ndarray:
+    """Psi_m = tr prod_i P_i from Psi's factor rows, each (m, npts)
+    (_pair_factors): each row [x, y] of the product is right-multiplied in
+    place by the next P_i.  Every term is positive, so nothing cancels."""
+    prod, nxt, work = rows[:, 0], np.empty((4, rows.shape[2])), np.empty(rows.shape[2])
+    for b in rows.swapaxes(0, 1)[1:]:
         for r in (0, 2):
             for c in (0, 1):
                 np.multiply(prod[r], b[c], out=nxt[r + c])
@@ -158,7 +157,7 @@ def phi(m: int, u) -> float:
 
 def psi(m: int, g: float, u) -> float:
     """Psi_m^g(u) for a length-2m point of the open cube."""
-    return float(_psi_trace(g, _pair_factors(g)(_point_pairs(m, u, g)))[0])
+    return float(_psi_trace(_pair_factors(g)(_point_pairs(m, u, g)))[0])
 
 
 def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -178,7 +177,10 @@ def _roots_kernel(family: TraceFamily, minus_two, work) -> np.ndarray:
     minus_two, with work two scratch arrays of its shape.  Both kernel
     descriptions end here: the split kernel (_pair_kernel) with its
     non-negative Psi - 2, the point kernels at m >= 2 (_psi_kernel) with a
-    floored Psi - 2 from a matrix-product Psi."""
+    floored Psi - 2 from a matrix-product Psi.  A Psi - 2 that overflows
+    raises NodeSingularity, as Nu's non-finite kernel does."""
+    if not minus_two.max() < math.inf:
+        raise NodeSingularity("Psi - 2 overflows at an interior node")
     if isinstance(family, Plus):
         return np.divide(1.0, np.sqrt(minus_two, out=minus_two), out=minus_two)
     sp = np.sqrt(np.add(minus_two, 4.0, out=work[0]), out=work[0])
@@ -223,7 +225,7 @@ def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.n
     pairs = (ut[0::2], ut[1::2])
     if isinstance(family, Flat):
         return _flat_kernel(g, *_phi_chains(_flat_rows(pairs)))
-    psi_val = _psi_trace(g, _pair_factors(g)(pairs))
+    psi_val = _psi_trace(_pair_factors(g)(pairs))
     return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
 
 
@@ -326,10 +328,9 @@ def _pair_kernel(family: TraceFamily, g: float):
     sum of two outer products, which swapping a and b exchanges, and Psi's
     sqrt 2 (e + e') one add.outer, so K(a, b) == K(b, a).T bit for bit.
     With outer False it writes K between each column of fa and the same
-    column of fb instead, point by point (_point_kernel at m = 1).  Where
-    Psi - 2 overflows (at |g| of about 159 at m = 1 and 100 at m = 2, where
-    the rows themselves do from about 177.5) the kernel cannot be formed,
-    and NodeSingularity is raised, as Nu's non-finite kernel raises it.
+    column of fb instead, point by point (_point_kernel at m = 1).  Psi - 2
+    overflows at |g| of about 159 at m = 1 and 100 at m = 2 (the rows
+    themselves do from about 177.5), and _roots_kernel refuses it there.
     """
     if isinstance(family, Flat):
 
@@ -364,8 +365,6 @@ def _pair_kernel(family: TraceFamily, g: float):
         minus_two, work = out[0], out[1:]
         _outer_sum(fa[:3], fb[:3], minus_two, outer)
         minus_two += (np.add.outer if outer else np.add)(fa[3], fb[3], out=work[0])
-        if not minus_two.max() < math.inf:
-            raise NodeSingularity("the split kernel's Psi - 2 overflows at an interior node")
         _roots_kernel(family, minus_two, work)
 
     return factors, kernel

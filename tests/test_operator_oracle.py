@@ -896,6 +896,24 @@ class TestProbedEigenKernel:
         assert (N, P) == (2400, 256) and built[-1]._transposed is None
         assert peak <= 15_083_728 - N * P * 8
 
+    # The widening 128 -> 256 drops the narrower state before it allocates
+    # the wider one, N P real probe entries packed two per complex column:
+    # the peak was 7,845,136 bytes while both were held, and 5,406,592 with
+    # one.
+    def test_widening_holds_one_state(self, monkeypatch):
+        built = self._recording(monkeypatch)
+        block = model_geometry(TwoPhoton(0.45, 0.3, 0.1)).blocks(1200)[0]
+        _block_trace(block, 2, 1.0)
+        tracemalloc.start()
+        try:
+            _block_trace(block, 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        N, P = built[-1].N, built[-1].P
+        assert (N, P) == (2400, 256) and built[-1]._lanes == 2
+        assert peak <= 1.25 * N * P * 8
+
     # A real symmetric block has real eigenvalues: lam within the guard of
     # some -mu is refused, 1e-6 away it is summed like the eigenvalues.
     @pytest.mark.parametrize("model,lam", _EIGEN_MODELS)

@@ -116,15 +116,26 @@ class TestKernels:
             ref = _phi_definition(u)
             assert abs(phi(m, u) - ref) <= 1e-15 * ref, u
 
-    @pytest.mark.parametrize("g", [0.2, 0.45, 1.0, -0.7])
+    @pytest.mark.parametrize("g", [0.2, 0.45, 1.0, -0.7, 2.0])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_psi_matches_its_definition(self, m, g):
-        # The pair matrices' rounding is amplified by the ratio of their
-        # entries to their trace, up to cosh^2(2g) per pair at the corners.
-        bound = 8 * 2.0**-52 * math.cosh(2 * g) ** (2 * m)
+        # No term of the trace cancels (the pair rows and every product of
+        # them are positive), so it carries a few roundings per pair at any
+        # g, corners included.
+        bound = 8 * m * 2.0**-52
         for u in _reference_points(m):
             ref = _psi_definition(g, u)
             assert abs(psi(m, g, u) - ref) <= bound * ref, u
+
+    @pytest.mark.parametrize("g", [0.2, 1.0, -0.7, 2.0])
+    def test_psi_pair_rows_are_positive(self, g):
+        # In the basis [[1, 1], [1, -1]] / sqrt 2 both one-axis factors of a
+        # pair have positive entries, and so has their product, on interior
+        # points and on the level-5 corners.
+        pairs = np.array(_reference_points(1)).T
+        rows = trace_terms._pair_factors(g)(pairs)
+        assert rows.shape == (4, pairs.shape[1])
+        assert np.all(rows > 0.0)
 
     @pytest.mark.parametrize(
         "kernel, m, g, u",
@@ -613,14 +624,14 @@ class TestPairSeparableM2:
         grams, points = [], []
         upper_gram = quadrature._upper_gram
 
-        def counting(kernel, rows_a, rows_b, z):
+        def counting(kernel, rows, z):
             grams.append(z.shape[1])
 
             def k(fa, fb, out):
                 points.append(fa.shape[1] * fb.shape[1])
                 kernel(fa, fb, out)
 
-            return upper_gram(k, rows_a, rows_b, z)
+            return upper_gram(k, rows, z)
 
         monkeypatch.setattr(quadrature, "_upper_gram", counting)
         dn_r_m_integral(family, 1.2, 0.2, 0.1, 2, 2)
@@ -635,9 +646,15 @@ class TestPairSeparableM2:
         # Psi_2 - 2 overflows from g of about 100 on, and its rows do from
         # about 177.5 on (sinh 4g): Plus read 1 / root there as a value near
         # 1e-189 with a bar of the same size; every family raises
-        # NodeSingularity instead.
+        # NodeSingularity instead.  So does the Monte Carlo point rule at m
+        # = 2 and 3, whose positive pair rows overflow to inf (its roots
+        # read 0 there).
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 2, n)
+        spec = QuadratureSpec("monte_carlo", samples=4096)
+        for m in (2, 3):
+            with pytest.raises(NodeSingularity):
+                dn_r_m_integral(family, 1.2, g, 0.1, m, n, spec)
 
     def test_back_to_back_calls_match_calls_alone(self):
         # Each integrate_pairs call owns its scratch: a call right after
