@@ -5,17 +5,18 @@ representations of R_m for each family, the log-weighted integrands for the
 shift derivatives, and the m=1 series/hypergeometric fast paths.
 
 Two descriptions give the Phi and Psi kernels.  phi, psi and the point
-kernels at m >= 2 read the factor rows of each consecutive axis pair
-(u_2i, u_2i+1) of a point, Psi's (_pair_factors) in a basis where every
-entry is positive.  Every tensor rule and the m = 1 point kernel read
-per-side rows (_pair_kernel): those of a pair of axes that carries one
-exponent, (u0, u2) or (u1, u3), which form Psi_2 - 2 as a sum of
-non-negative terms; m = 1 reads them at the pair point (u, 1), where the
-4-cycle collapses to Psi_1.  Both descriptions share the rest: Flat's
-rows hold no g and come from one builder (_flat_rows), and every Psi
-family takes its roots over Psi - 2, and refuses one that overflows, in
-one step (_roots_kernel).  Every integrand reads one row rule
-(_log_rows): prod u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
+kernels at every m read the factor rows of each consecutive axis pair
+(u_2i, u_2i+1) of a point, Psi's (_pair_factors) as the entries of its
+pair product less the identity, in a basis where every entry is >= 0.
+Every tensor rule reads per-side rows (_pair_kernel): those of a pair of
+axes that carries one exponent, (u0, u2) or (u1, u3), which form Psi_2 -
+2 as a sum of non-negative terms; m = 1 reads them at the pair point (u,
+1), where the 4-cycle collapses to Psi_1.  Both descriptions form Psi - 2
+from non-negative terms and share the rest: Flat's rows hold no g and
+come from one builder (_flat_rows), and every Psi family takes its roots
+over Psi - 2, and refuses one that overflows, in one step
+(_roots_kernel).  Every integrand reads one row rule (_log_rows): prod
+u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
 Monte Carlo runs the point integrand on axis rows at any m <= 3; a
 tensor rule takes m = 1 as a symmetric kernel between its two axes
 (quadrature.integrate_axes, block by block), m = 2 as one between the
@@ -69,15 +70,15 @@ def _flat_rows(pts) -> np.ndarray:
 def _pair_factors(g: float):
     """factors(pts): Psi's factor rows of the consecutive axis pairs pts =
     (u0, u1), stacked on a new first axis, which psi and the Psi point
-    kernels at m >= 2 read (_psi_trace): the entries (p00, p01, p10, p11)
-    of the ordered product P of Psi's two one-axis factors over a pair, in
-    the basis T = [[1, 1], [1, -1]] / sqrt 2, where every factor has
-    positive entries: with q = 1 / u + u and d = (1 - u)(1 + u) / u,
+    kernels read (_psi_minus_two): the entries (e00, e01, e10, e11) of E =
+    P - I, P the ordered product of Psi's two one-axis factors over a pair,
+    in the basis T = [[1, 1], [1, -1]] / sqrt 2.  With c = (1 - u)^2 / (2u),
+    b = (1 - u)(1 + u) / (2u) and a = 1 + c, from one reciprocal per axis,
 
-        4P = [[q0 q1 + e^(-4g) d0 d1,  q0 d1 + e^(-4g) d0 q1],
-              [q0 d1 + e^(4g) d0 q1,   q0 q1 + e^(4g) d0 d1]].
+        E = [[c0 + a0 c1 + e^(-4g) b0 b1,  a0 b1 + e^(-4g) b0 a1],
+             [a0 b1 + e^(4g) b0 a1,        c0 + a0 c1 + e^(4g) b0 b1]].
 
-    No entry cancels, nor does any entry of a product of such matrices.
+    Every term is >= 0, so no entry cancels, at the corners either.
     e^(+-4g) are the square of cosh 2g + |sinh 2g| and its reciprocal; a
     product overflows to inf where a power would raise."""
     ch, sh = coupling_hyperbolics(g)
@@ -85,20 +86,27 @@ def _pair_factors(g: float):
     grow *= grow
     up, down = (grow, 1.0 / grow) if sh >= 0.0 else (1.0 / grow, grow)
 
+    def axis_terms(u):
+        half_inv, one_minus = 0.5 / u, 1.0 - u
+        c = one_minus * one_minus
+        c *= half_inv
+        one_minus *= 1.0 + u
+        one_minus *= half_inv
+        return 1.0 + c, one_minus, c
+
     def factors(pts):
-        (q0, d0), (q1, d1) = [(1.0 / u + u, (1.0 - u) * (1.0 + u) / u) for u in pts]
-        q0 *= 0.25
-        d0 *= 0.25
-        rows = np.empty((4,) + q0.shape)
-        np.multiply(q0, q1, out=rows[0])
-        np.multiply(q0, d1, out=rows[1])
-        rows[2:] = rows[1::-1]  # p10 and p11 start as q0 d1 and q0 q1
-        d1 *= d0
-        q1 *= d0
-        rows[0] += np.multiply(d1, down, out=q0)
-        rows[3] += np.multiply(d1, up, out=d1)
-        rows[1] += np.multiply(q1, down, out=q0)
-        rows[2] += np.multiply(q1, up, out=q1)
+        (a0, b0, c0), (a1, b1, c1) = [axis_terms(u) for u in pts]
+        rows = np.empty((4,) + c0.shape)
+        np.multiply(a0, c1, out=rows[0])
+        rows[0] += c0
+        np.multiply(a0, b1, out=rows[1])
+        rows[2:] = rows[1::-1]  # e10 and e11 start as a0 b1 and c0 + a0 c1
+        b1 *= b0
+        a1 *= b0
+        rows[0] += np.multiply(b1, down, out=c0)
+        rows[3] += np.multiply(b1, up, out=b1)
+        rows[1] += np.multiply(a1, down, out=c0)
+        rows[2] += np.multiply(a1, up, out=a1)
         return rows
 
     return factors
@@ -124,17 +132,19 @@ def _phi_chains(rows: np.ndarray):
     return total, reduce(np.multiply, p)
 
 
-def _psi_trace(rows: np.ndarray) -> np.ndarray:
-    """Psi_m = tr prod_i P_i from Psi's factor rows, each (m, npts)
-    (_pair_factors): each row [x, y] of the product is right-multiplied in
-    place by the next P_i.  Every term is positive, so nothing cancels."""
-    prod, nxt, work = rows[:, 0], np.empty((4, rows.shape[2])), np.empty(rows.shape[2])
-    for b in rows.swapaxes(0, 1)[1:]:
+def _psi_minus_two(rows: np.ndarray) -> np.ndarray:
+    """Psi_m - 2 = tr F_m from Psi's pair rows E_i, each (m, npts)
+    (_pair_factors): F_1 = E_1 and F_(i+1) = F_i E_(i+1) + F_i + E_(i+1),
+    the entries of prod_i (I + E_i) - I, each written into a new array.
+    Every term is >= 0, so nothing cancels, at the corners either."""
+    prod, work = rows[:, 0], np.empty(rows.shape[2])
+    for e in rows.swapaxes(0, 1)[1:]:
+        nxt = prod + e
         for r in (0, 2):
             for c in (0, 1):
-                np.multiply(prod[r], b[c], out=nxt[r + c])
-                nxt[r + c] += np.multiply(prod[r + 1], b[c + 2], out=work)
-        prod, nxt = nxt, prod
+                nxt[r + c] += np.multiply(prod[r], e[c], out=work)
+                nxt[r + c] += np.multiply(prod[r + 1], e[c + 2], out=work)
+        prod = nxt
     return np.add(prod[0], prod[3], out=work)
 
 
@@ -157,7 +167,7 @@ def phi(m: int, u) -> float:
 
 def psi(m: int, g: float, u) -> float:
     """Psi_m^g(u) for a length-2m point of the open cube."""
-    return float(_psi_trace(_pair_factors(g)(_point_pairs(m, u, g)))[0])
+    return 2.0 + float(_psi_minus_two(_pair_factors(g)(_point_pairs(m, u, g)))[0])
 
 
 def _flat_kernel(g: float, phi_val: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -175,10 +185,10 @@ def _roots_kernel(family: TraceFamily, minus_two, work) -> np.ndarray:
     """The kernel of Plus (1 / sqrt(Psi - 2)), Minus (1 / sqrt((Psi - 2) +
     4)) or Nu (both roots) from minus_two = Psi - 2 >= 0, written over
     minus_two, with work two scratch arrays of its shape.  Both kernel
-    descriptions end here: the split kernel (_pair_kernel) with its
-    non-negative Psi - 2, the point kernels at m >= 2 (_psi_kernel) with a
-    floored Psi - 2 from a matrix-product Psi.  A Psi - 2 that overflows
-    raises NodeSingularity, as Nu's non-finite kernel does."""
+    descriptions end here, each with a Psi - 2 summed from non-negative
+    terms: the split kernel (_pair_kernel) and the point kernel
+    (_point_kernel).  A Psi - 2 that overflows raises NodeSingularity, as
+    Nu's non-finite kernel does."""
     if not minus_two.max() < math.inf:
         raise NodeSingularity("Psi - 2 overflows at an interior node")
     if isinstance(family, Plus):
@@ -198,35 +208,14 @@ def _roots_kernel(family: TraceFamily, minus_two, work) -> np.ndarray:
     return np.divide(mu, sp, out=sm)
 
 
-def _psi_kernel(family: TraceFamily, psi_val: np.ndarray, work) -> np.ndarray:
-    """The point kernel of Plus, Minus or Nu at m >= 2 from a matrix-product
-    Psi, written over psi_val, with work two scratch arrays of its shape.
-    Psi - 2 is only known to roundoff relative to |Psi|; flooring it at that
-    noise scale keeps corner nodes (tiny weights) harmless, and the roots
-    are taken over the floored Psi - 2 (_roots_kernel).  The tensor rules
-    and the m = 1 point kernel form Psi - 2 without cancellation
-    (_pair_kernel) and need no floor."""
-    floor = np.abs(psi_val, out=work[0])
-    np.maximum(floor, 2.0, out=floor)
-    floor *= 1e-13
-    np.subtract(psi_val, 2.0, out=psi_val)
-    return _roots_kernel(family, np.maximum(psi_val, floor, out=psi_val), work)
-
-
-def _point_kernel(family: TraceFamily, g: float, m: int, ut: np.ndarray) -> np.ndarray:
-    """The family's real kernel on the (2m, npts) axis rows of a point block:
-    at m = 1 the split kernel point by point, between the pair points (u, 1)
-    and (v, 1) (_pair_kernel), else from the consecutive pairs' rows."""
-    if m == 1:
-        factors, kernel = _pair_kernel(family, g)
-        one, out = np.ones(ut.shape[1]), np.empty((3, ut.shape[1]))
-        kernel(factors((ut[0], one)), factors((ut[1], one)), out, outer=False)
-        return out[0]
+def _point_kernel(family: TraceFamily, g: float, ut: np.ndarray) -> np.ndarray:
+    """The family's real kernel on the (2m, npts) axis rows of a point block,
+    from the rows of its consecutive pairs (u_2i, u_2i+1)."""
     pairs = (ut[0::2], ut[1::2])
     if isinstance(family, Flat):
         return _flat_kernel(g, *_phi_chains(_flat_rows(pairs)))
-    psi_val = _psi_trace(_pair_factors(g)(pairs))
-    return _psi_kernel(family, psi_val, np.empty((2, ut.shape[1])))
+    minus_two = _psi_minus_two(_pair_factors(g)(pairs))
+    return _roots_kernel(family, minus_two, np.empty((2, ut.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +262,17 @@ def _integrand(family: TraceFamily, lam: complex, eps: complex, g: float, m: int
 
     def f(u: np.ndarray) -> np.ndarray:
         ut = np.ascontiguousarray(u.T)
-        return _log_rows(np.log(ut), evec, orders, _point_kernel(family, g, m, ut))
+        return _log_rows(np.log(ut), evec, orders, _point_kernel(family, g, ut))
 
     return f
 
 
-def _outer_sum(fa, fb, out, outer: bool = True) -> None:
-    """out = sum_k fa[k] (x) fb[k], one dgemm, or with outer False the sum
-    point by point, sum_k fa[k] fb[k].  dgemm writes in place into the
-    F-ordered scratch of quadrature._upper_gram and returns a copy for a
+def _outer_sum(fa, fb, out) -> None:
+    """out = sum_k fa[k] (x) fb[k], one dgemm.  dgemm writes in place into
+    the F-ordered scratch of quadrature._upper_gram and returns a copy for a
     C-ordered out, which is then written back.  Every entry sums its
     products in the same order, so the block of (fb, fa) is the transpose
     of that of (fa, fb)."""
-    if not outer:
-        np.einsum("k...,k...->...", fa, fb, out=out)
-        return
     total = dgemm(1.0, fa.T, fb.T, trans_b=1, c=out, overwrite_c=1)
     if total is not out:
         out[...] = total
@@ -327,21 +312,18 @@ def _pair_kernel(family: TraceFamily, g: float):
     (_outer_sum, k = 2 for Flat and 3 for Psi); Flat's cross pair stays a
     sum of two outer products, which swapping a and b exchanges, and Psi's
     sqrt 2 (e + e') one add.outer, so K(a, b) == K(b, a).T bit for bit.
-    With outer False it writes K between each column of fa and the same
-    column of fb instead, point by point (_point_kernel at m = 1).  Psi - 2
-    overflows at |g| of about 159 at m = 1 and 100 at m = 2 (the rows
+    Psi - 2 overflows at |g| of about 159 at m = 1 and 100 at m = 2 (the rows
     themselves do from about 177.5), and _roots_kernel refuses it there.
     """
     if isinstance(family, Flat):
 
-        def kernel(fa, fb, out, outer=True):
+        def kernel(fa, fb, out):
             phi_val, prod, work = out
-            times = np.multiply.outer if outer else np.multiply
-            _outer_sum(fa[:2], fb[:2], phi_val, outer)
-            times(fa[2], fb[3], out=prod)
-            prod += times(fa[3], fb[2], out=work)
+            _outer_sum(fa[:2], fb[:2], phi_val)
+            np.multiply.outer(fa[2], fb[3], out=prod)
+            prod += np.multiply.outer(fa[3], fb[2], out=work)
             phi_val += prod
-            _flat_kernel(g, phi_val, times(fa[4], fb[4], out=prod))
+            _flat_kernel(g, phi_val, np.multiply.outer(fa[4], fb[4], out=prod))
 
         return _flat_rows, kernel
 
@@ -361,10 +343,10 @@ def _pair_kernel(family: TraceFamily, g: float):
         rows[2] *= root_cosh4 / math.sqrt(2.0)
         return rows
 
-    def kernel(fa, fb, out, outer=True):
+    def kernel(fa, fb, out):
         minus_two, work = out[0], out[1:]
-        _outer_sum(fa[:3], fb[:3], minus_two, outer)
-        minus_two += (np.add.outer if outer else np.add)(fa[3], fb[3], out=work[0])
+        _outer_sum(fa[:3], fb[:3], minus_two)
+        minus_two += np.add.outer(fa[3], fb[3], out=work[0])
         _roots_kernel(family, minus_two, work)
 
     return factors, kernel

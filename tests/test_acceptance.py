@@ -34,7 +34,7 @@ from rabi_zeta.trace_terms import (
     Nu,
     _pair_factors,
     _point_pairs,
-    _psi_trace,
+    _psi_minus_two,
     dn_r_m_integral,
     phi,
     psi,
@@ -253,12 +253,12 @@ def test_criterion_09_confluence():
 def test_criterion_10_kernel_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED + 2)
-    # Psi_m > 2 on random interior points
+    # Psi_m - 2 > 0 on random interior points
     for m in (1, 2, 3):
         pts = rng.uniform(0.01, 0.99, size=(100_000, 2 * m))
         g = rng.uniform(-1.0, 1.0)
-        values = _psi_trace(_pair_factors(g)(_point_pairs(m, pts, g)))
-        assert np.all(values > 2.0), f"m={m} g={g}"
+        values = _psi_minus_two(_pair_factors(g)(_point_pairs(m, pts, g)))
+        assert np.all(values > 0.0), f"m={m} g={g}"
     # Phi_1 product form
     for _ in range(200):
         u, v = rng.uniform(0.01, 0.99, size=2)

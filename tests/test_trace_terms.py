@@ -67,6 +67,17 @@ def _reference_points(m: int):
     return [*rng.uniform(0.0, 1.0, (40, 2 * m)), *rng.choice(nodes, (40, 2 * m)), *corners]
 
 
+def _kernel_definition(family, minus_two):
+    """The family's kernel from Psi - 2 in mpmath: Plus 1 / sqrt(Psi - 2),
+    Minus 1 / sqrt(Psi + 2), Nu (2 / (sp + sm))^(2 (nu - 1)) / (sp sm)."""
+    sm, sp = mpmath.sqrt(minus_two), mpmath.sqrt(minus_two + 4)
+    if family == PLUS:
+        return 1 / sm
+    if family == MINUS:
+        return 1 / sp
+    return (2 / (sp + sm)) ** (2 * (family.nu - 1)) / (sp * sm)
+
+
 class TestKernels:
     def test_phi_m1_product_form(self):
         u, v = 0.3, 0.7
@@ -129,13 +140,46 @@ class TestKernels:
 
     @pytest.mark.parametrize("g", [0.2, 1.0, -0.7, 2.0])
     def test_psi_pair_rows_are_positive(self, g):
-        # In the basis [[1, 1], [1, -1]] / sqrt 2 both one-axis factors of a
-        # pair have positive entries, and so has their product, on interior
-        # points and on the level-5 corners.
-        pairs = np.array(_reference_points(1)).T
-        rows = trace_terms._pair_factors(g)(pairs)
-        assert rows.shape == (4, pairs.shape[1])
+        # The rows are the entries of E = P - I, P a pair's product in the
+        # basis [[1, 1], [1, -1]] / sqrt 2: sums of non-negative terms, so
+        # positive on interior points and on the level-5 corners, with tr E
+        # = Psi_1 - 2 to a few roundings.
+        points = _reference_points(1)
+        rows = trace_terms._pair_factors(g)(np.array(points).T)
+        assert rows.shape == (4, len(points))
         assert np.all(rows > 0.0)
+        with mpmath.workdps(80):
+            for u, trace in zip(points, rows[0] + rows[3]):
+                ref = _psi_definition(g, u, dps=80) - 2
+                assert abs(trace - ref) <= 8 * 2.0**-52 * ref, u
+
+    @pytest.mark.parametrize("g", [0.2, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_point_kernel_at_the_corners_matches_80_digits(self, m, g):
+        # The point rule sums Psi_m - 2 from non-negative pair increments,
+        # so on the level-5 corners, where Psi_m - 2 is as small as 1e-30 of
+        # the terms of a trace less 2, it stays within a few roundings per
+        # pair, and each Psi family's point kernel within 1e-14 relative of
+        # the kernel from the 80-digit Psi_m - 2.  A trace less 2, floored
+        # at 1e-13 max(|Psi|, 2), erred by 1.0 there at m = 2 and 3.
+        points = _reference_points(m)
+        ut = np.array(points).T
+        minus_two = trace_terms._psi_minus_two(trace_terms._pair_factors(g)((ut[0::2], ut[1::2])))
+        families = (PLUS, MINUS, Nu(0.7))
+        kernels = [trace_terms._point_kernel(family, g, ut) for family in families]
+        with mpmath.workdps(80):
+            for i, u in enumerate(points):
+                ref = _psi_definition(g, u, dps=80) - 2
+                assert abs(minus_two[i] - ref) <= 8 * m * 2.0**-52 * ref, u
+                for family, k in zip(families, kernels):
+                    assert abs(k[i] / _kernel_definition(family, ref) - 1) <= 1e-14, (family, u)
+
+    def test_psi_minus_two_leaves_its_rows_unchanged(self):
+        ut = np.random.default_rng(37).uniform(0.05, 0.95, size=(6, 100))
+        rows = trace_terms._pair_factors(0.45)((ut[0::2], ut[1::2]))
+        before = rows.copy()
+        trace_terms._psi_minus_two(rows)
+        assert rows.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "kernel, m, g, u",
@@ -436,17 +480,14 @@ class TestAxisSeparableM1:
             for i, j in itertools.product(range(nodes.size), repeat=2):
                 u, v = mpmath.mpf(float(nodes[i])), mpmath.mpf(float(nodes[j]))
                 minus_two = ((1 - u * v) ** 2 + sh2 * (1 - u * u) * (1 - v * v)) / (u * v)
-                sm, sp = mpmath.sqrt(minus_two), mpmath.sqrt(minus_two + 4)
-                if family == PLUS:
-                    ref = 1 / sm
-                elif family == MINUS:
-                    ref = 1 / sp
-                else:
-                    ref = (2 / (sp + sm)) ** (2 * (family.nu - 1)) / (sp * sm)
+                ref = _kernel_definition(family, minus_two)
                 assert abs(k[i, j] / ref - 1) <= 1e-14, (nodes[i], nodes[j])
 
     def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
+        # The point rule reads the consecutive pair rows alone, not the
+        # split kernel of the tensor rules.
         monkeypatch.setattr(quadrature, "integrate_axes", None)
+        monkeypatch.setattr(trace_terms, "_pair_kernel", None)
         spec = QuadratureSpec("monte_carlo", samples=1000)
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, spec=spec).terms_used == 1000
 
@@ -576,14 +617,19 @@ class TestPairSeparableM2:
 
     @pytest.mark.parametrize("g", [0.2, 1.0])
     def test_both_descriptions_agree_point_by_point(self, g):
-        # On 2000 interior points (coordinates in [0.05, 0.95]), Flat's Phi_2
-        # from the consecutive pairs (u0, u1), (u2, u3) against the split
-        # form f0 f0' + f1 f1' + f2 f3' + f3 f2' over a = (u0, u2), b = (u1,
-        # u3), and each Psi family's point kernel against the split kernel
-        # read point by point.  Measured worst on these points: 3.6e-16
-        # relative for Phi_2, 3.6e-15 for the kernels (Nu(0.7) at g = 1.0);
-        # the bounds allow about ten times that.
-        ut = np.random.default_rng(34).uniform(0.05, 0.95, size=(4, 2000))
+        # On 2000 interior points (coordinates in [0.05, 0.95]) and the 16
+        # level-5 corner quadruples, Flat's Phi_2 from the consecutive pairs
+        # (u0, u1), (u2, u3) against the split form f0 f0' + f1 f1' + f2 f3'
+        # + f3 f2' over a = (u0, u2), b = (u1, u3), and each Psi family's
+        # point kernel against the diagonal of the split kernel's blocks of
+        # 100 columns.  Both form Psi_2 - 2 from non-negative terms.
+        # Measured worst: 3.6e-16 relative for Phi_2, 9.8e-16 for the kernels
+        # (Nu(0.7) at g = 1.0), 6.5e-16 on the corners; the bounds allow ten
+        # times that and more.
+        nodes = quadrature.tanh_sinh_nodes(5)[0]
+        corners = np.array(list(itertools.product((nodes.min(), nodes.max()), repeat=4))).T
+        interior = np.random.default_rng(34).uniform(0.05, 0.95, size=(4, 2000))
+        ut = np.concatenate([interior, corners], axis=1)
         a, b = (ut[0], ut[2]), (ut[1], ut[3])
         chains, _ = trace_terms._phi_chains(trace_terms._flat_rows((ut[0::2], ut[1::2])))
         f, f_b = trace_terms._flat_rows(a), trace_terms._flat_rows(b)
@@ -591,10 +637,13 @@ class TestPairSeparableM2:
         assert np.all(np.abs(chains - split) <= 4e-15 * split)
         for family in (PLUS, MINUS, Nu(0.7)):
             factors, kernel = trace_terms._pair_kernel(family, g)
-            out = np.empty((3, ut.shape[1]))
-            kernel(factors(a), factors(b), out, outer=False)
-            point = trace_terms._point_kernel(family, g, 2, ut)
-            assert np.all(np.abs(point - out[0]) <= 4e-14 * out[0]), family
+            fa, fb = factors(a), factors(b)
+            split = np.concatenate([
+                np.diag(_fresh_block(kernel, fa[:, start : start + 100], fb[:, start : start + 100]))
+                for start in range(0, ut.shape[1], 100)
+            ])
+            point = trace_terms._point_kernel(family, g, ut)
+            assert np.all(np.abs(point - split) <= 4e-14 * split), family
 
     @pytest.mark.parametrize("g", [0.2, 0.45, 1.0])
     @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
