@@ -137,15 +137,14 @@ def _psi_minus_two(rows: np.ndarray) -> np.ndarray:
     (_pair_factors): F_1 = E_1 and F_(i+1) = F_i E_(i+1) + F_i + E_(i+1),
     the entries of prod_i (I + E_i) - I, each written into a new array.
     Every term is >= 0, so nothing cancels, at the corners either."""
-    prod, work = rows[:, 0], np.empty(rows.shape[2])
+    prod = rows[:, 0].reshape(2, 2, -1)
     for e in rows.swapaxes(0, 1)[1:]:
+        e = e.reshape(2, 2, -1)
         nxt = prod + e
-        for r in (0, 2):
-            for c in (0, 1):
-                nxt[r + c] += np.multiply(prod[r], e[c], out=work)
-                nxt[r + c] += np.multiply(prod[r + 1], e[c + 2], out=work)
+        nxt += prod[:, 0, None] * e[0]
+        nxt += prod[:, 1, None] * e[1]
         prod = nxt
-    return np.add(prod[0], prod[3], out=work)
+    return prod[0, 0] + prod[1, 1]
 
 
 def _point_pairs(m: int, u, g: float = 0.0):
@@ -312,8 +311,9 @@ def _pair_kernel(family: TraceFamily, g: float):
     (_outer_sum, k = 2 for Flat and 3 for Psi); Flat's cross pair stays a
     sum of two outer products, which swapping a and b exchanges, and Psi's
     sqrt 2 (e + e') one add.outer, so K(a, b) == K(b, a).T bit for bit.
-    Psi - 2 overflows at |g| of about 159 at m = 1 and 100 at m = 2 (the rows
-    themselves do from about 177.5), and _roots_kernel refuses it there.
+    Psi - 2 overflows at |g| of about 159 at m = 1 and 100 at m = 2 (the
+    rows themselves do from about 177.5), and _roots_kernel refuses it
+    there.
     """
     if isinstance(family, Flat):
 
