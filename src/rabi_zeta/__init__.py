@@ -40,6 +40,7 @@ from .operator_oracle import (
 from .quadrature import (
     QuadratureSpec,
     gauss_legendre_nodes,
+    integrate_lattice,
     integrate_monte_carlo,
     integrate_tensor,
     tanh_sinh_nodes,

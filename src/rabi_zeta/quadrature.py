@@ -1,14 +1,15 @@
 """Quadrature over the open unit cube (0,1)^d.
 
-Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4 and
-a counter-based Monte Carlo fallback for higher dimensions.  Integrands are
-vectorized: f receives an (npts, d) float array and returns an (npts,)
-complex array, or a (rows, npts) block of integrands that share the nodes:
-each row is reduced exactly as a scalar integrand, into its own SeriesValue.
-Both endpoint families of singularity in scope (algebraic
-u^(Re lambda - 1) at 0 and the inverse-square-root corner at (1,...,1)) are
-integrable, and tanh-sinh nodes cluster exponentially near the endpoints
-without ever touching them.
+Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4,
+and at any d two rules with a statistical bar: a randomly shifted rank-1
+lattice (integrate_lattice) and counter-based Monte Carlo
+(integrate_monte_carlo).  Integrands are vectorized: f receives an (npts, d)
+float array and returns an (npts,) complex array, or a (rows, npts) block of
+integrands that share the nodes: each row is reduced exactly as a scalar
+integrand, into its own SeriesValue.  Both endpoint families of singularity
+in scope (algebraic u^(Re lambda - 1) at 0 and the inverse-square-root
+corner at (1,...,1)) are integrable, and tanh-sinh nodes cluster
+exponentially near the endpoints without ever touching them.
 
 integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
 integrands that split between two halves of the coordinates, the axes u and
@@ -57,8 +58,9 @@ _PAIR_BLOCK = 64
 _PAIR_BUFFERS = 3
 
 #: Integrand points per call in _tensor_sum, rounded down to whole
-#: first-axis rows of the tensor grid (at least one), and in
-#: integrate_monte_carlo, which draws _CHUNK points at a time.  On a 2-core
+#: first-axis rows of the tensor grid (at least one), in
+#: integrate_monte_carlo, which draws _CHUNK points at a time, and in
+#: integrate_lattice, per shifted copy of the lattice.  On a 2-core
 #: Xeon the m = 3 integrand took 14-16 ms per _CHUNK in calls of 2^12 points
 #: against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each complex
 #: temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The trace
@@ -67,14 +69,37 @@ _PAIR_BUFFERS = 3
 #: references of the tests.  The sums do not depend on this size.
 _TENSOR_BLOCK = 1 << 12
 
+#: The lattice rule's points per shift, a prime: the rank-1 lattice {k z / n
+#: mod 1 : k = 0 .. n - 1} with the Korobov vector z = (1, a, a^2, ...) mod n.
+_LATTICE_POINTS = 8191
+
+#: The Korobov generator a.  Its P_2 criterion for d = 6 with unit product
+#: weights, -1 + (1/n) sum_k prod_j (1 + 2 pi^2 B_2({k z_j / n})), is 0.354,
+#: the least over all generators 1 .. n - 1 (tied with 1425, 2236 and
+#: 5955); at d = 2 it is 3.7e-5 and at d = 4 0.023.
+_LATTICE_GENERATOR = 6766
+
+#: Independent random shifts of the lattice; the spread of their means is
+#: the rule's bar.  8191 x 16 = 131,056 points, against Monte Carlo's
+#: default 400,000: on the value grid's 64 m = 3 trace-term rows (g = 0.2,
+#: orders 0-3) the error stayed within 1.48 standard errors of the shift
+#: means, 0.70 of the bar, against the operator route at N = 1600.
+_LATTICE_SHIFTS = 16
+
+#: The Student-t factor for _LATTICE_SHIFTS - 1 = 15 degrees of freedom at
+#: 97.5%, written out: importing scipy.stats costs 0.55-0.84 s.
+_LATTICE_T = 2.131
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Scheme selection for an integral request.
 
     points_per_axis is the point count for gauss_legendre and the level for
-    tanh_sinh (level L means step h = 2^(2-L)); samples and rng_seed apply to
-    monte_carlo only.
+    tanh_sinh (level L means step h = 2^(2-L)); samples applies to
+    monte_carlo only, and rng_seed seeds monte_carlo's draws and lattice's
+    shifts.  The lattice rule's size and shift count are fixed
+    (integrate_lattice).
     """
 
     scheme: str = "tanh_sinh"
@@ -83,7 +108,7 @@ class QuadratureSpec:
     rng_seed: int = 20260823
 
     def __post_init__(self):
-        if self.scheme not in ("gauss_legendre", "tanh_sinh", "monte_carlo"):
+        if self.scheme not in ("gauss_legendre", "tanh_sinh", "monte_carlo", "lattice"):
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.points_per_axis < 1 or self.samples < 1:
             raise DomainError("points_per_axis and samples must be >= 1")
@@ -334,11 +359,24 @@ def integrate_pairs(factors, kernel, sides, combine, spec: QuadratureSpec):
     return _two_level(level_sum, 4, spec, "integrate_pairs")
 
 
+def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
+    """f at the rows of pts as one complex array, f called on _TENSOR_BLOCK
+    points at a time; a non-finite value raises NodeSingularity."""
+    vals = np.concatenate(
+        [np.asarray(f(pts[i : i + _TENSOR_BLOCK]), dtype=complex)
+         for i in range(0, len(pts), _TENSOR_BLOCK)],
+        axis=-1,
+    )
+    return _require_finite(vals, "integrand", where)
+
+
 def integrate_monte_carlo(f, d: int, samples: int, seed: int):
     """Monte Carlo mean over (0,1)^d, one SeriesValue per integrand row;
     abs_error is the standard error of the mean.  Deterministic for a fixed
     seed (counter-based Philox generator, fixed chunking, pairwise reductions);
-    f is called on _TENSOR_BLOCK points of a chunk at a time."""
+    f is called on _TENSOR_BLOCK points of a chunk at a time.  The bar is
+    statistical, not a bound: on the value grid's m = 3 trace terms at
+    400,000 samples the error reached 2.56 of it."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if samples < 1:
@@ -347,13 +385,7 @@ def integrate_monte_carlo(f, d: int, samples: int, seed: int):
     sums, sqsums, done = [], [], 0
     while done < samples:
         take = min(_CHUNK, samples - done)
-        pts = rng.random((take, d))
-        vals = np.concatenate(
-            [np.asarray(f(pts[i : i + _TENSOR_BLOCK]), dtype=complex)
-             for i in range(0, take, _TENSOR_BLOCK)],
-            axis=-1,
-        )
-        _require_finite(vals, "integrand", "a sampled point")
+        vals = _point_values(f, rng.random((take, d)), "a sampled point")
         sums.append(np.sum(vals, axis=-1))
         sqsums.append(np.sum(vals.real**2 + vals.imag**2, axis=-1))
         done += take
@@ -364,3 +396,36 @@ def integrate_monte_carlo(f, d: int, samples: int, seed: int):
         return SeriesValue(mean, math.sqrt(var / samples), samples, True)
 
     return _per_row(row, *(np.sum(np.stack(s, axis=-1), axis=-1) for s in (sums, sqsums)))
+
+
+def integrate_lattice(f, d: int, seed: int):
+    """Randomly shifted rank-1 lattice rule over (0,1)^d, one SeriesValue per
+    integrand row.  The _LATTICE_POINTS-point Korobov lattice with generator
+    _LATTICE_GENERATOR is shifted _LATTICE_SHIFTS times by Philox draws from
+    seed, x -> {x + shift}, and each coordinate is folded by the tent
+    transform x -> 1 - |2x - 1|.  The value is the mean of the shift means,
+    and abs_error is _LATTICE_T times their standard error: a statistical
+    bar, not a bound.  Deterministic for a fixed seed; f is called on
+    _TENSOR_BLOCK points of a shifted lattice at a time."""
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    n, shifts = _LATTICE_POINTS, _LATTICE_SHIFTS
+    z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in range(d)])
+    lattice = np.outer(np.arange(n), z) % n / n
+    means = []
+    for shift in np.random.Generator(np.random.Philox(seed)).random((shifts, d)):
+        # The tent of the fractional part, 1 - |2 {x} - 1| = 2 |x - rint(x)|:
+        # each step is exact for x in [0, 2), and it takes a tenth of the
+        # time of np.remainder.
+        pts = lattice + shift
+        pts -= np.rint(pts)
+        np.abs(pts, out=pts)
+        pts *= 2.0
+        means.append(np.sum(_point_values(f, pts, "a lattice point"), axis=-1) / n)
+    means = np.stack(means, axis=-1)
+    bars = _LATTICE_T / math.sqrt(shifts) * np.std(means, axis=-1, ddof=1)
+
+    def row(mean, bar):
+        return SeriesValue(complex(mean), float(bar), n * shifts, True)
+
+    return _per_row(row, np.mean(means, axis=-1), bars)

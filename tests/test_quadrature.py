@@ -11,6 +11,7 @@ from rabi_zeta.quadrature import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_axes,
+    integrate_lattice,
     integrate_monte_carlo,
     integrate_pairs,
     integrate_tensor,
@@ -134,6 +135,15 @@ class TestRowIntegrands:
         for k, row in enumerate(rows):
             single = integrate_monte_carlo(lambda p: _rows(p)[k], 3, 300_000, seed=11)
             assert (row.value, row.abs_error) == (single.value, single.abs_error)
+
+    def test_lattice_rows_match_scalar_calls(self):
+        rows = integrate_lattice(_rows, 3, seed=11)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            single = integrate_lattice(lambda p: _rows(p)[k], 3, seed=11)
+            assert (row.value, row.abs_error, row.terms_used) == (
+                single.value, single.abs_error, single.terms_used
+            )
 
 
 def _scalar(p):
@@ -279,6 +289,11 @@ class TestPairIntegration:
         with pytest.raises(DomainError):
             integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
 
+    def test_lattice_refused(self):
+        spec = QuadratureSpec("lattice")
+        with pytest.raises(DomainError, match="lattice"):
+            integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
+
 
 def _axis_sides(u):
     """The axis test's sides, V = u^(1/2) e^(iu) and W = u^(-1/2) log u."""
@@ -328,6 +343,11 @@ class TestAxisIntegration:
         with pytest.raises(DomainError):
             integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
 
+    def test_lattice_refused(self):
+        spec = QuadratureSpec("lattice")
+        with pytest.raises(DomainError, match="lattice"):
+            integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
+
 
 class TestMonteCarlo:
     def test_deterministic(self):
@@ -362,6 +382,45 @@ class TestMonteCarlo:
             integrate_monte_carlo(lambda p: p[:, 0], 0, 10, 1)
         with pytest.raises(DomainError):
             integrate_monte_carlo(lambda p: p[:, 0], 1, 0, 1)
+
+
+class TestLattice:
+    def test_deterministic(self):
+        f = lambda p: np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])  # noqa: E731
+        a = integrate_lattice(f, 2, seed=42)
+        assert a == integrate_lattice(f, 2, seed=42)
+        assert a.value != integrate_lattice(f, 2, seed=43).value
+
+    def test_smooth_integrand_within_its_bar(self):
+        # exp(sum x) / (e - 1)^6 integrates to 1 over the 6-cube.
+        got = integrate_lattice(lambda p: np.exp(np.sum(p, axis=1)) / (math.e - 1.0) ** 6, 6, 7)
+        assert got.terms_used == 8191 * 16
+        assert abs(got.value - 1.0) <= got.abs_error < 1e-4
+
+    def test_integrand_calls_stay_blocked(self, monkeypatch):
+        # Each shifted copy of the lattice reaches the integrand
+        # _TENSOR_BLOCK points at a time, on the open cube; a pointwise
+        # integrand's sums do not depend on that size.
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            assert np.all((p > 0.0) & (p < 1.0))
+            return np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])
+
+        blocked = integrate_lattice(f, 2, seed=3)
+        assert max(sizes) == quadrature._TENSOR_BLOCK
+        assert sum(sizes) == blocked.terms_used == 8191 * 16
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", 1 << 20)
+        assert integrate_lattice(f, 2, seed=3) == blocked
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(NodeSingularity, match="lattice point"):
+            integrate_lattice(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 2, seed=1)
+
+    def test_bad_dimension(self):
+        with pytest.raises(DomainError):
+            integrate_lattice(lambda p: p[:, 0], 0, 1)
 
 
 class TestSpecValidation:

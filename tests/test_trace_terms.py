@@ -299,12 +299,12 @@ class TestIntegralRoute:
     @pytest.mark.parametrize("family", [FLAT, PLUS])
     def test_m3_tensor_spec_is_refused(self, family, spec, monkeypatch):
         # No tensor rule reaches the six axes of m = 3: a tensor spec is
-        # refused with a message that names the scheme that does, before any
+        # refused with a message that names the schemes that do, before any
         # rule is tried.
         for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
-                     "integrate_monte_carlo"):
+                     "integrate_monte_carlo", "integrate_lattice"):
             monkeypatch.setattr(quadrature, name, _refuse)
-        with pytest.raises(DomainError, match="monte_carlo"):
+        with pytest.raises(DomainError, match="lattice or monte_carlo"):
             r_m_integral(family, 1.2, 0.2, 0.1, 3, spec=spec)
         with pytest.raises(DomainError, match="monte_carlo"):
             dn_r_m_integral(family, 1.2, 0.2, 0.1, 3, 2, spec=spec)
@@ -490,6 +490,7 @@ class TestAxisSeparableM1:
         monkeypatch.setattr(trace_terms, "_pair_kernel", None)
         spec = QuadratureSpec("monte_carlo", samples=1000)
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, spec=spec).terms_used == 1000
+        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, QuadratureSpec("lattice")).terms_used == 131_056
 
 
 class TestPairSeparableM2:
@@ -695,11 +696,13 @@ class TestPairSeparableM2:
         # Psi_2 - 2 overflows from g of about 100 on, and its rows do from
         # about 177.5 on (sinh 4g): Plus read 1 / root there as a value near
         # 1e-189 with a bar of the same size; every family raises
-        # NodeSingularity instead.  So does the Monte Carlo point rule at m
-        # = 2 and 3, whose positive pair rows overflow to inf (its roots
-        # read 0 there).
+        # NodeSingularity instead.  So do the point rules at m = 2 and 3,
+        # the default lattice at m = 3 among them, whose positive pair rows
+        # overflow to inf (their roots read 0 there).
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 2, n)
+        with pytest.raises(NodeSingularity):
+            dn_r_m_integral(family, 1.2, g, 0.1, 3, n)
         spec = QuadratureSpec("monte_carlo", samples=4096)
         for m in (2, 3):
             with pytest.raises(NodeSingularity):
@@ -717,6 +720,32 @@ class TestPairSeparableM2:
         monkeypatch.setattr(quadrature, "integrate_pairs", None)
         spec = QuadratureSpec("monte_carlo", samples=1000)
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, spec=spec).terms_used == 1000
+        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, QuadratureSpec("lattice")).terms_used == 131_056
+
+
+class TestLatticeM3:
+    # The default m = 3 rule is the randomly shifted lattice: 8191 Korobov
+    # points times 16 shifts, with a bar of 2.131 standard errors of the
+    # shift means.
+
+    def test_default_is_the_lattice(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "integrate_monte_carlo", _refuse)
+        for k in (0, 2):
+            got = dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, 3, k)
+            assert got.terms_used == 131_056 and got.converged
+            assert got == dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, 3, k, QuadratureSpec("lattice"))
+
+    @pytest.mark.parametrize("family,lam", [(FLAT, 1.2), (PLUS, 0.9), (Nu(0.7), 0.9)])
+    def test_default_within_its_bar_of_the_operator(self, family, lam):
+        # Value grid rows (g = 0.2, orders 0-3) against the operator route
+        # at N = 1600, whose bars are below 1e-11.  400,000 Monte Carlo
+        # samples erred there by up to 2.39 (Flat), 2.56 (Plus) and 2.53
+        # (Nu) of their one-standard-error bar; the lattice by at most 0.69
+        # of its bar (Flat, order 3).
+        ref = operator_oracle.family_term(family.components, 0.2, lam, 0.1, 3, 3, 1600, 1e-8)
+        for k in range(4):
+            got = dn_r_m_integral(family, lam, 0.2, 0.1, 3, k)
+            assert abs(got.value - ref[k].value) <= got.abs_error, k
 
 
 class TestR1FastPaths:
@@ -764,6 +793,7 @@ class TestNonFiniteInputs:
             (quadrature, "integrate_tensor"),
             (quadrature, "integrate_pairs"),
             (quadrature, "integrate_monte_carlo"),
+            (quadrature, "integrate_lattice"),
             (operator_oracle, "family_term"),
             (trace_terms, "hypergeometric_pfq"),
         ]:
