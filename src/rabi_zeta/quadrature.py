@@ -376,7 +376,8 @@ def integrate_monte_carlo(f, d: int, samples: int, seed: int):
     seed (counter-based Philox generator, fixed chunking, pairwise reductions);
     f is called on _TENSOR_BLOCK points of a chunk at a time.  The bar is
     statistical, not a bound: on the value grid's m = 3 trace terms at
-    400,000 samples the error reached 2.56 of it."""
+    400,000 samples the error against the operator route at N = 1600
+    reached 2.56 of it."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if samples < 1:
