@@ -15,9 +15,9 @@ poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
 where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
 period stays, where it widens and near poles, dn_r_m_integral for every
-family at m <= 3 and orders 0-3 (m = 1 and 2 also under a Gauss-Legendre,
-a Monte Carlo and a lattice spec, m = 2 at g = 0.45 and 1.0, and m = 3
-under a tanh-sinh spec, which is refused), every route of the Psi families at
+family at m <= 3 and orders 0-3 (m = 1 and 2 also under a Gauss-Legendre
+and a lattice spec, m = 2 at g = 0.45 and 1.0, and m = 3 under a
+tanh-sinh spec, which is refused), every route of the Psi families at
 huge couplings (g = 100 and 150, where values stand; g = 200, where the
 m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by series and
 by quadrature and j_delta by series and by recurrence at n = 0-3, and a
@@ -108,11 +108,9 @@ def entries(small: bool) -> list:
     # The eigen oracle's probe period widens to 256 and 512 here.
     eigen_widening = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
     families = [FLAT, PLUS, MINUS, Nu(0.7)]
-    # The m = 1 and 2 integrals under the three rules besides the default
+    # The m = 1 and 2 integrals under the two rules besides the default
     # tanh-sinh one.
-    other_specs = [QuadratureSpec("gauss_legendre", 16),
-                   QuadratureSpec("monte_carlo", samples=100_000),
-                   QuadratureSpec("lattice")]
+    other_specs = [QuadratureSpec("gauss_legendre", 16), QuadratureSpec("lattice")]
     # The m = 2 integral at strong coupling, where Psi's pair rows cancel most.
     m2_couplings = (0.45, 1.0)
     out = []

@@ -41,7 +41,6 @@ from .quadrature import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_lattice,
-    integrate_monte_carlo,
     integrate_tensor,
     tanh_sinh_nodes,
 )

@@ -1,9 +1,8 @@
 """Quadrature over the open unit cube (0,1)^d.
 
 Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4,
-and at any d two rules with a statistical bar: a randomly shifted rank-1
-lattice (integrate_lattice) and counter-based Monte Carlo
-(integrate_monte_carlo).  Integrands are vectorized: f receives an (npts, d)
+and at any d a point rule with a statistical bar: a randomly shifted rank-1
+lattice (integrate_lattice).  Integrands are vectorized: f receives an (npts, d)
 float array and returns an (npts,) complex array, or a (rows, npts) block of
 integrands that share the nodes: each row is reduced exactly as a scalar
 integrand, into its own SeriesValue.  Both endpoint families of singularity
@@ -37,8 +36,6 @@ from scipy.linalg.blas import dgemm
 from .errors import DomainError, NodeSingularity
 from .specfun import SeriesValue
 
-_CHUNK = 1 << 17
-
 #: Left grid rows per kernel block in _upper_gram (integrate_pairs and
 #: integrate_axes).  At the default m = 2 rule (51 nodes per axis, 1326 pair
 #: points with x <= y) each of the block's scratch arrays is at most
@@ -58,12 +55,11 @@ _PAIR_BLOCK = 64
 _PAIR_BUFFERS = 3
 
 #: Integrand points per call in _tensor_sum, rounded down to whole
-#: first-axis rows of the tensor grid (at least one), in
-#: integrate_monte_carlo, which draws _CHUNK points at a time, and in
-#: integrate_lattice, per shifted copy of the lattice.  On a 2-core
-#: Xeon the m = 3 integrand took 14-16 ms per _CHUNK in calls of 2^12 points
-#: against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each complex
-#: temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The trace
+#: first-axis rows of the tensor grid (at least one), and in
+#: integrate_lattice, per shifted copy of the lattice.  On a 2-core Xeon
+#: the m = 3 integrand took 14-16 ms per 2^17 points in calls of 2^12
+#: points against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each
+#: complex temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The trace
 #: terms' tensor rules (m <= 2) run on integrate_axes and integrate_pairs,
 #: so _tensor_sum serves apery's J_n quadrature and the point-rule
 #: references of the tests.  The sums do not depend on this size.
@@ -80,10 +76,11 @@ _LATTICE_POINTS = 8191
 _LATTICE_GENERATOR = 6766
 
 #: Independent random shifts of the lattice; the spread of their means is
-#: the rule's bar.  8191 x 16 = 131,056 points, against Monte Carlo's
-#: default 400,000: on the value grid's 64 m = 3 trace-term rows (g = 0.2,
-#: orders 0-3) the error stayed within 1.48 standard errors of the shift
-#: means, 0.70 of the bar, against the operator route at N = 1600.
+#: the rule's bar.  8191 x 16 = 131,056 points, a third of the 400,000
+#: Monte Carlo draws that this rule replaced: on the value grid's 64 m = 3
+#: trace-term rows (g = 0.2, orders 0-3) the error stayed within 1.48
+#: standard errors of the shift means, 0.70 of the bar, against the
+#: operator route at N = 1600 for the default seed.
 _LATTICE_SHIFTS = 16
 
 #: The Student-t factor for _LATTICE_SHIFTS - 1 = 15 degrees of freedom at
@@ -96,22 +93,20 @@ class QuadratureSpec:
     """Scheme selection for an integral request.
 
     points_per_axis is the point count for gauss_legendre and the level for
-    tanh_sinh (level L means step h = 2^(2-L)); samples applies to
-    monte_carlo only, and rng_seed seeds monte_carlo's draws and lattice's
+    tanh_sinh (level L means step h = 2^(2-L)); rng_seed seeds lattice's
     shifts.  The lattice rule's size and shift count are fixed
     (integrate_lattice).
     """
 
     scheme: str = "tanh_sinh"
     points_per_axis: int = 7
-    samples: int = 400_000
     rng_seed: int = 20260823
 
     def __post_init__(self):
-        if self.scheme not in ("gauss_legendre", "tanh_sinh", "monte_carlo", "lattice"):
+        if self.scheme not in ("gauss_legendre", "tanh_sinh", "lattice"):
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.points_per_axis < 1 or self.samples < 1:
-            raise DomainError("points_per_axis and samples must be >= 1")
+        if self.points_per_axis < 1:
+            raise DomainError("points_per_axis must be >= 1")
 
 
 def gauss_legendre_nodes(p: int):
@@ -368,35 +363,6 @@ def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
         axis=-1,
     )
     return _require_finite(vals, "integrand", where)
-
-
-def integrate_monte_carlo(f, d: int, samples: int, seed: int):
-    """Monte Carlo mean over (0,1)^d, one SeriesValue per integrand row;
-    abs_error is the standard error of the mean.  Deterministic for a fixed
-    seed (counter-based Philox generator, fixed chunking, pairwise reductions);
-    f is called on _TENSOR_BLOCK points of a chunk at a time.  The bar is
-    statistical, not a bound: on the value grid's m = 3 trace terms at
-    400,000 samples the error against the operator route at N = 1600
-    reached 2.56 of it."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    sums, sqsums, done = [], [], 0
-    while done < samples:
-        take = min(_CHUNK, samples - done)
-        vals = _point_values(f, rng.random((take, d)), "a sampled point")
-        sums.append(np.sum(vals, axis=-1))
-        sqsums.append(np.sum(vals.real**2 + vals.imag**2, axis=-1))
-        done += take
-
-    def row(total, sq):
-        mean = complex(total) / samples
-        var = max(float(sq) / samples - abs(mean) ** 2, 0.0)
-        return SeriesValue(mean, math.sqrt(var / samples), samples, True)
-
-    return _per_row(row, *(np.sum(np.stack(s, axis=-1), axis=-1) for s in (sums, sqsums)))
 
 
 def integrate_lattice(f, d: int, seed: int):

@@ -17,11 +17,11 @@ come from one builder (_flat_rows), and every Psi family takes its roots
 over Psi - 2, and refuses one that overflows, in one step
 (_roots_kernel).  Every integrand reads one row rule (_log_rows): prod
 u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
-The shifted lattice (m = 3's default) and Monte Carlo run the point
-integrand on axis rows at any m <= 3; a tensor rule takes m = 1 as a
-symmetric kernel between its two axes (quadrature.integrate_axes, block by
-block), m = 2 as one between the grids of those axis pairs on their points
-with x <= y (quadrature.integrate_pairs), and refuses m = 3.
+The randomly shifted lattice (m = 3's default) runs the point integrand
+on axis rows at any m <= 3; a tensor rule takes m = 1 as a symmetric
+kernel between its two axes (quadrature.integrate_axes, block by block),
+m = 2 as one between the grids of those axis pairs on their points with
+x <= y (quadrature.integrate_pairs), and refuses m = 3.
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ def _require_finite_inputs(lam, g, eps) -> None:
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4.  The spec alone picks the rule: the shifted lattice and Monte
-    Carlo integrate the point integrand (_integrand) at any m; a tensor spec
+    for m >= 4.  The spec alone picks the rule: the shifted lattice
+    integrates the point integrand (_integrand) at any m; a tensor spec
     takes m = 1 as a kernel between its two axes and m = 2 as one between
     two axis pairs (_split_row), and refuses m = 3 with DomainError."""
     _require_finite_inputs(lam, g, eps)
@@ -454,16 +454,11 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
             f"got lam={lam}, eps={eps} for {family}"
         )
     spec = spec or _DEFAULT_SPECS[m]
-    if spec.scheme in ("lattice", "monte_carlo"):
-        f = _integrand(family, lam, eps, g, m, orders)
-        if spec.scheme == "lattice":
-            row = quadrature.integrate_lattice(f, 2 * m, spec.rng_seed)
-        else:
-            row = quadrature.integrate_monte_carlo(f, 2 * m, spec.samples, spec.rng_seed)
+    if spec.scheme == "lattice":
+        row = quadrature.integrate_lattice(_integrand(family, lam, eps, g, m, orders), 2 * m,
+                                           spec.rng_seed)
     elif m == 3:
-        raise DomainError(
-            f"the m = 3 integral takes a lattice or monte_carlo spec, got {spec.scheme!r}"
-        )
+        raise DomainError(f"the m = 3 integral takes a lattice spec, got {spec.scheme!r}")
     else:
         row = _split_row(family, lam, eps, g, m, orders, spec)
     return dict(zip(orders, row))
@@ -481,8 +476,8 @@ def r_m_integral(
 
     m in {1, 2} defaults to tanh-sinh tensor quadrature (a kernel between
     the two axes at m = 1, between the axis pairs at m = 2), m = 3 to the
-    randomly shifted lattice and takes a lattice or Monte Carlo spec only
-    (DomainError otherwise), m >= 4 the operator oracle.
+    randomly shifted lattice and takes a lattice spec only (DomainError
+    otherwise), m >= 4 the operator oracle.
     """
     return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 

@@ -12,7 +12,6 @@ from rabi_zeta.quadrature import (
     gauss_legendre_nodes,
     integrate_axes,
     integrate_lattice,
-    integrate_monte_carlo,
     integrate_pairs,
     integrate_tensor,
     tanh_sinh_nodes,
@@ -127,14 +126,6 @@ class TestRowIntegrands:
             assert (row.value, row.abs_error, row.terms_used) == (
                 single.value, single.abs_error, single.terms_used
             )
-
-    def test_monte_carlo_rows_match_scalar_calls(self):
-        # More samples than one chunk, so the per-chunk partial sums are reduced too.
-        rows = integrate_monte_carlo(_rows, 3, 300_000, seed=11)
-        assert len(rows) == 3
-        for k, row in enumerate(rows):
-            single = integrate_monte_carlo(lambda p: _rows(p)[k], 3, 300_000, seed=11)
-            assert (row.value, row.abs_error) == (single.value, single.abs_error)
 
     def test_lattice_rows_match_scalar_calls(self):
         rows = integrate_lattice(_rows, 3, seed=11)
@@ -284,11 +275,6 @@ class TestPairIntegration:
         with pytest.raises(DomainError, match="sides invariant under the swap"):
             integrate_pairs(_pair_factors, _pair_kernel, side, lambda g: g[0, 0], spec)
 
-    def test_monte_carlo_refused(self):
-        spec = QuadratureSpec("monte_carlo")
-        with pytest.raises(DomainError):
-            integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
-
     def test_lattice_refused(self):
         spec = QuadratureSpec("lattice")
         with pytest.raises(DomainError, match="lattice"):
@@ -338,50 +324,10 @@ class TestAxisIntegration:
                 QuadratureSpec("gauss_legendre", 3),
             )
 
-    def test_monte_carlo_refused(self):
-        spec = QuadratureSpec("monte_carlo")
-        with pytest.raises(DomainError):
-            integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
-
     def test_lattice_refused(self):
         spec = QuadratureSpec("lattice")
         with pytest.raises(DomainError, match="lattice"):
             integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
-
-
-class TestMonteCarlo:
-    def test_deterministic(self):
-        f = lambda p: np.sum(p, axis=1)  # noqa: E731
-        a = integrate_monte_carlo(f, 3, 100000, seed=42)
-        b = integrate_monte_carlo(f, 3, 100000, seed=42)
-        assert a.value == b.value
-        assert a.abs_error == b.abs_error
-
-    def test_mean_accuracy(self):
-        f = lambda p: np.prod(p, axis=1)  # noqa: E731
-        v = integrate_monte_carlo(f, 4, 200000, seed=7)
-        assert abs(v.value - 1 / 16) < 5 * max(v.abs_error, 1e-6)
-
-    def test_integrand_calls_stay_blocked(self, monkeypatch):
-        # Each chunk reaches the integrand _TENSOR_BLOCK points at a time; a
-        # pointwise integrand's sums do not depend on that size.
-        sizes = []
-
-        def f(p):
-            sizes.append(len(p))
-            return np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])
-
-        blocked = integrate_monte_carlo(f, 2, 300_000, seed=3)
-        assert max(sizes) == quadrature._TENSOR_BLOCK
-        assert sum(sizes) == 300_000
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", 1 << 20)
-        assert integrate_monte_carlo(f, 2, 300_000, seed=3) == blocked
-
-    def test_bad_args(self):
-        with pytest.raises(DomainError):
-            integrate_monte_carlo(lambda p: p[:, 0], 0, 10, 1)
-        with pytest.raises(DomainError):
-            integrate_monte_carlo(lambda p: p[:, 0], 1, 0, 1)
 
 
 class TestLattice:
@@ -391,11 +337,19 @@ class TestLattice:
         assert a == integrate_lattice(f, 2, seed=42)
         assert a.value != integrate_lattice(f, 2, seed=43).value
 
-    def test_smooth_integrand_within_its_bar(self):
-        # exp(sum x) / (e - 1)^6 integrates to 1 over the 6-cube.
-        got = integrate_lattice(lambda p: np.exp(np.sum(p, axis=1)) / (math.e - 1.0) ** 6, 6, 7)
+    @pytest.mark.parametrize(
+        "f,d,want",
+        [
+            # exp(sum x) / (e - 1)^6 integrates to 1 over the 6-cube.
+            (lambda p: np.exp(np.sum(p, axis=1)) / (math.e - 1.0) ** 6, 6, 1.0),
+            (lambda p: np.prod(p, axis=1), 4, 1 / 16),
+        ],
+        ids=["exp-sum-6d", "product-4d"],
+    )
+    def test_smooth_integrand_within_its_bar(self, f, d, want):
+        got = integrate_lattice(f, d, 7)
         assert got.terms_used == 8191 * 16
-        assert abs(got.value - 1.0) <= got.abs_error < 1e-4
+        assert abs(got.value - want) <= got.abs_error < 1e-4
 
     def test_integrand_calls_stay_blocked(self, monkeypatch):
         # Each shifted copy of the lattice reaches the integrand
@@ -424,6 +378,8 @@ class TestLattice:
 
 
 class TestSpecValidation:
-    def test_unknown_scheme(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(scheme="simpson")
+    # Monte Carlo was the point rule before the shifted lattice replaced it.
+    @pytest.mark.parametrize("scheme", ["simpson", "monte_carlo"])
+    def test_unknown_scheme(self, scheme):
+        with pytest.raises(DomainError, match="unknown scheme"):
+            QuadratureSpec(scheme=scheme)

@@ -299,14 +299,14 @@ class TestIntegralRoute:
     @pytest.mark.parametrize("family", [FLAT, PLUS])
     def test_m3_tensor_spec_is_refused(self, family, spec, monkeypatch):
         # No tensor rule reaches the six axes of m = 3: a tensor spec is
-        # refused with a message that names the schemes that do, before any
+        # refused with a message that names the scheme that does, before any
         # rule is tried.
         for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
-                     "integrate_monte_carlo", "integrate_lattice"):
+                     "integrate_lattice"):
             monkeypatch.setattr(quadrature, name, _refuse)
-        with pytest.raises(DomainError, match="lattice or monte_carlo"):
+        with pytest.raises(DomainError, match="takes a lattice spec"):
             r_m_integral(family, 1.2, 0.2, 0.1, 3, spec=spec)
-        with pytest.raises(DomainError, match="monte_carlo"):
+        with pytest.raises(DomainError, match="takes a lattice spec"):
             dn_r_m_integral(family, 1.2, 0.2, 0.1, 3, 2, spec=spec)
 
     @pytest.mark.parametrize(
@@ -483,13 +483,11 @@ class TestAxisSeparableM1:
                 ref = _kernel_definition(family, minus_two)
                 assert abs(k[i, j] / ref - 1) <= 1e-14, (nodes[i], nodes[j])
 
-    def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
+    def test_lattice_spec_keeps_point_rule(self, monkeypatch):
         # The point rule reads the consecutive pair rows alone, not the
         # split kernel of the tensor rules.
         monkeypatch.setattr(quadrature, "integrate_axes", None)
         monkeypatch.setattr(trace_terms, "_pair_kernel", None)
-        spec = QuadratureSpec("monte_carlo", samples=1000)
-        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, spec=spec).terms_used == 1000
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, QuadratureSpec("lattice")).terms_used == 131_056
 
 
@@ -696,17 +694,15 @@ class TestPairSeparableM2:
         # Psi_2 - 2 overflows from g of about 100 on, and its rows do from
         # about 177.5 on (sinh 4g): Plus read 1 / root there as a value near
         # 1e-189 with a bar of the same size; every family raises
-        # NodeSingularity instead.  So do the point rules at m = 2 and 3,
-        # the default lattice at m = 3 among them, whose positive pair rows
-        # overflow to inf (their roots read 0 there).
+        # NodeSingularity instead.  So does the lattice point rule at m = 2
+        # and 3 (m = 3's default), whose positive pair rows overflow to inf
+        # (their roots read 0 there).
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 2, n)
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 3, n)
-        spec = QuadratureSpec("monte_carlo", samples=4096)
-        for m in (2, 3):
-            with pytest.raises(NodeSingularity):
-                dn_r_m_integral(family, 1.2, g, 0.1, m, n, spec)
+        with pytest.raises(NodeSingularity):
+            dn_r_m_integral(family, 1.2, g, 0.1, 2, n, QuadratureSpec("lattice"))
 
     def test_back_to_back_calls_match_calls_alone(self):
         # Each integrate_pairs call owns its scratch: a call right after
@@ -716,10 +712,8 @@ class TestPairSeparableM2:
         assert repr(back_to_back[1:]) == repr(alone)
         assert repr(back_to_back[0]) == repr(dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 2, 1))
 
-    def test_monte_carlo_spec_keeps_point_rule(self, monkeypatch):
+    def test_lattice_spec_keeps_point_rule(self, monkeypatch):
         monkeypatch.setattr(quadrature, "integrate_pairs", None)
-        spec = QuadratureSpec("monte_carlo", samples=1000)
-        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, spec=spec).terms_used == 1000
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, QuadratureSpec("lattice")).terms_used == 131_056
 
 
@@ -728,8 +722,7 @@ class TestLatticeM3:
     # points times 16 shifts, with a bar of 2.131 standard errors of the
     # shift means.
 
-    def test_default_is_the_lattice(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "integrate_monte_carlo", _refuse)
+    def test_default_is_the_lattice(self):
         for k in (0, 2):
             got = dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, 3, k)
             assert got.terms_used == 131_056 and got.converged
@@ -792,7 +785,6 @@ class TestNonFiniteInputs:
             (apery, "_delta_b_lsum"),
             (quadrature, "integrate_tensor"),
             (quadrature, "integrate_pairs"),
-            (quadrature, "integrate_monte_carlo"),
             (quadrature, "integrate_lattice"),
             (operator_oracle, "family_term"),
             (trace_terms, "hypergeometric_pfq"),
@@ -844,8 +836,7 @@ class TestHugeCoupling:
     @pytest.mark.parametrize("g", [400.0, -400.0])
     @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
     @pytest.mark.parametrize(
-        "m,spec", [(1, None), (2, None), (1, QuadratureSpec("monte_carlo", samples=1000)),
-                   (3, None)]
+        "m,spec", [(1, None), (2, None), (1, QuadratureSpec("lattice")), (3, None)]
     )
     def test_integral_route(self, family, m, spec, g):
         with pytest.raises(DomainError, match=self._TOO_LARGE):
