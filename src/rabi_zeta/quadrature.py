@@ -2,13 +2,13 @@
 
 Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4,
 and at any d a point rule with a statistical bar: a randomly shifted rank-1
-lattice (integrate_lattice).  Integrands are vectorized: f receives an (npts, d)
-float array and returns an (npts,) complex array, or a (rows, npts) block of
-integrands that share the nodes: each row is reduced exactly as a scalar
-integrand, into its own SeriesValue.  Both endpoint families of singularity
-in scope (algebraic u^(Re lambda - 1) at 0 and the inverse-square-root
-corner at (1,...,1)) are integrable, and tanh-sinh nodes cluster
-exponentially near the endpoints without ever touching them.
+lattice (integrate_lattice).  Integrands are vectorized: f receives an
+(npts, d) float array and returns an (npts,) complex array, or a (rows,
+npts) block of integrands that share the nodes: each row is reduced exactly
+as a scalar integrand, into its own SeriesValue.  Both endpoint families of
+singularity in scope (algebraic u^(Re lambda - 1) at 0 and the
+inverse-square-root corner at (1,...,1)) are integrable, and tanh-sinh
+nodes cluster exponentially near the endpoints without ever touching them.
 
 integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
 integrands that split between two halves of the coordinates, the axes u and
@@ -59,10 +59,10 @@ _PAIR_BUFFERS = 3
 #: integrate_lattice, per shifted copy of the lattice.  On a 2-core Xeon
 #: the m = 3 integrand took 14-16 ms per 2^17 points in calls of 2^12
 #: points against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each
-#: complex temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The trace
-#: terms' tensor rules (m <= 2) run on integrate_axes and integrate_pairs,
-#: so _tensor_sum serves apery's J_n quadrature and the point-rule
-#: references of the tests.  The sums do not depend on this size.
+#: complex temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The
+#: trace terms' tensor rules (m <= 2) run on integrate_axes and
+#: integrate_pairs, so _tensor_sum serves apery's J_n quadrature and the
+#: point-rule references of the tests.  The sums do not depend on this size.
 _TENSOR_BLOCK = 1 << 12
 
 #: The lattice rule's points per shift, a prime: the rank-1 lattice {k z / n
