@@ -15,13 +15,12 @@ poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
 where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
 period stays, where it widens and near poles, dn_r_m_integral for every
-family at m <= 3 and orders 0-3 (m = 1 and 2 also under a Gauss-Legendre
-and a lattice spec, m = 2 at g = 0.45 and 1.0, and m = 3 under a
-tanh-sinh spec, which is refused), every route of the Psi families at
-huge couplings (g = 100 and 150, where values stand; g = 200, where the
-m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by series and
-by quadrature and j_delta by series and by recurrence at n = 0-3, and a
-sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
+family at m <= 3 and orders 0-3 (m = 2 also at g = 0.45 and 1.0, and m =
+3 under a tanh-sinh spec, which is refused), every route of the Psi
+families at huge couplings (g = 100 and 150, where values stand; g = 200,
+where the m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by
+series and by quadrature and j_delta by series and by recurrence at n =
+0-3, and a sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
 lambda of each kind per model (the real one at n = 4), m <= 2 on the
 operator routes and m = 1 on the integral route, plus one m = 3 integral.
 
@@ -108,9 +107,6 @@ def entries(small: bool) -> list:
     # The eigen oracle's probe period widens to 256 and 512 here.
     eigen_widening = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
     families = [FLAT, PLUS, MINUS, Nu(0.7)]
-    # The m = 1 and 2 integrals under the two rules besides the default
-    # tanh-sinh one.
-    other_specs = [QuadratureSpec("gauss_legendre", 16), QuadratureSpec("lattice")]
     # The m = 2 integral at strong coupling, where Psi's pair rows cancel most.
     m2_couplings = (0.45, 1.0)
     out = []
@@ -162,19 +158,10 @@ def entries(small: bool) -> list:
         out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
                     lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
     else:
-        for m in (1, 2):
-            for spec in other_specs:
-                for family in families:
-                    for lam in (0.9, 0.9 + 0.3j):
-                        for k in range(4):
-                            args = (family, lam, 0.2, EPS, m, k, spec)
-                            out.append((f"dn_r_m_integral {family} lam={lam!r} m={m} n={k} "
-                                        f"spec={spec.scheme}",
-                                        lambda args=args: dn_r_m_integral(*args)))
         # A tensor spec at m = 3 is refused: no tensor rule reaches six axes.
         for family in families:
             for lam in (0.9, 0.9 + 0.3j):
-                args = (family, lam, 0.2, EPS, 3, 0, QuadratureSpec("tanh_sinh", 5))
+                args = (family, lam, 0.2, EPS, 3, 0, QuadratureSpec(5))
                 out.append((f"dn_r_m_integral {family} lam={lam!r} m=3 n=0 spec=tanh_sinh",
                             lambda args=args: dn_r_m_integral(*args)))
         for g in m2_couplings:

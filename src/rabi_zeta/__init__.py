@@ -39,7 +39,6 @@ from .operator_oracle import (
 )
 from .quadrature import (
     QuadratureSpec,
-    gauss_legendre_nodes,
     integrate_lattice,
     integrate_tensor,
     tanh_sinh_nodes,

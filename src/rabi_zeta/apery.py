@@ -85,12 +85,12 @@ def j_flat(
     eps: complex,
     method: str = "series",
     tol: float = 1e-10,
-    spec: quadrature.QuadratureSpec | None = None,
 ) -> SeriesValue:
     """J_n of the flat family.
 
     series: sum_k n! (k+1)_n / ((lam+eps+k)_{n+1} (lam-eps+k)_{n+1});
-    quadrature: the defining double integral (requires Re lam - |Re eps| > 0).
+    quadrature: the defining double integral on the level-7 tanh-sinh rule
+    (requires Re lam - |Re eps| > 0).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -99,14 +99,13 @@ def j_flat(
         lamc, epsc = complex(lam), complex(eps)
         if lamc.real - abs(epsc.real) <= 0:
             raise DomainError("quadrature route requires Re(lam) - |Re(eps)| > 0")
-        spec = spec or quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=7)
 
         def f(pts):
             u, v = pts[:, 0], pts[:, 1]
             core = ((1 - u) * (1 - v)) ** n / (1 - u * v) ** (n + 1)
             return core * np.exp((lamc + epsc - 1) * np.log(u) + (lamc - epsc - 1) * np.log(v))
 
-        return quadrature.integrate_tensor(f, 2, spec)
+        return quadrature.integrate_tensor(f, 2, quadrature.QuadratureSpec(7))
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     lamc, epsc = complex(lam), complex(eps)

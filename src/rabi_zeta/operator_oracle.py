@@ -50,7 +50,13 @@ from .errors import (
     NearPole,
     SingularOperator,
 )
-from .specfun import SeriesValue, hurwitz_zeta, progression_distance, require_finite
+from .specfun import (
+    SeriesValue,
+    hurwitz_zeta,
+    progression_distance,
+    require_finite,
+    require_integer,
+)
 
 _SINGULAR_GUARD = 1e-10
 # Relative rounding floor of an extrapolated trace: added to every sweep
@@ -827,8 +833,8 @@ def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> 
     at truncation N, one sweep row; terms_used is N and converged means
     abs_error <= tol in a row that reads converged (N >= _MIN_BAR_TOP).  N
     must be at least MIN_TRUNCATION, so that its ladder's N/4 is at least 2."""
-    if m < 1 or n < 0:
-        raise DomainError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    require_integer("m", m, 1)
+    require_integer("n", n, 0)
     if N < MIN_TRUNCATION:
         raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
     row = family_rows(components, g, lam, eps, n, N, m)[m - 1]

@@ -1,14 +1,15 @@
 """Quadrature over the open unit cube (0,1)^d.
 
-Deterministic tensor-product rules (Gauss-Legendre, tanh-sinh) for d <= 4,
-and at any d a point rule with a statistical bar: a randomly shifted rank-1
-lattice (integrate_lattice).  Integrands are vectorized: f receives an
-(npts, d) float array and returns an (npts,) complex array, or a (rows,
-npts) block of integrands that share the nodes: each row is reduced exactly
-as a scalar integrand, into its own SeriesValue.  Both endpoint families of
-singularity in scope (algebraic u^(Re lambda - 1) at 0 and the
-inverse-square-root corner at (1,...,1)) are integrable, and tanh-sinh
-nodes cluster exponentially near the endpoints without ever touching them.
+Deterministic tanh-sinh tensor-product rules for d <= 4, whose one setting
+is the level (QuadratureSpec), and at any d a point rule with a statistical
+bar and no settings: a randomly shifted rank-1 lattice (integrate_lattice).
+Integrands are vectorized: f receives an (npts, d) float array and returns
+an (npts,) complex array, or a (rows, npts) block of integrands that share
+the nodes: each row is reduced exactly as a scalar integrand, into its own
+SeriesValue.  Both endpoint families of singularity in scope (algebraic
+u^(Re lambda - 1) at 0 and the inverse-square-root corner at (1,...,1)) are
+integrable, and tanh-sinh nodes cluster exponentially near the endpoints
+without ever touching them.
 
 integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
 integrands that split between two halves of the coordinates, the axes u and
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import DomainError, NodeSingularity
-from .specfun import SeriesValue
+from .specfun import SeriesValue, require_integer
 
 #: Left grid rows per kernel block in _upper_gram (integrate_pairs and
 #: integrate_axes).  At the default m = 2 rule (51 nodes per axis, 1326 pair
@@ -75,54 +76,40 @@ _LATTICE_POINTS = 8191
 #: 5955); at d = 2 it is 3.7e-5 and at d = 4 0.023.
 _LATTICE_GENERATOR = 6766
 
-#: Independent random shifts of the lattice; the spread of their means is
-#: the rule's bar.  8191 x 16 = 131,056 points, a third of the 400,000
-#: Monte Carlo draws that this rule replaced: on the value grid's 64 m = 3
-#: trace-term rows (g = 0.2, orders 0-3) the error stayed within 1.48
-#: standard errors of the shift means, 0.70 of the bar, against the
-#: operator route at N = 1600 for the default seed.
+#: Independent random shifts of the lattice, drawn from Philox seeded with
+#: _LATTICE_SEED; the spread of their means is the rule's bar.  8191 x 16 =
+#: 131,056 points, a third of the 400,000 Monte Carlo draws that this rule
+#: replaced: on the value grid's 64 m = 3 trace-term rows (g = 0.2, orders
+#: 0-3) the error stayed within 1.48 standard errors of the shift means,
+#: 0.70 of the bar, against the operator route at N = 1600 for this seed.
 _LATTICE_SHIFTS = 16
+
+#: The Philox seed of the lattice shifts, so every call draws the same ones.
+_LATTICE_SEED = 20260823
 
 #: The Student-t factor for _LATTICE_SHIFTS - 1 = 15 degrees of freedom at
 #: 97.5%, written out: importing scipy.stats costs 0.55-0.84 s.
 _LATTICE_T = 2.131
 
+#: The finest tanh-sinh level.  Node counts double per level: level 7 has
+#: 203 nodes per axis and level 10 has 1617.
+_MAX_LEVEL = 10
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme selection for an integral request.
+    """The tanh-sinh level of a tensor rule, an int from 1 to _MAX_LEVEL:
+    level L has step h = 2^(2-L), and its bar compares it with level L - 1."""
 
-    points_per_axis is the point count for gauss_legendre and the level for
-    tanh_sinh (level L means step h = 2^(2-L)); rng_seed seeds lattice's
-    shifts.  The lattice rule's size and shift count are fixed
-    (integrate_lattice).
-    """
-
-    scheme: str = "tanh_sinh"
-    points_per_axis: int = 7
-    rng_seed: int = 20260823
+    level: int = 7
 
     def __post_init__(self):
-        if self.scheme not in ("gauss_legendre", "tanh_sinh", "lattice"):
-            raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.points_per_axis < 1:
-            raise DomainError("points_per_axis must be >= 1")
-
-
-def gauss_legendre_nodes(p: int):
-    """p-point Gauss-Legendre nodes/weights on (0,1); weights sum to 1."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if p > 1024:
-        raise DomainError(f"p must be <= 1024, got {p}")
-    x, w = np.polynomial.legendre.leggauss(p)
-    return (x + 1.0) / 2.0, w / 2.0
+        require_integer("level", self.level, 1, _MAX_LEVEL)
 
 
 def tanh_sinh_nodes(level: int):
     """tanh-sinh nodes/weights on (0,1) at the given level (h = 2^(2-level))."""
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
+    require_integer("level", level, 1, _MAX_LEVEL)
     # Step h = 2^(2-level); nodes x_k = (1 + tanh((pi/2) sinh(k h)))/2,
     # generated symmetrically until the distance to the nearer endpoint
     # underflows below 1e-16, so nodes never touch 0 or 1.
@@ -178,21 +165,15 @@ def _per_row(row, *reductions):
     return row(*reductions) if reductions[0].ndim == 0 else tuple(map(row, *reductions))
 
 
-def _two_level(level_sum, d: int, spec: QuadratureSpec, caller: str):
+def _two_level(level_sum, d: int, spec: QuadratureSpec):
     """SeriesValue(s) of level_sum(nodes, weights), the d-dimensional tensor
-    sums at one level of the spec's rule, with abs_error |fine - coarse| +
-    1e-16 |fine|: level vs level-1 for tanh_sinh, p vs p/2 for
-    gauss_legendre (a rule of size 1 has no coarse level: abs_error
-    |fine|)."""
-    if spec.scheme == "tanh_sinh":
-        rule, coarse_size = tanh_sinh_nodes, spec.points_per_axis - 1
-    elif spec.scheme == "gauss_legendre":
-        rule, coarse_size = gauss_legendre_nodes, spec.points_per_axis // 2
-    else:
-        raise DomainError(f"{caller} does not accept scheme {spec.scheme!r}")
-    nodes, weights = rule(spec.points_per_axis)
+    sums at the spec's tanh-sinh level, with abs_error |fine - coarse| +
+    1e-16 |fine|, coarse the sums at the level below (level 1 has none:
+    abs_error |fine|)."""
+    level = spec.level
+    nodes, weights = tanh_sinh_nodes(level)
     fine = np.asarray(level_sum(nodes, weights))
-    coarse = np.asarray(level_sum(*rule(coarse_size))) if coarse_size else 0 * fine
+    coarse = np.asarray(level_sum(*tanh_sinh_nodes(level - 1))) if level > 1 else 0 * fine
 
     def row(fine, coarse):
         fine = complex(fine)
@@ -204,10 +185,10 @@ def _two_level(level_sum, d: int, spec: QuadratureSpec, caller: str):
 
 def integrate_tensor(f, d: int, spec: QuadratureSpec):
     """Tensor-product integral over (0,1)^d, one SeriesValue per integrand row,
-    with a two-level error estimate (level vs level-1, or p vs p/2)."""
+    with a two-level error estimate (level vs level - 1)."""
     if d < 1 or d > 4:
-        raise DomainError(f"deterministic schemes require 1 <= d <= 4, got {d}")
-    return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec, "integrate_tensor")
+        raise DomainError(f"tensor rules require 1 <= d <= 4, got {d}")
+    return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec)
 
 
 def _upper_gram(kernel, rows, z: np.ndarray) -> np.ndarray:
@@ -277,7 +258,7 @@ def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
     def level_sum(nodes, weights):
         return combine(_gram_level(factors, kernel, sides, nodes, weights, "axis side")[0])
 
-    return _two_level(level_sum, 2, spec, "integrate_axes")
+    return _two_level(level_sum, 2, spec)
 
 
 def _kernel_block(kernel, fa, fb) -> np.ndarray:
@@ -351,7 +332,7 @@ def integrate_pairs(factors, kernel, sides, combine, spec: QuadratureSpec):
         _require_swap_invariant(factors, kernel, sides, pts, z, rows)
         return combine(gram)
 
-    return _two_level(level_sum, 4, spec, "integrate_pairs")
+    return _two_level(level_sum, 4, spec)
 
 
 def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
@@ -365,22 +346,22 @@ def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
     return _require_finite(vals, "integrand", where)
 
 
-def integrate_lattice(f, d: int, seed: int):
+def integrate_lattice(f, d: int):
     """Randomly shifted rank-1 lattice rule over (0,1)^d, one SeriesValue per
     integrand row.  The _LATTICE_POINTS-point Korobov lattice with generator
     _LATTICE_GENERATOR is shifted _LATTICE_SHIFTS times by Philox draws from
-    seed, x -> {x + shift}, and each coordinate is folded by the tent
-    transform x -> 1 - |2x - 1|.  The value is the mean of the shift means,
-    and abs_error is _LATTICE_T times their standard error: a statistical
-    bar, not a bound.  Deterministic for a fixed seed; f is called on
-    _TENSOR_BLOCK points of a shifted lattice at a time."""
+    _LATTICE_SEED, x -> {x + shift}, and each coordinate is folded by the
+    tent transform x -> 1 - |2x - 1|.  The value is the mean of the shift
+    means, and abs_error is _LATTICE_T times their standard error: a
+    statistical bar, not a bound.  Deterministic, since the seed is fixed; f
+    is called on _TENSOR_BLOCK points of a shifted lattice at a time."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     n, shifts = _LATTICE_POINTS, _LATTICE_SHIFTS
     z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in range(d)])
     lattice = np.outer(np.arange(n), z) % n / n
     means = []
-    for shift in np.random.Generator(np.random.Philox(seed)).random((shifts, d)):
+    for shift in np.random.Generator(np.random.Philox(_LATTICE_SEED)).random((shifts, d)):
         # The tent of the fractional part, 1 - |2 {x} - 1| = 2 |x - rint(x)|:
         # each step is exact for x in [0, 2), and it takes a tenth of the
         # time of np.remainder.

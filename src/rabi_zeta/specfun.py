@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +59,14 @@ def require_finite(name: str, value) -> None:
     requests, the trace-term routes and the Apery and J entry points."""
     if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """Refuses a count, order or level that is not an int from low to high:
+    the one check of the trace terms' m and n and the tanh-sinh level."""
+    if not (isinstance(value, numbers.Integral) and low <= value <= high):
+        span = f">= {low}" if high == math.inf else f"from {low} to {high}"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _check_not_nonpositive_integer(a: complex, guard: float = _POLE_GUARD) -> None:

@@ -16,12 +16,13 @@ from non-negative terms and share the rest: Flat's rows hold no g and
 come from one builder (_flat_rows), and every Psi family takes its roots
 over Psi - 2, and refuses one that overflows, in one step
 (_roots_kernel).  Every integrand reads one row rule (_log_rows): prod
-u_j^e_j (sum_j log u_j)^k.  The spec picks the rule.
-The randomly shifted lattice (m = 3's default) runs the point integrand
-on axis rows at any m <= 3; a tensor rule takes m = 1 as a symmetric
-kernel between its two axes (quadrature.integrate_axes, block by block),
-m = 2 as one between the grids of those axis pairs on their points with
-x <= y (quadrature.integrate_pairs), and refuses m = 3.
+u_j^e_j (sum_j log u_j)^k.  m alone picks the rule.  The tanh-sinh tensor
+rules take m = 1 as a symmetric kernel between its two axes
+(quadrature.integrate_axes, block by block) and m = 2 as one between the
+grids of those axis pairs on their points with x <= y
+(quadrature.integrate_pairs); a QuadratureSpec sets their level.  The
+randomly shifted lattice runs the point integrand on axis rows at m = 3,
+and the operator oracle takes m >= 4; neither takes a spec.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .specfun import (
     hypergeometric_pfq,
     pochhammer,
     require_finite,
+    require_integer,
     sum_inverse_pair,
 )
 
@@ -391,13 +393,8 @@ def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
     return quadrature.integrate_pairs(factors, kernel, sides, combine, spec)
 
 
-#: Quadrature per m: tanh-sinh tensor rules for m <= 2, the randomly
-#: shifted lattice for m = 3.
-_DEFAULT_SPECS = {
-    1: quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=7),
-    2: quadrature.QuadratureSpec(scheme="tanh_sinh", points_per_axis=5),
-    3: quadrature.QuadratureSpec(scheme="lattice"),
-}
+#: The tanh-sinh level of the m = 1 and m = 2 tensor rules.
+_DEFAULT_SPECS = {1: quadrature.QuadratureSpec(7), 2: quadrature.QuadratureSpec(5)}
 
 
 def dn_r_m_family_operator(
@@ -435,13 +432,15 @@ def _require_finite_inputs(lam, g, eps) -> None:
 def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
     """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
     one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4.  The spec alone picks the rule: the shifted lattice
-    integrates the point integrand (_integrand) at any m; a tensor spec
-    takes m = 1 as a kernel between its two axes and m = 2 as one between
-    two axis pairs (_split_row), and refuses m = 3 with DomainError."""
+    for m >= 4.  m alone picks the rule: m = 1 is a kernel between two axes
+    and m = 2 one between two axis pairs (_split_row), on tanh-sinh rules at
+    the spec's level (_DEFAULT_SPECS when None); m = 3 is the shifted
+    lattice on the point integrand (_integrand).  A spec at m >= 3 raises
+    DomainError, as does an m that is not an int >= 1."""
     _require_finite_inputs(lam, g, eps)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    require_integer("m", m, 1)
+    if m >= 3 and spec is not None:
+        raise DomainError(f"a spec sets the tanh-sinh level of m <= 2; m = {m} takes none")
     components = family.components
     if m >= 4:
         # One sweep row holds every order, converged at abs_error <= 1e-8.
@@ -453,14 +452,10 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
             f"integral route requires Re(lam) - |Re(eps)| (+ family shift) > 0; "
             f"got lam={lam}, eps={eps} for {family}"
         )
-    spec = spec or _DEFAULT_SPECS[m]
-    if spec.scheme == "lattice":
-        row = quadrature.integrate_lattice(_integrand(family, lam, eps, g, m, orders), 2 * m,
-                                           spec.rng_seed)
-    elif m == 3:
-        raise DomainError(f"the m = 3 integral takes a lattice spec, got {spec.scheme!r}")
+    if m == 3:
+        row = quadrature.integrate_lattice(_integrand(family, lam, eps, g, m, orders), 2 * m)
     else:
-        row = _split_row(family, lam, eps, g, m, orders, spec)
+        row = _split_row(family, lam, eps, g, m, orders, spec or _DEFAULT_SPECS[m])
     return dict(zip(orders, row))
 
 
@@ -474,10 +469,10 @@ def r_m_integral(
 ) -> SeriesValue:
     """R_m by the 2m-dimensional integral representation of the family.
 
-    m in {1, 2} defaults to tanh-sinh tensor quadrature (a kernel between
-    the two axes at m = 1, between the axis pairs at m = 2), m = 3 to the
-    randomly shifted lattice and takes a lattice spec only (DomainError
-    otherwise), m >= 4 the operator oracle.
+    m in {1, 2} runs tanh-sinh tensor quadrature (a kernel between the two
+    axes at m = 1, between the axis pairs at m = 2) at the spec's level,
+    by default 7 and 5; m = 3 the randomly shifted lattice and m >= 4 the
+    operator oracle, both without a spec (DomainError if one is given).
     """
     return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
 
@@ -499,10 +494,8 @@ def dn_r_m_integral(
     is returned instead (NCHO uses p = 2m).  Each order k it needs is one row
     of one (rows, npts) integrand, so all come from one quadrature pass.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if lambda_power < 0:
-        raise DomainError(f"lambda_power must be >= 0, got {lambda_power}")
+    require_integer("n", n, 0)
+    require_integer("lambda_power", lambda_power, 0)
     orders = tuple(range(n - min(n, lambda_power), n + 1))
     row = _integral_row(family, lam, g, eps, m, orders, spec)
     return leibniz_lambda_power(n, lam, lambda_power, row.__getitem__)

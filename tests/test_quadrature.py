@@ -1,15 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rabi_zeta import quadrature
 from rabi_zeta.errors import DomainError, NodeSingularity
 from rabi_zeta.quadrature import (
     QuadratureSpec,
-    gauss_legendre_nodes,
     integrate_axes,
     integrate_lattice,
     integrate_pairs,
@@ -19,27 +17,6 @@ from rabi_zeta.quadrature import (
 
 
 class TestNodes:
-    def test_gl_weights_sum_to_one(self):
-        for p in (1, 5, 64):
-            nodes, weights = gauss_legendre_nodes(p)
-            assert abs(weights.sum() - 1.0) < 1e-14
-            assert np.all((nodes > 0) & (nodes < 1))
-
-    def test_gl_bounds(self):
-        with pytest.raises(DomainError):
-            gauss_legendre_nodes(0)
-        with pytest.raises(DomainError):
-            gauss_legendre_nodes(1025)
-
-    @given(st.integers(1, 12))
-    @settings(max_examples=12, deadline=None)
-    def test_gl_polynomial_exactness(self, p):
-        # p-point rule is exact for degree 2p-1
-        nodes, weights = gauss_legendre_nodes(p)
-        d = 2 * p - 1
-        approx = float(np.sum(weights * nodes**d))
-        assert abs(approx - 1 / (d + 1)) < 1e-12
-
     def test_tanh_sinh_interior(self):
         nodes, weights = tanh_sinh_nodes(7)
         assert np.all((nodes > 0) & (nodes < 1))
@@ -53,18 +30,18 @@ class TestNodes:
 
 class TestTensorIntegration:
     def test_smooth_1d(self):
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=6)
+        spec = QuadratureSpec(6)
         v = integrate_tensor(lambda p: np.exp(p[:, 0]), 1, spec)
         assert abs(v.value - (math.e - 1)) < 1e-12
 
     def test_algebraic_endpoint_singularity(self):
         # integral of u^(-1/2) = 2, singular at 0
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=7)
+        spec = QuadratureSpec(7)
         v = integrate_tensor(lambda p: p[:, 0] ** -0.5, 1, spec)
         assert abs(v.value - 2.0) < 1e-6
 
     def test_2d_product(self):
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=6)
+        spec = QuadratureSpec(6)
         v = integrate_tensor(lambda p: p[:, 0] * p[:, 1] ** 2, 2, spec)
         assert abs(v.value - 1 / 6) < 1e-12
 
@@ -75,13 +52,12 @@ class TestTensorIntegration:
         for k in range(1000000):
             exact += t / (k + 1) ** 2
             t *= (2 * k + 1) / (2 * k + 2)
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=7)
+        spec = QuadratureSpec(7)
         v = integrate_tensor(lambda p: (1 - p[:, 0] * p[:, 1]) ** -0.5, 2, spec)
         assert abs(v.value - exact) < 1e-8
 
-    def test_gauss_legendre_4d(self):
-        spec = QuadratureSpec(scheme="gauss_legendre", points_per_axis=12)
-        v = integrate_tensor(lambda p: np.prod(p, axis=1), 4, spec)
+    def test_4d_product(self):
+        v = integrate_tensor(lambda p: np.prod(p, axis=1), 4, QuadratureSpec(4))
         assert abs(v.value - 1 / 16) < 1e-12
 
     def test_dimension_cap(self):
@@ -90,7 +66,7 @@ class TestTensorIntegration:
             integrate_tensor(lambda p: p[:, 0], 5, spec)
 
     def test_singular_value_raises(self):
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=4)
+        spec = QuadratureSpec(4)
 
         def f(p):
             out = np.ones(p.shape[0])
@@ -101,7 +77,7 @@ class TestTensorIntegration:
             integrate_tensor(f, 1, spec)
 
     def test_error_estimate_honest(self):
-        spec = QuadratureSpec(scheme="tanh_sinh", points_per_axis=6)
+        spec = QuadratureSpec(6)
         v = integrate_tensor(lambda p: np.cos(3 * p[:, 0] + p[:, 1]), 2, spec)
         exact = (-math.cos(4) + math.cos(3) + math.cos(1) - 1.0) / 3
         assert abs(v.value - exact) <= max(v.abs_error, 1e-13)
@@ -115,10 +91,8 @@ def _rows(p):
 
 class TestRowIntegrands:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 9)]
-    )
-    def test_tensor_rows_match_scalar_calls(self, d, spec):
+    def test_tensor_rows_match_scalar_calls(self, d):
+        spec = QuadratureSpec(5)
         rows = integrate_tensor(_rows, d, spec)
         assert len(rows) == 3
         for k, row in enumerate(rows):
@@ -127,11 +101,12 @@ class TestRowIntegrands:
                 single.value, single.abs_error, single.terms_used
             )
 
-    def test_lattice_rows_match_scalar_calls(self):
-        rows = integrate_lattice(_rows, 3, seed=11)
+    def test_lattice_rows_match_scalar_calls(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 11)
+        rows = integrate_lattice(_rows, 3)
         assert len(rows) == 3
         for k, row in enumerate(rows):
-            single = integrate_lattice(lambda p: _rows(p)[k], 3, seed=11)
+            single = integrate_lattice(lambda p: _rows(p)[k], 3)
             assert (row.value, row.abs_error, row.terms_used) == (
                 single.value, single.abs_error, single.terms_used
             )
@@ -144,9 +119,7 @@ def _scalar(p):
 class TestTensorWalk:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("integrand", [_rows, _scalar])
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 9)]
-    )
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4), QuadratureSpec(3)])
     @pytest.mark.parametrize("block", [1, 100])
     def test_sums_do_not_depend_on_the_block_size(self, monkeypatch, d, integrand, spec, block):
         # A block of 1 point is one first-axis row per integrand call; 100
@@ -204,13 +177,13 @@ def _identity(pts):
 
 
 class TestPairIntegration:
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("gauss_legendre", 8)]
-    )
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4), QuadratureSpec(3)])
     def test_matches_tensor_rule(self, spec):
         # Row 1 is G[1, 0] + G[0, 1]: a sum over the ordered pairs of side
         # rows.  The rule sums the representatives x <= y of each pair's grid
-        # with doubled weights off the diagonal; the 4-D rule sums every point.
+        # with doubled weights off the diagonal; the 4-D rule sums every
+        # point.  Level 4's 325 pair points are five blocks and a partial one;
+        # level 3's 91 one and a partial one, and level 2's 28 less than one.
         def combine(g):
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
@@ -227,7 +200,7 @@ class TestPairIntegration:
             lambda fa, fb, out: out[0].fill(1.0),
             lambda a: (a[0] * a[1])[None],
             lambda g: g[0, 0],
-            QuadratureSpec("gauss_legendre", 6),
+            QuadratureSpec(5),
         )
         assert abs(v.value - 1 / 16) < 1e-14
 
@@ -263,22 +236,16 @@ class TestPairIntegration:
         with pytest.raises(DomainError, match="kernel invariant under the swap"):
             integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
 
-    @pytest.mark.parametrize("scheme", ["tanh_sinh", "gauss_legendre"])
-    def test_side_not_invariant_under_the_swap_raises(self, scheme):
+    def test_side_not_invariant_under_the_swap_raises(self):
         # The side e^(ix) / sqrt(y) changes under the swap, so summing the
         # representatives x <= y with doubled weights would be wrong: the
         # rule refuses it with a message that names the swap.
         def side(a):
             return (np.exp(1j * a[0]) / np.sqrt(a[1]))[None]
 
-        spec = QuadratureSpec(scheme, 4)
+        spec = QuadratureSpec(4)
         with pytest.raises(DomainError, match="sides invariant under the swap"):
             integrate_pairs(_pair_factors, _pair_kernel, side, lambda g: g[0, 0], spec)
-
-    def test_lattice_refused(self):
-        spec = QuadratureSpec("lattice")
-        with pytest.raises(DomainError, match="lattice"):
-            integrate_pairs(_pair_factors, _pair_kernel, _pair_side, lambda g: g[0, 0], spec)
 
 
 def _axis_sides(u):
@@ -293,11 +260,13 @@ def _axis_point(p):
 
 
 class TestAxisIntegration:
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 6), QuadratureSpec("gauss_legendre", 80)]
-    )
-    def test_matches_tensor_rule(self, spec):
+    @pytest.mark.parametrize("level,block", [(6, 64), (4, 25), (4, 20)])
+    def test_matches_tensor_rule(self, monkeypatch, level, block):
         # Row 0 of z on the first axis and row 1 on the second: G[0, 1].
+        # Level 6's 101 nodes are one kernel block and a partial one, level
+        # 4's 25 exactly one block of 25 and one and a partial one of 20.
+        monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
+        spec = QuadratureSpec(level)
         got = integrate_axes(
             lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec
         )
@@ -314,28 +283,24 @@ class TestAxisIntegration:
             integrate_axes(lambda u: u[None], kernel, _axis_sides, lambda g: g[0, 1], QuadratureSpec())
 
     def test_non_finite_side_raises(self):
-        # The middle node of the 3-point rule is 1/2.
+        # The middle node of the 3-node level-1 rule is 1/2.
         def sides(u):
             return np.where(u == 0.5, np.nan, u)[None]
 
         with pytest.raises(NodeSingularity):
             integrate_axes(
-                lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0],
-                QuadratureSpec("gauss_legendre", 3),
+                lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0], QuadratureSpec(1)
             )
-
-    def test_lattice_refused(self):
-        spec = QuadratureSpec("lattice")
-        with pytest.raises(DomainError, match="lattice"):
-            integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec)
 
 
 class TestLattice:
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         f = lambda p: np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])  # noqa: E731
-        a = integrate_lattice(f, 2, seed=42)
-        assert a == integrate_lattice(f, 2, seed=42)
-        assert a.value != integrate_lattice(f, 2, seed=43).value
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 42)
+        a = integrate_lattice(f, 2)
+        assert a == integrate_lattice(f, 2)
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 43)
+        assert a.value != integrate_lattice(f, 2).value
 
     @pytest.mark.parametrize(
         "f,d,want",
@@ -346,8 +311,9 @@ class TestLattice:
         ],
         ids=["exp-sum-6d", "product-4d"],
     )
-    def test_smooth_integrand_within_its_bar(self, f, d, want):
-        got = integrate_lattice(f, d, 7)
+    def test_smooth_integrand_within_its_bar(self, monkeypatch, f, d, want):
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 7)
+        got = integrate_lattice(f, d)
         assert got.terms_used == 8191 * 16
         assert abs(got.value - want) <= got.abs_error < 1e-4
 
@@ -362,24 +328,46 @@ class TestLattice:
             assert np.all((p > 0.0) & (p < 1.0))
             return np.exp(1j * p[:, 0]) / np.sqrt(p[:, 1])
 
-        blocked = integrate_lattice(f, 2, seed=3)
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 3)
+        blocked = integrate_lattice(f, 2)
         assert max(sizes) == quadrature._TENSOR_BLOCK
         assert sum(sizes) == blocked.terms_used == 8191 * 16
         monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", 1 << 20)
-        assert integrate_lattice(f, 2, seed=3) == blocked
+        assert integrate_lattice(f, 2) == blocked
 
-    def test_non_finite_value_raises(self):
+    def test_non_finite_value_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_LATTICE_SEED", 1)
         with pytest.raises(NodeSingularity, match="lattice point"):
-            integrate_lattice(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 2, seed=1)
+            integrate_lattice(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 2)
 
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
-            integrate_lattice(lambda p: p[:, 0], 0, 1)
+            integrate_lattice(lambda p: p[:, 0], 0)
 
 
 class TestSpecValidation:
-    # Monte Carlo was the point rule before the shifted lattice replaced it.
-    @pytest.mark.parametrize("scheme", ["simpson", "monte_carlo"])
-    def test_unknown_scheme(self, scheme):
-        with pytest.raises(DomainError, match="unknown scheme"):
-            QuadratureSpec(scheme=scheme)
+    # The spec's one field is the tanh-sinh level, an int from 1 to 10:
+    # level 10 has 1617 nodes per axis, and the count doubles per level.  A
+    # scheme name from before the spec held only the level (Monte Carlo,
+    # Gauss-Legendre, the lattice) is not read as one, and a fractional
+    # level would build a rule that does not nest with the level below.
+    _BAD_LEVELS = ["simpson", "monte_carlo", "gauss_legendre", "lattice", "tanh_sinh", 0, 4.5, 11]
+
+    def test_level_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["level"]
+        assert QuadratureSpec().level == 7
+
+    @pytest.mark.parametrize("level", _BAD_LEVELS)
+    def test_bad_level_is_refused(self, level):
+        with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
+            QuadratureSpec(level)
+
+    @pytest.mark.parametrize("level", _BAD_LEVELS)
+    def test_nodes_refuse_a_bad_level(self, level):
+        with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
+            tanh_sinh_nodes(level)
+
+    @pytest.mark.parametrize("level", [1, 10])
+    def test_levels_at_the_bounds(self, level):
+        assert QuadratureSpec(level).level == level
+        assert tanh_sinh_nodes(level)[0].size == {1: 3, 10: 1617}[level]

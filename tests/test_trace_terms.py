@@ -293,21 +293,58 @@ class TestIntegralRoute:
         # and the full grids 51^4 + 25^4 7,155,826.
         assert sum(points) == 34_642 + 984_221 + 2 * 4 * 64**2
 
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
-    )
+    @pytest.mark.parametrize("spec", [QuadratureSpec(5), QuadratureSpec(1)])
     @pytest.mark.parametrize("family", [FLAT, PLUS])
     def test_m3_tensor_spec_is_refused(self, family, spec, monkeypatch):
-        # No tensor rule reaches the six axes of m = 3: a tensor spec is
-        # refused with a message that names the scheme that does, before any
-        # rule is tried.
+        # No tensor rule reaches the six axes of m = 3, and the spec sets
+        # only the tanh-sinh level: a spec is refused before any rule is
+        # tried.
         for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
                      "integrate_lattice"):
             monkeypatch.setattr(quadrature, name, _refuse)
-        with pytest.raises(DomainError, match="takes a lattice spec"):
+        with pytest.raises(DomainError, match="m = 3 takes none"):
             r_m_integral(family, 1.2, 0.2, 0.1, 3, spec=spec)
-        with pytest.raises(DomainError, match="takes a lattice spec"):
+        with pytest.raises(DomainError, match="m = 3 takes none"):
             dn_r_m_integral(family, 1.2, 0.2, 0.1, 3, 2, spec=spec)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_operator_m_spec_is_refused(self, m, monkeypatch):
+        # The operator oracle takes m >= 4; a spec there used to be ignored.
+        monkeypatch.setattr(operator_oracle, "family_term", _refuse)
+        with pytest.raises(DomainError, match=f"m = {m} takes none"):
+            r_m_integral(FLAT, 1.2, 0.2, 0.1, m, QuadratureSpec(3))
+        with pytest.raises(DomainError, match=f"m = {m} takes none"):
+            dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, m, 1, QuadratureSpec(7), lambda_power=2)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "2", None])
+    def test_non_integer_m_is_refused(self, m, monkeypatch):
+        # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError.
+        for name in ("integrate_pairs", "integrate_axes", "integrate_lattice"):
+            monkeypatch.setattr(quadrature, name, _refuse)
+        monkeypatch.setattr(operator_oracle, "family_term", _refuse)
+        with pytest.raises(DomainError, match="m must be an integer >= 1"):
+            r_m_integral(FLAT, 1.2, 0.2, 0.1, m)
+        with pytest.raises(DomainError, match="m must be an integer >= 1"):
+            dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, m, 1)
+
+    @pytest.mark.parametrize(
+        "m,n,name", [(1.5, 0, "m"), (2.0, 1, "m"), (2, 0.5, "n"), (2, 1.0, "n"), (1, -1, "n")]
+    )
+    def test_operator_route_refuses_a_non_integer_m_or_n(self, m, n, name, monkeypatch):
+        monkeypatch.setattr(operator_oracle, "_resolvent_band", _refuse)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            trace_terms.dn_r_m_family_operator(PLUS, 1.2, 0.2, 0.1, m, n, 100)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            dn_r_m_operator("fock", 0.2, 1.2, 0.1, m, n, 100)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, -1])
+    def test_non_integer_n_is_refused(self, n, monkeypatch):
+        for name in ("integrate_pairs", "integrate_axes", "integrate_lattice"):
+            monkeypatch.setattr(quadrature, name, _refuse)
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, n)
+        with pytest.raises(DomainError, match="lambda_power must be an integer >= 0"):
+            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, 1, lambda_power=n)
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -372,7 +409,7 @@ def _full_grid_pairs(factors, kernel, sides, combine, spec):
             upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
         return combine(total + upper.T)
 
-    return quadrature._two_level(level_sum, 4, spec, "the full-grid reference")
+    return quadrature._two_level(level_sum, 4, spec)
 
 
 _AXIS_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(2.5)]
@@ -404,17 +441,16 @@ class TestAxisSeparableM1:
     """m = 1 on a deterministic rule is one kernel pass between the axes u and
     v; the point-by-point 2-D rule is its reference."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [QuadratureSpec("tanh_sinh", 4), QuadratureSpec("tanh_sinh", 7),
-         QuadratureSpec("gauss_legendre", 64)],
-    )
+    @pytest.mark.parametrize("level,block", [(4, 64), (7, 64), (4, 25)])
     @pytest.mark.parametrize("family", _AXIS_FAMILIES)
-    def test_matches_point_rule(self, family, spec):
+    def test_matches_point_rule(self, family, level, block, monkeypatch):
         # Converged entries (abs_error below 1e-8 of the value) agree to
         # 1e-15 relative, the others within their bar; both routes raise
-        # the same exception type, if any.
-        eps, orders = 0.1, (0, 1, 2, 3)
+        # the same exception type, if any.  Level 7's 203 nodes are three
+        # kernel blocks and a partial one; with 25-row blocks, level 4's 25
+        # nodes are exactly one.
+        monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
+        spec, eps, orders = QuadratureSpec(level), 0.1, (0, 1, 2, 3)
         for g, lam in itertools.product((0.2, 1.0, -0.7), (0.3, 1.2 + 0.3j, 0.15 + 2j)):
             got = _row_or_error(
                 lambda: trace_terms._integral_row(family, lam, g, eps, 1, orders, spec)
@@ -483,12 +519,6 @@ class TestAxisSeparableM1:
                 ref = _kernel_definition(family, minus_two)
                 assert abs(k[i, j] / ref - 1) <= 1e-14, (nodes[i], nodes[j])
 
-    def test_lattice_spec_keeps_point_rule(self, monkeypatch):
-        # The point rule reads the consecutive pair rows alone, not the
-        # split kernel of the tensor rules.
-        monkeypatch.setattr(quadrature, "integrate_axes", None)
-        monkeypatch.setattr(trace_terms, "_pair_kernel", None)
-        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 1, QuadratureSpec("lattice")).terms_used == 131_056
 
 
 class TestPairSeparableM2:
@@ -496,9 +526,7 @@ class TestPairSeparableM2:
     (u0, u2) and (u1, u3), on their points with x <= y; the point-by-point
     4-D rule is its reference."""
 
-    @pytest.mark.parametrize(
-        "spec", [QuadratureSpec("tanh_sinh", 5), QuadratureSpec("gauss_legendre", 12)]
-    )
+    @pytest.mark.parametrize("spec", [QuadratureSpec(5), QuadratureSpec(3)])
     @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
     def test_matches_point_rule(self, family, lam, spec):
@@ -694,15 +722,13 @@ class TestPairSeparableM2:
         # Psi_2 - 2 overflows from g of about 100 on, and its rows do from
         # about 177.5 on (sinh 4g): Plus read 1 / root there as a value near
         # 1e-189 with a bar of the same size; every family raises
-        # NodeSingularity instead.  So does the lattice point rule at m = 2
-        # and 3 (m = 3's default), whose positive pair rows overflow to inf
-        # (their roots read 0 there).
+        # NodeSingularity instead.  So does the lattice point rule at m = 3,
+        # whose positive pair rows overflow to inf (their roots read 0
+        # there).
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 2, n)
         with pytest.raises(NodeSingularity):
             dn_r_m_integral(family, 1.2, g, 0.1, 3, n)
-        with pytest.raises(NodeSingularity):
-            dn_r_m_integral(family, 1.2, g, 0.1, 2, n, QuadratureSpec("lattice"))
 
     def test_back_to_back_calls_match_calls_alone(self):
         # Each integrate_pairs call owns its scratch: a call right after
@@ -712,9 +738,6 @@ class TestPairSeparableM2:
         assert repr(back_to_back[1:]) == repr(alone)
         assert repr(back_to_back[0]) == repr(dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 2, 1))
 
-    def test_lattice_spec_keeps_point_rule(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "integrate_pairs", None)
-        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 2, QuadratureSpec("lattice")).terms_used == 131_056
 
 
 class TestLatticeM3:
@@ -726,7 +749,16 @@ class TestLatticeM3:
         for k in (0, 2):
             got = dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, 3, k)
             assert got.terms_used == 131_056 and got.converged
-            assert got == dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, 3, k, QuadratureSpec("lattice"))
+            f = _integrand(PLUS, 1.2, 0.1, 0.2, 3, (k,))
+            assert (got,) == quadrature.integrate_lattice(f, 6)
+
+    def test_point_rule_alone(self, monkeypatch):
+        # The point rule reads the consecutive pair rows alone, not the
+        # split kernel of the tensor rules.
+        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes"):
+            monkeypatch.setattr(quadrature, name, _refuse)
+        monkeypatch.setattr(trace_terms, "_pair_kernel", _refuse)
+        assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 3).terms_used == 131_056
 
     @pytest.mark.parametrize("family,lam", [(FLAT, 1.2), (PLUS, 0.9), (Nu(0.7), 0.9)])
     def test_default_within_its_bar_of_the_operator(self, family, lam):
@@ -837,12 +869,10 @@ class TestHugeCoupling:
 
     @pytest.mark.parametrize("g", [400.0, -400.0])
     @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
-    @pytest.mark.parametrize(
-        "m,spec", [(1, None), (2, None), (1, QuadratureSpec("lattice")), (3, None)]
-    )
-    def test_integral_route(self, family, m, spec, g):
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_integral_route(self, family, m, g):
         with pytest.raises(DomainError, match=self._TOO_LARGE):
-            dn_r_m_integral(family, 1.2, g, 0.1, m, 2, spec=spec)
+            dn_r_m_integral(family, 1.2, g, 0.1, m, 2)
 
     @pytest.mark.parametrize("family", [PLUS, MINUS, Nu(0.7)])
     def test_operator_route(self, family):
