@@ -20,9 +20,10 @@ family at m <= 3 and orders 0-3 (m = 2 also at g = 0.45 and 1.0, and m =
 families at huge couplings (g = 100 and 150, where values stand; g = 200,
 where the m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by
 series and by quadrature and j_delta by series and by recurrence at n =
-0-3, and a sha256 digest of apery_classic(130).  --small keeps trunc_n 100, one
-lambda of each kind per model (the real one at n = 4), m <= 2 on the
-operator routes and m = 1 on the integral route, plus one m = 3 integral.
+0-3, and a sha256 digest of apery_classic(130).  --small keeps trunc_n
+100, one lambda of each kind per model (the real one at n = 4), m <= 2 on
+the operator routes and m = 1 on the integral route, plus one m = 3
+integral.
 
 --compare prints, per field, how many of the shared entries differ and the
 worst difference, relative to the first grid's value and as a fraction of

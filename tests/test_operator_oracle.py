@@ -215,9 +215,12 @@ class TestDerivativeRoutes:
         ) / (2 * h)
         assert abs(d1 - fd) < 1e-5 * max(abs(d1), 1.0)
 
-    def test_bad_m(self):
-        with pytest.raises(DomainError):
-            r_m_operator("fock", 0.2, 0.9, 0.1, 0)
+    @pytest.mark.parametrize(
+        "m,n,name", [(0, 0, "m"), (1.5, 0, "m"), (2.0, 1, "m"), (2, 0.5, "n"), (1, -1, "n")]
+    )
+    def test_bad_m_or_n(self, m, n, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            dn_r_m_operator("fock", 0.2, 0.9, 0.1, m, n)
 
     # Every operator trace-term entry point refuses a truncation below
     # MIN_TRUNCATION with a message that names it, not a level of its ladder.

@@ -263,8 +263,9 @@ class TestAxisIntegration:
     @pytest.mark.parametrize("level,block", [(6, 64), (4, 25), (4, 20)])
     def test_matches_tensor_rule(self, monkeypatch, level, block):
         # Row 0 of z on the first axis and row 1 on the second: G[0, 1].
-        # Level 6's 101 nodes are one kernel block and a partial one, level
-        # 4's 25 exactly one block of 25 and one and a partial one of 20.
+        # Level 6's 101 nodes are one 64-row kernel block and a partial one;
+        # level 4's 25 nodes are exactly one block of 25 rows, and one block
+        # and a partial one of 20.
         monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
         spec = QuadratureSpec(level)
         got = integrate_axes(

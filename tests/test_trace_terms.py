@@ -249,13 +249,19 @@ class TestIntegralRoute:
         with pytest.raises(DomainError):
             r_m_integral(FLAT, -0.2, 0.2, 0.0, 1)
 
-    def test_bad_m(self):
-        with pytest.raises(DomainError):
-            r_m_integral(FLAT, 0.9, 0.2, 0.1, 0)
+    # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError.
+    @pytest.mark.parametrize("m", [0, 1.5, 2.0, "2"])
+    def test_bad_m(self, m):
+        with pytest.raises(DomainError, match="m must be an integer >= 1"):
+            r_m_integral(FLAT, 0.9, 0.2, 0.1, m)
 
-    def test_negative_lambda_power(self):
-        with pytest.raises(DomainError):
-            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, 2, lambda_power=-2)
+    @pytest.mark.parametrize(
+        "n,power,name", [(2, -2, "lambda_power"), (2, 1.5, "lambda_power"), (-1, 0, "n"),
+                         (1.5, 0, "n"), (2.0, 0, "n")]
+    )
+    def test_bad_order_or_lambda_power(self, n, power, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= 0"):
+            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, n, lambda_power=power)
 
     def test_leibniz_orders_share_one_pass(self, monkeypatch):
         # NCHO's D_m = d^n [lam^(2m) R_m] at n = 2 needs R_m and its first two
@@ -293,58 +299,22 @@ class TestIntegralRoute:
         # and the full grids 51^4 + 25^4 7,155,826.
         assert sum(points) == 34_642 + 984_221 + 2 * 4 * 64**2
 
+    @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("spec", [QuadratureSpec(5), QuadratureSpec(1)])
     @pytest.mark.parametrize("family", [FLAT, PLUS])
-    def test_m3_tensor_spec_is_refused(self, family, spec, monkeypatch):
-        # No tensor rule reaches the six axes of m = 3, and the spec sets
-        # only the tanh-sinh level: a spec is refused before any rule is
-        # tried.
+    def test_m3_tensor_spec_is_refused(self, family, spec, m, monkeypatch):
+        # No tensor rule reaches the six axes of m = 3, the operator oracle
+        # takes m >= 4, and the spec sets only the tanh-sinh level: a spec
+        # is refused before any rule is tried (at m >= 4 it used to be
+        # ignored).
         for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
                      "integrate_lattice"):
             monkeypatch.setattr(quadrature, name, _refuse)
-        with pytest.raises(DomainError, match="m = 3 takes none"):
-            r_m_integral(family, 1.2, 0.2, 0.1, 3, spec=spec)
-        with pytest.raises(DomainError, match="m = 3 takes none"):
-            dn_r_m_integral(family, 1.2, 0.2, 0.1, 3, 2, spec=spec)
-
-    @pytest.mark.parametrize("m", [4, 5])
-    def test_operator_m_spec_is_refused(self, m, monkeypatch):
-        # The operator oracle takes m >= 4; a spec there used to be ignored.
         monkeypatch.setattr(operator_oracle, "family_term", _refuse)
         with pytest.raises(DomainError, match=f"m = {m} takes none"):
-            r_m_integral(FLAT, 1.2, 0.2, 0.1, m, QuadratureSpec(3))
+            r_m_integral(family, 1.2, 0.2, 0.1, m, spec=spec)
         with pytest.raises(DomainError, match=f"m = {m} takes none"):
-            dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, m, 1, QuadratureSpec(7), lambda_power=2)
-
-    @pytest.mark.parametrize("m", [1.5, 2.0, "2", None])
-    def test_non_integer_m_is_refused(self, m, monkeypatch):
-        # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError.
-        for name in ("integrate_pairs", "integrate_axes", "integrate_lattice"):
-            monkeypatch.setattr(quadrature, name, _refuse)
-        monkeypatch.setattr(operator_oracle, "family_term", _refuse)
-        with pytest.raises(DomainError, match="m must be an integer >= 1"):
-            r_m_integral(FLAT, 1.2, 0.2, 0.1, m)
-        with pytest.raises(DomainError, match="m must be an integer >= 1"):
-            dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, m, 1)
-
-    @pytest.mark.parametrize(
-        "m,n,name", [(1.5, 0, "m"), (2.0, 1, "m"), (2, 0.5, "n"), (2, 1.0, "n"), (1, -1, "n")]
-    )
-    def test_operator_route_refuses_a_non_integer_m_or_n(self, m, n, name, monkeypatch):
-        monkeypatch.setattr(operator_oracle, "_resolvent_band", _refuse)
-        with pytest.raises(DomainError, match=f"{name} must be an integer"):
-            trace_terms.dn_r_m_family_operator(PLUS, 1.2, 0.2, 0.1, m, n, 100)
-        with pytest.raises(DomainError, match=f"{name} must be an integer"):
-            dn_r_m_operator("fock", 0.2, 1.2, 0.1, m, n, 100)
-
-    @pytest.mark.parametrize("n", [1.5, 2.0, -1])
-    def test_non_integer_n_is_refused(self, n, monkeypatch):
-        for name in ("integrate_pairs", "integrate_axes", "integrate_lattice"):
-            monkeypatch.setattr(quadrature, name, _refuse)
-        with pytest.raises(DomainError, match="n must be an integer >= 0"):
-            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, n)
-        with pytest.raises(DomainError, match="lambda_power must be an integer >= 0"):
-            dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 1, 1, lambda_power=n)
+            dn_r_m_integral(family, 1.2, 0.2, 0.1, m, 2, spec=spec)
 
     @pytest.mark.parametrize(
         "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
@@ -518,7 +488,6 @@ class TestAxisSeparableM1:
                 minus_two = ((1 - u * v) ** 2 + sh2 * (1 - u * u) * (1 - v * v)) / (u * v)
                 ref = _kernel_definition(family, minus_two)
                 assert abs(k[i, j] / ref - 1) <= 1e-14, (nodes[i], nodes[j])
-
 
 
 class TestPairSeparableM2:
