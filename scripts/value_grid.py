@@ -159,7 +159,7 @@ def entries(small: bool) -> list:
         out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
                     lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
     else:
-        # A tensor spec at m = 3 is refused: no tensor rule reaches six axes.
+        # A spec at m = 3 is refused: it sets only the level of the m <= 2 rules.
         for family in families:
             for lam in (0.9, 0.9 + 0.3j):
                 args = (family, lam, 0.2, EPS, 3, 0, QuadratureSpec(5))

@@ -708,7 +708,6 @@ class TestPairSeparableM2:
         assert repr(back_to_back[0]) == repr(dn_r_m_integral(FLAT, 1.2, 0.2, 0.1, 2, 1))
 
 
-
 class TestLatticeM3:
     # The default m = 3 rule is the randomly shifted lattice: 8191 Korobov
     # points times 16 shifts, with a bar of 2.131 standard errors of the
