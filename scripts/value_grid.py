@@ -15,12 +15,12 @@ poles; n = 2 and 3; trunc_n 100, 400 and 1200), the eigen route at n = 4
 where its probe period widens, dn_r_m_operator and dn_r_m_family_operator
 for every family at m <= 3 and orders 0-3, at points where the sweep's probe
 period stays, where it widens and near poles, dn_r_m_integral for every
-family at m <= 3 and orders 0-3 (m = 2 also at g = 0.45 and 1.0, and m =
-3 under a tanh-sinh spec, which is refused), every route of the Psi
-families at huge couplings (g = 100 and 150, where values stand; g = 200,
-where the m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by
-series and by quadrature and j_delta by series and by recurrence at n =
-0-3, and a sha256 digest of apery_classic(130).  --small keeps trunc_n
+family at m <= 3 and orders 0-3 (m = 2 also at g = 0.45 and 1.0) and at
+m = 4, which the integral route refuses, every route of the Psi families at
+huge couplings (g = 100 and 150, where values stand; g = 200, where the
+m = 1 kernel overflows; g = 400, where cosh 2g does), j_flat by series and
+by quadrature and j_delta by series and by recurrence at n = 0-3, and a
+sha256 digest of apery_classic(130).  --small keeps trunc_n
 100, one lambda of each kind per model (the real one at n = 4), m <= 2 on
 the operator routes and m = 1 on the integral route, plus one m = 3
 integral.
@@ -84,7 +84,6 @@ def entries(small: bool) -> list:
         dn_r_m_operator,
         zeta_eigen_oracle,
     )
-    from rabi_zeta.quadrature import QuadratureSpec
     from rabi_zeta.trace_terms import (
         FLAT,
         MINUS,
@@ -159,11 +158,11 @@ def entries(small: bool) -> list:
         out.append(("dn_r_m_integral Nu(nu=0.7) lam=0.9 m=3 n=1",
                     lambda: dn_r_m_integral(Nu(0.7), 0.9, 0.2, EPS, 3, 1)))
     else:
-        # A spec at m = 3 is refused: it sets only the level of the m <= 2 rules.
+        # The integral route stops at m = 3: m = 4 is refused.
         for family in families:
             for lam in (0.9, 0.9 + 0.3j):
-                args = (family, lam, 0.2, EPS, 3, 0, QuadratureSpec(5))
-                out.append((f"dn_r_m_integral {family} lam={lam!r} m=3 n=0 spec=tanh_sinh",
+                args = (family, lam, 0.2, EPS, 4, 0)
+                out.append((f"dn_r_m_integral {family} lam={lam!r} m=4 n=0",
                             lambda args=args: dn_r_m_integral(*args)))
         for g in m2_couplings:
             for family in families:

@@ -37,12 +37,7 @@ from .operator_oracle import (
     r_m_operator,
     zeta_eigen_oracle,
 )
-from .quadrature import (
-    QuadratureSpec,
-    integrate_lattice,
-    integrate_tensor,
-    tanh_sinh_nodes,
-)
+from .quadrature import integrate_lattice, integrate_tensor, tanh_sinh_nodes
 from .specfun import (
     SeriesValue,
     alternating_zeta_sum,

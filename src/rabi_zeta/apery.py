@@ -32,6 +32,7 @@ from .specfun import (
     pochhammer,
     progression_distance,
     require_finite,
+    require_integer,
     sum_inverse_pair,
 )
 
@@ -92,8 +93,7 @@ def j_flat(
     quadrature: the defining double integral on the level-7 tanh-sinh rule
     (requires Re lam - |Re eps| > 0).
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_integer("n", n, 0)
     _require_finite_point(lam, eps)
     if method == "quadrature":
         lamc, epsc = complex(lam), complex(eps)
@@ -105,7 +105,7 @@ def j_flat(
             core = ((1 - u) * (1 - v)) ** n / (1 - u * v) ** (n + 1)
             return core * np.exp((lamc + epsc - 1) * np.log(u) + (lamc - epsc - 1) * np.log(v))
 
-        return quadrature.integrate_tensor(f, 2, quadrature.QuadratureSpec(7))
+        return quadrature.integrate_tensor(f, 2, 7)
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     lamc, epsc = complex(lam), complex(eps)
@@ -220,8 +220,7 @@ def apery_ab_flat(n: int, lam, eps) -> AperyCoefficients:
     cancel or overflow in floating point; eps must stay off m/2,
     1 <= |m| <= n.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_integer("n", n, 0)
     _require_finite_point(lam, eps)
     dist = _pole_distance(eps, [s * m / 2 for m in range(1, n + 1) for s in (1, -1)])
     if n == 0:
@@ -295,8 +294,7 @@ def j_delta(
 ) -> SeriesValue:
     """J_n of the delta family by the closed series or the two-term
     recurrence seeded at n = 0, 1."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_integer("n", n, 0)
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
     _require_finite_point(lam, eps)
@@ -419,8 +417,7 @@ def apery_ab_delta(n: int, delta: int, lam, eps) -> AperyCoefficients:
     and eps are rational; NoConvergence when a float form overflows.  eps
     must stay off -n/2, -n/2 + 1, ..., n/2.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    require_integer("n", n, 0)
     if delta not in (1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta}")
     _require_finite_point(lam, eps)
@@ -462,8 +459,7 @@ def reconstruct_j_delta(coeffs: AperyCoefficients, delta: int, lam, eps) -> comp
 def apery_classic(n_max: int) -> ExactApery:
     """Exact classical A_n (integers) and B_n (rationals) for n <= n_max,
     verified against the three-term recurrence exactly."""
-    if n_max < 0 or n_max > 200:
-        raise DomainError(f"n_max must be in 0..200, got {n_max}")
+    require_integer("n_max", n_max, 0, 200)
     # B_n = sum_k w_k (outer + sum_{m<=k} t_m) = outer A_n + sum_m t_m W_m,
     # with w_k = C(n,k)^2 C(n+k,k), W_m = sum_{k>=m} w_k and
     # t_m = (-1)^(n+m-1) / (m^2 C(n,m) C(n+m,m)): one integer numerator over
@@ -500,8 +496,7 @@ def beukers_residual(n: int) -> float:
     small J value), so the target is formed in 60-digit arithmetic before
     rounding; in float64 the cancellation alone would cost ~|A_n| * 1e-16.
     """
-    if not 0 <= n <= BEUKERS_N_MAX:
-        raise DomainError(f"n must be in 0..{BEUKERS_N_MAX}, got {n}")
+    require_integer("n", n, 0, BEUKERS_N_MAX)
     exact = apery_classic(n)
     b = exact.b_list[n]
     with mpmath.workdps(60):

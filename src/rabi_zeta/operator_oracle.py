@@ -828,18 +828,25 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
     ]
 
 
-def family_term(components, g, lam, eps, m: int, n: int, N: int, tol: float) -> dict:
+#: A trace term of the operator route reads converged at abs_error <= this,
+#: in a row that reads converged itself (family_term).
+_TERM_TOL = 1e-8
+
+
+def family_term(components, g, lam, eps, m: int, n: int, N: int) -> dict:
     """{k: d^k R_m / d lam^k} for k = 0..n of the signed sum over `components`
     at truncation N, one sweep row; terms_used is N and converged means
-    abs_error <= tol in a row that reads converged (N >= _MIN_BAR_TOP).  N
-    must be at least MIN_TRUNCATION, so that its ladder's N/4 is at least 2."""
+    abs_error <= _TERM_TOL in a row that reads converged (N >=
+    _MIN_BAR_TOP).  N must be an int of at least MIN_TRUNCATION, so that its
+    ladder's N/4 is at least 2."""
     require_integer("m", m, 1)
     require_integer("n", n, 0)
     if N < MIN_TRUNCATION:
         raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
+    require_integer("N", N, MIN_TRUNCATION)
     row = family_rows(components, g, lam, eps, n, N, m)[m - 1]
     return {
-        k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= tol and sv.converged)
+        k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= _TERM_TOL and sv.converged)
         for k, sv in row.items()
     }
 
@@ -852,7 +859,6 @@ def r_m_operator(
     m: int,
     N: int = 400,
     nu: float | None = None,
-    tol: float = 1e-8,
 ) -> SeriesValue:
     """R_m = Tr((h_plus^-1 h_minus^-1)^m) by banded solves on the truncations.
 
@@ -860,9 +866,10 @@ def r_m_operator(
     truncation order 2m-1, from three truncations of the sweep's ladder
     (N, N/2, N/4 until an earlier term already met the rounding floor one
     level down); abs_error is the sweep's bar (_extrapolate) plus a 1e-14
-    relative rounding floor.  N is a fixed truncation, not a budget.
+    relative rounding floor.  N is a fixed truncation, not a budget; the
+    value reads converged as family_term's do.
     """
-    return family_term((Component(basis, nu),), g, lam, eps, m, 0, N, tol)[0]
+    return family_term((Component(basis, nu),), g, lam, eps, m, 0, N)[0]
 
 
 def dn_r_m_operator(
@@ -874,12 +881,11 @@ def dn_r_m_operator(
     n: int,
     N: int = 400,
     nu: float | None = None,
-    tol: float = 1e-8,
 ) -> SeriesValue:
     """n-th shift derivative of R_m, equal to the composition sum
     (-1)^n n! sum_{|n|=n} Tr(prod h_plus^{-n_{2j-1}-1} h_minus^{-n_{2j}-1});
     evaluated by the banded sweep, Richardson order 2m+n-1."""
-    return family_term((Component(basis, nu),), g, lam, eps, m, n, N, tol)[n]
+    return family_term((Component(basis, nu),), g, lam, eps, m, n, N)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,13 +1015,14 @@ def zeta_eigen_oracle(
     the calibration grid from N = 384 on, the coarsest top with five live
     levels.  abs_error adds the 1e-7 calibration floor EIGEN_FLOOR.
 
-    Without tol, N is the one top and must be >= 8, so that N/4 >= 2; the
-    value reads converged False, no tol being asked, and below 384 it reads
-    calibrated False: its bar is not calibrated there.  With tol, max(N, 384)
-    caps a budget that starts at 384 (truncation_budget with that start):
-    the tops are tried in order, each ladder level is solved once, and the
-    first top whose bar is <= tol gives the value, the cap's when none does;
-    converged means abs_error <= tol.
+    n must be an int >= 2 and N an int.  Without tol, N is the one top and
+    must be >= 8, so that N/4 >= 2; the value reads converged False, no tol
+    being asked, and below 384 it reads calibrated False: its bar is not
+    calibrated there.  With tol, max(N, 384) caps a budget that starts at
+    384 (truncation_budget with that start): the tops are tried in order,
+    each ladder level is solved once, and the first top whose bar is <= tol
+    gives the value, the cap's when none does; converged means abs_error <=
+    tol.
 
     The levels of each top run coarsest first, and the probe period is
     carried from band to band: each block's band starts at the period that
@@ -1023,10 +1030,10 @@ def zeta_eigen_oracle(
     (_PROBE_START for the first), so the coarser levels learn it on their
     narrower blocks and the finer ones start there.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    require_integer("n", n, 2)
     if tol is None and N < MIN_TRUNCATION:
         raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
+    require_integer("N", N, MIN_TRUNCATION if tol is None else -math.inf)
     geo = model_geometry(model)
     p = n - max(c.eigen_lag for c in geo.family.components)
     budget = [N] if tol is None else truncation_budget(max(N, _EIGEN_MIN_TOP), _EIGEN_MIN_TOP)

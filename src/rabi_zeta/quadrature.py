@@ -1,8 +1,8 @@
 """Quadrature over the open unit cube (0,1)^d.
 
 Deterministic tanh-sinh tensor-product rules for d <= 4, whose one setting
-is the level (QuadratureSpec), and at any d a point rule with a statistical
-bar and no settings: a randomly shifted rank-1 lattice (integrate_lattice).
+is the level (an int up to _MAX_LEVEL), and at any d a point rule with a
+statistical bar and no settings: a shifted rank-1 lattice (integrate_lattice).
 Integrands are vectorized: f receives an (npts, d) float array and returns
 an (npts,) complex array, or a (rows, npts) block of integrands that share
 the nodes: each row is reduced exactly as a scalar integrand, into its own
@@ -29,8 +29,6 @@ pair points with x <= y, whose weights count their swaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.blas import dgemm
 
@@ -96,19 +94,9 @@ _LATTICE_T = 2.131
 _MAX_LEVEL = 10
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The tanh-sinh level of a tensor rule, an int from 1 to _MAX_LEVEL:
-    level L has step h = 2^(2-L), and its bar compares it with level L - 1."""
-
-    level: int = 7
-
-    def __post_init__(self):
-        require_integer("level", self.level, 1, _MAX_LEVEL)
-
-
 def tanh_sinh_nodes(level: int):
-    """tanh-sinh nodes/weights on (0,1) at the given level (h = 2^(2-level))."""
+    """tanh-sinh nodes/weights on (0,1) at the given level (h = 2^(2-level)),
+    an int from 1 to _MAX_LEVEL, else DomainError."""
     require_integer("level", level, 1, _MAX_LEVEL)
     # Step h = 2^(2-level); nodes x_k = (1 + tanh((pi/2) sinh(k h)))/2,
     # generated symmetrically until the distance to the nearer endpoint
@@ -165,12 +153,11 @@ def _per_row(row, *reductions):
     return row(*reductions) if reductions[0].ndim == 0 else tuple(map(row, *reductions))
 
 
-def _two_level(level_sum, d: int, spec: QuadratureSpec):
+def _two_level(level_sum, d: int, level: int):
     """SeriesValue(s) of level_sum(nodes, weights), the d-dimensional tensor
-    sums at the spec's tanh-sinh level, with abs_error |fine - coarse| +
-    1e-16 |fine|, coarse the sums at the level below (level 1 has none:
-    abs_error |fine|)."""
-    level = spec.level
+    sums at the tanh-sinh level, with abs_error |fine - coarse| + 1e-16
+    |fine|, coarse the sums at the level below (level 1 has none:
+    abs_error |fine|).  A bad level raises before level_sum runs."""
     nodes, weights = tanh_sinh_nodes(level)
     fine = np.asarray(level_sum(nodes, weights))
     coarse = np.asarray(level_sum(*tanh_sinh_nodes(level - 1))) if level > 1 else 0 * fine
@@ -183,12 +170,12 @@ def _two_level(level_sum, d: int, spec: QuadratureSpec):
     return _per_row(row, fine, coarse)
 
 
-def integrate_tensor(f, d: int, spec: QuadratureSpec):
-    """Tensor-product integral over (0,1)^d, one SeriesValue per integrand row,
-    with a two-level error estimate (level vs level - 1)."""
-    if d < 1 or d > 4:
-        raise DomainError(f"tensor rules require 1 <= d <= 4, got {d}")
-    return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, spec)
+def integrate_tensor(f, d: int, level: int):
+    """Tensor-product integral over (0,1)^d, d an int from 1 to 4, at the
+    tanh-sinh level, one SeriesValue per integrand row, with a two-level
+    error estimate (level vs level - 1)."""
+    require_integer("d", d, 1, 4)
+    return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, level)
 
 
 def _upper_gram(kernel, rows, z: np.ndarray) -> np.ndarray:
@@ -236,7 +223,7 @@ def _gram_level(factors, kernel, sides, points, q, what: str):
     return _upper_gram(kernel, rows, z * q), z, rows
 
 
-def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
+def integrate_axes(factors, kernel, sides, combine, level: int):
     """Tensor-product integral over (0,1)^2 of an integrand that splits
     between its axes u and v:
 
@@ -258,7 +245,7 @@ def integrate_axes(factors, kernel, sides, combine, spec: QuadratureSpec):
     def level_sum(nodes, weights):
         return combine(_gram_level(factors, kernel, sides, nodes, weights, "axis side")[0])
 
-    return _two_level(level_sum, 2, spec)
+    return _two_level(level_sum, 2, level)
 
 
 def _kernel_block(kernel, fa, fb) -> np.ndarray:
@@ -295,7 +282,7 @@ def _require_swap_invariant(factors, kernel, sides, pts, z, rows) -> None:
             )
 
 
-def integrate_pairs(factors, kernel, sides, combine, spec: QuadratureSpec):
+def integrate_pairs(factors, kernel, sides, combine, level: int):
     """Tensor-product integral over (0,1)^4 of an integrand that splits
     between two axis pairs a and b:
 
@@ -332,7 +319,7 @@ def integrate_pairs(factors, kernel, sides, combine, spec: QuadratureSpec):
         _require_swap_invariant(factors, kernel, sides, pts, z, rows)
         return combine(gram)
 
-    return _two_level(level_sum, 4, spec)
+    return _two_level(level_sum, 4, level)
 
 
 def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
@@ -355,8 +342,7 @@ def integrate_lattice(f, d: int):
     means, and abs_error is _LATTICE_T times their standard error: a
     statistical bar, not a bound.  Deterministic, since the seed is fixed; f
     is called on _TENSOR_BLOCK points of a shifted lattice at a time."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    require_integer("d", d, 1)
     n, shifts = _LATTICE_POINTS, _LATTICE_SHIFTS
     z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in range(d)])
     lattice = np.outer(np.arange(n), z) % n / n

@@ -37,6 +37,9 @@ _EM_COEFFS = tuple(float(BERNOULLI[2 * j] / math.factorial(2 * j)) for j in rang
 _DIGAMMA_COEFFS = tuple(float(BERNOULLI[2 * j]) / (2 * j) for j in range(1, 8))
 
 _POLE_GUARD = 1e-12
+# The abs_error at which a Hurwitz or alternating zeta sum reads converged,
+# and the relative size of hypergeometric_pfq's last two terms.
+_SERIES_TOL = 1e-12
 _HYPERGEOM_TERM_CAP = 100_000
 _PAIR_TERM_CAP = 20
 
@@ -45,7 +48,7 @@ _PAIR_TERM_CAP = 20
 class SeriesValue:
     """A computed complex value with an absolute error estimate.
 
-    converged means the estimate met the tolerance the caller requested.
+    converged means the estimate met the tolerance of the routine that made it.
     """
 
     value: complex
@@ -62,8 +65,8 @@ def require_finite(name: str, value) -> None:
 
 
 def require_integer(name: str, value, low: int, high: float = math.inf) -> None:
-    """Refuses a count, order or level that is not an int from low to high:
-    the one check of the trace terms' m and n and the tanh-sinh level."""
+    """Refuses a count, order, level or dimension that is not an int from low
+    to high: the one check of every such input of the library."""
     if not (isinstance(value, numbers.Integral) and low <= value <= high):
         span = f">= {low}" if high == math.inf else f"from {low} to {high}"
         raise DomainError(f"{name} must be an integer {span}, got {value!r}")
@@ -81,10 +84,11 @@ def cpow_int(base: complex, n: int) -> complex:
     return cmath.exp(n * cmath.log(base))
 
 
-def hurwitz_zeta(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
+def hurwitz_zeta(n: int, a: complex) -> SeriesValue:
     """sum_{k>=0} (k+a)^-n by direct summation plus an Euler-Maclaurin tail.
 
-    Requires n >= 2 and a away from the nonpositive integers.
+    Requires n >= 2 and a away from the nonpositive integers; converged
+    means abs_error <= _SERIES_TOL.
     """
     if n < 2:
         raise PoleError(f"n must be >= 2, got {n}")
@@ -112,19 +116,20 @@ def hurwitz_zeta(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
         logs = [n * cmath.log(k + a) for k in range(K)]
         scale = 5 * sum(math.exp(-w.real) * (1 + abs(w)) for w in logs)
     abs_error = last + 1e-16 * scale
-    return SeriesValue(value, abs_error, K, abs_error <= tol)
+    return SeriesValue(value, abs_error, K, abs_error <= _SERIES_TOL)
 
 
-def alternating_zeta_sum(n: int, a: complex, tol: float = 1e-12) -> SeriesValue:
-    """sum_{k>=0} (-1)^k (k+a)^-n = 2^-n (zeta(n, a/2) - zeta(n, (a+1)/2))."""
+def alternating_zeta_sum(n: int, a: complex) -> SeriesValue:
+    """sum_{k>=0} (-1)^k (k+a)^-n = 2^-n (zeta(n, a/2) - zeta(n, (a+1)/2));
+    converged means abs_error <= _SERIES_TOL."""
     a = complex(a)
     _check_not_nonpositive_integer(a)
-    z1 = hurwitz_zeta(n, a / 2, tol)
-    z2 = hurwitz_zeta(n, (a + 1) / 2, tol)
+    z1 = hurwitz_zeta(n, a / 2)
+    z2 = hurwitz_zeta(n, (a + 1) / 2)
     scale = 2.0 ** (-n)
     value = scale * (z1.value - z2.value)
     abs_error = scale * (z1.abs_error + z2.abs_error)
-    return SeriesValue(value, abs_error, z1.terms_used + z2.terms_used, abs_error <= tol)
+    return SeriesValue(value, abs_error, z1.terms_used + z2.terms_used, abs_error <= _SERIES_TOL)
 
 
 def pochhammer(x, n: int):
@@ -145,8 +150,9 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def hypergeometric_pfq(upper, lower, x: complex, tol: float = 1e-12) -> SeriesValue:
-    """Truncated pFq(upper; lower; x) = sum_k prod(upper)_k/prod(lower)_k x^k/k!.
+def hypergeometric_pfq(upper, lower, x: complex) -> SeriesValue:
+    """Truncated pFq(upper; lower; x) = sum_k prod(upper)_k/prod(lower)_k x^k/k!,
+    summed until two terms in a row fall below _SERIES_TOL of the sum.
 
     Requires |x| < 1 and no lower parameter at a nonpositive integer.
     """
@@ -167,7 +173,7 @@ def hypergeometric_pfq(upper, lower, x: complex, tol: float = 1e-12) -> SeriesVa
             factor /= complex(c) + k
         term = term * factor
         total += term
-        if abs(term) < tol * max(abs(total), 1e-300):
+        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 2:
                 # Geometric bound on the discarded tail (ratio -> |x|).

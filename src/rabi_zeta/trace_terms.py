@@ -20,9 +20,10 @@ u_j^e_j (sum_j log u_j)^k.  m alone picks the rule.  The tanh-sinh tensor
 rules take m = 1 as a symmetric kernel between its two axes
 (quadrature.integrate_axes, block by block) and m = 2 as one between the
 grids of those axis pairs on their points with x <= y
-(quadrature.integrate_pairs); a QuadratureSpec sets their level.  The
-randomly shifted lattice runs the point integrand on axis rows at m = 3,
-and the operator oracle takes m >= 4; neither takes a spec.
+(quadrature.integrate_pairs), at the tanh-sinh levels of _LEVELS.  The
+randomly shifted lattice runs the point integrand on axis rows at m = 3.
+The integral route stops there: m >= 4 is the operator route's
+(dn_r_m_family_operator).
 """
 
 from __future__ import annotations
@@ -362,17 +363,17 @@ def _binomial_orders(gram: np.ndarray, orders) -> np.ndarray:
     )
 
 
-def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
+def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders):
     """The m = 1 and m = 2 integrand rows as one symmetric kernel between
     the halves of the axes that carry one exponent each, both from the rows
     of _pair_kernel: the axes u and v at m = 1, read as the pair points (u,
     1) and (v, 1) (quadrature.integrate_axes), the pairs (u0, u2) and (u1,
-    u3) at m = 2 (quadrature.integrate_pairs).  The weight prod u_j^e_j and
-    sum log u_j split between the halves, with the sides V_i = prod
-    u^(lam+eps-1) (sum log u)^i and W_i = prod u^(lam-eps-1) (sum log u)^i
-    over a half's axes (_log_rows), which the swap inside a pair leaves
-    unchanged; so order k is sum_i C(k, i) G[V_i, W_(k-i)] and one pass
-    serves them all."""
+    u3) at m = 2 (quadrature.integrate_pairs), at the level _LEVELS[m].
+    The weight prod u_j^e_j and sum log u_j split between the halves, with
+    the sides V_i = prod u^(lam+eps-1) (sum log u)^i and W_i = prod
+    u^(lam-eps-1) (sum log u)^i over a half's axes (_log_rows), which the
+    swap inside a pair leaves unchanged; so order k is sum_i C(k, i)
+    G[V_i, W_(k-i)] and one pass serves them all."""
     evec = _exponent_vector(1, lam, eps)
     top = max(orders)
     factors, kernel = _pair_kernel(family, g)
@@ -389,20 +390,21 @@ def _split_row(family: TraceFamily, lam, eps, g: float, m: int, orders, spec):
         def axis_factors(u):
             return factors((u, np.ones_like(u)))
 
-        return quadrature.integrate_axes(axis_factors, kernel, sides, combine, spec)
-    return quadrature.integrate_pairs(factors, kernel, sides, combine, spec)
+        return quadrature.integrate_axes(axis_factors, kernel, sides, combine, _LEVELS[m])
+    return quadrature.integrate_pairs(factors, kernel, sides, combine, _LEVELS[m])
 
 
 #: The tanh-sinh level of the m = 1 and m = 2 tensor rules.
-_DEFAULT_SPECS = {1: quadrature.QuadratureSpec(7), 2: quadrature.QuadratureSpec(5)}
+_LEVELS = {1: 7, 2: 5}
 
 
 def dn_r_m_family_operator(
     family: TraceFamily, lam: complex, g: float, eps: complex, m: int, n: int = 0, N: int = 400
 ) -> SeriesValue:
     """n-th shift derivative of the family's R_m by the operator oracle: the
-    signed sum over the family's components (converged at abs_error <= 1e-8)."""
-    return operator_oracle.family_term(family.components, g, lam, eps, m, n, N, 1e-8)[n]
+    signed sum over the family's components, converged as
+    operator_oracle.family_term reads it."""
+    return operator_oracle.family_term(family.components, g, lam, eps, m, n, N)[n]
 
 
 def leibniz_lambda_power(n: int, lam: complex, power: int, derivative) -> SeriesValue:
@@ -429,23 +431,20 @@ def _require_finite_inputs(lam, g, eps) -> None:
         require_finite(name, value)
 
 
-def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, SeriesValue]:
-    """d^k R_m / d lam^k for every k in `orders`: under the integral sign from
-    one quadrature pass over shared nodes (m <= 3), or by the operator oracle
-    for m >= 4.  m alone picks the rule: m = 1 is a kernel between two axes
-    and m = 2 one between two axis pairs (_split_row), on tanh-sinh rules at
-    the spec's level (_DEFAULT_SPECS when None); m = 3 is the shifted
-    lattice on the point integrand (_integrand).  A spec at m >= 3 raises
-    DomainError, as does an m that is not an int >= 1."""
+def _integral_row(family, lam, g, eps, m: int, orders) -> dict[int, SeriesValue]:
+    """d^k R_m / d lam^k for every k in `orders`, under the integral sign from
+    one quadrature pass over shared nodes.  m alone picks the rule: m = 1 is
+    a kernel between two axes and m = 2 one between two axis pairs
+    (_split_row), on tanh-sinh rules at the levels of _LEVELS; m = 3 is the
+    shifted lattice on the point integrand (_integrand).  An m that is not
+    an int from 1 to 3 raises DomainError: m >= 4 is the operator route's."""
     _require_finite_inputs(lam, g, eps)
-    require_integer("m", m, 1)
-    if m >= 3 and spec is not None:
-        raise DomainError(f"a spec sets the tanh-sinh level of m <= 2; m = {m} takes none")
+    try:
+        require_integer("m", m, 1, 3)
+    except DomainError as exc:
+        raise DomainError(f"{exc}: the integral route stops at m = 3, and the operator "
+                          f"route takes any m >= 1") from None
     components = family.components
-    if m >= 4:
-        # One sweep row holds every order, converged at abs_error <= 1e-8.
-        row = operator_oracle.family_term(components, g, lam, eps, m, max(orders), 400, 1e-8)
-        return {k: row[k] for k in orders}
     margin = complex(lam).real - abs(complex(eps).real)
     if not margin + min(c.offset for c in components) > 0:
         raise DomainError(
@@ -455,26 +454,19 @@ def _integral_row(family, lam, g, eps, m: int, orders, spec) -> dict[int, Series
     if m == 3:
         row = quadrature.integrate_lattice(_integrand(family, lam, eps, g, m, orders), 2 * m)
     else:
-        row = _split_row(family, lam, eps, g, m, orders, spec or _DEFAULT_SPECS[m])
+        row = _split_row(family, lam, eps, g, m, orders)
     return dict(zip(orders, row))
 
 
-def r_m_integral(
-    family: TraceFamily,
-    lam: complex,
-    g: float,
-    eps: complex,
-    m: int,
-    spec: quadrature.QuadratureSpec | None = None,
-) -> SeriesValue:
+def r_m_integral(family: TraceFamily, lam: complex, g: float, eps: complex, m: int) -> SeriesValue:
     """R_m by the 2m-dimensional integral representation of the family.
 
     m in {1, 2} runs tanh-sinh tensor quadrature (a kernel between the two
-    axes at m = 1, between the axis pairs at m = 2) at the spec's level,
-    by default 7 and 5; m = 3 the randomly shifted lattice and m >= 4 the
-    operator oracle, both without a spec (DomainError if one is given).
+    axes at level 7 for m = 1, between the axis pairs at level 5 for m = 2);
+    m = 3 the randomly shifted lattice.  m >= 4 raises DomainError: the
+    operator route (dn_r_m_family_operator) takes it.
     """
-    return _integral_row(family, lam, g, eps, m, (0,), spec)[0]
+    return _integral_row(family, lam, g, eps, m, (0,))[0]
 
 
 def dn_r_m_integral(
@@ -484,11 +476,10 @@ def dn_r_m_integral(
     eps: complex,
     m: int,
     n: int,
-    spec: quadrature.QuadratureSpec | None = None,
     lambda_power: int = 0,
 ) -> SeriesValue:
     """n-th shift derivative of R_m under the integral sign: the r_m_integral
-    integrand times (log prod u_j)^n.
+    integrand times (log prod u_j)^n, for m from 1 to 3.
 
     With lambda_power = p > 0 the Leibniz combination d^n/d lam^n [lam^p R_m]
     is returned instead (NCHO uses p = 2m).  Each order k it needs is one row
@@ -497,7 +488,7 @@ def dn_r_m_integral(
     require_integer("n", n, 0)
     require_integer("lambda_power", lambda_power, 0)
     orders = tuple(range(n - min(n, lambda_power), n + 1))
-    row = _integral_row(family, lam, g, eps, m, orders, spec)
+    row = _integral_row(family, lam, g, eps, m, orders)
     return leibniz_lambda_power(n, lam, lambda_power, row.__getitem__)
 
 
@@ -505,8 +496,13 @@ def dn_r_m_integral(
 # m = 1 fast paths
 
 
-def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10) -> SeriesValue:
-    """R_1 by its expansion in the coupling.
+#: r_1_series stops at the first term below this fraction of its sum, and
+#: sums each J-term to a tenth of it.
+_SERIES_TOL = 1e-10
+
+
+def r_1_series(family, lam: complex, g: float, eps: complex) -> SeriesValue:
+    """R_1 by its expansion in the coupling, to _SERIES_TOL relative.
 
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
     (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
@@ -518,11 +514,11 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
         x = -4.0 * g * g
         coeff = 1.0
         for n in range(200):
-            jn = apery.j_flat(n, lam, eps, method="series", tol=tol * 0.1)
+            jn = apery.j_flat(n, lam, eps, method="series", tol=_SERIES_TOL * 0.1)
             term = coeff * jn.value
             total += term
-            if n > 0 and abs(term) < tol * max(abs(total), 1e-300):
-                return SeriesValue(total, abs(term) + tol * abs(total) * 0.1, n + 1, True)
+            if n > 0 and abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
+                return SeriesValue(total, abs(term) + _SERIES_TOL * abs(total) * 0.1, n + 1, True)
             coeff *= x / (n + 1)
         raise NoConvergence("flat R_1 series did not converge in 200 terms")
     if len(components) != 2:
@@ -533,12 +529,13 @@ def r_1_series(family, lam: complex, g: float, eps: complex, tol: float = 1e-10)
     total = 0.0 + 0.0j
     coeff = 1.0
     for n in range(300):
-        jn = apery.j_delta(2 * n, delta, lam, eps, method="series", tol=tol * 0.1)
+        jn = apery.j_delta(2 * n, delta, lam, eps, method="series", tol=_SERIES_TOL * 0.1)
         term = coeff * jn.value
         total += term
-        if n > 0 and abs(term) < tol * max(abs(total), 1e-300):
+        if n > 0 and abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
             bound = abs(term) * t2 / max(1 - t2, 1e-16)
-            return SeriesValue(sech * total, sech * (bound + tol * abs(total) * 0.1), n + 1, True)
+            err = sech * (bound + _SERIES_TOL * abs(total) * 0.1)
+            return SeriesValue(sech * total, err, n + 1, True)
         coeff *= (0.5 + n) / (n + 1) * t2
     raise NoConvergence("delta R_1 series did not converge in 300 terms")
 

@@ -34,7 +34,14 @@ from .operator_oracle import (
     truncation_budget,
     zeta_eigen_oracle,
 )
-from .specfun import SeriesValue, alternating_zeta_sum, hurwitz_zeta, pochhammer, require_finite
+from .specfun import (
+    SeriesValue,
+    alternating_zeta_sum,
+    hurwitz_zeta,
+    pochhammer,
+    require_finite,
+    require_integer,
+)
 
 _METHODS = ("series_integral", "series_operator", "eigen_oracle")
 _WARN_DISTANCE = 1e-4
@@ -44,8 +51,8 @@ _HS_TERMS = 4096
 
 @dataclass(frozen=True)
 class ZetaRequest:
-    """A single zeta(H; n, lambda) evaluation request; lam and tol must be
-    finite.
+    """A single zeta(H; n, lambda) evaluation request; n, max_m and trunc_n
+    must be ints (n >= 2, max_m >= 1), and lam and tol finite.
 
     trunc_n caps the operator truncation N and must be at least
     MIN_TRUNCATION = 8 on every route: the series routes start at a
@@ -75,15 +82,16 @@ class ZetaRequest:
     trunc_n: int = 400
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"n must be >= 2, got {self.n}")
+        require_integer("n", self.n, 2)
         require_finite("tol", self.tol)
         if self.tol <= 0 or self.max_m < 1:
             raise DomainError("tol must be > 0 and max_m >= 1")
+        require_integer("max_m", self.max_m, 1)
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.trunc_n < MIN_TRUNCATION:
             raise InvalidDimension(f"trunc_n must be >= {MIN_TRUNCATION}, got {self.trunc_n}")
+        require_integer("trunc_n", self.trunc_n, MIN_TRUNCATION)
         require_finite("lambda", self.lam)
 
 
@@ -324,9 +332,10 @@ def confluence_scan(
 ) -> list:
     """Rows (nu, 2^n zeta(BergmanNu(nu, g/sqrt(nu), 2 delta, 2 eps); n,
     2 lam - nu), deviation from the one-photon value), on `threads` >= 1
-    threads."""
+    threads, an int."""
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    require_integer("threads", threads, 1)
     lam, nu_list = complex(lam), list(nu_list)
     bad = [nu for nu in nu_list if not 0 < nu < math.inf]
     if bad:

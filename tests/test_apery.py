@@ -34,12 +34,20 @@ class TestNonFiniteInputs:
     def test_j_flat(self, name, lam, eps, method):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             j_flat(2, lam, eps, method=method)
+        # A non-integer n used to raise a bare TypeError.
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            j_flat(1.5, 1.2, 0.1, method=method)
 
     @pytest.mark.parametrize("name,lam,eps", _NON_FINITE_POINTS)
     @pytest.mark.parametrize("method", ["series", "recurrence"])
     def test_j_delta(self, name, lam, eps, method):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             j_delta(2, 1, lam, eps, method=method)
+        # J_n is defined for integer n only: n = 2.5 and 1.5 used to return
+        # values.
+        for n, delta in ((2.5, -1), (1.5, 1)):
+            with pytest.raises(DomainError, match="n must be an integer >= 0"):
+                j_delta(n, delta, 1.2, 0.1, method=method)
 
     @pytest.mark.parametrize("name,lam,eps", _NON_FINITE_POINTS)
     @pytest.mark.parametrize("n", [0, 2])
@@ -49,6 +57,11 @@ class TestNonFiniteInputs:
         for delta in (1, -1):
             with pytest.raises(DomainError, match=f"{name} must be finite"):
                 apery_ab_delta(n, delta, lam, eps)
+        # A non-integer n used to raise a bare TypeError.
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            apery_ab_flat(n + 1.5, 1.2, 0.1)
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            apery_ab_delta(float(n), 1, 1.2, 0.1)
 
     def test_exact_inputs_pass_unchanged(self):
         # Fractions far beyond the float range are finite and stay exact.
@@ -299,9 +312,11 @@ class TestClassic:
                 rhs = (11 * n * n - 11 * n + 3) * x[n - 1] + (n - 1) ** 2 * x[n - 2]
                 assert lhs == rhs
 
-    def test_cap(self):
+    # n_max = 3.0 used to raise a bare TypeError.
+    @pytest.mark.parametrize("n_max", [201, -1, 3.0])
+    def test_cap(self, n_max):
         with pytest.raises(DomainError):
-            apery_classic(201)
+            apery_classic(n_max)
 
     def test_matches_the_double_sum(self):
         # The reference: B_n as the double sum over k and m <= k of
@@ -329,9 +344,11 @@ class TestBeukers:
     def test_residual_small(self, n):
         assert beukers_residual(n) < 1e-10
 
-    def test_cap(self):
+    # n = 2.0 used to raise a bare TypeError.
+    @pytest.mark.parametrize("n", [13, 2.0])
+    def test_cap(self, n):
         with pytest.raises(DomainError):
-            beukers_residual(13)
+            beukers_residual(n)
 
 
 class TestPartialFraction:

@@ -62,6 +62,14 @@ class TestZeta:
             ["zeta", "--model", "1pqrm", "--n", "2", "--lambda", "-1.0"],
         )
         assert code == 2
+        # The integral route stops at m = 3; m = 4 used to print the operator
+        # route's value under the integral route's name.
+        code, _ = _run(
+            capsys,
+            ["trace-term", "--family", "flat", "--route", "integral", "--m", "4",
+             "--lambda", "1.2", "--g", "0.2", "--eps", "0.1"],
+        )
+        assert code == 2
 
     def test_radius_exceeded_exit(self, capsys):
         code, _ = _run(

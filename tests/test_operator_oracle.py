@@ -230,12 +230,15 @@ class TestDerivativeRoutes:
             lambda: r_m_operator("fock", 0.2, 0.9, 0.1, 2, N=N),
             lambda: dn_r_m_operator("bergman", 0.2, 0.9, 0.1, 2, 1, N=N, nu=0.5),
             lambda: trace_terms.dn_r_m_family_operator(PLUS, 0.9, 0.2, 0.1, 2, 1, N=N),
-            lambda: operator_oracle.family_term(FLAT.components, 0.2, 0.9, 0.1, 2, 1, N, 1e-8),
+            lambda: operator_oracle.family_term(FLAT.components, 0.2, 0.9, 0.1, 2, 1, N),
         ]
         for call in calls:
             with pytest.raises(InvalidDimension, match=f"N must be >= 8, got {N}$"):
                 call()
         assert math.isfinite(r_m_operator("fock", 0.2, 0.9, 0.1, 2, N=8).value.real)
+        # A truncation that is not an int used to raise a bare TypeError.
+        with pytest.raises(DomainError, match="N must be an integer >= 8, got 100.5"):
+            r_m_operator("fock", 0.2, 0.9, 0.1, 2, N=100.5)
 
 
 class TestTypedErrors:
@@ -366,6 +369,13 @@ class TestEigenOracle:
             with pytest.raises(InvalidDimension):
                 zeta_eigen_oracle(model, 2, lam, N=N)
         assert math.isfinite(abs(zeta_eigen_oracle(model, 2, lam, N=8).value))
+        # An n or N that is not an int used to return a value: n = 2.5 mixed
+        # n = 2 traces with an n = 2.5 tail.
+        with pytest.raises(DomainError, match="n must be an integer >= 2, got 2.5"):
+            zeta_eigen_oracle(model, 2.5, lam)
+        for tol in (None, 1e-8):
+            with pytest.raises(DomainError, match="N must be an integer"):
+                zeta_eigen_oracle(model, 2, lam, N=400.5, tol=tol)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("model,lam", _EIGEN_MODELS + _EIGEN_MODELS_COMPLEX)
@@ -1148,9 +1158,11 @@ class TestCalibration:
         assert self._misses(_MIN_BAR_TOP - 1, couplings=(0.4,)) != []
 
     def test_terms_below_the_floor_are_not_converged(self):
+        # At m = 3 both bars meet the 1e-8 tolerance (1.2e-9 and 1.1e-9), so
+        # only the calibration floor tells the two truncations apart.
         for N, converged in ((_MIN_BAR_TOP - 1, False), (_MIN_BAR_TOP, True)):
-            sv = r_m_operator("fock", 0.2, 1.0, 0.1, 1, N=N, tol=1.0)
-            assert sv.abs_error <= 1.0 and sv.converged is converged
+            sv = r_m_operator("fock", 0.2, 1.0, 0.1, 3, N=N)
+            assert sv.abs_error <= 1e-8 and sv.converged is converged
 
     @pytest.mark.parametrize("family", [FLAT, MINUS])
     def test_rows_carry_their_calibration(self, family):

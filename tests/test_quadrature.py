@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from rabi_zeta import quadrature
 from rabi_zeta.errors import DomainError, NodeSingularity
 from rabi_zeta.quadrature import (
-    QuadratureSpec,
     integrate_axes,
     integrate_lattice,
     integrate_pairs,
@@ -30,19 +28,16 @@ class TestNodes:
 
 class TestTensorIntegration:
     def test_smooth_1d(self):
-        spec = QuadratureSpec(6)
-        v = integrate_tensor(lambda p: np.exp(p[:, 0]), 1, spec)
+        v = integrate_tensor(lambda p: np.exp(p[:, 0]), 1, 6)
         assert abs(v.value - (math.e - 1)) < 1e-12
 
     def test_algebraic_endpoint_singularity(self):
         # integral of u^(-1/2) = 2, singular at 0
-        spec = QuadratureSpec(7)
-        v = integrate_tensor(lambda p: p[:, 0] ** -0.5, 1, spec)
+        v = integrate_tensor(lambda p: p[:, 0] ** -0.5, 1, 7)
         assert abs(v.value - 2.0) < 1e-6
 
     def test_2d_product(self):
-        spec = QuadratureSpec(6)
-        v = integrate_tensor(lambda p: p[:, 0] * p[:, 1] ** 2, 2, spec)
+        v = integrate_tensor(lambda p: p[:, 0] * p[:, 1] ** 2, 2, 6)
         assert abs(v.value - 1 / 6) < 1e-12
 
     def test_corner_inverse_sqrt(self):
@@ -52,33 +47,30 @@ class TestTensorIntegration:
         for k in range(1000000):
             exact += t / (k + 1) ** 2
             t *= (2 * k + 1) / (2 * k + 2)
-        spec = QuadratureSpec(7)
-        v = integrate_tensor(lambda p: (1 - p[:, 0] * p[:, 1]) ** -0.5, 2, spec)
+        v = integrate_tensor(lambda p: (1 - p[:, 0] * p[:, 1]) ** -0.5, 2, 7)
         assert abs(v.value - exact) < 1e-8
 
     def test_4d_product(self):
-        v = integrate_tensor(lambda p: np.prod(p, axis=1), 4, QuadratureSpec(4))
+        v = integrate_tensor(lambda p: np.prod(p, axis=1), 4, 4)
         assert abs(v.value - 1 / 16) < 1e-12
 
-    def test_dimension_cap(self):
-        spec = QuadratureSpec()
-        with pytest.raises(DomainError):
-            integrate_tensor(lambda p: p[:, 0], 5, spec)
+    @pytest.mark.parametrize("d", [0, 5, 2.0])
+    def test_dimension_cap(self, d):
+        # d = 2.0 used to raise a bare TypeError.
+        with pytest.raises(DomainError, match="d must be an integer from 1 to 4"):
+            integrate_tensor(lambda p: p[:, 0], d, 3)
 
     def test_singular_value_raises(self):
-        spec = QuadratureSpec(4)
-
         def f(p):
             out = np.ones(p.shape[0])
             out[0] = np.inf
             return out
 
         with pytest.raises(NodeSingularity):
-            integrate_tensor(f, 1, spec)
+            integrate_tensor(f, 1, 4)
 
     def test_error_estimate_honest(self):
-        spec = QuadratureSpec(6)
-        v = integrate_tensor(lambda p: np.cos(3 * p[:, 0] + p[:, 1]), 2, spec)
+        v = integrate_tensor(lambda p: np.cos(3 * p[:, 0] + p[:, 1]), 2, 6)
         exact = (-math.cos(4) + math.cos(3) + math.cos(1) - 1.0) / 3
         assert abs(v.value - exact) <= max(v.abs_error, 1e-13)
 
@@ -92,11 +84,10 @@ def _rows(p):
 class TestRowIntegrands:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tensor_rows_match_scalar_calls(self, d):
-        spec = QuadratureSpec(5)
-        rows = integrate_tensor(_rows, d, spec)
+        rows = integrate_tensor(_rows, d, 5)
         assert len(rows) == 3
         for k, row in enumerate(rows):
-            single = integrate_tensor(lambda p: _rows(p)[k], d, spec)
+            single = integrate_tensor(lambda p: _rows(p)[k], d, 5)
             assert (row.value, row.abs_error, row.terms_used) == (
                 single.value, single.abs_error, single.terms_used
             )
@@ -119,15 +110,15 @@ def _scalar(p):
 class TestTensorWalk:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("integrand", [_rows, _scalar])
-    @pytest.mark.parametrize("spec", [QuadratureSpec(4), QuadratureSpec(3)])
+    @pytest.mark.parametrize("level", [4, 3])
     @pytest.mark.parametrize("block", [1, 100])
-    def test_sums_do_not_depend_on_the_block_size(self, monkeypatch, d, integrand, spec, block):
+    def test_sums_do_not_depend_on_the_block_size(self, monkeypatch, d, integrand, level, block):
         # A block of 1 point is one first-axis row per integrand call; 100
         # points split the grid into uneven blocks of several rows.  Each row
         # and then the rows must be summed in the same order either way.
-        default = integrate_tensor(integrand, d, spec)
+        default = integrate_tensor(integrand, d, level)
         monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", block)
-        assert integrate_tensor(integrand, d, spec) == default
+        assert integrate_tensor(integrand, d, level) == default
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_calls_take_whole_rows_of_about_one_block(self, d):
@@ -177,8 +168,8 @@ def _identity(pts):
 
 
 class TestPairIntegration:
-    @pytest.mark.parametrize("spec", [QuadratureSpec(4), QuadratureSpec(3)])
-    def test_matches_tensor_rule(self, spec):
+    @pytest.mark.parametrize("level", [4, 3])
+    def test_matches_tensor_rule(self, level):
         # Row 1 is G[1, 0] + G[0, 1]: a sum over the ordered pairs of side
         # rows.  The rule sums the representatives x <= y of each pair's grid
         # with doubled weights off the diagonal; the 4-D rule sums every
@@ -187,8 +178,8 @@ class TestPairIntegration:
         def combine(g):
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
-        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, spec)
-        ref = integrate_tensor(_pair_point, 4, spec)
+        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, level)
+        ref = integrate_tensor(_pair_point, 4, level)
         for got, want in zip(rows, ref):
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
             assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
@@ -200,7 +191,7 @@ class TestPairIntegration:
             lambda fa, fb, out: out[0].fill(1.0),
             lambda a: (a[0] * a[1])[None],
             lambda g: g[0, 0],
-            QuadratureSpec(5),
+            5,
         )
         assert abs(v.value - 1 / 16) < 1e-14
 
@@ -210,21 +201,21 @@ class TestPairIntegration:
             out[0][0, 0] = np.nan
 
         with pytest.raises(NodeSingularity):
-            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], 7)
 
     def test_non_finite_factors_raise(self):
         def factors(pts):
             return np.where(pts[0] == pts[0].max(), np.inf, pts)
 
         with pytest.raises(NodeSingularity, match="factors"):
-            integrate_pairs(factors, _pair_kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(factors, _pair_kernel, _pair_side, lambda g: g[0, 0], 7)
 
     def test_non_symmetric_kernel_raises(self):
         def kernel(fa, fb, out):
             np.add(np.multiply.outer(fa[0], fb[1], out=out[0]), 1.0, out=out[0])
 
         with pytest.raises(DomainError):
-            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], 7)
 
     def test_kernel_not_invariant_under_the_swap_raises(self):
         # K(a, b) = x x' + 1 is symmetric, K(b, a) = K(a, b), but the swap
@@ -234,7 +225,7 @@ class TestPairIntegration:
             np.add(np.multiply.outer(fa[0], fb[0], out=out[0]), 1.0, out=out[0])
 
         with pytest.raises(DomainError, match="kernel invariant under the swap"):
-            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], QuadratureSpec())
+            integrate_pairs(_identity, kernel, _pair_side, lambda g: g[0, 0], 7)
 
     def test_side_not_invariant_under_the_swap_raises(self):
         # The side e^(ix) / sqrt(y) changes under the swap, so summing the
@@ -243,9 +234,8 @@ class TestPairIntegration:
         def side(a):
             return (np.exp(1j * a[0]) / np.sqrt(a[1]))[None]
 
-        spec = QuadratureSpec(4)
         with pytest.raises(DomainError, match="sides invariant under the swap"):
-            integrate_pairs(_pair_factors, _pair_kernel, side, lambda g: g[0, 0], spec)
+            integrate_pairs(_pair_factors, _pair_kernel, side, lambda g: g[0, 0], 4)
 
 
 def _axis_sides(u):
@@ -267,11 +257,8 @@ class TestAxisIntegration:
         # level 4's 25 nodes are exactly one block of 25 rows, and one block
         # and a partial one of 20.
         monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
-        spec = QuadratureSpec(level)
-        got = integrate_axes(
-            lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], spec
-        )
-        want = integrate_tensor(_axis_point, 2, spec)
+        got = integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], level)
+        want = integrate_tensor(_axis_point, 2, level)
         assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
         assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
         assert got.terms_used == want.terms_used
@@ -281,7 +268,7 @@ class TestAxisIntegration:
             np.add(np.multiply.outer(fa[0], fb[0] ** 2, out=out[0]), 1.0, out=out[0])
 
         with pytest.raises(DomainError):
-            integrate_axes(lambda u: u[None], kernel, _axis_sides, lambda g: g[0, 1], QuadratureSpec())
+            integrate_axes(lambda u: u[None], kernel, _axis_sides, lambda g: g[0, 1], 7)
 
     def test_non_finite_side_raises(self):
         # The middle node of the 3-node level-1 rule is 1/2.
@@ -289,9 +276,7 @@ class TestAxisIntegration:
             return np.where(u == 0.5, np.nan, u)[None]
 
         with pytest.raises(NodeSingularity):
-            integrate_axes(
-                lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0], QuadratureSpec(1)
-            )
+            integrate_axes(lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0], 1)
 
 
 class TestLattice:
@@ -341,27 +326,28 @@ class TestLattice:
         with pytest.raises(NodeSingularity, match="lattice point"):
             integrate_lattice(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 2)
 
-    def test_bad_dimension(self):
-        with pytest.raises(DomainError):
-            integrate_lattice(lambda p: p[:, 0], 0)
+    @pytest.mark.parametrize("d", [0, 2.0])
+    def test_bad_dimension(self, d):
+        # d = 2.0 used to raise a bare TypeError.
+        with pytest.raises(DomainError, match="d must be an integer >= 1"):
+            integrate_lattice(lambda p: p[:, 0], d)
 
 
-class TestSpecValidation:
-    # The spec's one field is the tanh-sinh level, an int from 1 to 10:
-    # level 10 has 1617 nodes per axis, and the count doubles per level.  A
-    # scheme name from before the spec held only the level (Monte Carlo,
-    # Gauss-Legendre, the lattice) is not read as one, and a fractional
-    # level would build a rule that does not nest with the level below.
+class TestLevelValidation:
+    # The level is an int from 1 to 10: level 10 has 1617 nodes per axis,
+    # and the count doubles per level.  A scheme name from before the rules
+    # took only the level (Monte Carlo, Gauss-Legendre, the lattice) is not
+    # read as one, and a fractional level would build a rule that does not
+    # nest with the level below.  Each is refused before any integrand runs.
     _BAD_LEVELS = ["simpson", "monte_carlo", "gauss_legendre", "lattice", "tanh_sinh", 0, 4.5, 11]
-
-    def test_level_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["level"]
-        assert QuadratureSpec().level == 7
 
     @pytest.mark.parametrize("level", _BAD_LEVELS)
     def test_bad_level_is_refused(self, level):
+        def f(p):
+            raise AssertionError("the integrand ran")
+
         with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
-            QuadratureSpec(level)
+            integrate_tensor(f, 2, level)
 
     @pytest.mark.parametrize("level", _BAD_LEVELS)
     def test_nodes_refuse_a_bad_level(self, level):
@@ -370,5 +356,4 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("level", [1, 10])
     def test_levels_at_the_bounds(self, level):
-        assert QuadratureSpec(level).level == level
         assert tanh_sinh_nodes(level)[0].size == {1: 3, 10: 1617}[level]

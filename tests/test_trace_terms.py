@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rabi_zeta import apery, operator_oracle, quadrature, trace_terms
 from rabi_zeta.errors import DomainError, LengthMismatch, NodeSingularity
-from rabi_zeta.quadrature import QuadratureSpec, integrate_axes, integrate_pairs, integrate_tensor
+from rabi_zeta.quadrature import integrate_axes, integrate_pairs, integrate_tensor
 from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
@@ -239,21 +239,20 @@ class TestIntegralRoute:
         op = dn_r_m_operator("fock", g, lam, eps, 1, 2, N=800)
         assert abs(ig.value - op.value) < 1e-5 * max(abs(op.value), 1.0)
 
-    def test_high_m_delegates_to_operator(self):
-        lam, g, eps = 0.9, 0.2, 0.1
-        ig = r_m_integral(FLAT, lam, g, eps, 5)
-        op = r_m_operator("fock", g, lam, eps, 5, N=400)
-        assert abs(ig.value - op.value) < 1e-12
-
     def test_re_condition_enforced(self):
         with pytest.raises(DomainError):
             r_m_integral(FLAT, -0.2, 0.2, 0.0, 1)
 
-    # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError.
-    @pytest.mark.parametrize("m", [0, 1.5, 2.0, "2"])
-    def test_bad_m(self, m):
-        with pytest.raises(DomainError, match="m must be an integer >= 1"):
+    # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError; m >= 4
+    # returned the operator route's value at N = 400 as the integral's.
+    @pytest.mark.parametrize("m", [0, 1.5, 2.0, "2", 4, 5])
+    def test_bad_m(self, m, monkeypatch):
+        monkeypatch.setattr(operator_oracle, "family_term", _refuse)
+        refusal = "m must be an integer from 1 to 3, got .*: the integral route stops at m = 3"
+        with pytest.raises(DomainError, match=refusal):
             r_m_integral(FLAT, 0.9, 0.2, 0.1, m)
+        with pytest.raises(DomainError, match=refusal):
+            dn_r_m_integral(PLUS, 1.2, 0.2, 0.1, m, 2, lambda_power=4)
 
     @pytest.mark.parametrize(
         "n,power,name", [(2, -2, "lambda_power"), (2, 1.5, "lambda_power"), (-1, 0, "n"),
@@ -272,14 +271,14 @@ class TestIntegralRoute:
         axis_calls, pair_calls, points = [], [], []
 
         def counting(integrate, calls):
-            def run(factors, kernel, sides, combine, spec):
-                calls.append(spec)
+            def run(factors, kernel, sides, combine, level):
+                calls.append(level)
 
                 def k(fa, fb, out):
                     points.append(fa.shape[1] * fb.shape[1])
                     kernel(fa, fb, out)
 
-                return integrate(factors, k, sides, combine, spec)
+                return integrate(factors, k, sides, combine, level)
 
             return run
 
@@ -298,40 +297,6 @@ class TestIntegralRoute:
         # 1,968,442, the whole 51^2 and 25^2 pair grids 3,465,361 + 214,945
         # and the full grids 51^4 + 25^4 7,155,826.
         assert sum(points) == 34_642 + 984_221 + 2 * 4 * 64**2
-
-    @pytest.mark.parametrize("m", [3, 4])
-    @pytest.mark.parametrize("spec", [QuadratureSpec(5), QuadratureSpec(1)])
-    @pytest.mark.parametrize("family", [FLAT, PLUS])
-    def test_m3_tensor_spec_is_refused(self, family, spec, m, monkeypatch):
-        # No tensor rule reaches the six axes of m = 3, the operator oracle
-        # takes m >= 4, and the spec sets only the tanh-sinh level: a spec
-        # is refused before any rule is tried (at m >= 4 it used to be
-        # ignored).
-        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
-                     "integrate_lattice"):
-            monkeypatch.setattr(quadrature, name, _refuse)
-        monkeypatch.setattr(operator_oracle, "family_term", _refuse)
-        with pytest.raises(DomainError, match=f"m = {m} takes none"):
-            r_m_integral(family, 1.2, 0.2, 0.1, m, spec=spec)
-        with pytest.raises(DomainError, match=f"m = {m} takes none"):
-            dn_r_m_integral(family, 1.2, 0.2, 0.1, m, 2, spec=spec)
-
-    @pytest.mark.parametrize(
-        "family,lam,m,n,power,sweeps", [(FLAT, 0.9, 5, 2, 10, 1), (PLUS, 1.2, 4, 3, 8, 2)]
-    )
-    def test_delegated_orders_share_one_sweep(self, family, lam, m, n, power, sweeps, monkeypatch):
-        # m >= 4 goes to the operator oracle, whose one row holds every order,
-        # so each component is swept once.
-        built = []
-        init = operator_oracle.TraceDerivativeSweep.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(operator_oracle.TraceDerivativeSweep, "__init__", counting_init)
-        dn_r_m_integral(family, lam, 0.2, 0.1, m, n, lambda_power=power)
-        assert len(built) == sweeps
 
 
 _PAIR_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(1.5)]
@@ -354,7 +319,7 @@ def _fresh_block(kernel, fa, fb):
     return out[0]
 
 
-def _full_grid_pairs(factors, kernel, sides, combine, spec):
+def _full_grid_pairs(factors, kernel, sides, combine, level):
     """integrate_pairs without the swap symmetry: every one of the n^2
     ordered pair points (x, y), weighted by its nodes' weights, and the upper
     blocks of K between them written into fresh arrays."""
@@ -379,7 +344,7 @@ def _full_grid_pairs(factors, kernel, sides, combine, spec):
             upper += sv[:, start:stop] @ (kl[:, :nrows] + 1j * kl[:, nrows:])
         return combine(total + upper.T)
 
-    return quadrature._two_level(level_sum, 4, spec)
+    return quadrature._two_level(level_sum, 4, level)
 
 
 _AXIS_FAMILIES = [FLAT, PLUS, MINUS, Nu(0.5), Nu(2.5)]
@@ -398,9 +363,9 @@ def _axis_kernel_handed(family, g, monkeypatch):
     quadrature.integrate_axes."""
     kernels = []
 
-    def capture(factors, kernel, sides, combine, spec):
+    def capture(factors, kernel, sides, combine, level):
         kernels.append((factors, kernel))
-        return integrate_axes(factors, kernel, sides, combine, spec)
+        return integrate_axes(factors, kernel, sides, combine, level)
 
     monkeypatch.setattr(quadrature, "integrate_axes", capture)
     r_m_integral(family, 1.2, g, 0.1, 1)
@@ -420,13 +385,12 @@ class TestAxisSeparableM1:
         # kernel blocks and a partial one; with 25-row blocks, level 4's 25
         # nodes are exactly one.
         monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
-        spec, eps, orders = QuadratureSpec(level), 0.1, (0, 1, 2, 3)
+        monkeypatch.setitem(trace_terms._LEVELS, 1, level)
+        eps, orders = 0.1, (0, 1, 2, 3)
         for g, lam in itertools.product((0.2, 1.0, -0.7), (0.3, 1.2 + 0.3j, 0.15 + 2j)):
-            got = _row_or_error(
-                lambda: trace_terms._integral_row(family, lam, g, eps, 1, orders, spec)
-            )
+            got = _row_or_error(lambda: trace_terms._integral_row(family, lam, g, eps, 1, orders))
             want = _row_or_error(
-                lambda: integrate_tensor(_integrand(family, lam, eps, g, 1, orders), 2, spec)
+                lambda: integrate_tensor(_integrand(family, lam, eps, g, 1, orders), 2, level)
             )
             if isinstance(want, type):
                 assert got is want, (g, lam)
@@ -495,14 +459,15 @@ class TestPairSeparableM2:
     (u0, u2) and (u1, u3), on their points with x <= y; the point-by-point
     4-D rule is its reference."""
 
-    @pytest.mark.parametrize("spec", [QuadratureSpec(5), QuadratureSpec(3)])
+    @pytest.mark.parametrize("level", [5, 3])
     @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
     @pytest.mark.parametrize("family", _PAIR_FAMILIES)
-    def test_matches_point_rule(self, family, lam, spec):
+    def test_matches_point_rule(self, family, lam, level, monkeypatch):
+        monkeypatch.setitem(trace_terms._LEVELS, 2, level)
         g, eps, orders = 0.2, 0.1, (0, 1, 2, 3)
-        ref = integrate_tensor(_integrand(family, lam, eps, g, 2, orders), 4, spec)
+        ref = integrate_tensor(_integrand(family, lam, eps, g, 2, orders), 4, level)
         for k, want in zip(orders, ref):
-            got = dn_r_m_integral(family, lam, g, eps, 2, k, spec=spec)
+            got = dn_r_m_integral(family, lam, g, eps, 2, k)
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
             assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
             assert got.terms_used == want.terms_used
@@ -533,9 +498,9 @@ class TestPairSeparableM2:
         # for bit (one dgemm for the squares, commuting sums for the rest).
         kernels = []
 
-        def capture(factors, kernel, sides, combine, spec):
+        def capture(factors, kernel, sides, combine, level):
             kernels.append((factors, kernel))
-            return integrate_pairs(factors, kernel, sides, combine, spec)
+            return integrate_pairs(factors, kernel, sides, combine, level)
 
         monkeypatch.setattr(quadrature, "integrate_pairs", capture)
         r_m_integral(family, lam, 0.2, 0.1, 2)
@@ -649,9 +614,9 @@ class TestPairSeparableM2:
         # diagonal, against every ordered pair point of the same pairing:
         # within 1e-13 relative and a tenth of the bar, at every order.
         orders = (0, 1, 2, 3)
-        half = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
+        half = trace_terms._integral_row(family, lam, g, 0.1, 2, orders)
         monkeypatch.setattr(quadrature, "integrate_pairs", _full_grid_pairs)
-        full = trace_terms._integral_row(family, lam, g, 0.1, 2, orders, None)
+        full = trace_terms._integral_row(family, lam, g, 0.1, 2, orders)
         for k in orders:
             diff = abs(half[k].value - full[k].value)
             assert diff <= 1e-13 * abs(full[k].value), k
@@ -737,7 +702,7 @@ class TestLatticeM3:
         # of its bar (Flat, order 3).  The bar is a 95% statistical one and
         # this is the default shift draw: over shift seeds 1-20 the grid's
         # 64 m = 3 rows missed it on 4.1% of row-seed pairs.
-        ref = operator_oracle.family_term(family.components, 0.2, lam, 0.1, 3, 3, 1600, 1e-8)
+        ref = operator_oracle.family_term(family.components, 0.2, lam, 0.1, 3, 3, 1600)
         for k in range(4):
             got = dn_r_m_integral(family, lam, 0.2, 0.1, 3, k)
             assert abs(got.value - ref[k].value) <= got.abs_error, k

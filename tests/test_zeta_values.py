@@ -30,9 +30,13 @@ from rabi_zeta.zeta_values import (
 
 
 class TestRequestValidation:
-    def test_n_floor(self):
+    # n = 2.0 and 2.5 used to raise a bare TypeError from inside a loop.
+    @pytest.mark.parametrize("n", [1, 2.0, 2.5])
+    def test_n_floor(self, n):
         with pytest.raises(DomainError):
-            ZetaRequest(OnePhoton(0.2, 0.3, 0.1), 1, 1.0)
+            ZetaRequest(OnePhoton(0.2, 0.3, 0.1), n, 1.0)
+        with pytest.raises(DomainError):
+            parity_difference(TwoPhoton(0.2, 0.3, 0.1), n, 1.0)
 
     def test_bad_method(self):
         with pytest.raises(DomainError):
@@ -373,10 +377,12 @@ class TestTruncationBudget:
 
 
 class TestGuards:
-    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("threads", [0, -2, 1.5])
     def test_confluence_scan_needs_a_thread(self, threads):
-        # 0 and -2 used to be accepted and run on one thread.
-        with pytest.raises(DomainError, match="threads must be >= 1"):
+        # 0 and -2 used to be accepted and run on one thread, and 1.5 ran a
+        # pool.
+        refusal = "threads must be >= 1" if threads < 1 else "threads must be an integer >= 1"
+        with pytest.raises(DomainError, match=refusal):
             confluence_scan(0.2, 0.1, 0.05, 1.5, 2, [8], threads=threads)
 
     def test_radius_exceeded(self):
@@ -452,10 +458,13 @@ class TestParityDifference:
             parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, method="eigen_oracle")
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_m": 0}, {"max_m": -2}, {"tol": 0.0}, {"method": "bogus"}]
+        "kwargs",
+        [{"max_m": 0}, {"max_m": -2}, {"tol": 0.0}, {"method": "bogus"}, {"max_m": 2.5},
+         {"trunc_n": 400.5}],
     )
     def test_inputs_checked_as_for_zeta_value(self, kwargs):
-        # max_m = -2 used to return a negative abs_error.
+        # max_m = -2 used to return a negative abs_error, and max_m = 2.5 and
+        # trunc_n = 400.5 to raise a bare TypeError.
         with pytest.raises(DomainError):
             parity_difference(TwoPhoton(0.2, 0.3, 0.1), 2, 1.0, **kwargs)
 
@@ -485,6 +494,9 @@ class TestConfluenceScan:
             confluence_scan(0.1, 0.0, 1.2, 1.0, 2, [1.0])
         with pytest.raises(DomainError):
             confluence_scan(0.1, 1.5, 0.1, 1.0, 2, [1.0])
+        # n = 2.0 used to raise a bare TypeError.
+        with pytest.raises(DomainError):
+            confluence_scan(0.1, 0.0, 0.1, 1.0, 2.0, [1.0])
 
     @pytest.mark.parametrize("bad_nu", [0.0, -1.0, math.inf, math.nan])
     def test_every_nu_is_checked_before_any_work(self, bad_nu, monkeypatch):
