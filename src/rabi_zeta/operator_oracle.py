@@ -230,6 +230,7 @@ class Component:
         """
         if N < 2:
             raise InvalidDimension(f"N must be >= 2, got {N}")
+        require_integer("N", N, 2)
         if sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {sign}")
         ks = np.arange(N, dtype=float)

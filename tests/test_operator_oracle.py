@@ -92,6 +92,9 @@ class TestBuild:
             Component("fock").entries(0.3, 0.7, +1, 1)
         with pytest.raises(DomainError):
             Component("fock").entries(0.3, 0.7, 2, 5)
+        # N = 6.5 used to build a 7-row operator that read dim 6.5.
+        with pytest.raises(DomainError, match="N must be an integer >= 2"):
+            build_component_operator("fock", 0.3, 0.7, +1, 6.5)
 
 
 class TestModelValidation:

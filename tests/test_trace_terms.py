@@ -244,9 +244,13 @@ class TestIntegralRoute:
             r_m_integral(FLAT, -0.2, 0.2, 0.0, 1)
 
     # m = 1.5 used to raise a bare KeyError and m = 2.0 a TypeError; m >= 4
-    # returned the operator route's value at N = 400 as the integral's.
+    # returned the operator route's value at N = 400 as the integral's.  Each
+    # is refused before any rule runs.
     @pytest.mark.parametrize("m", [0, 1.5, 2.0, "2", 4, 5])
     def test_bad_m(self, m, monkeypatch):
+        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
+                     "integrate_lattice"):
+            monkeypatch.setattr(quadrature, name, _refuse)
         monkeypatch.setattr(operator_oracle, "family_term", _refuse)
         refusal = "m must be an integer from 1 to 3, got .*: the integral route stops at m = 3"
         with pytest.raises(DomainError, match=refusal):
