@@ -498,11 +498,11 @@ def dn_r_m_integral(
 
 #: r_1_series stops at the first term below this fraction of its sum, and
 #: sums each J-term to a tenth of it.
-_SERIES_TOL = 1e-10
+_R1_TOL = 1e-10
 
 
 def r_1_series(family, lam: complex, g: float, eps: complex) -> SeriesValue:
-    """R_1 by its expansion in the coupling, to _SERIES_TOL relative.
+    """R_1 by its expansion in the coupling, to _R1_TOL relative.
 
     Flat: sum_n (-4 g^2)^n / n! * J_n(flat); Plus (d = 1) and Minus
     (d = -1): sech(2g) * sum_n (1/2)_n / n! * tanh(2g)^(2n) * J_{2n}(delta=d).
@@ -514,11 +514,11 @@ def r_1_series(family, lam: complex, g: float, eps: complex) -> SeriesValue:
         x = -4.0 * g * g
         coeff = 1.0
         for n in range(200):
-            jn = apery.j_flat(n, lam, eps, method="series", tol=_SERIES_TOL * 0.1)
+            jn = apery.j_flat(n, lam, eps, method="series", tol=_R1_TOL * 0.1)
             term = coeff * jn.value
             total += term
-            if n > 0 and abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
-                return SeriesValue(total, abs(term) + _SERIES_TOL * abs(total) * 0.1, n + 1, True)
+            if n > 0 and abs(term) < _R1_TOL * max(abs(total), 1e-300):
+                return SeriesValue(total, abs(term) + _R1_TOL * abs(total) * 0.1, n + 1, True)
             coeff *= x / (n + 1)
         raise NoConvergence("flat R_1 series did not converge in 200 terms")
     if len(components) != 2:
@@ -529,12 +529,12 @@ def r_1_series(family, lam: complex, g: float, eps: complex) -> SeriesValue:
     total = 0.0 + 0.0j
     coeff = 1.0
     for n in range(300):
-        jn = apery.j_delta(2 * n, delta, lam, eps, method="series", tol=_SERIES_TOL * 0.1)
+        jn = apery.j_delta(2 * n, delta, lam, eps, method="series", tol=_R1_TOL * 0.1)
         term = coeff * jn.value
         total += term
-        if n > 0 and abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
+        if n > 0 and abs(term) < _R1_TOL * max(abs(total), 1e-300):
             bound = abs(term) * t2 / max(1 - t2, 1e-16)
-            err = sech * (bound + _SERIES_TOL * abs(total) * 0.1)
+            err = sech * (bound + _R1_TOL * abs(total) * 0.1)
             return SeriesValue(sech * total, err, n + 1, True)
         coeff *= (0.5 + n) / (n + 1) * t2
     raise NoConvergence("delta R_1 series did not converge in 300 terms")
