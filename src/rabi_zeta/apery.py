@@ -90,8 +90,14 @@ def j_flat(
     """J_n of the flat family.
 
     series: sum_k n! (k+1)_n / ((lam+eps+k)_{n+1} (lam-eps+k)_{n+1});
-    quadrature: the defining double integral on the level-7 tanh-sinh rule
-    (requires Re lam - |Re eps| > 0).
+    quadrature: the defining double integral
+    int int ((1-u)(1-v))^n / (1-uv)^(n+1) u^(lam+eps-1) v^(lam-eps-1) du dv
+    on the level-7 tanh-sinh axis rule (quadrature.integrate_axes), with the
+    first factor as the kernel between the axes and the powers of u and v
+    as the sides (requires Re lam - |Re eps| > 0).  Its bar misses the mass
+    below the rule's nodes nearest 0 when Re lam - |Re eps| < 1: at eps =
+    0.1 the error is 1.3e-13 under a 7.5e-15 bar at lam = 0.9 and 1.3e-6
+    under 3.1e-7 at lam = 0.5 (ROADMAP item 1).
     """
     require_integer("n", n, 0)
     _require_finite_point(lam, eps)
@@ -99,13 +105,27 @@ def j_flat(
         lamc, epsc = complex(lam), complex(eps)
         if lamc.real - abs(epsc.real) <= 0:
             raise DomainError("quadrature route requires Re(lam) - |Re(eps)| > 0")
+        exponents = np.array([[lamc + epsc - 1.0], [lamc - epsc - 1.0]])
 
-        def f(pts):
-            u, v = pts[:, 0], pts[:, 1]
-            core = ((1 - u) * (1 - v)) ** n / (1 - u * v) ** (n + 1)
-            return core * np.exp((lamc + epsc - 1) * np.log(u) + (lamc - epsc - 1) * np.log(v))
+        def factors(u):
+            return np.stack([1.0 - u, u])
 
-        return quadrature.integrate_tensor(f, 2, 7)
+        def kernel(fa, fb, out):
+            # w = 1 - uv as (1 - u) + u (1 - v), u the larger node: no term
+            # cancels at the corner (1, 1), and K(u, v) == K(v, u) bit for bit.
+            k, w, hi = out
+            np.minimum.outer(fa[0], fb[0], out=w)
+            np.maximum.outer(fa[1], fb[1], out=hi)
+            hi *= np.maximum.outer(fa[0], fb[0], out=k)
+            w += hi
+            np.power(w, n + 1, out=w)
+            np.power(np.multiply.outer(fa[0], fb[0], out=k), n, out=k)
+            k /= w
+
+        def sides(u):
+            return np.exp(exponents * np.log(u))
+
+        return quadrature.integrate_axes(factors, kernel, sides, lambda g: g[0, 1], 7)
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     lamc, epsc = complex(lam), complex(eps)
@@ -514,7 +534,9 @@ def beukers_residual(n: int) -> float:
 
 def partial_fraction_residual(n: int, lam: complex, eps: complex, x: complex) -> float:
     """Residual of the partial-fraction decomposition at the sample x plus
-    the residual of the companion finite-sum identity."""
+    the residual of the companion finite-sum identity; n an int >= 0, else
+    DomainError."""
+    require_integer("n", n, 0)
     lam, eps, x = complex(lam), complex(eps), complex(x)
     if abs(eps) <= 1e-12:
         raise PoleError("eps must be nonzero for the decomposition")

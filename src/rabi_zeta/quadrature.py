@@ -1,17 +1,17 @@
 """Quadrature over the open unit cube (0,1)^d.
 
-Deterministic tanh-sinh tensor-product rules for d <= 4, whose one setting
-is the level (an int up to _MAX_LEVEL), and at any d a point rule with a
-statistical bar and no settings: a shifted rank-1 lattice (integrate_lattice).
-Integrands are vectorized: f receives an (npts, d) float array and returns
-an (npts,) complex array, or a (rows, npts) block of integrands that share
-the nodes: each row is reduced exactly as a scalar integrand, into its own
-SeriesValue.  Both endpoint families of singularity in scope (algebraic
-u^(Re lambda - 1) at 0 and the inverse-square-root corner at (1,...,1)) are
-integrable, and tanh-sinh nodes cluster exponentially near the endpoints
-without ever touching them.
+Deterministic tanh-sinh tensor-product rules over (0,1)^2 and (0,1)^4,
+whose one setting is the level (an int up to _MAX_LEVEL), and at any d a
+point rule with a statistical bar and no settings: a shifted rank-1 lattice
+(integrate_lattice).  The lattice's integrands are vectorized: f receives an
+(npts, d) float array and returns an (npts,) complex array, or a (rows,
+npts) block of integrands that share the points: each row is reduced
+exactly as a scalar integrand, into its own SeriesValue.  Both endpoint
+families of singularity in scope (algebraic u^(Re lambda - 1) at 0 and the
+inverse-square-root corner at (1,...,1)) are integrable, and tanh-sinh
+nodes cluster exponentially near the endpoints without ever touching them.
 
-integrate_axes and integrate_pairs are the same 2-D and 4-D tensor rules for
+integrate_axes and integrate_pairs are the 2-D and 4-D tensor rules, for
 integrands that split between two halves of the coordinates, the axes u and
 v, or two axis pairs a and b: a real symmetric kernel K between the two
 halves' points, contracted with the sides on both of them block by block
@@ -53,16 +53,12 @@ _PAIR_BLOCK = 64
 #: arrays for the kernel's intermediates.
 _PAIR_BUFFERS = 3
 
-#: Integrand points per call in _tensor_sum, rounded down to whole
-#: first-axis rows of the tensor grid (at least one), and in
-#: integrate_lattice, per shifted copy of the lattice.  On a 2-core Xeon
-#: the m = 3 integrand took 14-16 ms per 2^17 points in calls of 2^12
-#: points against 20-30 ms in one call (Flat, Plus, Nu(0.7)); at 2^12 each
-#: complex temporary of an integrand (64 KB) fits the 2 MB L2 cache.  The
-#: trace terms' tensor rules (m <= 2) run on integrate_axes and
-#: integrate_pairs, so _tensor_sum serves apery's J_n quadrature and the
-#: point-rule references of the tests.  The sums do not depend on this size.
-_TENSOR_BLOCK = 1 << 12
+#: Integrand points per call in integrate_lattice, per shifted copy of the
+#: lattice.  On a 2-core Xeon the m = 3 integrand took 14-16 ms per 2^17
+#: points in calls of 2^12 points against 20-30 ms in one call (Flat, Plus,
+#: Nu(0.7)); at 2^12 each complex temporary of an integrand (64 KB) fits
+#: the 2 MB L2 cache.  The sums do not depend on this size.
+_POINT_BLOCK = 1 << 12
 
 #: The lattice rule's points per shift, a prime: the rank-1 lattice {k z / n
 #: mod 1 : k = 0 .. n - 1} with the Korobov vector z = (1, a, a^2, ...) mod n.
@@ -127,27 +123,6 @@ def _require_finite(values, what: str, where: str = "an interior node"):
     return values
 
 
-def _tensor_sum(f, d: int, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Tensor-product quadrature sum of each integrand row: a 0-d array for an
-    (npts,) integrand, else one per row.  Each call of f takes a block of
-    whole first-axis rows, about _TENSOR_BLOCK points; row i (node i times
-    the rest grid of the other d - 1 axes, one point at d = 1) is summed
-    against the rest grid's weights and scaled by weights[i], and the rows
-    are added in first-axis order, so no sum depends on the block size."""
-    wrest = np.ones(1)
-    for _ in range(d - 1):
-        wrest = np.multiply.outer(wrest, weights).ravel()
-    block = max(1, _TENSOR_BLOCK // wrest.size)
-    partials = []
-    for start in range(0, nodes.size, block):
-        first = nodes[start : start + block]
-        axes = np.meshgrid(first, *([nodes] * (d - 1)), indexing="ij")
-        vals = _require_finite(np.asarray(f(np.stack(axes, axis=-1).reshape(-1, d))), "integrand")
-        rows = vals.reshape(*vals.shape[:-1], first.size, wrest.size)
-        partials.append(weights[start : start + first.size] * np.sum(wrest * rows, axis=-1))
-    return np.sum(np.concatenate(partials, axis=-1), axis=-1)
-
-
 def _per_row(row, *reductions):
     """row(...) of 0-d reductions, else a tuple with row applied to each row."""
     return row(*reductions) if reductions[0].ndim == 0 else tuple(map(row, *reductions))
@@ -168,14 +143,6 @@ def _two_level(level_sum, d: int, level: int):
         return SeriesValue(fine, err + 1e-16 * abs(fine), nodes.size**d, True)
 
     return _per_row(row, fine, coarse)
-
-
-def integrate_tensor(f, d: int, level: int):
-    """Tensor-product integral over (0,1)^d, d an int from 1 to 4, at the
-    tanh-sinh level, one SeriesValue per integrand row, with a two-level
-    error estimate (level vs level - 1)."""
-    require_integer("d", d, 1, 4)
-    return _two_level(lambda *rule: _tensor_sum(f, d, *rule), d, level)
 
 
 def _upper_gram(kernel, rows, z: np.ndarray) -> np.ndarray:
@@ -238,8 +205,9 @@ def integrate_axes(factors, kernel, sides, combine, level: int):
     DomainError.  sides(u) returns the (rows, n) vectors z_i at the nodes,
     and G holds every pair of them: an integrand V(u) K(u, v) W(v) stacks
     both sides, z = [V; W], and reads the block G[V, W].  combine maps G to
-    a 0-d or (rows,) array of integrals.  Same nodes, levels and error
-    estimate as integrate_tensor with d = 2.
+    a 0-d or (rows,) array of integrals, one SeriesValue per row at the
+    tanh-sinh level, with a two-level error estimate (level vs level - 1,
+    _two_level).
     """
 
     def level_sum(nodes, weights):
@@ -306,8 +274,7 @@ def integrate_pairs(factors, kernel, sides, combine, level: int):
     to 1e-12 relative raises DomainError, and so do sides that change under
     s or a kernel that does on the first and last blocks of points
     (_require_swap_invariant).  combine maps G to a 0-d or (rows,) array of
-    integrals.  Same nodes, levels and error estimate as integrate_tensor
-    with d = 4.
+    integrals.  Same nodes, levels and error estimate as integrate_axes.
     """
 
     def level_sum(nodes, weights):
@@ -323,11 +290,11 @@ def integrate_pairs(factors, kernel, sides, combine, level: int):
 
 
 def _point_values(f, pts: np.ndarray, where: str) -> np.ndarray:
-    """f at the rows of pts as one complex array, f called on _TENSOR_BLOCK
+    """f at the rows of pts as one complex array, f called on _POINT_BLOCK
     points at a time; a non-finite value raises NodeSingularity."""
     vals = np.concatenate(
-        [np.asarray(f(pts[i : i + _TENSOR_BLOCK]), dtype=complex)
-         for i in range(0, len(pts), _TENSOR_BLOCK)],
+        [np.asarray(f(pts[i : i + _POINT_BLOCK]), dtype=complex)
+         for i in range(0, len(pts), _POINT_BLOCK)],
         axis=-1,
     )
     return _require_finite(vals, "integrand", where)
@@ -341,7 +308,7 @@ def integrate_lattice(f, d: int):
     tent transform x -> 1 - |2x - 1|.  The value is the mean of the shift
     means, and abs_error is _LATTICE_T times their standard error: a
     statistical bar, not a bound.  Deterministic, since the seed is fixed; f
-    is called on _TENSOR_BLOCK points of a shifted lattice at a time."""
+    is called on _POINT_BLOCK points of a shifted lattice at a time."""
     require_integer("d", d, 1)
     n, shifts = _LATTICE_POINTS, _LATTICE_SHIFTS
     z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in range(d)])

@@ -133,12 +133,12 @@ def alternating_zeta_sum(n: int, a: complex) -> SeriesValue:
 
 
 def pochhammer(x, n: int):
-    """Ascending factorial (x)_n = x(x+1)...(x+n-1); (x)_0 = 1.
+    """Ascending factorial (x)_n = x(x+1)...(x+n-1); (x)_0 = 1, for an int
+    n >= 0, else DomainError.
 
     Exact for int/Fraction inputs, complex otherwise.
     """
-    if n < 0:
-        raise PoleError(f"pochhammer order must be >= 0, got {n}")
+    require_integer("n", n, 0)
     result = 1
     for i in range(n):
         result = result * (x + i)

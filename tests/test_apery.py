@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
-from rabi_zeta import apery
+from rabi_zeta import apery, quadrature
 from rabi_zeta.apery import (
     apery_ab_delta,
     apery_ab_flat,
@@ -98,6 +101,57 @@ class TestJFlat:
         s = j_flat(n, lam, eps, method="series")
         q = j_flat(n, lam, eps, method="quadrature")
         assert abs(s.value - q.value) < 1e-8
+
+    @pytest.mark.parametrize("lam", [1.2, 1.2 + 0.3j])
+    @pytest.mark.parametrize("n", [0, 2, 5, 8])
+    def test_quadrature_matches_30_digits(self, n, lam):
+        # The axis rule against J_n's series summed to 30 digits; it reaches
+        # 3.5e-15 relative.  The Apery closed form is no reference here: it
+        # is good to 7.7e-13 and 1.6e-12 relative at these two lambda.
+        eps = 0.1
+        with mpmath.workdps(30):
+            a, b = mpmath.mpmathify(lam + eps), mpmath.mpmathify(lam - eps)
+            ref = complex(mpmath.nsum(
+                lambda k: mpmath.factorial(n) * mpmath.rf(k + 1, n)
+                / (mpmath.rf(a + k, n + 1) * mpmath.rf(b + k, n + 1)),
+                [0, mpmath.inf],
+            ))
+        got = j_flat(n, lam, eps, method="quadrature")
+        assert abs(got.value - ref) <= 1e-14 * abs(ref)
+        assert got.terms_used == 203**2
+
+    @pytest.mark.parametrize("n", [0, 2, 8])
+    def test_quadrature_kernel_matches_80_digits(self, n, monkeypatch):
+        # On the 16 level-7 nodes nearest the endpoints the kernel handed to
+        # integrate_axes stays within 2e-15 relative of the 80-digit
+        # ((1 - u)(1 - v))^n / (1 - uv)^(n + 1); 1 - uv formed as a product
+        # erred there by 7.3e-14, 2.2e-13 and 6.6e-13.  On every level-7 node
+        # the block is its own transpose, bit for bit, as the rule requires.
+        handed = []
+
+        def capture(factors, kernel, sides, combine, level):
+            handed.append((factors, kernel))
+
+        monkeypatch.setattr(quadrature, "integrate_axes", capture)
+        j_flat(n, 1.2, 0.1, method="quadrature")
+        factors, kernel = handed[0]
+
+        def block(u):
+            rows = factors(u)
+            out = tuple(np.zeros((u.size, u.size)) for _ in range(quadrature._PAIR_BUFFERS))
+            kernel(rows, rows, out)
+            return out[0]
+
+        nodes = quadrature.tanh_sinh_nodes(7)[0]
+        k = block(nodes)
+        assert k.tobytes() == k.T.tobytes(order="C")
+        ends = nodes[np.r_[0:8, nodes.size - 8 : nodes.size]]
+        k = block(ends)
+        with mpmath.workdps(80):
+            for i, j in itertools.product(range(ends.size), repeat=2):
+                u, v = mpmath.mpf(float(ends[i])), mpmath.mpf(float(ends[j]))
+                ref = ((1 - u) * (1 - v)) ** n / (1 - u * v) ** (n + 1)
+                assert abs(k[i, j] / ref - 1) <= 2e-15, (ends[i], ends[j])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     def test_even_in_eps(self, n):
@@ -355,3 +409,10 @@ class TestPartialFraction:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_residual_small(self, n):
         assert partial_fraction_residual(n, 0.9, 0.13, 0.37) < 1e-12
+
+    # n = 1.5 used to raise a bare TypeError, and n = -1 a ValueError from
+    # math.factorial.
+    @pytest.mark.parametrize("n", [1.5, -1])
+    def test_bad_n_is_refused(self, n):
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            partial_fraction_residual(n, 0.9, 0.13, 0.37)

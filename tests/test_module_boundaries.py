@@ -113,7 +113,6 @@ _PUBLIC_SURFACE = {
     "hurwitz_zeta": "n a",
     "hypergeometric_pfq": "upper lower x",
     "integrate_lattice": "f d",
-    "integrate_tensor": "f d level",
     "j_delta": "n delta lam eps method tol",
     "j_flat": "n lam eps method tol",
     "operator_oracle": None,

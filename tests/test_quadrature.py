@@ -5,13 +5,9 @@ import pytest
 
 from rabi_zeta import quadrature
 from rabi_zeta.errors import DomainError, NodeSingularity
-from rabi_zeta.quadrature import (
-    integrate_axes,
-    integrate_lattice,
-    integrate_pairs,
-    integrate_tensor,
-    tanh_sinh_nodes,
-)
+from rabi_zeta.quadrature import integrate_axes, integrate_lattice, integrate_pairs, tanh_sinh_nodes
+
+from product_rule import product_rule
 
 
 class TestNodes:
@@ -26,55 +22,6 @@ class TestNodes:
         assert n7 > 2 * n5
 
 
-class TestTensorIntegration:
-    def test_smooth_1d(self):
-        v = integrate_tensor(lambda p: np.exp(p[:, 0]), 1, 6)
-        assert abs(v.value - (math.e - 1)) < 1e-12
-
-    def test_algebraic_endpoint_singularity(self):
-        # integral of u^(-1/2) = 2, singular at 0
-        v = integrate_tensor(lambda p: p[:, 0] ** -0.5, 1, 7)
-        assert abs(v.value - 2.0) < 1e-6
-
-    def test_2d_product(self):
-        v = integrate_tensor(lambda p: p[:, 0] * p[:, 1] ** 2, 2, 6)
-        assert abs(v.value - 1 / 6) < 1e-12
-
-    def test_corner_inverse_sqrt(self):
-        # integral over (0,1)^2 of (1-uv)^(-1/2)
-        # = sum_k C(2k,k)/4^k/(k+1)^2 (term-wise integration)
-        exact, t = 0.0, 1.0
-        for k in range(1000000):
-            exact += t / (k + 1) ** 2
-            t *= (2 * k + 1) / (2 * k + 2)
-        v = integrate_tensor(lambda p: (1 - p[:, 0] * p[:, 1]) ** -0.5, 2, 7)
-        assert abs(v.value - exact) < 1e-8
-
-    def test_4d_product(self):
-        v = integrate_tensor(lambda p: np.prod(p, axis=1), 4, 4)
-        assert abs(v.value - 1 / 16) < 1e-12
-
-    @pytest.mark.parametrize("d", [0, 5, 2.0])
-    def test_dimension_cap(self, d):
-        # d = 2.0 used to raise a bare TypeError.
-        with pytest.raises(DomainError, match="d must be an integer from 1 to 4"):
-            integrate_tensor(lambda p: p[:, 0], d, 3)
-
-    def test_singular_value_raises(self):
-        def f(p):
-            out = np.ones(p.shape[0])
-            out[0] = np.inf
-            return out
-
-        with pytest.raises(NodeSingularity):
-            integrate_tensor(f, 1, 4)
-
-    def test_error_estimate_honest(self):
-        v = integrate_tensor(lambda p: np.cos(3 * p[:, 0] + p[:, 1]), 2, 6)
-        exact = (-math.cos(4) + math.cos(3) + math.cos(1) - 1.0) / 3
-        assert abs(v.value - exact) <= max(v.abs_error, 1e-13)
-
-
 def _rows(p):
     """Three integrand rows; _rows(p)[k] alone is a scalar integrand."""
     base = np.exp(1j * np.sum(p, axis=1)) / np.sqrt(p[:, 0])
@@ -82,16 +29,6 @@ def _rows(p):
 
 
 class TestRowIntegrands:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_tensor_rows_match_scalar_calls(self, d):
-        rows = integrate_tensor(_rows, d, 5)
-        assert len(rows) == 3
-        for k, row in enumerate(rows):
-            single = integrate_tensor(lambda p: _rows(p)[k], d, 5)
-            assert (row.value, row.abs_error, row.terms_used) == (
-                single.value, single.abs_error, single.terms_used
-            )
-
     def test_lattice_rows_match_scalar_calls(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_LATTICE_SEED", 11)
         rows = integrate_lattice(_rows, 3)
@@ -101,40 +38,6 @@ class TestRowIntegrands:
             assert (row.value, row.abs_error, row.terms_used) == (
                 single.value, single.abs_error, single.terms_used
             )
-
-
-def _scalar(p):
-    return np.exp(-np.sum(p, axis=1)) * (1 + 0.5j * p[:, 0]) / np.sqrt(1 - p[:, 0] * p[:, -1])
-
-
-class TestTensorWalk:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    @pytest.mark.parametrize("integrand", [_rows, _scalar])
-    @pytest.mark.parametrize("level", [4, 3])
-    @pytest.mark.parametrize("block", [1, 100])
-    def test_sums_do_not_depend_on_the_block_size(self, monkeypatch, d, integrand, level, block):
-        # A block of 1 point is one first-axis row per integrand call; 100
-        # points split the grid into uneven blocks of several rows.  Each row
-        # and then the rows must be summed in the same order either way.
-        default = integrate_tensor(integrand, d, level)
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", block)
-        assert integrate_tensor(integrand, d, level) == default
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_calls_take_whole_rows_of_about_one_block(self, d):
-        nodes, _ = tanh_sinh_nodes(7)
-        rest = nodes.size ** (d - 1)
-        sizes = []
-
-        def f(p):
-            sizes.append(len(p))
-            return _scalar(p)
-
-        quadrature._tensor_sum(f, d, *tanh_sinh_nodes(7))
-        assert sum(sizes) == nodes.size**d
-        assert all(size % rest == 0 for size in sizes)
-        rows = min(max(1, quadrature._TENSOR_BLOCK // rest), nodes.size)
-        assert max(sizes) == rows * rest
 
 
 def _pair_factors(pts):
@@ -179,7 +82,7 @@ class TestPairIntegration:
             return np.array([g[0, 0], g[1, 0] + g[0, 1]])
 
         rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, level)
-        ref = integrate_tensor(_pair_point, 4, level)
+        ref = product_rule(_pair_point, 4, level)
         for got, want in zip(rows, ref):
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
             assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
@@ -258,7 +161,7 @@ class TestAxisIntegration:
         # and a partial one of 20.
         monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
         got = integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], level)
-        want = integrate_tensor(_axis_point, 2, level)
+        want = product_rule(_axis_point, 2, level)
         assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
         assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
         assert got.terms_used == want.terms_used
@@ -277,6 +180,62 @@ class TestAxisIntegration:
 
         with pytest.raises(NodeSingularity):
             integrate_axes(lambda u: u[None], _pair_kernel, sides, lambda g: g[0, 0], 1)
+
+
+def _ones(fa, fb, out):
+    out[0].fill(1.0)
+
+
+def _node_row(u):
+    return u[None]
+
+
+class TestAxisAccuracy:
+    # Integrals over (0,1)^2 on integrate_axes: a kernel of ones integrates
+    # products of one-axis sides, G[i, j] = int z_i * int z_j.
+    def test_smooth_1d(self):
+        v = integrate_axes(_node_row, _ones, lambda u: np.stack([np.exp(u), np.ones_like(u)]),
+                           lambda g: g[0, 1], 6)
+        assert abs(v.value - (math.e - 1)) < 1e-12
+
+    def test_algebraic_endpoint_singularity(self):
+        # integral of u^(-1/2) = 2, singular at 0
+        v = integrate_axes(_node_row, _ones, lambda u: np.stack([u**-0.5, np.ones_like(u)]),
+                           lambda g: g[0, 1], 7)
+        assert abs(v.value - 2.0) < 1e-6
+
+    def test_2d_product(self):
+        v = integrate_axes(_node_row, _ones, lambda u: np.stack([u, u**2]), lambda g: g[0, 1], 6)
+        assert abs(v.value - 1 / 6) < 1e-12
+
+    def test_corner_inverse_sqrt(self):
+        # integral over (0,1)^2 of (1-uv)^(-1/2)
+        # = sum_k C(2k,k)/4^k/(k+1)^2 (term-wise integration)
+        exact, t = 0.0, 1.0
+        for k in range(1000000):
+            exact += t / (k + 1) ** 2
+            t *= (2 * k + 1) / (2 * k + 2)
+        v = integrate_axes(_node_row, _pair_kernel, lambda u: np.ones_like(u)[None],
+                           lambda g: g[0, 0], 7)
+        assert abs(v.value - exact) < 1e-8
+
+    def test_singular_value_raises(self):
+        def sides(u):
+            out = np.ones_like(u)[None]
+            out[0, 0] = np.inf
+            return out
+
+        with pytest.raises(NodeSingularity):
+            integrate_axes(_node_row, _ones, sides, lambda g: g[0, 0], 4)
+
+    def test_error_estimate_honest(self):
+        # cos(3u + v) = cos 3u cos v - sin 3u sin v: two Gram entries.
+        def sides(u):
+            return np.stack([np.cos(3 * u), np.sin(3 * u), np.cos(u), np.sin(u)])
+
+        v = integrate_axes(_node_row, _ones, sides, lambda g: g[0, 2] - g[1, 3], 6)
+        exact = (-math.cos(4) + math.cos(3) + math.cos(1) - 1.0) / 3
+        assert abs(v.value - exact) <= max(v.abs_error, 1e-13)
 
 
 class TestLattice:
@@ -305,7 +264,7 @@ class TestLattice:
 
     def test_integrand_calls_stay_blocked(self, monkeypatch):
         # Each shifted copy of the lattice reaches the integrand
-        # _TENSOR_BLOCK points at a time, on the open cube; a pointwise
+        # _POINT_BLOCK points at a time, on the open cube; a pointwise
         # integrand's sums do not depend on that size.
         sizes = []
 
@@ -316,9 +275,9 @@ class TestLattice:
 
         monkeypatch.setattr(quadrature, "_LATTICE_SEED", 3)
         blocked = integrate_lattice(f, 2)
-        assert max(sizes) == quadrature._TENSOR_BLOCK
+        assert max(sizes) == quadrature._POINT_BLOCK
         assert sum(sizes) == blocked.terms_used == 8191 * 16
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK", 1 << 20)
+        monkeypatch.setattr(quadrature, "_POINT_BLOCK", 1 << 20)
         assert integrate_lattice(f, 2) == blocked
 
     def test_non_finite_value_raises(self, monkeypatch):
@@ -343,11 +302,11 @@ class TestLevelValidation:
 
     @pytest.mark.parametrize("level", _BAD_LEVELS)
     def test_bad_level_is_refused(self, level):
-        def f(p):
+        def f(*args):
             raise AssertionError("the integrand ran")
 
         with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
-            integrate_tensor(f, 2, level)
+            integrate_axes(f, f, f, f, level)
 
     @pytest.mark.parametrize("level", _BAD_LEVELS)
     def test_nodes_refuse_a_bad_level(self, level):

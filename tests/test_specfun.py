@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_zeta.errors import NoConvergence, PoleError
+from rabi_zeta.errors import DomainError, NoConvergence, PoleError
 from rabi_zeta.specfun import (
     alternating_zeta_sum,
     binomial,
@@ -97,6 +97,13 @@ class TestPochhammerBinomial:
     @given(st.integers(-5, 5), st.integers(0, 8))
     def test_recurrence(self, x, n):
         assert pochhammer(x, n + 1) == pochhammer(x, n) * (x + n)
+
+    # n = 2.5 used to raise a bare TypeError; n = -1 raised PoleError, a
+    # DomainError subclass.
+    @pytest.mark.parametrize("n", [2.5, -1, "2"])
+    def test_bad_order_is_refused(self, n):
+        with pytest.raises(DomainError, match="n must be an integer >= 0"):
+            pochhammer(1.0, n)
 
 
 class TestHypergeometric:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rabi_zeta import apery, operator_oracle, quadrature, trace_terms
 from rabi_zeta.errors import DomainError, LengthMismatch, NodeSingularity
-from rabi_zeta.quadrature import integrate_axes, integrate_pairs, integrate_tensor
+from rabi_zeta.quadrature import integrate_axes, integrate_pairs
 from rabi_zeta.trace_terms import (
     FLAT,
     MINUS,
@@ -26,6 +26,8 @@ from rabi_zeta.trace_terms import (
 )
 from rabi_zeta.operator_oracle import Ncho, dn_r_m_operator, r_m_operator
 from rabi_zeta.zeta_values import ZetaRequest, zeta_value
+
+from product_rule import product_rule
 
 unit = st.floats(0.05, 0.95)
 
@@ -248,8 +250,7 @@ class TestIntegralRoute:
     # is refused before any rule runs.
     @pytest.mark.parametrize("m", [0, 1.5, 2.0, "2", 4, 5])
     def test_bad_m(self, m, monkeypatch):
-        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes",
-                     "integrate_lattice"):
+        for name in ("integrate_pairs", "integrate_axes", "integrate_lattice"):
             monkeypatch.setattr(quadrature, name, _refuse)
         monkeypatch.setattr(operator_oracle, "family_term", _refuse)
         refusal = "m must be an integer from 1 to 3, got .*: the integral route stops at m = 3"
@@ -394,7 +395,7 @@ class TestAxisSeparableM1:
         for g, lam in itertools.product((0.2, 1.0, -0.7), (0.3, 1.2 + 0.3j, 0.15 + 2j)):
             got = _row_or_error(lambda: trace_terms._integral_row(family, lam, g, eps, 1, orders))
             want = _row_or_error(
-                lambda: integrate_tensor(_integrand(family, lam, eps, g, 1, orders), 2, level)
+                lambda: product_rule(_integrand(family, lam, eps, g, 1, orders), 2, level)
             )
             if isinstance(want, type):
                 assert got is want, (g, lam)
@@ -469,7 +470,7 @@ class TestPairSeparableM2:
     def test_matches_point_rule(self, family, lam, level, monkeypatch):
         monkeypatch.setitem(trace_terms._LEVELS, 2, level)
         g, eps, orders = 0.2, 0.1, (0, 1, 2, 3)
-        ref = integrate_tensor(_integrand(family, lam, eps, g, 2, orders), 4, level)
+        ref = product_rule(_integrand(family, lam, eps, g, 2, orders), 4, level)
         for k, want in zip(orders, ref):
             got = dn_r_m_integral(family, lam, g, eps, 2, k)
             assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
@@ -692,7 +693,7 @@ class TestLatticeM3:
     def test_point_rule_alone(self, monkeypatch):
         # The point rule reads the consecutive pair rows alone, not the
         # split kernel of the tensor rules.
-        for name in ("integrate_tensor", "integrate_pairs", "integrate_axes"):
+        for name in ("integrate_pairs", "integrate_axes"):
             monkeypatch.setattr(quadrature, name, _refuse)
         monkeypatch.setattr(trace_terms, "_pair_kernel", _refuse)
         assert r_m_integral(PLUS, 1.2, 0.2, 0.1, 3).terms_used == 131_056
@@ -754,7 +755,7 @@ class TestNonFiniteInputs:
             (apery, "j_flat"),
             (apery, "j_delta"),
             (apery, "_delta_b_lsum"),
-            (quadrature, "integrate_tensor"),
+            (quadrature, "integrate_axes"),
             (quadrature, "integrate_pairs"),
             (quadrature, "integrate_lattice"),
             (operator_oracle, "family_term"),
