@@ -88,6 +88,38 @@ class TestPairIntegration:
             assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
             assert got.terms_used == want.terms_used
 
+    @pytest.mark.parametrize("level", [4, 3])
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_matches_tensor_rule_at_any_block_size(self, monkeypatch, level, block):
+        # Blocks of 1 point leave every diagonal block 1 x 1; 7 split level
+        # 4's 325 pair points into 46 blocks and a partial one of 3; 100
+        # hold level 3's 91 in one partial block.  The guard on the first
+        # and last blocks of pair points checks blocks of the same size.
+        monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
+
+        def combine(g):
+            return np.array([g[0, 0], g[1, 0] + g[0, 1]])
+
+        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, level)
+        ref = product_rule(_pair_point, 4, level)
+        for got, want in zip(rows, ref):
+            assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+            assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
+            assert got.terms_used == want.terms_used
+
+    @pytest.mark.parametrize("level", [1, 3, 5])
+    def test_rows_match_scalar_calls(self, level):
+        def combine(g):
+            return np.array([g[0, 0], g[1, 0] + g[0, 1], g[1, 1]])
+
+        rows = integrate_pairs(_pair_factors, _pair_kernel, _pair_side, combine, level)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            single = integrate_pairs(
+                _pair_factors, _pair_kernel, _pair_side, lambda g: combine(g)[k], level
+            )
+            assert row == single
+
     def test_scalar_combine_gives_one_value(self):
         v = integrate_pairs(
             _identity,
@@ -165,6 +197,33 @@ class TestAxisIntegration:
         assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
         assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
         assert got.terms_used == want.terms_used
+
+    @pytest.mark.parametrize("level", [6, 4])
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_matches_tensor_rule_at_any_block_size(self, monkeypatch, level, block):
+        # Blocks of 1 node leave every diagonal block 1 x 1; 7 split level
+        # 4's 25 nodes into three blocks and a partial one of 4; 100 hold
+        # them in one partial block, and level 6's 101 in one block and a
+        # partial one of 1.
+        monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
+        got = integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, lambda g: g[0, 1], level)
+        want = product_rule(_axis_point, 2, level)
+        assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+        assert abs(got.abs_error - want.abs_error) <= 1e-14 * abs(want.value)
+        assert got.terms_used == want.terms_used
+
+    @pytest.mark.parametrize("level", [1, 3, 5])
+    def test_rows_match_scalar_calls(self, level):
+        def combine(g):
+            return np.array([g[0, 0], g[0, 1], g[1, 1]])
+
+        rows = integrate_axes(lambda u: u[None], _pair_kernel, _axis_sides, combine, level)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            single = integrate_axes(
+                lambda u: u[None], _pair_kernel, _axis_sides, lambda g: combine(g)[k], level
+            )
+            assert row == single
 
     def test_non_symmetric_kernel_raises(self):
         def kernel(fa, fb, out):
@@ -285,7 +344,7 @@ class TestLattice:
         with pytest.raises(NodeSingularity, match="lattice point"):
             integrate_lattice(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 2)
 
-    @pytest.mark.parametrize("d", [0, 2.0])
+    @pytest.mark.parametrize("d", [0, -1, 2.0])
     def test_bad_dimension(self, d):
         # d = 2.0 used to raise a bare TypeError.
         with pytest.raises(DomainError, match="d must be an integer >= 1"):
@@ -307,6 +366,14 @@ class TestLevelValidation:
 
         with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
             integrate_axes(f, f, f, f, level)
+
+    @pytest.mark.parametrize("level", _BAD_LEVELS)
+    def test_pairs_refuse_a_bad_level(self, level):
+        def f(*args):
+            raise AssertionError("the integrand ran")
+
+        with pytest.raises(DomainError, match="level must be an integer from 1 to 10"):
+            integrate_pairs(f, f, f, f, level)
 
     @pytest.mark.parametrize("level", _BAD_LEVELS)
     def test_nodes_refuse_a_bad_level(self, level):
