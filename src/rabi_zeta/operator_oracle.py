@@ -8,10 +8,14 @@ by banded solves, has its trace read from the series of its ceil(m/2)-th
 and floor(m/2)-th powers, so one solve step serves two powers.  For the
 trace terms R_m and their shift derivatives that inverse is the product
 F = h_plus^-1 h_minus^-1, the inverse of the pentadiagonal h_minus h_plus.
-The solves act on P = min(64, N) probe columns: the entries of F^k decay
-away from the diagonal, so its band is read from F^k E, E summing the
+The solves act on P = min(period, N) probe columns: the entries of F^k
+decay away from the diagonal, so its band is read from F^k E, E summing the
 columns of each class mod P, and a check on the rows halfway between probe
-columns doubles P (up to N, where E = I) wherever that decay is too slow.
+columns widens the period (32, 40, 48, 56, 64, 80, ..., up to P = N, where
+E = I) wherever that decay is too slow.  A request learns its period once:
+every band starts at the period the bands before it learned, from the
+coarsest ladder level up, across components and budget tops, and the
+period travels through arguments and return values.
 A real pencil (real lam and eps) packs two probe columns into each complex
 column of its state, one per lane, so that one complex solve of its real LU
 steps both and the per-row cost of the solves is paid once for the pair.
@@ -25,12 +29,17 @@ calibration facts live only here: the ladder floor, the zeta budget's start
 (truncation_budget), the bar floor's warning (bar_floor_warning), and the
 eigen oracle's residual order (Component.eigen_lag), budget start and floor.
 Spectral zeta values are the traces tr((H_N + lam)^-n) of the two-by-two
-block Hamiltonians, interleaved so that H_N is banded: one banded LU per
-block and traces(n) of its inverse, extrapolated on the same ladder; no
-eigenvalue is computed.  H_N + lam is complex-symmetric, so each probed
-state is its own transposed band.  A request solves its ladder coarsest
-level first and carries the probe period from band to band, so it learns a
-wider period once, not once per block and level.  The module keeps no
+block Hamiltonians, extrapolated on the same ladder; no eigenvalue is
+computed.  Where a block's coupling is a scalar (the one-photon, two-photon
+and Bergman models) it commutes with the diagonal blocks, so det(H_N + lam
++ t) = det M(t) for the sweep's N-row pencil M(t) = h_minus h_plus - X^2 +
+t S + t^2 (Silvester's block determinant), and tr((H_N + lam)^-n) is read
+off the diagonal of one solve step of M(t)^-1 on n Taylor orders.  The
+oscillator pair's coupling block is tridiagonal and does not commute, so
+its blocks are interleaved so that H_N is banded: one banded LU per block
+and traces(n) of its inverse, whose probed states are their own transposed
+bands (H_N + lam is complex-symmetric).  Either way the near-pole guard
+reads gbcon's estimate on the interleaved H_N + lam.  The module keeps no
 state between calls.
 """
 
@@ -65,11 +74,12 @@ _SINGULAR_GUARD = 1e-10
 _ROUNDING_FLOOR = 1e-14
 # The coarsest truncation a sweep adds below N/4.
 _LADDER_FLOOR = 24
-# The probe columns a sweep state starts on, min(_PROBE_START, N): W(k) is
-# stepped on them and their number doubles while the halfway-row check finds
-# aliased mass above the rounding floor (_ProbedBand).  An eigen request's
-# first band starts there and each later band at the period carried to it.
-_PROBE_START = 64
+# The probe period a request's first band starts on: a band steps W(k) on
+# min(period, N) probe columns and widens its period (_wider) while the
+# halfway-row check finds aliased mass above the rounding floor
+# (_ProbedBand).  Every later band of the request starts at the period the
+# bands before it learned.
+_PROBE_START = 32
 # The smallest top truncation at which the two-step bar of every sweep row of
 # the calibration grid (tests/test_operator_oracle.py) holds.  The zeta
 # budget starts there; a sweep below it takes the first step's correction as
@@ -297,8 +307,13 @@ class ModelGeometry:
     carries d^n [lam^(lam_power*m) R_m] / d lam^n, R_m the trace term of
     `family` at coupling g and shift eps; PLUS sums the even (nu = 1/2) and
     odd (nu = 3/2) parity sectors.  `blocks(N)` gives the eigen oracle's
-    banded Hamiltonians at truncation N in gbtrf storage, and `hurwitz` sums
-    the free spectrum.
+    banded Hamiltonians at truncation N in gbtrf storage, one per component,
+    and `hurwitz` sums the free spectrum.  With `pencil`, each block is
+    [[h_plus, X], [X, h_minus]], h_plus and h_minus its component's entries
+    at the shifts +eps and -eps and X = coupling times the identity, which
+    commutes with h_minus, so the eigen oracle reads its traces from the
+    component's N-row pencil (_pencil_trace); the oscillator pair's coupling
+    block is tridiagonal, so its blocks are solved as they are.
     """
 
     family: TraceFamily
@@ -307,6 +322,7 @@ class ModelGeometry:
     g: float
     blocks: Callable[[int], list]
     lam_power: int = 0
+    pencil: bool = True
 
     @property
     def step(self) -> float:
@@ -345,7 +361,7 @@ def model_geometry(model: ModelSpec) -> ModelGeometry:
         a, b = model.alpha, model.beta
         x, g = (a - b) / (a + b), 0.5 * math.atanh(1.0 / math.sqrt(a * b))
         blocks = partial(_ncho_bands, model)
-        return ModelGeometry(PLUS, 2.0 * model.eta, x, g, blocks, 2)
+        return ModelGeometry(PLUS, 2.0 * model.eta, x, g, blocks, 2, pencil=False)
     if isinstance(model, OnePhoton):
         family = FLAT
     elif isinstance(model, BergmanNu):
@@ -400,28 +416,33 @@ def dense(op: TridiagonalOperator) -> np.ndarray:
     return a
 
 
-def _factor(band: np.ndarray, k: int):
+def _factor(band: np.ndarray, k: int, estimate: bool = True):
     """(lu, piv, sigma) for the band storage band[2k + i - j, j] = A[i, j]
     (kl = ku = k; rows 0..k-1 are the fill-in), which gbtrf overwrites with
     its LU in the band's own arithmetic: sigma is gbcon's estimate ||A||_1 *
-    rcond of the smallest singular value, 0 where the factorization fails."""
+    rcond of the smallest singular value, 0 where the factorization fails.
+    gbcon costs more than gbtrf, so a caller that refuses only a failed
+    factorization passes estimate=False: sigma is then 0 where gbtrf fails
+    or the band or its LU is not finite, and 1 where not."""
     gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=band.dtype)
     anorm = float(np.max(np.sum(np.abs(band), axis=0)))
     lu, piv, info = gbtrf(band, k, k, overwrite_ab=True)
+    if not estimate:
+        return lu, piv, float(info == 0 and np.isfinite(anorm) and np.isfinite(lu).all())
     rcond = 0.0
     if info == 0:
         rcond, info = gbcon(k, k, lu, piv, anorm)
     return lu, piv, anorm * float(rcond) if info == 0 and np.isfinite(rcond) else 0.0
 
 
-def _banded_lu(band: np.ndarray, k: int):
+def _banded_lu(band: np.ndarray, k: int, estimate: bool = True):
     """(solve, sigma): _factor's sigma, and solve(b), which returns A^-1 b by
     zgbtrs for a complex Fortran-order b, overwriting b (not to be called
     where sigma is 0).  A real band is factored in real arithmetic and its
     LU cast to complex once, so sigma and the factors are the real ones and
     one solve steps two real columns, the two lanes of each complex column
     (_ProbedBand)."""
-    lu, piv, sigma = _factor(band, k)
+    lu, piv, sigma = _factor(band, k, estimate)
     lu = lu.astype(complex, copy=False)
     gbtrs = sla.get_lapack_funcs("gbtrs", dtype=complex)
 
@@ -431,16 +452,22 @@ def _banded_lu(band: np.ndarray, k: int):
     return solve, sigma
 
 
-def _checked_factor(diag, off, dtype):
-    """The tridiagonal (diag, off) in `dtype`, once it is known invertible.
+def _entries(component: Component, g, shift: complex, sign: int, N: int, dtype):
+    """The component's (diag, off) at `shift` in `dtype`: complex, or float,
+    which drops the zero imaginary part of a real shift."""
+    diag, off = component.entries(g, shift, sign, N)
+    return (diag if dtype is complex else diag.real), off.astype(dtype)
+
+
+def _checked_entries(component: Component, g, shift: complex, sign: int, N: int, dtype):
+    """_entries, once the tridiagonal (diag, off) is known invertible.
 
     The factorization is the general band one with kl = ku = 1, because
     scipy's wrappers of the tridiagonal gttrf/gtcon/gttrs reject n = 2.
     Raises SingularOperator when gbcon's estimate of the smallest singular
     value is at or below the guard.
     """
-    diag = diag if dtype is complex else diag.real
-    off = off.astype(dtype)
+    diag, off = _entries(component, g, shift, sign, N, dtype)
     band = np.zeros((4, len(diag)), dtype=dtype)
     band[1, 1:] = off
     band[2] = diag
@@ -452,6 +479,46 @@ def _checked_factor(diag, off, dtype):
             f"{sigma:.3e} <= {_SINGULAR_GUARD})"
         )
     return diag, off
+
+
+def _pencil_lu(h_minus, h_plus, square=0.0):
+    """_banded_lu of M_0 = h_minus h_plus - square, the pencil M(t) = M_0 + t
+    S + t^2 at t = 0, for tridiagonal (diag, off) pairs h_minus and h_plus of
+    one dtype whose off-diagonals have opposite signs, so that S = h_minus +
+    h_plus is diagonal.  M_0 is pentadiagonal, factored with gbtrf (kl = ku
+    = 2); its callers refuse only a failed factorization, so gbcon's
+    estimate is skipped."""
+    (a, b), (c, d) = h_minus, h_plus
+    # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
+    # gbtrf's fill-in.
+    band = np.zeros((7, len(a)), dtype=a.dtype)
+    band[4] = a * c - square
+    band[4, :-1] += b * d
+    band[4, 1:] += b * d
+    band[3, 1:] = a[:-1] * d + b * c[1:]
+    band[5, :-1] = b * c[:-1] + a[1:] * d
+    band[2, 2:] = b[:-1] * d[1:]
+    band[6, :-2] = b[1:] * d[:-1]
+    return _banded_lu(band, 2, estimate=False)
+
+
+def _wider(period: int, excess: float = 1.0) -> int:
+    """The period a band widens to from `period`, whose halfway rows (at
+    distance period/2 from their probe column) hold `excess` > 1 times the
+    rounding floor relative to the largest entry: the first period of the
+    schedule ..., 32, 40, 48, 56, 64, 80, 96, 112, 128, 160, ... (four steps
+    to the octave, at least 8) at or past the one where entries decaying
+    geometrically at the measured rate from the largest would reach the
+    floor, period * log(floor) / log(excess * floor), but no more than twice
+    `period`.  Each widening replays the band, so the estimate skips the
+    steps it expects to fail; it is a guess (the entries need not decay
+    geometrically), so it never goes past doubling."""
+    goal = period * math.log(_ROUNDING_FLOOR) / math.log(min(excess * _ROUNDING_FLOOR, 0.5))
+    wider = period
+    while True:
+        wider += max(8, 1 << (wider.bit_length() - 3))
+        if wider >= min(goal, 2 * period):
+            return wider
 
 
 def bar_floor_warning(N: int) -> str | None:
@@ -547,10 +614,13 @@ class _ProbedBand:
     no index built.  After every step the halfway rows, at distance P/2
     from their probe column, bound the aliased mass: when an order's
     largest entry there exceeds the rounding floor times that order's
-    largest entry, P doubles (from min(period, N), period defaulting to
-    _PROBE_START, up to N, where E = I and nothing is aliased) and the state
-    replays from W(0).  This assumes that the entries keep decaying past
-    P/2.
+    largest entry, the band's `period` widens (_wider), P = min(period, N)
+    (up to N, where E = I and nothing is aliased), and the state replays
+    from W(0).  This assumes that the entries keep decaying past P/2.
+    `period` starts where the caller says (_PROBE_START by default) and is
+    what the band has learned for the next band of its request: the last
+    period it found aliasing, widened once, even where that reached P = N;
+    widen(period) takes on a period learned by another band.
 
     The state lives in complex columns, and the pencil's `dtype` sets how
     many probe columns share one: a complex pencil keeps one per column, a
@@ -579,7 +649,8 @@ class _ProbedBand:
         self._k = 0
         self._bt = None  # the transposed bands of the held state W(_held)
         self._held = None
-        self._probe(min(period or _PROBE_START, N))
+        self.period = period or _PROBE_START
+        self._probe(min(self.period, N))
 
     def _view(self, x: np.ndarray) -> np.ndarray:
         """The lanes of the state x in column-major order, without a copy."""
@@ -619,9 +690,11 @@ class _ProbedBand:
                 w[j] -= w[j - 2]
             w[j] = self._solve(w[j])
 
-    def _aliased(self) -> bool:
-        """Whether some order's largest entry in the halfway rows exceeds the
-        rounding floor times that order's largest entry."""
+    def _aliased(self) -> float:
+        """The largest factor by which an order's largest entry in the
+        halfway rows exceeds the rounding floor times that order's largest
+        entry, or 0 where none does."""
+        excess = 0.0
         for x in self._w:
             v = self._view(x)
             halfway = np.max(np.abs(v[self._halfway])) / _ROUNDING_FLOOR
@@ -632,17 +705,30 @@ class _ProbedBand:
                 continue
             largest = max(v.max(), -v.min()) if self._lanes == 2 else np.max(np.abs(v))
             if halfway > largest:
-                return True
-        return False
+                excess = max(excess, halfway / largest)
+        return excess
 
     def step(self) -> None:
-        """W(k) -> W(k + 1), with P doubled (up to N) and the state replayed
-        until it passes the halfway-row check."""
+        """W(k) -> W(k + 1), with the period widened (P up to N) and the
+        state replayed until it passes the halfway-row check."""
         self._advance()
-        while self.P < self.N and self._aliased():
-            self._probe(min(2 * self.P, self.N))
+        while self.P < self.N and (excess := self._aliased()):
+            self.period = _wider(self.period, excess)
+            self._probe(min(self.period, self.N))
             self._advance()
         self._k += 1
+
+    def widen(self, period: int) -> None:
+        """Take on a period learned by another band where it is wider than
+        this band's: the state replays to W(k) on min(period, N) columns."""
+        if period > self.period:
+            self.period = period
+            if min(period, self.N) > self.P:
+                self._probe(min(period, self.N))
+
+    def diagonals(self) -> list:
+        """The diagonal of every order of W(k), as lane vectors."""
+        return [self._view(x)[self._diagonal] for x in self._w]
 
     def _bands(self) -> list:
         """The transposed bands of the current state, one lane vector per
@@ -689,7 +775,7 @@ class _ProbedBand:
             self.step()
         if m == 1:
             self.step()
-            traces = [np.sum(self._view(x)[self._diagonal]) for x in self._w]
+            traces = [np.sum(d) for d in self.diagonals()]
         else:
             own = self._symmetric and a == b
             if not own and self._held != b:
@@ -703,37 +789,28 @@ class _ProbedBand:
         return [math.factorial(j) * complex(t) for j, t in enumerate(traces)]
 
 
-def _resolvent_band(component: Component, g, lam, eps, n, N) -> _ProbedBand:
+def _resolvent_band(component: Component, g, lam, eps, n, N, period=None) -> _ProbedBand:
     """The _ProbedBand whose traces(m) are d^j R_m / d lam^j = j! tr [t^j]
     F(t)^m, j = 0..n, at one truncation, where F(t) = M(t)^-1 and M(t) =
     (h_minus + t)(h_plus + t) is pentadiagonal, so F(t) = h_plus(t)^-1
     h_minus(t)^-1, with h_plus and h_minus the component's entries at the
     shifts lam + eps and lam - eps.
 
-    M(t) = M_0 + t S + t^2 with M_0 = h_minus h_plus, factored once with
-    gbtrf (kl = ku = 2), and S = h_minus + h_plus diagonal (the two
-    off-diagonals have opposite signs); one solve step of the band serves
-    two terms.
+    M(t) = M_0 + t S + t^2 with M_0 = h_minus h_plus, factored once
+    (_pencil_lu), and S = h_minus + h_plus diagonal (the two off-diagonals
+    have opposite signs); one solve step of the band serves two terms.  The
+    band starts at `period` (_PROBE_START by default).
     """
     lam, eps = complex(lam), complex(eps)
     # Real arithmetic unless a shift is complex.
     dtype = complex if lam.imag or eps.imag else float
-    a, b = _checked_factor(*component.entries(g, lam - eps, -1, N), dtype)
-    c, d = _checked_factor(*component.entries(g, lam + eps, +1, N), dtype)
-    # Band storage ab[kl + ku + i - j, j] = M_0[i, j]; rows 0-1 are
-    # gbtrf's fill-in.
-    band = np.zeros((7, N), dtype=dtype)
-    band[4] = a * c
-    band[4, :-1] += b * d
-    band[4, 1:] += b * d
-    band[3, 1:] = a[:-1] * d + b * c[1:]
-    band[5, :-1] = b * c[:-1] + a[1:] * d
-    band[2, 2:] = b[:-1] * d[1:]
-    band[6, :-2] = b[1:] * d[:-1]
-    solve, sigma = _banded_lu(band, 2)
+    h_minus = _checked_entries(component, g, lam - eps, -1, N, dtype)
+    h_plus = _checked_entries(component, g, lam + eps, +1, N, dtype)
+    solve, sigma = _pencil_lu(h_minus, h_plus)
     if sigma == 0:
         raise SingularOperator("banded factorization of h_minus h_plus failed")
-    return _ProbedBand(N, n + 1, dtype, solve, (a + c)[:, None])
+    s = (h_minus[0] + h_plus[0])[:, None]
+    return _ProbedBand(N, n + 1, dtype, solve, s, period=period)
 
 
 class TraceDerivativeSweep:
@@ -761,13 +838,20 @@ class TraceDerivativeSweep:
     smaller N: once order 0 extrapolated from the next three truncations
     moves by no more than the rounding floor, the finest one is dropped for
     every later m.  The test reads order 0 only, so which truncations serve
-    a term does not depend on the top order n.
+    a term does not depend on the top order n.  Only the five finest live
+    levels are read, so a coarser level is built when a drop brings it
+    among them, and its band replays from W(0).
+
+    The levels step coarsest first, and each starts its step at the probe
+    period the levels before it learned: the sweep's `period`, which starts
+    at `period` (_PROBE_START by default) and which the caller carries on to
+    its next sweep.
 
     Every row reads converged when the sweep's top N is at least
     _MIN_BAR_TOP, where its bar is calibrated, and not converged below.
     """
 
-    def __init__(self, component: Component, g, lam, eps, n, N=400):
+    def __init__(self, component: Component, g, lam, eps, n, N=400, period=None):
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
         require_finite("lambda", lam)
@@ -777,15 +861,23 @@ class TraceDerivativeSweep:
             if progression_distance(s, component.step, component.offset) <= NEAR_POLE_GUARD:
                 raise NearPole(f"shift {s} is within {NEAR_POLE_GUARD} of an excluded point")
         self.m = 0
+        self.period = period or _PROBE_START
         self._first_bar = N < _MIN_TOP
         self._calibrated = N >= _MIN_BAR_TOP
-        self._states = [_resolvent_band(component, g, lam, eps, n, size) for size in _ladder(N)]
+        self._band = partial(_resolvent_band, component, g, lam, eps, n)
+        sizes = _ladder(N)
+        self._unbuilt = sizes[5:]
+        self._states = [self._band(size, period=self.period) for size in sizes[:5]]
 
     def next_terms(self) -> dict:
         """Advance to the next m and return {order: D_m at that order} for
         every order 0..n (the truncated series holds them all at once)."""
         self.m += 1
-        per_truncation = [st.traces(self.m) for st in self._states]
+        per_truncation = []
+        for st in reversed(self._states):
+            st.widen(self.period)
+            per_truncation.insert(0, st.traces(self.m))
+            self.period = st.period
         sizes = [st.N for st in self._states]
         out = {}
         for order, values in enumerate(zip(*per_truncation)):
@@ -797,24 +889,33 @@ class TraceDerivativeSweep:
             value, corr = _extrapolate(order0, sizes[1:4], 2 * self.m - 1)
             if corr <= _ROUNDING_FLOOR * abs(value):
                 self._states.pop(0)  # frees the finest truncation's buffers
+                if self._unbuilt:
+                    self._states.append(self._band(self._unbuilt.pop(0), period=self.period))
         return out
 
 
-def _component_rows(c: Component, g, lam, eps, n: int, N: int, m_last: int) -> list:
-    """Rows 1..m_last of one component's sweep, which is freed on return."""
-    sweep = TraceDerivativeSweep(c, g, lam, eps, n, N)
-    return [sweep.next_terms() for _ in range(m_last)]
+def _component_rows(c: Component, g, lam, eps, n: int, N: int, m_last: int, period) -> tuple:
+    """(rows 1..m_last of one component's sweep, the period it learned); the
+    sweep is freed on return."""
+    sweep = TraceDerivativeSweep(c, g, lam, eps, n, N, period)
+    return [sweep.next_terms() for _ in range(m_last)], sweep.period
 
 
-def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[dict]:
-    """[{order: D_m of the signed sum}] for m = 1..m_last, orders 0..n, by the
-    banded sweep at truncation N.  Each component is swept once, and its
-    sweep is dropped before the next component's starts; rows combine as
-    sum(sign * value) with summed abs_error, in component order;
-    terms_used is the finest truncation any component's row used, and a row
-    reads converged when every component's does (N >= _MIN_BAR_TOP).
+def family_rows(components, g, lam, eps, n: int, N: int, m_last: int, period=None) -> tuple:
+    """([{order: D_m of the signed sum}] for m = 1..m_last, orders 0..n, the
+    probe period learned) by the banded sweep at truncation N.  Each
+    component is swept once, and its sweep is dropped before the next
+    component's starts, at the period the one before learned (the first at
+    `period`, _PROBE_START by default); rows combine as sum(sign * value)
+    with summed abs_error, in component order; terms_used is the finest
+    truncation any component's row used, and a row reads converged when
+    every component's does (N >= _MIN_BAR_TOP).  A caller that sweeps again
+    passes the period on.
     """
-    per_component = [_component_rows(c, g, lam, eps, n, N, m_last) for c in components]
+    per_component = []
+    for c in components:
+        rows, period = _component_rows(c, g, lam, eps, n, N, m_last, period)
+        per_component.append(rows)
     return [
         {
             order: SeriesValue(
@@ -826,7 +927,7 @@ def family_rows(components, g, lam, eps, n: int, N: int, m_last: int) -> list[di
             for order in range(n + 1)
         }
         for rows in zip(*per_component)
-    ]
+    ], period
 
 
 #: A trace term of the operator route reads converged at abs_error <= this,
@@ -845,7 +946,7 @@ def family_term(components, g, lam, eps, m: int, n: int, N: int) -> dict:
     if N < MIN_TRUNCATION:
         raise InvalidDimension(f"N must be >= {MIN_TRUNCATION}, got {N}")
     require_integer("N", N, MIN_TRUNCATION)
-    row = family_rows(components, g, lam, eps, n, N, m)[m - 1]
+    row = family_rows(components, g, lam, eps, n, N, m)[0][m - 1]
     return {
         k: SeriesValue(sv.value, sv.abs_error, N, sv.abs_error <= _TERM_TOL and sv.converged)
         for k, sv in row.items()
@@ -915,32 +1016,76 @@ def _interleaved_band(a, b, c_diag, c_off=None) -> np.ndarray:
     return band
 
 
-def _block_trace(band: np.ndarray, n: int, lam: complex, period: int | None = None) -> tuple:
-    """(tr((H + lam)^-n), the period to carry): the trace is the sum of (mu +
+def _block_trace(band: np.ndarray, n: int, lam: complex, period: int | None = None,
+                 pencil: tuple | None = None) -> tuple:
+    """(tr((H + lam)^-n), the period learned): the trace is the sum of (mu +
     lam)^-n over the eigenvalues mu of one block H in gbtrf storage
     (_interleaved_band).  H + lam is factored once, in complex arithmetic
     only for complex lam (a real one packs two probe columns per complex
-    column), and the trace is order 0 of a one-order _ProbedBand's
-    traces(n): ceil(n/2) solves on its probe columns, which start at
-    min(period, N).  H + lam is complex-symmetric, so the band is a
-    symmetric one: at even n it dots W(n/2)E with itself, and at odd n it
-    holds a copy of W(floor(n/2))E and dots it with W(ceil(n/2))E.  The
-    period carried on is the one the band settled on below its N, or
-    `period` itself when the band reached P = N.  H is real symmetric, so
-    every -mu lies at least |Im lam| from lam; where that does not exceed
-    NEAR_POLE_GUARD, gbcon's estimate of the smallest singular value, ||H +
-    lam||_1 * rcond, must."""
+    column).  H is real symmetric, so every -mu lies at least |Im lam| from
+    lam; where that does not exceed NEAR_POLE_GUARD, gbcon's estimate of
+    the smallest singular value, ||H + lam||_1 * rcond, must.
+
+    With `pencil` = (component, g, eps, coupling), H = [[h_plus, X], [X,
+    h_minus]] with X = coupling times the identity, and the trace comes from
+    the component's pencil (_pencil_trace).  Without, it is order 0 of a
+    one-order _ProbedBand's traces(n) on H + lam: ceil(n/2) solves on its
+    probe columns.  H + lam is complex-symmetric, so the band is a symmetric
+    one: at even n it dots W(n/2)E with itself, and at odd n it holds a copy
+    of W(floor(n/2))E and dots it with W(ceil(n/2))E.  Either band's probe
+    columns start at min(period, N), and the period learned is its
+    `period`."""
     lam = complex(lam)
     dtype = complex if lam.imag else float
     u = band.shape[0] // 3
     ab = band.astype(dtype)
     ab[2 * u] += lam if lam.imag else lam.real
-    solve, sigma = _banded_lu(ab, u)
+    if pencil is None:
+        solve, sigma = _banded_lu(ab, u)
+    else:
+        sigma = _factor(ab, u)[2]
     if sigma == 0 or max(sigma, abs(lam.imag)) <= NEAR_POLE_GUARD:
         raise NearPole("lambda is within the guard radius of a truncated eigenvalue's negative")
+    if pencil is not None:
+        return _pencil_trace(n, lam, *pencil, ab.shape[1] // 2, period)
     probed = _ProbedBand(ab.shape[1], 1, dtype, solve, period=period, symmetric=True)
-    trace = probed.traces(n)[0]
-    return trace, probed.P if probed.P < probed.N else period
+    return probed.traces(n)[0], probed.period
+
+
+def _pencil_trace(n: int, lam: complex, component: Component, g, eps, coupling, N: int,
+                  period: int | None) -> tuple:
+    """(tr((H + lam)^-n), the period learned) for the block H = [[h_plus, X],
+    [X, h_minus]] of truncation N, X = coupling times the identity and
+    h_plus, h_minus the component's entries at the shifts +eps and -eps.
+
+    X commutes with h_minus + t, so det(H + lam + t) = det M(t) with M(t) =
+    (h_minus + lam + t)(h_plus + lam + t) - X^2 = M_0 + t S + t^2 (Silvester,
+    Math. Gazette 84, 2000): the sweep's N-row pencil (_pencil_lu) shifted
+    by -X^2.  Then tr((H + lam + t)^-1) = d/dt log det M(t) = tr(M(t)^-1 (S
+    + 2t)), whose Taylor coefficient of order n - 1 is (-1)^(n-1) tr((H +
+    lam)^-n): with W_j = [t^j] M(t)^-1, the trace is (-1)^(n-1) (tr(W_(n-1)
+    S) + 2 tr(W_(n-2))), read off the diagonal of one step of a _ProbedBand
+    on n orders.  det M_0 = det(H + lam), which _block_trace has guarded;
+    a factorization of M_0 that fails all the same raises NearPole.
+
+    M_0 squares the block's entries, which overflows at strong Bergman
+    coupling (g = 200), so the block is first divided by the power of two c
+    at or above its largest diagonal entry: tr((H + lam)^-n) = c^-n tr((H/c
+    + lam/c)^-n), and a power of two rounds nothing."""
+    dtype = complex if lam.imag else float
+    h_minus = _entries(component, g, lam - eps, -1, N, dtype)
+    h_plus = _entries(component, g, lam + eps, +1, N, dtype)
+    c = 2.0 ** int(np.frexp(max(np.max(np.abs(h[0])) for h in (h_minus, h_plus)))[1])
+    h_minus, h_plus = [(diag / c, off / c) for diag, off in (h_minus, h_plus)]
+    solve, sigma = _pencil_lu(h_minus, h_plus, (coupling / c) ** 2)
+    if sigma == 0:
+        raise NearPole("the factorization of the block's pencil failed")
+    s = h_minus[0] + h_plus[0]
+    probed = _ProbedBand(N, n, dtype, solve, s[:, None], period=period)
+    probed.step()
+    w = probed.diagonals()
+    trace = np.sum(w[n - 1] * s) + (2 * np.sum(w[n - 2]) if n > 1 else 0)
+    return (-1) ** (n - 1) * c ** -n * complex(trace), probed.period
 
 
 def _ncho_bands(model: Ncho, N: int) -> list:
@@ -969,16 +1114,18 @@ def _rabi_bands(components, g: float, eps: float, coupling: float, N: int) -> li
     return bands
 
 
-def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int, period: int) -> tuple:
-    """(value, the period to carry): the blocks' traces at truncation N,
-    each block's band starting at the period the one before it carried on,
-    plus the free spectrum from the truncation's end on: the components'
-    progressions from k = N on interleave into the geometry's from
-    len(components) * N on ({1/2 + 2k} and {3/2 + 2k} for k >= N are {1/2 +
-    j} for j >= 2N)."""
+def _zeta_eigen_once(geo: ModelGeometry, n: int, lam: complex, N: int, period) -> tuple:
+    """(value, the period learned): the blocks' traces at truncation N
+    (_block_trace, from their pencils where the geometry has them), each
+    block's band starting
+    at the period the one before it learned, plus the free spectrum from the
+    truncation's end on: the components' progressions from k = N on
+    interleave into the geometry's from len(components) * N on ({1/2 + 2k}
+    and {3/2 + 2k} for k >= N are {1/2 + j} for j >= 2N)."""
     value = 0
-    for h in geo.blocks(N):
-        trace, period = _block_trace(h, n, lam, period)
+    for c, h in zip(geo.family.components, geo.blocks(N)):
+        pencil = (c, geo.g, geo.eps, geo.coupling) if geo.pencil else None
+        trace, period = _block_trace(h, n, lam, period, pencil)
         value += trace
     return value + geo.hurwitz(n, lam, len(geo.family.components) * N).value, period
 
@@ -1002,8 +1149,9 @@ def zeta_eigen_oracle(
     model: ModelSpec, n: int, lam: complex, N: int = 400, tol: float | None = None
 ) -> EigenValue:
     """zeta(H; n, lam) as the traces tr((H_N + lam)^-n) of the truncated
-    block matrices (_block_trace: a banded LU of each block and probed
-    solves, no eigenvalues) plus a coupling-free tail: the free spectrum
+    block matrices (_block_trace: a banded LU of each block, or of its
+    pencil where the geometry has one, and probed solves, no eigenvalues)
+    plus a coupling-free tail: the free spectrum
     (the geometry's Hurwitz pair) from the truncation's end on.  A lam
     within NEAR_POLE_GUARD of a block's pole raises NearPole.
 
@@ -1026,10 +1174,9 @@ def zeta_eigen_oracle(
     tol.
 
     The levels of each top run coarsest first, and the probe period is
-    carried from band to band: each block's band starts at the period that
-    the last band of the request to settle below its own N settled on
-    (_PROBE_START for the first), so the coarser levels learn it on their
-    narrower blocks and the finer ones start there.
+    carried from band to band: each block's band starts at the period the
+    bands before it learned (_PROBE_START for the first), so the coarser
+    levels learn it on their narrower blocks and the finer ones start there.
     """
     require_integer("n", n, 2)
     if tol is None and N < MIN_TRUNCATION:
@@ -1038,7 +1185,7 @@ def zeta_eigen_oracle(
     geo = model_geometry(model)
     p = n - max(c.eigen_lag for c in geo.family.components)
     budget = [N] if tol is None else truncation_budget(max(N, _EIGEN_MIN_TOP), _EIGEN_MIN_TOP)
-    sums, tops, period = {}, [], _PROBE_START
+    sums, tops, period = {}, [], None
     for top in budget:
         sizes = _ladder(top)[:5]
         for size in reversed(sizes):

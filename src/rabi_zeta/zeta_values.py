@@ -249,9 +249,10 @@ def _assemble(req: ZetaRequest, minus: bool) -> ZetaResult:
             # Errors that no truncation reduces already miss tol: try the cap alone.
             fixed = sum(sources.values())
             budget = truncation_budget(req.trunc_n) if fixed < tol else [req.trunc_n]
-            m_sweep = m_last
+            # Each top's sweep starts at the probe period the last one learned.
+            m_sweep, period = m_last, None
             for top in budget if m_last >= first_op else ():
-                rows = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_sweep)
+                rows, period = family_rows(family.components, geo.g, lam, geo.eps, n, top, m_sweep, period)
                 calibrated &= all(row[n].converged for row in rows)
                 for m, row in enumerate(rows[first_op - 1 :], first_op):
                     power = geo.lam_power * m

@@ -40,6 +40,7 @@ from rabi_zeta.operator_oracle import (
     _extrapolate,
     _ladder,
     _resolvent_band,
+    _wider,
     bar_floor_warning,
     build_component_operator,
     dense,
@@ -481,6 +482,20 @@ def _upper(band):
     return band[u : 2 * u + 1]
 
 
+def _aliasing_periods(monkeypatch) -> list:
+    """The list of the periods at which a band finds aliased mass and widens,
+    in order, from now on."""
+    found = []
+    wider = operator_oracle._wider
+
+    def recording(period, excess):
+        found.append(period)
+        return wider(period, excess)
+
+    monkeypatch.setattr(operator_oracle, "_wider", recording)
+    return found
+
+
 def _eigen_sum(bands, n, lam):
     """The dense reference of the eigen oracle's block traces: the sum of
     (mu + lam)^-n over the blocks' eigenvalues mu, from eig_banded."""
@@ -571,11 +586,13 @@ class TestDenseReference:
 
 
 class TestProbedKernel:
-    # Each sweep state steps W(k)E on min(64, N) probe columns and doubles
-    # them while its halfway rows hold more than the rounding floor.  These
-    # points need a wider period (their bands decay slowly) ...
+    # Each sweep state steps W(k)E on min(32, N) probe columns and widens
+    # them (32, 40, 48, 56, 64, 80, ...) while its halfway rows hold more
+    # than the rounding floor.  These points need a wide period (their bands
+    # decay slowly) ...
     _WIDENING = [("bergman", 1.5, 1.0, 1.2), ("bergman", 0.5, 0.6, -4.3 + 0.2j)]
-    # ... and these keep the start, one of them between two poles.
+    # ... and these keep the start or widen once, one of them between two
+    # poles.
     _NARROW = [("fock", None, 0.2, 0.9), ("bergman", 0.5, 0.2, 0.9 + 0.3j), ("fock", None, 0.2, -2.75)]
 
     @staticmethod
@@ -647,10 +664,10 @@ class TestProbedKernel:
         view[band._at(0, 1)] = sign * 10.0
         assert band._aliased()
 
-    # Ladder levels 25 and 37 probe on P = N columns, an odd number: a real
+    # Ladder levels 25 and 31 probe on P = N columns, an odd number: a real
     # pencil holds ceil(P/2) complex columns, and the imaginary lane of the
     # last stays exactly 0 through every step (one per odd m) and hold.
-    @pytest.mark.parametrize("top_n,N", [(100, 25), (150, 37)])
+    @pytest.mark.parametrize("top_n,N", [(100, 25), (124, 31)])
     @pytest.mark.parametrize("basis,nu", _COMPONENTS)
     def test_odd_period_packs_a_spare_lane_that_stays_zero(self, basis, nu, top_n, N):
         g, lam, eps, top = 0.2, 0.9, 0.1, 3
@@ -664,9 +681,11 @@ class TestProbedKernel:
                 ref = _dense_dn_r_m_once(basis, g, lam, eps, m, n, N, nu)
                 assert abs(row[n] - ref) <= 1e-12 * abs(ref), (m, n, row[n], ref)
 
-    # N = 130 probes its two finest levels, 130 and 65, on 64 columns.
-    @pytest.mark.parametrize("point", _NARROW[:2])
-    def test_probed_sweep_matches_dense_composition_sum(self, point):
+    # N = 130 probes its two finest levels, 130 and 65, on fewer columns than
+    # rows: the start of 32, or the 40 that the level 65 learns at the
+    # Bergman point and carries to the level 130.
+    @pytest.mark.parametrize("point,P", zip(_NARROW[:2], [32, 40]))
+    def test_probed_sweep_matches_dense_composition_sum(self, point, P):
         basis, nu, g, lam = point
         eps, N, top = 0.1, 130, 3
         sweep = TraceDerivativeSweep(Component(basis, nu), g, lam, eps, top, N)
@@ -675,16 +694,15 @@ class TestProbedKernel:
             for n in range(top + 1):
                 ref = _dense_dn_r_m(basis, g, lam, eps, m, n, N, nu)
                 assert abs(terms[n].value - ref) <= 1e-11 * abs(ref), (m, n, terms[n], ref)
-        assert [(st.N, st.P) for st in sweep._states] == [(130, 64), (65, 64), (32, 32)]
+        assert [(st.N, st.P) for st in sweep._states] == [(130, P), (65, P), (32, 32)]
 
     @pytest.mark.parametrize("N", [100, 400, 800])
     def test_period_widens_only_where_the_band_is_wide(self, N):
         for point in self._WIDENING:
-            assert min(64, N) < self._traces(point, N)[1] <= N, point
-        for point in self._NARROW:
-            assert self._traces(point, N)[1] == 64, point
+            assert 64 < self._traces(point, N)[1] <= N, point
+        assert [self._traces(point, N)[1] for point in self._NARROW] == [32, 40, 32]
 
-    # At P = N, E = I: the dense sweep.  A start of 16 doubles its way up to
+    # At P = N, E = I: the dense sweep.  A start of 16 widens its way up to
     # a period that passes the check.
     @pytest.mark.parametrize("point", [*_WIDENING, _NARROW[2]])
     def test_probed_traces_match_the_dense_sweep(self, monkeypatch, point):
@@ -692,7 +710,7 @@ class TestProbedKernel:
         monkeypatch.setattr(operator_oracle, "_PROBE_START", N)
         dense, P = self._traces(point, N)
         assert P == N
-        for start in (64, 16):
+        for start in (32, 16):
             monkeypatch.setattr(operator_oracle, "_PROBE_START", start)
             got, P = self._traces(point, N)
             assert P < N
@@ -700,13 +718,13 @@ class TestProbedKernel:
                 assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(row, ref)), (start, row, ref)
 
     def test_the_halfway_check_is_needed(self, monkeypatch):
-        # Without it, 64 probe columns alias the slow-decaying nu = 3/2 band
-        # at g = 1.0 into an error of about 2e-8.
+        # Without it, the 32 probe columns of the start alias the
+        # slow-decaying nu = 3/2 band at g = 1.0 far above the rounding floor.
         point, N = self._WIDENING[0], 400
         dense, _ = self._traces(point, N)
         monkeypatch.setattr(_ProbedBand, "_aliased", lambda self: False)
         got, P = self._traces(point, N)
-        assert P == 64
+        assert P == 32
         err = max(abs(x - y) / abs(y) for row, ref in zip(got, dense) for x, y in zip(row, ref))
         assert err > 1e-9
 
@@ -717,11 +735,14 @@ class TestProbedKernel:
         ref = next(r for r in rows if (r["basis"], r["nu"], r["g"]) == ("bergman", 0.5, 0.4) and r["lam"][1])
         lam = complex(*ref["lam"])
         sweep = TraceDerivativeSweep(Component("bergman", 0.5), 0.4, lam, _CALIBRATION["eps"], 3, 3200)
-        assert max(st.P for st in sweep._states) == 64
+        assert [st.P for st in sweep._states] == [32] * 5
         for m, want in enumerate(ref["terms"], 1):
             row = sweep.next_terms()
             for k in range(4):
                 assert abs(row[k].value - complex(*want[k])) <= row[k].abs_error, (m, k)
+        # The first step widens every level to 64, the period the coarsest
+        # level learns and carries up the ladder.
+        assert sweep.period == max(st.P for st in sweep._states) == 64
 
 
 class TestTracesDriver:
@@ -745,17 +766,17 @@ class TestTracesDriver:
             assert self._band(point).traces(m) == want, m
 
     # These points widen, where they do, on the first step, before anything
-    # is held.  One doubling forced on the third step, which traces(5) takes
+    # is held.  One widening forced on the third step, which traces(5) takes
     # with W(2) held, replays W(2) on the wider period and must rebuild its
     # bands there: the values stay those of the dense sweep (P = N), and a
     # fresh band forced alike replays them bit for bit.
     @pytest.mark.parametrize("point", _POINTS)
     def test_a_widening_after_a_hold_rebuilds_the_held_bands(self, monkeypatch, point):
-        N = 400
+        N, start = 400, operator_oracle._PROBE_START
         monkeypatch.setattr(operator_oracle, "_PROBE_START", N)
         dense = self._band(point, N)
         want = [dense.traces(m) for m in range(1, 9)]
-        monkeypatch.setattr(operator_oracle, "_PROBE_START", 64)
+        monkeypatch.setattr(operator_oracle, "_PROBE_START", start)
         aliased = _ProbedBand._aliased
 
         def once_more_on_the_third_step(band):
@@ -770,7 +791,7 @@ class TestTracesDriver:
             row = run.traces(m)
             assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(row, ref)), (m, row, ref)
             assert self._band(point, N).traces(m) == row, m
-        assert run.forced_from < run.P == min(2 * run.forced_from, N)
+        assert run.forced_from < run.P == min(_wider(run.forced_from), N)
 
     # The eigen blocks' one-order bands: n = 4 holds W(2), two steps in, and
     # n = 5 steps once more past it.
@@ -837,18 +858,21 @@ class TestFreedByReferenceCounting:
 
 class TestProbedEigenKernel:
     # The eigen oracle's block traces tr((H + lam)^-n) come from the probed
-    # band kernel; eig_banded's eigenvalue sums are their dense reference.
-    # These points widen the probe period past its start of 64.
+    # band kernel, on the block itself or on its pencil; eig_banded's
+    # eigenvalue sums are their dense reference.  These points widen the
+    # probe period past 64, twice its start of 32.
     _WIDENING = [(TwoPhoton(0.45, 0.3, 0.1), 1.0), (Ncho(1.2, 1.0, 0.1), 0.8)]
 
     @staticmethod
     def _recording(monkeypatch):
-        """The list of every _ProbedBand the kernel builds from now on."""
+        """The list of every _ProbedBand the kernel builds from now on, each
+        with the period it was started at (None for the default)."""
         built = []
 
         class Recording(_ProbedBand):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
+                self.start = kwargs.get("period")
                 built.append(self)
 
         monkeypatch.setattr(operator_oracle, "_ProbedBand", Recording)
@@ -862,49 +886,112 @@ class TestProbedEigenKernel:
         ref = _eigen_sum(bands, n, lam)
         assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
 
+    @staticmethod
+    def _pencils(model):
+        """The blocks at N = 200 and the pencil argument of each."""
+        geo = model_geometry(model)
+        return geo.blocks(200), [(c, geo.g, geo.eps, geo.coupling) for c in geo.family.components]
+
+    # The scalar-coupled blocks' traces from their N-row pencils: against
+    # the eigenvalue sums and against the interleaved blocks' own traces, at
+    # real and complex lam and between two poles (a third of the way from
+    # the third negated eigenvalue to the fourth), n = 1..5.
+    @pytest.mark.parametrize("where", ["real", "complex", "between"])
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS[:3])
+    def test_pencil_traces_match_the_eigenvalue_sums(self, model, lam, where):
+        bands, pencils = self._pencils(model)
+        assert model_geometry(model).pencil and not model_geometry(_EIGEN_MODELS[3][0]).pencil
+        if where == "complex":
+            lam += 0.5j
+        elif where == "between":
+            mu = np.sort(np.concatenate([sla.eig_banded(_upper(b), eigvals_only=True) for b in bands]))
+            lam = -(2 * mu[2] + mu[3]) / 3
+        for n in range(1, 6):
+            got = sum(_block_trace(b, n, lam, None, pencil)[0] for b, pencil in zip(bands, pencils))
+            for ref in (_eigen_sum(bands, n, lam), sum(_block_trace(b, n, lam)[0] for b in bands)):
+                assert abs(got - ref) <= 1e-13 * abs(ref), (n, got, ref)
+
+    # The guard reads the interleaved block H + lam whichever kernel then
+    # takes the trace, so the pencil is refused exactly where the block is.
+    # A truncated eigenvalue of h_plus at -lam (its largest, which lies off
+    # the free progression) makes the sweep's factor singular
+    # (SingularOperator there), but not a coupled block: its pencil
+    # h_minus h_plus - X^2 is regular, and only the decoupled block (X = 0)
+    # is refused, as NearPole, on both kernels.  The coupled block has a pole
+    # about 3e-4 from there, whose rounding both kernels feel: against a
+    # 40-digit trace of the TwoPhoton block the pencil erred by 5.0e-12 and
+    # the interleaved block by 1.3e-11.
+    @pytest.mark.parametrize("model,lam", _EIGEN_MODELS[:3])
+    def test_pencil_refuses_where_the_block_refuses(self, model, lam):
+        bands, pencils = self._pencils(model)
+        mu = sla.eig_banded(_upper(bands[0]), eigvals_only=True)[100]
+        for near in (-mu + 1e-10, -mu - 1e-10, -mu + 1e-10j):
+            for pencil in (None, pencils[0]):
+                with pytest.raises(NearPole):
+                    _block_trace(bands[0], 2, near, None, pencil)
+        component, g, eps, _ = pencils[0]
+        h_plus = build_component_operator(component.basis, g, eps, +1, 200, component.nu)
+        lam = -np.linalg.eigvalsh(dense(h_plus).real)[-1]
+        with pytest.raises(SingularOperator):
+            TraceDerivativeSweep(component, g, lam, eps, 2, 200)
+        got = _block_trace(bands[0], 2, lam, None, pencils[0])[0]
+        ref = _block_trace(bands[0], 2, lam)[0]
+        assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+        decoupled = model_geometry(dataclasses.replace(model, delta=0.0)).blocks(200)[0]
+        for pencil in (None, (component, g, eps, 0.0)):
+            with pytest.raises(NearPole):
+                _block_trace(decoupled, 2, lam, None, pencil)
+
+    # Both the blocks (as the oscillator pair's are solved) and, where the
+    # geometry has them, their pencils (as the eigen oracle reads them); the
+    # interleaved 800-row blocks settle at 144 and 328, the 400-row pencils
+    # at 80.
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("model,lam", _WIDENING)
     def test_widening_points_match_the_eigenvalue_sums(self, monkeypatch, model, lam, n):
         built = self._recording(monkeypatch)
-        bands = model_geometry(model).blocks(400)
-        got = sum(_block_trace(b, n, lam)[0] for b in bands)
+        geo = model_geometry(model)
+        bands = geo.blocks(400)
         ref = _eigen_sum(bands, n, lam)
-        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
-        assert len(built) == len(bands) and min(b.P for b in built) > 64
+        pencils = [(c, geo.g, geo.eps, geo.coupling) for c in geo.family.components] if geo.pencil else []
+        for route in [[None] * len(bands), pencils] if pencils else [[None] * len(bands)]:
+            del built[:]
+            got = sum(_block_trace(b, n, lam, None, pencil)[0] for b, pencil in zip(bands, route))
+            assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+            assert len(built) == len(bands) and min(b.P for b in built) >= 80
 
     # The levels of a request run coarsest first, and each band starts at the
-    # period that the last band to settle below its own N settled on.  The
-    # blocks of up to 200 rows need P = N, which tells the next band
-    # nothing; of the wider ones only the first doubles its period.
+    # period that the bands before it learned, a band that reached P = N
+    # included: the period it would have tried next.  So the periods at which
+    # the request's bands find aliased mass strictly increase (no band learns
+    # again what an earlier one learned), and the last band starts at the
+    # period the one before it ended on and keeps it.
     @pytest.mark.parametrize("model,lam", _WIDENING)
     def test_one_widening_per_request(self, monkeypatch, model, lam):
         built = self._recording(monkeypatch)
-        probe = _ProbedBand._probe
-
-        def counting(band, P):
-            band.periods = getattr(band, "periods", []) + [P]
-            probe(band, P)
-
-        monkeypatch.setattr(_ProbedBand, "_probe", counting)
+        aliased = _aliasing_periods(monkeypatch)
+        rows = 1 if model_geometry(model).pencil else 2
         for n in range(2, 6):
-            del built[:]
+            del built[:], aliased[:]
             zeta_eigen_oracle(model, n, lam, N=400)
-            doubled = [b for b in built if len(b.periods) > 1 and b.P < b.N]
-            assert len(doubled) <= 1, [(b.N, b.periods) for b in built]
-            assert [b.N for b in built] == [50, 50, 100, 100, 200, 200, 400, 400, 800, 800]
-            assert built[-1].periods == [built[-2].P] and built[-1].P > 64
+            assert aliased and aliased == sorted(set(aliased)), aliased
+            assert [b.N for b in built] == [rows * size for size in (25, 25, 50, 50, 100, 100, 200, 200, 400, 400)]
+            assert built[0].start is None
+            assert all(b.start == before.period for before, b in zip(built, built[1:]))
+            assert built[-1].period == built[-2].period and built[-1].P > 64
 
     # The block is complex-symmetric, so its band is its own transposed
     # band: at n = 2 the kernel dots W(1)E with itself, holding no copy, and
     # builds no P x N int64 index.  Gathered through that index, the peak
-    # here was 15,083,728 bytes (numpy 2.4, scipy 1.17).
+    # here was 15,083,728 bytes on 256 probe columns (numpy 2.4, scipy
+    # 1.17), so the band starts there.
     def test_no_transposed_index_on_the_eigen_path(self, monkeypatch):
         built = self._recording(monkeypatch)
         block = model_geometry(TwoPhoton(0.45, 0.3, 0.1)).blocks(1200)[0]
-        _block_trace(block, 2, 1.0)
+        _block_trace(block, 2, 1.0, 256)
         tracemalloc.start()
         try:
-            _block_trace(block, 2, 1.0)
+            _block_trace(block, 2, 1.0, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -912,22 +999,22 @@ class TestProbedEigenKernel:
         assert (N, P) == (2400, 256) and built[-1]._transposed is None
         assert peak <= 15_083_728 - N * P * 8
 
-    # The widening 128 -> 256 drops the narrower state before it allocates
+    # The widening 128 -> 160 drops the narrower state before it allocates
     # the wider one, N P real probe entries packed two per complex column:
-    # the peak was 7,845,136 bytes while both were held, and 5,406,592 with
-    # one.
+    # at 128 -> 256 the peak was 7,845,136 bytes while both were held and
+    # 5,406,592 with one, and at 128 -> 160 it is 3,563,376 with one.
     def test_widening_holds_one_state(self, monkeypatch):
         built = self._recording(monkeypatch)
         block = model_geometry(TwoPhoton(0.45, 0.3, 0.1)).blocks(1200)[0]
-        _block_trace(block, 2, 1.0)
+        _block_trace(block, 2, 1.0, 128)
         tracemalloc.start()
         try:
-            _block_trace(block, 2, 1.0)
+            _block_trace(block, 2, 1.0, 128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         N, P = built[-1].N, built[-1].P
-        assert (N, P) == (2400, 256) and built[-1]._lanes == 2
+        assert (N, P) == (2400, 160) and built[-1]._lanes == 2
         assert peak <= 1.25 * N * P * 8
 
     # A real symmetric block has real eigenvalues: lam within the guard of
@@ -944,6 +1031,21 @@ class TestProbedEigenKernel:
             got = _block_trace(bands[0], n, off)[0]
             assert abs(got - _eigen_sum(bands[:1], n, off)) <= 1e-6 * abs(got)
             assert math.isfinite(abs(zeta_eigen_oracle(model, n, off, N=N).value))
+
+
+class TestOnePeriodPerRequest:
+    # A request learns its probe period once: each band starts at the period
+    # the bands before it learned (the sweep's finer levels, next component
+    # and next budget top; the eigen ladder's next block and level), so the
+    # periods at which its bands find aliased mass, each of which replays
+    # that band, strictly increase.  On these widening points, the default
+    # series request and the eigen request.
+    @pytest.mark.parametrize("method", ["series_operator", "eigen_oracle"])
+    @pytest.mark.parametrize("model,lam", TestProbedEigenKernel._WIDENING)
+    def test_the_period_is_learned_once(self, monkeypatch, model, lam, method):
+        aliased = _aliasing_periods(monkeypatch)
+        rabi_zeta.zeta_value(rabi_zeta.ZetaRequest(model, 2, lam, method=method))
+        assert aliased and aliased == sorted(set(aliased)), aliased
 
 
 class TestTruncationLadder:
@@ -978,6 +1080,21 @@ class TestTruncationLadder:
                 assert abs(got.value - want) <= got.abs_error, (m, order, got, want)
         # m = 1 keeps N = 400, and the later terms came from coarser triples.
         assert used[0] == 400 and used[-1] == 100 and used == sorted(used, reverse=True)
+
+    # _extrapolate reads five levels and the drop test levels 1-3, so a
+    # sweep builds the five finest of its ladder (N = 1600 has seven) and a
+    # coarser one when a drop brings it among them.  That band replays from
+    # W(0) and returns what a band stepped from m = 1 on would.
+    def test_a_level_is_built_when_it_is_read(self):
+        args = (Component("fock"), 0.2, 0.9, 0.1, 0)
+        sweep = TraceDerivativeSweep(*args, 1600)
+        assert [st.N for st in sweep._states] == [1600, 800, 400, 200, 100]
+        run = _resolvent_band(*args, 50)
+        for m in range(1, 4):
+            sweep.next_terms()
+            run.traces(m)
+        assert [st.N for st in sweep._states] == [800, 400, 200, 100, 50]
+        assert sweep._states[-1].traces(4) == run.traces(4)
 
     # Below _MIN_TOP the bars are the first Richardson step's corrections.
     @pytest.mark.parametrize("N", [8, 60, 95])
@@ -1172,7 +1289,7 @@ class TestCalibration:
         # The sweep rows themselves read converged from _MIN_BAR_TOP on, so
         # family_term and the zeta assembly need not compare N again.
         for N, converged in ((40, False), (_MIN_BAR_TOP, True)):
-            rows = family_rows(family.components, 0.2, 0.9, 0.1, 2, N, 3)
+            rows, _ = family_rows(family.components, 0.2, 0.9, 0.1, 2, N, 3)
             assert [sv.converged for row in rows for sv in row.values()] == [converged] * 9
         assert bar_floor_warning(_MIN_BAR_TOP) is None
         assert bar_floor_warning(40) == "operator truncation N=40 is below 44: no calibrated bar"

@@ -346,9 +346,9 @@ class TestTruncationBudget:
         swept = []
         family_rows = zeta_values.family_rows
 
-        def counting(components, g, lam, eps, n, N, m_last):
+        def counting(components, g, lam, eps, n, N, m_last, period):
             swept.append((N, m_last))
-            return family_rows(components, g, lam, eps, n, N, m_last)
+            return family_rows(components, g, lam, eps, n, N, m_last, period)
 
         def evaluate(trunc_n):
             return zeta_value(ZetaRequest(Ncho(2.0, 1.2, 0.1), 2, 0.8, trunc_n=trunc_n))
