@@ -425,7 +425,7 @@ def _factor(band: np.ndarray, k: int, estimate: bool = True):
     factorization passes estimate=False: sigma is then 0 where gbtrf fails
     or the band or its LU is not finite, and 1 where not."""
     gbtrf, gbcon = sla.get_lapack_funcs(("gbtrf", "gbcon"), dtype=band.dtype)
-    anorm = float(np.max(np.sum(np.abs(band), axis=0)))
+    anorm = float(np.abs(band).sum(axis=0).max())
     lu, piv, info = gbtrf(band, k, k, overwrite_ab=True)
     if not estimate:
         return lu, piv, float(info == 0 and np.isfinite(anorm) and np.isfinite(lu).all())
@@ -502,7 +502,7 @@ def _pencil_lu(h_minus, h_plus, square=0.0):
     return _banded_lu(band, 2, estimate=False)
 
 
-def _wider(period: int, excess: float = 1.0) -> int:
+def _wider(period: int, excess: float) -> int:
     """The period a band widens to from `period`, whose halfway rows (at
     distance period/2 from their probe column) hold `excess` > 1 times the
     rounding floor relative to the largest entry: the first period of the
@@ -697,13 +697,13 @@ class _ProbedBand:
         excess = 0.0
         for x in self._w:
             v = self._view(x)
-            halfway = np.max(np.abs(v[self._halfway])) / _ROUNDING_FLOOR
+            halfway = np.abs(v[self._halfway]).max() / _ROUNDING_FLOOR
             # The diagonal's largest entry bounds the state's from below, so
             # the whole state is read only when the diagonal leaves it open;
             # real lanes are read without an absolute-value copy.
-            if halfway <= np.max(np.abs(v[self._diagonal])):
+            if halfway <= np.abs(v[self._diagonal]).max():
                 continue
-            largest = max(v.max(), -v.min()) if self._lanes == 2 else np.max(np.abs(v))
+            largest = max(v.max(), -v.min()) if self._lanes == 2 else np.abs(v).max()
             if halfway > largest:
                 excess = max(excess, halfway / largest)
         return excess
@@ -775,7 +775,7 @@ class _ProbedBand:
             self.step()
         if m == 1:
             self.step()
-            traces = [np.sum(d) for d in self.diagonals()]
+            traces = [d.sum() for d in self.diagonals()]
         else:
             own = self._symmetric and a == b
             if not own and self._held != b:
@@ -1084,7 +1084,7 @@ def _pencil_trace(n: int, lam: complex, component: Component, g, eps, coupling, 
     probed = _ProbedBand(N, n, dtype, solve, s[:, None], period=period)
     probed.step()
     w = probed.diagonals()
-    trace = np.sum(w[n - 1] * s) + (2 * np.sum(w[n - 2]) if n > 1 else 0)
+    trace = (w[n - 1] * s).sum() + (2 * w[n - 2].sum() if n > 1 else 0)
     return (-1) ** (n - 1) * c ** -n * complex(trace), probed.period
 
 

@@ -791,7 +791,7 @@ class TestTracesDriver:
             row = run.traces(m)
             assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(row, ref)), (m, row, ref)
             assert self._band(point, N).traces(m) == row, m
-        assert run.forced_from < run.P == min(_wider(run.forced_from), N)
+        assert run.forced_from < run.P == min(_wider(run.forced_from, True), N)
 
     # The eigen blocks' one-order bands: n = 4 holds W(2), two steps in, and
     # n = 5 steps once more past it.
